@@ -52,7 +52,7 @@ END_TO_END = [
 ]
 
 
-def tail_percentile(samples, ladder=TAIL_LADDER):
+def tail_percentile(samples):
     """Highest ladder percentile with at least ten samples beyond it.
 
     Nearest-rank: percentile q is the sample of rank ceil(q n / 100), and
@@ -63,7 +63,7 @@ def tail_percentile(samples, ladder=TAIL_LADDER):
     xs = sorted(samples)
     n = len(xs)
     best = None
-    for q in ladder:
+    for q in TAIL_LADDER:
         rank = max(1, -(-round(q * 10) * n // 1000))   # ceil(q n / 100), exactly
         if n - rank >= 10:
             best = (q, xs[rank - 1])
@@ -154,9 +154,10 @@ def _durations(gauge, samples):
 
 def _pass_seconds(gauge, calls, p0: float, p1: float) -> float:
     """A pass in reference seconds: each library call scaled by the gauge
-    around it, the time between calls by the gauge around the whole pass."""
+    around it, the time between calls by the gauge around the whole pass.
+    The calibration samples taken during the pass are not counted."""
     inside = [(t0, t1) for t0, t1 in calls if p0 <= t0 and t1 <= p1]
-    between = (p1 - p0) - sum(t1 - t0 for t0, t1 in inside)
+    between = gauge.busy(p0, p1) - sum(gauge.busy(t0, t1) for t0, t1 in inside)
     return (sum(gauge.seconds(t0, t1) for t0, t1 in inside)
             + between * gauge.scale(p0, p1))
 
@@ -178,7 +179,7 @@ def end_to_end(gauge, main_res, probe_res, passes, setup_samples, peak_rss_mb):
     out = {
         "setup_s": {"value": statistics.median(setup_samples), "samples": len(setup_samples)},
         "wall_s": {"value": statistics.median(walls), "samples": len(walls),
-                   "raw": statistics.median(t1 - t0 for t0, t1, _ in passes)},
+                   "raw": statistics.median(gauge.busy(t0, t1) for t0, t1, _ in passes)},
         "peak_rss_mb": {"value": peak_rss_mb},
     }
     for key in ("exact_k1_point_s", "exact_kvec_point_s"):
@@ -187,7 +188,7 @@ def end_to_end(gauge, main_res, probe_res, passes, setup_samples, peak_rss_mb):
         tail = tail_percentile(xs)
         out[key + "_p50"] = {
             "value": statistics.median(xs), "samples": len(xs), "from": src,
-            "raw": statistics.median(t1 - t0 for t0, t1, _ in samples),
+            "raw": statistics.median(gauge.busy(t0, t1) for t0, t1, _ in samples),
             "tail": None if tail is None else {"percentile": tail[0], "value": tail[1]}}
     met, src = pick("exact_budget_met", "values")
     out["exact_budget_met_ratio"] = {"value": sum(met) / len(met), "base": len(met),
@@ -198,14 +199,15 @@ def end_to_end(gauge, main_res, probe_res, passes, setup_samples, peak_rss_mb):
     out["mc_reps_per_s"] = {
         "value": sum(w for _, _, w in samples) / sum(_durations(gauge, samples)),
         "samples": len(samples), "from": src,
-        "raw": sum(w for _, _, w in samples) / sum(t1 - t0 for t0, t1, _ in samples)}
+        "raw": sum(w for _, _, w in samples) / sum(gauge.busy(t0, t1) for t0, t1, _ in samples)}
     for name, _, _ in END_TO_END:
         if name.startswith("mc_") and name not in out:
             samples, src = pick(name, "timed")
             rates = [w / d for (_, _, w), d in zip(samples, _durations(gauge, samples))]
             out[name] = {"value": statistics.median(rates), "samples": len(rates),
                          "from": src,
-                         "raw": statistics.median(w / (t1 - t0) for t0, t1, w in samples)}
+                         "raw": statistics.median(w / gauge.busy(t0, t1)
+                                                  for t0, t1, w in samples)}
     for name, unit, _ in END_TO_END:
         out[name]["unit"] = unit
     return out
@@ -217,22 +219,23 @@ def run_timed(wl, gauge, seconds: float, workload: str, seed: int, setup_first: 
     setup_samples = [setup_first] + [child_setup_s(workload, seed)
                                      for _ in range(SETUP_SAMPLES - 1)]
     main_res = workloads.Results(gauge)
-    passes = []
-    t0 = time.perf_counter()
-    while True:
-        p0 = time.perf_counter()
-        wl.run_pass(main_res)
-        p1 = time.perf_counter()
-        passes.append((p0, p1, 1.0))
-        gauge.sample()   # every pass has a calibration sample after its end
-        # start another pass only if it should end within the run's seconds
-        if (p1 - t0) + statistics.median(b - a for a, b, _ in passes) > seconds:
-            break
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     probe_res = workloads.Results(gauge)
-    for _ in range(PROBE_REPEATS):
-        wl.run_probes(probe_res)
-    gauge.sample()
+    passes = []
+    with gauge.sampling():
+        t0 = time.perf_counter()
+        while True:
+            p0 = time.perf_counter()
+            wl.run_pass(main_res)
+            p1 = time.perf_counter()
+            passes.append((p0, p1, 1.0))
+            gauge.sample()   # every pass has a calibration sample after its end
+            # start another pass only if it should end within the run's seconds
+            if (p1 - t0) + statistics.median(b - a for a, b, _ in passes) > seconds:
+                break
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        for _ in range(PROBE_REPEATS):
+            wl.run_probes(probe_res)
+        gauge.sample()
     metrics = end_to_end(gauge, main_res, probe_res, passes, setup_samples, peak_rss_mb)
     checks = main_res.checks + probe_res.checks
     failures = main_res.failures + probe_res.failures
@@ -248,7 +251,9 @@ def run_traced(wl, workload: str, seed: int) -> dict:
     from gauge import Gauge
     from spans import PER_LAYER, Tracer, install, layer_values
 
-    idle = Gauge(interval=float("inf"))   # no calibration inside the traced work
+    # one sample now, so that no calibration runs inside the timed units
+    idle = Gauge(interval=float("inf"))
+    idle.sample()
 
     def unit(res):
         wl.run_pass(res)

@@ -255,13 +255,13 @@ def _owner(spec: str):
     return getattr(mod, cls) if cls else mod
 
 
-def install(tracer: Tracer, targets=TARGETS) -> None:
+def install(tracer: Tracer) -> None:
     """Patch every target in its defining module and in each consumer.
 
     All patched names of one target share the same wrapper, so a call
     records one span whichever module it came through.
     """
-    for name, owner_spec, attr, consumers, hook, *pre in targets:
+    for name, owner_spec, attr, consumers, hook, *pre in TARGETS:
         owner = _owner(owner_spec)
         original = getattr(owner, attr)
         wrapper = tracer.wrap(name, original, hook, *pre)

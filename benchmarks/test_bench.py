@@ -1,5 +1,6 @@
 """Tests of the benchmark harness: self-time arithmetic, the tail-percentile
-rule, metric names, and patching that leaves the package as it found it.
+rule, metric names, patching that leaves the package as it found it, and
+wall time that leaves out calibration.
 
     python3 -m pytest -q benchmarks/test_bench.py
 """
@@ -13,6 +14,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import run  # noqa: E402
+from gauge import CAL_REF_S, Gauge  # noqa: E402
 import spans  # noqa: E402
 from spans import METRIC_NAME, Span, Tracer, covered_length, self_times  # noqa: E402
 
@@ -99,3 +101,17 @@ def test_metric_names_are_valid_unique_and_match_benchmark_json():
         bench = json.load(fh)
     assert [(m["name"], m["unit"], m["better"]) for m in bench["end_to_end"]] == run.END_TO_END
     assert [(m["name"], m["unit"], m["better"]) for m in bench["per_layer"]] == spans.PER_LAYER
+
+
+def test_pass_seconds_leaves_out_calibration_samples():
+    g = Gauge()
+    # one sample before the pass [1, 10], two in it outside its calls, one inside
+    # its first call, one straddling its end
+    g.mids = [0.5, 2.0, 3.5, 8.0, 10.0]
+    g.durations = [CAL_REF_S] * 5
+    assert g.sampled_within(1.0, 10.0) == pytest.approx(3 * CAL_REF_S)
+    assert g.busy(3.0, 4.0) == pytest.approx(1.0 - CAL_REF_S)
+    # every sample takes CAL_REF_S, so the scale is 1 and only the
+    # calibration time inside the pass comes off it
+    calls = [(3.0, 4.0), (5.0, 7.5)]
+    assert run._pass_seconds(g, calls, 1.0, 10.0) == pytest.approx(9.0 - 3 * CAL_REF_S)

@@ -152,8 +152,8 @@ class Results:
             self.failures.append(what)
 
 
-def load_references(path: str = REFERENCE_FILE) -> dict:
-    with open(path) as fh:
+def load_references() -> dict:
+    with open(REFERENCE_FILE) as fh:
         return json.load(fh)["sets"]
 
 
