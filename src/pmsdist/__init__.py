@@ -46,20 +46,20 @@ from .experiments import (
 from .fixtures import FIXTURE_NAMES, Fixture, fixture
 from .montecarlo import (
     EmpiricalCdf,
+    Replications,
     SimulationPlan,
     dump_replications,
     empirical_cdf,
     estimator_error_probability,
+    replicate,
     simulate_response,
 )
 from .regression_core import (
-    GramInfo,
     LimitQuantities,
     ProjectionQuantities,
     RegressionProblem,
     eta,
     limit_quantities,
-    load_design,
     order_of,
     projection_quantities,
     restricted_ls,
@@ -93,22 +93,22 @@ __all__ = [
     "AccuracyBudget", "CdfQuery", "CdfResult", "DecomposedCdf",
     "DegenerateSampleError", "DensityUndefinedError", "EmpiricalCdf",
     "ExperimentRefusal", "FIXTURE_NAMES", "Fixture", "GeneralToSpecific",
-    "GramInfo", "InformationCriterion", "LimitCdfTermTrace",
-    "LimitQuantities", "LocalAlternative", "LocalShiftConstants",
-    "OscillationReport", "PlugInState", "PmsdistError", "PostSelectionFit",
-    "ProjectionQuantities", "RegressionProblem", "SigmaRatioDensity",
-    "SimulationPlan", "SubsetMask", "SweepReport", "Thresholding",
-    "ValidationError", "aic_equivalence_audit", "auxiliary_consistent",
-    "cdf_exact", "cdf_exact_decomposed", "cdf_limit",
-    "cdf_limit_via_integral", "convergence_sweep", "delta",
+    "InformationCriterion", "LimitCdfTermTrace", "LimitQuantities",
+    "LocalAlternative", "LocalShiftConstants", "OscillationReport",
+    "PlugInState", "PmsdistError", "PostSelectionFit",
+    "ProjectionQuantities", "RegressionProblem", "Replications",
+    "SigmaRatioDensity", "SimulationPlan", "SubsetMask", "SweepReport",
+    "Thresholding", "ValidationError", "aic_equivalence_audit",
+    "auxiliary_consistent", "cdf_exact", "cdf_exact_decomposed",
+    "cdf_limit", "cdf_limit_via_integral", "convergence_sweep", "delta",
     "dump_replications", "empirical_cdf", "estimator_error_probability",
     "eta", "fixture", "full_model_gaussian_cdf", "full_model_t_ratios",
     "g2s_order", "g_check", "ic_threshold", "ic_values",
     "impossibility_demo", "limit_nonconstancy_scan", "limit_quantities",
-    "load_design", "local_shift_constants", "masked_ls", "order_of",
-    "pdf_limit", "phi_hat", "pilot_delta0", "plug_in_state",
-    "post_select_fit", "projection_quantities", "restricted_ls",
-    "rule_from_json", "rule_to_json", "sample_zw", "select_g2s", "select_ic",
+    "local_shift_constants", "masked_ls", "order_of", "pdf_limit",
+    "phi_hat", "pilot_delta0", "plug_in_state", "post_select_fit",
+    "projection_quantities", "replicate", "restricted_ls", "rule_from_json",
+    "rule_to_json", "sample_zw", "select_g2s", "select_ic",
     "select_threshold", "sigma_hat", "sigma_ratio_pdf", "simulate_response",
     "t_statistics", "tube_sweep", "uniform_case_sweep", "xi_n",
 ]

@@ -333,7 +333,7 @@ class _ExactEngine:
             s, w, trunc = self._s_grid(n_panels, breaks=breaks)
             tail = self._tail_products(s)[p]
             B = s * cssx
-            pz = self._ray_halfline_prob(mp, b, B, u, sd_z)
+            pz = ray_halfline_prob(mp, b, B, u, sd_z)
             val = float(np.sum(w * tail * pz))
             return val, err + trunc
 
@@ -351,11 +351,6 @@ class _ExactEngine:
         dmat = delta(sig * zeta, (mp + b * z)[:, None], (s * cssx)[None, :])
         val = float(np.sum(vw) * t0 - vw @ dmat @ wt)
         return val, err + trunc + float(ndtr(-TAIL_CUT))
-
-    @staticmethod
-    def _ray_halfline_prob(mp: float, b: float, B: np.ndarray, u: float, sd_z: float):
-        """P(z <= u, |mp + b z| >= B) for z ~ N(0, sd_z^2), vector of B >= 0."""
-        return ray_halfline_prob(mp, b, B, u, sd_z)
 
     # ---- sampled k >= 2 inner integrals ----
     def _term_sampled(self, p: int, u: np.ndarray, n_panels: int):

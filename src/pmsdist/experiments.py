@@ -27,13 +27,14 @@ import numpy as np
 from .cdf_estimators import phi_hat_values
 from .dist_exact import AccuracyBudget, CdfQuery, cdf_exact
 from .dist_limit import LocalAlternative, cdf_limit, limit_nonconstancy_scan
-from .errors import DegenerateSampleError, ExperimentRefusal, ValidationError
+from .errors import ExperimentRefusal, ValidationError
 from .fixtures import Fixture
 from .montecarlo import (
     SimulationPlan,
     _draw_errors,
     empirical_cdf,
     estimator_error_probability,
+    replicate,
     simulate_response,
 )
 from .regression_core import RegressionProblem
@@ -45,6 +46,9 @@ from .selection import (
     ic_threshold,
     select_ic,
 )
+
+# Instances of the AIC audit replayed at each n through the scalar pipeline.
+SCALAR_REPLAYS = 10
 
 __all__ = [
     "SweepReport",
@@ -402,18 +406,15 @@ def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,
     for n in [int(v) for v in n_ladder]:
         fx_n = fixture.at_n(n)
         sup_gap = 0.0
+        # sigma_hat does not depend on theta: one set of draws per n
+        chi2 = _draw_errors(fx_n.problem, master_seed + 1, 0, est_draws)[:, -1]
+        sig = fx_n.problem.sigma * np.sqrt(chi2 / fx_n.problem.dof)
         for theta in theta_grid:
             prob = _with_theta(fx_n.problem, theta)
             plan = SimulationPlan(problem=prob, rule=fixture.rule, A=fixture.A,
                                   replications=replications,
                                   master_seed=master_seed)
             emp = empirical_cdf(plan, [t_arr], workers=workers)
-            eps = _draw_errors(prob, master_seed + 1, 0, est_draws)
-            Y = (prob.X @ prob.theta)[None, :] + prob.sigma * eps
-            q_full = prob._qr[prob.P - 1][0]
-            rss = np.maximum(np.einsum("ij,ij->i", Y, Y)
-                             - np.einsum("ij,ij->i", Y @ q_full, Y @ q_full), 0.0)
-            sig = np.sqrt(rss / prob.dof)
             phis = phi_hat_values(prob, fixture.A, p_used, t_arr, sig)
             gap = abs(float(np.mean(phis)) - float(emp.estimates[0]))
             se = float(emp.standard_errors[0]) + float(np.std(phis) / np.sqrt(est_draws))
@@ -450,7 +451,11 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
     threshold sqrt((n-P)(e^{upsilon/n}-1)) on the dropped coordinate's
     t-ratio (must be zero).  Part two tracks, along an n-ladder, the
     frequency of the symmetric difference between the IC decision and the
-    asymptotic cutoff sqrt(upsilon) (must shrink).
+    asymptotic cutoff sqrt(upsilon) (must shrink).  Each n runs the
+    vectorized IC kernel over all instances; the first SCALAR_REPLAYS of
+    them are also replayed through ``select_ic`` and ``full_model_t_ratios``
+    on the full response, and a replay that departs from the kernel or from
+    the exact threshold counts as a disagreement.
     """
     start = time.perf_counter()
     pr = fixture.problem
@@ -464,21 +469,19 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
         """(ic_vs_exact disagreements, ic_vs_cutoff symdiff count, usable N)."""
         prob = _with_theta(fixture.at_n(n).problem, pr.theta)
         c_n = ic_threshold(n, P, float(upsilon))
-        disagree = symdiff = used = 0
-        for i in range(instances):
-            Y = simulate_response(prob, (master_seed, i))
-            try:
-                sel = select_ic(prob, Y, ic_rule)
-                t_drop = full_model_t_ratios(prob, Y)[P - 1]
-            except DegenerateSampleError:
-                continue
-            used += 1
-            picked_full = sel == full
-            if picked_full != (abs(t_drop) > c_n):
-                disagree += 1
-            if cutoff is not None and picked_full != (abs(t_drop) >= cutoff):
-                symdiff += 1
-        return disagree, symdiff, used
+        reps = replicate(SimulationPlan(problem=prob, rule=ic_rule, A=fixture.A,
+                                        replications=instances, master_seed=master_seed))
+        ok = reps.valid
+        picked_full = np.array([m == full for m in reps.selected])
+        t_drop = np.abs(reps.t_ratios[:, P - 1])
+        disagree = int(np.sum(ok & (picked_full != (t_drop > c_n))))
+        symdiff = 0 if cutoff is None else int(np.sum(ok & (picked_full != (t_drop >= cutoff))))
+        for i in np.nonzero(ok)[0][:SCALAR_REPLAYS]:
+            Y = simulate_response(prob, (master_seed, int(i)))
+            scalar_full = select_ic(prob, Y, ic_rule) == full
+            t_scalar = abs(full_model_t_ratios(prob, Y)[P - 1])
+            disagree += int(scalar_full != picked_full[i] or scalar_full != (t_scalar > c_n))
+        return disagree, symdiff, int(ok.sum())
 
     disagree0, _, used0 = _run(pr.n, None)
     rows.append(("exact_threshold_audit", pr.n, used0, disagree0,

@@ -24,7 +24,6 @@ from .errors import DegenerateSampleError, ValidationError
 
 __all__ = [
     "RegressionProblem",
-    "GramInfo",
     "ProjectionQuantities",
     "LimitQuantities",
     "restricted_ls",
@@ -34,7 +33,6 @@ __all__ = [
     "eta",
     "order_of",
     "limit_quantities",
-    "load_design",
 ]
 
 # Relative eigenvalue cutoff for generalized inverses and SPD checks.
@@ -132,52 +130,6 @@ class RegressionProblem:
             q, r = np.linalg.qr(self.X[:, :p], mode="reduced")
             out.append((q, r))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class GramInfo:
-    """Normalized Gram matrix X'X/n and the (possibly supplied) limit Q.
-
-    ``Q`` defaults to the finite-n Gram when no separate limit is given.
-    Block accessors return the leading p x p block and the p x (P-p) cross
-    block used throughout the distribution formulas.
-    """
-
-    gram: np.ndarray
-    Q: np.ndarray
-
-    def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=float)
-        Q = np.asarray(self.Q, dtype=float)
-        if gram.shape != Q.shape or gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValidationError("gram and Q must be square matrices of equal shape")
-        _check_spd(gram, "gram")
-        _check_spd(Q, "Q")
-        object.__setattr__(self, "gram", _readonly(gram))
-        object.__setattr__(self, "Q", _readonly(Q))
-
-    @classmethod
-    def from_problem(cls, problem: RegressionProblem, Q: np.ndarray | None = None) -> "GramInfo":
-        gram = problem.gram
-        return cls(gram=gram, Q=gram if Q is None else Q)
-
-    @property
-    def P(self) -> int:
-        return self.Q.shape[0]
-
-    def leading(self, p: int) -> np.ndarray:
-        """Q[p:p], the leading p x p block of the limit Gram."""
-        return self.Q[:p, :p]
-
-    def cross(self, p: int) -> np.ndarray:
-        """Q[p:~p], the p x (P-p) cross block of the limit Gram."""
-        return self.Q[:p, p:]
-
-    def gram_leading(self, p: int) -> np.ndarray:
-        return self.gram[:p, :p]
-
-    def gram_cross(self, p: int) -> np.ndarray:
-        return self.gram[:p, p:]
 
 
 @dataclass(frozen=True)
@@ -410,11 +362,3 @@ def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantitie
         q_star=q_star,
     )
 
-
-def load_design(path) -> np.ndarray:
-    """Load a design matrix from headerless CSV (n rows x P columns)."""
-    X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    if X.ndim != 2 or X.shape[0] <= X.shape[1]:
-        raise ValidationError(
-            f"design CSV must have n > P (got shape {X.shape})")
-    return X

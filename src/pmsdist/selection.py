@@ -40,6 +40,7 @@ __all__ = [
     "ic_values",
     "select_threshold",
     "auxiliary_consistent",
+    "auxiliary_critical_value",
     "post_select_fit",
     "masked_ls",
     "ic_threshold",
@@ -287,14 +288,18 @@ def auxiliary_consistent(problem: RegressionProblem, Y: np.ndarray,
     upsilon_n = log n under ``scheme="bic"``.  Both diverge and are
     o(sqrt(n)), which is what consistency needs.
     """
-    if scheme == "sqrt_log_n":
-        c = float(np.sqrt(np.log(problem.n)))
-    elif scheme == "bic":
-        c = ic_threshold(problem.n, problem.P, float(np.log(problem.n)))
-    else:
-        raise ValidationError(f"unknown auxiliary scheme {scheme!r}")
+    c = auxiliary_critical_value(problem.n, problem.P, scheme)
     T = t_statistics(problem, Y)
     return g2s_order(T, 0, np.full(problem.P, c))
+
+
+def auxiliary_critical_value(n: int, P: int, scheme: str = "sqrt_log_n") -> float:
+    """Common critical value of the auxiliary scan under ``scheme``."""
+    if scheme == "sqrt_log_n":
+        return float(np.sqrt(np.log(n)))
+    if scheme == "bic":
+        return ic_threshold(n, P, float(np.log(n)))
+    raise ValidationError(f"unknown auxiliary scheme {scheme!r}")
 
 
 def post_select_fit(problem: RegressionProblem, Y: np.ndarray, rule: SelectionRule) -> PostSelectionFit:

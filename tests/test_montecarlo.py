@@ -1,9 +1,11 @@
 """Tests for the simulation oracle: seeding, chunked kernels, tallies."""
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pmsdist import montecarlo
 from pmsdist.errors import ValidationError
 from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import (
@@ -12,6 +14,7 @@ from pmsdist.montecarlo import (
     dump_replications,
     empirical_cdf,
     estimator_error_probability,
+    replicate,
     simulate_response,
 )
 from pmsdist.selection import (
@@ -39,12 +42,12 @@ def test_worker_count_never_changes_results():
         assert results[0].model_counts == other.model_counts
 
 
-def test_replications_are_keyed_individually():
+def test_replications_are_keyed_individually(tmp_path):
     # row r of the dump must equal the scalar pipeline applied to the
     # response generated from (master_seed, r) — independent of chunking
     fx = fixture("COLL2")
     plan = _plan(fx, 12, seed=31)
-    path = "/tmp/dump_keyed.csv"
+    path = tmp_path / "dump_keyed.csv"
     dump_replications(plan, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
@@ -91,18 +94,21 @@ def test_reported_se_matches_dispersion_across_masters():
     assert 0.6 < ratio < 1.6
 
 
-@pytest.mark.parametrize("rule", [
+COLL2_RULES = [
     GeneralToSpecific(critical=(2.0, 2.0)),
     InformationCriterion(upsilon_n=np.log(20.0), family=(
         SubsetMask(bits=(1, 1)), SubsetMask(bits=(1, 0)),
         SubsetMask(bits=(0, 1)), SubsetMask(bits=(0, 0)))),
     Thresholding(cutoff=(1.5, 2.5)),
-])
-def test_vectorized_kernels_reproduce_scalar_pipeline(rule):
+]
+
+
+@pytest.mark.parametrize("rule", COLL2_RULES)
+def test_vectorized_kernels_reproduce_scalar_pipeline(rule, tmp_path):
     fx = fixture("COLL2")
     plan = SimulationPlan(problem=fx.problem, rule=rule, A=fx.A,
                           replications=200, master_seed=99)
-    path = "/tmp/dump_kernel.csv"
+    path = tmp_path / "dump_kernel.csv"
     dump_replications(plan, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
@@ -161,3 +167,66 @@ def test_simulate_response_moments_and_keying():
     draws = np.array([simulate_response(pr, (1, r)).mean() for r in range(500)])
     se = pr.sigma / np.sqrt(pr.n * 500)
     assert abs(draws.mean() - pr.theta[0]) < 4 * se
+
+
+@pytest.mark.parametrize("rule", COLL2_RULES)
+def test_full_n_oracle_agrees_with_empirical_cdf(rule):
+    # an oracle independent of the sufficient-statistic draws: n-vector
+    # errors from this test's own generator, fitted by the scalar pipeline
+    fx = fixture("COLL2")
+    pr = fx.problem
+    reps = 2000
+    grid = np.array([[0.0, 0.0], [-0.5, 1.0], [1.0, -0.5]])
+    eps = np.random.default_rng(2011).standard_normal((reps, pr.n))
+    fits = [post_select_fit(pr, pr.X @ pr.theta + pr.sigma * e, rule) for e in eps]
+    errs = np.array([np.sqrt(pr.n) * (fx.A @ (fit.estimate - pr.theta)) for fit in fits])
+    full_n = np.mean(np.all(errs[:, None, :] <= grid[None, :, :], axis=2), axis=0)
+    plan = SimulationPlan(problem=pr, rule=rule, A=fx.A, replications=20_000, master_seed=8)
+    emp = empirical_cdf(plan, grid)
+    se = np.sqrt(full_n * (1.0 - full_n) / reps + emp.standard_errors ** 2)
+    assert np.all(np.abs(full_n - emp.estimates) <= 4.0 * se)
+    # the residual scale: sigma_hat^2 has the same mean in both
+    var_full = np.array([fit.sigma_hat for fit in fits]) ** 2
+    var_plan = replicate(plan).sigma_hat ** 2
+    se = np.sqrt(var_full.var() / reps + var_plan.var() / plan.replications)
+    assert abs(var_full.mean() - var_plan.mean()) <= 4.0 * se
+
+
+def _plan_statistics(plan):
+    """(S, RSS) of every replication, drawn chunk by chunk as the plan does."""
+    kernel = montecarlo._Kernel(plan)
+    parts = [kernel.statistics(lo, hi)[:2]
+             for lo, hi in montecarlo._chunk_bounds(plan.replications)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def test_statistics_are_keyed_by_replication_not_by_plan_size():
+    # a replication's (S, RSS) is the same bits in a 12-replication plan, in
+    # a plan whose second chunk is partial, and in a plan of two full
+    # chunks; the response simulate_response builds from it gives them back
+    # up to the rounding of the lift
+    fx = fixture("COLL2")
+    pr = fx.problem
+    small, mid, big = (_plan_statistics(_plan(fx, reps, seed=23))
+                       for reps in (12, CHUNK + 100, 2 * CHUNK))
+    q = pr._qr[pr.P - 1][0]
+    for r, (a, b) in ((7, (small, mid)), (CHUNK + 50, (mid, big))):
+        assert np.array_equal(a[0][r], b[0][r]) and a[1][r] == b[1][r]
+        Y = simulate_response(pr, (23, r))
+        assert np.allclose(q.T @ Y, b[0][r], rtol=0.0, atol=1e-12)
+        assert abs((Y @ Y - np.sum((q.T @ Y) ** 2)) - b[1][r]) < 1e-12
+
+
+def test_chunk_memory_is_bounded_whatever_n():
+    # one chunk at n = 200 000 holds O(CHUNK * P) floats; an n-vector per
+    # replication would need 8192 * 200 000 * 8 B, about 13 GB
+    fx = fixture("BLOCK_ORTHO", n=200_000)
+    plan = _plan(fx, CHUNK, seed=4)
+    tracemalloc.start()
+    try:
+        emp = empirical_cdf(plan, [[0.0], [0.5]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emp.valid + emp.degenerate_count == CHUNK
+    assert peak < 32e6
