@@ -1,8 +1,9 @@
 """Internal Gaussian / quadrature numerics used by the distribution modules.
 
-Everything here is generic probability plumbing: normal cdfs, bivariate
-rectangle probabilities, rank-aware lower-orthant probabilities for possibly
-singular Gaussian vectors, and composite Gauss-Legendre panel rules.
+Everything here is generic probability plumbing, and the one place the
+package computes Gaussian probabilities: normal cdfs, bivariate rectangle
+probabilities, rank-aware lower-orthant probabilities for possibly singular
+Gaussian vectors, and composite Gauss-Legendre panel rules.
 """
 from __future__ import annotations
 
@@ -171,24 +172,21 @@ def sym_pinv(mat: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return (vec * inv) @ vec.T
 
 
-def _rank1_interval(load: np.ndarray, upper: np.ndarray) -> tuple[float, float, bool]:
-    """Feasible standard-normal interval for {load * xi <= upper} coordinatewise.
+def rank1_bounds(U: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval {x : load * x <= u coordinatewise} for every row u of U.
 
-    Returns (lo, hi, feasible); coordinates with negligible loading require
-    upper >= 0 outright.
+    Returns (lo, hi) arrays over the rows.  Coordinates with negligible
+    loading require u >= 0 outright; a row violating that gets the empty
+    interval (inf, -inf).
     """
-    scale = float(np.max(np.abs(load))) if load.size else 0.0
-    tol = 1e-13 * max(scale, 1.0)
-    lo, hi = -np.inf, np.inf
-    for li, ui in zip(load, upper):
-        if abs(li) <= tol:
-            if ui < 0.0:
-                return 0.0, 0.0, False
-        elif li > 0.0:
-            hi = min(hi, ui / li)
-        else:
-            lo = max(lo, ui / li)
-    return lo, hi, True
+    m = U.shape[0]
+    tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
+    pos, neg = load > tol, load < -tol
+    zero = ~(pos | neg)
+    hi = np.min(U[:, pos] / load[pos], axis=1) if pos.any() else np.full(m, np.inf)
+    lo = np.max(U[:, neg] / load[neg], axis=1) if neg.any() else np.full(m, -np.inf)
+    bad = np.any(U[:, zero] < 0.0, axis=1)
+    return np.where(bad, np.inf, lo), np.where(bad, -np.inf, hi)
 
 
 def ray_halfline_prob(center: float, slope: float, B, u: float, sd: float):
@@ -213,41 +211,47 @@ def ray_halfline_prob(center: float, slope: float, B, u: float, sd: float):
     return upper + lower
 
 
-def gaussian_rect(upper: np.ndarray, cov: np.ndarray, *, rng=None,
-                  n_samples: int = 200_000) -> tuple[float, float]:
-    """Lower-orthant probability P(Z <= upper) for Z ~ N(0, cov), cov PSD.
+def philox(key: int, stream: int = 0) -> np.random.Generator:
+    """Generator on the counter-based Philox stream keyed by (key, stream)."""
+    return np.random.Generator(np.random.Philox(key=np.array([key, stream], dtype=np.uint64)))
 
-    Deterministic closed forms for numerical rank 0, rank 1, and full-rank
-    2x2 covariances; seeded Monte Carlo otherwise.  Returns (probability,
-    standard_error); the deterministic paths report standard_error 0.
+
+def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
+                       n_samples: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-orthant probabilities P(Z <= u) for every row u of U, Z ~ N(0, cov).
+
+    cov is PSD, possibly singular.  Numerical rank 0 and 1 and full-rank
+    2x2 covariances are evaluated in closed form; otherwise one seeded
+    sample of n_samples draws (Philox key (0, 0) unless ``rng`` is given)
+    is shared by all rows.  Returns (probabilities, standard_errors); the
+    deterministic paths report standard error 0, sampled ones at least
+    1/n_samples.
     """
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    k = upper.size
+    m, k = U.shape
     L = psd_factor(cov)
     r = L.shape[1]
     if r == 0:
-        return (1.0 if np.all(upper >= 0.0) else 0.0), 0.0
+        return np.all(U >= 0.0, axis=1).astype(float), np.zeros(m)
     if r == 1:
-        lo, hi, ok = _rank1_interval(L[:, 0], upper)
-        if not ok:
-            return 0.0, 0.0
-        return float(np.clip(ndtr(hi) - ndtr(lo), 0.0, 1.0)), 0.0
-    if r == 2 and k == 2:
-        s0 = np.sqrt(cov[0, 0])
-        s1 = np.sqrt(cov[1, 1])
-        rho = cov[0, 1] / (s0 * s1)
-        return float(bvn_cdf(upper[0] / s0, upper[1] / s1, rho)), 0.0
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    hits = 0
-    total = 0
+        lo, hi = rank1_bounds(U, L[:, 0])
+        return np.maximum(ndtr(hi) - ndtr(lo), 0.0), np.zeros(m)
+    if k == 2:
+        s = np.sqrt(np.diag(cov))
+        return bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], cov[0, 1] / (s[0] * s[1])), np.zeros(m)
+    rng = philox(0) if rng is None else rng
+    hits = np.zeros(m)
     chunk = 65_536
-    while total < n_samples:
-        b = min(chunk, n_samples - total)
-        z = rng.standard_normal((b, r)) @ L.T
-        hits += int(np.sum(np.all(z <= upper[None, :], axis=1)))
-        total += b
-    p = hits / total
-    se = np.sqrt(max(p * (1.0 - p), 1.0 / total) / total)
-    return float(p), float(se)
+    for start in range(0, n_samples, chunk):
+        z = rng.standard_normal((min(chunk, n_samples - start), r)) @ L.T
+        hits += [np.count_nonzero(np.all(z <= u, axis=1)) for u in U]
+    p = hits / n_samples
+    return p, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n_samples) / n_samples)
+
+
+def gaussian_rect(upper: np.ndarray, cov: np.ndarray, *, rng=None,
+                  n_samples: int = 200_000) -> tuple[float, float]:
+    """Lower-orthant probability P(Z <= upper): the one-row `gaussian_rect_rows`."""
+    p, se = gaussian_rect_rows(upper, cov, rng=rng, n_samples=n_samples)
+    return float(p[0]), float(se[0])

@@ -19,7 +19,13 @@ from ._gauss import gaussian_rect
 from .dist_exact import AccuracyBudget
 from .dist_limit import _cdf_limit_rows
 from .errors import DegenerateSampleError, ValidationError
-from .regression_core import LimitQuantities, RegressionProblem, limit_quantities, sigma_hat
+from .regression_core import (
+    LimitQuantities,
+    RegressionProblem,
+    limit_quantities,
+    projection_quantities,
+    sigma_hat,
+)
 from .selection import GeneralToSpecific, auxiliary_consistent
 
 __all__ = ["PlugInState", "plug_in_state", "g_check", "g_check_values",
@@ -55,13 +61,6 @@ def plug_in_state(problem: RegressionProblem, Y, A,
                        limits=_plugged_limits(problem, A))
 
 
-def _c_of(rule: GeneralToSpecific, P: int, O: int) -> np.ndarray:
-    out = np.zeros(P + 1)
-    for p in range(O + 1, P + 1):
-        out[p] = rule.c(p, O)
-    return out
-
-
 def g_check(problem: RegressionProblem, Y, A, t, rule: GeneralToSpecific, *,
             aux_scheme: str = "sqrt_log_n",
             budget: AccuracyBudget | None = None) -> float:
@@ -85,7 +84,7 @@ def g_check(problem: RegressionProblem, Y, A, t, rule: GeneralToSpecific, *,
     nu = np.zeros(problem.P + 1)
     totals, _, _, _, _, _, _ = _cdf_limit_rows(
         state.limits, state.p_eff, nu, state.sigma_hat,
-        _c_of(rule, problem.P, problem.O), t_arr[None, :], budget)
+        rule.critical_values(problem.O), t_arr[None, :], budget)
     return float(np.clip(totals[0], 0.0, 1.0))
 
 
@@ -114,7 +113,7 @@ def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
     out[zero] = 1.0 if np.all(t_arr >= 0.0) else 0.0
     p_eff = np.maximum(p_bars, problem.O)
     nu = np.zeros(problem.P + 1)
-    c_of = _c_of(rule, problem.P, problem.O)
+    c_of = rule.critical_values(problem.O)
     for p in np.unique(p_eff[~zero]):
         rows = (~zero) & (p_eff == p)
         T = t_arr[None, :] / sig[rows, None]
@@ -154,9 +153,7 @@ def phi_hat_values(problem: RegressionProblem, A, p: int, t,
         raise DegenerateSampleError("sigma_hat is zero")
     if p == 0:
         return np.full(sig.shape, 1.0 if np.all(t_arr >= 0.0) else 0.0)
-    Ap = A[:, :p]
-    cov = Ap @ np.linalg.solve(problem.gram[:p, :p], Ap.T)
-    cov = 0.5 * (cov + cov.T)
+    cov = projection_quantities(problem, A, p).omega_np
     out = np.empty(sig.size)
     for j, s in enumerate(sig):
         val, _ = gaussian_rect(t_arr / s, cov)

@@ -39,6 +39,7 @@ from ._gauss import (
     gauss_prob_edges,
     gl_panels,
     norm_pdf,
+    philox,
     ray_halfline_prob,
 )
 from .errors import ValidationError
@@ -116,12 +117,6 @@ class SigmaRatioDensity:
     def cdf(self, s):
         return self._dist.cdf(s)
 
-    def mode(self) -> float:
-        """Maximizer of the density: sqrt((dof-1)/dof) for dof >= 2."""
-        if self.dof < 2:
-            raise ValidationError("mode formula needs dof >= 2")
-        return float(np.sqrt((self.dof - 1) / self.dof))
-
 
 def sigma_ratio_pdf(dof: int, s) -> float | np.ndarray:
     """Density of (chi^2_dof / dof)^(1/2) at s > 0."""
@@ -155,6 +150,13 @@ class AccuracyBudget:
                 and self.s_panels >= 2 and self.z_panels >= 2
                 and self.nodes_per_panel >= 2 and self.seed >= 0):
             raise ValidationError("invalid accuracy budget")
+
+
+def budget_warning(abs_error: float, budget: AccuracyBudget) -> str | None:
+    """The warning a cdf result carries when its error bound misses budget.tol."""
+    if abs_error > budget.tol:
+        return f"abs_error {abs_error:.2e} exceeds tol {budget.tol:.2e}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -239,16 +241,7 @@ class _ExactEngine:
         # orthant shifts sqrt(n) A (eta(p) - theta) for each admissible order
         self.shift = {p: self.sqrt_n * (query.A @ (eta(problem, p) - query.theta))
                       for p in range(O, P + 1)}
-        # covariance (up to sigma^2) of the order-p Gaussian on the target scale
-        gram = problem.gram
-        self.omega = {}
-        for p in range(max(O, 1), P + 1):
-            Ap = query.A[:, :p]
-            om = Ap @ np.linalg.solve(gram[:p, :p], Ap.T)
-            self.omega[p] = 0.5 * (om + om.T)
-        self.c = np.zeros(P + 1)
-        for p in range(O + 1, P + 1):
-            self.c[p] = query.rule.c(p, O)
+        self.c = query.rule.critical_values(O)
         self.sigma = query.sigma
         self._z_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -257,8 +250,7 @@ class _ExactEngine:
     def _z_sample(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """(z, a) with z ~ N(0, sigma^2 A[p] G_p^{-1} A[p]') and a = m_p + b_p z."""
         if p not in self._z_cache:
-            rng = np.random.Generator(np.random.Philox(
-                key=np.array([self.budget.seed, p], dtype=np.uint64)))
+            rng = philox(self.budget.seed, p)
             gram_p = self.problem.gram[:p, :p]
             L = np.linalg.cholesky(gram_p)
             Ap = self.query.A[:, :p]
@@ -296,10 +288,8 @@ class _ExactEngine:
         O = self.problem.O
         if O == 0:
             return (1.0 if np.all(u >= 0.0) else 0.0), 0.0
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([self.budget.seed, 10_000], dtype=np.uint64)))
-        return gaussian_rect(u, self.sigma ** 2 * self.omega[O], rng=rng,
-                             n_samples=self.budget.n_z)
+        return gaussian_rect(u, self.sigma ** 2 * self.pq[O].omega_np,
+                             rng=philox(self.budget.seed, 10_000), n_samples=self.budget.n_z)
 
     # ---- deterministic k = 1 inner integrals ----
     def _term_k1(self, p: int, u: float, n_panels: int, z_panels: int):
@@ -308,7 +298,7 @@ class _ExactEngine:
         xi, zeta, b = self.pq[p].xi_np, self.pq[p].zeta_np, float(self.pq[p].b_np[0])
         mp = self.m[p]
         cssx = self.c[p] * sig * xi
-        var_z = sig ** 2 * self.omega[p][0, 0]
+        var_z = sig ** 2 * self.pq[p].omega_np[0, 0]
         err = 0.0
 
         if var_z <= _ZERO_VAR_REL * sig ** 2:
@@ -433,7 +423,6 @@ class _ExactEngine:
     def evaluate(self):
         b = self.budget
         totals: list[float] = []
-        warning = None
         for level in range(b.max_refinements + 1):
             terms, pis, err, se_total, orders = self.assemble(level)
             totals.append(float(np.sum(terms)))
@@ -441,10 +430,12 @@ class _ExactEngine:
                 break
         total = totals[-1]
         refine_gap = abs(totals[-1] - totals[-2]) if len(totals) >= 2 else 0.0
-        if refine_gap >= 0.5 * b.tol:
-            warning = "refinement budget exhausted before reaching tol"
         pi_defect = abs(1.0 - float(np.sum(pis)))
         abs_error = refine_gap + err + pi_defect + 3.0 * se_total
+        if refine_gap >= 0.5 * b.tol:
+            warning = "refinement budget exhausted before reaching tol"
+        else:
+            warning = budget_warning(abs_error, b)
         return terms, pis, orders, total, abs_error, level, warning
 
     def method_string(self, level: int) -> str:

@@ -20,6 +20,7 @@ constants, and exists purely to cross-check the first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +30,17 @@ from ._gauss import (
     TAIL_CUT,
     bvn_cdf,
     gaussian_rect,
+    gaussian_rect_rows,
     gl_panels,
     gauss_prob_edges,
     norm_pdf,
+    philox,
     psd_factor,
+    rank1_bounds,
     ray_halfline_prob,
     split_edges,
 )
-from .dist_exact import AccuracyBudget, CdfResult, delta
+from .dist_exact import AccuracyBudget, CdfResult, budget_warning, delta
 from .errors import DensityUndefinedError, ValidationError
 from .regression_core import LimitQuantities, order_of
 from .selection import GeneralToSpecific
@@ -156,79 +160,28 @@ def local_shift_constants(Q: np.ndarray, A: np.ndarray, theta, gamma,
         if p < P:
             vec[p:] = -gamma[p:]
         if 0 < p < P:
-            head = np.linalg.solve(Q[:p, :p], Q[:p, p:] @ gamma[p:])
-            vec[:p] = head
+            vec[:p] = np.linalg.solve(Q[:p, :p], Q[:p, p:] @ gamma[p:])
         beta[p] = A @ vec
         if p > p_star:
-            if p == P:
-                nu[p] = float(gamma[P - 1])
-            else:
-                head = np.linalg.solve(Q[:p, :p], Q[:p, p:] @ gamma[p:])
-                nu[p] = float(gamma[p - 1] + head[p - 1])
+            nu[p] = float(gamma[p - 1] + vec[p - 1]) if p < P else float(gamma[P - 1])
     return LocalShiftConstants(p_star=p_star, beta=beta, nu=nu)
 
 
-def _nu_all(Q: np.ndarray, gamma: np.ndarray, lo: int) -> np.ndarray:
-    """nu_p for every p in (lo, P], stored at index p of a (P+1,) array."""
-    P = Q.shape[0]
-    out = np.full(P + 1, np.nan)
-    for p in range(lo + 1, P + 1):
-        if p == P:
-            out[p] = gamma[P - 1]
-        else:
-            head = np.linalg.solve(Q[:p, :p], Q[:p, p:] @ gamma[p:])
-            out[p] = gamma[p - 1] + head[p - 1]
-    return out
+def _delta_tails(limits: LimitQuantities, p_star: int, nu, sigma: float,
+                 c_of: np.ndarray) -> np.ndarray:
+    """prod_{q > p} Delta_q for p = p_star..P, the later-stage interval factors.
+
+    Delta_q = delta(sigma xi_q, nu_q, c_q sigma xi_q) is the probability that
+    the order-q test does not reject; entry i belongs to order p_star + i.
+    """
+    d = [float(delta(sigma * limits.xi(q), nu[q], c_of[q] * sigma * limits.xi(q)))
+         for q in range(p_star + 1, limits.P + 1)]
+    return np.array([math.prod(d[i:]) for i in range(len(d) + 1)])
 
 
 # ---------------------------------------------------------------------------
 # primary engine: representation-based, vectorized over rows of T
 # ---------------------------------------------------------------------------
-
-def _rect_rows(U: np.ndarray, cov: np.ndarray, *, seed: int, n_samples: int):
-    """P(N(0, cov) <= u) for every row u of U; (values, se, sampled_flag)."""
-    m, k = U.shape
-    L = psd_factor(cov)
-    r = L.shape[1]
-    if r == 0:
-        return np.all(U >= 0.0, axis=1).astype(float), np.zeros(m), False
-    if r == 1:
-        load = L[:, 0]
-        tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
-        pos, neg = load > tol, load < -tol
-        zero = ~(pos | neg)
-        hi = np.min(U[:, pos] / load[pos], axis=1) if pos.any() else np.full(m, np.inf)
-        lo = np.max(U[:, neg] / load[neg], axis=1) if neg.any() else np.full(m, -np.inf)
-        feas = np.all(U[:, zero] >= 0.0, axis=1) if zero.any() else np.ones(m, bool)
-        vals = np.where(feas, np.maximum(ndtr(hi) - ndtr(lo), 0.0), 0.0)
-        return vals, np.zeros(m), False
-    if k == 2:
-        s = np.sqrt(np.diag(cov))
-        rho = float(np.clip(cov[0, 1] / (s[0] * s[1]), -1.0, 1.0))
-        vals = bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], rho)
-        return np.asarray(vals, dtype=float), np.zeros(m), False
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    X = rng.standard_normal((n_samples, r)) @ L.T
-    vals = np.empty(m)
-    se = np.empty(m)
-    for j in range(m):
-        hit = np.all(X <= U[j], axis=1)
-        vals[j] = hit.mean()
-        se[j] = np.sqrt(vals[j] * (1.0 - vals[j]) / n_samples)
-    return vals, se, True
-
-
-def _interval_prob_cond(V: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """P(load * xi <= v coordinatewise), xi standard normal, rows of V."""
-    tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
-    pos, neg = load > tol, load < -tol
-    zero = ~(pos | neg)
-    n = V.shape[0]
-    hi = np.min(V[:, pos] / load[pos], axis=1) if pos.any() else np.full(n, np.inf)
-    lo = np.max(V[:, neg] / load[neg], axis=1) if neg.any() else np.full(n, -np.inf)
-    feas = np.all(V[:, zero] >= 0.0, axis=1) if zero.any() else np.ones(n, bool)
-    return np.where(feas, np.maximum(ndtr(hi) - ndtr(lo), 0.0), 0.0)
-
 
 def _cond_breakpoints(u: np.ndarray, g: np.ndarray, load: np.ndarray) -> list[float]:
     """x-values where the conditional interval formula changes regime.
@@ -282,15 +235,10 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     r = L.shape[1]
     if r == 0:
         # Z is carried entirely by W: coordinatewise half-lines in w
-        tol = 1e-13 * max(float(np.max(np.abs(slope))), 1.0)
-        pos, neg = slope > tol, slope < -tol
-        zero = ~(pos | neg)
-        hi = np.min(U[:, pos] / slope[pos], axis=1) if pos.any() else np.full(m, np.inf)
-        lo = np.max(U[:, neg] / slope[neg], axis=1) if neg.any() else np.full(m, -np.inf)
-        feas = np.all(U[:, zero] >= 0.0, axis=1) if zero.any() else np.ones(m, bool)
+        lo, hi = rank1_bounds(U, slope)
         seg1 = np.maximum(ndtr(np.minimum(hi, w_lo) / sw) - ndtr(lo / sw), 0.0)
         seg2 = np.maximum(ndtr(hi / sw) - ndtr(np.maximum(lo, w_hi) / sw), 0.0)
-        return np.where(feas, seg1 + seg2, 0.0), np.zeros(m), False, False
+        return seg1 + seg2, np.zeros(m), False, False
 
     if r == 1 or (r == 2 and k == 2):
         # deterministic quadrature in x = w / sw over the two rays
@@ -317,7 +265,8 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
                 x, wq = gl_panels(edges, budget.nodes_per_panel)
                 V = u[None, :] - np.outer(x, g)
                 if r == 1:
-                    inner = _interval_prob_cond(V, L[:, 0])
+                    lo, hi = rank1_bounds(V, L[:, 0])
+                    inner = np.maximum(ndtr(hi) - ndtr(lo), 0.0)
                 else:
                     inner = np.asarray(bvn_cdf(V[:, 0] / sd[0], V[:, 1] / sd[1], rho_s))
                 acc += float(np.sum(wq * norm_pdf(x) * inner))
@@ -325,7 +274,7 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
         return vals, np.zeros(m), False, True
 
     # high-rank fallback: seeded joint sampling, one draw reused per call
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = philox(seed)
     n = budget.n_z
     w = sw * rng.standard_normal(n)
     Z = np.outer(w, slope) + rng.standard_normal((n, r)) @ L.T
@@ -339,28 +288,18 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     return vals, se, True, False
 
 
-def _ab1_values(limits: LimitQuantities, p_star: int, nu: np.ndarray,
-                sigma: float, c_of: np.ndarray, T: np.ndarray,
-                budget: AccuracyBudget, level: int):
+def _ab1_values(limits: LimitQuantities, p_star: int, nu, sigma: float,
+                c_of: np.ndarray, T: np.ndarray, budget: AccuracyBudget, level: int):
     """All representation terms for each row of T.
 
-    Returns (terms (n_orders, m), se_rows (m,), tails (n_orders,),
-    cores (n_orders, m), orders, quad_used).
+    nu[p] and c_of[p] are the drift and critical value of order p.  Returns
+    (terms (n_orders, m), se_rows (m,), tails (n_orders,), cores
+    (n_orders, m), orders, quad_used).
     """
     P, k = limits.P, limits.k
     m = T.shape[0]
     orders = list(range(p_star, P + 1))
-
-    d_fac = {}
-    for q in range(p_star + 1, P + 1):
-        xq = limits.xi(q)
-        d_fac[q] = float(delta(sigma * xq, nu[q], c_of[q] * sigma * xq))
-    tails = np.ones(len(orders))
-    for i, p in enumerate(orders):
-        prod = 1.0
-        for q in range(p + 1, P + 1):
-            prod *= d_fac[q]
-        tails[i] = prod
+    tails = _delta_tails(limits, p_star, nu, sigma, c_of)
 
     shift = {P: np.zeros(k)}
     for p in range(P - 1, p_star - 1, -1):
@@ -372,14 +311,10 @@ def _ab1_values(limits: LimitQuantities, p_star: int, nu: np.ndarray,
     se_rows = np.zeros(m)
     quad_used = False
 
-    U0 = T + shift[p_star][None, :]
-    if p_star == 0:
-        core0 = np.all(U0 >= 0.0, axis=1).astype(float)
-        se0 = np.zeros(m)
-    else:
-        cov0 = sigma ** 2 * limits.omega(p_star)
-        core0, se0, _ = _rect_rows(U0, cov0, seed=budget.seed + 977,
-                                   n_samples=budget.n_z)
+    # the order-0 estimator is the point 0: its orthant is an indicator
+    cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
+    core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], cov0,
+                                    rng=philox(budget.seed + 977), n_samples=budget.n_z)
     cores[0] = core0
     terms[0] = core0 * tails[0]
     se_rows += se0 * tails[0]
@@ -398,9 +333,8 @@ def _ab1_values(limits: LimitQuantities, p_star: int, nu: np.ndarray,
     return terms, se_rows, tails, cores, np.array(orders), quad_used
 
 
-def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu: np.ndarray,
-                    sigma: float, c_of: np.ndarray, T: np.ndarray,
-                    budget: AccuracyBudget):
+def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
+                    c_of: np.ndarray, T: np.ndarray, budget: AccuracyBudget):
     """Totals with refinement control; returns (totals, errs, trace parts)."""
     terms, se, tails, cores, orders, quad = _ab1_values(
         limits, p_star, nu, sigma, c_of, T, budget, level=0)
@@ -436,13 +370,10 @@ def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (k,):
         raise ValidationError(f"t must have length k={k}")
-    p_star = max(order_of(alt.theta), O)
-    nu = _nu_all(limits.Q, alt.gamma, p_star)
-    c_of = np.zeros(P + 1)
-    for p in range(O + 1, P + 1):
-        c_of[p] = rule.c(p, O)
+    consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, O)
     totals, errs, terms, tails, cores, orders, level = _cdf_limit_rows(
-        limits, p_star, nu, alt.sigma, c_of, t[None, :], budget)
+        limits, consts.p_star, consts.nu, alt.sigma, rule.critical_values(O), t[None, :],
+        budget)
     total = float(totals[0])
     trace = LimitCdfTermTrace(
         orders=tuple(int(p) for p in orders),
@@ -454,7 +385,8 @@ def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
                      abs_error=float(errs[0]),
                      method=f"representation;level={level};n_z={budget.n_z};"
                             f"seed={budget.seed};k={k}",
-                     clamped=clamped, term_trace=trace)
+                     clamped=clamped, warning=budget_warning(float(errs[0]), budget),
+                     term_trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +415,8 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     sigma = alt.sigma
     consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, O)
     p_star = consts.p_star
-
-    d_fac = {q: float(delta(sigma * limits.xi(q), consts.nu[q],
-                            rule.c(q, O) * sigma * limits.xi(q)))
-             for q in range(p_star + 1, P + 1)}
-
-    def tail(p: int) -> float:
-        prod = 1.0
-        for q in range(p + 1, P + 1):
-            prod *= d_fac[q]
-        return prod
+    c_of = rule.critical_values(O)
+    tails = _delta_tails(limits, p_star, consts.nu, sigma, c_of)
 
     err = 0.0
     se_total = 0.0
@@ -500,19 +424,17 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     if p_star == 0:
         core = 1.0 if np.all(u0 >= 0.0) else 0.0
     else:
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([budget.seed + 31, 0], dtype=np.uint64)))
         core, core_se = gaussian_rect(u0, sigma ** 2 * limits.omega(p_star),
-                                      rng=rng, n_samples=budget.n_z)
-        se_total += core_se * tail(p_star)
-    total = core * tail(p_star)
+                                      rng=philox(budget.seed + 31), n_samples=budget.n_z)
+        se_total += core_se * tails[0]
+    total = core * tails[0]
 
-    for p in range(p_star + 1, P + 1):
+    for i, p in enumerate(range(p_star + 1, P + 1), start=1):
         u = t - consts.beta[p]
         xi_p, zeta_p = limits.xi(p), limits.zeta(p)
         b_p = limits.b(p)
         nu_p = consts.nu[p]
-        B = rule.c(p, O) * sigma * xi_p
+        B = c_of[p] * sigma * xi_p
         cov_z = sigma ** 2 * limits.omega(p)
         if k == 1:
             var_z = float(cov_z[0, 0])
@@ -535,16 +457,14 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
                     val = float(np.sum(wq * norm_pdf(z, sd_z) * inner))
                 err += float(ndtr(-TAIL_CUT))
         else:
-            rng = np.random.Generator(np.random.Philox(
-                key=np.array([budget.seed + 63, p], dtype=np.uint64)))
             L = psd_factor(cov_z)
-            Z = rng.standard_normal((budget.n_z, L.shape[1])) @ L.T
+            Z = philox(budget.seed + 63, p).standard_normal((budget.n_z, L.shape[1])) @ L.T
             ind = np.all(Z <= u[None, :], axis=1)
             a = nu_p + Z @ b_p
             g = np.where(ind, 1.0 - np.asarray(delta(sigma * zeta_p, a, B)), 0.0)
             val = float(np.mean(g))
-            se_total += float(np.std(g) / np.sqrt(budget.n_z)) * tail(p)
-        total += val * tail(p)
+            se_total += float(np.std(g) / np.sqrt(budget.n_z)) * tails[i]
+        total += val * tails[i]
 
     clamped = not (0.0 <= total <= 1.0)
     return CdfResult(value=float(np.clip(total, 0.0, 1.0)),
@@ -584,24 +504,17 @@ def pdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
         raise DensityUndefinedError(
             "density requires p_star > 0 and a full-row-rank leading target block")
 
-    d_fac = {q: float(delta(sigma * limits.xi(q), consts.nu[q],
-                            rule.c(q, O) * sigma * limits.xi(q)))
-             for q in range(p_star + 1, P + 1)}
-
-    def tail(p: int) -> float:
-        prod = 1.0
-        for q in range(p + 1, P + 1):
-            prod *= d_fac[q]
-        return prod
+    c_of = rule.critical_values(O)
+    tails = _delta_tails(limits, p_star, consts.nu, sigma, c_of)
 
     val = _mvn_pdf(t - consts.beta[p_star],
-                   sigma ** 2 * limits.omega(p_star)) * tail(p_star)
-    for p in range(p_star + 1, P + 1):
+                   sigma ** 2 * limits.omega(p_star)) * tails[0]
+    for i, p in enumerate(range(p_star + 1, P + 1), start=1):
         v = t - consts.beta[p]
         a = consts.nu[p] + float(limits.b(p) @ v)
-        B = rule.c(p, O) * sigma * limits.xi(p)
+        B = c_of[p] * sigma * limits.xi(p)
         one_minus = 1.0 - float(delta(sigma * limits.zeta(p), a, B))
-        val += one_minus * _mvn_pdf(v, sigma ** 2 * limits.omega(p)) * tail(p)
+        val += one_minus * _mvn_pdf(v, sigma ** 2 * limits.omega(p)) * tails[i]
     return float(val)
 
 
@@ -642,8 +555,7 @@ def sample_zw(limits: LimitQuantities, sigma: float, n_draws: int,
     sum.  Returns (W of shape (n, P), Z of shape (n, P, k)).
     """
     P, k = limits.P, limits.k
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    W = rng.standard_normal((n_draws, P))
+    W = philox(seed).standard_normal((n_draws, P))
     for r in range(1, P + 1):
         W[:, r - 1] *= sigma * limits.xi(r)
     Z = np.zeros((n_draws, P, k))

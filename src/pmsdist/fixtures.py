@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._gauss import philox
 from .errors import ValidationError
 from .regression_core import LimitQuantities, RegressionProblem, limit_quantities
 from .selection import GeneralToSpecific
@@ -108,7 +109,7 @@ def random_k1_limit_case(seed: int):
     of dimension 1..3, a random unit-row target, a random protected order,
     thresholds in [1, 2.5], a random true order, and a drift vector.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 71], dtype=np.uint64)))
+    rng = philox(seed, 71)
     P = int(rng.integers(1, 4))
     M = rng.standard_normal((P + 2, P))
     Q = M.T @ M / (P + 2)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._gauss import philox as _rng  # the name benchmarks/baseline.py times
 from .errors import ValidationError
 from .regression_core import RegressionProblem, xi_n
 from .selection import (
@@ -137,11 +138,6 @@ class Replications:
     sigma_hat: np.ndarray
     t_ratios: np.ndarray
     valid: np.ndarray
-
-
-def _rng(master: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        key=np.array([master, index], dtype=np.uint64)))
 
 
 def _draw_errors(problem: RegressionProblem, master: int, lo: int, hi: int) -> np.ndarray:

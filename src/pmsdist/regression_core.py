@@ -140,7 +140,9 @@ class ProjectionQuantities:
     the inverted leading Gram block); C_np the covariance vector between the
     target estimate and the p-th coefficient estimate (up to sigma^2/n);
     b_np and zeta_np the induced regression coefficient and residual scale;
-    eta_np the mean vector of the order-p restricted estimator.
+    eta_np the mean vector of the order-p restricted estimator; omega_np the
+    covariance A[p] G_p^{-1} A[p]' of the order-p target estimate (up to
+    sigma^2/n).
     """
 
     p: int
@@ -149,6 +151,7 @@ class ProjectionQuantities:
     b_np: np.ndarray
     zeta_np: float
     eta_np: np.ndarray
+    omega_np: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,7 @@ def _projection_from_gram(gram: np.ndarray, A: np.ndarray, p: int):
 
 
 def projection_quantities(problem: RegressionProblem, A: np.ndarray, p: int) -> ProjectionQuantities:
-    """Finite-n quantities (xi, C, b, zeta, eta) for target matrix A at order p.
+    """Finite-n quantities (xi, C, b, zeta, eta, omega) for target A at order p.
 
     The generalized inverse in b and zeta is the symmetric eigendecomposition
     pseudo-inverse with relative cutoff 1e-12; zeta^2 is clamped to zero when
@@ -322,10 +325,9 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray, p: int) -> 
     if not (1 <= p <= problem.P):
         raise ValidationError(f"order p={p} outside [1, {problem.P}]")
     A = _check_target(A, problem.P)
-    xi, C, b, zeta, _ = _projection_from_gram(problem.gram, A, p)
-    return ProjectionQuantities(
-        p=p, xi_np=xi, C_np=C, b_np=b, zeta_np=zeta, eta_np=eta(problem, p)
-    )
+    xi, C, b, zeta, omega = _projection_from_gram(problem.gram, A, p)
+    return ProjectionQuantities(p=p, xi_np=xi, C_np=C, b_np=b, zeta_np=zeta,
+                                eta_np=eta(problem, p), omega_np=omega)
 
 
 def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantities:

@@ -119,11 +119,9 @@ class GeneralToSpecific:
                 f"rule supplies {len(self.critical)} critical values, "
                 f"need P - O = {P - O}")
 
-    def c(self, p: int, O: int) -> float:
-        """Critical value for order p (0 at the protected order)."""
-        if p == O:
-            return 0.0
-        return self.critical[p - O - 1]
+    def critical_values(self, O: int) -> np.ndarray:
+        """c_p at index p = 0..P: zero up to the protected order O."""
+        return np.concatenate([np.zeros(O + 1), self.critical])
 
 
 @dataclass(frozen=True)

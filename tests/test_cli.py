@@ -55,6 +55,17 @@ def test_budget_exhaustion_is_reported_not_hidden(capsys):
     assert _payload(err)["error"]["type"] == "PmsdistError"
 
 
+def test_error_bound_above_tol_exits_2(capsys):
+    # the sampled k = 2 terms bound the error near 3e-3, far above tol 1e-5
+    rc, out, err = _run(capsys, ["cdf-exact", "--fixture", "COLL2", "--t", "0.5,-0.25"])
+    assert rc == EXIT_BUDGET
+    payload = _payload(out)
+    assert 0.0 < payload["value"] < 1.0
+    assert payload["abs_error"] > payload["config"]["tol"]
+    assert payload["warning"]
+    assert _payload(err)["error"]["type"] == "PmsdistError"
+
+
 def test_validation_failures_exit_1(capsys):
     rc, _, err = _run(capsys, ["cdf-exact", "--fixture", "NOPE", "--t", "0.0"])
     assert rc == EXIT_INVALID

@@ -49,9 +49,6 @@ def test_sigma_ratio_density_is_scaled_chi():
     dens = SigmaRatioDensity(18)
     mass, _ = quad(dens.pdf, 0.0, 8.0)
     assert abs(mass - 1.0) < 1e-8
-    assert abs(dens.mode() - np.sqrt(17.0 / 18.0)) < 1e-12
-    assert dens.pdf(dens.mode()) >= dens.pdf(dens.mode() + 1e-3)
-    assert dens.pdf(dens.mode()) >= dens.pdf(dens.mode() - 1e-3)
     for q in (0.1, 0.5, 0.9):
         assert abs(dens.cdf(dens.ppf(q)) - q) < 1e-10
     # cdf agrees with the chi-squared law of dof * s^2

@@ -9,8 +9,10 @@ from pmsdist._gauss import (
     bvn_cdf,
     gauss_prob_edges,
     gaussian_rect,
+    gaussian_rect_rows,
     gl_panels,
     norm_pdf,
+    philox,
     psd_factor,
     ray_halfline_prob,
     sym_pinv,
@@ -119,6 +121,31 @@ def test_gaussian_rect_monte_carlo_k3():
                             n_samples=400_000)
     assert se > 0.0
     assert abs(got - want) < 4 * se + 1e-4
+
+
+@pytest.mark.parametrize("cov,sampled", [
+    (np.zeros((3, 3)), False),                                   # rank 0
+    (np.outer([1.0, -0.5, 2.0], [1.0, -0.5, 2.0]), False),       # rank 1
+    (np.array([[1.0, 0.6], [0.6, 2.0]]), False),                 # bivariate
+    (np.array([[1.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 0.8]]), True),
+])
+def test_gaussian_rect_rows_reproduce_gaussian_rect(cov, sampled):
+    k = cov.shape[0]
+    U = np.vstack([np.linspace(-0.8, 1.2, k), np.zeros(k), np.full(k, 0.7),
+                   np.full(k, -9.0)])       # last row: no sample lands in it
+    n = 70_000                              # more than one draw chunk
+    vals, se = gaussian_rect_rows(U, cov, rng=philox(7), n_samples=n)
+    for j, u in enumerate(U):
+        want = gaussian_rect(u, cov, rng=philox(7), n_samples=n)
+        assert (vals[j], se[j]) == want, j
+    if sampled:
+        # one shared sample of the full size; the estimate 0 keeps SE 1/n
+        z = philox(7).standard_normal((n, 3)) @ psd_factor(cov).T
+        hits = [np.count_nonzero(np.all(z <= u, axis=1)) for u in U]
+        assert list(vals) == [h / n for h in hits]
+        assert vals[-1] == 0.0 and se[-1] == np.sqrt(1.0 / n / n)
+    else:
+        assert not np.any(se)
 
 
 def test_gl_panels_integrates_polynomials_exactly():

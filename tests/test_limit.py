@@ -17,6 +17,7 @@ from pmsdist.dist_limit import (
 )
 from pmsdist.errors import DensityUndefinedError, ValidationError
 from pmsdist.fixtures import fixture, random_k1_limit_case
+from pmsdist.regression_core import limit_quantities
 from pmsdist.selection import GeneralToSpecific
 
 QUICK = AccuracyBudget(tol=1e-6, n_z=20_000, seed=0)
@@ -58,6 +59,35 @@ def test_two_evaluation_paths_agree():
         a = cdf_limit(limits, alt, t, rule, QUICK)
         b = cdf_limit_via_integral(limits, alt, t, rule, QUICK)
         assert abs(a.value - b.value) < 1e-4, f"seed {seed}: {a.value} vs {b.value}"
+
+
+def _multivariate_case(P, k, O, theta, critical, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((P + 3, P))
+    Q = M.T @ M / (P + 3) + 0.2 * np.eye(P)
+    A = np.eye(k, P) + 0.3 * rng.standard_normal((k, P))
+    limits = limit_quantities(Q, A, O=O)
+    alt = LocalAlternative(theta=theta, gamma=rng.uniform(-1.5, 1.5, size=P), sigma=1.2)
+    return limits, alt, GeneralToSpecific(critical=critical)
+
+
+@pytest.mark.parametrize("P,k,O,theta,critical,ts", [
+    # p_star = 0: orders 2 and 3 take the rank-1 and rank-2 conditional
+    # quadratures of the joint (Z, W) probability
+    (3, 2, 0, (0.0, 0.0, 0.0), (1.8, 2.0, 2.2),
+     [(0.0, 0.0), (0.8, -0.3), (-1.0, 1.5)]),
+    # p_star = 2 with k = 3: a sampled orthant core and sampled joint terms
+    (4, 3, 1, (0.5, -0.4, 0.0, 0.0), (2.0, 1.9, 2.1),
+     [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]),
+])
+def test_two_paths_agree_beyond_scalar_targets(P, k, O, theta, critical, ts):
+    limits, alt, rule = _multivariate_case(P, k, O, np.array(theta), critical, seed=P)
+    for t in ts:
+        a = cdf_limit(limits, alt, t, rule, QUICK)
+        b = cdf_limit_via_integral(limits, alt, t, rule, QUICK)
+        assert abs(a.value - b.value) <= a.abs_error + b.abs_error, \
+            f"t={t}: {a.value} +- {a.abs_error} vs {b.value} +- {b.abs_error}"
+        assert (a.warning is not None) == (a.abs_error > QUICK.tol)
 
 
 def test_pdf_matches_finite_differences():

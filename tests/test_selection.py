@@ -62,9 +62,8 @@ def test_select_g2s_on_constructed_samples():
 
 def test_rule_critical_value_accessor_and_validation():
     rule = GeneralToSpecific(critical=(1.5, 2.5))
-    assert rule.c(0, 0) == 0.0
-    assert rule.c(1, 0) == 1.5
-    assert rule.c(2, 0) == 2.5
+    assert rule.critical_values(0).tolist() == [0.0, 1.5, 2.5]
+    assert rule.critical_values(1).tolist() == [0.0, 0.0, 1.5, 2.5]
     rule.validate_for(P=2, O=0)
     with pytest.raises(ValidationError):
         rule.validate_for(P=2, O=1)
