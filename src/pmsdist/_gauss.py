@@ -144,15 +144,17 @@ def bvn_cdf(h, k, rho: float) -> np.ndarray:
     return out
 
 
-def psd_factor(cov: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def psd_factor(cov: np.ndarray, rel_tol: float = 1e-12, scale: float = 0.0) -> np.ndarray:
     """Factor L (k x r) with cov ~= L @ L.T for a symmetric PSD matrix.
 
-    Eigenvalues below rel_tol times the largest are treated as exact zeros,
-    so r is the numerical rank.
+    Eigenvalues below rel_tol times the larger of the largest eigenvalue and
+    ``scale`` are treated as exact zeros, so r is the numerical rank.  A
+    matrix formed by cancellation passes the scale of its operands, so that
+    rounding residue counts as zero.
     """
     cov = np.asarray(cov, dtype=float)
     lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
-    lmax = max(float(lam[-1]), 0.0)
+    lmax = max(float(lam[-1]), scale, 0.0)
     keep = lam > max(lmax * rel_tol, 1e-300)
     return vec[:, keep] * np.sqrt(lam[keep])
 
@@ -187,6 +189,107 @@ def rank1_bounds(U: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarra
     lo = np.max(U[:, neg] / load[neg], axis=1) if neg.any() else np.full(m, -np.inf)
     bad = np.any(U[:, zero] < 0.0, axis=1)
     return np.where(bad, np.inf, lo), np.where(bad, -np.inf, hi)
+
+
+def condition_on_scalar(cov_z: np.ndarray, cov_zw: np.ndarray,
+                        var_w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split centered joint Gaussians (Z, W) as Z = g X + R, X = W / sd(W).
+
+    R ~ N(0, S) is independent of X.  Returns (g, S, L) with L the factor of
+    S whose rank is judged against the scale of cov_z: a conditional
+    covariance that vanishes up to rounding has rank 0.
+    """
+    g = cov_zw / var_w * np.sqrt(var_w)
+    S = cov_z - np.outer(cov_zw, cov_zw) / var_w
+    return g, S, psd_factor(S, scale=float(np.max(np.diag(cov_z))))
+
+
+def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float]:
+    """x-values where P(Z <= u | X = x) is not smooth, for Z = g X + L eps.
+
+    Rank 0: the ends of the interval {x : g x <= u}.  Rank 1: crossings of
+    two conditional bounds (u_i - g_i x) / L_i and sign flips of
+    zero-loading coordinates.  Rank 2 and above: none.
+    """
+    r = L.shape[1]
+    if r == 0:
+        lo, hi = rank1_bounds(u[None, :], g)
+        return [float(e) for e in (lo[0], hi[0]) if np.isfinite(e)]
+    if r > 1:
+        return []
+    load = L[:, 0]
+    k = u.size
+    tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
+    breaks: list[float] = []
+    idx = [i for i in range(k) if abs(load[i]) > tol]
+    for a_pos in range(len(idx)):
+        for b_pos in range(a_pos + 1, len(idx)):
+            i, j = idx[a_pos], idx[b_pos]
+            den = g[i] / load[i] - g[j] / load[j]
+            if abs(den) > 1e-13:
+                breaks.append((u[i] / load[i] - u[j] / load[j]) / den)
+    for i in range(k):
+        if abs(load[i]) <= tol and abs(g[i]) > 1e-13:
+            breaks.append(u[i] / g[i])
+    return [b for b in breaks if np.isfinite(b)]
+
+
+def ray_orthant_probs(u: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
+                      x_lo, x_hi, n_panels: int, nodes_per_panel: int) -> np.ndarray:
+    """P(Z <= u, X <= x_lo or X >= x_hi) for each threshold pair, x_lo <= x_hi.
+
+    X ~ N(0, 1) and Z = g X + R with R ~ N(0, S) independent of X and L a
+    factor of S (see `condition_on_scalar`).  Rank 0 is closed form.  Rank
+    1, and rank 2 for a bivariate Z, integrate P(Z <= u | x) phi(x) on
+    Gauss-Legendre panels of [-TAIL_CUT, TAIL_CUT] with the
+    `conditional_kinks` as extra edges; with H(y) the integral up to y, a
+    pair's value is H(x_lo) + H(TAIL_CUT) - H(x_hi), a threshold inside a
+    panel closing it with a partial panel of the same rule.  The dropped
+    mass beyond +/-TAIL_CUT is at most 2 Phi(-TAIL_CUT).
+    """
+    x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
+    x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
+    k, r = L.shape
+    if r == 0:
+        lo, hi = rank1_bounds(u[None, :], g)
+        seg1 = np.maximum(ndtr(np.minimum(hi, x_lo)) - ndtr(lo), 0.0)
+        seg2 = np.maximum(ndtr(hi) - ndtr(np.maximum(lo, x_hi)), 0.0)
+        return seg1 + seg2
+    if r == 1:
+        def cond(x):
+            lo, hi = rank1_bounds(u[None, :] - np.outer(x, g), L[:, 0])
+            return np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+    elif k == 2:
+        sd = np.sqrt(np.diag(S))
+        rho = float(np.clip(S[0, 1] / (sd[0] * sd[1]), -1.0, 1.0))
+
+        def cond(x):
+            return bvn_cdf((u[0] - g[0] * x) / sd[0], (u[1] - g[1] * x) / sd[1], rho)
+    else:
+        raise ValueError(f"no deterministic rule for a rank-{r} conditional covariance "
+                         f"of dimension {k}")
+
+    def dens(x):
+        return cond(x) * norm_pdf(x)
+
+    edges = split_edges(-TAIL_CUT, TAIL_CUT, n_panels, breaks=conditional_kinks(u, g, L))
+    x, w = gl_panels(edges, nodes_per_panel)
+    panel_sums = (dens(x) * w).reshape(-1, nodes_per_panel).sum(axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(panel_sums)])
+    t, tw = _leggauss(nodes_per_panel)
+
+    def H(y):
+        out = np.where(y >= TAIL_CUT, cum[-1], 0.0)
+        inside = np.abs(y) < TAIL_CUT
+        if np.any(inside):
+            yi = y[inside]
+            j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
+            half = 0.5 * (yi - edges[j])
+            xs = edges[j][:, None] + half[:, None] * (t + 1.0)[None, :]
+            out[inside] = cum[j] + half * (dens(xs.ravel()).reshape(xs.shape) @ tw)
+        return out
+
+    return np.maximum(H(x_lo) + cum[-1] - H(x_hi), 0.0)
 
 
 def ray_halfline_prob(center: float, slope: float, B, u: float, sd: float):

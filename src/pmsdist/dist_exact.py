@@ -15,12 +15,18 @@ The outer scale integral runs over equal-mass Gauss-Legendre panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
 For scalar targets (k = 1) every inner integral is deterministic: closed
 interval arithmetic when the conditional spread vanishes, panel quadrature
-otherwise.  For k >= 2 the inner z-integral uses seeded Gaussian sampling
-(the integrand depends on z only through the orthant indicator and the
-scalar b'z), with the scale integral folded per sample either exactly
-(vanishing conditional spread, via a cumulative lookup table) or by a
-matrix of interval probabilities over the scale nodes.  Results carry an
-abs_error that combines quadrature refinement, truncated mass, and three
+otherwise.  For k = 2 every term is deterministic too: the order-p
+integrand depends on z only through the orthant {z <= u} and the scalar
+W = b'z + sigma zeta e that the order-p test rejects on, so conditioning z
+on X = W / sd(W) leaves an orthant probability that is an indicator, a
+rank-1 interval or a bivariate normal cdf, integrated against phi(X) on
+Gauss-Legendre panels and evaluated at the two rays of every scale node;
+the selection probability pi(p) is closed form.  For k >= 3 the inner
+z-integral uses seeded Gaussian sampling, with the scale integral folded
+per sample either exactly (vanishing conditional spread, via a cumulative
+lookup table) or by a matrix of interval probabilities over the scale
+nodes.  Results carry an abs_error that combines quadrature refinement,
+truncated mass, the defect of sum pi(p) from 1, and (k >= 3 only) three
 sampling standard errors; identical query + budget + seed replays
 bit-identically.
 """
@@ -35,12 +41,15 @@ from scipy.stats import chi as _chi
 
 from ._gauss import (
     TAIL_CUT,
+    condition_on_scalar,
+    conditional_kinks,
     gaussian_rect,
     gauss_prob_edges,
     gl_panels,
     norm_pdf,
     philox,
     ray_halfline_prob,
+    ray_orthant_probs,
 )
 from .errors import ValidationError
 from .regression_core import (
@@ -133,8 +142,9 @@ class AccuracyBudget:
 
     tol is the absolute quadrature target; refinement doubles panel counts
     until successive totals differ by less than tol/2 or max_refinements is
-    hit (the result is then flagged).  n_z Gaussian samples drive each
-    k >= 2 inner integral; seed keys every random stream.
+    hit (the result is then flagged).  n_z Gaussian samples, keyed by seed,
+    drive the sampled inner integrals, which remain only for targets with
+    k >= 3 rows (and for k >= 2 in the cross-check `cdf_limit_via_integral`).
     """
 
     tol: float = 1e-5
@@ -342,7 +352,32 @@ class _ExactEngine:
         val = float(np.sum(vw) * t0 - vw @ dmat @ wt)
         return val, err + trunc + float(ndtr(-TAIL_CUT))
 
-    # ---- sampled k >= 2 inner integrals ----
+    # ---- deterministic k = 2 inner integrals ----
+    def _term_k2(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
+        """(value, pi_value, error) of the order-p term for bivariate targets.
+
+        With W = b_p'z + sigma zeta_p e (e standard normal, independent of
+        z), 1 - Delta(sigma zeta_p, m_p + b_p'z, B) = P(|m_p + W| >= B | z),
+        so at scale node s the term is P(z <= u, X <= x_lo(s) or
+        X >= x_hi(s)) for X = W / (sigma xi_p), x_lo/hi(s) =
+        -m_p / (sigma xi_p) -/+ s c_p: a conditional orthant probability in
+        closed form or by quadrature in X, and pi(p) is closed form.
+        """
+        pq, sig, c = self.pq[p], self.sigma, self.c[p]
+        sw = sig * pq.xi_np
+        g, S, L = condition_on_scalar(sig ** 2 * pq.omega_np, sig ** 2 * pq.C_np, sw ** 2)
+        x0 = -self.m[p] / sw
+        # the scale integrand kinks where a ray endpoint x0 -/+ s c crosses
+        # a kink of the conditional orthant probability
+        breaks = [abs(x - x0) / c for x in conditional_kinks(u, g, L)]
+        s, w, trunc = self._s_grid(n_panels, breaks=breaks)
+        wt = w * self._tail_products(s)[p]
+        x_lo, x_hi = x0 - s * c, x0 + s * c
+        inner = ray_orthant_probs(u, g, S, L, x_lo, x_hi, z_panels, self.budget.nodes_per_panel)
+        pi_inner = ndtr(x_lo) + ndtr(-x_hi)
+        return float(wt @ inner), float(wt @ pi_inner), trunc + 2.0 * float(ndtr(-TAIL_CUT))
+
+    # ---- sampled k >= 3 inner integrals ----
     def _term_sampled(self, p: int, u: np.ndarray, n_panels: int):
         """(value, pi_value, error, se) of the order-p term via z sampling."""
         sig = self.sigma
@@ -411,6 +446,10 @@ class _ExactEngine:
             if self.k == 1:
                 val, e = self._term_k1(p, float(u[0]), n_panels, z_panels)
                 pi_val, e_pi = self._term_k1(p, np.inf, n_panels, z_panels)
+                terms[i], pis[i] = val, pi_val
+                err += e
+            elif self.k == 2:
+                val, pi_val, e = self._term_k2(p, u, n_panels, z_panels)
                 terms[i], pis[i] = val, pi_val
                 err += e
             else:

@@ -29,6 +29,7 @@ from scipy.special import ndtr
 from ._gauss import (
     TAIL_CUT,
     bvn_cdf,
+    condition_on_scalar,
     gaussian_rect,
     gaussian_rect_rows,
     gl_panels,
@@ -36,9 +37,8 @@ from ._gauss import (
     norm_pdf,
     philox,
     psd_factor,
-    rank1_bounds,
     ray_halfline_prob,
-    split_edges,
+    ray_orthant_probs,
 )
 from .dist_exact import AccuracyBudget, CdfResult, budget_warning, delta
 from .errors import DensityUndefinedError, ValidationError
@@ -183,28 +183,6 @@ def _delta_tails(limits: LimitQuantities, p_star: int, nu, sigma: float,
 # primary engine: representation-based, vectorized over rows of T
 # ---------------------------------------------------------------------------
 
-def _cond_breakpoints(u: np.ndarray, g: np.ndarray, load: np.ndarray) -> list[float]:
-    """x-values where the conditional interval formula changes regime.
-
-    The conditional upper bounds are (u_i - g_i x) / load_i; crossings of two
-    bounds and sign flips of zero-loading coordinates are the only kinks.
-    """
-    k = u.size
-    tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
-    breaks: list[float] = []
-    idx = [i for i in range(k) if abs(load[i]) > tol]
-    for a_pos in range(len(idx)):
-        for b_pos in range(a_pos + 1, len(idx)):
-            i, j = idx[a_pos], idx[b_pos]
-            den = g[i] / load[i] - g[j] / load[j]
-            if abs(den) > 1e-13:
-                breaks.append((u[i] / load[i] - u[j] / load[j]) / den)
-    for i in range(k):
-        if abs(load[i]) <= tol and abs(g[i]) > 1e-13:
-            breaks.append(u[i] / g[i])
-    return [b for b in breaks if np.isfinite(b)]
-
-
 def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
                 var_w: float, nu: float, B: float, sigma: float, *,
                 seed: int, budget: AccuracyBudget, level: int):
@@ -229,62 +207,27 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
                 - np.asarray(bvn_cdf(h, np.full(m, w_hi / sw), rho)))
         return np.clip(vals, 0.0, 1.0), np.zeros(m), False, False
 
-    slope = cov_zw / var_w
-    S = cov_z - np.outer(cov_zw, cov_zw) / var_w
-    L = psd_factor(S)
+    g, S, L = condition_on_scalar(cov_z, cov_zw, var_w)
     r = L.shape[1]
-    if r == 0:
-        # Z is carried entirely by W: coordinatewise half-lines in w
-        lo, hi = rank1_bounds(U, slope)
-        seg1 = np.maximum(ndtr(np.minimum(hi, w_lo) / sw) - ndtr(lo / sw), 0.0)
-        seg2 = np.maximum(ndtr(hi / sw) - ndtr(np.maximum(lo, w_hi) / sw), 0.0)
-        return seg1 + seg2, np.zeros(m), False, False
-
-    if r == 1 or (r == 2 and k == 2):
-        # deterministic quadrature in x = w / sw over the two rays
-        x_lo, x_hi = w_lo / sw, w_hi / sw
+    if r <= 1 or (r == 2 and k == 2):
+        # closed form (r = 0) or quadrature in x = w / sw over the two rays
         n_panels = budget.z_panels * (2 ** level)
-        g = slope * sw
-        if r == 2:
-            sd = np.sqrt(np.diag(S))
-            rho_s = float(np.clip(S[0, 1] / (sd[0] * sd[1]), -1.0, 1.0))
-        vals = np.empty(m)
-        for j in range(m):
-            u = U[j]
-            segs = []
-            if x_lo > -TAIL_CUT:
-                segs.append((-TAIL_CUT, min(x_lo, TAIL_CUT)))
-            if x_hi < TAIL_CUT:
-                segs.append((max(x_hi, -TAIL_CUT), TAIL_CUT))
-            acc = 0.0
-            for a, bnd in segs:
-                if bnd <= a:
-                    continue
-                breaks = (_cond_breakpoints(u, g, L[:, 0]) if r == 1 else ())
-                edges = split_edges(a, bnd, n_panels, breaks=breaks)
-                x, wq = gl_panels(edges, budget.nodes_per_panel)
-                V = u[None, :] - np.outer(x, g)
-                if r == 1:
-                    lo, hi = rank1_bounds(V, L[:, 0])
-                    inner = np.maximum(ndtr(hi) - ndtr(lo), 0.0)
-                else:
-                    inner = np.asarray(bvn_cdf(V[:, 0] / sd[0], V[:, 1] / sd[1], rho_s))
-                acc += float(np.sum(wq * norm_pdf(x) * inner))
-            vals[j] = acc
-        return vals, np.zeros(m), False, True
+        vals = np.array([ray_orthant_probs(u, g, S, L, w_lo / sw, w_hi / sw, n_panels,
+                                           budget.nodes_per_panel)[0] for u in U])
+        return vals, np.zeros(m), False, r > 0
 
     # high-rank fallback: seeded joint sampling, one draw reused per call
     rng = philox(seed)
     n = budget.n_z
     w = sw * rng.standard_normal(n)
-    Z = np.outer(w, slope) + rng.standard_normal((n, r)) @ L.T
+    Z = np.outer(w, cov_zw / var_w) + rng.standard_normal((n, r)) @ L.T
     in_rays = (w <= w_lo) | (w >= w_hi)
     vals = np.empty(m)
     se = np.empty(m)
     for j in range(m):
         hit = in_rays & np.all(Z <= U[j], axis=1)
         vals[j] = hit.mean()
-        se[j] = np.sqrt(vals[j] * (1.0 - vals[j]) / n)
+        se[j] = np.sqrt(max(vals[j] * (1.0 - vals[j]), 1.0 / n) / n)
     return vals, se, True, False
 
 
@@ -463,7 +406,7 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
             a = nu_p + Z @ b_p
             g = np.where(ind, 1.0 - np.asarray(delta(sigma * zeta_p, a, B)), 0.0)
             val = float(np.mean(g))
-            se_total += float(np.std(g) / np.sqrt(budget.n_z)) * tails[i]
+            se_total += float(np.sqrt(max(np.var(g), 1.0 / budget.n_z) / budget.n_z)) * tails[i]
         total += val * tails[i]
 
     clamped = not (0.0 <= total <= 1.0)

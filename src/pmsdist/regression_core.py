@@ -311,7 +311,8 @@ def _projection_from_gram(gram: np.ndarray, A: np.ndarray, p: int):
     if zeta2 < -tol:
         raise ValidationError(
             f"zeta^2 = {zeta2:.3e} below the clamping tolerance at order {p}")
-    zeta2 = max(zeta2, 0.0)
+    if zeta2 <= tol:  # cancellation residue of an exact zero, of either sign
+        zeta2 = 0.0
     return float(np.sqrt(xi2)), C, b, float(np.sqrt(zeta2)), omega
 
 
@@ -320,7 +321,8 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray, p: int) -> 
 
     The generalized inverse in b and zeta is the symmetric eigendecomposition
     pseudo-inverse with relative cutoff 1e-12; zeta^2 is clamped to zero when
-    within 1e-10 of it from below (floating-point cancellation).
+    within 1e-10 (relative to max(1, xi^2)) of it from either side, the
+    floating-point cancellation residue of an exact zero.
     """
     if not (1 <= p <= problem.P):
         raise ValidationError(f"order p={p} outside [1, {problem.P}]")

@@ -56,14 +56,25 @@ def test_budget_exhaustion_is_reported_not_hidden(capsys):
 
 
 def test_error_bound_above_tol_exits_2(capsys):
-    # the sampled k = 2 terms bound the error near 3e-3, far above tol 1e-5
-    rc, out, err = _run(capsys, ["cdf-exact", "--fixture", "COLL2", "--t", "0.5,-0.25"])
+    # the truncated scale and quadrature mass alone bound the error above 1e-12
+    rc, out, err = _run(capsys, ["cdf-exact", "--fixture", "COLL2", "--t", "0.5,-0.25",
+                                 "--tol", "1e-12"])
     assert rc == EXIT_BUDGET
     payload = _payload(out)
     assert 0.0 < payload["value"] < 1.0
     assert payload["abs_error"] > payload["config"]["tol"]
     assert payload["warning"]
     assert _payload(err)["error"]["type"] == "PmsdistError"
+
+
+def test_k2_exact_meets_default_tol(capsys):
+    # the deterministic k = 2 terms meet the default tol 1e-5
+    rc, out, _ = _run(capsys, ["cdf-exact", "--fixture", "COLL2", "--t", "0.5,-0.25"])
+    assert rc == EXIT_OK
+    payload = _payload(out)
+    assert 0.0 < payload["value"] < 1.0
+    assert payload["abs_error"] <= payload["config"]["tol"]
+    assert payload["warning"] is None
 
 
 def test_validation_failures_exit_1(capsys):

@@ -5,10 +5,12 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import chi2
 
+from pmsdist._gauss import condition_on_scalar
 from pmsdist.dist_exact import (
     AccuracyBudget,
     CdfQuery,
     SigmaRatioDensity,
+    _ExactEngine,
     cdf_exact,
     cdf_exact_decomposed,
     delta,
@@ -160,3 +162,78 @@ def test_protected_order_floor_shows_in_weights():
     fx = fixture("ORTHO2")
     dec = cdf_exact_decomposed(fx.problem, _query(fx, [0.0, 0.0]), QUICK)
     assert dec.orders == (1, 2)
+
+
+def _p3_k2_case():
+    # P = 3, k = 2: order 1 conditions to rank 0, order 2 (zeta = 0) to
+    # rank 1 and order 3 (zeta > 0) to the bivariate-normal rank 2
+    rng = np.random.default_rng(3)
+    n = 30
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    A = np.eye(2, 3) + 0.3 * rng.standard_normal((2, 3))
+    problem = RegressionProblem(X=X, theta=np.array([0.6, 0.3, 0.2]), sigma=1.0, O=0)
+    return problem, A, GeneralToSpecific(critical=(1.8, 2.0, 2.2))
+
+
+def test_k2_term_agrees_with_sampled_term():
+    budget = AccuracyBudget()
+    ortho, coll = fixture("ORTHO2"), fixture("COLL2")
+    cases = [(ortho.problem, ortho.A, ortho.rule, [(0.25, 0.25), (-1.0, 1.5)]),
+             (coll.problem, coll.A, coll.rule, [(-1.0, 1.5), (1.5, 1.5)]),
+             (*_p3_k2_case(), [(0.0, 0.0), (0.8, -0.3), (-1.0, 1.5)])]
+    ranks = set()
+    for problem, A, rule, ts in cases:
+        for t in ts:
+            engine = _ExactEngine(problem, CdfQuery(A=A, t=t, theta=problem.theta,
+                                                    sigma=1.0, rule=rule), budget)
+            for p in range(problem.O + 1, problem.P + 1):
+                pq = engine.pq[p]
+                ranks.add(condition_on_scalar(pq.omega_np, pq.C_np, pq.xi_np ** 2)[2].shape[1])
+                u = engine.query.t - engine.shift[p]
+                det, _, det_err = engine._term_k2(p, u, budget.s_panels, budget.z_panels)
+                val, _, err, se = engine._term_sampled(p, u, budget.s_panels)
+                assert abs(det - val) <= 3.0 * se + err + det_err, \
+                    f"order {p} at t={t}: {det} vs {val} +- {se}"
+    assert ranks == {0, 1, 2}
+
+
+@pytest.mark.parametrize("name,p,t", [("COLL2", 1, (-1.0, -1.0)),
+                                      ("ORTHO2", 2, (0.25, 0.25)),
+                                      ("ORTHO2", 2, (1.5, 0.25))])
+def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
+    # COLL2 order 1: z = (x, 0); ORTHO2 order 2: z = (e, x), e independent
+    # of x.  Either way P(z <= u, x outside (x_lo, x_hi)) is a product of
+    # normal cdfs, and the scale integral is left to adaptive quadrature.
+    fx = fixture(name)
+    budget = AccuracyBudget()
+    engine = _ExactEngine(fx.problem, _query(fx, t), budget)
+    u = engine.query.t - engine.shift[p]
+    if name == "COLL2":
+        x_end, factor = u[0], float(u[1] >= 0.0)
+    else:
+        x_end, factor = u[1], ndtr(u[0])
+    pq = engine.pq[p]
+    x0, c = -engine.m[p] / pq.xi_np, engine.c[p]
+
+    def integrand(s):
+        x_lo, x_hi = x0 - s * c, x0 + s * c
+        rays = ndtr(min(x_end, x_lo)) + max(ndtr(x_end) - ndtr(x_hi), 0.0)
+        tail = engine._tail_products(np.array([s]))[p][0]
+        return engine.ratio.pdf(s) * tail * factor * rays
+
+    lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
+    want, _ = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)
+    got, _, _ = engine._term_k2(p, u, budget.s_panels, budget.z_panels)
+    assert abs(got - want) <= 1e-11, (got, want)
+
+
+def test_k2_points_meet_default_budget_deterministically():
+    axis = (-1.0, 0.25, 1.5)
+    for name in ("ORTHO2", "COLL2"):
+        fx = fixture(name)
+        for t in [(a, b) for a in axis for b in axis]:
+            res = cdf_exact(fx.problem, _query(fx, t), AccuracyBudget())
+            assert res.abs_error <= 1e-5 and res.warning is None, (name, t, res)
+            # no sampling: the seed and sample size do not enter the value
+            other = cdf_exact(fx.problem, _query(fx, t), AccuracyBudget(seed=7, n_z=1000))
+            assert other.value == res.value

@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from pmsdist._gauss import condition_on_scalar
 from pmsdist.dist_exact import AccuracyBudget
 from pmsdist.dist_limit import (
     LimitCdfTermTrace,
     LocalAlternative,
+    _joint_rows,
     cdf_limit,
     cdf_limit_via_integral,
     full_model_gaussian_cdf,
@@ -88,6 +90,35 @@ def test_two_paths_agree_beyond_scalar_targets(P, k, O, theta, critical, ts):
         assert abs(a.value - b.value) <= a.abs_error + b.abs_error, \
             f"t={t}: {a.value} +- {a.abs_error} vs {b.value} +- {b.abs_error}"
         assert (a.warning is not None) == (a.abs_error > QUICK.tol)
+
+
+def test_vanishing_conditional_covariance_takes_closed_form():
+    # order 1 of the P = 3, k = 2 design: Z_1 is carried by W_1 alone, and the
+    # conditional covariance is rounding residue of the order of 1e-17
+    limits, _, _ = _multivariate_case(3, 2, 0, np.zeros(3), (1.8, 2.0, 2.2), seed=3)
+    cov_z, cov_zw, var_w = limits.omega(1), limits.C(1), limits.xi(1) ** 2
+    assert condition_on_scalar(cov_z, cov_zw, var_w)[2].shape[1] == 0
+    U = np.array([[0.0, 0.0], [0.8, -0.3], [-1.0, 1.5]])
+    vals, se, sampled, quad = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
+                                          1.0, seed=0, budget=QUICK, level=0)
+    assert not sampled and not quad and np.all(se == 0.0)
+    # against Z = C_1 W / xi_1^2 simulated directly
+    W = limits.xi(1) * np.random.default_rng(5).standard_normal(400_000)
+    Z = np.outer(W, cov_zw / var_w)
+    for u, v in zip(U, vals):
+        hit = np.all(Z <= u, axis=1) & (np.abs(W + 0.4) >= 1.8 * limits.xi(1))
+        assert abs(hit.mean() - v) <= 4.0 * np.sqrt(max(v * (1 - v), 1e-6) / W.size)
+
+
+def test_sampled_standard_errors_have_a_floor():
+    # p_star = 1 on the P = 4, k = 3 design: at t = -7 no draw lands in any
+    # sampled region, yet the value is still an estimate with an error
+    limits, alt, rule = _multivariate_case(4, 3, 1, np.array([0.5, 0.0, 0.0, 0.0]),
+                                           (2.0, 1.9, 2.1), seed=4)
+    t = np.full(3, -7.0)
+    via_integral = cdf_limit_via_integral(limits, alt, t, rule, QUICK)
+    assert via_integral.value == 0.0 and via_integral.abs_error > 0.0
+    assert cdf_limit(limits, alt, t, rule, QUICK).abs_error > 0.0
 
 
 def test_pdf_matches_finite_differences():

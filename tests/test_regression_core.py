@@ -107,6 +107,14 @@ def test_projection_quantities_frozen_collinear_case():
     assert np.allclose(pq1.C_np, [1.0, 0.0], atol=1e-12)
 
 
+def test_zeta_residue_of_either_sign_is_exactly_zero():
+    # COLL2 with A = I at p = 2: W_2 is a function of Z_2, and the
+    # cancellation in xi^2 - b'C leaves a positive residue of about 2e-16
+    fx = fixture("COLL2")
+    assert projection_quantities(fx.problem, np.eye(2), 2).zeta_np == 0.0
+    assert fx.limits.zeta(2) == 0.0
+
+
 def test_limit_quantities_fixture_structure():
     ortho = fixture("ORTHO2").limits
     assert ortho.q_star == 2
