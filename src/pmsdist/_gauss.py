@@ -15,6 +15,11 @@ from scipy.special import ndtr, ndtri, owens_t
 # truncated there and the discarded mass is accounted for by callers.
 TAIL_CUT = 9.0
 
+# Panels and nodes of the trivariate rule in `gaussian_rect_rows`, which has
+# no refinement loop: fine enough that the rule's error is at rounding level.
+_RECT_PANELS = 24
+_RECT_NODES = 12
+
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -209,16 +214,23 @@ def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float
 
     Rank 0: the ends of the interval {x : g x <= u}.  Rank 1: crossings of
     two conditional bounds (u_i - g_i x) / L_i and sign flips of
-    zero-loading coordinates.  Rank 2 and above: none.
+    zero-loading coordinates.  Rank k - 1 >= 2: the x where the k
+    conditional hyperplanes in eps-space meet in one point, n'(u - g x) = 0
+    for n spanning the null space of L' (a zero-loading coordinate i gives
+    n = e_i and its sign flip).  Full rank: none.
     """
-    r = L.shape[1]
+    k, r = L.shape
     if r == 0:
         lo, hi = rank1_bounds(u[None, :], g)
         return [float(e) for e in (lo[0], hi[0]) if np.isfinite(e)]
     if r > 1:
+        if r == k - 1:
+            n = np.linalg.svd(L.T)[2][-1]
+            den = float(n @ g)
+            if abs(den) > 1e-13 * max(float(np.max(np.abs(g))), 1.0):
+                return [float(n @ u) / den]
         return []
     load = L[:, 0]
-    k = u.size
     tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
     breaks: list[float] = []
     idx = [i for i in range(k) if abs(load[i]) > tol]
@@ -234,62 +246,123 @@ def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float
     return [b for b in breaks if np.isfinite(b)]
 
 
-def ray_orthant_probs(u: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
-                      x_lo, x_hi, n_panels: int, nodes_per_panel: int) -> np.ndarray:
-    """P(Z <= u, X <= x_lo or X >= x_hi) for each threshold pair, x_lo <= x_hi.
+def cumulative_rule(f, edges: np.ndarray, nodes_per_panel: int):
+    """H(y) = integral of f from edges[0] to y, and the total over all edges.
 
-    X ~ N(0, 1) and Z = g X + R with R ~ N(0, S) independent of X and L a
-    factor of S (see `condition_on_scalar`).  Rank 0 is closed form.  Rank
-    1, and rank 2 for a bivariate Z, integrate P(Z <= u | x) phi(x) on
-    Gauss-Legendre panels of [-TAIL_CUT, TAIL_CUT] with the
-    `conditional_kinks` as extra edges; with H(y) the integral up to y, a
-    pair's value is H(x_lo) + H(TAIL_CUT) - H(x_hi), a threshold inside a
-    panel closing it with a partial panel of the same rule.  The dropped
-    mass beyond +/-TAIL_CUT is at most 2 Phi(-TAIL_CUT).
+    f is integrated on Gauss-Legendre panels of ``edges``; a y inside a
+    panel closes the sum of the panels below it with a partial panel of the
+    same rule, so H can be read at any array of points.  H is 0 at and
+    below edges[0] and the total at and above edges[-1].
     """
-    x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
-    x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
-    k, r = L.shape
-    if r == 0:
-        lo, hi = rank1_bounds(u[None, :], g)
-        seg1 = np.maximum(ndtr(np.minimum(hi, x_lo)) - ndtr(lo), 0.0)
-        seg2 = np.maximum(ndtr(hi) - ndtr(np.maximum(lo, x_hi)), 0.0)
-        return seg1 + seg2
-    if r == 1:
-        def cond(x):
-            lo, hi = rank1_bounds(u[None, :] - np.outer(x, g), L[:, 0])
-            return np.maximum(ndtr(hi) - ndtr(lo), 0.0)
-    elif k == 2:
-        sd = np.sqrt(np.diag(S))
-        rho = float(np.clip(S[0, 1] / (sd[0] * sd[1]), -1.0, 1.0))
-
-        def cond(x):
-            return bvn_cdf((u[0] - g[0] * x) / sd[0], (u[1] - g[1] * x) / sd[1], rho)
-    else:
-        raise ValueError(f"no deterministic rule for a rank-{r} conditional covariance "
-                         f"of dimension {k}")
-
-    def dens(x):
-        return cond(x) * norm_pdf(x)
-
-    edges = split_edges(-TAIL_CUT, TAIL_CUT, n_panels, breaks=conditional_kinks(u, g, L))
     x, w = gl_panels(edges, nodes_per_panel)
-    panel_sums = (dens(x) * w).reshape(-1, nodes_per_panel).sum(axis=1)
+    panel_sums = (f(x) * w).reshape(-1, nodes_per_panel).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(panel_sums)])
     t, tw = _leggauss(nodes_per_panel)
 
     def H(y):
-        out = np.where(y >= TAIL_CUT, cum[-1], 0.0)
-        inside = np.abs(y) < TAIL_CUT
+        y = np.asarray(y, dtype=float)
+        out = np.where(y >= edges[-1], cum[-1], 0.0)
+        inside = (y > edges[0]) & (y < edges[-1])
         if np.any(inside):
             yi = y[inside]
             j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
             half = 0.5 * (yi - edges[j])
             xs = edges[j][:, None] + half[:, None] * (t + 1.0)[None, :]
-            out[inside] = cum[j] + half * (dens(xs.ravel()).reshape(xs.shape) @ tw)
+            out[inside] = cum[j] + half * (f(xs.ravel()).reshape(xs.shape) @ tw)
         return out
 
-    return np.maximum(H(x_lo) + cum[-1] - H(x_hi), 0.0)
+    return H, float(cum[-1])
+
+
+def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int,
+                 nodes_per_panel: int) -> np.ndarray:
+    """P(R <= u) for every row u of U, R ~ N(0, S) with L a factor of S.
+
+    Deterministic wherever the dimension allows: numerical rank 0 is an
+    indicator, rank 1 an interval of the normal cdf, a full-rank bivariate
+    R the bivariate normal cdf, and a trivariate R of rank 2 or 3 an
+    integral over Y = R_j / sd(R_j), j the coordinate of largest variance:
+    the other two coordinates are h Y + R' with R' of rank r - 1, so
+
+        P(R <= u) = int_{-TAIL_CUT}^{u_j / sd_j} phi(y) P(R' <= u' - h y) dy,
+
+    a rank-1 interval (r = 2) or a bivariate normal cdf (r = 3) under
+    n_panels equal-width Gauss-Legendre panels per row.  At r = 2 the row's
+    one kink (where the two interval bounds cross, or a zero-loading
+    coordinate flips sign) is an extra edge.  The dropped mass below
+    -TAIL_CUT is at most Phi(-TAIL_CUT) per row.  Other ranks raise
+    ValueError.
+    """
+    k, r = U.shape[1], L.shape[1]
+    if r == 0:
+        return np.all(U >= 0.0, axis=1).astype(float)
+    if r == 1:
+        lo, hi = rank1_bounds(U, L[:, 0])
+        return np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+    if k == 2:
+        s = np.sqrt(np.diag(S))
+        return bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], S[0, 1] / (s[0] * s[1]))
+    if k != 3:
+        raise ValueError(f"no deterministic rule for a rank-{r} covariance of dimension {k}")
+    # R = L eps; Y = q'eps with q the unit direction of row j, and the rest
+    # of eps spans the orthogonal complement of q
+    j = int(np.argmax(np.sum(L * L, axis=1)))
+    sd_j = float(np.linalg.norm(L[j]))
+    q = L[j] / sd_j
+    rest = [i for i in range(3) if i != j]
+    h = (L @ q)[rest]
+    Lr = (L @ np.linalg.svd(q[None, :])[2][1:].T)[rest]    # (2, r - 1), q's complement
+    W = U[:, rest]
+    y_top = np.clip(U[:, j] / sd_j, -TAIL_CUT, TAIL_CUT)
+    edges = -TAIL_CUT + (y_top + TAIL_CUT)[:, None] * np.linspace(0.0, 1.0, n_panels + 1)
+    if r == 2:
+        n = np.array([Lr[1, 0], -Lr[0, 0]])
+        den = float(n @ h)
+        if abs(den) > 1e-13 * max(float(np.max(np.abs(h))), 1.0):
+            kink = np.clip((W @ n) / den, -TAIL_CUT, y_top)
+            edges = np.sort(np.column_stack([edges, kink]), axis=1)
+    t, tw = _leggauss(nodes_per_panel)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    y = mid[:, :, None] + half[:, :, None] * t                  # (m, panels, nodes)
+    V0 = W[:, 0, None, None] - h[0] * y
+    V1 = W[:, 1, None, None] - h[1] * y
+    if r == 2:
+        lo, hi = rank1_bounds(np.column_stack([V0.ravel(), V1.ravel()]), Lr[:, 0])
+        cond = np.maximum(ndtr(hi) - ndtr(lo), 0.0).reshape(y.shape)
+    else:
+        s = np.sqrt(np.sum(Lr * Lr, axis=1))
+        cond = bvn_cdf(V0 / s[0], V1 / s[1], float(Lr[0] @ Lr[1]) / (s[0] * s[1]))
+    return np.einsum("mpn,mpn,n,mp->m", cond, norm_pdf(y), tw, half)
+
+
+def ray_orthant_probs(u: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
+                      x_lo, x_hi, n_panels: int, nodes_per_panel: int) -> np.ndarray:
+    """P(Z <= u, X <= x_lo or X >= x_hi) for each threshold pair, x_lo <= x_hi.
+
+    X ~ N(0, 1) and Z = g X + R with R ~ N(0, S) independent of X and L a
+    factor of S (see `condition_on_scalar`).  Rank 0 is closed form; other
+    ranks integrate P(Z <= u | x) phi(x) (`orthant_rows`) on
+    Gauss-Legendre panels of [-TAIL_CUT, TAIL_CUT] with the
+    `conditional_kinks` as extra edges; with H(y) the integral up to y
+    (`cumulative_rule`), a pair's value is H(x_lo) + H(TAIL_CUT) - H(x_hi).
+    The dropped mass beyond +/-TAIL_CUT is at most 2 Phi(-TAIL_CUT).
+    """
+    x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
+    x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
+    if L.shape[1] == 0:
+        lo, hi = rank1_bounds(u[None, :], g)
+        seg1 = np.maximum(ndtr(np.minimum(hi, x_lo)) - ndtr(lo), 0.0)
+        seg2 = np.maximum(ndtr(hi) - ndtr(np.maximum(lo, x_hi)), 0.0)
+        return seg1 + seg2
+
+    def dens(x):
+        return orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels,
+                            nodes_per_panel) * norm_pdf(x)
+
+    edges = split_edges(-TAIL_CUT, TAIL_CUT, n_panels, breaks=conditional_kinks(u, g, L))
+    H, total = cumulative_rule(dens, edges, nodes_per_panel)
+    return np.maximum(H(x_lo) + total - H(x_hi), 0.0)
 
 
 def ray_halfline_prob(center: float, slope: float, B, u: float, sd: float):
@@ -323,26 +396,20 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
                        n_samples: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
     """Lower-orthant probabilities P(Z <= u) for every row u of U, Z ~ N(0, cov).
 
-    cov is PSD, possibly singular.  Numerical rank 0 and 1 and full-rank
-    2x2 covariances are evaluated in closed form; otherwise one seeded
-    sample of n_samples draws (Philox key (0, 0) unless ``rng`` is given)
-    is shared by all rows.  Returns (probabilities, standard_errors); the
-    deterministic paths report standard error 0, sampled ones at least
-    1/n_samples.
+    cov is PSD, possibly singular.  Numerical rank 0 and 1 and every
+    covariance of dimension up to 3 are evaluated deterministically
+    (`orthant_rows`); otherwise one seeded sample of n_samples draws
+    (Philox key (0, 0) unless ``rng`` is given) is shared by all rows.
+    Returns (probabilities, standard_errors); the deterministic paths
+    report standard error 0, sampled ones at least 1/n_samples.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     m, k = U.shape
     L = psd_factor(cov)
     r = L.shape[1]
-    if r == 0:
-        return np.all(U >= 0.0, axis=1).astype(float), np.zeros(m)
-    if r == 1:
-        lo, hi = rank1_bounds(U, L[:, 0])
-        return np.maximum(ndtr(hi) - ndtr(lo), 0.0), np.zeros(m)
-    if k == 2:
-        s = np.sqrt(np.diag(cov))
-        return bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], cov[0, 1] / (s[0] * s[1])), np.zeros(m)
+    if r <= 1 or k <= 3:
+        return orthant_rows(U, cov, L, _RECT_PANELS, _RECT_NODES), np.zeros(m)
     rng = philox(0) if rng is None else rng
     hits = np.zeros(m)
     chunk = 65_536

@@ -21,12 +21,17 @@ W = b'z + sigma zeta e that the order-p test rejects on, so conditioning z
 on X = W / sd(W) leaves an orthant probability that is an indicator, a
 rank-1 interval or a bivariate normal cdf, integrated against phi(X) on
 Gauss-Legendre panels and evaluated at the two rays of every scale node;
-the selection probability pi(p) is closed form.  For k >= 3 the inner
-z-integral uses seeded Gaussian sampling, with the scale integral folded
-per sample either exactly (vanishing conditional spread, via a cumulative
-lookup table) or by a matrix of interval probabilities over the scale
-nodes.  Results carry an abs_error that combines quadrature refinement,
-truncated mass, the defect of sum pi(p) from 1, and (k >= 3 only) three
+the selection probability pi(p) is closed form.  For k >= 3 the two
+integrals swap: the rays hold at every scale up to |X - x0| / c_p, so
+the scale integral becomes a cumulative scale mass read at each X node,
+and the term integrates it against phi(X) times the conditional orthant
+probability.  For k = 3 that orthant is deterministic (an indicator, a
+rank-1 interval, or one more conditioning step onto a rank-1 interval or
+a bivariate normal cdf), and so is pi(p).  For k >= 4 the conditional
+orthant is estimated from seeded Gaussian draws of the residual R = z -
+g X, integrated exactly over X, so no draw carries the scale integral.
+Results carry an abs_error that combines quadrature refinement,
+truncated mass, the defect of sum pi(p) from 1, and (k >= 4 only) three
 sampling standard errors; identical query + budget + seed replays
 bit-identically.
 """
@@ -35,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 from scipy.stats import chi as _chi
 
@@ -43,13 +47,18 @@ from ._gauss import (
     TAIL_CUT,
     condition_on_scalar,
     conditional_kinks,
+    cumulative_rule,
     gaussian_rect,
     gauss_prob_edges,
     gl_panels,
     norm_pdf,
+    orthant_rows,
     philox,
+    psd_factor,
+    rank1_bounds,
     ray_halfline_prob,
     ray_orthant_probs,
+    split_edges,
 )
 from .errors import ValidationError
 from .regression_core import (
@@ -74,6 +83,10 @@ __all__ = [
 # Numerical-rank style cutoffs for the degenerate branches of the formula.
 _ZERO_VAR_REL = 1e-24   # variance this small (relative) counts as a point mass
 _ZERO_SD_REL = 1e-12
+# The scale grid: equal-mass panels of the ratio density between these
+# quantiles; the mass outside them is reported as truncation error.
+_S_Q_LO, _S_Q_HI = 1e-12, 1.0 - 1e-10
+_S_TRUNC = _S_Q_LO + (1.0 - _S_Q_HI)
 
 
 def delta(s: float, a, b):
@@ -144,7 +157,9 @@ class AccuracyBudget:
     until successive totals differ by less than tol/2 or max_refinements is
     hit (the result is then flagged).  n_z Gaussian samples, keyed by seed,
     drive the sampled inner integrals, which remain only for targets with
-    k >= 3 rows (and for k >= 2 in the cross-check `cdf_limit_via_integral`).
+    k >= 4 rows in `cdf_exact` (and for the cross-check
+    `cdf_limit_via_integral` at k >= 2 and the high-rank joint terms of
+    `cdf_limit` at k >= 3).
     """
 
     tol: float = 1e-5
@@ -255,32 +270,49 @@ class _ExactEngine:
         self.sigma = query.sigma
         self._z_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    # ---- sampled z draws for k >= 2 terms (one draw per order, reused
+    # ---- sampled z draws for k >= 4 terms (one draw per order, reused
     # across refinement levels so refinement measures quadrature only) ----
     def _z_sample(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(z, a) with z ~ N(0, sigma^2 A[p] G_p^{-1} A[p]') and a = m_p + b_p z."""
+        """(z, a): z ~ N(0, sigma^2 omega_p) and a = m_p + b_p'z + sigma zeta_p e.
+
+        a is the scaled trailing coordinate of the order-p estimate that the
+        order-p test rejects on, drawn jointly with z (e standard normal,
+        independent of z).
+        """
         if p not in self._z_cache:
-            rng = philox(self.budget.seed, p)
-            gram_p = self.problem.gram[:p, :p]
-            L = np.linalg.cholesky(gram_p)
-            Ap = self.query.A[:, :p]
-            M = self.sigma * solve_triangular(L, Ap.T, lower=True)   # (p, k)
-            xi = rng.standard_normal((self.budget.n_z, p))
-            z = xi @ M
-            a = self.m[p] + z @ self.pq[p].b_np
+            pq = self.pq[p]
+            L = psd_factor(pq.omega_np)
+            r = L.shape[1]
+            xi = philox(self.budget.seed, p).standard_normal((self.budget.n_z, r + 1))
+            z = self.sigma * (xi[:, :r] @ L.T)
+            a = self.m[p] + z @ pq.b_np + self.sigma * pq.zeta_np * xi[:, r]
             self._z_cache[p] = (z, a)
         return self._z_cache[p]
 
     # ---- scale grid ----
+    def _s_edges(self, n_panels: int) -> np.ndarray:
+        return self.ratio.ppf(np.linspace(_S_Q_LO, _S_Q_HI, n_panels + 1))
+
     def _s_grid(self, n_panels: int, breaks=()):
-        q_lo, q_hi = 1e-12, 1.0 - 1e-10
-        edges = self.ratio.ppf(np.linspace(q_lo, q_hi, n_panels + 1))
+        edges = self._s_edges(n_panels)
         if len(breaks):
             extra = [b for b in breaks if edges[0] < b < edges[-1]]
             if extra:
                 edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
         s, w = gl_panels(edges, self.budget.nodes_per_panel)
-        return s, w * self.ratio.pdf(s), q_lo + (1.0 - q_hi)
+        return s, w * self.ratio.pdf(s), _S_TRUNC
+
+    def _scale_mass(self, p: int, n_panels: int):
+        """(K, truncated mass): K(y) integrates pdf(s) tail_p(s) over s <= y.
+
+        K is read through `cumulative_rule` on the panels of `_s_grid`, so
+        it costs one partial panel per argument.
+        """
+        def f(s):
+            return self.ratio.pdf(s) * self._tail_products(s)[p]
+
+        K, _ = cumulative_rule(f, self._s_edges(n_panels), self.budget.nodes_per_panel)
+        return K, _S_TRUNC
 
     def _tail_products(self, s: np.ndarray):
         """prod_{q > p} Delta factors at each scale node, for p = O..P."""
@@ -377,46 +409,59 @@ class _ExactEngine:
         pi_inner = ndtr(x_lo) + ndtr(-x_hi)
         return float(wt @ inner), float(wt @ pi_inner), trunc + 2.0 * float(ndtr(-TAIL_CUT))
 
-    # ---- sampled k >= 3 inner integrals ----
-    def _term_sampled(self, p: int, u: np.ndarray, n_panels: int):
-        """(value, pi_value, error, se) of the order-p term via z sampling."""
-        sig = self.sigma
-        xi, zeta = self.pq[p].xi_np, self.pq[p].zeta_np
-        cssx = self.c[p] * sig * xi
+    # ---- k >= 3: the scale integral folded into the selection scalar ----
+    def _swapped_rule(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
+        """x-nodes and weights of the order-p term with the integrals swapped.
+
+        With the conditioning of `_term_k2`, z <= u and |X - x0| >= s c_p
+        together hold for every s up to |X - x0| / c_p, so with K_p the
+        scale mass below s (`_scale_mass`) the term is
+
+            int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
+
+        and pi(p) is the same integral without the orthant.  Returns (x,
+        wk, g, S, L, error): Gauss-Legendre nodes on [-TAIL_CUT, TAIL_CUT]
+        with x0 and the `conditional_kinks` as edges, their weights times
+        phi(x) K_p(|x - x0| / c_p), the split z = g X + R with R ~ N(0, S),
+        S = L L', and the truncated scale and x mass.
+        """
+        pq, sig, c = self.pq[p], self.sigma, self.c[p]
+        sw = sig * pq.xi_np
+        g, S, L = condition_on_scalar(sig ** 2 * pq.omega_np, sig ** 2 * pq.C_np, sw ** 2)
+        x0 = -self.m[p] / sw
+        K, trunc = self._scale_mass(p, n_panels)
+        edges = split_edges(-TAIL_CUT, TAIL_CUT, z_panels,
+                            breaks=[x0, *conditional_kinks(u, g, L)])
+        x, w = gl_panels(edges, self.budget.nodes_per_panel)
+        wk = w * norm_pdf(x) * K(np.abs(x - x0) / c)
+        return x, wk, g, S, L, trunc + 2.0 * float(ndtr(-TAIL_CUT))
+
+    def _term_k3(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
+        """(value, pi_value, error) of the order-p term for trivariate targets:
+        `_swapped_rule` against the conditional orthant of `orthant_rows`."""
+        x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels, z_panels)
+        cond = orthant_rows(u[None, :] - np.outer(x, g), S, L, z_panels,
+                            self.budget.nodes_per_panel)
+        # orthant_rows drops the mass below -TAIL_CUT in its own coordinate
+        return float(wk @ cond), float(np.sum(wk)), err + float(ndtr(-TAIL_CUT))
+
+    def _term_sampled(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
+        """(value, pi_value, error, se) of the order-p term for k >= 4.
+
+        `_swapped_rule` with the conditional orthant sampled: each draw of
+        `_z_sample` gives R = z - g X, and its value is the weight of the
+        x-nodes in the interval {x : g x <= u - R}.  Its mean estimates the
+        rule's sum exactly, and the draws never carry the scale integral.
+        """
+        x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels, z_panels)
         z, a = self._z_sample(p)
-        ind = np.all(z <= u[None, :], axis=1)
-        N = z.shape[0]
-
-        if zeta <= _ZERO_SD_REL * xi:
-            # exact scale integral per sample via a cumulative lookup:
-            # 1 - Delta degenerates to the indicator {s <= |a|/(c sigma xi)}
-            s_d = self.ratio.ppf(np.linspace(1e-12, 1.0 - 1e-10, 4097))
-            f_d = self._tail_products(s_d)[p] * self.ratio.pdf(s_d)
-            M = np.concatenate([[0.0], np.cumsum(0.5 * (f_d[1:] + f_d[:-1]) * np.diff(s_d))])
-            if cssx > 0:
-                s_star = np.abs(a) / cssx
-                vals = np.interp(s_star, s_d, M)
-            else:  # c_p = 0 can only occur at the protected order, not here
-                vals = np.full(N, M[-1])
-            interp_slop = 1e-7
-        else:
-            s, w, trunc = self._s_grid(n_panels)
-            wt = w * self._tail_products(s)[p]
-            t0 = float(np.sum(wt))
-            vals = np.empty(N)
-            B = s * cssx
-            chunk = 8192
-            for lo in range(0, N, chunk):
-                hi = min(lo + chunk, N)
-                dmat = delta(sig * zeta, a[lo:hi, None], B[None, :])
-                vals[lo:hi] = t0 - dmat @ wt
-            interp_slop = 0.0
-
-        term_vals = np.where(ind, vals, 0.0)
-        value = float(np.mean(term_vals))
-        pi_value = float(np.mean(vals))
-        se = float(np.std(term_vals) / np.sqrt(N))
-        return value, pi_value, interp_slop, se
+        R = z - np.outer((a - self.m[p]) / (self.sigma * self.pq[p].xi_np), g)
+        lo, hi = rank1_bounds(u[None, :] - R, g)
+        cum = np.concatenate([[0.0], np.cumsum(wk)])
+        vals = np.maximum(cum[np.searchsorted(x, hi, side="right")]
+                          - cum[np.searchsorted(x, lo)], 0.0)
+        se = float(np.std(vals) / np.sqrt(vals.size))
+        return float(np.mean(vals)), float(cum[-1]), err, se
 
     # ---- one full assembly at a given refinement level ----
     def assemble(self, level: int):
@@ -448,12 +493,13 @@ class _ExactEngine:
                 pi_val, e_pi = self._term_k1(p, np.inf, n_panels, z_panels)
                 terms[i], pis[i] = val, pi_val
                 err += e
-            elif self.k == 2:
-                val, pi_val, e = self._term_k2(p, u, n_panels, z_panels)
+            elif self.k <= 3:
+                term = self._term_k2 if self.k == 2 else self._term_k3
+                val, pi_val, e = term(p, u, n_panels, z_panels)
                 terms[i], pis[i] = val, pi_val
                 err += e
             else:
-                val, pi_val, e, se = self._term_sampled(p, u, n_panels)
+                val, pi_val, e, se = self._term_sampled(p, u, n_panels, z_panels)
                 terms[i], pis[i] = val, pi_val
                 err += e
                 se_total += se

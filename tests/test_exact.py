@@ -1,11 +1,11 @@
 """Tests for the finite-sample cdf: mixture formula, scale density, engine."""
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import ndtr
-from scipy.stats import chi2
+from scipy.stats import chi, chi2
 
-from pmsdist._gauss import condition_on_scalar
+from pmsdist._gauss import TAIL_CUT, bvn_cdf, condition_on_scalar, gl_panels, norm_pdf
 from pmsdist.dist_exact import (
     AccuracyBudget,
     CdfQuery,
@@ -191,7 +191,7 @@ def test_k2_term_agrees_with_sampled_term():
                 ranks.add(condition_on_scalar(pq.omega_np, pq.C_np, pq.xi_np ** 2)[2].shape[1])
                 u = engine.query.t - engine.shift[p]
                 det, _, det_err = engine._term_k2(p, u, budget.s_panels, budget.z_panels)
-                val, _, err, se = engine._term_sampled(p, u, budget.s_panels)
+                val, _, err, se = engine._term_sampled(p, u, budget.s_panels, budget.z_panels)
                 assert abs(det - val) <= 3.0 * se + err + det_err, \
                     f"order {p} at t={t}: {det} vs {val} +- {se}"
     assert ranks == {0, 1, 2}
@@ -237,3 +237,136 @@ def test_k2_points_meet_default_budget_deterministically():
             # no sampling: the seed and sample size do not enter the value
             other = cdf_exact(fx.problem, _query(fx, t), AccuracyBudget(seed=7, n_z=1000))
             assert other.value == res.value
+
+
+def test_sampled_term_does_not_sample_the_scale_integral():
+    # order 1 of the P = 3, k = 2 design at t = (-1, 1.5) is a rare event:
+    # the term comes from draws far in one tail of the selection scalar, so
+    # sampling the scale integral per draw cannot resolve it; integrated
+    # over the scalar, the sampled term is the deterministic one
+    problem, A, rule = _p3_k2_case()
+    budget = AccuracyBudget()
+    engine = _ExactEngine(problem, CdfQuery(A=A, t=(-1.0, 1.5), theta=problem.theta,
+                                            sigma=1.0, rule=rule), budget)
+    u = engine.query.t - engine.shift[1]
+    det, _, det_err = engine._term_k2(1, u, budget.s_panels, budget.z_panels)
+    val, _, _, se = engine._term_sampled(1, u, budget.s_panels, budget.z_panels)
+    assert abs(val - det) <= 4.0 * se + det_err, (val, se, det)
+
+
+def _p4_k3_case(n=40):
+    # at n = 40 the P = 4, O = 1, k = 3 design of the exact_grid benchmark
+    # workload: orders 2, 3 and 4 condition to ranks 1, 2 and 3
+    rng = np.random.default_rng(20070410)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+    A = np.column_stack([np.eye(3), np.zeros(3)]) + 0.3 * rng.standard_normal((3, 4))
+    problem = RegressionProblem(X=X, theta=np.array([0.5, 0.4, 0.25, 0.1]), sigma=1.0, O=1)
+    return problem, A, GeneralToSpecific(critical=(2.0, 2.0, 2.0))
+
+
+P4_GRID = [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]
+
+
+def _orthant_oracle(v, L):
+    """P(L eps <= v) for trivariate L eps, eps standard normal, conditioning on
+    eps_1 (ranks 1 and 2) or on the first coordinate (rank 3) under dense
+    Gauss-Legendre rules split at every kink of the conditional probability."""
+    r = L.shape[1]
+    if r == 1:
+        load = L[:, 0]
+        hi = np.min(v[load > 0] / load[load > 0], initial=np.inf)
+        lo = np.max(v[load < 0] / load[load < 0], initial=-np.inf)
+        return max(ndtr(hi) - ndtr(lo), 0.0)
+    if r == 2:
+        pts = []
+        for i in range(3):
+            for j in range(i + 1, 3):
+                den = L[i, 0] / L[i, 1] - L[j, 0] / L[j, 1]
+                pts.append((v[i] / L[i, 1] - v[j] / L[j, 1]) / den)
+        e1, w = gl_panels(np.array([-TAIL_CUT, *sorted(p for p in pts if abs(p) < TAIL_CUT),
+                                    TAIL_CUT]), 200)
+        W = v[None, :] - np.outer(e1, L[:, 0])
+        load = L[:, 1]
+        hi = np.min(W[:, load > 0] / load[load > 0], axis=1, initial=np.inf)
+        lo = np.max(W[:, load < 0] / load[load < 0], axis=1, initial=-np.inf)
+        return float(np.sum(w * norm_pdf(e1) * np.maximum(ndtr(hi) - ndtr(lo), 0.0)))
+    S = L @ L.T
+    sd0 = np.sqrt(S[0, 0])
+    h = S[1:, 0] / sd0
+    C = S[1:, 1:] - np.outer(h, h)
+    s = np.sqrt(np.diag(C))
+    top = min(v[0] / sd0, TAIL_CUT)
+    y, w = gl_panels(np.linspace(-TAIL_CUT, top, 41), 20)
+    return float(np.sum(w * norm_pdf(y) * bvn_cdf((v[1] - h[0] * y) / s[0],
+                                                  (v[2] - h[1] * y) / s[1],
+                                                  C[0, 1] / (s[0] * s[1]))))
+
+
+@pytest.mark.parametrize("n", [40, 6])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_k3_term_matches_adaptive_quadrature(p, n):
+    # the term as int phi(x) K(|x - x0| / c) P(R <= u - g x) dx under
+    # adaptive quadrature in x, with the scale mass K from an adaptive ODE
+    # solve and the conditional orthant from `_orthant_oracle`; at n = 6
+    # (two residual degrees of freedom) K(|x - x0| / c) kinks at x0
+    problem, A, rule = _p4_k3_case(n)
+    budget = AccuracyBudget()
+    engine = _ExactEngine(problem, CdfQuery(A=A, t=P4_GRID[0], theta=problem.theta,
+                                            sigma=1.0, rule=rule), budget)
+    u = engine.query.t - engine.shift[p]
+    pq = engine.pq[p]
+    g, _, L = condition_on_scalar(pq.omega_np, pq.C_np, pq.xi_np ** 2)
+    assert L.shape[1] == p - 1
+    x0, c = -engine.m[p] / pq.xi_np, engine.c[p]
+    s_lo, s_hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
+    dens = chi(df=engine.ratio.dof, scale=1.0 / np.sqrt(engine.ratio.dof))
+    K = solve_ivp(lambda s, _: [dens.pdf(s) * engine._tail_products(np.array([s]))[p][0]],
+                  (s_lo, s_hi), [0.0], method="DOP853", rtol=1e-13, atol=1e-16,
+                  dense_output=True).sol
+
+    def integrand(x):
+        y = min(max(abs(x - x0) / c, s_lo), s_hi)
+        return norm_pdf(x) * K(y)[0] * _orthant_oracle(u - g * x, L)
+
+    want, _ = quad(integrand, -TAIL_CUT, TAIL_CUT, points=[x0 - c * s_lo, x0, x0 + c * s_lo],
+                   epsabs=1e-13, epsrel=1e-12, limit=400)
+    got, _, _ = engine._term_k3(p, u, budget.s_panels, budget.z_panels)
+    assert abs(got - want) <= 1e-9, (got, want)
+
+
+def test_k3_points_meet_default_budget_deterministically():
+    problem, A, rule = _p4_k3_case()
+    for t in P4_GRID:
+        query = CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule)
+        res = cdf_exact(problem, query, AccuracyBudget())
+        assert res.abs_error <= 1e-5 and res.warning is None, (t, res)
+        # no sampling: the seed and sample size do not enter the value
+        other = cdf_exact(problem, query, AccuracyBudget(seed=7, n_z=1000))
+        assert other.value == res.value
+
+
+def test_k3_exact_agrees_with_simulation():
+    problem, A, rule = _p4_k3_case()
+    t = np.array(P4_GRID[1])
+    plan = SimulationPlan(problem=problem, rule=rule, A=A, replications=200_000,
+                          master_seed=2024)
+    emp = empirical_cdf(plan, t[None, :])
+    res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+    assert abs(res.value - emp.estimates[0]) <= 4 * emp.standard_errors[0] + res.abs_error
+
+
+def test_k4_exact_agrees_with_simulation():
+    # k = 4 samples the conditional orthant; its error bound misses the
+    # default tol, which the result flags
+    rng = np.random.default_rng(5)
+    n = 30
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 4))])
+    A = np.eye(4, 5) + 0.3 * rng.standard_normal((4, 5))
+    problem = RegressionProblem(X=X, theta=np.array([0.5, 0.4, 0.3, 0.2, 0.1]), sigma=1.0, O=1)
+    rule = GeneralToSpecific(critical=(2.0, 2.0, 2.0, 2.0))
+    t = np.array([1.0, -0.5, 0.5, 0.8])
+    plan = SimulationPlan(problem=problem, rule=rule, A=A, replications=200_000, master_seed=7)
+    emp = empirical_cdf(plan, t[None, :])
+    res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+    assert abs(res.value - emp.estimates[0]) <= 4 * emp.standard_errors[0] + res.abs_error
+    assert res.abs_error > 1e-5 and res.warning is not None

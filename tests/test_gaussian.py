@@ -113,11 +113,11 @@ def test_gaussian_rect_zero_matrix_is_indicator():
     assert got == 1.0
 
 
-def test_gaussian_rect_monte_carlo_k3():
+def test_gaussian_rect_monte_carlo_k4():
     rng = np.random.Generator(np.random.Philox(17))
-    M = rng.standard_normal((3, 4))
-    cov = M @ M.T + 0.3 * np.eye(3)
-    u = np.array([0.4, -0.2, 1.1])
+    M = rng.standard_normal((4, 5))
+    cov = M @ M.T + 0.3 * np.eye(4)
+    u = np.array([0.4, -0.2, 1.1, 0.6])
     want = multivariate_normal(cov=cov).cdf(u)
     got, se = gaussian_rect(u, cov, rng=np.random.Generator(np.random.Philox(3)),
                             n_samples=400_000)
@@ -129,7 +129,8 @@ def test_gaussian_rect_monte_carlo_k3():
     (np.zeros((3, 3)), False),                                   # rank 0
     (np.outer([1.0, -0.5, 2.0], [1.0, -0.5, 2.0]), False),       # rank 1
     (np.array([[1.0, 0.6], [0.6, 2.0]]), False),                 # bivariate
-    (np.array([[1.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 0.8]]), True),
+    (np.array([[1.0, 0.3, -0.2, 0.1], [0.3, 1.5, 0.4, 0.0], [-0.2, 0.4, 0.8, -0.3],
+               [0.1, 0.0, -0.3, 1.2]]), True),
 ])
 def test_gaussian_rect_rows_reproduce_gaussian_rect(cov, sampled):
     k = cov.shape[0]
@@ -142,12 +143,61 @@ def test_gaussian_rect_rows_reproduce_gaussian_rect(cov, sampled):
         assert (vals[j], se[j]) == want, j
     if sampled:
         # one shared sample of the full size; the estimate 0 keeps SE 1/n
-        z = philox(7).standard_normal((n, 3)) @ psd_factor(cov).T
+        z = philox(7).standard_normal((n, 4)) @ psd_factor(cov).T
         hits = [np.count_nonzero(np.all(z <= u, axis=1)) for u in U]
         assert list(vals) == [h / n for h in hits]
         assert vals[-1] == 0.0 and se[-1] == np.sqrt(1.0 / n / n)
     else:
         assert not np.any(se)
+
+
+def _rank2_orthant_oracle(v, L):
+    """P(L eps <= v) for L of shape (3, 2): adaptive quadrature over eps_1,
+    split where two of the eps_2 bounds cross."""
+    def inner(e1):
+        w = v - L[:, 0] * e1
+        load = L[:, 1]
+        hi = np.min(w[load > 0] / load[load > 0], initial=np.inf)
+        lo = np.max(w[load < 0] / load[load < 0], initial=-np.inf)
+        return max(ndtr(hi) - ndtr(lo), 0.0) * norm_pdf(e1)
+
+    pts = [(v[i] / L[i, 1] - v[j] / L[j, 1]) / (L[i, 0] / L[i, 1] - L[j, 0] / L[j, 1])
+           for i in range(3) for j in range(i + 1, 3)]
+    return quad(inner, -12.0, 12.0, points=sorted(p for p in pts if abs(p) < 12.0),
+                epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+def test_gaussian_rect_trivariate_is_deterministic():
+    U = np.array([[0.3, 0.1, 0.2], [0.0, 0.0, 0.0], [-0.5, 1.0, 0.4], [2.0, -1.0, 0.3],
+                  [-9.5, 0.0, 0.0]])
+    rng = np.random.Generator(np.random.Philox(5))
+    M = rng.standard_normal((3, 4))
+    full = M @ M.T + 0.3 * np.eye(3)
+    vals, se = gaussian_rect_rows(U, full)
+    assert not np.any(se)
+    # conditioning on the first coordinate under adaptive quadrature
+    sd = np.sqrt(full[0, 0])
+    h = full[1:, 0] / sd
+    C = full[1:, 1:] - np.outer(h, h)
+    s = np.sqrt(np.diag(C))
+    for u, v in zip(U, vals):
+        def integrand(y):
+            return norm_pdf(y) * float(bvn_cdf((u[1] - h[0] * y) / s[0],
+                                               (u[2] - h[1] * y) / s[1], C[0, 1] / (s[0] * s[1])))
+        want = quad(integrand, -12.0, u[0] / sd, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        assert abs(v - want) < 1e-12, (u, v, want)
+    # scipy's randomized lattice rule wanders by several 1e-9 even at
+    # abseps 1e-10 (and takes about 0.5 s a row)
+    for u, v in zip(U[:2], vals):
+        want = multivariate_normal(cov=full, abseps=1e-10, releps=0.0, seed=1).cdf(u)
+        assert abs(v - want) < 2e-8, (u, v, want)
+    # rank 2: scipy's rule is not accurate for a singular covariance, so the
+    # reference is a quadrature over the factor
+    L = np.array([[1.0, 0.2], [0.5, 1.0], [-0.3, 0.7]])
+    vals, se = gaussian_rect_rows(U, L @ L.T)
+    assert not np.any(se)
+    for u, v in zip(U, vals):
+        assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-12, u
 
 
 def test_gl_panels_integrates_polynomials_exactly():

@@ -78,7 +78,8 @@ def _multivariate_case(P, k, O, theta, critical, seed):
     # quadratures of the joint (Z, W) probability
     (3, 2, 0, (0.0, 0.0, 0.0), (1.8, 2.0, 2.2),
      [(0.0, 0.0), (0.8, -0.3), (-1.0, 1.5)]),
-    # p_star = 2 with k = 3: a sampled orthant core and sampled joint terms
+    # p_star = 2 with k = 3: a rank-2 trivariate orthant core (deterministic)
+    # and sampled joint terms
     (4, 3, 1, (0.5, -0.4, 0.0, 0.0), (2.0, 1.9, 2.1),
      [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]),
 ])
