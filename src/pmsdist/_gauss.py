@@ -346,7 +346,9 @@ def ray_orthant_probs(u: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray
     Gauss-Legendre panels of [-TAIL_CUT, TAIL_CUT] with the
     `conditional_kinks` as extra edges; with H(y) the integral up to y
     (`cumulative_rule`), a pair's value is H(x_lo) + H(TAIL_CUT) - H(x_hi).
-    The dropped mass beyond +/-TAIL_CUT is at most 2 Phi(-TAIL_CUT).
+    The dropped mass beyond +/-TAIL_CUT is at most 2 Phi(-TAIL_CUT).  Its
+    one caller is `dist_limit._joint_rows`, whose rays do not depend on a
+    scale; the exact cdf folds its scale-dependent rays into its x rule.
     """
     x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
     x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))

@@ -15,21 +15,24 @@ The outer scale integral runs over equal-mass Gauss-Legendre panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
 For scalar targets (k = 1) every inner integral is deterministic: closed
 interval arithmetic when the conditional spread vanishes, panel quadrature
-otherwise.  For k = 2 every term is deterministic too: the order-p
+otherwise.
+
+For k = 2 and k = 3 every term is deterministic too.  The order-p
 integrand depends on z only through the orthant {z <= u} and the scalar
-W = b'z + sigma zeta e that the order-p test rejects on, so conditioning z
-on X = W / sd(W) leaves an orthant probability that is an indicator, a
-rank-1 interval or a bivariate normal cdf, integrated against phi(X) on
-Gauss-Legendre panels and evaluated at the two rays of every scale node;
-the selection probability pi(p) is closed form.  For k >= 3 the two
-integrals swap: the rays hold at every scale up to |X - x0| / c_p, so
-the scale integral becomes a cumulative scale mass read at each X node,
-and the term integrates it against phi(X) times the conditional orthant
-probability.  For k = 3 that orthant is deterministic (an indicator, a
-rank-1 interval, or one more conditioning step onto a rank-1 interval or
-a bivariate normal cdf), and so is pi(p).  For k >= 4 the conditional
-orthant is estimated from seeded Gaussian draws of the residual R = z -
-g X, integrated exactly over X, so no draw carries the scale integral.
+W = b'z + sigma zeta e that the order-p test rejects on, so z is
+conditioned on X = W / sd(W).  The test rejects at scale s when
+|X - x0| >= s c_p, that is at every scale up to |X - x0| / c_p, so the
+scale integral becomes a cumulative scale mass read at each X node, and
+the term integrates it against phi(X) times the conditional orthant
+probability on Gauss-Legendre panels in X.  Their edges bracket the kinks
+of that probability and the near-step the scale mass becomes at large
+dof.  The conditional orthant is an indicator, a rank-1 interval, a
+bivariate normal cdf (k = 2) or, for k = 3, one more conditioning step
+onto a rank-1 interval or a bivariate normal cdf; the selection
+probability pi(p) is the same integral without the orthant.  For k >= 4
+the conditional orthant is estimated from seeded Gaussian draws of the
+residual R = z - g X, integrated exactly over X, so no draw carries the
+scale integral.
 Results carry an abs_error that combines quadrature refinement,
 truncated mass, the defect of sum pi(p) from 1, and (k >= 4 only) three
 sampling standard errors; identical query + budget + seed replays
@@ -37,11 +40,10 @@ bit-identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi as _chi
+from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
 
 from ._gauss import (
     TAIL_CUT,
@@ -57,7 +59,6 @@ from ._gauss import (
     psd_factor,
     rank1_bounds,
     ray_halfline_prob,
-    ray_orthant_probs,
     split_edges,
 )
 from .errors import ValidationError
@@ -87,6 +88,10 @@ _ZERO_SD_REL = 1e-12
 # quantiles; the mass outside them is reported as truncation error.
 _S_Q_LO, _S_Q_HI = 1e-12, 1.0 - 1e-10
 _S_TRUNC = _S_Q_LO + (1.0 - _S_Q_HI)
+# Ratio-density quantiles whose scales x0 +/- c_p s become x-edges of the
+# swapped rule: at large dof K_p(|x - x0| / c_p) is a near-step, and these
+# edges bracket it.
+_STEP_Q = (1e-6, 0.5, 1.0 - 1e-6)
 
 
 def delta(s: float, a, b):
@@ -116,7 +121,12 @@ def delta(s: float, a, b):
 
 @dataclass(frozen=True)
 class SigmaRatioDensity:
-    """Density of sigma_hat/sigma: sqrt(chi^2_dof / dof)."""
+    """Density of sigma_hat/sigma: sqrt(chi^2_dof / dof).
+
+    The chi law with dof degrees of freedom at scale 1/sqrt(dof), in closed
+    form: the pdf through gammaln, the cdf through the regularized lower
+    incomplete gamma function and the ppf through its inverse.
+    """
 
     dof: int
 
@@ -126,18 +136,23 @@ class SigmaRatioDensity:
         object.__setattr__(self, "dof", int(self.dof))
 
     @property
-    def _dist(self):
-        return _chi(df=self.dof, scale=1.0 / np.sqrt(self.dof))
+    def _scale(self) -> float:
+        return 1.0 / np.sqrt(self.dof)
 
     def pdf(self, s):
         s = np.asarray(s, dtype=float)
-        return self._dist.pdf(s)
+        d, x = self.dof, np.maximum(s, 0.0) / self._scale
+        # xlogy keeps the dof = 1 density finite at s = 0
+        log_pdf = (np.log(2) - 0.5 * np.log(2) * d - gammaln(0.5 * d)
+                   + xlogy(d - 1.0, x) - 0.5 * x ** 2)
+        return np.where(s >= 0.0, np.exp(log_pdf) / self._scale, 0.0)[()]
 
     def ppf(self, q):
-        return self._dist.ppf(q)
+        return np.sqrt(2.0 * gammaincinv(0.5 * self.dof, q)) * self._scale
 
     def cdf(self, s):
-        return self._dist.cdf(s)
+        x = np.maximum(np.asarray(s, dtype=float), 0.0) / self._scale
+        return gammainc(0.5 * self.dof, 0.5 * x ** 2)
 
 
 def sigma_ratio_pdf(dof: int, s) -> float | np.ndarray:
@@ -258,6 +273,7 @@ class _ExactEngine:
         self.k = query.A.shape[0]
         self.sqrt_n = np.sqrt(n)
         self.ratio = SigmaRatioDensity(problem.dof)
+        self.s_step = self.ratio.ppf(np.array(_STEP_Q))
         self.pq = [None] + [projection_quantities(problem, query.A, p) for p in range(1, P + 1)]
         # sqrt(n) * (trailing coordinate of the order-q mean vector)
         self.m = np.zeros(P + 1)
@@ -384,46 +400,26 @@ class _ExactEngine:
         val = float(np.sum(vw) * t0 - vw @ dmat @ wt)
         return val, err + trunc + float(ndtr(-TAIL_CUT))
 
-    # ---- deterministic k = 2 inner integrals ----
-    def _term_k2(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
-        """(value, pi_value, error) of the order-p term for bivariate targets.
-
-        With W = b_p'z + sigma zeta_p e (e standard normal, independent of
-        z), 1 - Delta(sigma zeta_p, m_p + b_p'z, B) = P(|m_p + W| >= B | z),
-        so at scale node s the term is P(z <= u, X <= x_lo(s) or
-        X >= x_hi(s)) for X = W / (sigma xi_p), x_lo/hi(s) =
-        -m_p / (sigma xi_p) -/+ s c_p: a conditional orthant probability in
-        closed form or by quadrature in X, and pi(p) is closed form.
-        """
-        pq, sig, c = self.pq[p], self.sigma, self.c[p]
-        sw = sig * pq.xi_np
-        g, S, L = condition_on_scalar(sig ** 2 * pq.omega_np, sig ** 2 * pq.C_np, sw ** 2)
-        x0 = -self.m[p] / sw
-        # the scale integrand kinks where a ray endpoint x0 -/+ s c crosses
-        # a kink of the conditional orthant probability
-        breaks = [abs(x - x0) / c for x in conditional_kinks(u, g, L)]
-        s, w, trunc = self._s_grid(n_panels, breaks=breaks)
-        wt = w * self._tail_products(s)[p]
-        x_lo, x_hi = x0 - s * c, x0 + s * c
-        inner = ray_orthant_probs(u, g, S, L, x_lo, x_hi, z_panels, self.budget.nodes_per_panel)
-        pi_inner = ndtr(x_lo) + ndtr(-x_hi)
-        return float(wt @ inner), float(wt @ pi_inner), trunc + 2.0 * float(ndtr(-TAIL_CUT))
-
-    # ---- k >= 3: the scale integral folded into the selection scalar ----
+    # ---- k >= 2: the scale integral folded into the selection scalar ----
     def _swapped_rule(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
         """x-nodes and weights of the order-p term with the integrals swapped.
 
-        With the conditioning of `_term_k2`, z <= u and |X - x0| >= s c_p
-        together hold for every s up to |X - x0| / c_p, so with K_p the
-        scale mass below s (`_scale_mass`) the term is
+        With W = b_p'z + sigma zeta_p e (e standard normal, independent of
+        z), 1 - Delta(sigma zeta_p, m_p + b_p'z, B) = P(|m_p + W| >= B | z).
+        Split z = g X + R on X = W / (sigma xi_p), with R ~ N(0, S)
+        independent of X.  At scale s the order-p test rejects when
+        |X - x0| >= s c_p, x0 = -m_p / (sigma xi_p), so z <= u and the
+        rejection hold together for every s up to |X - x0| / c_p, and with
+        K_p the scale mass below s (`_scale_mass`) the term is
 
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
         and pi(p) is the same integral without the orthant.  Returns (x,
         wk, g, S, L, error): Gauss-Legendre nodes on [-TAIL_CUT, TAIL_CUT]
-        with x0 and the `conditional_kinks` as edges, their weights times
-        phi(x) K_p(|x - x0| / c_p), the split z = g X + R with R ~ N(0, S),
-        S = L L', and the truncated scale and x mass.
+        with edges at x0, at x0 +/- c_p s for the `_STEP_Q` quantiles s of
+        the ratio density and at the `conditional_kinks`, their weights
+        times phi(x) K_p(|x - x0| / c_p), the split (g, S, L) with S = L L',
+        and the truncated scale and x mass.
         """
         pq, sig, c = self.pq[p], self.sigma, self.c[p]
         sw = sig * pq.xi_np
@@ -431,13 +427,14 @@ class _ExactEngine:
         x0 = -self.m[p] / sw
         K, trunc = self._scale_mass(p, n_panels)
         edges = split_edges(-TAIL_CUT, TAIL_CUT, z_panels,
-                            breaks=[x0, *conditional_kinks(u, g, L)])
+                            breaks=[x0, *(x0 - c * self.s_step), *(x0 + c * self.s_step),
+                                    *conditional_kinks(u, g, L)])
         x, w = gl_panels(edges, self.budget.nodes_per_panel)
         wk = w * norm_pdf(x) * K(np.abs(x - x0) / c)
         return x, wk, g, S, L, trunc + 2.0 * float(ndtr(-TAIL_CUT))
 
-    def _term_k3(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
-        """(value, pi_value, error) of the order-p term for trivariate targets:
+    def _term_orthant(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
+        """(value, pi_value, error) of the order-p term for k = 2 and k = 3:
         `_swapped_rule` against the conditional orthant of `orthant_rows`."""
         x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels, z_panels)
         cond = orthant_rows(u[None, :] - np.outer(x, g), S, L, z_panels,
@@ -489,20 +486,14 @@ class _ExactEngine:
         for i, p in enumerate(range(O + 1, P + 1), start=1):
             u = t - self.shift[p]
             if self.k == 1:
-                val, e = self._term_k1(p, float(u[0]), n_panels, z_panels)
-                pi_val, e_pi = self._term_k1(p, np.inf, n_panels, z_panels)
-                terms[i], pis[i] = val, pi_val
-                err += e
+                terms[i], e = self._term_k1(p, float(u[0]), n_panels, z_panels)
+                pis[i], _ = self._term_k1(p, np.inf, n_panels, z_panels)
             elif self.k <= 3:
-                term = self._term_k2 if self.k == 2 else self._term_k3
-                val, pi_val, e = term(p, u, n_panels, z_panels)
-                terms[i], pis[i] = val, pi_val
-                err += e
+                terms[i], pis[i], e = self._term_orthant(p, u, n_panels, z_panels)
             else:
-                val, pi_val, e, se = self._term_sampled(p, u, n_panels, z_panels)
-                terms[i], pis[i] = val, pi_val
-                err += e
+                terms[i], pis[i], e, se = self._term_sampled(p, u, n_panels, z_panels)
                 se_total += se
+            err += e
         return terms, pis, err, se_total, np.array(orders)
 
     def evaluate(self):

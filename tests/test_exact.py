@@ -47,19 +47,28 @@ def test_delta_frozen_value_and_properties():
         delta(-1.0, 0.0, 1.0)
 
 
-def test_sigma_ratio_density_is_scaled_chi():
-    dens = SigmaRatioDensity(18)
-    mass, _ = quad(dens.pdf, 0.0, 8.0)
+@pytest.mark.parametrize("dof", [1, 2, 18, 100_000])
+def test_sigma_ratio_density_is_scaled_chi(dof):
+    dens = SigmaRatioDensity(dof)
+    ref = chi(df=dof, scale=1.0 / np.sqrt(dof))
+    q = np.array([1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-10])
+    s = np.concatenate([[0.0], ref.ppf(q), [0.5, 1.0, 2.0]])
+    # s = 0 included: at dof = 1 the density there is sqrt(2 / pi), not NaN
+    np.testing.assert_allclose(dens.pdf(s), ref.pdf(s), rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(dens.cdf(s), ref.cdf(s), rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(dens.ppf(q), ref.ppf(q), rtol=1e-12)
+    assert dens.ppf(0.0) == 0.0 and dens.cdf(0.0) == 0.0 and dens.pdf(-1.0) == 0.0
+    mass, _ = quad(dens.pdf, 0.0, 8.0, points=[1.0], limit=200)
     assert abs(mass - 1.0) < 1e-8
     for q in (0.1, 0.5, 0.9):
         assert abs(dens.cdf(dens.ppf(q)) - q) < 1e-10
     # cdf agrees with the chi-squared law of dof * s^2
-    assert abs(dens.cdf(0.9) - chi2(df=18).cdf(18 * 0.81)) < 1e-12
-    assert abs(sigma_ratio_pdf(18, 1.0) - dens.pdf(1.0)) < 1e-15
+    assert abs(dens.cdf(0.9) - chi2(df=dof).cdf(dof * 0.81)) < 1e-12
+    assert abs(sigma_ratio_pdf(dof, 1.0) - dens.pdf(1.0)) < 1e-15
     with pytest.raises(ValidationError):
         SigmaRatioDensity(0)
     with pytest.raises(ValidationError):
-        sigma_ratio_pdf(18, 0.0)
+        sigma_ratio_pdf(dof, 0.0)
 
 
 def test_exact_equals_gaussian_when_target_ignores_tested_coordinate():
@@ -190,7 +199,7 @@ def test_k2_term_agrees_with_sampled_term():
                 pq = engine.pq[p]
                 ranks.add(condition_on_scalar(pq.omega_np, pq.C_np, pq.xi_np ** 2)[2].shape[1])
                 u = engine.query.t - engine.shift[p]
-                det, _, det_err = engine._term_k2(p, u, budget.s_panels, budget.z_panels)
+                det, _, det_err = engine._term_orthant(p, u, budget.s_panels, budget.z_panels)
                 val, _, err, se = engine._term_sampled(p, u, budget.s_panels, budget.z_panels)
                 assert abs(det - val) <= 3.0 * se + err + det_err, \
                     f"order {p} at t={t}: {det} vs {val} +- {se}"
@@ -223,7 +232,7 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     want, _ = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)
-    got, _, _ = engine._term_k2(p, u, budget.s_panels, budget.z_panels)
+    got, _, _ = engine._term_orthant(p, u, budget.s_panels, budget.z_panels)
     assert abs(got - want) <= 1e-11, (got, want)
 
 
@@ -249,7 +258,7 @@ def test_sampled_term_does_not_sample_the_scale_integral():
     engine = _ExactEngine(problem, CdfQuery(A=A, t=(-1.0, 1.5), theta=problem.theta,
                                             sigma=1.0, rule=rule), budget)
     u = engine.query.t - engine.shift[1]
-    det, _, det_err = engine._term_k2(1, u, budget.s_panels, budget.z_panels)
+    det, _, det_err = engine._term_orthant(1, u, budget.s_panels, budget.z_panels)
     val, _, _, se = engine._term_sampled(1, u, budget.s_panels, budget.z_panels)
     assert abs(val - det) <= 4.0 * se + det_err, (val, se, det)
 
@@ -330,7 +339,7 @@ def test_k3_term_matches_adaptive_quadrature(p, n):
 
     want, _ = quad(integrand, -TAIL_CUT, TAIL_CUT, points=[x0 - c * s_lo, x0, x0 + c * s_lo],
                    epsabs=1e-13, epsrel=1e-12, limit=400)
-    got, _, _ = engine._term_k3(p, u, budget.s_panels, budget.z_panels)
+    got, _, _ = engine._term_orthant(p, u, budget.s_panels, budget.z_panels)
     assert abs(got - want) <= 1e-9, (got, want)
 
 
@@ -352,6 +361,31 @@ def test_k3_exact_agrees_with_simulation():
                           master_seed=2024)
     emp = empirical_cdf(plan, t[None, :])
     res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+    assert abs(res.value - emp.estimates[0]) <= 4 * emp.standard_errors[0] + res.abs_error
+
+
+@pytest.mark.parametrize("case", ["P4-k3", "COLL2-k2"])
+def test_large_n_points_meet_budget_and_agree_with_simulation(case):
+    # local alternatives at large n: with many residual degrees of freedom
+    # the scale mass K_p(|x - x0| / c_p) is a near-step in the selection
+    # scalar, which the swapped rule must bracket to meet tol
+    if case == "P4-k3":
+        n = 20_000
+        problem, A, rule = _p4_k3_case(n)
+        problem = RegressionProblem(X=problem.X, theta=problem.theta * np.sqrt(40 / n),
+                                    sigma=1.0, O=problem.O)
+        t = np.array([1.0, -0.5, 0.5])
+    else:
+        n = 100_000
+        fx = fixture("COLL2")
+        fx = fx.at_n(n, theta=fx.problem.theta * np.sqrt(20 / n))
+        problem, A, rule = fx.problem, fx.A, fx.rule
+        t = np.array([0.25, -1.0])
+    res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+    assert res.abs_error <= 1e-5 and res.warning is None, res
+    plan = SimulationPlan(problem=problem, rule=rule, A=A, replications=200_000,
+                          master_seed=2024)
+    emp = empirical_cdf(plan, t[None, :])
     assert abs(res.value - emp.estimates[0]) <= 4 * emp.standard_errors[0] + res.abs_error
 
 

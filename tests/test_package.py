@@ -1,0 +1,52 @@
+"""Package-level checks: import footprint and module boundaries."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pmsdist
+
+PACKAGE_DIR = Path(pmsdist.__file__).resolve().parent
+
+# (importing module, private name) pairs still allowed.  Entries may only be
+# removed: both names are patched by the benchmark tracer in the importing
+# module, so they stay until the tracer patches them where they are defined.
+ALLOWED_PRIVATE_IMPORTS = {
+    ("cdf_estimators", "_cdf_limit_rows"),
+    ("experiments", "_draw_errors"),
+}
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs start-up time and memory; nothing in the package
+    # needs it, so a fresh interpreter must not load it with pmsdist
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = "import sys, pmsdist; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _private_imports():
+    """(module, name) for every private name a package module imports from
+    another package module, at any depth of the module's syntax tree."""
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("pmsdist"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.add((path.stem, alias.name))
+    return found
+
+
+def test_no_new_cross_module_private_imports():
+    found = _private_imports()
+    assert found <= ALLOWED_PRIVATE_IMPORTS, \
+        f"private names imported across modules: {sorted(found - ALLOWED_PRIVATE_IMPORTS)}"
+    assert ALLOWED_PRIVATE_IMPORTS <= found, \
+        f"stale allow-list entries, remove them: {sorted(ALLOWED_PRIVATE_IMPORTS - found)}"
