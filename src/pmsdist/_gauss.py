@@ -15,10 +15,15 @@ from scipy.special import ndtr, ndtri, owens_t
 # truncated there and the discarded mass is accounted for by callers.
 TAIL_CUT = 9.0
 
-# Panels and nodes of the trivariate rule in `gaussian_rect_rows`, which has
-# no refinement loop: fine enough that the rule's error is at rounding level.
+# Level l of the cdf evaluators' refined rules has PANELS * 2**l panels of
+# NODES_PER_PANEL Gauss-Legendre nodes; refinement stops at MAX_REFINEMENTS.
+PANELS = 12
+NODES_PER_PANEL = 12
+MAX_REFINEMENTS = 3
+
+# Panels of the trivariate rule in `gaussian_rect_rows`, which has no
+# refinement loop: fine enough that the rule's error is at rounding level.
 _RECT_PANELS = 24
-_RECT_NODES = 12
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -246,18 +251,20 @@ def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float
     return [b for b in breaks if np.isfinite(b)]
 
 
-def cumulative_rule(f, edges: np.ndarray, nodes_per_panel: int):
+def cumulative_rule(f, edges: np.ndarray):
     """H(y) = integral of f from edges[0] to y, and the total over all edges.
 
     f is integrated on Gauss-Legendre panels of ``edges``; a y inside a
     panel closes the sum of the panels below it with a partial panel of the
     same rule, so H can be read at any array of points.  H is 0 at and
-    below edges[0] and the total at and above edges[-1].
+    below edges[0] and the total at and above edges[-1].  Its one caller is
+    `dist_exact._ExactEngine._scale_mass`, the scale mass that the exact
+    cdf hands to `selection_rule`.
     """
-    x, w = gl_panels(edges, nodes_per_panel)
-    panel_sums = (f(x) * w).reshape(-1, nodes_per_panel).sum(axis=1)
+    x, w = gl_panels(edges, NODES_PER_PANEL)
+    panel_sums = (f(x) * w).reshape(-1, NODES_PER_PANEL).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(panel_sums)])
-    t, tw = _leggauss(nodes_per_panel)
+    t, tw = _leggauss(NODES_PER_PANEL)
 
     def H(y):
         y = np.asarray(y, dtype=float)
@@ -274,8 +281,29 @@ def cumulative_rule(f, edges: np.ndarray, nodes_per_panel: int):
     return H, float(cum[-1])
 
 
-def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int,
-                 nodes_per_panel: int) -> np.ndarray:
+def selection_rule(x0: float, c: float, K, s_breaks, kinks, n_panels: int):
+    """x-rule of a term conditioned on its selection scalar X ~ N(0, 1).
+
+    The term is int phi(x) K(|x - x0| / c) f(x) dx: the order-p test
+    rejects at scale s when |x - x0| >= c s, K is the mass of the scales
+    it rejects at (rising from 0 to at most 1, steepest near the scales
+    ``s_breaks``) and f is a conditional probability with non-smooth points
+    ``kinks`` (`conditional_kinks`).  Returns Gauss-Legendre nodes on
+    n_panels equal panels of [-TAIL_CUT, TAIL_CUT] with extra edges at x0,
+    at x0 +/- c s for each s in s_breaks and at the kinks; their weights
+    times phi(x) K(|x - x0| / c); and the dropped x-mass 2 Phi(-TAIL_CUT).
+    The exact cdf passes the scale mass of sigma_hat/sigma and three of its
+    quantiles; the limit cdf, at the one scale 1, the step 1{y >= 1} and
+    s_breaks = (1,).
+    """
+    s = np.asarray(s_breaks, dtype=float)
+    edges = split_edges(-TAIL_CUT, TAIL_CUT, n_panels,
+                        breaks=[x0, *(x0 - c * s), *(x0 + c * s), *kinks])
+    x, w = gl_panels(edges, NODES_PER_PANEL)
+    return x, w * norm_pdf(x) * K(np.abs(x - x0) / c), 2.0 * float(ndtr(-TAIL_CUT))
+
+
+def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> np.ndarray:
     """P(R <= u) for every row u of U, R ~ N(0, S) with L a factor of S.
 
     Deterministic wherever the dimension allows: numerical rank 0 is an
@@ -291,7 +319,9 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int,
     one kink (where the two interval bounds cross, or a zero-loading
     coordinate flips sign) is an extra edge.  The dropped mass below
     -TAIL_CUT is at most Phi(-TAIL_CUT) per row.  Other ranks raise
-    ValueError.
+    ValueError.  Its callers are `gaussian_rect_rows` and the two terms
+    that integrate it against a `selection_rule`:
+    `dist_exact._ExactEngine._term_orthant` and `dist_limit._joint_rows`.
     """
     k, r = U.shape[1], L.shape[1]
     if r == 0:
@@ -321,7 +351,7 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int,
         if abs(den) > 1e-13 * max(float(np.max(np.abs(h))), 1.0):
             kink = np.clip((W @ n) / den, -TAIL_CUT, y_top)
             edges = np.sort(np.column_stack([edges, kink]), axis=1)
-    t, tw = _leggauss(nodes_per_panel)
+    t, tw = _leggauss(NODES_PER_PANEL)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     y = mid[:, :, None] + half[:, :, None] * t                  # (m, panels, nodes)
@@ -334,37 +364,6 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int,
         s = np.sqrt(np.sum(Lr * Lr, axis=1))
         cond = bvn_cdf(V0 / s[0], V1 / s[1], float(Lr[0] @ Lr[1]) / (s[0] * s[1]))
     return np.einsum("mpn,mpn,n,mp->m", cond, norm_pdf(y), tw, half)
-
-
-def ray_orthant_probs(u: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
-                      x_lo, x_hi, n_panels: int, nodes_per_panel: int) -> np.ndarray:
-    """P(Z <= u, X <= x_lo or X >= x_hi) for each threshold pair, x_lo <= x_hi.
-
-    X ~ N(0, 1) and Z = g X + R with R ~ N(0, S) independent of X and L a
-    factor of S (see `condition_on_scalar`).  Rank 0 is closed form; other
-    ranks integrate P(Z <= u | x) phi(x) (`orthant_rows`) on
-    Gauss-Legendre panels of [-TAIL_CUT, TAIL_CUT] with the
-    `conditional_kinks` as extra edges; with H(y) the integral up to y
-    (`cumulative_rule`), a pair's value is H(x_lo) + H(TAIL_CUT) - H(x_hi).
-    The dropped mass beyond +/-TAIL_CUT is at most 2 Phi(-TAIL_CUT).  Its
-    one caller is `dist_limit._joint_rows`, whose rays do not depend on a
-    scale; the exact cdf folds its scale-dependent rays into its x rule.
-    """
-    x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
-    x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
-    if L.shape[1] == 0:
-        lo, hi = rank1_bounds(u[None, :], g)
-        seg1 = np.maximum(ndtr(np.minimum(hi, x_lo)) - ndtr(lo), 0.0)
-        seg2 = np.maximum(ndtr(hi) - ndtr(np.maximum(lo, x_hi)), 0.0)
-        return seg1 + seg2
-
-    def dens(x):
-        return orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels,
-                            nodes_per_panel) * norm_pdf(x)
-
-    edges = split_edges(-TAIL_CUT, TAIL_CUT, n_panels, breaks=conditional_kinks(u, g, L))
-    H, total = cumulative_rule(dens, edges, nodes_per_panel)
-    return np.maximum(H(x_lo) + total - H(x_hi), 0.0)
 
 
 def ray_halfline_prob(center: float, slope: float, B, u: float, sd: float):
@@ -411,7 +410,7 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     L = psd_factor(cov)
     r = L.shape[1]
     if r <= 1 or k <= 3:
-        return orthant_rows(U, cov, L, _RECT_PANELS, _RECT_NODES), np.zeros(m)
+        return orthant_rows(U, cov, L, _RECT_PANELS), np.zeros(m)
     rng = philox(0) if rng is None else rng
     hits = np.zeros(m)
     chunk = 65_536

@@ -46,6 +46,9 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
 
 from ._gauss import (
+    MAX_REFINEMENTS,
+    NODES_PER_PANEL,
+    PANELS,
     TAIL_CUT,
     condition_on_scalar,
     conditional_kinks,
@@ -59,7 +62,7 @@ from ._gauss import (
     psd_factor,
     rank1_bounds,
     ray_halfline_prob,
-    split_edges,
+    selection_rule,
 )
 from .errors import ValidationError
 from .regression_core import (
@@ -89,8 +92,8 @@ _ZERO_SD_REL = 1e-12
 _S_Q_LO, _S_Q_HI = 1e-12, 1.0 - 1e-10
 _S_TRUNC = _S_Q_LO + (1.0 - _S_Q_HI)
 # Ratio-density quantiles whose scales x0 +/- c_p s become x-edges of the
-# swapped rule: at large dof K_p(|x - x0| / c_p) is a near-step, and these
-# edges bracket it.
+# `selection_rule`: at large dof K_p(|x - x0| / c_p) is a near-step, and
+# these edges bracket it.
 _STEP_Q = (1e-6, 0.5, 1.0 - 1e-6)
 
 
@@ -166,29 +169,24 @@ def sigma_ratio_pdf(dof: int, s) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class AccuracyBudget:
-    """Accuracy settings for the cdf evaluators.
+    """Accuracy settings for the cdf evaluators: three fields.
 
     tol is the absolute quadrature target; refinement doubles panel counts
-    until successive totals differ by less than tol/2 or max_refinements is
-    hit (the result is then flagged).  n_z Gaussian samples, keyed by seed,
+    (`_gauss.PANELS`) until successive totals differ by less than tol/2 or
+    `_gauss.MAX_REFINEMENTS` doublings are spent, and a result whose error
+    bound exceeds tol is flagged.  n_z Gaussian samples, keyed by seed,
     drive the sampled inner integrals, which remain only for targets with
-    k >= 4 rows in `cdf_exact` (and for the cross-check
-    `cdf_limit_via_integral` at k >= 2 and the high-rank joint terms of
-    `cdf_limit` at k >= 3).
+    k >= 4 rows in `cdf_exact` and the joint terms of `cdf_limit` at
+    k >= 4 with conditional rank >= 2 (and for the cross-check
+    `cdf_limit_via_integral` at k >= 2).
     """
 
     tol: float = 1e-5
     n_z: int = 100_000
     seed: int = 0
-    max_refinements: int = 3
-    s_panels: int = 12
-    z_panels: int = 12
-    nodes_per_panel: int = 12
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.n_z >= 100 and self.max_refinements >= 0
-                and self.s_panels >= 2 and self.z_panels >= 2
-                and self.nodes_per_panel >= 2 and self.seed >= 0):
+        if not (self.tol > 0 and self.n_z >= 100 and self.seed >= 0):
             raise ValidationError("invalid accuracy budget")
 
 
@@ -315,7 +313,7 @@ class _ExactEngine:
             extra = [b for b in breaks if edges[0] < b < edges[-1]]
             if extra:
                 edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
-        s, w = gl_panels(edges, self.budget.nodes_per_panel)
+        s, w = gl_panels(edges, NODES_PER_PANEL)
         return s, w * self.ratio.pdf(s), _S_TRUNC
 
     def _scale_mass(self, p: int, n_panels: int):
@@ -327,7 +325,7 @@ class _ExactEngine:
         def f(s):
             return self.ratio.pdf(s) * self._tail_products(s)[p]
 
-        K, _ = cumulative_rule(f, self._s_edges(n_panels), self.budget.nodes_per_panel)
+        K, _ = cumulative_rule(f, self._s_edges(n_panels))
         return K, _S_TRUNC
 
     def _tail_products(self, s: np.ndarray):
@@ -350,14 +348,13 @@ class _ExactEngine:
                              rng=philox(self.budget.seed, 10_000), n_samples=self.budget.n_z)
 
     # ---- deterministic k = 1 inner integrals ----
-    def _term_k1(self, p: int, u: float, n_panels: int, z_panels: int):
+    def _term_k1(self, p: int, u: float, n_panels: int):
         """(value, error) of the order-p term for scalar targets."""
         sig = self.sigma
         xi, zeta, b = self.pq[p].xi_np, self.pq[p].zeta_np, float(self.pq[p].b_np[0])
         mp = self.m[p]
         cssx = self.c[p] * sig * xi
         var_z = sig ** 2 * self.pq[p].omega_np[0, 0]
-        err = 0.0
 
         if var_z <= _ZERO_VAR_REL * sig ** 2:
             # degenerate target block: z is a point mass at 0
@@ -365,7 +362,7 @@ class _ExactEngine:
             tail = self._tail_products(s)[p]
             inner = 1.0 - delta(sig * zeta, mp, s * cssx)
             val = float(np.sum(w * tail * inner)) if u >= 0.0 else 0.0
-            return val, err + trunc
+            return val, trunc
 
         sd_z = np.sqrt(var_z)
         if zeta <= _ZERO_SD_REL * xi:
@@ -383,7 +380,7 @@ class _ExactEngine:
             B = s * cssx
             pz = ray_halfline_prob(mp, b, B, u, sd_z)
             val = float(np.sum(w * tail * pz))
-            return val, err + trunc
+            return val, trunc
 
         # smooth case: panel quadrature in z against the scale-node matrix
         s, w, trunc = self._s_grid(n_panels)
@@ -392,16 +389,16 @@ class _ExactEngine:
         t0 = float(np.sum(wt))
         z_hi = min(u, TAIL_CUT * sd_z)
         if z_hi <= -TAIL_CUT * sd_z:
-            return 0.0, err + trunc + float(ndtr(-TAIL_CUT))
-        edges = gauss_prob_edges(-TAIL_CUT * sd_z, z_hi, z_panels, 0.0, sd_z)
-        z, vw = gl_panels(edges, self.budget.nodes_per_panel)
+            return 0.0, trunc + float(ndtr(-TAIL_CUT))
+        edges = gauss_prob_edges(-TAIL_CUT * sd_z, z_hi, n_panels, 0.0, sd_z)
+        z, vw = gl_panels(edges, NODES_PER_PANEL)
         vw = vw * norm_pdf(z, sd_z)
         dmat = delta(sig * zeta, (mp + b * z)[:, None], (s * cssx)[None, :])
         val = float(np.sum(vw) * t0 - vw @ dmat @ wt)
-        return val, err + trunc + float(ndtr(-TAIL_CUT))
+        return val, trunc + float(ndtr(-TAIL_CUT))
 
     # ---- k >= 2: the scale integral folded into the selection scalar ----
-    def _swapped_rule(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
+    def _swapped_rule(self, p: int, u: np.ndarray, n_panels: int):
         """x-nodes and weights of the order-p term with the integrals swapped.
 
         With W = b_p'z + sigma zeta_p e (e standard normal, independent of
@@ -415,34 +412,28 @@ class _ExactEngine:
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
         and pi(p) is the same integral without the orthant.  Returns (x,
-        wk, g, S, L, error): Gauss-Legendre nodes on [-TAIL_CUT, TAIL_CUT]
-        with edges at x0, at x0 +/- c_p s for the `_STEP_Q` quantiles s of
-        the ratio density and at the `conditional_kinks`, their weights
-        times phi(x) K_p(|x - x0| / c_p), the split (g, S, L) with S = L L',
-        and the truncated scale and x mass.
+        wk, g, S, L, error): the `selection_rule` of K_p with edges at the
+        `_STEP_Q` quantiles of the ratio density and at the
+        `conditional_kinks`, the split (g, S, L) with S = L L', and the
+        truncated scale and x mass.
         """
-        pq, sig, c = self.pq[p], self.sigma, self.c[p]
+        pq, sig = self.pq[p], self.sigma
         sw = sig * pq.xi_np
         g, S, L = condition_on_scalar(sig ** 2 * pq.omega_np, sig ** 2 * pq.C_np, sw ** 2)
-        x0 = -self.m[p] / sw
         K, trunc = self._scale_mass(p, n_panels)
-        edges = split_edges(-TAIL_CUT, TAIL_CUT, z_panels,
-                            breaks=[x0, *(x0 - c * self.s_step), *(x0 + c * self.s_step),
-                                    *conditional_kinks(u, g, L)])
-        x, w = gl_panels(edges, self.budget.nodes_per_panel)
-        wk = w * norm_pdf(x) * K(np.abs(x - x0) / c)
-        return x, wk, g, S, L, trunc + 2.0 * float(ndtr(-TAIL_CUT))
+        x, wk, dropped = selection_rule(-self.m[p] / sw, self.c[p], K, self.s_step,
+                                        conditional_kinks(u, g, L), n_panels)
+        return x, wk, g, S, L, trunc + dropped
 
-    def _term_orthant(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
+    def _term_orthant(self, p: int, u: np.ndarray, n_panels: int):
         """(value, pi_value, error) of the order-p term for k = 2 and k = 3:
         `_swapped_rule` against the conditional orthant of `orthant_rows`."""
-        x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels, z_panels)
-        cond = orthant_rows(u[None, :] - np.outer(x, g), S, L, z_panels,
-                            self.budget.nodes_per_panel)
+        x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels)
+        cond = orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
         # orthant_rows drops the mass below -TAIL_CUT in its own coordinate
         return float(wk @ cond), float(np.sum(wk)), err + float(ndtr(-TAIL_CUT))
 
-    def _term_sampled(self, p: int, u: np.ndarray, n_panels: int, z_panels: int):
+    def _term_sampled(self, p: int, u: np.ndarray, n_panels: int):
         """(value, pi_value, error, se) of the order-p term for k >= 4.
 
         `_swapped_rule` with the conditional orthant sampled: each draw of
@@ -450,7 +441,7 @@ class _ExactEngine:
         x-nodes in the interval {x : g x <= u - R}.  Its mean estimates the
         rule's sum exactly, and the draws never carry the scale integral.
         """
-        x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels, z_panels)
+        x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels)
         z, a = self._z_sample(p)
         R = z - np.outer((a - self.m[p]) / (self.sigma * self.pq[p].xi_np), g)
         lo, hi = rank1_bounds(u[None, :] - R, g)
@@ -462,9 +453,7 @@ class _ExactEngine:
 
     # ---- one full assembly at a given refinement level ----
     def assemble(self, level: int):
-        b = self.budget
-        n_panels = b.s_panels * (2 ** level)
-        z_panels = b.z_panels * (2 ** level)
+        n_panels = PANELS * (2 ** level)
         P, O = self.problem.P, self.problem.O
         t = self.query.t
 
@@ -486,12 +475,12 @@ class _ExactEngine:
         for i, p in enumerate(range(O + 1, P + 1), start=1):
             u = t - self.shift[p]
             if self.k == 1:
-                terms[i], e = self._term_k1(p, float(u[0]), n_panels, z_panels)
-                pis[i], _ = self._term_k1(p, np.inf, n_panels, z_panels)
+                terms[i], e = self._term_k1(p, float(u[0]), n_panels)
+                pis[i], _ = self._term_k1(p, np.inf, n_panels)
             elif self.k <= 3:
-                terms[i], pis[i], e = self._term_orthant(p, u, n_panels, z_panels)
+                terms[i], pis[i], e = self._term_orthant(p, u, n_panels)
             else:
-                terms[i], pis[i], e, se = self._term_sampled(p, u, n_panels, z_panels)
+                terms[i], pis[i], e, se = self._term_sampled(p, u, n_panels)
                 se_total += se
             err += e
         return terms, pis, err, se_total, np.array(orders)
@@ -499,7 +488,7 @@ class _ExactEngine:
     def evaluate(self):
         b = self.budget
         totals: list[float] = []
-        for level in range(b.max_refinements + 1):
+        for level in range(MAX_REFINEMENTS + 1):
             terms, pis, err, se_total, orders = self.assemble(level)
             totals.append(float(np.sum(terms)))
             if len(totals) >= 2 and abs(totals[-1] - totals[-2]) < 0.5 * b.tol:
@@ -516,8 +505,8 @@ class _ExactEngine:
 
     def method_string(self, level: int) -> str:
         b = self.budget
-        return (f"mixture-formula;s_panels={b.s_panels * 2 ** level};"
-                f"nodes={b.nodes_per_panel};levels={level};"
+        return (f"mixture-formula;s_panels={PANELS * 2 ** level};"
+                f"nodes={NODES_PER_PANEL};levels={level};"
                 f"n_z={b.n_z};seed={b.seed};k={self.k}")
 
 

@@ -12,11 +12,12 @@ Gaussians W_p (variance sigma^2 xi_p^2) drive partial sums
 Z_p = sum_{r <= p} xi_r^{-2} C_r W_r, and each mixture term is the joint
 probability P(Z_p <= u_p, |W_p + nu_p| >= c_p sigma xi_p) times later-stage
 interval factors.  Joint probabilities reduce to closed bivariate-normal
-forms for scalar targets, to deterministic one-dimensional quadrature of
-conditional orthants for two-dimensional targets, and to seeded sampling
-beyond that.  The secondary path (`cdf_limit_via_integral`) evaluates the
-mixture-of-shifted-Gaussians integral form directly, with its own shift
-constants, and exists purely to cross-check the first.
+forms for scalar targets and otherwise to the x-rule of the exact cdf
+(`_gauss.selection_rule`, at the one scale 1) against the conditional
+orthant (`_gauss.orthant_rows`); seeded sampling remains only for k >= 4
+at conditional rank >= 2.  The secondary path (`cdf_limit_via_integral`)
+evaluates the mixture-of-shifted-Gaussians integral form directly, with its
+own shift constants, and exists purely to cross-check the first.
 """
 from __future__ import annotations
 
@@ -27,18 +28,24 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._gauss import (
+    MAX_REFINEMENTS,
+    NODES_PER_PANEL,
+    PANELS,
     TAIL_CUT,
     bvn_cdf,
     condition_on_scalar,
+    conditional_kinks,
     gaussian_rect,
     gaussian_rect_rows,
     gl_panels,
     gauss_prob_edges,
     norm_pdf,
+    orthant_rows,
     philox,
     psd_factor,
+    rank1_bounds,
     ray_halfline_prob,
-    ray_orthant_probs,
+    selection_rule,
 )
 from .dist_exact import AccuracyBudget, CdfResult, budget_warning, delta
 from .errors import DensityUndefinedError, ValidationError
@@ -167,6 +174,18 @@ def local_shift_constants(Q: np.ndarray, A: np.ndarray, theta, gamma,
     return LocalShiftConstants(p_star=p_star, beta=beta, nu=nu)
 
 
+def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
+                 rule: GeneralToSpecific) -> tuple[np.ndarray, LocalShiftConstants]:
+    """Checks shared by the limit evaluators; returns (t, shift constants)."""
+    if alt.P != limits.P:
+        raise ValidationError("alternative dimension does not match limits")
+    rule.validate_for(limits.P, limits.O)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.shape != (limits.k,):
+        raise ValidationError(f"t must have length k={limits.k}")
+    return t, local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O)
+
+
 def _delta_tails(limits: LimitQuantities, p_star: int, nu, sigma: float,
                  c_of: np.ndarray) -> np.ndarray:
     """prod_{q > p} Delta_q for p = p_star..P, the later-stage interval factors.
@@ -184,12 +203,16 @@ def _delta_tails(limits: LimitQuantities, p_star: int, nu, sigma: float,
 # ---------------------------------------------------------------------------
 
 def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
-                var_w: float, nu: float, B: float, sigma: float, *,
-                seed: int, budget: AccuracyBudget, level: int):
-    """P(Z <= u_row, |W + nu| >= B) for centered joint Gaussians (Z, W).
+                var_w: float, nu: float, B: float, *, seed: int,
+                budget: AccuracyBudget, level: int):
+    """P(Z <= u_row, |W + nu| >= B) for centered joint Gaussians (Z, W), B > 0.
 
     Z is k-variate with covariance cov_z, W scalar with variance var_w,
-    Cov(Z, W) = cov_zw.  Returns (values, se, sampled_flag, quad_flag).
+    Cov(Z, W) = cov_zw.  With Z = g X + R, X = W / sd(W) and R of rank r
+    (`condition_on_scalar`), the rays are |X - x0| >= c for x0 = -nu / sd(W)
+    and c = B / sd(W): a `selection_rule` against P(R <= u - g x).  k = 1
+    and r = 0 are closed forms; k >= 4 at r >= 2 is sampled.  Returns
+    (values, error bound: dropped mass or 3 SE, quad_flag).
     """
     m, k = U.shape
     sw = np.sqrt(var_w)
@@ -198,37 +221,43 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
         sz2 = float(cov_z[0, 0])
         if sz2 <= _ZERO_SD_REL ** 2 * var_w:
             ray = ndtr(w_lo / sw) + 1.0 - ndtr(w_hi / sw)
-            return np.where(U[:, 0] >= 0.0, ray, 0.0), np.zeros(m), False, False
+            return np.where(U[:, 0] >= 0.0, ray, 0.0), 0.0, False
         sz = np.sqrt(sz2)
         rho = float(np.clip(cov_zw[0] / (sz * sw), -1.0, 1.0))
         h = U[:, 0] / sz
         vals = (np.asarray(bvn_cdf(h, np.full(m, w_lo / sw), rho))
                 + ndtr(h)
                 - np.asarray(bvn_cdf(h, np.full(m, w_hi / sw), rho)))
-        return np.clip(vals, 0.0, 1.0), np.zeros(m), False, False
+        return np.clip(vals, 0.0, 1.0), 0.0, False
 
     g, S, L = condition_on_scalar(cov_z, cov_zw, var_w)
     r = L.shape[1]
-    if r <= 1 or (r == 2 and k == 2):
-        # closed form (r = 0) or quadrature in x = w / sw over the two rays
-        n_panels = budget.z_panels * (2 ** level)
-        vals = np.array([ray_orthant_probs(u, g, S, L, w_lo / sw, w_hi / sw, n_panels,
-                                           budget.nodes_per_panel)[0] for u in U])
-        return vals, np.zeros(m), False, r > 0
+    if r == 0:
+        # Z = g X: the rows' x-intervals intersected with the two rays
+        lo, hi = rank1_bounds(U, g)
+        vals = (np.maximum(ndtr(np.minimum(hi, w_lo / sw)) - ndtr(lo), 0.0)
+                + np.maximum(ndtr(hi) - ndtr(np.maximum(lo, w_hi / sw)), 0.0))
+        return vals, 0.0, False
+    if r == 1 or k <= 3:
+        n_panels = PANELS * (2 ** level)
+        vals = np.empty(m)
+        dropped = 0.0
+        for j, u in enumerate(U):
+            # the one scale 1 rejects where |x - x0| / c >= 1: the step mass 1{y >= 1}
+            x, wk, dropped = selection_rule(-nu / sw, B / sw, lambda y: y >= 1.0, (1.0,),
+                                            conditional_kinks(u, g, L), n_panels)
+            vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
+        # orthant_rows drops the mass below -TAIL_CUT in its own coordinate
+        return vals, dropped + float(ndtr(-TAIL_CUT)), True
 
-    # high-rank fallback: seeded joint sampling, one draw reused per call
+    # k >= 4 at rank >= 2: seeded joint sampling, one draw reused per call
     rng = philox(seed)
     n = budget.n_z
     w = sw * rng.standard_normal(n)
     Z = np.outer(w, cov_zw / var_w) + rng.standard_normal((n, r)) @ L.T
     in_rays = (w <= w_lo) | (w >= w_hi)
-    vals = np.empty(m)
-    se = np.empty(m)
-    for j in range(m):
-        hit = in_rays & np.all(Z <= U[j], axis=1)
-        vals[j] = hit.mean()
-        se[j] = np.sqrt(max(vals[j] * (1.0 - vals[j]), 1.0 / n) / n)
-    return vals, se, True, False
+    vals = np.array([np.mean(in_rays & np.all(Z <= u, axis=1)) for u in U])
+    return vals, 3.0 * np.sqrt(np.maximum(vals * (1.0 - vals), 1.0 / n) / n), False
 
 
 def _ab1_values(limits: LimitQuantities, p_star: int, nu, sigma: float,
@@ -236,7 +265,7 @@ def _ab1_values(limits: LimitQuantities, p_star: int, nu, sigma: float,
     """All representation terms for each row of T.
 
     nu[p] and c_of[p] are the drift and critical value of order p.  Returns
-    (terms (n_orders, m), se_rows (m,), tails (n_orders,), cores
+    (terms (n_orders, m), error bounds (m,), tails (n_orders,), cores
     (n_orders, m), orders, quad_used).
     """
     P, k = limits.P, limits.k
@@ -251,7 +280,6 @@ def _ab1_values(limits: LimitQuantities, p_star: int, nu, sigma: float,
 
     terms = np.zeros((len(orders), m))
     cores = np.zeros((len(orders), m))
-    se_rows = np.zeros(m)
     quad_used = False
 
     # the order-0 estimator is the point 0: its orthant is an indicator
@@ -260,40 +288,40 @@ def _ab1_values(limits: LimitQuantities, p_star: int, nu, sigma: float,
                                     rng=philox(budget.seed + 977), n_samples=budget.n_z)
     cores[0] = core0
     terms[0] = core0 * tails[0]
-    se_rows += se0 * tails[0]
+    bound_rows = 3.0 * se0 * tails[0]
 
     for i, p in enumerate(range(p_star + 1, P + 1), start=1):
         U = T + shift[p][None, :]
         xi_p = limits.xi(p)
-        vals, se, sampled, quad = _joint_rows(
+        vals, bound, quad = _joint_rows(
             U, sigma ** 2 * limits.omega(p), sigma ** 2 * limits.C(p),
-            sigma ** 2 * xi_p ** 2, nu[p], c_of[p] * sigma * xi_p, sigma,
+            sigma ** 2 * xi_p ** 2, nu[p], c_of[p] * sigma * xi_p,
             seed=budget.seed + 1000 + p, budget=budget, level=level)
         cores[i] = vals
         terms[i] = vals * tails[i]
-        se_rows += se * tails[i]
+        bound_rows += bound * tails[i]
         quad_used = quad_used or quad
-    return terms, se_rows, tails, cores, np.array(orders), quad_used
+    return terms, bound_rows, tails, cores, np.array(orders), quad_used
 
 
 def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
                     c_of: np.ndarray, T: np.ndarray, budget: AccuracyBudget):
     """Totals with refinement control; returns (totals, errs, trace parts)."""
-    terms, se, tails, cores, orders, quad = _ab1_values(
+    terms, bound, tails, cores, orders, quad = _ab1_values(
         limits, p_star, nu, sigma, c_of, T, budget, level=0)
     totals = terms.sum(axis=0)
     gap = np.zeros_like(totals)
     level = 0
     if quad:
-        for level in range(1, budget.max_refinements + 1):
-            terms2, se2, tails2, cores2, _, _ = _ab1_values(
+        for level in range(1, MAX_REFINEMENTS + 1):
+            terms2, bound, tails, cores, _, _ = _ab1_values(
                 limits, p_star, nu, sigma, c_of, T, budget, level=level)
             totals2 = terms2.sum(axis=0)
             gap = np.abs(totals2 - totals)
-            terms, se, tails, cores, totals = terms2, se2, tails2, cores2, totals2
+            terms, totals = terms2, totals2
             if float(np.max(gap)) < 0.5 * budget.tol:
                 break
-    errs = gap + 3.0 * se
+    errs = gap + bound
     return totals, errs, terms, tails, cores, orders, level
 
 
@@ -306,17 +334,10 @@ def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     docstring); the result's term_trace carries the per-order breakdown.
     """
     budget = budget or AccuracyBudget()
-    P, k, O = limits.P, limits.k, limits.O
-    if alt.P != P:
-        raise ValidationError("alternative dimension does not match limits")
-    rule.validate_for(P, O)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (k,):
-        raise ValidationError(f"t must have length k={k}")
-    consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, O)
+    t, consts = _limit_query(limits, alt, t, rule)
     totals, errs, terms, tails, cores, orders, level = _cdf_limit_rows(
-        limits, consts.p_star, consts.nu, alt.sigma, rule.critical_values(O), t[None, :],
-        budget)
+        limits, consts.p_star, consts.nu, alt.sigma, rule.critical_values(limits.O),
+        t[None, :], budget)
     total = float(totals[0])
     trace = LimitCdfTermTrace(
         orders=tuple(int(p) for p in orders),
@@ -327,7 +348,7 @@ def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     return CdfResult(value=float(np.clip(total, 0.0, 1.0)),
                      abs_error=float(errs[0]),
                      method=f"representation;level={level};n_z={budget.n_z};"
-                            f"seed={budget.seed};k={k}",
+                            f"seed={budget.seed};k={limits.k}",
                      clamped=clamped, warning=budget_warning(float(errs[0]), budget),
                      term_trace=trace)
 
@@ -345,20 +366,15 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     the conditional-spread constants (b, zeta) instead of the joint (Z, W)
     covariance, so transcription errors in either path surface as
     disagreement.  Scalar targets are deterministic; k >= 2 expectations
-    use seeded sampling.
+    use seeded sampling.  Like `cdf_limit`, the result carries a warning
+    when its error bound exceeds budget.tol.
     """
     budget = budget or AccuracyBudget()
-    P, k, O = limits.P, limits.k, limits.O
-    if alt.P != P:
-        raise ValidationError("alternative dimension does not match limits")
-    rule.validate_for(P, O)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (k,):
-        raise ValidationError(f"t must have length k={k}")
+    P, k = limits.P, limits.k
+    t, consts = _limit_query(limits, alt, t, rule)
     sigma = alt.sigma
-    consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, O)
     p_star = consts.p_star
-    c_of = rule.critical_values(O)
+    c_of = rule.critical_values(limits.O)
     tails = _delta_tails(limits, p_star, consts.nu, sigma, c_of)
 
     err = 0.0
@@ -392,9 +408,9 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
                 if z_hi <= -TAIL_CUT * sd_z:
                     val = 0.0
                 else:
-                    n_panels = budget.z_panels * (2 ** budget.max_refinements)
+                    n_panels = PANELS * (2 ** MAX_REFINEMENTS)
                     edges = gauss_prob_edges(-TAIL_CUT * sd_z, z_hi, n_panels, 0.0, sd_z)
-                    z, wq = gl_panels(edges, budget.nodes_per_panel)
+                    z, wq = gl_panels(edges, NODES_PER_PANEL)
                     inner = 1.0 - np.asarray(delta(sigma * zeta_p,
                                                    nu_p + b_p[0] * z, B))
                     val = float(np.sum(wq * norm_pdf(z, sd_z) * inner))
@@ -410,10 +426,10 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
         total += val * tails[i]
 
     clamped = not (0.0 <= total <= 1.0)
-    return CdfResult(value=float(np.clip(total, 0.0, 1.0)),
-                     abs_error=float(err + 3.0 * se_total),
+    abs_error = float(err + 3.0 * se_total)
+    return CdfResult(value=float(np.clip(total, 0.0, 1.0)), abs_error=abs_error,
                      method=f"mixture-integral;n_z={budget.n_z};seed={budget.seed};k={k}",
-                     clamped=clamped)
+                     clamped=clamped, warning=budget_warning(abs_error, budget))
 
 
 def _mvn_pdf(v: np.ndarray, cov: np.ndarray) -> float:
@@ -433,26 +449,19 @@ def pdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     row rank (every mixture component is then absolutely continuous);
     otherwise raises DensityUndefinedError.
     """
-    P, k, O = limits.P, limits.k, limits.O
-    if alt.P != P:
-        raise ValidationError("alternative dimension does not match limits")
-    rule.validate_for(P, O)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (k,):
-        raise ValidationError(f"t must have length k={k}")
+    t, consts = _limit_query(limits, alt, t, rule)
     sigma = alt.sigma
-    consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, O)
     p_star = consts.p_star
-    if p_star == 0 or np.linalg.matrix_rank(limits.A[:, :p_star]) < k:
+    if p_star == 0 or np.linalg.matrix_rank(limits.A[:, :p_star]) < limits.k:
         raise DensityUndefinedError(
             "density requires p_star > 0 and a full-row-rank leading target block")
 
-    c_of = rule.critical_values(O)
+    c_of = rule.critical_values(limits.O)
     tails = _delta_tails(limits, p_star, consts.nu, sigma, c_of)
 
     val = _mvn_pdf(t - consts.beta[p_star],
                    sigma ** 2 * limits.omega(p_star)) * tails[0]
-    for i, p in enumerate(range(p_star + 1, P + 1), start=1):
+    for i, p in enumerate(range(p_star + 1, limits.P + 1), start=1):
         v = t - consts.beta[p]
         a = consts.nu[p] + float(limits.b(p) @ v)
         B = c_of[p] * sigma * limits.xi(p)

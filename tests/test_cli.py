@@ -67,6 +67,17 @@ def test_error_bound_above_tol_exits_2(capsys):
     assert _payload(err)["error"]["type"] == "PmsdistError"
 
 
+def test_cross_check_error_above_tol_exits_2(capsys):
+    # the sampled k = 2 integral path misses the default tol 1e-5 and says so
+    rc, out, err = _run(capsys, ["cdf-limit", "--fixture", "COLL2", "--theta", "0,0",
+                                 "--gamma", "0.5,1", "--t", "0.5,-0.25", "--cross-check"])
+    assert rc == EXIT_BUDGET
+    payload = _payload(out)
+    assert payload["abs_error"] > payload["config"]["tol"]
+    assert payload["warning"]
+    assert _payload(err)["error"]["type"] == "PmsdistError"
+
+
 def test_k2_exact_meets_default_tol(capsys):
     # the deterministic k = 2 terms meet the default tol 1e-5
     rc, out, _ = _run(capsys, ["cdf-exact", "--fixture", "COLL2", "--t", "0.5,-0.25"])

@@ -5,7 +5,14 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import ndtr
 from scipy.stats import chi, chi2
 
-from pmsdist._gauss import TAIL_CUT, bvn_cdf, condition_on_scalar, gl_panels, norm_pdf
+from pmsdist._gauss import (
+    PANELS,
+    TAIL_CUT,
+    bvn_cdf,
+    condition_on_scalar,
+    gl_panels,
+    norm_pdf,
+)
 from pmsdist.dist_exact import (
     AccuracyBudget,
     CdfQuery,
@@ -162,8 +169,6 @@ def test_query_and_budget_validation():
         AccuracyBudget(tol=0.0)
     with pytest.raises(ValidationError):
         AccuracyBudget(n_z=10)
-    with pytest.raises(ValidationError):
-        AccuracyBudget(s_panels=1)
 
 
 def test_protected_order_floor_shows_in_weights():
@@ -199,8 +204,8 @@ def test_k2_term_agrees_with_sampled_term():
                 pq = engine.pq[p]
                 ranks.add(condition_on_scalar(pq.omega_np, pq.C_np, pq.xi_np ** 2)[2].shape[1])
                 u = engine.query.t - engine.shift[p]
-                det, _, det_err = engine._term_orthant(p, u, budget.s_panels, budget.z_panels)
-                val, _, err, se = engine._term_sampled(p, u, budget.s_panels, budget.z_panels)
+                det, _, det_err = engine._term_orthant(p, u, PANELS)
+                val, _, err, se = engine._term_sampled(p, u, PANELS)
                 assert abs(det - val) <= 3.0 * se + err + det_err, \
                     f"order {p} at t={t}: {det} vs {val} +- {se}"
     assert ranks == {0, 1, 2}
@@ -232,7 +237,7 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     want, _ = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)
-    got, _, _ = engine._term_orthant(p, u, budget.s_panels, budget.z_panels)
+    got, _, _ = engine._term_orthant(p, u, PANELS)
     assert abs(got - want) <= 1e-11, (got, want)
 
 
@@ -258,8 +263,8 @@ def test_sampled_term_does_not_sample_the_scale_integral():
     engine = _ExactEngine(problem, CdfQuery(A=A, t=(-1.0, 1.5), theta=problem.theta,
                                             sigma=1.0, rule=rule), budget)
     u = engine.query.t - engine.shift[1]
-    det, _, det_err = engine._term_orthant(1, u, budget.s_panels, budget.z_panels)
-    val, _, _, se = engine._term_sampled(1, u, budget.s_panels, budget.z_panels)
+    det, _, det_err = engine._term_orthant(1, u, PANELS)
+    val, _, _, se = engine._term_sampled(1, u, PANELS)
     assert abs(val - det) <= 4.0 * se + det_err, (val, se, det)
 
 
@@ -339,7 +344,7 @@ def test_k3_term_matches_adaptive_quadrature(p, n):
 
     want, _ = quad(integrand, -TAIL_CUT, TAIL_CUT, points=[x0 - c * s_lo, x0, x0 + c * s_lo],
                    epsabs=1e-13, epsrel=1e-12, limit=400)
-    got, _, _ = engine._term_orthant(p, u, budget.s_panels, budget.z_panels)
+    got, _, _ = engine._term_orthant(p, u, PANELS)
     assert abs(got - want) <= 1e-9, (got, want)
 
 

@@ -16,7 +16,6 @@ from pmsdist._gauss import (
     philox,
     psd_factor,
     ray_halfline_prob,
-    ray_orthant_probs,
     sym_pinv,
 )
 
@@ -250,40 +249,3 @@ def test_condition_on_scalar_judges_rank_on_the_scale_of_cov_z():
     # a small but genuine conditional spread keeps its rank
     g, S, L = condition_on_scalar(np.outer(a, a) * var_w + 1e-8 * np.eye(2), a * var_w, var_w)
     assert L.shape == (2, 2)
-
-
-def test_ray_orthant_probs_closed_forms():
-    # Z1 independent of X, Z2 = X: rank 1 with a zero-loading coordinate
-    u = np.array([0.4, -0.3])
-    g = np.array([0.0, 1.0])
-    S = np.diag([1.0, 0.0])
-    x_lo = np.array([-2.0, -0.7, -0.3, 0.1, 0.2, 12.0])
-    x_hi = np.array([-1.0, 0.5, 1.0, 0.1, 9.5, 12.0])
-    got = ray_orthant_probs(u, g, S, psd_factor(S), x_lo, x_hi, 12, 12)
-    want = ndtr(u[0]) * (ndtr(np.minimum(u[1], x_lo))
-                         + np.maximum(ndtr(u[1]) - ndtr(x_hi), 0.0))
-    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
-    # rank 0: Z = g X, the orthant is the interval [-0.5, 0.25] in x
-    g = np.array([2.0, -1.0])
-    got = ray_orthant_probs(np.array([0.5, 0.5]), g, np.zeros((2, 2)), np.zeros((2, 0)),
-                            x_lo, x_hi, 12, 12)
-    lo, hi = -0.5, 0.25
-    want = (np.maximum(ndtr(np.minimum(hi, x_lo)) - ndtr(lo), 0.0)
-            + np.maximum(ndtr(hi) - ndtr(np.maximum(lo, x_hi)), 0.0))
-    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
-
-
-def test_ray_orthant_probs_rank2_matches_trivariate_cdf():
-    rng = np.random.Generator(np.random.Philox(17))
-    M = rng.standard_normal((3, 3))
-    M[2] /= np.linalg.norm(M[2])          # X = third coordinate, unit variance
-    joint = M @ M.T
-    g = joint[:2, 2]
-    S = joint[:2, :2] - np.outer(g, g)
-    u = np.array([0.3, -0.2])
-    x_lo = np.array([-1.1, 0.0, 0.6])
-    got = ray_orthant_probs(u, g, S, psd_factor(S), x_lo, np.full(3, 20.0), 12, 12)
-    for j, a in enumerate(x_lo):
-        want = multivariate_normal.cdf(np.array([u[0], u[1], a]), mean=np.zeros(3), cov=joint,
-                                       abseps=1e-10, releps=1e-10, maxpts=2_000_000)
-        assert abs(got[j] - want) < 1e-7

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from pmsdist._gauss import condition_on_scalar
 from pmsdist.dist_exact import AccuracyBudget
@@ -78,8 +79,8 @@ def _multivariate_case(P, k, O, theta, critical, seed):
     # quadratures of the joint (Z, W) probability
     (3, 2, 0, (0.0, 0.0, 0.0), (1.8, 2.0, 2.2),
      [(0.0, 0.0), (0.8, -0.3), (-1.0, 1.5)]),
-    # p_star = 2 with k = 3: a rank-2 trivariate orthant core (deterministic)
-    # and sampled joint terms
+    # p_star = 2 with k = 3: a rank-2 trivariate orthant core and joint terms
+    # of conditional rank 2, all deterministic
     (4, 3, 1, (0.5, -0.4, 0.0, 0.0), (2.0, 1.9, 2.1),
      [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]),
 ])
@@ -100,9 +101,9 @@ def test_vanishing_conditional_covariance_takes_closed_form():
     cov_z, cov_zw, var_w = limits.omega(1), limits.C(1), limits.xi(1) ** 2
     assert condition_on_scalar(cov_z, cov_zw, var_w)[2].shape[1] == 0
     U = np.array([[0.0, 0.0], [0.8, -0.3], [-1.0, 1.5]])
-    vals, se, sampled, quad = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
-                                          1.0, seed=0, budget=QUICK, level=0)
-    assert not sampled and not quad and np.all(se == 0.0)
+    vals, err, quad = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
+                                  seed=0, budget=QUICK, level=0)
+    assert err == 0.0 and not quad
     # against Z = C_1 W / xi_1^2 simulated directly
     W = limits.xi(1) * np.random.default_rng(5).standard_normal(400_000)
     Z = np.outer(W, cov_zw / var_w)
@@ -111,15 +112,86 @@ def test_vanishing_conditional_covariance_takes_closed_form():
         assert abs(hit.mean() - v) <= 4.0 * np.sqrt(max(v * (1 - v), 1e-6) / W.size)
 
 
+def _rays(cov_z, cov_zw, u, x_lo, x_hi):
+    """_joint_rows at one row u for W = X ~ N(0, 1) outside (x_lo, x_hi)."""
+    vals, err, quad = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
+                                  -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo),
+                                  seed=0, budget=QUICK, level=0)
+    return float(vals[0]), err, quad
+
+
+RAY_PAIRS = [(-2.0, -1.0), (-0.7, 0.5), (-0.3, 1.0), (0.2, 9.5), (-9.5, 9.5)]
+
+
+def test_joint_rows_closed_forms():
+    # Z1 independent of X, Z2 = X: rank 1 with a zero-loading coordinate
+    u = np.array([0.4, -0.3])
+    for x_lo, x_hi in RAY_PAIRS:
+        got, err, quad = _rays(np.eye(2), np.array([0.0, 1.0]), u, x_lo, x_hi)
+        want = ndtr(u[0]) * (ndtr(min(u[1], x_lo)) + max(ndtr(u[1]) - ndtr(x_hi), 0.0))
+        assert quad and 0.0 < err < 1e-18
+        assert abs(got - want) <= 1e-13, (x_lo, x_hi, got, want)
+    # rank 0: Z = g X, the orthant is the interval [-0.5, 0.25] in x
+    g = np.array([2.0, -1.0])
+    lo, hi = -0.5, 0.25
+    for x_lo, x_hi in RAY_PAIRS:
+        got, err, quad = _rays(np.outer(g, g), g, np.array([0.5, 0.5]), x_lo, x_hi)
+        want = (max(ndtr(min(hi, x_lo)) - ndtr(lo), 0.0)
+                + max(ndtr(hi) - ndtr(max(lo, x_hi)), 0.0))
+        assert not quad and err == 0.0
+        assert abs(got - want) <= 1e-15, (x_lo, x_hi, got, want)
+
+
+def test_joint_rows_rank2_matches_trivariate_cdf():
+    rng = np.random.Generator(np.random.Philox(17))
+    M = rng.standard_normal((3, 3))
+    M[2] /= np.linalg.norm(M[2])          # X = third coordinate, unit variance
+    joint = M @ M.T
+    u = np.array([0.3, -0.2])
+
+    def cdf3(a):
+        return multivariate_normal.cdf(np.array([u[0], u[1], a]), mean=np.zeros(3), cov=joint,
+                                       abseps=1e-10, releps=1e-10, maxpts=2_000_000)
+
+    # the upper ray starts beyond the quadrature range: P(Z <= u, X <= x_lo)
+    for x_lo in (-1.1, 0.0, 0.6):
+        got, _, _ = _rays(joint[:2, :2], joint[:2, 2], u, x_lo, 20.0)
+        assert abs(got - cdf3(x_lo)) < 1e-7
+    # both rays: P(Z <= u) - P(Z <= u, x_lo < X < x_hi)
+    got, _, _ = _rays(joint[:2, :2], joint[:2, 2], u, -1.1, 0.6)
+    both = multivariate_normal.cdf(u, mean=np.zeros(2), cov=joint[:2, :2],
+                                   abseps=1e-10, releps=1e-10)
+    assert abs(got - (both - cdf3(0.6) + cdf3(-1.1))) < 1e-7
+
+
 def test_sampled_standard_errors_have_a_floor():
-    # p_star = 1 on the P = 4, k = 3 design: at t = -7 no draw lands in any
-    # sampled region, yet the value is still an estimate with an error
-    limits, alt, rule = _multivariate_case(4, 3, 1, np.array([0.5, 0.0, 0.0, 0.0]),
-                                           (2.0, 1.9, 2.1), seed=4)
-    t = np.full(3, -7.0)
+    # p_star = 1 on a P = 5, k = 4 design, whose joint terms of conditional
+    # rank >= 2 are sampled: at t = -7 no draw lands in any sampled region,
+    # yet the value is still an estimate with an error
+    limits, alt, rule = _multivariate_case(5, 4, 1, np.array([0.5, 0.0, 0.0, 0.0, 0.0]),
+                                           (2.0, 1.9, 2.1, 2.0), seed=5)
+    t = np.full(4, -7.0)
     via_integral = cdf_limit_via_integral(limits, alt, t, rule, QUICK)
     assert via_integral.value == 0.0 and via_integral.abs_error > 0.0
     assert cdf_limit(limits, alt, t, rule, QUICK).abs_error > 0.0
+
+
+@pytest.mark.parametrize("theta", [(0.5, 0.0, 0.0, 0.0), (0.5, -0.4, 0.0, 0.0)],
+                         ids=["pstar1", "pstar2"])
+def test_k3_limit_is_deterministic_and_meets_tol(theta):
+    # the P = 4, k = 3 designs above: every joint term is quadrature, so the
+    # seed and sample size do not enter, and the value agrees with the
+    # integral path run on 2e6 draws
+    limits, alt, rule = _multivariate_case(4, 3, 1, np.array(theta), (2.0, 1.9, 2.1), seed=4)
+    big = AccuracyBudget(tol=1e-6, n_z=2_000_000, seed=0)
+    for t in [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]:
+        res = cdf_limit(limits, alt, t, rule, QUICK)
+        assert res.warning is None, (t, res)
+        other = cdf_limit(limits, alt, t, rule, AccuracyBudget(tol=1e-6, n_z=1000, seed=7))
+        assert other.value == res.value
+        ref = cdf_limit_via_integral(limits, alt, t, rule, big)
+        se = ref.abs_error / 3.0          # the integral path reports 3 SE at k >= 2
+        assert abs(res.value - ref.value) <= 4.0 * se + res.abs_error, (t, res, ref)
 
 
 def test_pdf_matches_finite_differences():

@@ -50,3 +50,21 @@ def test_no_new_cross_module_private_imports():
         f"private names imported across modules: {sorted(found - ALLOWED_PRIVATE_IMPORTS)}"
     assert ALLOWED_PRIVATE_IMPORTS <= found, \
         f"stale allow-list entries, remove them: {sorted(ALLOWED_PRIVATE_IMPORTS - found)}"
+
+
+def test_every_public_gauss_function_has_a_caller():
+    # a public helper of _gauss that nothing in the package calls is dead
+    # code: every one must be named somewhere outside its own definition
+    gauss = ast.parse((PACKAGE_DIR / "_gauss.py").read_text())
+    public = {node.name for node in gauss.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = top.name if path.stem == "_gauss" and isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    assert public <= used, f"_gauss functions without a caller: {sorted(public - used)}"
