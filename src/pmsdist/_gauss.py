@@ -3,7 +3,8 @@
 Everything here is generic probability plumbing, and the one place the
 package computes Gaussian probabilities: normal cdfs, bivariate rectangle
 probabilities, rank-aware lower-orthant probabilities for possibly singular
-Gaussian vectors, and composite Gauss-Legendre panel rules.
+Gaussian vectors, and composite Gauss-Legendre panel rules with their one
+refinement loop.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from scipy.special import ndtr, ndtri, owens_t
 TAIL_CUT = 9.0
 
 # Level l of the cdf evaluators' refined rules has PANELS * 2**l panels of
-# NODES_PER_PANEL Gauss-Legendre nodes; refinement stops at MAX_REFINEMENTS.
+# NODES_PER_PANEL Gauss-Legendre nodes; `refine` stops at MAX_REFINEMENTS.
 PANELS = 12
 NODES_PER_PANEL = 12
 MAX_REFINEMENTS = 3
@@ -301,6 +302,35 @@ def selection_rule(x0: float, c: float, K, s_breaks, kinks, n_panels: int):
                         breaks=[x0, *(x0 - c * s), *(x0 + c * s), *kinks])
     x, w = gl_panels(edges, NODES_PER_PANEL)
     return x, w * norm_pdf(x) * K(np.abs(x - x0) / c), 2.0 * float(ndtr(-TAIL_CUT))
+
+
+def sampled_rule(x: np.ndarray, wk: np.ndarray, g: np.ndarray, u: np.ndarray,
+                 R: np.ndarray) -> tuple[float, float]:
+    """Mean and raw standard error over the draws R (rows) of the weight of
+    the x-rule (x increasing, weights wk) on the interval {x : g x <= u - R}."""
+    lo, hi = rank1_bounds(u[None, :] - R, g)
+    cum = np.concatenate([[0.0], np.cumsum(wk)])
+    vals = np.maximum(cum[np.searchsorted(x, hi, side="right")]
+                      - cum[np.searchsorted(x, lo)], 0.0)
+    return float(np.mean(vals)), float(np.std(vals) / np.sqrt(vals.size))
+
+
+def refine(evaluate, tol: float):
+    """The one refinement loop: evaluate(level) -> (out, totals, refinable).
+
+    If level 0 is refinable, levels 1, 2, ... follow until successive totals
+    differ by less than tol/2 or MAX_REFINEMENTS is reached.  Returns (last
+    out, |last - previous totals| (0 without refinement), last level).
+    """
+    out, totals, refinable = evaluate(0)
+    gap, level = np.zeros_like(totals), 0
+    if refinable:
+        for level in range(1, MAX_REFINEMENTS + 1):
+            out, new, _ = evaluate(level)
+            gap, totals = np.abs(new - totals), new
+            if float(np.max(gap)) < 0.5 * tol:
+                break
+    return out, gap, level
 
 
 def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> np.ndarray:

@@ -330,7 +330,8 @@ def _cmd_self_test(args) -> int:
         alt = LocalAlternative(theta=theta, gamma=gamma, sigma=sigma)
         a = cdf_limit(limits, alt, t, rule)
         b = cdf_limit_via_integral(limits, alt, t, rule)
-        return abs(a.value - b.value) <= 1e-4, f"gap={abs(a.value - b.value):.2e}"
+        gap = abs(a.value - b.value)
+        return gap <= a.abs_error + b.abs_error, f"gap={gap:.2e}"
 
     def _mc_determinism():
         fx = fixture("ORTHO2")

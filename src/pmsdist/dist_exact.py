@@ -35,8 +35,8 @@ residual R = z - g X, integrated exactly over X, so no draw carries the
 scale integral.
 Results carry an abs_error that combines quadrature refinement,
 truncated mass, the defect of sum pi(p) from 1, and (k >= 4 only) three
-sampling standard errors; identical query + budget + seed replays
-bit-identically.
+sampling standard errors, each at least 1/n_z; identical query + budget +
+seed replays bit-identically.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
 
 from ._gauss import (
-    MAX_REFINEMENTS,
     NODES_PER_PANEL,
     PANELS,
     TAIL_CUT,
@@ -60,8 +59,9 @@ from ._gauss import (
     orthant_rows,
     philox,
     psd_factor,
-    rank1_bounds,
     ray_halfline_prob,
+    refine,
+    sampled_rule,
     selection_rule,
 )
 from .errors import ValidationError
@@ -171,14 +171,13 @@ def sigma_ratio_pdf(dof: int, s) -> float | np.ndarray:
 class AccuracyBudget:
     """Accuracy settings for the cdf evaluators: three fields.
 
-    tol is the absolute quadrature target; refinement doubles panel counts
-    (`_gauss.PANELS`) until successive totals differ by less than tol/2 or
-    `_gauss.MAX_REFINEMENTS` doublings are spent, and a result whose error
-    bound exceeds tol is flagged.  n_z Gaussian samples, keyed by seed,
-    drive the sampled inner integrals, which remain only for targets with
-    k >= 4 rows in `cdf_exact` and the joint terms of `cdf_limit` at
-    k >= 4 with conditional rank >= 2 (and for the cross-check
-    `cdf_limit_via_integral` at k >= 2).
+    tol is the absolute quadrature target; `_gauss.refine` doubles panel
+    counts (`_gauss.PANELS`) until successive totals differ by less than
+    tol/2 or `_gauss.MAX_REFINEMENTS` doublings are spent, and a result
+    whose error bound exceeds tol is flagged.  n_z Gaussian samples, keyed
+    by seed, drive the sampled integrals, which remain only for targets
+    with k >= 4 rows: the order terms of `cdf_exact`, and the orthants of
+    rank >= 2 left after conditioning in both limit paths.
     """
 
     tol: float = 1e-5
@@ -434,24 +433,16 @@ class _ExactEngine:
         return float(wk @ cond), float(np.sum(wk)), err + float(ndtr(-TAIL_CUT))
 
     def _term_sampled(self, p: int, u: np.ndarray, n_panels: int):
-        """(value, pi_value, error, se) of the order-p term for k >= 4.
-
-        `_swapped_rule` with the conditional orthant sampled: each draw of
-        `_z_sample` gives R = z - g X, and its value is the weight of the
-        x-nodes in the interval {x : g x <= u - R}.  Its mean estimates the
-        rule's sum exactly, and the draws never carry the scale integral.
-        """
+        """(value, pi_value, error, raw se) of the order-p term for k >= 4:
+        `_swapped_rule` against `sampled_rule` on the draws R = z - g X of
+        `_z_sample`, so no draw carries the scale integral."""
         x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels)
         z, a = self._z_sample(p)
         R = z - np.outer((a - self.m[p]) / (self.sigma * self.pq[p].xi_np), g)
-        lo, hi = rank1_bounds(u[None, :] - R, g)
-        cum = np.concatenate([[0.0], np.cumsum(wk)])
-        vals = np.maximum(cum[np.searchsorted(x, hi, side="right")]
-                          - cum[np.searchsorted(x, lo)], 0.0)
-        se = float(np.std(vals) / np.sqrt(vals.size))
-        return float(np.mean(vals)), float(cum[-1]), err, se
+        val, se = sampled_rule(x, wk, g, u, R)
+        return val, float(np.sum(wk)), err, se
 
-    # ---- one full assembly at a given refinement level ----
+    # ---- one full assembly at a given refinement level, for `refine` ----
     def assemble(self, level: int):
         n_panels = PANELS * (2 ** level)
         P, O = self.problem.P, self.problem.O
@@ -481,20 +472,15 @@ class _ExactEngine:
                 terms[i], pis[i], e = self._term_orthant(p, u, n_panels)
             else:
                 terms[i], pis[i], e, se = self._term_sampled(p, u, n_panels)
-                se_total += se
+                # no draw may hit a rare region: the SE is an estimate too
+                se_total += max(se, 1.0 / self.budget.n_z)
             err += e
-        return terms, pis, err, se_total, np.array(orders)
+        return (terms, pis, err, se_total, np.array(orders)), float(np.sum(terms)), True
 
     def evaluate(self):
         b = self.budget
-        totals: list[float] = []
-        for level in range(MAX_REFINEMENTS + 1):
-            terms, pis, err, se_total, orders = self.assemble(level)
-            totals.append(float(np.sum(terms)))
-            if len(totals) >= 2 and abs(totals[-1] - totals[-2]) < 0.5 * b.tol:
-                break
-        total = totals[-1]
-        refine_gap = abs(totals[-1] - totals[-2]) if len(totals) >= 2 else 0.0
+        (terms, pis, err, se_total, orders), gap, level = refine(self.assemble, b.tol)
+        total, refine_gap = float(np.sum(terms)), float(gap)
         pi_defect = abs(1.0 - float(np.sum(pis)))
         abs_error = refine_gap + err + pi_defect + 3.0 * se_total
         if refine_gap >= 0.5 * b.tol:

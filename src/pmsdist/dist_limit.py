@@ -14,10 +14,12 @@ probability P(Z_p <= u_p, |W_p + nu_p| >= c_p sigma xi_p) times later-stage
 interval factors.  Joint probabilities reduce to closed bivariate-normal
 forms for scalar targets and otherwise to the x-rule of the exact cdf
 (`_gauss.selection_rule`, at the one scale 1) against the conditional
-orthant (`_gauss.orthant_rows`); seeded sampling remains only for k >= 4
-at conditional rank >= 2.  The secondary path (`cdf_limit_via_integral`)
+orthant (`_gauss.orthant_rows`).  The secondary path (`cdf_limit_via_integral`)
 evaluates the mixture-of-shifted-Gaussians integral form directly, with its
-own shift constants, and exists purely to cross-check the first.
+own shift constants and each term conditioned on b_p'Z, and exists purely
+to cross-check the first.  Both refine through `_gauss.refine`; the n_z
+seeded draws enter only at k >= 4, for conditional orthants of rank >= 2
+(`_gauss.sampled_rule`).
 """
 from __future__ import annotations
 
@@ -28,8 +30,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._gauss import (
-    MAX_REFINEMENTS,
-    NODES_PER_PANEL,
     PANELS,
     TAIL_CUT,
     bvn_cdf,
@@ -37,14 +37,11 @@ from ._gauss import (
     conditional_kinks,
     gaussian_rect,
     gaussian_rect_rows,
-    gl_panels,
-    gauss_prob_edges,
-    norm_pdf,
     orthant_rows,
     philox,
-    psd_factor,
     rank1_bounds,
-    ray_halfline_prob,
+    refine,
+    sampled_rule,
     selection_rule,
 )
 from .dist_exact import AccuracyBudget, CdfResult, budget_warning, delta
@@ -67,6 +64,10 @@ __all__ = [
 ]
 
 _ZERO_SD_REL = 1e-12
+# Rounding floor of every limit cdf error bound: the accuracy of `bvn_cdf`
+_ROUNDING = 1e-14
+# K(y) of `_rule_rows` turns at y = 1 + rho z for these z
+_TURN_Z = np.array([0.0, 1.0, -1.0, 3.0, -3.0, 6.0, -6.0])
 
 
 @dataclass(frozen=True)
@@ -210,9 +211,9 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     Z is k-variate with covariance cov_z, W scalar with variance var_w,
     Cov(Z, W) = cov_zw.  With Z = g X + R, X = W / sd(W) and R of rank r
     (`condition_on_scalar`), the rays are |X - x0| >= c for x0 = -nu / sd(W)
-    and c = B / sd(W): a `selection_rule` against P(R <= u - g x).  k = 1
-    and r = 0 are closed forms; k >= 4 at r >= 2 is sampled.  Returns
-    (values, error bound: dropped mass or 3 SE, quad_flag).
+    and c = B / sd(W): a `selection_rule` against P(R <= u - g x), which
+    k >= 4 at r >= 2 samples (`sampled_rule`).  k = 1 and r = 0 are closed
+    forms.  Returns (values, error bound: dropped mass plus 3 SE, quad_flag).
     """
     m, k = U.shape
     sw = np.sqrt(var_w)
@@ -238,91 +239,79 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
         vals = (np.maximum(ndtr(np.minimum(hi, w_lo / sw)) - ndtr(lo), 0.0)
                 + np.maximum(ndtr(hi) - ndtr(np.maximum(lo, w_hi / sw)), 0.0))
         return vals, 0.0, False
-    if r == 1 or k <= 3:
-        n_panels = PANELS * (2 ** level)
-        vals = np.empty(m)
-        dropped = 0.0
-        for j, u in enumerate(U):
-            # the one scale 1 rejects where |x - x0| / c >= 1: the step mass 1{y >= 1}
-            x, wk, dropped = selection_rule(-nu / sw, B / sw, lambda y: y >= 1.0, (1.0,),
-                                            conditional_kinks(u, g, L), n_panels)
-            vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
-        # orthant_rows drops the mass below -TAIL_CUT in its own coordinate
-        return vals, dropped + float(ndtr(-TAIL_CUT)), True
-
-    # k >= 4 at rank >= 2: seeded joint sampling, one draw reused per call
-    rng = philox(seed)
-    n = budget.n_z
-    w = sw * rng.standard_normal(n)
-    Z = np.outer(w, cov_zw / var_w) + rng.standard_normal((n, r)) @ L.T
-    in_rays = (w <= w_lo) | (w >= w_hi)
-    vals = np.array([np.mean(in_rays & np.all(Z <= u, axis=1)) for u in U])
-    return vals, 3.0 * np.sqrt(np.maximum(vals * (1.0 - vals), 1.0 / n) / n), False
+    vals, errs = _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, (seed, 0), budget.n_z, level)
+    return vals, errs, True
 
 
-def _ab1_values(limits: LimitQuantities, p_star: int, nu, sigma: float,
-                c_of: np.ndarray, T: np.ndarray, budget: AccuracyBudget, level: int):
-    """All representation terms for each row of T.
+def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int, level: int):
+    """(values, errors) of int phi(x) K(|x - x0| / c) P(R <= u - g x) dx per row u of U.
 
-    nu[p] and c_of[p] are the drift and critical value of order p.  Returns
-    (terms (n_orders, m), error bounds (m,), tails (n_orders,), cores
-    (n_orders, m), orders, quad_used).
+    R ~ N(0, L L') (`condition_on_scalar`); K(y) = 1 - Delta(rho, y, 1),
+    the step 1{y >= 1} at rho = 0, turns at y = 1 + rho z for z in
+    `_TURN_Z`, which are x-edges of the level's `selection_rule`.  Where
+    `orthant_rows` has no rule (k >= 4 at rank >= 2), n_z draws of R keyed
+    by philox(*key), the same at every level, feed `sampled_rule`, whose
+    standard error is floored at 1/n_z: no draw may land in a rare region.
     """
-    P, k = limits.P, limits.k
-    m = T.shape[0]
-    orders = list(range(p_star, P + 1))
-    tails = _delta_tails(limits, p_star, nu, sigma, c_of)
+    k, r = L.shape
+    R = philox(*key).standard_normal((n_z, r)) @ L.T if r >= 2 and k >= 4 else None
+    n_panels = PANELS * (2 ** level)
 
-    shift = {P: np.zeros(k)}
-    for p in range(P - 1, p_star - 1, -1):
-        r = p + 1
-        shift[p] = shift[r] + limits.C(r) * (nu[r] / limits.xi(r) ** 2)
+    def K(y):
+        return 1.0 - delta(rho, y, 1.0)
 
-    terms = np.zeros((len(orders), m))
-    cores = np.zeros((len(orders), m))
-    quad_used = False
-
-    # the order-0 estimator is the point 0: its orthant is an indicator
-    cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
-    core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], cov0,
-                                    rng=philox(budget.seed + 977), n_samples=budget.n_z)
-    cores[0] = core0
-    terms[0] = core0 * tails[0]
-    bound_rows = 3.0 * se0 * tails[0]
-
-    for i, p in enumerate(range(p_star + 1, P + 1), start=1):
-        U = T + shift[p][None, :]
-        xi_p = limits.xi(p)
-        vals, bound, quad = _joint_rows(
-            U, sigma ** 2 * limits.omega(p), sigma ** 2 * limits.C(p),
-            sigma ** 2 * xi_p ** 2, nu[p], c_of[p] * sigma * xi_p,
-            seed=budget.seed + 1000 + p, budget=budget, level=level)
-        cores[i] = vals
-        terms[i] = vals * tails[i]
-        bound_rows += bound * tails[i]
-        quad_used = quad_used or quad
-    return terms, bound_rows, tails, cores, np.array(orders), quad_used
+    vals, errs = np.empty(len(U)), np.empty(len(U))
+    for j, u in enumerate(U):
+        x, wk, dropped = selection_rule(x0, c, K, 1.0 + rho * _TURN_Z,
+                                        conditional_kinks(u, g, L), n_panels)
+        if R is None:
+            # orthant_rows drops the mass below -TAIL_CUT in its own coordinate
+            vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
+            errs[j] = dropped + float(ndtr(-TAIL_CUT))
+        else:
+            vals[j], se = sampled_rule(x, wk, g, u, R)
+            errs[j] = dropped + 3.0 * max(se, 1.0 / n_z)
+    return vals, errs
 
 
 def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
                     c_of: np.ndarray, T: np.ndarray, budget: AccuracyBudget):
-    """Totals with refinement control; returns (totals, errs, trace parts)."""
-    terms, bound, tails, cores, orders, quad = _ab1_values(
-        limits, p_star, nu, sigma, c_of, T, budget, level=0)
-    totals = terms.sum(axis=0)
-    gap = np.zeros_like(totals)
-    level = 0
-    if quad:
-        for level in range(1, MAX_REFINEMENTS + 1):
-            terms2, bound, tails, cores, _, _ = _ab1_values(
-                limits, p_star, nu, sigma, c_of, T, budget, level=level)
-            totals2 = terms2.sum(axis=0)
-            gap = np.abs(totals2 - totals)
-            terms, totals = terms2, totals2
-            if float(np.max(gap)) < 0.5 * budget.tol:
-                break
-    errs = gap + bound
-    return totals, errs, terms, tails, cores, orders, level
+    """All representation terms for each row of T, refined together.
+
+    nu[p] and c_of[p] are the drift and critical value of order p.  Returns
+    (totals, error bounds, terms (n_orders, m), tails (n_orders,), cores
+    (n_orders, m), orders, level).
+    """
+    P, k = limits.P, limits.k
+    tails = _delta_tails(limits, p_star, nu, sigma, c_of)
+    shift = {P: np.zeros(k)}
+    for p in range(P - 1, p_star - 1, -1):
+        shift[p] = shift[p + 1] + limits.C(p + 1) * (nu[p + 1] / limits.xi(p + 1) ** 2)
+    # the order-0 estimator is the point 0: its orthant is an indicator
+    cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
+    core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], cov0,
+                                    rng=philox(budget.seed + 977), n_samples=budget.n_z)
+
+    def at_level(level):
+        cores = [core0]
+        bound = 3.0 * se0 * tails[0]
+        quad_used = False
+        for i, p in enumerate(range(p_star + 1, P + 1), start=1):
+            xi_p = limits.xi(p)
+            vals, err, quad = _joint_rows(
+                T + shift[p][None, :], sigma ** 2 * limits.omega(p), sigma ** 2 * limits.C(p),
+                sigma ** 2 * xi_p ** 2, nu[p], c_of[p] * sigma * xi_p,
+                seed=budget.seed + 1000 + p, budget=budget, level=level)
+            cores.append(vals)
+            bound = bound + err * tails[i]
+            quad_used = quad_used or quad
+        cores = np.array(cores)
+        terms = cores * tails[:, None]
+        return (terms, cores, bound), terms.sum(axis=0), quad_used
+
+    (terms, cores, bound), gap, level = refine(at_level, budget.tol)
+    return (terms.sum(axis=0), gap + bound + _ROUNDING, terms, tails, cores,
+            np.arange(p_star, P + 1), level)
 
 
 def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
@@ -365,70 +354,58 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     Independent of `cdf_limit`: uses the direct shift vectors beta(p) and
     the conditional-spread constants (b, zeta) instead of the joint (Z, W)
     covariance, so transcription errors in either path surface as
-    disagreement.  Scalar targets are deterministic; k >= 2 expectations
-    use seeded sampling.  Like `cdf_limit`, the result carries a warning
-    when its error bound exceeds budget.tol.
+    disagreement.  Each order term E[1{Z <= u} (1 - Delta(sigma zeta_p,
+    nu_p + b_p'Z, B_p))] conditions Z on b_p'Z (`_rule_rows`), which is
+    deterministic up to k = 3 and samples only the conditional orthant at
+    k >= 4 with conditional rank >= 2; the terms are refined together
+    (`refine`).  Like `cdf_limit`, the result carries a warning when its
+    error bound exceeds budget.tol.
     """
     budget = budget or AccuracyBudget()
     P, k = limits.P, limits.k
     t, consts = _limit_query(limits, alt, t, rule)
-    sigma = alt.sigma
-    p_star = consts.p_star
+    sigma, p_star = alt.sigma, consts.p_star
     c_of = rule.critical_values(limits.O)
     tails = _delta_tails(limits, p_star, consts.nu, sigma, c_of)
 
-    err = 0.0
-    se_total = 0.0
-    u0 = t - consts.beta[p_star]
-    if p_star == 0:
-        core = 1.0 if np.all(u0 >= 0.0) else 0.0
-    else:
-        core, core_se = gaussian_rect(u0, sigma ** 2 * limits.omega(p_star),
-                                      rng=philox(budget.seed + 31), n_samples=budget.n_z)
-        se_total += core_se * tails[0]
-    total = core * tails[0]
-
+    cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
+    core, core_se = gaussian_rect(t - consts.beta[p_star], cov0,
+                                  rng=philox(budget.seed + 31), n_samples=budget.n_z)
+    fixed, fixed_err, rules = core * tails[0], 3.0 * core_se * tails[0], []
     for i, p in enumerate(range(p_star + 1, P + 1), start=1):
         u = t - consts.beta[p]
-        xi_p, zeta_p = limits.xi(p), limits.zeta(p)
-        b_p = limits.b(p)
-        nu_p = consts.nu[p]
+        xi_p, zeta_p, b_p = limits.xi(p), limits.zeta(p), limits.b(p)
         B = c_of[p] * sigma * xi_p
         cov_z = sigma ** 2 * limits.omega(p)
-        if k == 1:
-            var_z = float(cov_z[0, 0])
-            if var_z <= (_ZERO_SD_REL * sigma) ** 2:
-                val = (1.0 - float(delta(sigma * zeta_p, nu_p, B))) if u[0] >= 0 else 0.0
-            elif zeta_p <= _ZERO_SD_REL * xi_p:
-                val = float(ray_halfline_prob(nu_p, float(b_p[0]), np.array([B]),
-                                              float(u[0]), np.sqrt(var_z))[0])
-            else:
-                sd_z = np.sqrt(var_z)
-                z_hi = min(float(u[0]), TAIL_CUT * sd_z)
-                if z_hi <= -TAIL_CUT * sd_z:
-                    val = 0.0
-                else:
-                    n_panels = PANELS * (2 ** MAX_REFINEMENTS)
-                    edges = gauss_prob_edges(-TAIL_CUT * sd_z, z_hi, n_panels, 0.0, sd_z)
-                    z, wq = gl_panels(edges, NODES_PER_PANEL)
-                    inner = 1.0 - np.asarray(delta(sigma * zeta_p,
-                                                   nu_p + b_p[0] * z, B))
-                    val = float(np.sum(wq * norm_pdf(z, sd_z) * inner))
-                err += float(ndtr(-TAIL_CUT))
-        else:
-            L = psd_factor(cov_z)
-            Z = philox(budget.seed + 63, p).standard_normal((budget.n_z, L.shape[1])) @ L.T
-            ind = np.all(Z <= u[None, :], axis=1)
-            a = nu_p + Z @ b_p
-            g = np.where(ind, 1.0 - np.asarray(delta(sigma * zeta_p, a, B)), 0.0)
-            val = float(np.mean(g))
-            se_total += float(np.sqrt(max(np.var(g), 1.0 / budget.n_z) / budget.n_z)) * tails[i]
-        total += val * tails[i]
+        var_v = float(b_p @ cov_z @ b_p)
+        if var_v <= (_ZERO_SD_REL * sigma * xi_p) ** 2:
+            # the order-p test statistic V = b_p'Z does not load on Z
+            val, se = gaussian_rect(u, cov_z, rng=philox(budget.seed + 63, p),
+                                    n_samples=budget.n_z)
+            fixed += (1.0 - float(delta(sigma * zeta_p, consts.nu[p], B))) * val * tails[i]
+            fixed_err += 3.0 * se * tails[i]
+            continue
+        # condition on X = V / sd(V): 1 - Delta(sigma zeta_p, nu_p + V, B) is the
+        # mass K(|X - x0| / c) of `_rule_rows`, x0 = -nu_p / sd(V), c = B / sd(V)
+        g, S, L = condition_on_scalar(cov_z, cov_z @ b_p, var_v)
+        sv = np.sqrt(var_v)
+        rules.append((tails[i], u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
+                      sigma * zeta_p / B, (budget.seed + 63, p)))
 
+    def at_level(level):
+        total, err = fixed, fixed_err
+        for tail, *rule in rules:
+            val, e = _rule_rows(*rule, budget.n_z, level)
+            total += float(val[0]) * tail
+            err += float(e[0]) * tail
+        return (total, err), total, bool(rules)
+
+    (total, err), gap, level = refine(at_level, budget.tol)
     clamped = not (0.0 <= total <= 1.0)
-    abs_error = float(err + 3.0 * se_total)
+    abs_error = float(gap + err + _ROUNDING)
     return CdfResult(value=float(np.clip(total, 0.0, 1.0)), abs_error=abs_error,
-                     method=f"mixture-integral;n_z={budget.n_z};seed={budget.seed};k={k}",
+                     method=f"mixture-integral;level={level};n_z={budget.n_z};"
+                            f"seed={budget.seed};k={k}",
                      clamped=clamped, warning=budget_warning(abs_error, budget))
 
 

@@ -92,16 +92,19 @@ def test_criterion_2_limit_value_and_large_n_agreement():
 
 def test_criterion_3_two_evaluation_paths_agree():
     # the direct representation and the conditioning integral are two
-    # routes to the same limit cdf
-    worst = 0.0
+    # routes to the same limit cdf: they agree within the sum of their
+    # reported errors
+    worst, ratio = 0.0, 0.0
     for seed in range(10):
         limits, theta, gamma, sigma, rule, t = random_k1_limit_case(seed)
         alt = LocalAlternative(theta=theta, gamma=gamma, sigma=sigma)
-        a = cdf_limit(limits, alt, t, rule, FAST).value
-        b = cdf_limit_via_integral(limits, alt, t, rule, FAST).value
-        worst = max(worst, abs(a - b))
-    _report(3, "two evaluation paths", worst <= 1e-4,
-            f"max |direct - integral| = {worst:.2e} over 10 randomized cases")
+        a = cdf_limit(limits, alt, t, rule, FAST)
+        b = cdf_limit_via_integral(limits, alt, t, rule, FAST)
+        worst = max(worst, abs(a.value - b.value))
+        ratio = max(ratio, abs(a.value - b.value) / (a.abs_error + b.abs_error))
+    _report(3, "two evaluation paths", ratio <= 1.0,
+            f"max |direct - integral| = {worst:.2e}, max gap/(sum of abs_errors) = "
+            f"{ratio:.3f} over 10 randomized cases")
 
 
 def test_criterion_4_density_is_derivative_of_cdf():

@@ -67,15 +67,28 @@ def test_error_bound_above_tol_exits_2(capsys):
     assert _payload(err)["error"]["type"] == "PmsdistError"
 
 
+CROSS_CHECK = ["cdf-limit", "--fixture", "COLL2", "--theta", "0,0", "--gamma", "0.5,1",
+               "--t", "0.5,-0.25", "--cross-check"]
+
+
 def test_cross_check_error_above_tol_exits_2(capsys):
-    # the sampled k = 2 integral path misses the default tol 1e-5 and says so
-    rc, out, err = _run(capsys, ["cdf-limit", "--fixture", "COLL2", "--theta", "0,0",
-                                 "--gamma", "0.5,1", "--t", "0.5,-0.25", "--cross-check"])
+    # every limit cdf reports at least the 1e-14 rounding floor, so a tol
+    # below it is missed, and the integral path says so
+    rc, out, err = _run(capsys, CROSS_CHECK + ["--tol", "1e-15"])
     assert rc == EXIT_BUDGET
     payload = _payload(out)
     assert payload["abs_error"] > payload["config"]["tol"]
     assert payload["warning"]
     assert _payload(err)["error"]["type"] == "PmsdistError"
+
+
+def test_k2_cross_check_meets_default_tol(capsys):
+    # the k = 2 integral path is deterministic and meets the default tol 1e-5
+    rc, out, _ = _run(capsys, CROSS_CHECK)
+    assert rc == EXIT_OK
+    payload = _payload(out)
+    assert payload["abs_error"] <= payload["config"]["tol"]
+    assert payload["warning"] is None
 
 
 def test_k2_exact_meets_default_tol(capsys):

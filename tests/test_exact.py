@@ -394,18 +394,32 @@ def test_large_n_points_meet_budget_and_agree_with_simulation(case):
     assert abs(res.value - emp.estimates[0]) <= 4 * emp.standard_errors[0] + res.abs_error
 
 
-def test_k4_exact_agrees_with_simulation():
-    # k = 4 samples the conditional orthant; its error bound misses the
-    # default tol, which the result flags
+def _p5_k4_case():
     rng = np.random.default_rng(5)
     n = 30
     X = np.column_stack([np.ones(n), rng.standard_normal((n, 4))])
     A = np.eye(4, 5) + 0.3 * rng.standard_normal((4, 5))
     problem = RegressionProblem(X=X, theta=np.array([0.5, 0.4, 0.3, 0.2, 0.1]), sigma=1.0, O=1)
-    rule = GeneralToSpecific(critical=(2.0, 2.0, 2.0, 2.0))
+    return problem, A, GeneralToSpecific(critical=(2.0, 2.0, 2.0, 2.0))
+
+
+def test_k4_exact_agrees_with_simulation():
+    # k = 4 samples the conditional orthant; its error bound misses the
+    # default tol, which the result flags
+    problem, A, rule = _p5_k4_case()
     t = np.array([1.0, -0.5, 0.5, 0.8])
     plan = SimulationPlan(problem=problem, rule=rule, A=A, replications=200_000, master_seed=7)
     emp = empirical_cdf(plan, t[None, :])
     res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
     assert abs(res.value - emp.estimates[0]) <= 4 * emp.standard_errors[0] + res.abs_error
     assert res.abs_error > 1e-5 and res.warning is not None
+
+
+def test_k4_sampled_standard_errors_have_a_floor():
+    # at t = -7 no draw of orders 2-5 lands in the orthant, yet each sampled
+    # order is still an estimate from n_z draws: its SE is at least 1/n_z
+    problem, A, rule = _p5_k4_case()
+    budget = AccuracyBudget()
+    res = cdf_exact(problem, CdfQuery(A=A, t=np.full(4, -7.0), theta=problem.theta,
+                                      sigma=1.0, rule=rule), budget)
+    assert res.abs_error >= 3.0 * 4 / budget.n_z and res.warning is not None, res

@@ -56,12 +56,15 @@ def test_large_drift_recovers_full_model_gaussian():
 
 
 def test_two_evaluation_paths_agree():
-    for seed in range(5):
+    # both paths are deterministic at k = 1: they agree within the sum of
+    # their reported errors
+    for seed in range(200):
         limits, theta, gamma, sigma, rule, t = random_k1_limit_case(seed)
         alt = LocalAlternative(theta=theta, gamma=gamma, sigma=sigma)
         a = cdf_limit(limits, alt, t, rule, QUICK)
         b = cdf_limit_via_integral(limits, alt, t, rule, QUICK)
-        assert abs(a.value - b.value) < 1e-4, f"seed {seed}: {a.value} vs {b.value}"
+        assert abs(a.value - b.value) <= a.abs_error + b.abs_error, \
+            f"seed {seed}: {a.value} +- {a.abs_error} vs {b.value} +- {b.abs_error}"
 
 
 def _multivariate_case(P, k, O, theta, critical, seed):
@@ -181,17 +184,16 @@ def test_sampled_standard_errors_have_a_floor():
 def test_k3_limit_is_deterministic_and_meets_tol(theta):
     # the P = 4, k = 3 designs above: every joint term is quadrature, so the
     # seed and sample size do not enter, and the value agrees with the
-    # integral path run on 2e6 draws
+    # deterministic integral path within the sum of the reported errors
     limits, alt, rule = _multivariate_case(4, 3, 1, np.array(theta), (2.0, 1.9, 2.1), seed=4)
-    big = AccuracyBudget(tol=1e-6, n_z=2_000_000, seed=0)
     for t in [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]:
         res = cdf_limit(limits, alt, t, rule, QUICK)
         assert res.warning is None, (t, res)
         other = cdf_limit(limits, alt, t, rule, AccuracyBudget(tol=1e-6, n_z=1000, seed=7))
         assert other.value == res.value
-        ref = cdf_limit_via_integral(limits, alt, t, rule, big)
-        se = ref.abs_error / 3.0          # the integral path reports 3 SE at k >= 2
-        assert abs(res.value - ref.value) <= 4.0 * se + res.abs_error, (t, res, ref)
+        ref = cdf_limit_via_integral(limits, alt, t, rule, QUICK)
+        assert ref.warning is None, (t, ref)
+        assert abs(res.value - ref.value) <= res.abs_error + ref.abs_error, (t, res, ref)
 
 
 def test_pdf_matches_finite_differences():

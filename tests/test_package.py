@@ -68,3 +68,17 @@ def test_every_public_gauss_function_has_a_caller():
                 if name is not None and name != own:
                     used.add(name)
     assert public <= used, f"_gauss functions without a caller: {sorted(public - used)}"
+
+
+def test_refinement_policy_lives_in_gauss():
+    # every refinement loop is `_gauss.refine`: no other module may read the
+    # refinement cap, by import or by attribute
+    users = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "MAX_REFINEMENTS" in names:
+                users.add(path.stem)
+    assert users == {"_gauss"}, f"MAX_REFINEMENTS referenced outside _gauss: {sorted(users)}"
