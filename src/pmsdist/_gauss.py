@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import ndtr, owens_t
 
 # Standard-normal mass beyond |x| = 9 is ~1.1e-19; quadrature ranges are
 # truncated there and the discarded mass is accounted for by callers.
@@ -38,10 +38,10 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
         return xw
 
 
-def norm_pdf(x, sd=1.0):
-    """Density of N(0, sd^2) at x, safe for sd arrays broadcast against x."""
+def norm_pdf(x):
+    """Standard normal density at x."""
     x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * (x / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+    return np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
 
 
 def gl_panels(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,19 +83,6 @@ def split_edges(lo: float, hi: float, n_panels: int, breaks=()) -> np.ndarray:
     edges = edges[keep]
     edges[0], edges[-1] = lo, hi
     return edges
-
-
-def gauss_prob_edges(lo: float, hi: float, n_panels: int, mean: float = 0.0,
-                     sd: float = 1.0) -> np.ndarray:
-    """Panel edges on [lo, hi] that split N(mean, sd^2) mass about equally."""
-    a = ndtr((lo - mean) / sd)
-    b = ndtr((hi - mean) / sd)
-    if b - a < 1e-14:  # interval in an extreme tail: fall back to equal width
-        return np.linspace(lo, hi, n_panels + 1)
-    probs = np.linspace(a, b, n_panels + 1)
-    edges = mean + sd * ndtri(np.clip(probs, 1e-300, 1.0 - 1e-16))
-    edges[0], edges[-1] = lo, hi
-    return np.maximum.accumulate(edges)
 
 
 def bvn_cdf(h, k, rho: float) -> np.ndarray:

@@ -13,14 +13,13 @@ Evaluation strategy
 -------------------
 The outer scale integral runs over equal-mass Gauss-Legendre panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
-For scalar targets (k = 1) every inner integral is deterministic: closed
-interval arithmetic when the conditional spread vanishes, panel quadrature
-otherwise.
 
-For k = 2 and k = 3 every term is deterministic too.  The order-p
-integrand depends on z only through the orthant {z <= u} and the scalar
-W = b'z + sigma zeta e that the order-p test rejects on, so z is
-conditioned on X = W / sd(W).  The test rejects at scale s when
+For k <= 3 every term is deterministic.  A scalar target (k = 1) whose
+order-p test statistic is a multiple of z (conditional spread zeta_p = 0)
+has a closed two-ray interval probability at every scale node.  Every
+other order-p integrand depends on z only through the orthant {z <= u}
+and the scalar W = b'z + sigma zeta e that the order-p test rejects on, so
+z is conditioned on X = W / sd(W).  The test rejects at scale s when
 |X - x0| >= s c_p, that is at every scale up to |X - x0| / c_p, so the
 scale integral becomes a cumulative scale mass read at each X node, and
 the term integrates it against phi(X) times the conditional orthant
@@ -53,9 +52,7 @@ from ._gauss import (
     conditional_kinks,
     cumulative_rule,
     gaussian_rect,
-    gauss_prob_edges,
     gl_panels,
-    norm_pdf,
     orthant_rows,
     philox,
     psd_factor,
@@ -84,8 +81,8 @@ __all__ = [
     "DecomposedCdf",
 ]
 
-# Numerical-rank style cutoffs for the degenerate branches of the formula.
-_ZERO_VAR_REL = 1e-24   # variance this small (relative) counts as a point mass
+# A conditional spread zeta_p this small relative to xi_p counts as zero:
+# the k = 1 term is then two rays in z (`_term_k1`).
 _ZERO_SD_REL = 1e-12
 # The scale grid: equal-mass panels of the ratio density between these
 # quantiles; the mass outside them is reported as truncation error.
@@ -214,6 +211,8 @@ class CdfQuery:
         t = np.atleast_1d(np.asarray(self.t, dtype=float))
         if t.shape != (k,):
             raise ValidationError(f"t must have length k={k}")
+        if np.any(np.isnan(t)):
+            raise ValidationError("t must not be NaN")
         theta = np.asarray(self.theta, dtype=float)
         if theta.shape != (P,) or not np.all(np.isfinite(theta)):
             raise ValidationError(f"theta must be a finite vector of length {P}")
@@ -346,57 +345,27 @@ class _ExactEngine:
         return gaussian_rect(u, self.sigma ** 2 * self.pq[O].omega_np,
                              rng=philox(self.budget.seed, 10_000), n_samples=self.budget.n_z)
 
-    # ---- deterministic k = 1 inner integrals ----
+    # ---- k = 1 without conditional spread: two rays in z ----
     def _term_k1(self, p: int, u: float, n_panels: int):
-        """(value, error) of the order-p term for scalar targets."""
-        sig = self.sigma
-        xi, zeta, b = self.pq[p].xi_np, self.pq[p].zeta_np, float(self.pq[p].b_np[0])
-        mp = self.m[p]
-        cssx = self.c[p] * sig * xi
-        var_z = sig ** 2 * self.pq[p].omega_np[0, 0]
+        """(value, pi_value, error) of the order-p term for a scalar target
+        whose order-p test statistic is a multiple of z (zeta_p = 0).
 
-        if var_z <= _ZERO_VAR_REL * sig ** 2:
-            # degenerate target block: z is a point mass at 0
-            s, w, trunc = self._s_grid(n_panels)
-            tail = self._tail_products(s)[p]
-            inner = 1.0 - delta(sig * zeta, mp, s * cssx)
-            val = float(np.sum(w * tail * inner)) if u >= 0.0 else 0.0
-            return val, trunc
+        The inner expectation is then the two-ray interval probability
+        P(z <= u, |m_p + b z| >= s c_p sigma xi_p), exact at every scale
+        node; the scale integrand kinks where a ray endpoint crosses u, and
+        pi(p) is read at u = inf on the same scale grid.
+        """
+        sig, pq = self.sigma, self.pq[p]
+        b, mp = float(pq.b_np[0]), self.m[p]
+        cssx = self.c[p] * sig * pq.xi_np
+        sd_z = np.sqrt(sig ** 2 * pq.omega_np[0, 0])
+        s, w, trunc = self._s_grid(n_panels, breaks=[abs(mp + b * u) / cssx])
+        wt = w * self._tail_products(s)[p]
+        B = s * cssx
+        return (float(np.sum(wt * ray_halfline_prob(mp, b, B, u, sd_z))),
+                float(np.sum(wt * ray_halfline_prob(mp, b, B, np.inf, sd_z))), trunc)
 
-        sd_z = np.sqrt(var_z)
-        if zeta <= _ZERO_SD_REL * xi:
-            # conditional spread vanishes: the inner expectation is a
-            # two-ray interval probability, exact at every scale node; the
-            # scale integrand kinks where a ray endpoint crosses u.
-            breaks = []
-            if cssx > 0:
-                if abs(b) > 0:
-                    breaks.append(abs(mp + b * u) / cssx)
-                else:
-                    breaks.append(abs(mp) / cssx)
-            s, w, trunc = self._s_grid(n_panels, breaks=breaks)
-            tail = self._tail_products(s)[p]
-            B = s * cssx
-            pz = ray_halfline_prob(mp, b, B, u, sd_z)
-            val = float(np.sum(w * tail * pz))
-            return val, trunc
-
-        # smooth case: panel quadrature in z against the scale-node matrix
-        s, w, trunc = self._s_grid(n_panels)
-        tail = self._tail_products(s)[p]
-        wt = w * tail
-        t0 = float(np.sum(wt))
-        z_hi = min(u, TAIL_CUT * sd_z)
-        if z_hi <= -TAIL_CUT * sd_z:
-            return 0.0, trunc + float(ndtr(-TAIL_CUT))
-        edges = gauss_prob_edges(-TAIL_CUT * sd_z, z_hi, n_panels, 0.0, sd_z)
-        z, vw = gl_panels(edges, NODES_PER_PANEL)
-        vw = vw * norm_pdf(z, sd_z)
-        dmat = delta(sig * zeta, (mp + b * z)[:, None], (s * cssx)[None, :])
-        val = float(np.sum(vw) * t0 - vw @ dmat @ wt)
-        return val, trunc + float(ndtr(-TAIL_CUT))
-
-    # ---- k >= 2: the scale integral folded into the selection scalar ----
+    # ---- the scale integral folded into the selection scalar ----
     def _swapped_rule(self, p: int, u: np.ndarray, n_panels: int):
         """x-nodes and weights of the order-p term with the integrals swapped.
 
@@ -425,7 +394,7 @@ class _ExactEngine:
         return x, wk, g, S, L, trunc + dropped
 
     def _term_orthant(self, p: int, u: np.ndarray, n_panels: int):
-        """(value, pi_value, error) of the order-p term for k = 2 and k = 3:
+        """(value, pi_value, error) of the order-p term for k <= 3:
         `_swapped_rule` against the conditional orthant of `orthant_rows`."""
         x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels)
         cond = orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
@@ -465,9 +434,8 @@ class _ExactEngine:
 
         for i, p in enumerate(range(O + 1, P + 1), start=1):
             u = t - self.shift[p]
-            if self.k == 1:
-                terms[i], e = self._term_k1(p, float(u[0]), n_panels)
-                pis[i], _ = self._term_k1(p, np.inf, n_panels)
+            if self.k == 1 and self.pq[p].zeta_np <= _ZERO_SD_REL * self.pq[p].xi_np:
+                terms[i], pis[i], e = self._term_k1(p, float(u[0]), n_panels)
             elif self.k <= 3:
                 terms[i], pis[i], e = self._term_orthant(p, u, n_panels)
             else:

@@ -184,6 +184,8 @@ def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (limits.k,):
         raise ValidationError(f"t must have length k={limits.k}")
+    if np.any(np.isnan(t)):
+        raise ValidationError("t must not be NaN")
     return t, local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O)
 
 

@@ -15,7 +15,7 @@ sqrt(log n)) lives here too; the plug-in cdf estimator builds on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .regression_core import (
     restricted_ls,
     sigma_hat,
     t_statistics,
-    xi_n,
 )
 
 __all__ = [

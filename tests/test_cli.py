@@ -116,6 +116,17 @@ def test_validation_failures_exit_1(capsys):
     assert rc == EXIT_INVALID                                    # needs --t/--grid
 
 
+@pytest.mark.parametrize("command", ["cdf-exact", "cdf-limit"])
+def test_nan_t_exits_1_and_infinite_t_is_valid(capsys, command):
+    rc, out, err = _run(capsys, [command, "--fixture", "P1", "--t=nan"])
+    assert rc == EXIT_INVALID and out == ""
+    assert _payload(err)["error"]["type"] == "ValidationError"
+    for t, lo, hi in (("-inf", 0.0, 0.0), ("inf", 1.0 - 1e-9, 1.0)):
+        rc, out, _ = _run(capsys, [command, "--fixture", "P1", f"--t={t}"])
+        assert rc == EXIT_OK
+        assert lo <= _payload(out)["value"] <= hi
+
+
 def test_refusal_exits_3(capsys):
     rc, _, err = _run(capsys, ["sweep", "tube", "--fixture", "BLOCK_ORTHO",
                                "--t", "0.0", "--n-ladder", "100"])

@@ -30,6 +30,7 @@ from pmsdist.regression_core import RegressionProblem
 from pmsdist.selection import GeneralToSpecific, InformationCriterion, SubsetMask
 
 QUICK = AccuracyBudget(tol=1e-4, n_z=20_000, seed=0)
+E1 = np.array([[1.0, 0.0]])
 
 
 def _query(fx, t, theta=None, sigma=None):
@@ -138,13 +139,20 @@ def test_decomposition_orders_weights_and_total():
     assert abs(dec.total - point.value) < 1e-12
 
 
-def test_exact_agrees_with_simulation():
-    fx = fixture("ORTHO2")
-    t = np.array([0.4, -0.3])
-    plan = SimulationPlan(problem=fx.problem, rule=fx.rule, A=fx.A,
-                          replications=40_000, master_seed=2024)
+@pytest.mark.parametrize("name,A,t,reps", [
+    ("ORTHO2", np.eye(2), (0.4, -0.3), 40_000),
+    # COLL2 order 1 with target (0, 1): a point mass at zero, which the
+    # swapped rule takes as a rank-0 conditional orthant
+    ("COLL2", np.array([[0.0, 1.0]]), (0.7,), 200_000),
+], ids=["ORTHO2-k2", "COLL2-k1-degenerate"])
+def test_exact_agrees_with_simulation(name, A, t, reps):
+    fx = fixture(name)
+    t = np.array(t)
+    plan = SimulationPlan(problem=fx.problem, rule=fx.rule, A=A,
+                          replications=reps, master_seed=2024)
     emp = empirical_cdf(plan, t[None, :], workers=2)
-    res = cdf_exact(fx.problem, _query(fx, t), QUICK)
+    res = cdf_exact(fx.problem, CdfQuery(A=A, t=t, theta=fx.problem.theta,
+                                         sigma=1.0, rule=fx.rule), QUICK)
     gap = abs(res.value - emp.estimates[0])
     assert gap <= 4 * emp.standard_errors[0] + res.abs_error
 
@@ -169,6 +177,19 @@ def test_query_and_budget_validation():
         AccuracyBudget(tol=0.0)
     with pytest.raises(ValidationError):
         AccuracyBudget(n_z=10)
+
+
+def test_nan_t_is_rejected_and_infinite_t_is_valid():
+    fx = fixture("COLL2")
+    with pytest.raises(ValidationError):
+        _query(fx, [0.0, np.nan])
+    for A in (fx.A, E1):
+        k = A.shape[0]
+        lo, hi = (cdf_exact(fx.problem, CdfQuery(A=A, t=np.full(k, t), theta=fx.problem.theta,
+                                                 sigma=1.0, rule=fx.rule), QUICK)
+                  for t in (-np.inf, np.inf))
+        assert lo.value == 0.0 and lo.warning is None
+        assert abs(hi.value - 1.0) <= hi.abs_error and hi.warning is None
 
 
 def test_protected_order_floor_shows_in_weights():
@@ -239,6 +260,64 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
     want, _ = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)
     got, _, _ = engine._term_orthant(p, u, PANELS)
     assert abs(got - want) <= 1e-11, (got, want)
+
+
+@pytest.mark.parametrize("name,t", [("COLL2", -1.0), ("COLL2", 0.25), ("COLL2", 1.5),
+                                    ("ORTHO2", 0.25)])
+def test_k1_term_matches_adaptive_quadrature(name, t):
+    # order 2 with target (1, 0) has conditional spread zeta > 0: the term
+    # int pdf(s) tail(s) E[1{z <= u} (1 - Delta(sigma zeta, m + b z, s c
+    # sigma xi))] ds, under nested adaptive quadrature in z and s
+    fx = fixture(name)
+    engine = _ExactEngine(fx.problem, CdfQuery(A=E1, t=[t], theta=fx.problem.theta,
+                                               sigma=1.0, rule=fx.rule), AccuracyBudget())
+    p, sig = 2, engine.sigma
+    pq = engine.pq[p]
+    assert pq.zeta_np > 0.1 * pq.xi_np
+    u = engine.query.t - engine.shift[p]
+    b, mp, cssx = float(pq.b_np[0]), engine.m[p], engine.c[p] * sig * pq.xi_np
+    sd = sig * np.sqrt(pq.omega_np[0, 0])
+
+    def inner(s):
+        def f(z):
+            return norm_pdf(z / sd) / sd * (1.0 - delta(sig * pq.zeta_np, mp + b * z, s * cssx))
+        val, _ = quad(f, -12.0 * sd, u[0], epsabs=1e-15, epsrel=1e-13, limit=200)
+        tail = engine._tail_products(np.array([s]))[p][0]
+        return engine.ratio.pdf(s) * tail * val
+
+    lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
+    want, _ = quad(inner, lo, hi, points=engine.s_step, epsabs=1e-14, epsrel=1e-12, limit=200)
+    got, _, _ = engine._term_orthant(p, u, PANELS)
+    assert abs(got - want) <= 1e-11, (got, want)
+
+
+def _two_ray_cases():
+    for n in (100, 1600, 100_000):
+        fx = fixture("P1", n=n, theta=[0.3 / np.sqrt(n)])
+        yield fx.problem, fx.A, fx.rule
+    for name, A in (("COLL2", (1.0, 0.0)), ("COLL2", (0.0, 1.0)), ("ORTHO2", (0.0, 1.0))):
+        fx = fixture(name)
+        yield fx.problem, np.array([A]), fx.rule
+
+
+def test_two_ray_arm_agrees_with_general_rule(monkeypatch):
+    # at zeta_p = 0 the k = 1 term is two rays in z (`_term_k1`); the
+    # swapped rule of every other k <= 3 term covers it too
+    budget = AccuracyBudget()
+    queries = [(problem, CdfQuery(A=A, t=[t], theta=problem.theta, sigma=1.0, rule=rule))
+               for problem, A, rule in _two_ray_cases() for t in (-1.5, 0.0, 0.25, 1.5)]
+    two_ray = [cdf_exact(problem, q, budget) for problem, q in queries]
+    calls = []
+
+    def general(self, p, u, n_panels):
+        calls.append(p)
+        return self._term_orthant(p, np.array([u]), n_panels)
+
+    monkeypatch.setattr(_ExactEngine, "_term_k1", general)
+    for (problem, q), a in zip(queries, two_ray):
+        b = cdf_exact(problem, q, budget)
+        assert abs(a.value - b.value) <= a.abs_error + b.abs_error, (q.t, a, b)
+    assert calls
 
 
 def test_k2_points_meet_default_budget_deterministically():
@@ -369,7 +448,7 @@ def test_k3_exact_agrees_with_simulation():
     assert abs(res.value - emp.estimates[0]) <= 4 * emp.standard_errors[0] + res.abs_error
 
 
-@pytest.mark.parametrize("case", ["P4-k3", "COLL2-k2"])
+@pytest.mark.parametrize("case", ["P4-k3", "COLL2-k2", "COLL2-k1"])
 def test_large_n_points_meet_budget_and_agree_with_simulation(case):
     # local alternatives at large n: with many residual degrees of freedom
     # the scale mass K_p(|x - x0| / c_p) is a near-step in the selection
@@ -386,6 +465,8 @@ def test_large_n_points_meet_budget_and_agree_with_simulation(case):
         fx = fx.at_n(n, theta=fx.problem.theta * np.sqrt(20 / n))
         problem, A, rule = fx.problem, fx.A, fx.rule
         t = np.array([0.25, -1.0])
+        if case == "COLL2-k1":
+            A, t = np.array([[1.0, 0.0]]), np.array([0.25])
     res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
     assert res.abs_error <= 1e-5 and res.warning is None, res
     plan = SimulationPlan(problem=problem, rule=rule, A=A, replications=200_000,

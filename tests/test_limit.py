@@ -55,6 +55,15 @@ def test_large_drift_recovers_full_model_gaussian():
             assert abs(res.value - want) < 1e-6
 
 
+def test_nan_t_is_rejected_and_infinite_t_is_valid():
+    fx = fixture("P1")
+    for evaluate in (cdf_limit, cdf_limit_via_integral):
+        with pytest.raises(ValidationError):
+            evaluate(fx.limits, _alt(fx), [np.nan], fx.rule, QUICK)
+        assert evaluate(fx.limits, _alt(fx), [-np.inf], fx.rule, QUICK).value == 0.0
+        assert evaluate(fx.limits, _alt(fx), [np.inf], fx.rule, QUICK).value > 1.0 - 1e-9
+
+
 def test_two_evaluation_paths_agree():
     # both paths are deterministic at k = 1: they agree within the sum of
     # their reported errors

@@ -82,3 +82,22 @@ def test_refinement_policy_lives_in_gauss():
             if "MAX_REFINEMENTS" in names:
                 users.add(path.stem)
     assert users == {"_gauss"}, f"MAX_REFINEMENTS referenced outside _gauss: {sorted(users)}"
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports but never reads is a stale dependency; the
+    # package __init__ is exempt, since importing is how it re-exports
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert not unused, f"imported but unused: {unused}"
