@@ -12,7 +12,6 @@ from .dist_exact import (
     cdf_exact,
     cdf_exact_decomposed,
     delta,
-    sigma_ratio_pdf,
 )
 from .dist_limit import (
     LimitCdfTermTrace,
@@ -25,7 +24,6 @@ from .dist_limit import (
     limit_nonconstancy_scan,
     local_shift_constants,
     pdf_limit,
-    sample_zw,
 )
 from .errors import (
     DegenerateSampleError,
@@ -108,7 +106,7 @@ __all__ = [
     "local_shift_constants", "masked_ls", "order_of", "pdf_limit",
     "phi_hat", "pilot_delta0", "plug_in_state", "post_select_fit",
     "projection_quantities", "replicate", "restricted_ls", "rule_from_json",
-    "rule_to_json", "sample_zw", "select_g2s", "select_ic",
-    "select_threshold", "sigma_hat", "sigma_ratio_pdf", "simulate_response",
+    "rule_to_json", "select_g2s", "select_ic",
+    "select_threshold", "sigma_hat", "simulate_response",
     "t_statistics", "tube_sweep", "uniform_case_sweep", "xi_n",
 ]

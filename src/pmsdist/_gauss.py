@@ -115,8 +115,11 @@ def bvn_cdf(h, k, rho: float) -> np.ndarray:
     out[m] = ndtr(h[m])
 
     if np.any(finite):
-        hf = h[finite]
-        kf = k[finite]
+        # a subnormal argument is 0 by continuity: rho * h would round back
+        # to h while h * sqrt(1 - rho^2) underflows, leaving 0/0 below
+        tiny = np.finfo(float).tiny
+        hf = np.where(np.abs(h[finite]) < tiny, 0.0, h[finite])
+        kf = np.where(np.abs(k[finite]) < tiny, 0.0, k[finite])
         r = np.sqrt(1.0 - rho * rho)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ah = (kf - rho * hf) / (hf * r)
@@ -239,6 +242,24 @@ def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float
     return [b for b in breaks if np.isfinite(b)]
 
 
+def ray_interval_prob(lo, hi, a, b):
+    """P(lo <= X <= hi, X <= a or X >= b) for X ~ N(0, 1), with a <= b.
+
+    The interval [lo, hi] (empty when lo > hi) meets the two rays in closed
+    form; all arguments broadcast.  It is the rank-0 term of both cdf
+    engines: Z = g X lies in its orthant on the interval `rank1_bounds`
+    gives, and the order's test rejects outside (a, b).
+    """
+    return (np.maximum(ndtr(np.minimum(hi, a)) - ndtr(lo), 0.0)
+            + np.maximum(ndtr(hi) - ndtr(np.maximum(lo, b)), 0.0))
+
+
+def needs_sampling(k: int, r: int) -> bool:
+    """Whether a k-variate orthant of conditional rank r must be sampled:
+    `orthant_rows` is exact at rank <= 1 and in dimension <= 3."""
+    return k >= 4 and r >= 2
+
+
 def cumulative_rule(f, edges: np.ndarray):
     """H(y) = integral of f from edges[0] to y, and the total over all edges.
 
@@ -280,9 +301,11 @@ def selection_rule(x0: float, c: float, K, s_breaks, kinks, n_panels: int):
     n_panels equal panels of [-TAIL_CUT, TAIL_CUT] with extra edges at x0,
     at x0 +/- c s for each s in s_breaks and at the kinks; their weights
     times phi(x) K(|x - x0| / c); and the dropped x-mass 2 Phi(-TAIL_CUT).
-    The exact cdf passes the scale mass of sigma_hat/sigma and three of its
-    quantiles; the limit cdf, at the one scale 1, the step 1{y >= 1} and
-    s_breaks = (1,).
+    `dist_exact._ExactEngine._swapped_rule` passes the scale mass of
+    sigma_hat/sigma and three of its quantiles; `dist_limit._rule_rows`,
+    for both limit paths, the mass K(y) = 1 - Delta(rho, y, 1) of one
+    scale, with s_breaks where it turns.  Rank-0 terms do not use it
+    (`ray_interval_prob`).
     """
     s = np.asarray(s_breaks, dtype=float)
     edges = split_edges(-TAIL_CUT, TAIL_CUT, n_panels,
@@ -337,8 +360,8 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
     coordinate flips sign) is an extra edge.  The dropped mass below
     -TAIL_CUT is at most Phi(-TAIL_CUT) per row.  Other ranks raise
     ValueError.  Its callers are `gaussian_rect_rows` and the two terms
-    that integrate it against a `selection_rule`:
-    `dist_exact._ExactEngine._term_orthant` and `dist_limit._joint_rows`.
+    that integrate it against a `selection_rule` at conditional rank >= 1:
+    `dist_exact._ExactEngine._term_orthant` and `dist_limit._rule_rows`.
     """
     k, r = U.shape[1], L.shape[1]
     if r == 0:
@@ -383,28 +406,6 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
     return np.einsum("mpn,mpn,n,mp->m", cond, norm_pdf(y), tw, half)
 
 
-def ray_halfline_prob(center: float, slope: float, B, u: float, sd: float):
-    """P(z <= u, |center + slope*z| >= B) for z ~ N(0, sd^2).
-
-    ``B`` may be an array of nonnegative thresholds; the two-ray region in z
-    is intersected with the half-line (-inf, u] in closed form.
-    """
-    B = np.asarray(B, dtype=float)
-    phi_u = ndtr(u / sd)
-    if slope == 0.0:
-        return np.where(np.abs(center) >= B, phi_u, 0.0)
-    # near-denormal slopes push the breakpoints to +/-inf, which the normal
-    # cdf saturates correctly
-    with np.errstate(over="ignore"):
-        z_hi = (B - center) / slope
-        z_lo = (-B - center) / slope
-        if slope < 0.0:
-            z_hi, z_lo = z_lo, z_hi
-        upper = np.maximum(phi_u - ndtr(z_hi / sd), 0.0)
-        lower = ndtr(np.minimum(u, z_lo) / sd)
-    return upper + lower
-
-
 def philox(key: int, stream: int = 0) -> np.random.Generator:
     """Generator on the counter-based Philox stream keyed by (key, stream)."""
     return np.random.Generator(np.random.Philox(key=np.array([key, stream], dtype=np.uint64)))
@@ -414,10 +415,10 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
                        n_samples: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
     """Lower-orthant probabilities P(Z <= u) for every row u of U, Z ~ N(0, cov).
 
-    cov is PSD, possibly singular.  Numerical rank 0 and 1 and every
-    covariance of dimension up to 3 are evaluated deterministically
-    (`orthant_rows`); otherwise one seeded sample of n_samples draws
-    (Philox key (0, 0) unless ``rng`` is given) is shared by all rows.
+    cov is PSD, possibly singular.  It is evaluated deterministically
+    (`orthant_rows`) unless its dimension and numerical rank
+    `needs_sampling`; then one seeded sample of n_samples draws (Philox
+    key (0, 0) unless ``rng`` is given) is shared by all rows.
     Returns (probabilities, standard_errors); the deterministic paths
     report standard error 0, sampled ones at least 1/n_samples.
     """
@@ -426,7 +427,7 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     m, k = U.shape
     L = psd_factor(cov)
     r = L.shape[1]
-    if r <= 1 or k <= 3:
+    if not needs_sampling(k, r):
         return orthant_rows(U, cov, L, _RECT_PANELS), np.zeros(m)
     rng = philox(0) if rng is None else rng
     hits = np.zeros(m)

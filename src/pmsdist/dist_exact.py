@@ -14,28 +14,29 @@ Evaluation strategy
 The outer scale integral runs over equal-mass Gauss-Legendre panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
 
-For k <= 3 every term is deterministic.  A scalar target (k = 1) whose
-order-p test statistic is a multiple of z (conditional spread zeta_p = 0)
-has a closed two-ray interval probability at every scale node.  Every
-other order-p integrand depends on z only through the orthant {z <= u}
-and the scalar W = b'z + sigma zeta e that the order-p test rejects on, so
-z is conditioned on X = W / sd(W).  The test rejects at scale s when
-|X - x0| >= s c_p, that is at every scale up to |X - x0| / c_p, so the
-scale integral becomes a cumulative scale mass read at each X node, and
-the term integrates it against phi(X) times the conditional orthant
-probability on Gauss-Legendre panels in X.  Their edges bracket the kinks
-of that probability and the near-step the scale mass becomes at large
-dof.  The conditional orthant is an indicator, a rank-1 interval, a
-bivariate normal cdf (k = 2) or, for k = 3, one more conditioning step
-onto a rank-1 interval or a bivariate normal cdf; the selection
-probability pi(p) is the same integral without the orthant.  For k >= 4
-the conditional orthant is estimated from seeded Gaussian draws of the
-residual R = z - g X, integrated exactly over X, so no draw carries the
-scale integral.
+Every order-p integrand depends on z only through the orthant {z <= u}
+and the scalar W = b'z + sigma zeta e that the order-p test rejects on,
+so z is conditioned once per order on X = W / sd(W): z = g X + R, with R
+of conditional rank r.  The test rejects at scale s when
+|X - x0| >= s c_p, and r alone picks how the term is evaluated.  At
+r = 0 (z = g X) the orthant is an x-interval, and the term is its mass
+outside the two rays at each node of the level's one scale grid, in
+closed form; the grid has an edge wherever a ray crosses an interval
+end.  Otherwise the test rejects at every scale up to |X - x0| / c_p, so
+the scale integral becomes a cumulative scale mass read at each X node,
+and the term integrates it against phi(X) times the conditional orthant
+probability on Gauss-Legendre panels in X.  Their edges bracket the
+kinks of that probability and the near-step the scale mass becomes at
+large dof.  The conditional orthant is a rank-1 interval, a bivariate
+normal cdf (k = 2) or, for k = 3, one more conditioning step onto a
+rank-1 interval or a bivariate normal cdf; only at k >= 4 with r >= 2
+is it estimated, from seeded Gaussian draws of R = z - g X integrated
+exactly over X, so no draw carries the scale integral.  The selection
+probability pi(p) is each term without the orthant.
 Results carry an abs_error that combines quadrature refinement,
-truncated mass, the defect of sum pi(p) from 1, and (k >= 4 only) three
-sampling standard errors, each at least 1/n_z; identical query + budget +
-seed replays bit-identically.
+truncated mass, the defect of sum pi(p) from 1, and (sampled orders
+only) three sampling standard errors, each at least 1/n_z; identical
+query + budget + seed replays bit-identically.
 """
 from __future__ import annotations
 
@@ -53,10 +54,12 @@ from ._gauss import (
     cumulative_rule,
     gaussian_rect,
     gl_panels,
+    needs_sampling,
     orthant_rows,
     philox,
     psd_factor,
-    ray_halfline_prob,
+    rank1_bounds,
+    ray_interval_prob,
     refine,
     sampled_rule,
     selection_rule,
@@ -75,15 +78,11 @@ __all__ = [
     "AccuracyBudget",
     "SigmaRatioDensity",
     "delta",
-    "sigma_ratio_pdf",
     "cdf_exact",
     "cdf_exact_decomposed",
     "DecomposedCdf",
 ]
 
-# A conditional spread zeta_p this small relative to xi_p counts as zero:
-# the k = 1 term is then two rays in z (`_term_k1`).
-_ZERO_SD_REL = 1e-12
 # The scale grid: equal-mass panels of the ratio density between these
 # quantiles; the mass outside them is reported as truncation error.
 _S_Q_LO, _S_Q_HI = 1e-12, 1.0 - 1e-10
@@ -155,15 +154,6 @@ class SigmaRatioDensity:
         return gammainc(0.5 * self.dof, 0.5 * x ** 2)
 
 
-def sigma_ratio_pdf(dof: int, s) -> float | np.ndarray:
-    """Density of (chi^2_dof / dof)^(1/2) at s > 0."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise ValidationError("s must be positive")
-    out = SigmaRatioDensity(dof).pdf(s_arr)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class AccuracyBudget:
     """Accuracy settings for the cdf evaluators: three fields.
@@ -173,8 +163,8 @@ class AccuracyBudget:
     tol/2 or `_gauss.MAX_REFINEMENTS` doublings are spent, and a result
     whose error bound exceeds tol is flagged.  n_z Gaussian samples, keyed
     by seed, drive the sampled integrals, which remain only for targets
-    with k >= 4 rows: the order terms of `cdf_exact`, and the orthants of
-    rank >= 2 left after conditioning in both limit paths.
+    with k >= 4 rows: the orthants of rank >= 2 left after conditioning,
+    in `cdf_exact` and both limit paths.
     """
 
     tol: float = 1e-5
@@ -280,6 +270,24 @@ class _ExactEngine:
                       for p in range(O, P + 1)}
         self.c = query.rule.critical_values(O)
         self.sigma = query.sigma
+        k, sig = self.k, self.sigma
+        # the order-O orthant does not involve the scale: one evaluation
+        cov0 = sig ** 2 * self.pq[O].omega_np if O else np.zeros((k, k))
+        self.core = gaussian_rect(query.t - self.shift[O], cov0,
+                                  rng=philox(budget.seed, 10_000), n_samples=budget.n_z)
+        # every order p > O conditioned once on its selection scalar
+        # X = W / (sigma xi_p): z = g X + R with R ~ N(0, S), S = L L'; a
+        # rank-0 order (z = g X) keeps the x-interval of {g X <= u}, x0 and
+        # c_p of its two-ray term (`_term_k1`)
+        self.split: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.rank0: dict[int, tuple[float, float, float, float]] = {}
+        for p in range(O + 1, P + 1):
+            pq, sw = self.pq[p], sig * self.pq[p].xi_np
+            g, S, L = condition_on_scalar(sig ** 2 * pq.omega_np, sig ** 2 * pq.C_np, sw ** 2)
+            self.split[p] = (g, S, L)
+            if L.shape[1] == 0:
+                lo, hi = rank1_bounds((query.t - self.shift[p])[None, :], g)
+                self.rank0[p] = (float(lo[0]), float(hi[0]), -self.m[p] / sw, float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # ---- sampled z draws for k >= 4 terms (one draw per order, reused
@@ -305,12 +313,11 @@ class _ExactEngine:
     def _s_edges(self, n_panels: int) -> np.ndarray:
         return self.ratio.ppf(np.linspace(_S_Q_LO, _S_Q_HI, n_panels + 1))
 
-    def _s_grid(self, n_panels: int, breaks=()):
+    def _s_grid(self, n_panels: int, breaks):
         edges = self._s_edges(n_panels)
-        if len(breaks):
-            extra = [b for b in breaks if edges[0] < b < edges[-1]]
-            if extra:
-                edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
+        extra = [b for b in breaks if edges[0] < b < edges[-1]]
+        if extra:
+            edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
         s, w = gl_panels(edges, NODES_PER_PANEL)
         return s, w * self.ratio.pdf(s), _S_TRUNC
 
@@ -337,33 +344,22 @@ class _ExactEngine:
             tail[p] = tail[q] * d
         return tail
 
-    # ---- first (lowest-order) term ----
-    def _core_orthant(self, u: np.ndarray) -> tuple[float, float]:
-        O = self.problem.O
-        if O == 0:
-            return (1.0 if np.all(u >= 0.0) else 0.0), 0.0
-        return gaussian_rect(u, self.sigma ** 2 * self.pq[O].omega_np,
-                             rng=philox(self.budget.seed, 10_000), n_samples=self.budget.n_z)
+    # ---- conditional rank 0: two rays in the selection scalar ----
+    def _term_k1(self, p: int, s: np.ndarray, wt: np.ndarray):
+        """(value, pi_value, error) of a rank-0 order p on the level's scale grid.
 
-    # ---- k = 1 without conditional spread: two rays in z ----
-    def _term_k1(self, p: int, u: float, n_panels: int):
-        """(value, pi_value, error) of the order-p term for a scalar target
-        whose order-p test statistic is a multiple of z (zeta_p = 0).
-
-        The inner expectation is then the two-ray interval probability
-        P(z <= u, |m_p + b z| >= s c_p sigma xi_p), exact at every scale
-        node; the scale integrand kinks where a ray endpoint crosses u, and
-        pi(p) is read at u = inf on the same scale grid.
+        The arm of every order whose z is a multiple g X of its selection
+        scalar, for any k (the name predates that; `benchmarks/spans.py`
+        traces it).  z <= u holds on an x-interval [lo, hi], and at scale s
+        the order-p test rejects outside (x0 - c_p s, x0 + c_p s), so the
+        inner expectation is `ray_interval_prob` at every scale node s and
+        pi(p) is the same on the whole line.  wt holds the grid weights
+        times pdf(s) tail_p(s); the error is the truncated scale mass.
         """
-        sig, pq = self.sigma, self.pq[p]
-        b, mp = float(pq.b_np[0]), self.m[p]
-        cssx = self.c[p] * sig * pq.xi_np
-        sd_z = np.sqrt(sig ** 2 * pq.omega_np[0, 0])
-        s, w, trunc = self._s_grid(n_panels, breaks=[abs(mp + b * u) / cssx])
-        wt = w * self._tail_products(s)[p]
-        B = s * cssx
-        return (float(np.sum(wt * ray_halfline_prob(mp, b, B, u, sd_z))),
-                float(np.sum(wt * ray_halfline_prob(mp, b, B, np.inf, sd_z))), trunc)
+        lo, hi, x0, c = self.rank0[p]
+        a, b = x0 - c * s, x0 + c * s
+        return (float(np.sum(wt * ray_interval_prob(lo, hi, a, b))),
+                float(np.sum(wt * ray_interval_prob(-np.inf, np.inf, a, b))), _S_TRUNC)
 
     # ---- the scale integral folded into the selection scalar ----
     def _swapped_rule(self, p: int, u: np.ndarray, n_panels: int):
@@ -380,32 +376,33 @@ class _ExactEngine:
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
         and pi(p) is the same integral without the orthant.  Returns (x,
-        wk, g, S, L, error): the `selection_rule` of K_p with edges at the
-        `_STEP_Q` quantiles of the ratio density and at the
-        `conditional_kinks`, the split (g, S, L) with S = L L', and the
-        truncated scale and x mass.
+        wk, error): the `selection_rule` of K_p, on the split of `__init__`,
+        with edges at the `_STEP_Q` quantiles of the ratio density and at
+        the `conditional_kinks`, and the truncated scale and x mass.  Its
+        callers are `_term_orthant` and `_term_sampled`.
         """
-        pq, sig = self.pq[p], self.sigma
-        sw = sig * pq.xi_np
-        g, S, L = condition_on_scalar(sig ** 2 * pq.omega_np, sig ** 2 * pq.C_np, sw ** 2)
+        g, _, L = self.split[p]
         K, trunc = self._scale_mass(p, n_panels)
-        x, wk, dropped = selection_rule(-self.m[p] / sw, self.c[p], K, self.s_step,
-                                        conditional_kinks(u, g, L), n_panels)
-        return x, wk, g, S, L, trunc + dropped
+        x, wk, dropped = selection_rule(-self.m[p] / (self.sigma * self.pq[p].xi_np), self.c[p],
+                                        K, self.s_step, conditional_kinks(u, g, L), n_panels)
+        return x, wk, trunc + dropped
 
     def _term_orthant(self, p: int, u: np.ndarray, n_panels: int):
-        """(value, pi_value, error) of the order-p term for k <= 3:
-        `_swapped_rule` against the conditional orthant of `orthant_rows`."""
-        x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels)
+        """(value, pi_value, error) of the order-p term where `orthant_rows`
+        is exact: `_swapped_rule` against the conditional orthant."""
+        x, wk, err = self._swapped_rule(p, u, n_panels)
+        g, S, L = self.split[p]
         cond = orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
         # orthant_rows drops the mass below -TAIL_CUT in its own coordinate
         return float(wk @ cond), float(np.sum(wk)), err + float(ndtr(-TAIL_CUT))
 
     def _term_sampled(self, p: int, u: np.ndarray, n_panels: int):
-        """(value, pi_value, error, raw se) of the order-p term for k >= 4:
-        `_swapped_rule` against `sampled_rule` on the draws R = z - g X of
-        `_z_sample`, so no draw carries the scale integral."""
-        x, wk, g, S, L, err = self._swapped_rule(p, u, n_panels)
+        """(value, pi_value, error, raw se) of the order-p term where the
+        conditional orthant `needs_sampling`: `_swapped_rule` against
+        `sampled_rule` on the draws R = z - g X of `_z_sample`, so no draw
+        carries the scale integral."""
+        x, wk, err = self._swapped_rule(p, u, n_panels)
+        g = self.split[p][0]
         z, a = self._z_sample(p)
         R = z - np.outer((a - self.m[p]) / (self.sigma * self.pq[p].xi_np), g)
         val, se = sampled_rule(x, wk, g, u, R)
@@ -417,26 +414,28 @@ class _ExactEngine:
         P, O = self.problem.P, self.problem.O
         t = self.query.t
 
-        s, w, trunc = self._s_grid(n_panels)
+        # one scale grid, with an edge wherever a ray of a rank-0 order
+        # crosses an end of its x-interval
+        crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
+                     for end in (lo, hi) if np.isfinite(end)]
+        s, w, trunc = self._s_grid(n_panels, breaks=crossings)
         tail = self._tail_products(s)
         orders = list(range(O, P + 1))
         terms = np.zeros(len(orders))
         pis = np.zeros(len(orders))
         err = trunc
-        se_total = 0.0
 
-        u0 = t - self.shift[O]
-        core, core_se = self._core_orthant(u0)
+        core, core_se = self.core
         w_tail = float(np.sum(w * tail[O]))
         terms[0] = core * w_tail
         pis[0] = w_tail
-        se_total += core_se * w_tail
+        se_total = core_se * w_tail
 
         for i, p in enumerate(range(O + 1, P + 1), start=1):
             u = t - self.shift[p]
-            if self.k == 1 and self.pq[p].zeta_np <= _ZERO_SD_REL * self.pq[p].xi_np:
-                terms[i], pis[i], e = self._term_k1(p, float(u[0]), n_panels)
-            elif self.k <= 3:
+            if p in self.rank0:
+                terms[i], pis[i], e = self._term_k1(p, s, w * tail[p])
+            elif not needs_sampling(self.k, self.split[p][2].shape[1]):
                 terms[i], pis[i], e = self._term_orthant(p, u, n_panels)
             else:
                 terms[i], pis[i], e, se = self._term_sampled(p, u, n_panels)

@@ -12,14 +12,15 @@ Gaussians W_p (variance sigma^2 xi_p^2) drive partial sums
 Z_p = sum_{r <= p} xi_r^{-2} C_r W_r, and each mixture term is the joint
 probability P(Z_p <= u_p, |W_p + nu_p| >= c_p sigma xi_p) times later-stage
 interval factors.  Joint probabilities reduce to closed bivariate-normal
-forms for scalar targets and otherwise to the x-rule of the exact cdf
-(`_gauss.selection_rule`, at the one scale 1) against the conditional
-orthant (`_gauss.orthant_rows`).  The secondary path (`cdf_limit_via_integral`)
-evaluates the mixture-of-shifted-Gaussians integral form directly, with its
-own shift constants and each term conditioned on b_p'Z, and exists purely
-to cross-check the first.  Both refine through `_gauss.refine`; the n_z
-seeded draws enter only at k >= 4, for conditional orthants of rank >= 2
-(`_gauss.sampled_rule`).
+forms for scalar targets, to the two-ray interval of the exact cdf
+(`_gauss.ray_interval_prob`) at conditional rank 0, and otherwise to the
+x-rule of the exact cdf (`_gauss.selection_rule`, at the one scale 1)
+against the conditional orthant (`_gauss.orthant_rows`).  The secondary
+path (`cdf_limit_via_integral`) evaluates the mixture-of-shifted-Gaussians
+integral form directly, with its own shift constants and each term
+conditioned on b_p'Z, and exists purely to cross-check the first.  Both
+refine through `_gauss.refine`; the n_z seeded draws enter only at k >= 4,
+for conditional orthants of rank >= 2 (`_gauss.sampled_rule`).
 """
 from __future__ import annotations
 
@@ -37,9 +38,11 @@ from ._gauss import (
     conditional_kinks,
     gaussian_rect,
     gaussian_rect_rows,
+    needs_sampling,
     orthant_rows,
     philox,
     rank1_bounds,
+    ray_interval_prob,
     refine,
     sampled_rule,
     selection_rule,
@@ -60,7 +63,6 @@ __all__ = [
     "pdf_limit",
     "limit_nonconstancy_scan",
     "full_model_gaussian_cdf",
-    "sample_zw",
 ]
 
 _ZERO_SD_REL = 1e-12
@@ -211,21 +213,20 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     """P(Z <= u_row, |W + nu| >= B) for centered joint Gaussians (Z, W), B > 0.
 
     Z is k-variate with covariance cov_z, W scalar with variance var_w,
-    Cov(Z, W) = cov_zw.  With Z = g X + R, X = W / sd(W) and R of rank r
-    (`condition_on_scalar`), the rays are |X - x0| >= c for x0 = -nu / sd(W)
-    and c = B / sd(W): a `selection_rule` against P(R <= u - g x), which
-    k >= 4 at r >= 2 samples (`sampled_rule`).  k = 1 and r = 0 are closed
-    forms.  Returns (values, error bound: dropped mass plus 3 SE, quad_flag).
+    Cov(Z, W) = cov_zw.  A scalar Z of nonzero variance is a closed
+    bivariate-normal form.  Otherwise Z = g X + R, X = W / sd(W) and R of
+    rank r (`condition_on_scalar`), and the rays are |X - x0| >= c for
+    x0 = -nu / sd(W) and c = B / sd(W): at r = 0 (Z = g X, also a Z of
+    zero variance) the rows' x-intervals meet the rays in closed form
+    (`ray_interval_prob`); otherwise a `selection_rule` against
+    P(R <= u - g x), sampled where `needs_sampling` (`sampled_rule`).
+    Returns (values, error bound: dropped mass plus 3 SE, quad_flag).
     """
     m, k = U.shape
     sw = np.sqrt(var_w)
     w_lo, w_hi = -nu - B, -nu + B
-    if k == 1:
-        sz2 = float(cov_z[0, 0])
-        if sz2 <= _ZERO_SD_REL ** 2 * var_w:
-            ray = ndtr(w_lo / sw) + 1.0 - ndtr(w_hi / sw)
-            return np.where(U[:, 0] >= 0.0, ray, 0.0), 0.0, False
-        sz = np.sqrt(sz2)
+    if k == 1 and cov_z[0, 0] > _ZERO_SD_REL ** 2 * var_w:
+        sz = np.sqrt(float(cov_z[0, 0]))
         rho = float(np.clip(cov_zw[0] / (sz * sw), -1.0, 1.0))
         h = U[:, 0] / sz
         vals = (np.asarray(bvn_cdf(h, np.full(m, w_lo / sw), rho))
@@ -234,13 +235,9 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
         return np.clip(vals, 0.0, 1.0), 0.0, False
 
     g, S, L = condition_on_scalar(cov_z, cov_zw, var_w)
-    r = L.shape[1]
-    if r == 0:
-        # Z = g X: the rows' x-intervals intersected with the two rays
+    if L.shape[1] == 0:
         lo, hi = rank1_bounds(U, g)
-        vals = (np.maximum(ndtr(np.minimum(hi, w_lo / sw)) - ndtr(lo), 0.0)
-                + np.maximum(ndtr(hi) - ndtr(np.maximum(lo, w_hi / sw)), 0.0))
-        return vals, 0.0, False
+        return ray_interval_prob(lo, hi, w_lo / sw, w_hi / sw), 0.0, False
     vals, errs = _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, (seed, 0), budget.n_z, level)
     return vals, errs, True
 
@@ -251,12 +248,12 @@ def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int, level
     R ~ N(0, L L') (`condition_on_scalar`); K(y) = 1 - Delta(rho, y, 1),
     the step 1{y >= 1} at rho = 0, turns at y = 1 + rho z for z in
     `_TURN_Z`, which are x-edges of the level's `selection_rule`.  Where
-    `orthant_rows` has no rule (k >= 4 at rank >= 2), n_z draws of R keyed
+    the conditional orthant `needs_sampling`, n_z draws of R keyed
     by philox(*key), the same at every level, feed `sampled_rule`, whose
     standard error is floored at 1/n_z: no draw may land in a rare region.
     """
     k, r = L.shape
-    R = philox(*key).standard_normal((n_z, r)) @ L.T if r >= 2 and k >= 4 else None
+    R = philox(*key).standard_normal((n_z, r)) @ L.T if needs_sampling(k, r) else None
     n_panels = PANELS * (2 ** level)
 
     def K(y):
@@ -294,22 +291,26 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
     core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], cov0,
                                     rng=philox(budget.seed + 977), n_samples=budget.n_z)
 
+    def joint(p, level):
+        xi_p = limits.xi(p)
+        return _joint_rows(
+            T + shift[p][None, :], sigma ** 2 * limits.omega(p), sigma ** 2 * limits.C(p),
+            sigma ** 2 * xi_p ** 2, nu[p], c_of[p] * sigma * xi_p,
+            seed=budget.seed + 1000 + p, budget=budget, level=level)
+
+    # (values, error, quad flag) at level 0; only quadrature rows are redone
+    first = {p: joint(p, 0) for p in range(p_star + 1, P + 1)}
+
     def at_level(level):
         cores = [core0]
         bound = 3.0 * se0 * tails[0]
-        quad_used = False
         for i, p in enumerate(range(p_star + 1, P + 1), start=1):
-            xi_p = limits.xi(p)
-            vals, err, quad = _joint_rows(
-                T + shift[p][None, :], sigma ** 2 * limits.omega(p), sigma ** 2 * limits.C(p),
-                sigma ** 2 * xi_p ** 2, nu[p], c_of[p] * sigma * xi_p,
-                seed=budget.seed + 1000 + p, budget=budget, level=level)
+            vals, err, _ = first[p] if level == 0 or not first[p][2] else joint(p, level)
             cores.append(vals)
             bound = bound + err * tails[i]
-            quad_used = quad_used or quad
         cores = np.array(cores)
         terms = cores * tails[:, None]
-        return (terms, cores, bound), terms.sum(axis=0), quad_used
+        return (terms, cores, bound), terms.sum(axis=0), any(row[2] for row in first.values())
 
     (terms, cores, bound), gap, level = refine(at_level, budget.tol)
     return (terms.sum(axis=0), gap + bound + _ROUNDING, terms, tails, cores,
@@ -475,23 +476,3 @@ def limit_nonconstancy_scan(limits: LimitQuantities, theta, sigma: float, t,
     return OscillationReport(gamma_grid=grid, values=values,
                              oscillation=float(values.max() - values.min()),
                              t=np.atleast_1d(np.asarray(t, dtype=float)))
-
-
-def sample_zw(limits: LimitQuantities, sigma: float, n_draws: int,
-              seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (W, Z) from the representation underlying the limit cdf.
-
-    W has independent columns W_r ~ N(0, sigma^2 xi_r^2), r = 1..P, and
-    Z[:, p-1, :] = sum_{r <= p} xi_r^{-2} C_r W_r is the order-p partial
-    sum.  Returns (W of shape (n, P), Z of shape (n, P, k)).
-    """
-    P, k = limits.P, limits.k
-    W = philox(seed).standard_normal((n_draws, P))
-    for r in range(1, P + 1):
-        W[:, r - 1] *= sigma * limits.xi(r)
-    Z = np.zeros((n_draws, P, k))
-    acc = np.zeros((n_draws, k))
-    for r in range(1, P + 1):
-        acc = acc + np.outer(W[:, r - 1], limits.C(r) / limits.xi(r) ** 2)
-        Z[:, r - 1, :] = acc
-    return W, Z

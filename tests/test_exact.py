@@ -21,8 +21,8 @@ from pmsdist.dist_exact import (
     cdf_exact,
     cdf_exact_decomposed,
     delta,
-    sigma_ratio_pdf,
 )
+from pmsdist.dist_limit import _joint_rows
 from pmsdist.errors import ValidationError
 from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import SimulationPlan, empirical_cdf
@@ -72,11 +72,8 @@ def test_sigma_ratio_density_is_scaled_chi(dof):
         assert abs(dens.cdf(dens.ppf(q)) - q) < 1e-10
     # cdf agrees with the chi-squared law of dof * s^2
     assert abs(dens.cdf(0.9) - chi2(df=dof).cdf(dof * 0.81)) < 1e-12
-    assert abs(sigma_ratio_pdf(dof, 1.0) - dens.pdf(1.0)) < 1e-15
     with pytest.raises(ValidationError):
         SigmaRatioDensity(0)
-    with pytest.raises(ValidationError):
-        sigma_ratio_pdf(dof, 0.0)
 
 
 def test_exact_equals_gaussian_when_target_ignores_tested_coordinate():
@@ -292,32 +289,67 @@ def test_k1_term_matches_adaptive_quadrature(name, t):
 
 
 def _two_ray_cases():
+    k1_ts = [(-1.5,), (0.0,), (0.25,), (1.5,)]
     for n in (100, 1600, 100_000):
         fx = fixture("P1", n=n, theta=[0.3 / np.sqrt(n)])
-        yield fx.problem, fx.A, fx.rule
+        yield fx.problem, fx.A, fx.rule, k1_ts
     for name, A in (("COLL2", (1.0, 0.0)), ("COLL2", (0.0, 1.0)), ("ORTHO2", (0.0, 1.0))):
         fx = fixture(name)
-        yield fx.problem, np.array([A]), fx.rule
+        yield fx.problem, np.array([A]), fx.rule, k1_ts
+    coll = fixture("COLL2")
+    yield coll.problem, coll.A, coll.rule, [(-1.0, 0.25), (1.5, -1.0), (0.25, 1.5)]
 
 
-def test_two_ray_arm_agrees_with_general_rule(monkeypatch):
-    # at zeta_p = 0 the k = 1 term is two rays in z (`_term_k1`); the
-    # swapped rule of every other k <= 3 term covers it too
+def test_two_ray_arm_agrees_with_general_rule():
+    # an order whose z is a multiple of its selection scalar (conditional
+    # rank 0) is two rays in that scalar (`_term_k1`); with the engine's
+    # rank-0 table cleared, the swapped rule of `_term_orthant` covers it
     budget = AccuracyBudget()
-    queries = [(problem, CdfQuery(A=A, t=[t], theta=problem.theta, sigma=1.0, rule=rule))
-               for problem, A, rule in _two_ray_cases() for t in (-1.5, 0.0, 0.25, 1.5)]
-    two_ray = [cdf_exact(problem, q, budget) for problem, q in queries]
-    calls = []
+    for problem, A, rule, ts in _two_ray_cases():
+        for t in ts:
+            query = CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule)
+            two_ray, general = (_ExactEngine(problem, query, budget) for _ in range(2))
+            assert two_ray.rank0, (A, t)
+            general.rank0.clear()
+            _, _, _, a, a_err, _, _ = two_ray.evaluate()
+            _, _, _, b, b_err, _, _ = general.evaluate()
+            assert abs(a - b) <= a_err + b_err, (A, t, a, b)
 
-    def general(self, p, u, n_panels):
-        calls.append(p)
-        return self._term_orthant(p, np.array([u]), n_panels)
 
-    monkeypatch.setattr(_ExactEngine, "_term_k1", general)
-    for (problem, q), a in zip(queries, two_ray):
-        b = cdf_exact(problem, q, budget)
-        assert abs(a.value - b.value) <= a.abs_error + b.abs_error, (q.t, a, b)
-    assert calls
+@pytest.mark.parametrize("case,arms", [
+    ("P1", {1: "two_ray"}),
+    ("COLL2", {1: "two_ray", 2: "orthant"}),
+    ("P3-k2", {1: "two_ray", 2: "orthant", 3: "orthant"}),
+    ("P4-k3", {2: "orthant", 3: "orthant", 4: "orthant"}),
+    ("P5-k4", {2: "orthant", 3: "sampled", 4: "sampled", 5: "sampled"}),
+])
+def test_orders_dispatch_on_conditional_rank(monkeypatch, case, arms):
+    # rank 0 takes the two-ray arm for any k, and only a conditional orthant
+    # of rank >= 2 at k >= 4 is sampled; the limit's `_joint_rows` is a
+    # closed form for the same orders
+    if case in ("P1", "COLL2"):
+        fx = fixture(case)
+        problem, A, rule = fx.problem, fx.A, fx.rule
+    else:
+        problem, A, rule = {"P3-k2": _p3_k2_case, "P4-k3": _p4_k3_case,
+                            "P5-k4": _p5_k4_case}[case]()
+    taken = {}
+    for arm, name in (("two_ray", "_term_k1"), ("orthant", "_term_orthant"),
+                      ("sampled", "_term_sampled")):
+        def spy(self, p, *args, _arm=arm, _original=getattr(_ExactEngine, name)):
+            taken.setdefault(p, set()).add(_arm)
+            return _original(self, p, *args)
+        monkeypatch.setattr(_ExactEngine, name, spy)
+    budget = AccuracyBudget(n_z=2_000)
+    query = CdfQuery(A=A, t=np.full(A.shape[0], 0.3), theta=problem.theta, sigma=1.0, rule=rule)
+    engine = _ExactEngine(problem, query, budget)
+    engine.evaluate()
+    assert taken == {p: {arm} for p, arm in arms.items()}
+    for p, arm in arms.items():
+        pq = engine.pq[p]
+        _, _, quad = _joint_rows(query.t[None, :], pq.omega_np, pq.C_np, pq.xi_np ** 2,
+                                 0.3, 2.0 * pq.xi_np, seed=0, budget=budget, level=0)
+        assert quad == (arm != "two_ray"), (p, arm)
 
 
 def test_k2_points_meet_default_budget_deterministically():
@@ -497,10 +529,25 @@ def test_k4_exact_agrees_with_simulation():
 
 
 def test_k4_sampled_standard_errors_have_a_floor():
-    # at t = -7 no draw of orders 2-5 lands in the orthant, yet each sampled
-    # order is still an estimate from n_z draws: its SE is at least 1/n_z
+    # at t = -7 no draw of orders 3-5 (conditional ranks 2-4) lands in the
+    # orthant, yet each sampled order is still an estimate from n_z draws:
+    # its SE is at least 1/n_z
     problem, A, rule = _p5_k4_case()
     budget = AccuracyBudget()
     res = cdf_exact(problem, CdfQuery(A=A, t=np.full(4, -7.0), theta=problem.theta,
                                       sigma=1.0, rule=rule), budget)
-    assert res.abs_error >= 3.0 * 4 / budget.n_z and res.warning is not None, res
+    assert res.abs_error >= 3.0 * 3 / budget.n_z and res.warning is not None, res
+
+
+def test_k4_rank1_order_does_not_depend_on_the_sample():
+    # order 2 of the P = 5, k = 4 design conditions to rank 1, which
+    # `orthant_rows` evaluates exactly: its term is the same whatever the
+    # seed and size of the sample the higher orders draw
+    problem, A, rule = _p5_k4_case()
+    query = CdfQuery(A=A, t=(1.0, -0.5, 0.5, 0.8), theta=problem.theta, sigma=1.0, rule=rule)
+    for level in (0, 1):
+        order2 = []
+        for budget in (AccuracyBudget(), AccuracyBudget(seed=7, n_z=1000)):
+            (terms, *_), _, _ = _ExactEngine(problem, query, budget).assemble(level)
+            order2.append(terms[1])
+        assert order2[0] == order2[1], (level, order2)

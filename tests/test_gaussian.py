@@ -14,7 +14,7 @@ from pmsdist._gauss import (
     norm_pdf,
     philox,
     psd_factor,
-    ray_halfline_prob,
+    ray_interval_prob,
     sym_pinv,
 )
 
@@ -44,6 +44,20 @@ def test_bvn_cdf_marginal_reduction():
     assert abs(bvn_cdf(30.0, 0.7, 0.4) - ndtr(0.7)) < 1e-12
 
 
+def _halfline(center, slope, B, u, sd):
+    """P(z <= u, |center + slope z| >= B) for z ~ N(0, sd^2) through
+    `ray_interval_prob` on X = z / sd: the half-line X <= u / sd against the
+    band x0 -/+ c of the X where |center + slope z| < B."""
+    B = np.asarray(B, dtype=float)
+    if slope == 0.0:
+        # the band is empty or the whole line
+        keep = np.abs(center) >= B
+        return ray_interval_prob(-np.inf, u / sd, np.where(keep, 0.0, -np.inf),
+                                 np.where(keep, 0.0, np.inf))
+    x0, c = -center / (slope * sd), B / abs(slope * sd)
+    return ray_interval_prob(-np.inf, u / sd, x0 - c, x0 + c)
+
+
 def _ray_halfline_oracle(center, slope, B, u, sd, n=4_000_001):
     """Dense-trapezoid reference for P(z <= u, |center + slope z| >= B)."""
     z = np.linspace(-8.5 * sd, 8.5 * sd, n)
@@ -62,24 +76,64 @@ def _ray_halfline_oracle(center, slope, B, u, sd, n=4_000_001):
 ])
 def test_ray_halfline_prob_against_trapezoid(center, slope, B, u):
     want = _ray_halfline_oracle(center, slope, B, u, 1.3)
-    got = ray_halfline_prob(center, slope, B, u, 1.3)
+    got = _halfline(center, slope, B, u, 1.3)
     assert abs(got - want) < 1e-6
 
 
 def test_ray_halfline_prob_infinite_halfline():
     # u = +inf integrates the rays over the whole line
-    got = ray_halfline_prob(0.8, 1.0, 1.5, np.inf, 1.0)
+    got = _halfline(0.8, 1.0, 1.5, np.inf, 1.0)
     want = ndtr(-(1.5 + 0.8)) + 1.0 - ndtr(1.5 - 0.8)
     assert abs(got - want) < 1e-12
 
 
 def test_ray_halfline_prob_vector_B():
+    # the interval broadcasts against a vector of bands (a, b)
     B = np.array([0.5, 1.0, 2.0])
-    got = ray_halfline_prob(0.3, 1.0, B, 0.9, 1.0)
-    single = [ray_halfline_prob(0.3, 1.0, b, 0.9, 1.0) for b in B]
-    assert np.allclose(got, single, atol=1e-14)
+    got = _halfline(0.3, 1.0, B, 0.9, 1.0)
+    single = [_halfline(0.3, 1.0, b, 0.9, 1.0) for b in B]
+    assert got.shape == (3,) and np.allclose(got, single, rtol=0.0, atol=1e-14)
     # monotone nonincreasing in the band half-width
     assert got[0] >= got[1] >= got[2]
+    # intervals (rows) against bands (columns)
+    lo = np.array([[-np.inf], [0.0]])
+    grid = ray_interval_prob(lo, 1.1, 0.3 - B, 0.3 + B)
+    assert grid.shape == (2, 3)
+    assert np.allclose(grid[1], [ray_interval_prob(0.0, 1.1, 0.3 - b, 0.3 + b) for b in B],
+                       rtol=0.0, atol=1e-15)
+
+
+def _ray_interval_oracle(lo, hi, a, b, h=1e-5):
+    """Dense midpoint-rule reference for P(lo <= X <= hi, X <= a or X >= b)
+    on cells of width h over [-9, 9]; finite ends on multiples of h are
+    cell boundaries, so the indicator's jumps cost nothing."""
+    x = -9.0 + h * (np.arange(round(18.0 / h)) + 0.5)
+    keep = (x >= lo) & (x <= hi) & ((x <= a) | (x >= b))
+    return h * float(np.sum(norm_pdf(x[keep])))
+
+
+@pytest.mark.parametrize("lo,hi,a,b", [
+    (-0.5, 1.5, -1.0, 1.0),          # the upper ray cuts the interval
+    (-0.5, 1.5, 0.0, 0.7),           # both rays cut it
+    (0.3, 0.6, 0.0, 1.0),            # the interval lies inside the band
+    (1.0, -1.0, -0.5, 0.5),          # an empty interval
+    (-np.inf, np.inf, -1.96, 1.96),  # the whole line: the two tails
+    (-2.0, 2.0, 0.4, 0.4),           # a = b: the constraint is vacuous
+])
+def test_ray_interval_prob_against_midpoint_rule(lo, hi, a, b):
+    assert abs(ray_interval_prob(lo, hi, a, b) - _ray_interval_oracle(lo, hi, a, b)) < 1e-9
+
+
+def test_ray_interval_prob_infinite_ends():
+    # infinite interval ends integrate the rays over a half-line or the line
+    assert abs(ray_interval_prob(-np.inf, np.inf, -2.3, 0.7)
+               - (ndtr(-2.3) + ndtr(-0.7))) < 1e-15
+    assert abs(ray_interval_prob(-np.inf, 0.9, -0.2, 0.5)
+               - (ndtr(-0.2) + ndtr(0.9) - ndtr(0.5))) < 1e-15
+    assert abs(ray_interval_prob(0.1, np.inf, -0.2, 0.5) - ndtr(-0.5)) < 1e-15
+    # infinite band ends leave one ray or none
+    assert ray_interval_prob(-1.0, 1.0, -np.inf, np.inf) == 0.0
+    assert abs(ray_interval_prob(-1.0, 1.0, -np.inf, 0.5) - (ndtr(1.0) - ndtr(0.5))) < 1e-15
 
 
 def test_gaussian_rect_full_rank_matches_scipy():

@@ -16,7 +16,6 @@ from pmsdist.dist_limit import (
     limit_nonconstancy_scan,
     local_shift_constants,
     pdf_limit,
-    sample_zw,
 )
 from pmsdist.errors import DensityUndefinedError, ValidationError
 from pmsdist.fixtures import fixture, random_k1_limit_case
@@ -282,22 +281,6 @@ def test_cdf_limit_monotone_and_bounded():
     assert all(0.0 <= v <= 1.0 for v in vals)
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-6
-
-
-def test_sample_zw_covariance_structure():
-    fx = fixture("COLL2")
-    limits = fx.limits
-    W, Z = sample_zw(limits, sigma=1.3, n_draws=200_000, seed=4)
-    assert W.shape == (200_000, 2) and Z.shape == (200_000, 2, 2)
-    se = 3 * 1.3 ** 2 / np.sqrt(200_000)
-    for r in (1, 2):
-        assert abs(np.var(W[:, r - 1]) - 1.3 ** 2 * limits.xi(r) ** 2) < 3 * se
-    # Cov(Z_p, W_p) = sigma^2 C_p and Var(Z_P) = sigma^2 A Q^{-1} A'
-    for p in (1, 2):
-        got = np.array([np.cov(Z[:, p - 1, j], W[:, p - 1])[0, 1] for j in range(2)])
-        assert np.allclose(got, 1.3 ** 2 * limits.C(p), atol=4 * se)
-    cov_zP = np.cov(Z[:, 1, :].T)
-    assert np.allclose(cov_zP, 1.3 ** 2 * limits.omega(2), atol=4 * se)
 
 
 def test_pdf_undefined_when_mass_has_atoms():

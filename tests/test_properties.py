@@ -1,10 +1,10 @@
 """Property-based tests of the structural invariants."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from pmsdist._gauss import bvn_cdf, ray_halfline_prob
+from pmsdist._gauss import bvn_cdf, ray_interval_prob
 from pmsdist.dist_exact import delta
 from pmsdist.selection import GeneralToSpecific, SubsetMask, g2s_order
 
@@ -73,25 +73,25 @@ def test_g2s_order_bounds_and_monotonicity(data):
        rho=st.floats(min_value=-1.0, max_value=1.0,
                      allow_nan=False, allow_infinity=False))
 @settings(max_examples=200)
+# subnormal arguments: rho h rounds back to h while h sqrt(1 - rho^2) underflows
+@example(h=5e-324, k=5e-324, rho=0.875)
 def test_bvn_respects_frechet_bounds(h, k, rho):
     val = float(bvn_cdf(h, k, rho))
     p, q = ndtr(h), ndtr(k)
     assert max(p + q - 1.0, 0.0) - 1e-9 <= val <= min(p, q) + 1e-9
 
 
-@given(center=finite, slope=finite, u=finite,
-       B=st.floats(min_value=0.0, max_value=40.0,
-                   allow_nan=False, allow_infinity=False),
-       sd=st.floats(min_value=0.05, max_value=10.0,
-                    allow_nan=False, allow_infinity=False))
-def test_ray_halfline_prob_is_dominated_by_halfline(center, slope, u, B, sd):
-    val = float(ray_halfline_prob(center, slope, B, u, sd))
-    assert -1e-12 <= val <= ndtr(u / sd) + 1e-12
+@given(lo=finite, hi=finite, a=finite,
+       width=st.floats(min_value=0.0, max_value=40.0,
+                       allow_nan=False, allow_infinity=False))
+def test_ray_interval_prob_is_dominated_by_interval(lo, hi, a, width):
+    interval = max(ndtr(hi) - ndtr(lo), 0.0)
+    val = float(ray_interval_prob(lo, hi, a, a + width))
+    assert -1e-12 <= val <= interval + 1e-12
     # widening the excluded band can only remove mass
-    assert float(ray_halfline_prob(center, slope, B + 1.0, u, sd)) <= val + 1e-12
-    # B = 0 excludes nothing
-    assert abs(float(ray_halfline_prob(center, slope, 0.0, u, sd))
-               - ndtr(u / sd)) < 1e-12
+    assert float(ray_interval_prob(lo, hi, a - 1.0, a + width + 1.0)) <= val + 1e-12
+    # a = b excludes nothing
+    assert abs(float(ray_interval_prob(lo, hi, a, a)) - interval) < 1e-12
 
 
 @given(st.data())
