@@ -3,8 +3,8 @@
 Everything here is generic probability plumbing, and the one place the
 package computes Gaussian probabilities: normal cdfs, bivariate rectangle
 probabilities, rank-aware lower-orthant probabilities for possibly singular
-Gaussian vectors, and composite Gauss-Legendre panel rules with their one
-refinement loop.
+Gaussian vectors, the one conditioned-orthant kernel and Gaussian sampler,
+and composite Gauss-Legendre panel rules with their one refinement loop.
 """
 from __future__ import annotations
 
@@ -255,8 +255,9 @@ def ray_interval_prob(lo, hi, a, b):
 
 
 def needs_sampling(k: int, r: int) -> bool:
-    """Whether a k-variate orthant of conditional rank r must be sampled:
-    `orthant_rows` is exact at rank <= 1 and in dimension <= 3."""
+    """Whether `orthant_rows` (exact at rank <= 1 and in dimension <= 3)
+    cannot evaluate a k-variate orthant of rank r.  An unconditional one is
+    conditioned once more (`gaussian_rect_rows`): it samples at rank >= 3."""
     return k >= 4 and r >= 2
 
 
@@ -301,11 +302,7 @@ def selection_rule(x0: float, c: float, K, s_breaks, kinks, n_panels: int):
     n_panels equal panels of [-TAIL_CUT, TAIL_CUT] with extra edges at x0,
     at x0 +/- c s for each s in s_breaks and at the kinks; their weights
     times phi(x) K(|x - x0| / c); and the dropped x-mass 2 Phi(-TAIL_CUT).
-    `dist_exact._ExactEngine._swapped_rule` passes the scale mass of
-    sigma_hat/sigma and three of its quantiles; `dist_limit._rule_rows`,
-    for both limit paths, the mass K(y) = 1 - Delta(rho, y, 1) of one
-    scale, with s_breaks where it turns.  Rank-0 terms do not use it
-    (`ray_interval_prob`).
+    Its one caller is `conditional_rows`.
     """
     s = np.asarray(s_breaks, dtype=float)
     edges = split_edges(-TAIL_CUT, TAIL_CUT, n_panels,
@@ -314,31 +311,22 @@ def selection_rule(x0: float, c: float, K, s_breaks, kinks, n_panels: int):
     return x, w * norm_pdf(x) * K(np.abs(x - x0) / c), 2.0 * float(ndtr(-TAIL_CUT))
 
 
-def sampled_rule(x: np.ndarray, wk: np.ndarray, g: np.ndarray, u: np.ndarray,
-                 R: np.ndarray) -> tuple[float, float]:
-    """Mean and raw standard error over the draws R (rows) of the weight of
-    the x-rule (x increasing, weights wk) on the interval {x : g x <= u - R}."""
-    lo, hi = rank1_bounds(u[None, :] - R, g)
-    cum = np.concatenate([[0.0], np.cumsum(wk)])
-    vals = np.maximum(cum[np.searchsorted(x, hi, side="right")]
-                      - cum[np.searchsorted(x, lo)], 0.0)
-    return float(np.mean(vals)), float(np.std(vals) / np.sqrt(vals.size))
-
-
 def refine(evaluate, tol: float):
-    """The one refinement loop: evaluate(level) -> (out, totals, refinable).
+    """The one refinement loop: evaluate(level) -> (out, totals, refinable, floor).
 
-    If level 0 is refinable, levels 1, 2, ... follow until successive totals
-    differ by less than tol/2 or MAX_REFINEMENTS is reached.  Returns (last
-    out, |last - previous totals| (0 without refinement), last level).
+    If level 0 is refinable, levels 1, 2, ... follow until each total
+    differs from the previous level's by less than tol/2 or its floor (the
+    sampling error, which no level reduces) alone exceeds tol, or
+    MAX_REFINEMENTS is reached.  Returns (last out, |last - previous
+    totals| (0 without refinement), last level).
     """
-    out, totals, refinable = evaluate(0)
+    out, totals, refinable, _ = evaluate(0)
     gap, level = np.zeros_like(totals), 0
     if refinable:
         for level in range(1, MAX_REFINEMENTS + 1):
-            out, new, _ = evaluate(level)
+            out, new, _, floor = evaluate(level)
             gap, totals = np.abs(new - totals), new
-            if float(np.max(gap)) < 0.5 * tol:
+            if np.all((gap < 0.5 * tol) | (floor > tol)):
                 break
     return out, gap, level
 
@@ -359,9 +347,8 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
     one kink (where the two interval bounds cross, or a zero-loading
     coordinate flips sign) is an extra edge.  The dropped mass below
     -TAIL_CUT is at most Phi(-TAIL_CUT) per row.  Other ranks raise
-    ValueError.  Its callers are `gaussian_rect_rows` and the two terms
-    that integrate it against a `selection_rule` at conditional rank >= 1:
-    `dist_exact._ExactEngine._term_orthant` and `dist_limit._rule_rows`.
+    ValueError.  Its callers are `gaussian_rect_rows` and
+    `conditional_rows`, which integrates it against a `selection_rule`.
     """
     k, r = U.shape[1], L.shape[1]
     if r == 0:
@@ -411,32 +398,66 @@ def philox(key: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([key, stream], dtype=np.uint64)))
 
 
+def gauss_draws(rng: np.random.Generator, n: int, L: np.ndarray) -> np.ndarray:
+    """n draws (rows) of R = L eps, eps ~ N(0, I_r), from rng: the one
+    Gaussian sampler of the cdf evaluators."""
+    return rng.standard_normal((n, L.shape[1])) @ L.T
+
+
+def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
+                     x0: float, c: float, K, s_breaks, n_panels: int, R=None):
+    """int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U.
+
+    The one conditioned-orthant kernel, for R ~ N(0, S = L L') independent
+    of X (`condition_on_scalar`), on each row's `selection_rule`.  The
+    orthant is `orthant_rows` at every x-node or, given draws R (rows),
+    each draw's x-interval {x : g x <= u - R}, whose rule weight is
+    averaged.  Returns (values, pis, errors, SEs): pi is the integral
+    without the orthant, the error the dropped x-mass (plus the
+    Phi(-TAIL_CUT) `orthant_rows` drops), the SE 0 without draws and else
+    at least 1/len(R), as no draw may land in a rare region.
+    """
+    m = len(U)
+    vals, pis, errs, ses = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m)
+    for j, u in enumerate(U):
+        x, wk, errs[j] = selection_rule(x0, c, K, s_breaks, conditional_kinks(u, g, L), n_panels)
+        pis[j] = np.sum(wk)
+        if R is None:
+            vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
+            errs[j] += float(ndtr(-TAIL_CUT))
+        else:
+            lo, hi = rank1_bounds(u[None, :] - R, g)
+            cum = np.concatenate([[0.0], np.cumsum(wk)])
+            w = np.maximum(cum[np.searchsorted(x, hi, side="right")]
+                           - cum[np.searchsorted(x, lo)], 0.0)
+            vals[j] = np.mean(w)
+            ses[j] = max(float(np.std(w) / np.sqrt(w.size)), 1.0 / w.size)
+    return vals, pis, errs, ses
+
+
 def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
                        n_samples: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
     """Lower-orthant probabilities P(Z <= u) for every row u of U, Z ~ N(0, cov).
 
-    cov is PSD, possibly singular.  It is evaluated deterministically
-    (`orthant_rows`) unless its dimension and numerical rank
-    `needs_sampling`; then one seeded sample of n_samples draws (Philox
-    key (0, 0) unless ``rng`` is given) is shared by all rows.
-    Returns (probabilities, standard_errors); the deterministic paths
-    report standard error 0, sampled ones at least 1/n_samples.
+    cov is PSD, possibly singular.  Where it `needs_sampling` (k >= 4,
+    rank >= 2), Z is conditioned on its coordinate of largest variance,
+    which `conditional_rows` integrates exactly: deterministic at rank 2,
+    and at rank >= 3 on one seeded sample of n_samples draws (Philox key
+    (0, 0) unless ``rng`` is given) shared by all rows.  Returns (probabilities,
+    standard_errors): 0 where deterministic, else at least 1/n_samples.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     m, k = U.shape
     L = psd_factor(cov)
-    r = L.shape[1]
-    if not needs_sampling(k, r):
+    if not needs_sampling(k, L.shape[1]):
         return orthant_rows(U, cov, L, _RECT_PANELS), np.zeros(m)
+    j = int(np.argmax(np.diag(cov)))
+    g, S, L = condition_on_scalar(cov, cov[:, j], float(cov[j, j]))
     rng = philox(0) if rng is None else rng
-    hits = np.zeros(m)
-    chunk = 65_536
-    for start in range(0, n_samples, chunk):
-        z = rng.standard_normal((min(chunk, n_samples - start), r)) @ L.T
-        hits += [np.count_nonzero(np.all(z <= u, axis=1)) for u in U]
-    p = hits / n_samples
-    return p, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n_samples) / n_samples)
+    R = gauss_draws(rng, n_samples, L) if needs_sampling(k, L.shape[1]) else None
+    vals, _, _, se = conditional_rows(U, g, S, L, 0.0, 1.0, np.ones_like, (), _RECT_PANELS, R)
+    return vals, se
 
 
 def gaussian_rect(upper: np.ndarray, cov: np.ndarray, *, rng=None,

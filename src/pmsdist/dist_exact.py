@@ -31,10 +31,11 @@ large dof.  The conditional orthant is a rank-1 interval, a bivariate
 normal cdf (k = 2) or, for k = 3, one more conditioning step onto a
 rank-1 interval or a bivariate normal cdf; only at k >= 4 with r >= 2
 is it estimated, from seeded Gaussian draws of R = z - g X integrated
-exactly over X, so no draw carries the scale integral.  The selection
-probability pi(p) is each term without the orthant.
+exactly over X (`_gauss.conditional_rows`), so no draw carries the
+scale integral.  pi(p) is each term without the orthant.  The order-O
+orthant is `_gauss.gaussian_rect`, sampled only at k >= 4 and rank >= 3.
 Results carry an abs_error that combines quadrature refinement,
-truncated mass, the defect of sum pi(p) from 1, and (sampled orders
+truncated mass, the defect of sum pi(p) from 1, and (sampled orthants
 only) three sampling standard errors, each at least 1/n_z; identical
 query + budget + seed replays bit-identically.
 """
@@ -48,21 +49,17 @@ from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
 from ._gauss import (
     NODES_PER_PANEL,
     PANELS,
-    TAIL_CUT,
     condition_on_scalar,
-    conditional_kinks,
+    conditional_rows,
     cumulative_rule,
+    gauss_draws,
     gaussian_rect,
     gl_panels,
     needs_sampling,
-    orthant_rows,
     philox,
-    psd_factor,
     rank1_bounds,
     ray_interval_prob,
     refine,
-    sampled_rule,
-    selection_rule,
 )
 from .errors import ValidationError
 from .regression_core import (
@@ -160,11 +157,12 @@ class AccuracyBudget:
 
     tol is the absolute quadrature target; `_gauss.refine` doubles panel
     counts (`_gauss.PANELS`) until successive totals differ by less than
-    tol/2 or `_gauss.MAX_REFINEMENTS` doublings are spent, and a result
-    whose error bound exceeds tol is flagged.  n_z Gaussian samples, keyed
-    by seed, drive the sampled integrals, which remain only for targets
-    with k >= 4 rows: the orthants of rank >= 2 left after conditioning,
-    in `cdf_exact` and both limit paths.
+    tol/2, the sampling error alone exceeds tol, or
+    `_gauss.MAX_REFINEMENTS` doublings are spent, and a result whose error
+    bound exceeds tol is flagged.  n_z Gaussian samples, keyed by seed
+    (both integers), drive the sampled integrals, which remain only for
+    targets with k >= 4 rows: orthants of rank >= 2 left after conditioning
+    and unconditional ones of rank >= 3, in `cdf_exact` and the limit paths.
     """
 
     tol: float = 1e-5
@@ -172,7 +170,9 @@ class AccuracyBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.n_z >= 100 and self.seed >= 0):
+        integers = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in (self.n_z, self.seed))
+        if not (integers and self.tol > 0 and self.n_z >= 100 and self.seed >= 0):
             raise ValidationError("invalid accuracy budget")
 
 
@@ -288,25 +288,16 @@ class _ExactEngine:
             if L.shape[1] == 0:
                 lo, hi = rank1_bounds((query.t - self.shift[p])[None, :], g)
                 self.rank0[p] = (float(lo[0]), float(hi[0]), -self.m[p] / sw, float(self.c[p]))
-        self._z_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._z_cache: dict[int, tuple[np.ndarray]] = {}
 
-    # ---- sampled z draws for k >= 4 terms (one draw per order, reused
+    # ---- sampled draws for k >= 4 terms (one draw per order, reused
     # across refinement levels so refinement measures quadrature only) ----
-    def _z_sample(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(z, a): z ~ N(0, sigma^2 omega_p) and a = m_p + b_p'z + sigma zeta_p e.
-
-        a is the scaled trailing coordinate of the order-p estimate that the
-        order-p test rejects on, drawn jointly with z (e standard normal,
-        independent of z).
-        """
+    def _z_sample(self, p: int) -> tuple[np.ndarray]:
+        """(R,): n_z draws, keyed by (seed, p), of R = z - g X ~ N(0, S_p),
+        the part of z the split of `__init__` leaves after conditioning."""
         if p not in self._z_cache:
-            pq = self.pq[p]
-            L = psd_factor(pq.omega_np)
-            r = L.shape[1]
-            xi = philox(self.budget.seed, p).standard_normal((self.budget.n_z, r + 1))
-            z = self.sigma * (xi[:, :r] @ L.T)
-            a = self.m[p] + z @ pq.b_np + self.sigma * pq.zeta_np * xi[:, r]
-            self._z_cache[p] = (z, a)
+            R = gauss_draws(philox(self.budget.seed, p), self.budget.n_z, self.split[p][2])
+            self._z_cache[p] = (R,)
         return self._z_cache[p]
 
     # ---- scale grid ----
@@ -362,8 +353,8 @@ class _ExactEngine:
                 float(np.sum(wt * ray_interval_prob(-np.inf, np.inf, a, b))), _S_TRUNC)
 
     # ---- the scale integral folded into the selection scalar ----
-    def _swapped_rule(self, p: int, u: np.ndarray, n_panels: int):
-        """x-nodes and weights of the order-p term with the integrals swapped.
+    def _conditional_term(self, p: int, u: np.ndarray, n_panels: int, R=None):
+        """(value, pi_value, error, se) of the order-p term with the integrals swapped.
 
         With W = b_p'z + sigma zeta_p e (e standard normal, independent of
         z), 1 - Delta(sigma zeta_p, m_p + b_p'z, B) = P(|m_p + W| >= B | z).
@@ -375,38 +366,26 @@ class _ExactEngine:
 
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
-        and pi(p) is the same integral without the orthant.  Returns (x,
-        wk, error): the `selection_rule` of K_p, on the split of `__init__`,
-        with edges at the `_STEP_Q` quantiles of the ratio density and at
-        the `conditional_kinks`, and the truncated scale and x mass.  Its
-        callers are `_term_orthant` and `_term_sampled`.
+        and pi(p) is the same integral without the orthant: the
+        `conditional_rows` of K_p on the split of `__init__`, with edges at
+        the `_STEP_Q` quantiles of the ratio density, against the draws R
+        if given.  The error adds the truncated scale mass.
         """
-        g, _, L = self.split[p]
+        g, S, L = self.split[p]
         K, trunc = self._scale_mass(p, n_panels)
-        x, wk, dropped = selection_rule(-self.m[p] / (self.sigma * self.pq[p].xi_np), self.c[p],
-                                        K, self.s_step, conditional_kinks(u, g, L), n_panels)
-        return x, wk, trunc + dropped
+        vals, pis, errs, ses = conditional_rows(
+            u[None, :], g, S, L, -self.m[p] / (self.sigma * self.pq[p].xi_np), self.c[p],
+            K, self.s_step, n_panels, R)
+        return float(vals[0]), float(pis[0]), trunc + float(errs[0]), float(ses[0])
 
     def _term_orthant(self, p: int, u: np.ndarray, n_panels: int):
-        """(value, pi_value, error) of the order-p term where `orthant_rows`
-        is exact: `_swapped_rule` against the conditional orthant."""
-        x, wk, err = self._swapped_rule(p, u, n_panels)
-        g, S, L = self.split[p]
-        cond = orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
-        # orthant_rows drops the mass below -TAIL_CUT in its own coordinate
-        return float(wk @ cond), float(np.sum(wk)), err + float(ndtr(-TAIL_CUT))
+        """(value, pi_value, error) of an order whose orthant is exact."""
+        return self._conditional_term(p, u, n_panels)[:3]
 
     def _term_sampled(self, p: int, u: np.ndarray, n_panels: int):
-        """(value, pi_value, error, raw se) of the order-p term where the
-        conditional orthant `needs_sampling`: `_swapped_rule` against
-        `sampled_rule` on the draws R = z - g X of `_z_sample`, so no draw
-        carries the scale integral."""
-        x, wk, err = self._swapped_rule(p, u, n_panels)
-        g = self.split[p][0]
-        z, a = self._z_sample(p)
-        R = z - np.outer((a - self.m[p]) / (self.sigma * self.pq[p].xi_np), g)
-        val, se = sampled_rule(x, wk, g, u, R)
-        return val, float(np.sum(wk)), err, se
+        """(value, pi_value, error, se) of an order whose conditional orthant
+        `needs_sampling`, on the draws of `_z_sample`."""
+        return self._conditional_term(p, u, n_panels, self._z_sample(p)[0])
 
     # ---- one full assembly at a given refinement level, for `refine` ----
     def assemble(self, level: int):
@@ -439,18 +418,20 @@ class _ExactEngine:
                 terms[i], pis[i], e = self._term_orthant(p, u, n_panels)
             else:
                 terms[i], pis[i], e, se = self._term_sampled(p, u, n_panels)
-                # no draw may hit a rare region: the SE is an estimate too
-                se_total += max(se, 1.0 / self.budget.n_z)
+                se_total += se
             err += e
-        return (terms, pis, err, se_total, np.array(orders)), float(np.sum(terms)), True
+        return ((terms, pis, err, se_total, np.array(orders)), float(np.sum(terms)), True,
+                3.0 * se_total)
 
     def evaluate(self):
         b = self.budget
         (terms, pis, err, se_total, orders), gap, level = refine(self.assemble, b.tol)
         total, refine_gap = float(np.sum(terms)), float(gap)
         pi_defect = abs(1.0 - float(np.sum(pis)))
-        abs_error = refine_gap + err + pi_defect + 3.0 * se_total
-        if refine_gap >= 0.5 * b.tol:
+        sampling = 3.0 * se_total
+        abs_error = refine_gap + err + pi_defect + sampling
+        # refinement stops early when the sampling error alone misses tol
+        if refine_gap >= 0.5 * b.tol and sampling <= b.tol:
             warning = "refinement budget exhausted before reaching tol"
         else:
             warning = budget_warning(abs_error, b)

@@ -14,13 +14,12 @@ probability P(Z_p <= u_p, |W_p + nu_p| >= c_p sigma xi_p) times later-stage
 interval factors.  Joint probabilities reduce to closed bivariate-normal
 forms for scalar targets, to the two-ray interval of the exact cdf
 (`_gauss.ray_interval_prob`) at conditional rank 0, and otherwise to the
-x-rule of the exact cdf (`_gauss.selection_rule`, at the one scale 1)
-against the conditional orthant (`_gauss.orthant_rows`).  The secondary
-path (`cdf_limit_via_integral`) evaluates the mixture-of-shifted-Gaussians
-integral form directly, with its own shift constants and each term
-conditioned on b_p'Z, and exists purely to cross-check the first.  Both
-refine through `_gauss.refine`; the n_z seeded draws enter only at k >= 4,
-for conditional orthants of rank >= 2 (`_gauss.sampled_rule`).
+conditioned-orthant kernel of the exact cdf (`_gauss.conditional_rows`,
+at the one scale 1).  The secondary path (`cdf_limit_via_integral`)
+evaluates the mixture-of-shifted-Gaussians integral form directly, with
+its own shift constants and each term conditioned on b_p'Z, and exists
+purely to cross-check the first.  Both refine through `_gauss.refine`;
+the n_z seeded draws enter only at k >= 4, once per order (`_rule_rows`).
 """
 from __future__ import annotations
 
@@ -32,20 +31,17 @@ from scipy.special import ndtr
 
 from ._gauss import (
     PANELS,
-    TAIL_CUT,
     bvn_cdf,
     condition_on_scalar,
-    conditional_kinks,
+    conditional_rows,
+    gauss_draws,
     gaussian_rect,
     gaussian_rect_rows,
     needs_sampling,
-    orthant_rows,
     philox,
     rank1_bounds,
     ray_interval_prob,
     refine,
-    sampled_rule,
-    selection_rule,
 )
 from .dist_exact import AccuracyBudget, CdfResult, budget_warning, delta
 from .errors import DensityUndefinedError, ValidationError
@@ -208,8 +204,7 @@ def _delta_tails(limits: LimitQuantities, p_star: int, nu, sigma: float,
 # ---------------------------------------------------------------------------
 
 def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
-                var_w: float, nu: float, B: float, *, seed: int,
-                budget: AccuracyBudget, level: int):
+                var_w: float, nu: float, B: float, key, n_z: int):
     """P(Z <= u_row, |W + nu| >= B) for centered joint Gaussians (Z, W), B > 0.
 
     Z is k-variate with covariance cov_z, W scalar with variance var_w,
@@ -218,9 +213,8 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     rank r (`condition_on_scalar`), and the rays are |X - x0| >= c for
     x0 = -nu / sd(W) and c = B / sd(W): at r = 0 (Z = g X, also a Z of
     zero variance) the rows' x-intervals meet the rays in closed form
-    (`ray_interval_prob`); otherwise a `selection_rule` against
-    P(R <= u - g x), sampled where `needs_sampling` (`sampled_rule`).
-    Returns (values, error bound: dropped mass plus 3 SE, quad_flag).
+    (`ray_interval_prob`); otherwise `_rule_rows` (keyed by ``key``).
+    Returns (rows, quad): rows(level) -> (values, errors, sampling errors).
     """
     m, k = U.shape
     sw = np.sqrt(var_w)
@@ -229,48 +223,40 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
         sz = np.sqrt(float(cov_z[0, 0]))
         rho = float(np.clip(cov_zw[0] / (sz * sw), -1.0, 1.0))
         h = U[:, 0] / sz
-        vals = (np.asarray(bvn_cdf(h, np.full(m, w_lo / sw), rho))
-                + ndtr(h)
-                - np.asarray(bvn_cdf(h, np.full(m, w_hi / sw), rho)))
-        return np.clip(vals, 0.0, 1.0), 0.0, False
-
-    g, S, L = condition_on_scalar(cov_z, cov_zw, var_w)
-    if L.shape[1] == 0:
+        vals = np.clip(np.asarray(bvn_cdf(h, np.full(m, w_lo / sw), rho))
+                       + ndtr(h)
+                       - np.asarray(bvn_cdf(h, np.full(m, w_hi / sw), rho)), 0.0, 1.0)
+    else:
+        g, S, L = condition_on_scalar(cov_z, cov_zw, var_w)
+        if L.shape[1] > 0:
+            return _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, key, n_z), True
         lo, hi = rank1_bounds(U, g)
-        return ray_interval_prob(lo, hi, w_lo / sw, w_hi / sw), 0.0, False
-    vals, errs = _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, (seed, 0), budget.n_z, level)
-    return vals, errs, True
+        vals = ray_interval_prob(lo, hi, w_lo / sw, w_hi / sw)
+    return (lambda level: (vals, 0.0, 0.0)), False
 
 
-def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int, level: int):
-    """(values, errors) of int phi(x) K(|x - x0| / c) P(R <= u - g x) dx per row u of U.
+def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
+    """rows(level) -> (values, errors, sampling errors) of
+    int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U.
 
     R ~ N(0, L L') (`condition_on_scalar`); K(y) = 1 - Delta(rho, y, 1),
     the step 1{y >= 1} at rho = 0, turns at y = 1 + rho z for z in
-    `_TURN_Z`, which are x-edges of the level's `selection_rule`.  Where
-    the conditional orthant `needs_sampling`, n_z draws of R keyed
-    by philox(*key), the same at every level, feed `sampled_rule`, whose
-    standard error is floored at 1/n_z: no draw may land in a rare region.
+    `_TURN_Z`, which are x-edges of the level's `conditional_rows`.  Where
+    the conditional orthant `needs_sampling`, n_z draws of R keyed by
+    philox(*key) are made once, for every level; their error is 3 SE.
     """
-    k, r = L.shape
-    R = philox(*key).standard_normal((n_z, r)) @ L.T if needs_sampling(k, r) else None
-    n_panels = PANELS * (2 ** level)
+    R = gauss_draws(philox(*key), n_z, L) if needs_sampling(*L.shape) else None
+    s_breaks = 1.0 + rho * _TURN_Z
 
     def K(y):
         return 1.0 - delta(rho, y, 1.0)
 
-    vals, errs = np.empty(len(U)), np.empty(len(U))
-    for j, u in enumerate(U):
-        x, wk, dropped = selection_rule(x0, c, K, 1.0 + rho * _TURN_Z,
-                                        conditional_kinks(u, g, L), n_panels)
-        if R is None:
-            # orthant_rows drops the mass below -TAIL_CUT in its own coordinate
-            vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
-            errs[j] = dropped + float(ndtr(-TAIL_CUT))
-        else:
-            vals[j], se = sampled_rule(x, wk, g, u, R)
-            errs[j] = dropped + 3.0 * max(se, 1.0 / n_z)
-    return vals, errs
+    def rows(level):
+        vals, _, errs, ses = conditional_rows(U, g, S, L, x0, c, K, s_breaks,
+                                              PANELS * (2 ** level), R)
+        return vals, errs, 3.0 * ses
+
+    return rows
 
 
 def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
@@ -290,27 +276,25 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
     cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
     core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], cov0,
                                     rng=philox(budget.seed + 977), n_samples=budget.n_z)
-
-    def joint(p, level):
-        xi_p = limits.xi(p)
-        return _joint_rows(
-            T + shift[p][None, :], sigma ** 2 * limits.omega(p), sigma ** 2 * limits.C(p),
-            sigma ** 2 * xi_p ** 2, nu[p], c_of[p] * sigma * xi_p,
-            seed=budget.seed + 1000 + p, budget=budget, level=level)
-
-    # (values, error, quad flag) at level 0; only quadrature rows are redone
-    first = {p: joint(p, 0) for p in range(p_star + 1, P + 1)}
+    # every order conditioned (and, where it must be, sampled) once
+    joint = {p: _joint_rows(T + shift[p][None, :], sigma ** 2 * limits.omega(p),
+                            sigma ** 2 * limits.C(p), sigma ** 2 * limits.xi(p) ** 2, nu[p],
+                            c_of[p] * sigma * limits.xi(p), (budget.seed + 1000 + p, 0),
+                            budget.n_z)
+             for p in range(p_star + 1, P + 1)}
+    refinable = any(quad for _, quad in joint.values())
 
     def at_level(level):
         cores = [core0]
-        bound = 3.0 * se0 * tails[0]
+        bound = floor = 3.0 * se0 * tails[0]
         for i, p in enumerate(range(p_star + 1, P + 1), start=1):
-            vals, err, _ = first[p] if level == 0 or not first[p][2] else joint(p, level)
+            vals, err, sampled = joint[p][0](level)
             cores.append(vals)
-            bound = bound + err * tails[i]
+            bound = bound + (err + sampled) * tails[i]
+            floor = floor + sampled * tails[i]
         cores = np.array(cores)
         terms = cores * tails[:, None]
-        return (terms, cores, bound), terms.sum(axis=0), any(row[2] for row in first.values())
+        return (terms, cores, bound), terms.sum(axis=0), refinable, floor
 
     (terms, cores, bound), gap, level = refine(at_level, budget.tol)
     return (terms.sum(axis=0), gap + bound + _ROUNDING, terms, tails, cores,
@@ -392,16 +376,19 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
         # mass K(|X - x0| / c) of `_rule_rows`, x0 = -nu_p / sd(V), c = B / sd(V)
         g, S, L = condition_on_scalar(cov_z, cov_z @ b_p, var_v)
         sv = np.sqrt(var_v)
-        rules.append((tails[i], u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
-                      sigma * zeta_p / B, (budget.seed + 63, p)))
+        rules.append((tails[i], _rule_rows(u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
+                                           sigma * zeta_p / B, (budget.seed + 63, p),
+                                           budget.n_z)))
 
     def at_level(level):
-        total, err = fixed, fixed_err
-        for tail, *rule in rules:
-            val, e = _rule_rows(*rule, budget.n_z, level)
+        # fixed_err is all sampling error: the fixed orthants are exact or sampled
+        total, err, floor = fixed, fixed_err, fixed_err
+        for tail, rows in rules:
+            val, e, sampled = rows(level)
             total += float(val[0]) * tail
-            err += float(e[0]) * tail
-        return (total, err), total, bool(rules)
+            err += float(e[0] + sampled[0]) * tail
+            floor += float(sampled[0]) * tail
+        return (total, err), total, bool(rules), floor
 
     (total, err), gap, level = refine(at_level, budget.tol)
     clamped = not (0.0 <= total <= 1.0)

@@ -176,6 +176,15 @@ def test_query_and_budget_validation():
         AccuracyBudget(n_z=10)
 
 
+def test_budget_sample_size_and_seed_are_integers():
+    # a float n_z would fail only once a k >= 4 target draws, and a float
+    # seed would replay the draws of its integer part under its own name
+    for bad in ({"n_z": 1e4}, {"seed": 1.5}, {"seed": 1.0}, {"n_z": True}):
+        with pytest.raises(ValidationError):
+            AccuracyBudget(**bad)
+    assert AccuracyBudget(n_z=np.int64(1000), seed=np.uint32(3)).seed == 3
+
+
 def test_nan_t_is_rejected_and_infinite_t_is_valid():
     fx = fixture("COLL2")
     with pytest.raises(ValidationError):
@@ -347,8 +356,8 @@ def test_orders_dispatch_on_conditional_rank(monkeypatch, case, arms):
     assert taken == {p: {arm} for p, arm in arms.items()}
     for p, arm in arms.items():
         pq = engine.pq[p]
-        _, _, quad = _joint_rows(query.t[None, :], pq.omega_np, pq.C_np, pq.xi_np ** 2,
-                                 0.3, 2.0 * pq.xi_np, seed=0, budget=budget, level=0)
+        _, quad = _joint_rows(query.t[None, :], pq.omega_np, pq.C_np, pq.xi_np ** 2,
+                              0.3, 2.0 * pq.xi_np, (0, 0), budget.n_z)
         assert quad == (arm != "two_ray"), (p, arm)
 
 
@@ -548,6 +557,6 @@ def test_k4_rank1_order_does_not_depend_on_the_sample():
     for level in (0, 1):
         order2 = []
         for budget in (AccuracyBudget(), AccuracyBudget(seed=7, n_z=1000)):
-            (terms, *_), _, _ = _ExactEngine(problem, query, budget).assemble(level)
+            (terms, *_), _, _, _ = _ExactEngine(problem, query, budget).assemble(level)
             order2.append(terms[1])
         assert order2[0] == order2[1], (level, order2)

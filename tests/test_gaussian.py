@@ -188,17 +188,14 @@ def test_gaussian_rect_rows_reproduce_gaussian_rect(cov, sampled):
     k = cov.shape[0]
     U = np.vstack([np.linspace(-0.8, 1.2, k), np.zeros(k), np.full(k, 0.7),
                    np.full(k, -9.0)])       # last row: no sample lands in it
-    n = 70_000                              # more than one draw chunk
+    n = 70_000
     vals, se = gaussian_rect_rows(U, cov, rng=philox(7), n_samples=n)
     for j, u in enumerate(U):
         want = gaussian_rect(u, cov, rng=philox(7), n_samples=n)
         assert (vals[j], se[j]) == want, j
     if sampled:
-        # one shared sample of the full size; the estimate 0 keeps SE 1/n
-        z = philox(7).standard_normal((n, 4)) @ psd_factor(cov).T
-        hits = [np.count_nonzero(np.all(z <= u, axis=1)) for u in U]
-        assert list(vals) == [h / n for h in hits]
-        assert vals[-1] == 0.0 and se[-1] == np.sqrt(1.0 / n / n)
+        # every row shares one sample; the estimate 0 keeps SE 1/n
+        assert vals[-1] == 0.0 and se[-1] == 1.0 / n
     else:
         assert not np.any(se)
 
@@ -250,6 +247,33 @@ def test_gaussian_rect_trivariate_is_deterministic():
     assert not np.any(se)
     for u, v in zip(U, vals):
         assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-12, u
+
+
+def test_gaussian_rect_k4_rank2_is_deterministic():
+    # Z = L eps with L of shape (4, 2): conditioned on its coordinate of
+    # largest variance, the rest is a rank-1 interval, so no draw is made
+    L = np.array([[1.0, 0.2], [0.5, 1.0], [-0.3, 0.7], [0.8, -0.6]])
+    U = np.array([[0.3, 0.1, 0.2, 0.4], [0.0, 0.0, 0.0, 0.0], [-0.5, 1.0, 0.4, 2.0],
+                  [2.0, -1.0, 0.3, 0.5], [-9.5, 0.0, 0.0, 0.0]])
+    vals, se = gaussian_rect_rows(U, L @ L.T)
+    assert not np.any(se)
+
+    def oracle(v):
+        # P(L eps <= v) over eps_1, split where two eps_2 bounds cross
+        def inner(e1):
+            w = v - L[:, 0] * e1
+            load = L[:, 1]
+            hi = np.min(w[load > 0] / load[load > 0], initial=np.inf)
+            lo = np.max(w[load < 0] / load[load < 0], initial=-np.inf)
+            return max(ndtr(hi) - ndtr(lo), 0.0) * norm_pdf(e1)
+
+        pts = [(v[i] / L[i, 1] - v[j] / L[j, 1]) / (L[i, 0] / L[i, 1] - L[j, 0] / L[j, 1])
+               for i in range(4) for j in range(i + 1, 4)]
+        return quad(inner, -12.0, 12.0, points=sorted(p for p in pts if abs(p) < 12.0),
+                    epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+    for u, v in zip(U, vals):
+        assert abs(v - oracle(u)) < 1e-12, (u, v, oracle(u))
 
 
 def test_gl_panels_integrates_polynomials_exactly():

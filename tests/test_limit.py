@@ -112,8 +112,9 @@ def test_vanishing_conditional_covariance_takes_closed_form():
     cov_z, cov_zw, var_w = limits.omega(1), limits.C(1), limits.xi(1) ** 2
     assert condition_on_scalar(cov_z, cov_zw, var_w)[2].shape[1] == 0
     U = np.array([[0.0, 0.0], [0.8, -0.3], [-1.0, 1.5]])
-    vals, err, quad = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
-                                  seed=0, budget=QUICK, level=0)
+    rows, quad = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
+                             (0, 0), QUICK.n_z)
+    vals, err, _ = rows(0)
     assert err == 0.0 and not quad
     # against Z = C_1 W / xi_1^2 simulated directly
     W = limits.xi(1) * np.random.default_rng(5).standard_normal(400_000)
@@ -125,9 +126,9 @@ def test_vanishing_conditional_covariance_takes_closed_form():
 
 def _rays(cov_z, cov_zw, u, x_lo, x_hi):
     """_joint_rows at one row u for W = X ~ N(0, 1) outside (x_lo, x_hi)."""
-    vals, err, quad = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
-                                  -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo),
-                                  seed=0, budget=QUICK, level=0)
+    rows, quad = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
+                             -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), (0, 0), QUICK.n_z)
+    vals, err, _ = rows(0)
     return float(vals[0]), err, quad
 
 
@@ -185,6 +186,50 @@ def test_sampled_standard_errors_have_a_floor():
     via_integral = cdf_limit_via_integral(limits, alt, t, rule, QUICK)
     assert via_integral.value == 0.0 and via_integral.abs_error > 0.0
     assert cdf_limit(limits, alt, t, rule, QUICK).abs_error > 0.0
+
+
+def _p5_k4_limit():
+    return _multivariate_case(5, 4, 1, np.array([0.5, 0.0, 0.0, 0.0, 0.0]),
+                              (2.0, 1.9, 2.1, 2.0), seed=5)
+
+
+def test_sampled_orders_draw_once(monkeypatch):
+    # orders 3, 4 and 5 of the P = 5, k = 4 design sample their conditional
+    # orthants of ranks 2, 3 and 4 (the core and order 2 are exact): one
+    # draw each, shared by every refinement level
+    import pmsdist.dist_limit as dist_limit
+
+    calls = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(args)
+            return self.rng.standard_normal(*args, **kwargs)
+
+    original = dist_limit.philox
+    monkeypatch.setattr(dist_limit, "philox", lambda *key: Counting(original(*key)))
+    limits, alt, rule = _p5_k4_limit()
+    budget = AccuracyBudget(tol=1e-6)
+    res = cdf_limit(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
+    assert "level=0;" not in res.method    # refined: per-level draws would repeat
+    assert calls == [((budget.n_z, r),) for r in (2, 3, 4)], calls
+    calls.clear()
+    cdf_limit_via_integral(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
+    assert len(calls) == 3, calls
+
+
+def test_refinement_stops_when_sampling_error_alone_misses_tol():
+    # at tol 1e-6 the three sampled orders' error is ~1.9e-4 at every level,
+    # so refinement stops after level 1, and the value agrees with the one
+    # refined to level 3 (0.00221599) within the reported error
+    limits, alt, rule = _p5_k4_limit()
+    res = cdf_limit(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, AccuracyBudget(tol=1e-6))
+    assert res.method.startswith("representation;level=1;")
+    assert res.warning is not None and "exceeds tol" in res.warning
+    assert abs(res.value - 0.00221599) <= res.abs_error, res
 
 
 @pytest.mark.parametrize("theta", [(0.5, 0.0, 0.0, 0.0), (0.5, -0.4, 0.0, 0.0)],

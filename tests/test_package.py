@@ -82,6 +82,19 @@ def test_every_public_gauss_function_has_a_caller():
     assert public <= used, f"_gauss functions without a caller: {sorted(public - used)}"
 
 
+def test_cdf_modules_draw_through_gauss():
+    # every Gaussian draw of the cdf evaluators is `_gauss.gauss_draws`:
+    # no other cdf module calls a generator's standard_normal itself
+    callers = set()
+    for stem in ("dist_exact", "dist_limit", "cdf_estimators"):
+        path = PACKAGE_DIR / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "standard_normal"):
+                callers.add(stem)
+    assert not callers, f"standard_normal called outside _gauss: {sorted(callers)}"
+
+
 def test_refinement_policy_lives_in_gauss():
     # every refinement loop is `_gauss.refine`: no other module may read the
     # refinement cap, by import or by attribute
