@@ -7,14 +7,12 @@ from .dist_exact import (
     AccuracyBudget,
     CdfQuery,
     CdfResult,
-    DecomposedCdf,
     SigmaRatioDensity,
+    TermTrace,
     cdf_exact,
-    cdf_exact_decomposed,
     delta,
 )
 from .dist_limit import (
-    LimitCdfTermTrace,
     LocalAlternative,
     LocalShiftConstants,
     OscillationReport,
@@ -88,16 +86,16 @@ from .selection import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyBudget", "CdfQuery", "CdfResult", "DecomposedCdf",
+    "AccuracyBudget", "CdfQuery", "CdfResult",
     "DegenerateSampleError", "DensityUndefinedError", "EmpiricalCdf",
     "ExperimentRefusal", "FIXTURE_NAMES", "Fixture", "GeneralToSpecific",
-    "InformationCriterion", "LimitCdfTermTrace", "LimitQuantities",
+    "InformationCriterion", "LimitQuantities",
     "LocalAlternative", "LocalShiftConstants", "OscillationReport",
     "PlugInState", "PmsdistError", "PostSelectionFit",
     "ProjectionQuantities", "RegressionProblem", "Replications",
     "SigmaRatioDensity", "SimulationPlan", "SubsetMask", "SweepReport",
-    "Thresholding", "ValidationError", "aic_equivalence_audit",
-    "auxiliary_consistent", "cdf_exact", "cdf_exact_decomposed",
+    "TermTrace", "Thresholding", "ValidationError", "aic_equivalence_audit",
+    "auxiliary_consistent", "cdf_exact",
     "cdf_limit", "cdf_limit_via_integral", "convergence_sweep", "delta",
     "dump_replications", "empirical_cdf", "estimator_error_probability",
     "eta", "fixture", "full_model_gaussian_cdf", "full_model_t_ratios",

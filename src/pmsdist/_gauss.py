@@ -311,24 +311,25 @@ def selection_rule(x0: float, c: float, K, s_breaks, kinks, n_panels: int):
     return x, w * norm_pdf(x) * K(np.abs(x - x0) / c), 2.0 * float(ndtr(-TAIL_CUT))
 
 
-def refine(evaluate, tol: float):
-    """The one refinement loop: evaluate(level) -> (out, totals, refinable, floor).
+def refine(evaluate, tol: float, refinable: bool):
+    """The one refinement loop: evaluate(level) -> a `dist_exact.TermTrace`.
 
-    If level 0 is refinable, levels 1, 2, ... follow until each total
-    differs from the previous level's by less than tol/2 or its floor (the
-    sampling error, which no level reduces) alone exceeds tol, or
-    MAX_REFINEMENTS is reached.  Returns (last out, |last - previous
-    totals| (0 without refinement), last level).
+    If ``refinable``, levels 1, 2, ... follow until each of the trace's
+    totals differs from the previous level's by less than tol/2 or its
+    sampling error (summed over the orders; no level reduces it) alone
+    exceeds tol, or MAX_REFINEMENTS is reached.  Returns (last trace,
+    |last - previous totals| (0 without refinement), last level).
     """
-    out, totals, refinable, _ = evaluate(0)
+    trace = evaluate(0)
+    totals = trace.total
     gap, level = np.zeros_like(totals), 0
     if refinable:
         for level in range(1, MAX_REFINEMENTS + 1):
-            out, new, _, floor = evaluate(level)
-            gap, totals = np.abs(new - totals), new
-            if np.all((gap < 0.5 * tol) | (floor > tol)):
+            trace = evaluate(level)
+            gap, totals = np.abs(trace.total - totals), trace.total
+            if np.all((gap < 0.5 * tol) | (trace.sampling.sum(axis=0) > tol)):
                 break
-    return out, gap, level
+    return trace, gap, level
 
 
 def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> np.ndarray:

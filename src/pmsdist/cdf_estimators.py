@@ -18,7 +18,7 @@ import numpy as np
 from ._gauss import gaussian_rect
 from .dist_exact import AccuracyBudget
 from .dist_limit import _cdf_limit_rows
-from .errors import DegenerateSampleError, ValidationError
+from .errors import DegenerateSampleError, ValidationError, cdf_argument
 from .regression_core import (
     LimitQuantities,
     RegressionProblem,
@@ -64,28 +64,21 @@ def plug_in_state(problem: RegressionProblem, Y, A,
 def g_check(problem: RegressionProblem, Y, A, t, rule: GeneralToSpecific, *,
             aux_scheme: str = "sqrt_log_n",
             budget: AccuracyBudget | None = None) -> float:
-    """Consistent plug-in estimate of the post-selection cdf at t.
+    """Consistent plug-in estimate of the post-selection cdf at t: the
+    one-row `g_check_values` at this sample's sigma_hat and p_bar.
 
     Deterministic given (Y, settings, seed).  A zero residual scale (a
     probability-zero event) degenerates the estimate to the point-mass cdf
     at the origin.
     """
-    budget = budget or AccuracyBudget()
-    rule.validate_for(problem.P, problem.O)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if t_arr.shape != (A.shape[0],):
-        raise ValidationError(f"t must have length k={A.shape[0]}")
+    Y = np.asarray(Y, dtype=float)
     # the degenerate branch must come first: the auxiliary scan inside
     # plug_in_state is undefined when the sample fits exactly
-    if sigma_hat(problem, np.asarray(Y, dtype=float)) == 0.0:
-        return 1.0 if np.all(t_arr >= 0.0) else 0.0
-    state = plug_in_state(problem, Y, A, aux_scheme)
-    nu = np.zeros(problem.P + 1)
-    totals, _, _, _, _, _, _ = _cdf_limit_rows(
-        state.limits, state.p_eff, nu, state.sigma_hat,
-        rule.critical_values(problem.O), t_arr[None, :], budget)
-    return float(np.clip(totals[0], 0.0, 1.0))
+    sig, p_bar = sigma_hat(problem, Y), 0
+    if sig != 0.0:
+        p_bar = plug_in_state(problem, Y, A, aux_scheme).p_bar
+    return float(g_check_values(problem, A, t, rule, np.array([sig]), np.array([p_bar]),
+                                budget=budget)[0])
 
 
 def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
@@ -96,18 +89,19 @@ def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
     Exploits the zero-drift scaling identity — the estimate at scale
     sigma_hat equals the unit-scale formula at t / sigma_hat — to evaluate
     whole groups sharing an effective order in one vectorized pass.
+    sigma_hats must be finite and nonnegative; a zero one gives the
+    point-mass cdf at the origin.
     """
     budget = budget or AccuracyBudget()
     rule.validate_for(problem.P, problem.O)
     limits = _plugged_limits(problem, np.atleast_2d(np.asarray(A, dtype=float)))
-    k = limits.k
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if t_arr.shape != (k,):
-        raise ValidationError(f"t must have length k={k}")
+    t_arr = cdf_argument(t, limits.k)
     sig = np.asarray(sigma_hats, dtype=float)
     p_bars = np.asarray(p_bars, dtype=int)
     if sig.shape != p_bars.shape or sig.ndim != 1:
         raise ValidationError("sigma_hats and p_bars must be equal-length vectors")
+    if not np.all(np.isfinite(sig) & (sig >= 0.0)):
+        raise ValidationError("sigma_hats must be finite and nonnegative")
     out = np.empty(sig.size)
     zero = sig == 0.0
     out[zero] = 1.0 if np.all(t_arr >= 0.0) else 0.0
@@ -117,8 +111,7 @@ def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
     for p in np.unique(p_eff[~zero]):
         rows = (~zero) & (p_eff == p)
         T = t_arr[None, :] / sig[rows, None]
-        totals, _, _, _, _, _, _ = _cdf_limit_rows(
-            limits, int(p), nu, 1.0, c_of, T, budget)
+        totals, _, _, _ = _cdf_limit_rows(limits, int(p), nu, 1.0, c_of, T, budget)
         out[rows] = np.clip(totals, 0.0, 1.0)
     return out
 
@@ -145,10 +138,10 @@ def phi_hat_values(problem: RegressionProblem, A, p: int, t,
         raise ValidationError("target width must equal the problem dimension")
     if not 0 <= p <= problem.P:
         raise ValidationError(f"p must lie in [0, {problem.P}]")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if t_arr.shape != (k,):
-        raise ValidationError(f"t must have length k={k}")
+    t_arr = cdf_argument(t, k)
     sig = np.asarray(sigma_hats, dtype=float)
+    if not np.all(np.isfinite(sig)):
+        raise ValidationError("sigma_hats must be finite")
     if np.any(sig <= 0.0):
         raise DegenerateSampleError("sigma_hat is zero")
     if p == 0:

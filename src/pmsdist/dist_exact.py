@@ -34,10 +34,13 @@ is it estimated, from seeded Gaussian draws of R = z - g X integrated
 exactly over X (`_gauss.conditional_rows`), so no draw carries the
 scale integral.  pi(p) is each term without the orthant.  The order-O
 orthant is `_gauss.gaussian_rect`, sampled only at k >= 4 and rank >= 3.
-Results carry an abs_error that combines quadrature refinement,
-truncated mass, the defect of sum pi(p) from 1, and (sampled orthants
-only) three sampling standard errors, each at least 1/n_z; identical
-query + budget + seed replays bit-identically.
+Every cdf evaluator of the package, these and the limit ones of
+`dist_limit`, forms its result the same way: per-order parts in a
+`TermTrace` (pi(p) G(t | p), pi(p), error bounds and three sampling
+standard errors, each at least 1/n_z), refined by `_gauss.refine`, and
+`cdf_result`, the one error budget: refinement gap, truncated mass, the
+defect of sum pi(p) from 1, sampling error and a 1e-14 rounding floor.
+Identical query + budget + seed replays bit-identically.
 """
 from __future__ import annotations
 
@@ -61,7 +64,7 @@ from ._gauss import (
     ray_interval_prob,
     refine,
 )
-from .errors import ValidationError
+from .errors import ValidationError, cdf_argument
 from .regression_core import (
     RegressionProblem,
     eta,
@@ -74,10 +77,10 @@ __all__ = [
     "CdfResult",
     "AccuracyBudget",
     "SigmaRatioDensity",
+    "TermTrace",
     "delta",
     "cdf_exact",
-    "cdf_exact_decomposed",
-    "DecomposedCdf",
+    "cdf_result",
 ]
 
 # The scale grid: equal-mass panels of the ratio density between these
@@ -88,6 +91,8 @@ _S_TRUNC = _S_Q_LO + (1.0 - _S_Q_HI)
 # `selection_rule`: at large dof K_p(|x - x0| / c_p) is a near-step, and
 # these edges bracket it.
 _STEP_Q = (1e-6, 0.5, 1.0 - 1e-6)
+# Rounding floor of every cdf error bound: the accuracy of `bvn_cdf`
+_ROUNDING = 1e-14
 
 
 def delta(s: float, a, b):
@@ -176,13 +181,6 @@ class AccuracyBudget:
             raise ValidationError("invalid accuracy budget")
 
 
-def budget_warning(abs_error: float, budget: AccuracyBudget) -> str | None:
-    """The warning a cdf result carries when its error bound misses budget.tol."""
-    if abs_error > budget.tol:
-        return f"abs_error {abs_error:.2e} exceeds tol {budget.tol:.2e}"
-    return None
-
-
 @dataclass(frozen=True)
 class CdfQuery:
     """Point query for the finite-sample cdf: target A, argument t, parameters."""
@@ -198,11 +196,7 @@ class CdfQuery:
         k, P = A.shape
         if np.linalg.matrix_rank(A) < k:
             raise ValidationError("A must have full row rank")
-        t = np.atleast_1d(np.asarray(self.t, dtype=float))
-        if t.shape != (k,):
-            raise ValidationError(f"t must have length k={k}")
-        if np.any(np.isnan(t)):
-            raise ValidationError("t must not be NaN")
+        t = cdf_argument(self.t, k)
         theta = np.asarray(self.theta, dtype=float)
         if theta.shape != (P,) or not np.all(np.isfinite(theta)):
             raise ValidationError(f"theta must be a finite vector of length {P}")
@@ -225,19 +219,64 @@ class CdfResult:
     method: str
     clamped: bool = False
     warning: str | None = None
-    term_trace: object | None = None
+    term_trace: TermTrace | None = None
 
 
 @dataclass(frozen=True)
-class DecomposedCdf:
-    """Per-order decomposition: conditional cdfs and selection probabilities."""
+class TermTrace:
+    """Per-order breakdown of a cdf value, G(t) = sum_p pi(p) G(t | p).
+
+    For each candidate order in ``orders`` (axis 0 of every array): terms
+    pi(p) G(t | p), weights pi(p), errors the term's deterministic error
+    bound and sampling its three sampling standard errors.  A batched
+    trace has a trailing axis of rows, one per argument t.
+    """
 
     orders: tuple[int, ...]
-    conditional: np.ndarray      # G(t | p) for each order
-    weights: np.ndarray          # pi(p), all positive, summing to ~1
-    total: float
-    abs_error: float
-    method: str
+    terms: np.ndarray
+    weights: np.ndarray
+    errors: np.ndarray
+    sampling: np.ndarray
+
+    @property
+    def total(self):
+        return self.terms.sum(axis=0)
+
+    @property
+    def conditional(self) -> np.ndarray:
+        """G(t | p) = terms / weights, clipped to [0, 1]; 0 where pi(p) = 0."""
+        ratio = np.divide(self.terms, self.weights, out=np.zeros_like(self.terms),
+                          where=self.weights > 0)
+        return np.clip(ratio, 0.0, 1.0)
+
+    def row(self, j: int) -> TermTrace:
+        """The trace of row j of a batched trace."""
+        return TermTrace(self.orders, self.terms[:, j], self.weights[:, j],
+                         self.errors[:, j], self.sampling[:, j])
+
+
+def cdf_result(trace: TermTrace, gap: float, level: int, budget: AccuracyBudget,
+               method) -> CdfResult:
+    """The one way a cdf result is formed, from a trace `_gauss.refine` returned.
+
+    The error budget is abs_error = gap + sum(errors) + |1 - sum(weights)|
+    + sum(sampling) + the 1e-14 rounding floor, gap being the last
+    refinement step.  A gap of at least tol/2 with the sampling error
+    within tol means refinement ran out of levels; otherwise any abs_error
+    above tol is flagged.  ``method(level)`` names the evaluation.
+    """
+    total = float(trace.total)
+    sampling = float(np.sum(trace.sampling))
+    abs_error = (float(gap) + float(np.sum(trace.errors))
+                 + abs(1.0 - float(np.sum(trace.weights))) + sampling + _ROUNDING)
+    warning = None
+    if gap >= 0.5 * budget.tol and sampling <= budget.tol:
+        warning = "refinement budget exhausted before reaching tol"
+    elif abs_error > budget.tol:
+        warning = f"abs_error {abs_error:.2e} exceeds tol {budget.tol:.2e}"
+    return CdfResult(value=float(np.clip(total, 0.0, 1.0)), abs_error=abs_error,
+                     method=method(level), clamped=not (0.0 <= total <= 1.0),
+                     warning=warning, term_trace=trace)
 
 
 class _ExactEngine:
@@ -388,7 +427,7 @@ class _ExactEngine:
         return self._conditional_term(p, u, n_panels, self._z_sample(p)[0])
 
     # ---- one full assembly at a given refinement level, for `refine` ----
-    def assemble(self, level: int):
+    def assemble(self, level: int) -> TermTrace:
         n_panels = PANELS * (2 ** level)
         P, O = self.problem.P, self.problem.O
         t = self.query.t
@@ -399,43 +438,22 @@ class _ExactEngine:
                      for end in (lo, hi) if np.isfinite(end)]
         s, w, trunc = self._s_grid(n_panels, breaks=crossings)
         tail = self._tail_products(s)
-        orders = list(range(O, P + 1))
-        terms = np.zeros(len(orders))
-        pis = np.zeros(len(orders))
-        err = trunc
-
+        # terms, weights, errors and sampling errors of orders O..P; the
+        # order-O core carries the truncated scale mass
+        parts = np.zeros((4, P - O + 1))
         core, core_se = self.core
         w_tail = float(np.sum(w * tail[O]))
-        terms[0] = core * w_tail
-        pis[0] = w_tail
-        se_total = core_se * w_tail
-
+        parts[:, 0] = core * w_tail, w_tail, trunc, 3.0 * core_se * w_tail
         for i, p in enumerate(range(O + 1, P + 1), start=1):
             u = t - self.shift[p]
             if p in self.rank0:
-                terms[i], pis[i], e = self._term_k1(p, s, w * tail[p])
+                parts[:3, i] = self._term_k1(p, s, w * tail[p])
             elif not needs_sampling(self.k, self.split[p][2].shape[1]):
-                terms[i], pis[i], e = self._term_orthant(p, u, n_panels)
+                parts[:3, i] = self._term_orthant(p, u, n_panels)
             else:
-                terms[i], pis[i], e, se = self._term_sampled(p, u, n_panels)
-                se_total += se
-            err += e
-        return ((terms, pis, err, se_total, np.array(orders)), float(np.sum(terms)), True,
-                3.0 * se_total)
-
-    def evaluate(self):
-        b = self.budget
-        (terms, pis, err, se_total, orders), gap, level = refine(self.assemble, b.tol)
-        total, refine_gap = float(np.sum(terms)), float(gap)
-        pi_defect = abs(1.0 - float(np.sum(pis)))
-        sampling = 3.0 * se_total
-        abs_error = refine_gap + err + pi_defect + sampling
-        # refinement stops early when the sampling error alone misses tol
-        if refine_gap >= 0.5 * b.tol and sampling <= b.tol:
-            warning = "refinement budget exhausted before reaching tol"
-        else:
-            warning = budget_warning(abs_error, b)
-        return terms, pis, orders, total, abs_error, level, warning
+                value, pi, err, se = self._term_sampled(p, u, n_panels)
+                parts[:, i] = value, pi, err, 3.0 * se
+        return TermTrace(tuple(range(O, P + 1)), *parts)
 
     def method_string(self, level: int) -> str:
         b = self.budget
@@ -452,28 +470,10 @@ def cdf_exact(problem: RegressionProblem, query: CdfQuery,
     parameter point (theta, sigma), target matrix, argument and rule come
     from ``query`` (the problem's own theta/sigma are ignored, which makes
     parameter sweeps cheap).  See the module docstring for the evaluation
-    strategy and error accounting.
+    strategy and error accounting; the result's term_trace carries the
+    per-order breakdown.
     """
     budget = budget or AccuracyBudget()
     engine = _ExactEngine(problem, query, budget)
-    terms, pis, orders, total, abs_error, level, warning = engine.evaluate()
-    clamped = not (0.0 <= total <= 1.0)
-    value = float(np.clip(total, 0.0, 1.0))
-    return CdfResult(value=value, abs_error=float(abs_error),
-                     method=engine.method_string(level),
-                     clamped=clamped, warning=warning)
-
-
-def cdf_exact_decomposed(problem: RegressionProblem, query: CdfQuery,
-                         budget: AccuracyBudget | None = None) -> DecomposedCdf:
-    """Per-order split of the exact cdf: (G(t|p), pi(p)) with Sum G*pi = G(t)."""
-    budget = budget or AccuracyBudget()
-    engine = _ExactEngine(problem, query, budget)
-    terms, pis, orders, total, abs_error, level, warning = engine.evaluate()
-    conditional = np.clip(np.divide(terms, pis, out=np.zeros_like(terms),
-                                    where=pis > 0), 0.0, 1.0)
-    return DecomposedCdf(orders=tuple(int(p) for p in orders),
-                         conditional=conditional, weights=pis,
-                         total=float(np.clip(total, 0.0, 1.0)),
-                         abs_error=float(abs_error),
-                         method=engine.method_string(level))
+    trace, gap, level = refine(engine.assemble, budget.tol, True)
+    return cdf_result(trace, gap, level, budget, engine.method_string)

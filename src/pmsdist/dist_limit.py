@@ -18,8 +18,11 @@ conditioned-orthant kernel of the exact cdf (`_gauss.conditional_rows`,
 at the one scale 1).  The secondary path (`cdf_limit_via_integral`)
 evaluates the mixture-of-shifted-Gaussians integral form directly, with
 its own shift constants and each term conditioned on b_p'Z, and exists
-purely to cross-check the first.  Both refine through `_gauss.refine`;
-the n_z seeded draws enter only at k >= 4, once per order (`_rule_rows`).
+purely to cross-check the first.  Both build the per-order parts of a
+`dist_exact.TermTrace` (pi(p) is the chance that order p is selected),
+refine them through `_gauss.refine` and form their result with
+`dist_exact.cdf_result`, as the exact cdf does; the n_z seeded draws
+enter only at k >= 4, once per order (`_rule_rows`).
 """
 from __future__ import annotations
 
@@ -43,15 +46,14 @@ from ._gauss import (
     ray_interval_prob,
     refine,
 )
-from .dist_exact import AccuracyBudget, CdfResult, budget_warning, delta
-from .errors import DensityUndefinedError, ValidationError
+from .dist_exact import AccuracyBudget, CdfResult, TermTrace, cdf_result, delta
+from .errors import DensityUndefinedError, ValidationError, cdf_argument
 from .regression_core import LimitQuantities, order_of
 from .selection import GeneralToSpecific
 
 __all__ = [
     "LocalAlternative",
     "LocalShiftConstants",
-    "LimitCdfTermTrace",
     "OscillationReport",
     "local_shift_constants",
     "cdf_limit",
@@ -62,8 +64,6 @@ __all__ = [
 ]
 
 _ZERO_SD_REL = 1e-12
-# Rounding floor of every limit cdf error bound: the accuracy of `bvn_cdf`
-_ROUNDING = 1e-14
 # K(y) of `_rule_rows` turns at y = 1 + rho z for these z
 _TURN_Z = np.array([0.0, 1.0, -1.0, 3.0, -3.0, 6.0, -6.0])
 
@@ -105,24 +105,6 @@ class LocalShiftConstants:
     p_star: int
     beta: dict[int, np.ndarray]
     nu: dict[int, float]
-
-
-@dataclass(frozen=True)
-class LimitCdfTermTrace:
-    """Per-order breakdown of the limit cdf value.
-
-    core_values holds the orthant/joint-probability component of each term,
-    delta_products the product of later-stage interval factors, and
-    term_values their products; total is the sum of term_values."""
-
-    orders: tuple[int, ...]
-    term_values: tuple[float, ...]
-    delta_products: tuple[float, ...]
-    core_values: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.term_values))
 
 
 @dataclass(frozen=True)
@@ -179,12 +161,13 @@ def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
     if alt.P != limits.P:
         raise ValidationError("alternative dimension does not match limits")
     rule.validate_for(limits.P, limits.O)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (limits.k,):
-        raise ValidationError(f"t must have length k={limits.k}")
-    if np.any(np.isnan(t)):
-        raise ValidationError("t must not be NaN")
-    return t, local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O)
+    return (cdf_argument(t, limits.k),
+            local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O))
+
+
+def _method(name: str, budget: AccuracyBudget, k: int):
+    """method(level) of a limit cdf result, for `cdf_result`."""
+    return lambda level: f"{name};level={level};n_z={budget.n_z};seed={budget.seed};k={k}"
 
 
 def _delta_tails(limits: LimitQuantities, p_star: int, nu, sigma: float,
@@ -214,7 +197,8 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     x0 = -nu / sd(W) and c = B / sd(W): at r = 0 (Z = g X, also a Z of
     zero variance) the rows' x-intervals meet the rays in closed form
     (`ray_interval_prob`); otherwise `_rule_rows` (keyed by ``key``).
-    Returns (rows, quad): rows(level) -> (values, errors, sampling errors).
+    Returns (rows, quad): rows(level) -> (values, pis, errors, sampling
+    errors), pi = P(|W + nu| >= B) being the value without the orthant.
     """
     m, k = U.shape
     sw = np.sqrt(var_w)
@@ -232,12 +216,14 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
             return _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, key, n_z), True
         lo, hi = rank1_bounds(U, g)
         vals = ray_interval_prob(lo, hi, w_lo / sw, w_hi / sw)
-    return (lambda level: (vals, 0.0, 0.0)), False
+    pi = ray_interval_prob(-np.inf, np.inf, w_lo / sw, w_hi / sw)
+    return (lambda level: (vals, pi, 0.0, 0.0)), False
 
 
 def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
-    """rows(level) -> (values, errors, sampling errors) of
-    int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U.
+    """rows(level) -> (values, pis, errors, sampling errors) of
+    int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U,
+    pi being the integral without the orthant.
 
     R ~ N(0, L L') (`condition_on_scalar`); K(y) = 1 - Delta(rho, y, 1),
     the step 1{y >= 1} at rho = 0, turns at y = 1 + rho z for z in
@@ -252,9 +238,9 @@ def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
         return 1.0 - delta(rho, y, 1.0)
 
     def rows(level):
-        vals, _, errs, ses = conditional_rows(U, g, S, L, x0, c, K, s_breaks,
-                                              PANELS * (2 ** level), R)
-        return vals, errs, 3.0 * ses
+        vals, pis, errs, ses = conditional_rows(U, g, S, L, x0, c, K, s_breaks,
+                                                PANELS * (2 ** level), R)
+        return vals, pis, errs, 3.0 * ses
 
     return rows
 
@@ -264,10 +250,10 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
     """All representation terms for each row of T, refined together.
 
     nu[p] and c_of[p] are the drift and critical value of order p.  Returns
-    (totals, error bounds, terms (n_orders, m), tails (n_orders,), cores
-    (n_orders, m), orders, level).
+    (totals, trace of orders p_star..P with a trailing axis of rows,
+    refinement gaps, level).
     """
-    P, k = limits.P, limits.k
+    P, k, m = limits.P, limits.k, T.shape[0]
     tails = _delta_tails(limits, p_star, nu, sigma, c_of)
     shift = {P: np.zeros(k)}
     for p in range(P - 1, p_star - 1, -1):
@@ -276,29 +262,28 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
     cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
     core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], cov0,
                                     rng=philox(budget.seed + 977), n_samples=budget.n_z)
+    # terms, weights, errors and sampling errors of order p_star, whose
+    # weight is the chance that no later test rejects
+    core = np.empty((4, m))
+    core[0], core[1], core[2], core[3] = core0 * tails[0], tails[0], 0.0, 3.0 * se0 * tails[0]
     # every order conditioned (and, where it must be, sampled) once
     joint = {p: _joint_rows(T + shift[p][None, :], sigma ** 2 * limits.omega(p),
                             sigma ** 2 * limits.C(p), sigma ** 2 * limits.xi(p) ** 2, nu[p],
                             c_of[p] * sigma * limits.xi(p), (budget.seed + 1000 + p, 0),
                             budget.n_z)
              for p in range(p_star + 1, P + 1)}
-    refinable = any(quad for _, quad in joint.values())
 
     def at_level(level):
-        cores = [core0]
-        bound = floor = 3.0 * se0 * tails[0]
+        parts = np.empty((4, P - p_star + 1, m))
+        parts[:, 0] = core
         for i, p in enumerate(range(p_star + 1, P + 1), start=1):
-            vals, err, sampled = joint[p][0](level)
-            cores.append(vals)
-            bound = bound + (err + sampled) * tails[i]
-            floor = floor + sampled * tails[i]
-        cores = np.array(cores)
-        terms = cores * tails[:, None]
-        return (terms, cores, bound), terms.sum(axis=0), refinable, floor
+            parts[0, i], parts[1, i], parts[2, i], parts[3, i] = joint[p][0](level)
+            parts[:, i] *= tails[i]
+        return TermTrace(tuple(range(p_star, P + 1)), *parts)
 
-    (terms, cores, bound), gap, level = refine(at_level, budget.tol)
-    return (terms.sum(axis=0), gap + bound + _ROUNDING, terms, tails, cores,
-            np.arange(p_star, P + 1), level)
+    trace, gaps, level = refine(at_level, budget.tol,
+                                any(quad for _, quad in joint.values()))
+    return trace.total, trace, gaps, level
 
 
 def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
@@ -311,22 +296,11 @@ def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     """
     budget = budget or AccuracyBudget()
     t, consts = _limit_query(limits, alt, t, rule)
-    totals, errs, terms, tails, cores, orders, level = _cdf_limit_rows(
+    _, trace, gaps, level = _cdf_limit_rows(
         limits, consts.p_star, consts.nu, alt.sigma, rule.critical_values(limits.O),
         t[None, :], budget)
-    total = float(totals[0])
-    trace = LimitCdfTermTrace(
-        orders=tuple(int(p) for p in orders),
-        term_values=tuple(float(v) for v in terms[:, 0]),
-        delta_products=tuple(float(v) for v in tails),
-        core_values=tuple(float(v) for v in cores[:, 0]))
-    clamped = not (0.0 <= total <= 1.0)
-    return CdfResult(value=float(np.clip(total, 0.0, 1.0)),
-                     abs_error=float(errs[0]),
-                     method=f"representation;level={level};n_z={budget.n_z};"
-                            f"seed={budget.seed};k={limits.k}",
-                     clamped=clamped, warning=budget_warning(float(errs[0]), budget),
-                     term_trace=trace)
+    return cdf_result(trace.row(0), gaps[0], level, budget,
+                      _method("representation", budget, limits.k))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +319,8 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     nu_p + b_p'Z, B_p))] conditions Z on b_p'Z (`_rule_rows`), which is
     deterministic up to k = 3 and samples only the conditional orthant at
     k >= 4 with conditional rank >= 2; the terms are refined together
-    (`refine`).  Like `cdf_limit`, the result carries a warning when its
-    error bound exceeds budget.tol.
+    (`refine`).  Like `cdf_limit`, the result carries the per-order
+    term_trace and a warning when its error bound misses budget.tol.
     """
     budget = budget or AccuracyBudget()
     P, k = limits.P, limits.k
@@ -355,10 +329,14 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     c_of = rule.critical_values(limits.O)
     tails = _delta_tails(limits, p_star, consts.nu, sigma, c_of)
 
+    # terms, weights, errors and sampling errors of orders p_star..P; the
+    # orders without a rule are fixed across levels
+    fixed = np.zeros((4, P - p_star + 1))
     cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
     core, core_se = gaussian_rect(t - consts.beta[p_star], cov0,
                                   rng=philox(budget.seed + 31), n_samples=budget.n_z)
-    fixed, fixed_err, rules = core * tails[0], 3.0 * core_se * tails[0], []
+    fixed[:, 0] = core * tails[0], tails[0], 0.0, 3.0 * core_se * tails[0]
+    rules = {}
     for i, p in enumerate(range(p_star + 1, P + 1), start=1):
         u = t - consts.beta[p]
         xi_p, zeta_p, b_p = limits.xi(p), limits.zeta(p), limits.b(p)
@@ -369,34 +347,25 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
             # the order-p test statistic V = b_p'Z does not load on Z
             val, se = gaussian_rect(u, cov_z, rng=philox(budget.seed + 63, p),
                                     n_samples=budget.n_z)
-            fixed += (1.0 - float(delta(sigma * zeta_p, consts.nu[p], B))) * val * tails[i]
-            fixed_err += 3.0 * se * tails[i]
+            pi = 1.0 - float(delta(sigma * zeta_p, consts.nu[p], B))
+            fixed[:, i] = pi * val * tails[i], pi * tails[i], 0.0, 3.0 * se * tails[i]
             continue
         # condition on X = V / sd(V): 1 - Delta(sigma zeta_p, nu_p + V, B) is the
         # mass K(|X - x0| / c) of `_rule_rows`, x0 = -nu_p / sd(V), c = B / sd(V)
         g, S, L = condition_on_scalar(cov_z, cov_z @ b_p, var_v)
         sv = np.sqrt(var_v)
-        rules.append((tails[i], _rule_rows(u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
-                                           sigma * zeta_p / B, (budget.seed + 63, p),
-                                           budget.n_z)))
+        rules[i] = _rule_rows(u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
+                              sigma * zeta_p / B, (budget.seed + 63, p), budget.n_z)
 
     def at_level(level):
-        # fixed_err is all sampling error: the fixed orthants are exact or sampled
-        total, err, floor = fixed, fixed_err, fixed_err
-        for tail, rows in rules:
-            val, e, sampled = rows(level)
-            total += float(val[0]) * tail
-            err += float(e[0] + sampled[0]) * tail
-            floor += float(sampled[0]) * tail
-        return (total, err), total, bool(rules), floor
+        parts = fixed.copy()
+        for i, rows in rules.items():
+            parts[:, i] = [v[0] for v in rows(level)]
+            parts[:, i] *= tails[i]
+        return TermTrace(tuple(range(p_star, P + 1)), *parts)
 
-    (total, err), gap, level = refine(at_level, budget.tol)
-    clamped = not (0.0 <= total <= 1.0)
-    abs_error = float(gap + err + _ROUNDING)
-    return CdfResult(value=float(np.clip(total, 0.0, 1.0)), abs_error=abs_error,
-                     method=f"mixture-integral;level={level};n_z={budget.n_z};"
-                            f"seed={budget.seed};k={k}",
-                     clamped=clamped, warning=budget_warning(abs_error, budget))
+    trace, gap, level = refine(at_level, budget.tol, bool(rules))
+    return cdf_result(trace, gap, level, budget, _method("mixture-integral", budget, k))
 
 
 def _mvn_pdf(v: np.ndarray, cov: np.ndarray) -> float:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check of a
+cdf argument."""
+from __future__ import annotations
+
+import numpy as np
 
 
 class PmsdistError(Exception):
@@ -31,3 +35,20 @@ class ExperimentRefusal(PmsdistError):
     Experiments refuse to run (rather than emit vacuous passes) when the
     structural assumption they are designed to exhibit does not hold.
     """
+
+
+def cdf_argument(t, k: int, *, rows: bool = False) -> np.ndarray:
+    """A k-variate cdf argument t as a float array of shape (k,), or with
+    ``rows`` a non-empty stack of such rows, shape (m, k).
+
+    NaN raises ValidationError, as no cdf is defined there; +/-inf is a
+    valid coordinate (the cdf is 0, or a margin's).
+    """
+    arr = (np.atleast_2d if rows else np.atleast_1d)(np.asarray(t, dtype=float))
+    if arr.size == 0:
+        raise ValidationError("t must be non-empty")
+    if arr.ndim != 1 + rows or arr.shape[-1] != k:
+        raise ValidationError(f"t must have length k={k}" + (" in every row" if rows else ""))
+    if np.isnan(arr).any():
+        raise ValidationError("t must not be NaN")
+    return arr

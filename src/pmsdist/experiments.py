@@ -100,6 +100,15 @@ class SweepReport:
             fh.write("\n")
 
 
+def _ladder(values, name: str = "n_ladder", kind=int) -> list:
+    """``values`` as a list of ``kind``; an empty ladder or grid raises
+    ValidationError, since a sweep over no points would pass vacuously."""
+    out = [kind(v) for v in values]
+    if not out:
+        raise ValidationError(f"{name} is empty")
+    return out
+
+
 def _with_theta(problem: RegressionProblem, theta) -> RegressionProblem:
     return RegressionProblem(X=problem.X, theta=np.asarray(theta, dtype=float),
                              sigma=problem.sigma, O=problem.O)
@@ -118,7 +127,7 @@ def convergence_sweep(fixture: Fixture, gamma, t, n_ladder, *,
     budget = budget or AccuracyBudget()
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    n_ladder = [int(n) for n in n_ladder]
+    n_ladder = _ladder(n_ladder)
     pr = fixture.problem
     alt = LocalAlternative(theta=pr.theta, gamma=gamma, sigma=pr.sigma)
     lim = cdf_limit(fixture.limits, alt, t_arr, fixture.rule, budget)
@@ -165,7 +174,8 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
     parameters theta + lambda e_{q_star} with |lambda| <= rho restricted to
     |theta_{q_star}| >= exterior_min; on that exterior set the sup falls
     with n.  Refuses when no coordinate stays correlated with the target
-    (q_star undefined), or when the exterior filter empties the grid.
+    (q_star undefined), or when the exterior filter empties the grid; an
+    empty ladder, rho grid or gamma grid (n_gamma < 1) is invalid input.
     """
     start = time.perf_counter()
     budget = budget or AccuracyBudget()
@@ -176,10 +186,13 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
             "the target (q_star); this fixture has none")
     qs = limits.q_star
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    n_ladder, rho_grid = _ladder(n_ladder), _ladder(rho_grid, "rho_grid", float)
+    if n_gamma < 1:
+        raise ValidationError(f"n_gamma = {n_gamma} leaves the gamma grid empty")
     pr = fixture.problem
     rows = []
     sups_by_n: dict[int, float] = {}
-    for n in [int(v) for v in n_ladder]:
+    for n in n_ladder:
         fx_n = fixture.at_n(n)
         for rho in rho_grid:
             lam_grid = np.linspace(-0.999 * rho, 0.999 * rho, n_gamma)
@@ -219,7 +232,7 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
         verdicts = {"sup_gap_persists": bool(
             all(v >= delta_report for v in sups_by_n.values()))}
     else:
-        sup_seq = [sups_by_n[int(v)] for v in n_ladder]
+        sup_seq = [sups_by_n[n] for n in n_ladder]
         verdicts = {"exterior_sup_vanishes": bool(
             sup_seq[-1] <= delta_report
             and all(sup_seq[i + 1] <= sup_seq[i] + 0.01
@@ -229,8 +242,8 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
         columns=("n", "rho", "grid_points", "sup_gap", "argmax_gamma"),
         rows=tuple(rows), verdicts=verdicts, passed=all(verdicts.values()),
         master_seed=master_seed,
-        config={"t": t_arr.tolist(), "rho_grid": [float(r) for r in rho_grid],
-                "n_ladder": [int(v) for v in n_ladder], "n_gamma": n_gamma,
+        config={"t": t_arr.tolist(), "rho_grid": rho_grid,
+                "n_ladder": n_ladder, "n_gamma": n_gamma,
                 "delta_report": delta_report, "exterior_min": exterior_min,
                 "tol": budget.tol},
         wall_clock_s=time.perf_counter() - start,
@@ -282,6 +295,7 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
     budget = budget or AccuracyBudget()
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    n_ladder = _ladder(n_ladder)
     pr = fixture.problem
     rule = fixture.rule if rule is None else rule
     notes: list[str] = []
@@ -321,7 +335,7 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
 
     rows = []
     fall_last = rise_last = np.nan
-    for n in [int(v) for v in n_ladder]:
+    for n in n_ladder:
         fx_n = fixture.at_n(n)
         theta0 = pr.theta
         theta1 = pr.theta + gamma / np.sqrt(n)
@@ -369,7 +383,7 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
         master_seed=master_seed,
         config={"t": t_arr.tolist(), "gamma": gamma.tolist(),
                 "delta0": float(delta0),
-                "n_ladder": [int(v) for v in n_ladder],
+                "n_ladder": n_ladder,
                 "replications": replications, "aux_scheme": aux_scheme,
                 "rule_mode": "ic_two_model" if mask_mode else "g2s",
                 "tol": budget.tol},
@@ -396,6 +410,7 @@ def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,
             f"(q_star = {fixture.limits.q_star} here)")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
+    n_ladder = _ladder(n_ladder)
     pr = fixture.problem
     if theta_grid.shape[1] != pr.P:
         raise ValidationError("theta grid width must equal P")
@@ -403,7 +418,7 @@ def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,
     rows = []
     sup_seq = []
     slack = 0.0
-    for n in [int(v) for v in n_ladder]:
+    for n in n_ladder:
         fx_n = fixture.at_n(n)
         sup_gap = 0.0
         # sigma_hat does not depend on theta: one set of draws per n
@@ -435,7 +450,7 @@ def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,
         rows=tuple(rows), verdicts=verdicts, passed=all(verdicts.values()),
         master_seed=master_seed,
         config={"t": t_arr.tolist(), "theta_grid": theta_grid.tolist(),
-                "n_ladder": [int(v) for v in n_ladder],
+                "n_ladder": n_ladder,
                 "replications": replications, "est_draws": est_draws,
                 "order": p_used, "gap_tol": gap_tol},
         wall_clock_s=time.perf_counter() - start)
@@ -458,6 +473,7 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
     the exact threshold counts as a disagreement.
     """
     start = time.perf_counter()
+    n_ladder = _ladder(n_ladder)
     pr = fixture.problem
     P = pr.P
     full = SubsetMask.full(P)
@@ -488,7 +504,7 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
                  disagree0 / used0 if used0 else 0.0))
     sym_freqs = []
     cutoff = float(np.sqrt(upsilon))
-    for n in [int(v) for v in n_ladder]:
+    for n in n_ladder:
         disagree_n, symdiff_n, used_n = _run(n, cutoff)
         disagree0 += disagree_n
         freq = symdiff_n / used_n if used_n else 0.0
@@ -504,6 +520,6 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
         columns=("metric", "n", "instances_used", "count", "frequency"),
         rows=tuple(rows), verdicts=verdicts, passed=all(verdicts.values()),
         master_seed=master_seed,
-        config={"instances": instances, "n_ladder": [int(v) for v in n_ladder],
+        config={"instances": instances, "n_ladder": n_ladder,
                 "upsilon": float(upsilon)},
         wall_clock_s=time.perf_counter() - start)

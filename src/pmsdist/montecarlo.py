@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._gauss import philox as _rng  # the name benchmarks/baseline.py times
-from .errors import ValidationError
+from .errors import ValidationError, cdf_argument
 from .regression_core import RegressionProblem, xi_n
 from .selection import (
     GeneralToSpecific,
@@ -355,15 +355,6 @@ def _merge_cdf(plan: SimulationPlan, grid: np.ndarray, chunks: list[dict]) -> Em
                         degenerate_count=degenerate)
 
 
-def _grid_array(grid, k: int) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(grid, dtype=float))
-    if arr.size == 0:
-        raise ValidationError("grid must be non-empty")
-    if arr.shape[1] != k:
-        raise ValidationError(f"grid rows must have length k={k}")
-    return arr
-
-
 def empirical_cdf(plan: SimulationPlan, grid, workers: int | None = None) -> EmpiricalCdf:
     """Empirical cdf of sqrt(n) A (theta_tilde - theta) over the given grid.
 
@@ -371,7 +362,7 @@ def empirical_cdf(plan: SimulationPlan, grid, workers: int | None = None) -> Emp
     fixed-size replication chunks over processes; results are identical for
     any worker count.
     """
-    grid_arr = _grid_array(grid, plan.k)
+    grid_arr = cdf_argument(grid, plan.k, rows=True)
     chunks = _run_chunks(_cdf_chunk, _Kernel(plan), workers, grid_arr)
     return _merge_cdf(plan, grid_arr, chunks)
 
@@ -401,14 +392,14 @@ def estimator_error_probability(plan: SimulationPlan, t, reference,
     ``reference`` is the target cdf value: a float, a result object with a
     ``value`` attribute, or a zero-argument callable producing either.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValidationError("delta must be positive")
     if callable(reference):
         reference = reference()
     ref = float(getattr(reference, "value", reference))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if t_arr.shape != (plan.k,):
-        raise ValidationError(f"t must have length k={plan.k}")
+    if not np.isfinite(ref):
+        raise ValidationError("reference must be finite")
+    t_arr = cdf_argument(t, plan.k)
     c_aux = auxiliary_critical_value(plan.problem.n, plan.problem.P, aux_scheme)
     if not isinstance(plan.rule, GeneralToSpecific):
         raise ValidationError("estimator error study needs a general-to-specific plan")

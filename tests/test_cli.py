@@ -232,3 +232,30 @@ def test_write_out_file(capsys, tmp_path):
     assert rc == EXIT_OK
     on_disk = json.loads(out_path.read_text())
     assert on_disk == _payload(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tube", "--fixture", "P1", "--t", "0.0", "--rho-grid", ","],
+    ["tube", "--fixture", "P1", "--t", "0.0", "--n-ladder", ","],
+    ["convergence", "--fixture", "P1", "--t", "0.3", "--gamma", "0.7", "--n-ladder", ","],
+    ["uniform", "--fixture", "BLOCK_ORTHO", "--t", "0.2", "--theta-grid", "0,0", "--n-ladder", ","],
+    ["aic-audit", "--fixture", "COLL2", "--instances", "100", "--n-ladder", ","],
+    ["tube", "--fixture", "P1", "--t", "0.0", "--n-ladder", "100", "--n-gamma", "0"],
+], ids=["tube-rho", "tube-n", "convergence", "uniform", "aic-audit", "n-gamma"])
+def test_sweep_over_an_empty_grid_exits_1(capsys, argv):
+    rc, out, err = _run(capsys, ["sweep", *argv])
+    assert rc == EXIT_INVALID and out == ""
+    assert _payload(err)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--fixture", "P1", "--t", "nan"],
+    ["estimate", "--fixture", "COLL2", "--t", "nan,0", "--estimator", "phi-hat"],
+    ["mc", "--fixture", "COLL2", "--t", "nan,0", "--reps", "100"],
+    ["sweep", "impossibility", "--fixture", "P1", "--t", "0.0", "--gamma", "1.2",
+     "--delta0", "nan", "--n-ladder", "100", "--reps", "100"],
+], ids=["g-check", "phi-hat", "mc", "delta0"])
+def test_nan_arguments_exit_1(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert rc == EXIT_INVALID and out == ""
+    assert _payload(err)["error"]["type"] == "ValidationError"

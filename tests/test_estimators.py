@@ -130,3 +130,26 @@ def test_plug_in_state_fields():
     assert state.sigma_hat == sigma_hat(pr, Y)
     assert state.limits.P == 2 and state.limits.O == 1
     assert np.allclose(state.limits.Q, pr.gram, atol=0)
+
+
+def test_nan_arguments_are_rejected():
+    # no cdf estimate is defined at a NaN argument or scale: each check
+    # raises instead of returning NaN; an infinite t stays valid
+    fx = fixture("COLL2")
+    pr = fx.problem
+    Y = simulate_response(pr, (17, 0))
+    s = sigma_hat(pr, Y)
+    for t in ([np.nan, 0.0], [0.0]):
+        with pytest.raises(ValidationError):
+            g_check(pr, Y, fx.A, t, fx.rule, budget=QUICK)
+        with pytest.raises(ValidationError):
+            g_check_values(pr, fx.A, t, fx.rule, np.array([s]), np.array([2]), budget=QUICK)
+        with pytest.raises(ValidationError):
+            phi_hat(pr, Y, fx.A, 2, t)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError):
+            g_check_values(pr, fx.A, [0.1, 0.1], fx.rule, np.array([s, bad]), np.array([2, 2]))
+    with pytest.raises(ValidationError):
+        phi_hat_values(pr, fx.A, 2, [0.1, 0.1], np.array([s, np.nan]))
+    assert g_check(pr, Y, fx.A, [np.inf, np.inf], fx.rule, budget=QUICK) == 1.0
+    assert phi_hat(pr, Y, fx.A, 2, [-np.inf, 0.0]) == 0.0

@@ -12,6 +12,7 @@ from pmsdist._gauss import (
     condition_on_scalar,
     gl_panels,
     norm_pdf,
+    refine,
 )
 from pmsdist.dist_exact import (
     AccuracyBudget,
@@ -19,14 +20,14 @@ from pmsdist.dist_exact import (
     SigmaRatioDensity,
     _ExactEngine,
     cdf_exact,
-    cdf_exact_decomposed,
+    cdf_result,
     delta,
 )
-from pmsdist.dist_limit import _joint_rows
+from pmsdist.dist_limit import LocalAlternative, _joint_rows, cdf_limit, cdf_limit_via_integral
 from pmsdist.errors import ValidationError
 from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import SimulationPlan, empirical_cdf
-from pmsdist.regression_core import RegressionProblem
+from pmsdist.regression_core import RegressionProblem, limit_quantities
 from pmsdist.selection import GeneralToSpecific, InformationCriterion, SubsetMask
 
 QUICK = AccuracyBudget(tol=1e-4, n_z=20_000, seed=0)
@@ -125,14 +126,14 @@ def test_cdf_monotone_in_argument():
 def test_decomposition_orders_weights_and_total():
     fx = fixture("COLL2")
     q = _query(fx, [0.5, 0.5])
-    dec = cdf_exact_decomposed(fx.problem, q, QUICK)
+    point = cdf_exact(fx.problem, q, QUICK)
+    dec = point.term_trace
     assert dec.orders == (0, 1, 2)
     assert np.all(dec.weights >= 0.0)
-    assert abs(dec.weights.sum() - 1.0) < 10 * dec.abs_error + 1e-3
+    assert abs(dec.weights.sum() - 1.0) < 10 * point.abs_error + 1e-3
     assert np.all((0.0 <= dec.conditional) & (dec.conditional <= 1.0))
     mix = float(dec.conditional @ dec.weights)
-    assert abs(mix - dec.total) < 10 * dec.abs_error + 1e-3
-    point = cdf_exact(fx.problem, q, QUICK)
+    assert abs(mix - dec.total) < 10 * point.abs_error + 1e-3
     assert abs(dec.total - point.value) < 1e-12
 
 
@@ -201,7 +202,7 @@ def test_nan_t_is_rejected_and_infinite_t_is_valid():
 def test_protected_order_floor_shows_in_weights():
     # ORTHO2 protects the first coordinate: order 0 never appears
     fx = fixture("ORTHO2")
-    dec = cdf_exact_decomposed(fx.problem, _query(fx, [0.0, 0.0]), QUICK)
+    dec = cdf_exact(fx.problem, _query(fx, [0.0, 0.0]), QUICK).term_trace
     assert dec.orders == (1, 2)
 
 
@@ -309,6 +310,13 @@ def _two_ray_cases():
     yield coll.problem, coll.A, coll.rule, [(-1.0, 0.25), (1.5, -1.0), (0.25, 1.5)]
 
 
+def _total(engine):
+    """(unclamped total, abs_error) of an engine, as `cdf_exact` refines it."""
+    res = cdf_result(*refine(engine.assemble, engine.budget.tol, True), engine.budget,
+                     engine.method_string)
+    return float(res.term_trace.total), res.abs_error
+
+
 def test_two_ray_arm_agrees_with_general_rule():
     # an order whose z is a multiple of its selection scalar (conditional
     # rank 0) is two rays in that scalar (`_term_k1`); with the engine's
@@ -320,8 +328,7 @@ def test_two_ray_arm_agrees_with_general_rule():
             two_ray, general = (_ExactEngine(problem, query, budget) for _ in range(2))
             assert two_ray.rank0, (A, t)
             general.rank0.clear()
-            _, _, _, a, a_err, _, _ = two_ray.evaluate()
-            _, _, _, b, b_err, _, _ = general.evaluate()
+            (a, a_err), (b, b_err) = (_total(engine) for engine in (two_ray, general))
             assert abs(a - b) <= a_err + b_err, (A, t, a, b)
 
 
@@ -352,7 +359,7 @@ def test_orders_dispatch_on_conditional_rank(monkeypatch, case, arms):
     budget = AccuracyBudget(n_z=2_000)
     query = CdfQuery(A=A, t=np.full(A.shape[0], 0.3), theta=problem.theta, sigma=1.0, rule=rule)
     engine = _ExactEngine(problem, query, budget)
-    engine.evaluate()
+    engine.assemble(0)
     assert taken == {p: {arm} for p, arm in arms.items()}
     for p, arm in arms.items():
         pq = engine.pq[p]
@@ -557,6 +564,48 @@ def test_k4_rank1_order_does_not_depend_on_the_sample():
     for level in (0, 1):
         order2 = []
         for budget in (AccuracyBudget(), AccuracyBudget(seed=7, n_z=1000)):
-            (terms, *_), _, _, _ = _ExactEngine(problem, query, budget).assemble(level)
-            order2.append(terms[1])
+            order2.append(_ExactEngine(problem, query, budget).assemble(level).terms[1])
         assert order2[0] == order2[1], (level, order2)
+
+
+def _trace_cases():
+    """(label, result) of every cdf evaluator on closed-form, quadrature and
+    sampled orders, and the cross-check's order without a rule (BLOCK_ORTHO's
+    order 2, whose test statistic does not load on Z)."""
+    budget = AccuracyBudget(tol=1e-6, n_z=2_000)
+    for name, t in (("COLL2", [0.5, -0.25]), ("ORTHO2", [0.0, 0.3]), ("P1", [0.4]),
+                    ("BLOCK_ORTHO", [0.7])):
+        fx = fixture(name)
+        yield f"exact.{name}", cdf_exact(fx.problem, _query(fx, t), budget)
+        alt = LocalAlternative(theta=fx.problem.theta,
+                               gamma=np.linspace(0.5, 1.0, fx.problem.P), sigma=1.0)
+        for evaluate in (cdf_limit, cdf_limit_via_integral):
+            yield f"{evaluate.__name__}.{name}", evaluate(fx.limits, alt, t, fx.rule, budget)
+    problem, A, rule = _p5_k4_case()
+    t = (1.0, -0.5, 0.5, 0.8)
+    yield "exact.P5-k4", cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta,
+                                                     sigma=1.0, rule=rule), budget)
+    alt = LocalAlternative(theta=problem.theta, gamma=np.zeros(5), sigma=1.0)
+    limits = limit_quantities(problem.gram, A, O=problem.O)
+    for evaluate in (cdf_limit, cdf_limit_via_integral):
+        yield f"{evaluate.__name__}.P5-k4", evaluate(limits, alt, t, rule, budget)
+
+
+def test_every_evaluator_traces_its_value_by_order():
+    # G(t) = sum_p pi(p) G(t | p) for the exact cdf and both limit paths:
+    # the terms sum to the value, the weights are a distribution up to the
+    # reported error, and each budget part is inside abs_error
+    sampled = set()
+    for label, res in _trace_cases():
+        tr = res.term_trace
+        assert tr.orders == tuple(range(tr.orders[0], tr.orders[-1] + 1)), label
+        assert not res.clamped and tr.total == res.value, (label, res)
+        assert np.all(tr.weights >= 0.0), (label, tr)
+        assert abs(tr.weights.sum() - 1.0) <= res.abs_error, (label, tr, res)
+        assert np.all((0.0 <= tr.conditional) & (tr.conditional <= 1.0)), (label, tr)
+        assert np.all(tr.errors >= 0.0) and np.all(tr.sampling >= 0.0), (label, tr)
+        parts = tr.errors.sum() + tr.sampling.sum() + abs(1.0 - tr.weights.sum())
+        assert parts < res.abs_error and res.abs_error >= 1e-14, (label, tr, res)
+        if tr.sampling.sum() > 0.0:
+            sampled.add(label)
+    assert sampled == {"exact.P5-k4", "cdf_limit.P5-k4", "cdf_limit_via_integral.P5-k4"}

@@ -161,3 +161,24 @@ def test_aic_equivalence_audit_small_run():
            if row[cols.index("metric")] == "asymptotic_cutoff_symdiff"]
     freqs = [row[cols.index("frequency")] for row in sym]
     assert len(freqs) == 3 and freqs[0] >= freqs[-1]
+
+
+def test_empty_ladders_and_grids_are_invalid():
+    # a sweep over no points would pass (or crash) vacuously: every ladder
+    # and grid must be non-empty, and n_gamma = 0 names the empty gamma grid
+    p1, coll = fixture("P1"), fixture("COLL2")
+    grid = np.zeros((1, 2))
+    for run in (
+        lambda: convergence_sweep(p1, gamma=[0.7], t=[0.3], n_ladder=(), budget=QUICK),
+        lambda: tube_sweep(p1, t=[0.0], rho_grid=[1.0], n_ladder=(), budget=QUICK),
+        lambda: tube_sweep(p1, t=[0.0], rho_grid=[], n_ladder=(100,), budget=QUICK),
+        lambda: impossibility_demo(p1, t=[0.0], gamma=[1.2], delta0=0.1, n_ladder=(),
+                                   replications=200, budget=QUICK),
+        lambda: uniform_case_sweep(fixture("BLOCK_ORTHO"), theta_grid=grid, t=[0.2],
+                                   n_ladder=(), replications=200),
+        lambda: aic_equivalence_audit(coll, instances=100, n_ladder=()),
+    ):
+        with pytest.raises(ValidationError, match="is empty"):
+            run()
+    with pytest.raises(ValidationError, match="gamma grid"):
+        tube_sweep(p1, t=[0.0], rho_grid=[1.0], n_ladder=(100,), n_gamma=0, budget=QUICK)

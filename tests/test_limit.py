@@ -5,10 +5,10 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from pmsdist._gauss import condition_on_scalar
-from pmsdist.dist_exact import AccuracyBudget
+from pmsdist.dist_exact import AccuracyBudget, TermTrace
 from pmsdist.dist_limit import (
-    LimitCdfTermTrace,
     LocalAlternative,
+    _cdf_limit_rows,
     _joint_rows,
     cdf_limit,
     cdf_limit_via_integral,
@@ -38,7 +38,7 @@ def test_scalar_null_case_is_twosided_truncation():
     fx = fixture("P1")
     res = cdf_limit(fx.limits, _alt(fx), [0.0], fx.rule, QUICK)
     assert abs(res.value - 0.9750021048517795) < 1e-9
-    assert isinstance(res.term_trace, LimitCdfTermTrace)
+    assert isinstance(res.term_trace, TermTrace)
     assert abs(res.term_trace.total - res.value) < 1e-12
 
 
@@ -114,7 +114,7 @@ def test_vanishing_conditional_covariance_takes_closed_form():
     U = np.array([[0.0, 0.0], [0.8, -0.3], [-1.0, 1.5]])
     rows, quad = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
                              (0, 0), QUICK.n_z)
-    vals, err, _ = rows(0)
+    vals, _, err, _ = rows(0)
     assert err == 0.0 and not quad
     # against Z = C_1 W / xi_1^2 simulated directly
     W = limits.xi(1) * np.random.default_rng(5).standard_normal(400_000)
@@ -128,7 +128,7 @@ def _rays(cov_z, cov_zw, u, x_lo, x_hi):
     """_joint_rows at one row u for W = X ~ N(0, 1) outside (x_lo, x_hi)."""
     rows, quad = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
                              -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), (0, 0), QUICK.n_z)
-    vals, err, _ = rows(0)
+    vals, _, err, _ = rows(0)
     return float(vals[0]), err, quad
 
 
@@ -230,6 +230,24 @@ def test_refinement_stops_when_sampling_error_alone_misses_tol():
     assert res.method.startswith("representation;level=1;")
     assert res.warning is not None and "exceeds tol" in res.warning
     assert abs(res.value - 0.00221599) <= res.abs_error, res
+
+
+def test_batched_rows_trace_equals_the_one_row_trace():
+    # row j of the batched representation trace is cdf_limit's trace at T[j]
+    # (all rows refine to the same level here, as the method strings show)
+    limits, alt, rule = _multivariate_case(3, 2, 0, np.zeros(3), (1.8, 2.0, 2.2), seed=3)
+    consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O)
+    T = np.array([(0.0, 0.0), (0.8, -0.3), (-1.0, 1.5)])
+    totals, trace, gaps, level = _cdf_limit_rows(limits, consts.p_star, consts.nu, alt.sigma,
+                                                 rule.critical_values(limits.O), T, QUICK)
+    assert trace.terms.shape == (len(trace.orders), len(T)) and level == 1
+    for j, t in enumerate(T):
+        res = cdf_limit(limits, alt, t, rule, QUICK)
+        assert res.method.startswith(f"representation;level={level};")
+        row = trace.row(j)
+        for field in ("terms", "weights", "errors", "sampling"):
+            assert np.array_equal(getattr(row, field), getattr(res.term_trace, field)), field
+        assert row.orders == res.term_trace.orders and totals[j] == res.value
 
 
 @pytest.mark.parametrize("theta", [(0.5, 0.0, 0.0, 0.0), (0.5, -0.4, 0.0, 0.0)],

@@ -138,6 +138,21 @@ def test_estimator_error_probability_extremes():
         estimator_error_probability(plan, [0.0, 0.0], 0.5, delta=0.1)
 
 
+def test_nan_arguments_are_rejected():
+    # a NaN delta, reference or grid coordinate has no frequency or cdf to
+    # report: each raises instead of reading as 0
+    plan = _plan(fixture("P1"), 200, seed=5)
+    for t, ref, delta in (([0.0], 0.5, np.nan), ([0.0], np.nan, 0.1), ([0.0], np.inf, 0.1),
+                          ([np.nan], 0.5, 0.1)):
+        with pytest.raises(ValidationError):
+            estimator_error_probability(plan, t, ref, delta=delta)
+    with pytest.raises(ValidationError):
+        empirical_cdf(plan, [[np.nan], [0.0]])
+    with pytest.raises(ValidationError):
+        empirical_cdf(plan, [])
+    assert empirical_cdf(plan, [[-np.inf], [np.inf]]).estimates.tolist() == [0.0, 1.0]
+
+
 def test_plan_validation():
     fx = fixture("COLL2")
     with pytest.raises(ValidationError):

@@ -19,9 +19,8 @@ ALLOWED_PRIVATE_IMPORTS = {
 }
 
 # Public names nothing reads yet.  Entries may only be removed:
-# cdf_exact_decomposed waits on a per-order term trace of cdf_exact, and
 # full_model_gaussian_cdf is the reference law of acceptance criterion 5.
-UNREAD_PUBLIC = {"cdf_exact_decomposed", "full_model_gaussian_cdf"}
+UNREAD_PUBLIC = {"full_model_gaussian_cdf"}
 
 
 def test_import_does_not_load_scipy_stats():
@@ -137,3 +136,20 @@ def test_every_public_name_is_read():
     assert unread <= UNREAD_PUBLIC, f"public names nothing reads: {sorted(unread - UNREAD_PUBLIC)}"
     assert UNREAD_PUBLIC <= unread, \
         f"stale allow-list entries, remove them: {sorted(UNREAD_PUBLIC - unread)}"
+
+
+def _calls_of(tree, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_cdf_results_are_formed_in_one_function():
+    # `dist_exact.cdf_result` is the one error budget and warning policy:
+    # no other code builds a CdfResult
+    built = sum(len(_calls_of(ast.parse(path.read_text(), filename=str(path)), "CdfResult"))
+                for path in sorted(PACKAGE_DIR.glob("*.py")))
+    exact = ast.parse((PACKAGE_DIR / "dist_exact.py").read_text())
+    former = [fn for fn in exact.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "cdf_result"]
+    assert len(former) == 1 and len(_calls_of(former[0], "CdfResult")) == 1
+    assert built == 1, f"CdfResult is built in {built} places"
