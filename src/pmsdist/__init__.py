@@ -2,7 +2,7 @@
 estimators in Gaussian linear regression: exact formulas, limit formulas,
 plug-in estimators, Monte Carlo checks, and scripted experiments."""
 
-from .cdf_estimators import PlugInState, g_check, phi_hat, plug_in_state
+from .cdf_estimators import g_check, phi_hat
 from .dist_exact import (
     AccuracyBudget,
     CdfQuery,
@@ -14,13 +14,11 @@ from .dist_exact import (
 )
 from .dist_limit import (
     LocalAlternative,
-    LocalShiftConstants,
     OscillationReport,
     cdf_limit,
     cdf_limit_via_integral,
     full_model_gaussian_cdf,
     limit_nonconstancy_scan,
-    local_shift_constants,
     pdf_limit,
 )
 from .errors import (
@@ -52,10 +50,10 @@ from .montecarlo import (
 )
 from .regression_core import (
     LimitQuantities,
-    ProjectionQuantities,
+    LocalShiftConstants,
     RegressionProblem,
-    eta,
     limit_quantities,
+    local_shift_constants,
     order_of,
     projection_quantities,
     restricted_ls,
@@ -91,18 +89,17 @@ __all__ = [
     "ExperimentRefusal", "FIXTURE_NAMES", "Fixture", "GeneralToSpecific",
     "InformationCriterion", "LimitQuantities",
     "LocalAlternative", "LocalShiftConstants", "OscillationReport",
-    "PlugInState", "PmsdistError", "PostSelectionFit",
-    "ProjectionQuantities", "RegressionProblem", "Replications",
+    "PmsdistError", "PostSelectionFit", "RegressionProblem", "Replications",
     "SigmaRatioDensity", "SimulationPlan", "SubsetMask", "SweepReport",
     "TermTrace", "Thresholding", "ValidationError", "aic_equivalence_audit",
     "auxiliary_consistent", "cdf_exact",
     "cdf_limit", "cdf_limit_via_integral", "convergence_sweep", "delta",
     "dump_replications", "empirical_cdf", "estimator_error_probability",
-    "eta", "fixture", "full_model_gaussian_cdf", "full_model_t_ratios",
+    "fixture", "full_model_gaussian_cdf", "full_model_t_ratios",
     "g2s_order", "g_check", "ic_threshold", "ic_values",
     "impossibility_demo", "limit_nonconstancy_scan", "limit_quantities",
     "local_shift_constants", "masked_ls", "order_of", "pdf_limit",
-    "phi_hat", "pilot_delta0", "plug_in_state", "post_select_fit",
+    "phi_hat", "pilot_delta0", "post_select_fit",
     "projection_quantities", "replicate", "restricted_ls", "rule_from_json",
     "rule_to_json", "select_g2s", "select_ic",
     "select_threshold", "sigma_hat", "simulate_response",

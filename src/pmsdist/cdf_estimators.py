@@ -11,8 +11,6 @@ correlations vanish.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._gauss import gaussian_rect
@@ -20,7 +18,6 @@ from .dist_exact import AccuracyBudget
 from .dist_limit import _cdf_limit_rows
 from .errors import DegenerateSampleError, ValidationError, cdf_argument
 from .regression_core import (
-    LimitQuantities,
     RegressionProblem,
     limit_quantities,
     projection_quantities,
@@ -28,37 +25,7 @@ from .regression_core import (
 )
 from .selection import GeneralToSpecific, auxiliary_consistent
 
-__all__ = ["PlugInState", "plug_in_state", "g_check", "g_check_values",
-           "phi_hat", "phi_hat_values"]
-
-
-@dataclass(frozen=True)
-class PlugInState:
-    """Sample-dependent ingredients of the plug-in cdf estimate.
-
-    p_bar is the auxiliary order estimate, p_eff = max(p_bar, O) the order
-    actually plugged into the formula, and limits the finite-n design
-    quantities (xi, C, b, zeta, and the Gaussian covariances) evaluated
-    from X'X/n."""
-
-    p_bar: int
-    p_eff: int
-    sigma_hat: float
-    limits: LimitQuantities
-
-
-def _plugged_limits(problem: RegressionProblem, A: np.ndarray) -> LimitQuantities:
-    return limit_quantities(problem.gram, A, O=problem.O)
-
-
-def plug_in_state(problem: RegressionProblem, Y, A,
-                  aux_scheme: str = "sqrt_log_n") -> PlugInState:
-    """Auxiliary order estimate, residual scale, and plugged design quantities."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    p_bar = auxiliary_consistent(problem, Y, scheme=aux_scheme)
-    return PlugInState(p_bar=p_bar, p_eff=max(p_bar, problem.O),
-                       sigma_hat=sigma_hat(problem, np.asarray(Y, dtype=float)),
-                       limits=_plugged_limits(problem, A))
+__all__ = ["g_check", "g_check_values", "phi_hat", "phi_hat_values"]
 
 
 def g_check(problem: RegressionProblem, Y, A, t, rule: GeneralToSpecific, *,
@@ -72,11 +39,11 @@ def g_check(problem: RegressionProblem, Y, A, t, rule: GeneralToSpecific, *,
     at the origin.
     """
     Y = np.asarray(Y, dtype=float)
-    # the degenerate branch must come first: the auxiliary scan inside
-    # plug_in_state is undefined when the sample fits exactly
+    # the degenerate branch must come first: the auxiliary scan is
+    # undefined when the sample fits exactly
     sig, p_bar = sigma_hat(problem, Y), 0
     if sig != 0.0:
-        p_bar = plug_in_state(problem, Y, A, aux_scheme).p_bar
+        p_bar = auxiliary_consistent(problem, Y, scheme=aux_scheme)
     return float(g_check_values(problem, A, t, rule, np.array([sig]), np.array([p_bar]),
                                 budget=budget)[0])
 
@@ -94,7 +61,7 @@ def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
     """
     budget = budget or AccuracyBudget()
     rule.validate_for(problem.P, problem.O)
-    limits = _plugged_limits(problem, np.atleast_2d(np.asarray(A, dtype=float)))
+    limits = limit_quantities(problem.gram, A, O=problem.O)
     t_arr = cdf_argument(t, limits.k)
     sig = np.asarray(sigma_hats, dtype=float)
     p_bars = np.asarray(p_bars, dtype=int)
@@ -146,7 +113,7 @@ def phi_hat_values(problem: RegressionProblem, A, p: int, t,
         raise DegenerateSampleError("sigma_hat is zero")
     if p == 0:
         return np.full(sig.shape, 1.0 if np.all(t_arr >= 0.0) else 0.0)
-    cov = projection_quantities(problem, A, p).omega_np
+    cov = projection_quantities(problem, A).omega(p)
     out = np.empty(sig.size)
     for j, s in enumerate(sig):
         val, _ = gaussian_rect(t_arr / s, cov)

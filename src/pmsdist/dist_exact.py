@@ -11,7 +11,13 @@ residual-scale ratio sigma_hat/sigma.
 
 Evaluation strategy
 -------------------
-The outer scale integral runs over equal-mass Gauss-Legendre panels of the
+The formula is the limit one of `dist_limit` at Q = X'X/n and drift
+gamma = sqrt(n) theta, mixed over sigma_hat/sigma: the engine reads the
+design record of X'X/n (`regression_core.projection_quantities`) and the
+shifts and drifts of `regression_core.local_shift_constants`, and the
+later-stage factors prod_{q > p} Delta_q (`tail_products`, shared with
+the limit paths at scale 1) are taken at each scale node.  The outer
+scale integral runs over equal-mass Gauss-Legendre panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
 
 Every order-p integrand depends on z only through the orthant {z <= u}
@@ -66,8 +72,9 @@ from ._gauss import (
 )
 from .errors import ValidationError, cdf_argument
 from .regression_core import (
+    LimitQuantities,
     RegressionProblem,
-    eta,
+    local_shift_constants,
     projection_quantities,
 )
 from .selection import GeneralToSpecific
@@ -81,6 +88,7 @@ __all__ = [
     "delta",
     "cdf_exact",
     "cdf_result",
+    "tail_products",
 ]
 
 # The scale grid: equal-mass panels of the ratio density between these
@@ -255,6 +263,24 @@ class TermTrace:
                          self.errors[:, j], self.sampling[:, j])
 
 
+def tail_products(dq: LimitQuantities, sigma: float, nu, c_of, p0: int, s=1.0):
+    """prod_{q > p} Delta_q for p = p0..P, keyed by p: the later-stage factors.
+
+    Delta_q = delta(sigma xi_q, nu_q, s c_q sigma xi_q) is the probability
+    that the order-q test does not reject at scale s = sigma_hat / sigma,
+    with dq the design record, nu_q the drift and c_q the critical value
+    of order q.  s is 1 in the limit and the array of scale nodes of the
+    exact cdf, whose shape every product takes.
+    """
+    P = dq.P
+    tail = {P: np.ones_like(s, dtype=float)}
+    for p in range(P - 1, p0 - 1, -1):
+        q = p + 1
+        xi = dq.xi(q)
+        tail[p] = tail[q] * delta(sigma * xi, nu[q], s * c_of[q] * sigma * xi)
+    return tail
+
+
 def cdf_result(trace: TermTrace, gap: float, level: int, budget: AccuracyBudget,
                method) -> CdfResult:
     """The one way a cdf result is formed, from a trace `_gauss.refine` returned.
@@ -286,33 +312,26 @@ class _ExactEngine:
         if query.A.shape[1] != problem.P:
             raise ValidationError("query A width does not match problem dimension")
         query.rule.validate_for(problem.P, problem.O)
-        # the query's (theta, sigma) override the problem's: all mean-value
-        # quantities below must come from the query's parameter point
-        if not np.array_equal(problem.theta, query.theta):
-            problem = RegressionProblem(X=problem.X, theta=query.theta,
-                                        sigma=problem.sigma, O=problem.O)
         self.problem = problem
         self.query = query
         self.budget = budget
-        P, O, n = problem.P, problem.O, problem.n
+        P, O = problem.P, problem.O
         self.k = query.A.shape[0]
-        self.sqrt_n = np.sqrt(n)
         self.ratio = SigmaRatioDensity(problem.dof)
         self.s_step = self.ratio.ppf(np.array(_STEP_Q))
-        self.pq = [None] + [projection_quantities(problem, query.A, p) for p in range(1, P + 1)]
-        # sqrt(n) * (trailing coordinate of the order-q mean vector)
-        self.m = np.zeros(P + 1)
-        for q in range(1, P + 1):
-            self.m[q] = self.sqrt_n * self.pq[q].eta_np[q - 1]
-        # orthant shifts sqrt(n) A (eta(p) - theta) for each admissible order
-        self.shift = {p: self.sqrt_n * (query.A @ (eta(problem, p) - query.theta))
-                      for p in range(O, P + 1)}
+        # the limit formula's design record and constants at Q = X'X/n and
+        # gamma = sqrt(n) theta, theta the query's: orthant shifts
+        # sqrt(n) A (eta(p) - theta) and drifts sqrt(n) eta_p(p), eta(p) the
+        # mean of the order-p restricted estimator
+        self.design = projection_quantities(problem, query.A)
+        consts = local_shift_constants(problem.gram, query.A, np.zeros(P),
+                                       np.sqrt(problem.n) * query.theta, O)
+        self.shift, self.nu = consts.beta, consts.nu
         self.c = query.rule.critical_values(O)
         self.sigma = query.sigma
-        k, sig = self.k, self.sigma
+        dq, sig = self.design, self.sigma
         # the order-O orthant does not involve the scale: one evaluation
-        cov0 = sig ** 2 * self.pq[O].omega_np if O else np.zeros((k, k))
-        self.core = gaussian_rect(query.t - self.shift[O], cov0,
+        self.core = gaussian_rect(query.t - self.shift[O], sig ** 2 * dq.omega(O),
                                   rng=philox(budget.seed, 10_000), n_samples=budget.n_z)
         # every order p > O conditioned once on its selection scalar
         # X = W / (sigma xi_p): z = g X + R with R ~ N(0, S), S = L L'; a
@@ -321,12 +340,12 @@ class _ExactEngine:
         self.split: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.rank0: dict[int, tuple[float, float, float, float]] = {}
         for p in range(O + 1, P + 1):
-            pq, sw = self.pq[p], sig * self.pq[p].xi_np
-            g, S, L = condition_on_scalar(sig ** 2 * pq.omega_np, sig ** 2 * pq.C_np, sw ** 2)
+            sw = sig * dq.xi(p)
+            g, S, L = condition_on_scalar(sig ** 2 * dq.omega(p), sig ** 2 * dq.C(p), sw ** 2)
             self.split[p] = (g, S, L)
             if L.shape[1] == 0:
                 lo, hi = rank1_bounds((query.t - self.shift[p])[None, :], g)
-                self.rank0[p] = (float(lo[0]), float(hi[0]), -self.m[p] / sw, float(self.c[p]))
+                self.rank0[p] = (float(lo[0]), float(hi[0]), -self.nu[p] / sw, float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
 
     # ---- sampled draws for k >= 4 terms (one draw per order, reused
@@ -358,21 +377,11 @@ class _ExactEngine:
         it costs one partial panel per argument.
         """
         def f(s):
-            return self.ratio.pdf(s) * self._tail_products(s)[p]
+            tail = tail_products(self.design, self.sigma, self.nu, self.c, p, s)
+            return self.ratio.pdf(s) * tail[p]
 
         K, _ = cumulative_rule(f, self._s_edges(n_panels))
         return K, _S_TRUNC
-
-    def _tail_products(self, s: np.ndarray):
-        """prod_{q > p} Delta factors at each scale node, for p = O..P."""
-        P, O = self.problem.P, self.problem.O
-        tail = {P: np.ones_like(s)}
-        for p in range(P - 1, O - 1, -1):
-            q = p + 1
-            d = delta(self.sigma * self.pq[q].xi_np, self.m[q],
-                      s * self.c[q] * self.sigma * self.pq[q].xi_np)
-            tail[p] = tail[q] * d
-        return tail
 
     # ---- conditional rank 0: two rays in the selection scalar ----
     def _term_k1(self, p: int, s: np.ndarray, wt: np.ndarray):
@@ -396,10 +405,10 @@ class _ExactEngine:
         """(value, pi_value, error, se) of the order-p term with the integrals swapped.
 
         With W = b_p'z + sigma zeta_p e (e standard normal, independent of
-        z), 1 - Delta(sigma zeta_p, m_p + b_p'z, B) = P(|m_p + W| >= B | z).
+        z), 1 - Delta(sigma zeta_p, nu_p + b_p'z, B) = P(|nu_p + W| >= B | z).
         Split z = g X + R on X = W / (sigma xi_p), with R ~ N(0, S)
         independent of X.  At scale s the order-p test rejects when
-        |X - x0| >= s c_p, x0 = -m_p / (sigma xi_p), so z <= u and the
+        |X - x0| >= s c_p, x0 = -nu_p / (sigma xi_p), so z <= u and the
         rejection hold together for every s up to |X - x0| / c_p, and with
         K_p the scale mass below s (`_scale_mass`) the term is
 
@@ -413,7 +422,7 @@ class _ExactEngine:
         g, S, L = self.split[p]
         K, trunc = self._scale_mass(p, n_panels)
         vals, pis, errs, ses = conditional_rows(
-            u[None, :], g, S, L, -self.m[p] / (self.sigma * self.pq[p].xi_np), self.c[p],
+            u[None, :], g, S, L, -self.nu[p] / (self.sigma * self.design.xi(p)), self.c[p],
             K, self.s_step, n_panels, R)
         return float(vals[0]), float(pis[0]), trunc + float(errs[0]), float(ses[0])
 
@@ -437,7 +446,7 @@ class _ExactEngine:
         crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
                      for end in (lo, hi) if np.isfinite(end)]
         s, w, trunc = self._s_grid(n_panels, breaks=crossings)
-        tail = self._tail_products(s)
+        tail = tail_products(self.design, self.sigma, self.nu, self.c, O, s)
         # terms, weights, errors and sampling errors of orders O..P; the
         # order-O core carries the truncated scale mass
         parts = np.zeros((4, P - O + 1))

@@ -2,20 +2,22 @@
 
 For a parameter sequence theta + gamma/sqrt(n) the scaled estimation error
 sqrt(n) A (theta_tilde - theta - gamma/sqrt(n)) converges in distribution;
-this module evaluates the limit cdf, its density when one exists, and the
-constants (p_star, shift vectors beta, scalar drifts nu) that parameterize
-both.
+this module evaluates the limit cdf and its density when one exists.  Both
+read the design record `regression_core.LimitQuantities` of the limit Gram
+and the constants (p_star, shift vectors beta, scalar drifts nu) of
+`regression_core.local_shift_constants`, as the exact cdf of `dist_exact`
+does at Q = X'X/n and gamma = sqrt(n) theta.
 
 Two independent evaluation paths are provided.  The primary path works
 through the probabilistic representation of the limit: independent scalar
 Gaussians W_p (variance sigma^2 xi_p^2) drive partial sums
 Z_p = sum_{r <= p} xi_r^{-2} C_r W_r, and each mixture term is the joint
 probability P(Z_p <= u_p, |W_p + nu_p| >= c_p sigma xi_p) times later-stage
-interval factors.  Joint probabilities reduce to closed bivariate-normal
-forms for scalar targets, to the two-ray interval of the exact cdf
-(`_gauss.ray_interval_prob`) at conditional rank 0, and otherwise to the
-conditioned-orthant kernel of the exact cdf (`_gauss.conditional_rows`,
-at the one scale 1).  The secondary path (`cdf_limit_via_integral`)
+interval factors (`dist_exact.tail_products` at scale 1).  Joint
+probabilities reduce to closed bivariate-normal forms for scalar targets,
+to the two-ray interval of the exact cdf (`_gauss.ray_interval_prob`) at
+conditional rank 0, and otherwise to the conditioned-orthant kernel of the
+exact cdf (`_gauss.conditional_rows`, at the one scale 1).  The secondary path (`cdf_limit_via_integral`)
 evaluates the mixture-of-shifted-Gaussians integral form directly, with
 its own shift constants and each term conditioned on b_p'Z, and exists
 purely to cross-check the first.  Both build the per-order parts of a
@@ -26,7 +28,6 @@ enter only at k >= 4, once per order (`_rule_rows`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +47,14 @@ from ._gauss import (
     ray_interval_prob,
     refine,
 )
-from .dist_exact import AccuracyBudget, CdfResult, TermTrace, cdf_result, delta
+from .dist_exact import AccuracyBudget, CdfResult, TermTrace, cdf_result, delta, tail_products
 from .errors import DensityUndefinedError, ValidationError, cdf_argument
-from .regression_core import LimitQuantities, order_of
+from .regression_core import LimitQuantities, LocalShiftConstants, local_shift_constants
 from .selection import GeneralToSpecific
 
 __all__ = [
     "LocalAlternative",
-    "LocalShiftConstants",
     "OscillationReport",
-    "local_shift_constants",
     "cdf_limit",
     "cdf_limit_via_integral",
     "pdf_limit",
@@ -95,19 +94,6 @@ class LocalAlternative:
 
 
 @dataclass(frozen=True)
-class LocalShiftConstants:
-    """p_star together with the shift vectors beta(p) and drift scalars nu_p.
-
-    beta maps p in {p_star, ..., P} to the k-vector shift of the order-p
-    mixture component; nu maps p in {p_star+1, ..., P} to the scalar drift
-    of the order-p trailing coordinate."""
-
-    p_star: int
-    beta: dict[int, np.ndarray]
-    nu: dict[int, float]
-
-
-@dataclass(frozen=True)
 class OscillationReport:
     """Values of gamma -> limit cdf over a grid, and their max-min spread."""
 
@@ -115,44 +101,6 @@ class OscillationReport:
     values: np.ndarray
     oscillation: float
     t: np.ndarray
-
-
-def local_shift_constants(Q: np.ndarray, A: np.ndarray, theta, gamma,
-                          O: int = 0) -> LocalShiftConstants:
-    """Shift constants of the limit distribution under drift gamma.
-
-    For p between p_star = max(order(theta), O) and P the mixture component
-    of order p is shifted by
-
-        beta(p) = A ( Q[p,p]^{-1} Q[p, p+1:] gamma[p+1:] ; -gamma[p+1:] ),
-
-    so beta(P) = 0 and beta(0) = -A gamma, and for p > p_star the trailing
-    coordinate of the order-p fit drifts by
-
-        nu_p = gamma_p + ( Q[p,p]^{-1} Q[p, p+1:] gamma[p+1:] )_p.
-    """
-    Q = np.asarray(Q, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    P = Q.shape[0]
-    if A.shape[1] != P or theta.shape != (P,) or gamma.shape != (P,):
-        raise ValidationError("dimension mismatch between Q, A, theta, gamma")
-    if not (0 <= O < P):
-        raise ValidationError(f"O must lie in [0, P), got {O}")
-    p_star = max(order_of(theta), O)
-    beta: dict[int, np.ndarray] = {}
-    nu: dict[int, float] = {}
-    for p in range(p_star, P + 1):
-        vec = np.zeros(P)
-        if p < P:
-            vec[p:] = -gamma[p:]
-        if 0 < p < P:
-            vec[:p] = np.linalg.solve(Q[:p, :p], Q[:p, p:] @ gamma[p:])
-        beta[p] = A @ vec
-        if p > p_star:
-            nu[p] = float(gamma[p - 1] + vec[p - 1]) if p < P else float(gamma[P - 1])
-    return LocalShiftConstants(p_star=p_star, beta=beta, nu=nu)
 
 
 def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
@@ -168,18 +116,6 @@ def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
 def _method(name: str, budget: AccuracyBudget, k: int):
     """method(level) of a limit cdf result, for `cdf_result`."""
     return lambda level: f"{name};level={level};n_z={budget.n_z};seed={budget.seed};k={k}"
-
-
-def _delta_tails(limits: LimitQuantities, p_star: int, nu, sigma: float,
-                 c_of: np.ndarray) -> np.ndarray:
-    """prod_{q > p} Delta_q for p = p_star..P, the later-stage interval factors.
-
-    Delta_q = delta(sigma xi_q, nu_q, c_q sigma xi_q) is the probability that
-    the order-q test does not reject; entry i belongs to order p_star + i.
-    """
-    d = [float(delta(sigma * limits.xi(q), nu[q], c_of[q] * sigma * limits.xi(q)))
-         for q in range(p_star + 1, limits.P + 1)]
-    return np.array([math.prod(d[i:]) for i in range(len(d) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +190,17 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
     refinement gaps, level).
     """
     P, k, m = limits.P, limits.k, T.shape[0]
-    tails = _delta_tails(limits, p_star, nu, sigma, c_of)
+    tails = tail_products(limits, sigma, nu, c_of, p_star)
     shift = {P: np.zeros(k)}
     for p in range(P - 1, p_star - 1, -1):
         shift[p] = shift[p + 1] + limits.C(p + 1) * (nu[p + 1] / limits.xi(p + 1) ** 2)
-    # the order-0 estimator is the point 0: its orthant is an indicator
-    cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
-    core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], cov0,
+    core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], sigma ** 2 * limits.omega(p_star),
                                     rng=philox(budget.seed + 977), n_samples=budget.n_z)
     # terms, weights, errors and sampling errors of order p_star, whose
     # weight is the chance that no later test rejects
+    w0 = tails[p_star]
     core = np.empty((4, m))
-    core[0], core[1], core[2], core[3] = core0 * tails[0], tails[0], 0.0, 3.0 * se0 * tails[0]
+    core[0], core[1], core[2], core[3] = core0 * w0, w0, 0.0, 3.0 * se0 * w0
     # every order conditioned (and, where it must be, sampled) once
     joint = {p: _joint_rows(T + shift[p][None, :], sigma ** 2 * limits.omega(p),
                             sigma ** 2 * limits.C(p), sigma ** 2 * limits.xi(p) ** 2, nu[p],
@@ -278,7 +213,7 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
         parts[:, 0] = core
         for i, p in enumerate(range(p_star + 1, P + 1), start=1):
             parts[0, i], parts[1, i], parts[2, i], parts[3, i] = joint[p][0](level)
-            parts[:, i] *= tails[i]
+            parts[:, i] *= tails[p]
         return TermTrace(tuple(range(p_star, P + 1)), *parts)
 
     trace, gaps, level = refine(at_level, budget.tol,
@@ -327,15 +262,15 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     t, consts = _limit_query(limits, alt, t, rule)
     sigma, p_star = alt.sigma, consts.p_star
     c_of = rule.critical_values(limits.O)
-    tails = _delta_tails(limits, p_star, consts.nu, sigma, c_of)
+    tails = tail_products(limits, sigma, consts.nu, c_of, p_star)
 
     # terms, weights, errors and sampling errors of orders p_star..P; the
     # orders without a rule are fixed across levels
     fixed = np.zeros((4, P - p_star + 1))
-    cov0 = sigma ** 2 * limits.omega(p_star) if p_star else np.zeros((k, k))
-    core, core_se = gaussian_rect(t - consts.beta[p_star], cov0,
+    core, core_se = gaussian_rect(t - consts.beta[p_star], sigma ** 2 * limits.omega(p_star),
                                   rng=philox(budget.seed + 31), n_samples=budget.n_z)
-    fixed[:, 0] = core * tails[0], tails[0], 0.0, 3.0 * core_se * tails[0]
+    w0 = tails[p_star]
+    fixed[:, 0] = core * w0, w0, 0.0, 3.0 * core_se * w0
     rules = {}
     for i, p in enumerate(range(p_star + 1, P + 1), start=1):
         u = t - consts.beta[p]
@@ -348,7 +283,7 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
             val, se = gaussian_rect(u, cov_z, rng=philox(budget.seed + 63, p),
                                     n_samples=budget.n_z)
             pi = 1.0 - float(delta(sigma * zeta_p, consts.nu[p], B))
-            fixed[:, i] = pi * val * tails[i], pi * tails[i], 0.0, 3.0 * se * tails[i]
+            fixed[:, i] = pi * val * tails[p], pi * tails[p], 0.0, 3.0 * se * tails[p]
             continue
         # condition on X = V / sd(V): 1 - Delta(sigma zeta_p, nu_p + V, B) is the
         # mass K(|X - x0| / c) of `_rule_rows`, x0 = -nu_p / sd(V), c = B / sd(V)
@@ -361,7 +296,7 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
         parts = fixed.copy()
         for i, rows in rules.items():
             parts[:, i] = [v[0] for v in rows(level)]
-            parts[:, i] *= tails[i]
+            parts[:, i] *= tails[p_star + i]
         return TermTrace(tuple(range(p_star, P + 1)), *parts)
 
     trace, gap, level = refine(at_level, budget.tol, bool(rules))
@@ -383,7 +318,8 @@ def pdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
 
     Defined when p_star > 0 and the first p_star target columns have full
     row rank (every mixture component is then absolutely continuous);
-    otherwise raises DensityUndefinedError.
+    otherwise raises DensityUndefinedError.  It is 0 at a t with an
+    infinite coordinate.
     """
     t, consts = _limit_query(limits, alt, t, rule)
     sigma = alt.sigma
@@ -392,24 +328,25 @@ def pdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
         raise DensityUndefinedError(
             "density requires p_star > 0 and a full-row-rank leading target block")
 
+    if not np.all(np.isfinite(t)):
+        return 0.0   # every component density vanishes there
     c_of = rule.critical_values(limits.O)
-    tails = _delta_tails(limits, p_star, consts.nu, sigma, c_of)
+    tails = tail_products(limits, sigma, consts.nu, c_of, p_star)
 
     val = _mvn_pdf(t - consts.beta[p_star],
-                   sigma ** 2 * limits.omega(p_star)) * tails[0]
-    for i, p in enumerate(range(p_star + 1, limits.P + 1), start=1):
+                   sigma ** 2 * limits.omega(p_star)) * tails[p_star]
+    for p in range(p_star + 1, limits.P + 1):
         v = t - consts.beta[p]
         a = consts.nu[p] + float(limits.b(p) @ v)
         B = c_of[p] * sigma * limits.xi(p)
         one_minus = 1.0 - float(delta(sigma * limits.zeta(p), a, B))
-        val += one_minus * _mvn_pdf(v, sigma ** 2 * limits.omega(p)) * tails[i]
+        val += one_minus * _mvn_pdf(v, sigma ** 2 * limits.omega(p)) * tails[p]
     return float(val)
 
 
 def full_model_gaussian_cdf(limits: LimitQuantities, sigma: float, t) -> float:
     """Cdf of N(0, sigma^2 A Q^{-1} A') at t: the no-selection-effect limit."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    val, _ = gaussian_rect(t, sigma ** 2 * limits.omega(limits.P))
+    val, _ = gaussian_rect(cdf_argument(t, limits.k), sigma ** 2 * limits.omega(limits.P))
     return float(val)
 
 
@@ -425,6 +362,8 @@ def limit_nonconstancy_scan(limits: LimitQuantities, theta, sigma: float, t,
     grid = np.atleast_2d(np.asarray(gamma_grid, dtype=float))
     if grid.shape[1] != limits.P:
         raise ValidationError("gamma grid width must equal P")
+    if grid.shape[0] == 0:
+        raise ValidationError("gamma grid is empty")
     values = np.empty(grid.shape[0])
     for i, gamma in enumerate(grid):
         alt = LocalAlternative(theta=theta, gamma=gamma, sigma=sigma)

@@ -274,7 +274,6 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
                        rule=None, master_seed: int = 0,
                        workers: int | None = None,
                        aux_scheme: str = "sqrt_log_n",
-                       oracle_factor: int = 10,
                        budget: AccuracyBudget | None = None) -> SweepReport:
     """Paired error-probability curves of the plug-in cdf estimator.
 
@@ -283,13 +282,13 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
     theta + gamma/sqrt(n) (rises toward 1).  delta0 = None auto-calibrates
     via pilot_delta0 along the drift axis.
 
-    ``rule=None`` uses the fixture's sequential rule with the exact-formula
-    reference.  Passing a two-model information criterion (full model vs
-    drop-last) runs the selection through its exact |t|-threshold
-    equivalent and takes the reference cdf from an oracle_factor-times
-    larger Monte Carlo run, since no closed form is evaluated for that
-    family.  Refuses when the drift coordinate is uncorrelated with the
-    target.
+    ``rule=None`` uses the fixture's sequential rule.  A two-model
+    information criterion (full model vs drop-last) is run as its exact
+    |t|-threshold equivalent: the sequential rule with protected order
+    P - 1 and critical value `ic_threshold(n, P, upsilon_n)` (ties have
+    probability 0).  Either way both reference cdfs are `cdf_exact` under
+    the rule that is run.  Refuses when the drift coordinate is
+    uncorrelated with the target.
     """
     start = time.perf_counter()
     budget = budget or AccuracyBudget()
@@ -298,7 +297,6 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
     n_ladder = _ladder(n_ladder)
     pr = fixture.problem
     rule = fixture.rule if rule is None else rule
-    notes: list[str] = []
 
     if isinstance(rule, GeneralToSpecific):
         if fixture.limits.q_star is None:
@@ -321,9 +319,6 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
                 "(A Q^{-1} e_P = 0); hypothesis violated")
         drift_axis = P
         mask_mode = True
-        notes.append("Two-model IC selection run through its exact "
-                     "|t|-threshold equivalent; reference cdf from a "
-                     f"{oracle_factor}x Monte Carlo run.")
     else:
         raise ExperimentRefusal(f"unsupported rule {type(rule).__name__}")
 
@@ -339,30 +334,14 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
         fx_n = fixture.at_n(n)
         theta0 = pr.theta
         theta1 = pr.theta + gamma / np.sqrt(n)
+        base, run_rule = fx_n.problem, fixture.rule
         if mask_mode:
-            c_n = ic_threshold(n, pr.P, rule.upsilon_n)
-            run_rule = GeneralToSpecific(critical=(c_n,))
-            prob0 = RegressionProblem(X=fx_n.problem.X, theta=theta0,
-                                      sigma=pr.sigma, O=pr.P - 1)
-            prob1 = RegressionProblem(X=fx_n.problem.X, theta=theta1,
-                                      sigma=pr.sigma, O=pr.P - 1)
-            refs = []
-            for prob, theta in ((prob0, theta0), (prob1, theta1)):
-                big = SimulationPlan(problem=prob, rule=rule, A=fixture.A,
-                                     replications=oracle_factor * replications,
-                                     master_seed=master_seed + 7)
-                emp = empirical_cdf(big, [t_arr], workers=workers)
-                refs.append(float(emp.estimates[0]))
-        else:
-            run_rule = fixture.rule
-            prob0 = _with_theta(fx_n.problem, theta0)
-            prob1 = _with_theta(fx_n.problem, theta1)
-            refs = []
-            for theta in (theta0, theta1):
-                res = cdf_exact(fx_n.problem,
-                                CdfQuery(A=fixture.A, t=t_arr, theta=theta,
-                                         sigma=pr.sigma, rule=run_rule), budget)
-                refs.append(res.value)
+            base = RegressionProblem(X=base.X, theta=theta0, sigma=pr.sigma, O=pr.P - 1)
+            run_rule = GeneralToSpecific(critical=(ic_threshold(n, pr.P, rule.upsilon_n),))
+        prob0, prob1 = base, _with_theta(base, theta1)
+        refs = [cdf_exact(base, CdfQuery(A=fixture.A, t=t_arr, theta=theta, sigma=pr.sigma,
+                                         rule=run_rule), budget).value
+                for theta in (theta0, theta1)]
         vals = []
         for prob, ref in zip((prob0, prob1), refs):
             plan = SimulationPlan(problem=prob, rule=run_rule, A=fixture.A,
@@ -387,7 +366,7 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
                 "replications": replications, "aux_scheme": aux_scheme,
                 "rule_mode": "ic_two_model" if mask_mode else "g2s",
                 "tol": budget.tol},
-        wall_clock_s=time.perf_counter() - start, notes=tuple(notes))
+        wall_clock_s=time.perf_counter() - start)
 
 
 def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,

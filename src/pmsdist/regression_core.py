@@ -6,10 +6,13 @@ P - p coordinates vanish}, p = 0..P.  A "protected" minimal order O in
 [0, P) is always retained by the selection procedures.
 
 This module provides restricted least squares, the residual scale estimate,
-the sequential t-statistics, and the finite-n and limiting projection
-quantities (scale factors, covariance vectors, induced regression
-coefficients and residual scales) that the distribution formulas are built
-from.
+the sequential t-statistics, the one design record (`LimitQuantities`: scale
+factors, covariance vectors, induced regression coefficients, residual
+scales and target covariances of every order) and the one source of shift
+vectors and drifts (`local_shift_constants`).  The finite-n law depends on
+the design only through X'X/n and on theta only through sqrt(n) theta, so
+both distribution formulas read these: the limit one at the limit Gram Q
+and the drift gamma, the exact one at Q = X'X/n and gamma = sqrt(n) theta.
 """
 from __future__ import annotations
 
@@ -24,15 +27,15 @@ from .errors import DegenerateSampleError, ValidationError
 
 __all__ = [
     "RegressionProblem",
-    "ProjectionQuantities",
     "LimitQuantities",
+    "LocalShiftConstants",
     "restricted_ls",
     "sigma_hat",
     "t_statistics",
     "projection_quantities",
-    "eta",
     "order_of",
     "limit_quantities",
+    "local_shift_constants",
 ]
 
 # Relative eigenvalue cutoff for generalized inverses and SPD checks.
@@ -133,36 +136,21 @@ class RegressionProblem:
 
 
 @dataclass(frozen=True)
-class ProjectionQuantities:
-    """Finite-n building blocks for target A and order p.
-
-    xi_np is the t-statistic scale (sqrt of the trailing diagonal entry of
-    the inverted leading Gram block); C_np the covariance vector between the
-    target estimate and the p-th coefficient estimate (up to sigma^2/n);
-    b_np and zeta_np the induced regression coefficient and residual scale;
-    eta_np the mean vector of the order-p restricted estimator; omega_np the
-    covariance A[p] G_p^{-1} A[p]' of the order-p target estimate (up to
-    sigma^2/n).
-    """
-
-    p: int
-    xi_np: float
-    C_np: np.ndarray
-    b_np: np.ndarray
-    zeta_np: float
-    eta_np: np.ndarray
-    omega_np: np.ndarray
-
-
-@dataclass(frozen=True)
 class LimitQuantities:
-    """Limiting analogues of the projection quantities, for p = 1..P.
+    """The design record of a Gram Q and target A, for p = 1..P.
 
-    Arrays are indexed by p - 1; the ``xi``, ``C``, ``b``, ``zeta`` and
-    ``omega`` accessors take the order p directly.  q_star is the largest
-    q > O whose limiting covariance vector is (numerically) non-zero, or
-    None when every such vector vanishes — the hypothesis gate for the
-    non-uniformity phenomena.
+    xi_p is the t-statistic scale (sqrt of the trailing diagonal entry of
+    Q[p:p]^{-1}); C_p the covariance vector between the order-p target
+    estimate and its trailing coefficient; b_p and zeta_p the induced
+    regression coefficient and residual scale; omega_p the covariance
+    A[p] Q[p:p]^{-1} A[p]' of the order-p target estimate (all at unit
+    sigma).  Q is the limit Gram (`limit_quantities`) or X'X/n
+    (`projection_quantities`).  Arrays are indexed by p - 1; the ``xi``,
+    ``C``, ``b``, ``zeta`` and ``omega`` accessors take the order p
+    directly, and omega(0), the order-0 estimator being the point 0, is
+    the zero matrix.  q_star is the largest q > O whose covariance vector
+    is (numerically) non-zero, or None when every such vector vanishes —
+    the hypothesis gate for the non-uniformity phenomena.
     """
 
     Q: np.ndarray
@@ -196,8 +184,21 @@ class LimitQuantities:
         return float(self.zeta_inf[p - 1])
 
     def omega(self, p: int) -> np.ndarray:
-        """Covariance A[p] Q[p:p]^{-1} A[p]' of the order-p limit law (unit sigma)."""
-        return self.omega_inf[p - 1]
+        """Covariance A[p] Q[p:p]^{-1} A[p]' of the order-p law (unit sigma)."""
+        return self.omega_inf[p - 1] if p else np.zeros((self.k, self.k))
+
+
+@dataclass(frozen=True)
+class LocalShiftConstants:
+    """p_star together with the shift vectors beta(p) and drift scalars nu_p.
+
+    beta maps p in {p_star, ..., P} to the k-vector shift of the order-p
+    mixture component; nu maps p in {p_star+1, ..., P} to the scalar drift
+    of the order-p trailing coordinate."""
+
+    p_star: int
+    beta: dict[int, np.ndarray]
+    nu: dict[int, float]
 
 
 def restricted_ls(problem: RegressionProblem, Y: np.ndarray, p: int) -> np.ndarray:
@@ -260,29 +261,6 @@ def xi_n(problem: RegressionProblem, p: int) -> float:
     return float(np.sqrt(np.linalg.solve(gp, ep)[-1]))
 
 
-def eta(problem: RegressionProblem, p: int) -> np.ndarray:
-    """Mean vector of the order-p restricted estimator.
-
-    The first p coordinates absorb the projection of the excluded ones:
-    theta[:p] + G_p^{-1} G_{p,rest} theta[p:]; the tail is zero.  p = 0
-    gives the zero vector and p = P gives theta itself.
-    """
-    if not (0 <= p <= problem.P):
-        raise ValidationError(f"order p={p} outside [0, {problem.P}]")
-    P = problem.P
-    out = np.zeros(P)
-    if p == 0:
-        return out
-    if p == P:
-        return problem.theta.copy()
-    gram = problem.gram
-    head = problem.theta[:p] + np.linalg.solve(
-        gram[:p, :p], gram[:p, p:] @ problem.theta[p:]
-    )
-    out[:p] = head
-    return out
-
-
 def order_of(theta: np.ndarray) -> int:
     """Smallest p with theta in M_p: the index of the last non-zero entry.
 
@@ -293,43 +271,58 @@ def order_of(theta: np.ndarray) -> int:
     return 0 if nz.size == 0 else int(nz[-1]) + 1
 
 
-def _projection_from_gram(gram: np.ndarray, A: np.ndarray, p: int):
-    """Shared finite-n / limit computation of (xi, C, b, zeta, omega) at order p."""
-    gp = gram[:p, :p]
-    Ap = A[:, :p]
-    ep = np.zeros(p)
-    ep[-1] = 1.0
-    ginv_ep = np.linalg.solve(gp, ep)
-    xi2 = float(ginv_ep[-1])
-    C = Ap @ ginv_ep
-    omega = Ap @ np.linalg.solve(gp, Ap.T)
-    omega = 0.5 * (omega + omega.T)
-    omega_pinv = sym_pinv(omega, GINV_REL_TOL)
-    b = C @ omega_pinv
-    zeta2 = xi2 - float(b @ C)
-    tol = 1e-10 * max(1.0, abs(xi2))
-    if zeta2 < -tol:
-        raise ValidationError(
-            f"zeta^2 = {zeta2:.3e} below the clamping tolerance at order {p}")
-    if zeta2 <= tol:  # cancellation residue of an exact zero, of either sign
-        zeta2 = 0.0
-    return float(np.sqrt(xi2)), C, b, float(np.sqrt(zeta2)), omega
-
-
-def projection_quantities(problem: RegressionProblem, A: np.ndarray, p: int) -> ProjectionQuantities:
-    """Finite-n quantities (xi, C, b, zeta, eta, omega) for target A at order p.
+def _design_record(Q: np.ndarray, A: np.ndarray, O: int) -> LimitQuantities:
+    """The record of Q and A for p = 1..P, plus q_star; arguments unchecked.
 
     The generalized inverse in b and zeta is the symmetric eigendecomposition
     pseudo-inverse with relative cutoff 1e-12; zeta^2 is clamped to zero when
     within 1e-10 (relative to max(1, xi^2)) of it from either side, the
     floating-point cancellation residue of an exact zero.
     """
-    if not (1 <= p <= problem.P):
-        raise ValidationError(f"order p={p} outside [1, {problem.P}]")
-    A = _check_target(A, problem.P)
-    xi, C, b, zeta, omega = _projection_from_gram(problem.gram, A, p)
-    return ProjectionQuantities(p=p, xi_np=xi, C_np=C, b_np=b, zeta_np=zeta,
-                                eta_np=eta(problem, p), omega_np=omega)
+    P, k = Q.shape[0], A.shape[0]
+    xi = np.zeros(P)
+    C = np.zeros((P, k))
+    b = np.zeros((P, k))
+    zeta = np.zeros(P)
+    omega = np.zeros((P, k, k))
+    for p in range(1, P + 1):
+        qp, Ap = Q[:p, :p], A[:, :p]
+        ep = np.zeros(p)
+        ep[-1] = 1.0
+        qinv_ep = np.linalg.solve(qp, ep)
+        xi2 = float(qinv_ep[-1])
+        C[p - 1] = Ap @ qinv_ep
+        om = Ap @ np.linalg.solve(qp, Ap.T)
+        omega[p - 1] = 0.5 * (om + om.T)
+        b[p - 1] = C[p - 1] @ sym_pinv(omega[p - 1], GINV_REL_TOL)
+        zeta2 = xi2 - float(b[p - 1] @ C[p - 1])
+        tol = 1e-10 * max(1.0, abs(xi2))
+        if zeta2 < -tol:
+            raise ValidationError(
+                f"zeta^2 = {zeta2:.3e} below the clamping tolerance at order {p}")
+        if zeta2 <= tol:  # cancellation residue of an exact zero, of either sign
+            zeta2 = 0.0
+        xi[p - 1], zeta[p - 1] = np.sqrt(xi2), np.sqrt(zeta2)
+    q_star = None
+    for q in range(P, O, -1):
+        if np.linalg.norm(C[q - 1]) > QSTAR_TOL:
+            q_star = q
+            break
+    return LimitQuantities(
+        Q=_readonly(Q), A=_readonly(A), O=int(O),
+        xi_inf=xi, C_inf=C, b_inf=b, zeta_inf=zeta, omega_inf=omega,
+        q_star=q_star,
+    )
+
+
+def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQuantities:
+    """The design record of X'X/n for target A and every order.
+
+    The finite-n counterpart of `limit_quantities`, without its positive
+    definiteness gate: `RegressionProblem` has checked the rank of X, and
+    a nearly collinear design keeps its finite-n law.
+    """
+    return _design_record(problem.gram, _check_target(A, problem.P), problem.O)
 
 
 def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantities:
@@ -347,22 +340,46 @@ def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantitie
     A = _check_target(A, P)
     if not (0 <= O < P):
         raise ValidationError(f"O must lie in [0, {P}), got {O}")
-    k = A.shape[0]
-    xi = np.zeros(P)
-    C = np.zeros((P, k))
-    b = np.zeros((P, k))
-    zeta = np.zeros(P)
-    omega = np.zeros((P, k, k))
-    for p in range(1, P + 1):
-        xi[p - 1], C[p - 1], b[p - 1], zeta[p - 1], omega[p - 1] = _projection_from_gram(Q, A, p)
-    q_star = None
-    for q in range(P, O, -1):
-        if np.linalg.norm(C[q - 1]) > QSTAR_TOL:
-            q_star = q
-            break
-    return LimitQuantities(
-        Q=_readonly(Q), A=_readonly(A), O=int(O),
-        xi_inf=xi, C_inf=C, b_inf=b, zeta_inf=zeta, omega_inf=omega,
-        q_star=q_star,
-    )
+    return _design_record(Q, A, O)
 
+
+def local_shift_constants(Q: np.ndarray, A: np.ndarray, theta, gamma,
+                          O: int = 0) -> LocalShiftConstants:
+    """Shift constants of the order-p mixture components under drift gamma.
+
+    For p between p_star = max(order(theta), O) and P the mixture component
+    of order p is shifted by
+
+        beta(p) = A ( Q[p,p]^{-1} Q[p, p+1:] gamma[p+1:] ; -gamma[p+1:] ),
+
+    so beta(P) = 0 and beta(0) = -A gamma, and for p > p_star the trailing
+    coordinate of the order-p fit drifts by
+
+        nu_p = gamma_p + ( Q[p,p]^{-1} Q[p, p+1:] gamma[p+1:] )_p.
+
+    At Q = X'X/n, theta = 0 and gamma = sqrt(n) theta these are the finite-n
+    shifts sqrt(n) A (eta(p) - theta) and drifts sqrt(n) eta_p(p), eta(p)
+    being the mean of the order-p restricted estimator.
+    """
+    Q = np.asarray(Q, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    P = Q.shape[0]
+    if A.shape[1] != P or theta.shape != (P,) or gamma.shape != (P,):
+        raise ValidationError("dimension mismatch between Q, A, theta, gamma")
+    if not (0 <= O < P):
+        raise ValidationError(f"O must lie in [0, P), got {O}")
+    p_star = max(order_of(theta), O)
+    beta: dict[int, np.ndarray] = {}
+    nu: dict[int, float] = {}
+    for p in range(p_star, P + 1):
+        vec = np.zeros(P)
+        if p < P:
+            vec[p:] = -gamma[p:]
+        if 0 < p < P:
+            vec[:p] = np.linalg.solve(Q[:p, :p], Q[:p, p:] @ gamma[p:])
+        beta[p] = A @ vec
+        if p > p_star:
+            nu[p] = float(gamma[p - 1] + vec[p - 1]) if p < P else float(gamma[P - 1])
+    return LocalShiftConstants(p_star=p_star, beta=beta, nu=nu)

@@ -217,8 +217,8 @@ def test_criterion_9_structural_invariants(tmp_path):
     zeta_dev = 0.0
     for name in ("ORTHO2", "COLL2"):
         fx = fixture(name)
+        dq = projection_quantities(fx.problem, np.eye(2))
         for p in range(1, fx.problem.P + 1):
-            pq = projection_quantities(fx.problem, np.eye(2), p)
             Ap = np.eye(2)[:, :p]
             omega = Ap @ np.linalg.solve(fx.problem.gram[:p, :p], Ap.T)
             lam, vec = np.linalg.eigh(0.5 * (omega + omega.T))
@@ -228,8 +228,8 @@ def test_criterion_9_structural_invariants(tmp_path):
                 inv = rng.standard_normal(lam.shape)   # garbage off the range
                 inv[keep] = 1.0 / lam[keep]
                 g_alt = (vec * inv) @ vec.T
-                zeta2 = pq.xi_np ** 2 - pq.C_np @ g_alt @ pq.C_np
-                zeta_dev = max(zeta_dev, abs(max(zeta2, 0.0) - pq.zeta_np ** 2))
+                zeta2 = dq.xi(p) ** 2 - dq.C(p) @ g_alt @ dq.C(p)
+                zeta_dev = max(zeta_dev, abs(max(zeta2, 0.0) - dq.zeta(p) ** 2))
     ok_zeta = zeta_dev <= 1e-10
 
     # (b) the covariance between the target and the trailing coefficient
@@ -244,7 +244,7 @@ def test_criterion_9_structural_invariants(tmp_path):
         coefs = np.linalg.solve(r, (Y @ q).T).T
         target = coefs @ np.eye(2)[:, :p].T
         trailing = coefs[:, -1]
-        want = pr.sigma ** 2 * projection_quantities(pr, np.eye(2), p).C_np / pr.n
+        want = pr.sigma ** 2 * projection_quantities(pr, np.eye(2)).C(p) / pr.n
         got = np.array([np.cov(target[:, j], trailing)[0, 1] for j in range(2)])
         se = np.sqrt(np.var(target, axis=0) * np.var(trailing) + got ** 2) / np.sqrt(reps)
         ok_cov = ok_cov and bool(np.all(np.abs(got - want) <= 4.0 * se))

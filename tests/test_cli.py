@@ -36,6 +36,11 @@ def test_cdf_limit_cross_check_and_density(capsys):
                                "--density"])
     assert rc == EXIT_OK
     assert _payload(out)["density"] > 0.0
+    # at an infinite coordinate the density is 0, printed as valid JSON
+    rc, out, _ = _run(capsys, ["cdf-limit", "--fixture", "ORTHO2", "--t", "inf,0",
+                               "--density"])
+    assert rc == EXIT_OK
+    assert _payload(out)["density"] == 0.0
 
 
 def test_cdf_exact_agrees_with_limit_at_large_n(capsys):

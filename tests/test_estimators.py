@@ -8,7 +8,6 @@ from pmsdist.cdf_estimators import (
     g_check_values,
     phi_hat,
     phi_hat_values,
-    plug_in_state,
 )
 from pmsdist.dist_exact import AccuracyBudget
 from pmsdist.dist_limit import LocalAlternative, cdf_limit
@@ -27,12 +26,12 @@ def test_plug_in_equals_limit_formula_at_plugged_arguments():
     fx = fixture("COLL2")
     pr = fx.problem
     Y = simulate_response(pr, (17, 0))
-    state = plug_in_state(pr, Y, fx.A)
+    p_eff = max(auxiliary_consistent(pr, Y), pr.O)
     limits = limit_quantities(pr.gram, fx.A, O=pr.O)
     theta = np.zeros(pr.P)
-    if state.p_eff:
-        theta[state.p_eff - 1] = 1.0   # any theta of exact order p_eff
-    alt = LocalAlternative(theta=theta, gamma=np.zeros(pr.P), sigma=state.sigma_hat)
+    if p_eff:
+        theta[p_eff - 1] = 1.0   # any theta of exact order p_eff
+    alt = LocalAlternative(theta=theta, gamma=np.zeros(pr.P), sigma=sigma_hat(pr, Y))
     for t in ([0.2, 0.4], [-0.6, 1.0]):
         want = cdf_limit(limits, alt, t, fx.rule, QUICK).value
         got = g_check(pr, Y, fx.A, t, fx.rule, budget=QUICK)
@@ -109,8 +108,7 @@ def test_full_order_plug_in_matches_full_gaussian():
     pr = fx.problem
     for r in range(40):
         Y = simulate_response(pr, (37, r))
-        state = plug_in_state(pr, Y, fx.A)
-        if state.p_bar < pr.P:
+        if auxiliary_consistent(pr, Y) < pr.P:
             continue
         t = [0.4, 0.1]
         got = g_check(pr, Y, fx.A, t, fx.rule, budget=QUICK)
@@ -119,17 +117,6 @@ def test_full_order_plug_in_matches_full_gaussian():
         break
     else:
         pytest.fail("no replication selected the full order")
-
-
-def test_plug_in_state_fields():
-    fx = fixture("ORTHO2")  # O = 1
-    pr = fx.problem
-    Y = simulate_response(pr, (41, 0))
-    state = plug_in_state(pr, Y, fx.A)
-    assert state.p_eff == max(state.p_bar, 1)
-    assert state.sigma_hat == sigma_hat(pr, Y)
-    assert state.limits.P == 2 and state.limits.O == 1
-    assert np.allclose(state.limits.Q, pr.gram, atol=0)
 
 
 def test_nan_arguments_are_rejected():

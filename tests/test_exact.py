@@ -22,6 +22,7 @@ from pmsdist.dist_exact import (
     cdf_exact,
     cdf_result,
     delta,
+    tail_products,
 )
 from pmsdist.dist_limit import LocalAlternative, _joint_rows, cdf_limit, cdf_limit_via_integral
 from pmsdist.errors import ValidationError
@@ -103,6 +104,49 @@ def test_query_theta_overrides_problem_theta():
     res_a = cdf_exact(fx.problem, _query(fx, [0.8], sigma=2.0), QUICK)
     res_b = cdf_exact(fx.problem, _query(fx, [0.4], sigma=1.0), QUICK)
     assert abs(res_a.value - res_b.value) < 2 * (res_a.abs_error + res_b.abs_error) + 1e-9
+
+
+def test_engine_shifts_and_drifts_are_the_projection_means():
+    # shift(p) = sqrt(n) A (eta(p) - theta) and nu_p = sqrt(n) eta_p(p),
+    # eta(p) the least-squares fit of X theta on the first p columns, at a
+    # query theta other than the problem's
+    ortho, coll = fixture("ORTHO2"), fixture("COLL2")
+    cases = [(ortho.problem, ortho.A, ortho.rule, np.array([-0.3, 0.7])),
+             (coll.problem, coll.A, coll.rule, np.array([0.2, -0.45])),
+             (*_p4_k3_case(), np.array([0.1, -0.6, 0.35, 0.8]))]
+    for problem, A, rule, theta in cases:
+        assert not np.array_equal(theta, problem.theta)
+        query = CdfQuery(A=A, t=np.zeros(A.shape[0]), theta=theta, sigma=1.0, rule=rule)
+        engine = _ExactEngine(problem, query, QUICK)
+        P, O, sqrt_n = problem.P, problem.O, np.sqrt(problem.n)
+        for p in range(O, P + 1):
+            eta = np.zeros(P)
+            if p:
+                eta[:p] = np.linalg.lstsq(problem.X[:, :p], problem.X @ theta, rcond=None)[0]
+            assert np.allclose(engine.shift[p], sqrt_n * A @ (eta - theta),
+                               rtol=0.0, atol=1e-12), p
+            if p > O:
+                assert abs(engine.nu[p] - sqrt_n * eta[p - 1]) <= 1e-12, p
+
+
+def test_nearly_collinear_design_keeps_its_value():
+    # cond(X'X/n) is about 3e14: too ill-conditioned for the limit Gram's
+    # positive definiteness gate, but the finite-n law is well defined and
+    # its value is frozen
+    rng = np.random.default_rng(7)
+    n = 200
+    x2 = rng.standard_normal(n)
+    X = np.column_stack([np.ones(n), x2, x2 + 1e-7 * rng.standard_normal(n)])
+    problem = RegressionProblem(X=X, theta=np.array([0.5, 0.3, 0.0]), sigma=1.0, O=1)
+    assert np.linalg.cond(problem.gram) > 1e14
+    with pytest.raises(ValidationError):
+        limit_quantities(problem.gram, np.eye(3)[:2], problem.O)
+    rule = GeneralToSpecific(critical=(2.0, 2.0))
+    for A, t, want in ((np.array([[1.0, 0.0, 0.0]]), [0.3], 0.619730120937688),
+                       (np.eye(3)[:2], [0.3, -0.2], 0.30112547748222585)):
+        res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+        assert res.warning is None
+        assert abs(res.value - want) <= 1e-15, (res.value, want)
 
 
 def test_replay_is_bit_identical():
@@ -228,9 +272,9 @@ def test_k2_term_agrees_with_sampled_term():
         for t in ts:
             engine = _ExactEngine(problem, CdfQuery(A=A, t=t, theta=problem.theta,
                                                     sigma=1.0, rule=rule), budget)
+            dq = engine.design
             for p in range(problem.O + 1, problem.P + 1):
-                pq = engine.pq[p]
-                ranks.add(condition_on_scalar(pq.omega_np, pq.C_np, pq.xi_np ** 2)[2].shape[1])
+                ranks.add(condition_on_scalar(dq.omega(p), dq.C(p), dq.xi(p) ** 2)[2].shape[1])
                 u = engine.query.t - engine.shift[p]
                 det, _, det_err = engine._term_orthant(p, u, PANELS)
                 val, _, err, se = engine._term_sampled(p, u, PANELS)
@@ -254,13 +298,13 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
         x_end, factor = u[0], float(u[1] >= 0.0)
     else:
         x_end, factor = u[1], ndtr(u[0])
-    pq = engine.pq[p]
-    x0, c = -engine.m[p] / pq.xi_np, engine.c[p]
+    dq = engine.design
+    x0, c = -engine.nu[p] / dq.xi(p), engine.c[p]
 
     def integrand(s):
         x_lo, x_hi = x0 - s * c, x0 + s * c
         rays = ndtr(min(x_end, x_lo)) + max(ndtr(x_end) - ndtr(x_hi), 0.0)
-        tail = engine._tail_products(np.array([s]))[p][0]
+        tail = tail_products(dq, engine.sigma, engine.nu, engine.c, p, np.array([s]))[p][0]
         return engine.ratio.pdf(s) * tail * factor * rays
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
@@ -279,17 +323,17 @@ def test_k1_term_matches_adaptive_quadrature(name, t):
     engine = _ExactEngine(fx.problem, CdfQuery(A=E1, t=[t], theta=fx.problem.theta,
                                                sigma=1.0, rule=fx.rule), AccuracyBudget())
     p, sig = 2, engine.sigma
-    pq = engine.pq[p]
-    assert pq.zeta_np > 0.1 * pq.xi_np
+    dq = engine.design
+    assert dq.zeta(p) > 0.1 * dq.xi(p)
     u = engine.query.t - engine.shift[p]
-    b, mp, cssx = float(pq.b_np[0]), engine.m[p], engine.c[p] * sig * pq.xi_np
-    sd = sig * np.sqrt(pq.omega_np[0, 0])
+    b, mp, cssx = float(dq.b(p)[0]), engine.nu[p], engine.c[p] * sig * dq.xi(p)
+    sd = sig * np.sqrt(dq.omega(p)[0, 0])
 
     def inner(s):
         def f(z):
-            return norm_pdf(z / sd) / sd * (1.0 - delta(sig * pq.zeta_np, mp + b * z, s * cssx))
+            return norm_pdf(z / sd) / sd * (1.0 - delta(sig * dq.zeta(p), mp + b * z, s * cssx))
         val, _ = quad(f, -12.0 * sd, u[0], epsabs=1e-15, epsrel=1e-13, limit=200)
-        tail = engine._tail_products(np.array([s]))[p][0]
+        tail = tail_products(dq, engine.sigma, engine.nu, engine.c, p, np.array([s]))[p][0]
         return engine.ratio.pdf(s) * tail * val
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
@@ -362,9 +406,9 @@ def test_orders_dispatch_on_conditional_rank(monkeypatch, case, arms):
     engine.assemble(0)
     assert taken == {p: {arm} for p, arm in arms.items()}
     for p, arm in arms.items():
-        pq = engine.pq[p]
-        _, quad = _joint_rows(query.t[None, :], pq.omega_np, pq.C_np, pq.xi_np ** 2,
-                              0.3, 2.0 * pq.xi_np, (0, 0), budget.n_z)
+        dq = engine.design
+        _, quad = _joint_rows(query.t[None, :], dq.omega(p), dq.C(p), dq.xi(p) ** 2,
+                              0.3, 2.0 * dq.xi(p), (0, 0), budget.n_z)
         assert quad == (arm != "two_ray"), (p, arm)
 
 
@@ -455,13 +499,14 @@ def test_k3_term_matches_adaptive_quadrature(p, n):
     engine = _ExactEngine(problem, CdfQuery(A=A, t=P4_GRID[0], theta=problem.theta,
                                             sigma=1.0, rule=rule), budget)
     u = engine.query.t - engine.shift[p]
-    pq = engine.pq[p]
-    g, _, L = condition_on_scalar(pq.omega_np, pq.C_np, pq.xi_np ** 2)
+    dq = engine.design
+    g, _, L = condition_on_scalar(dq.omega(p), dq.C(p), dq.xi(p) ** 2)
     assert L.shape[1] == p - 1
-    x0, c = -engine.m[p] / pq.xi_np, engine.c[p]
+    x0, c = -engine.nu[p] / dq.xi(p), engine.c[p]
     s_lo, s_hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     dens = chi(df=engine.ratio.dof, scale=1.0 / np.sqrt(engine.ratio.dof))
-    K = solve_ivp(lambda s, _: [dens.pdf(s) * engine._tail_products(np.array([s]))[p][0]],
+    K = solve_ivp(lambda s, _: [dens.pdf(s) * tail_products(dq, engine.sigma, engine.nu,
+                                                            engine.c, p, s)[p]],
                   (s_lo, s_hi), [0.0], method="DOP853", rtol=1e-13, atol=1e-16,
                   dense_output=True).sol
 

@@ -126,8 +126,7 @@ def test_impossibility_demo_ic_variant():
     rule = InformationCriterion(upsilon_n=2.0, family=fam)
     rep = impossibility_demo(fixture("P1"), t=[0.0], gamma=[0.8], delta0=0.10,
                              n_ladder=(100, 400), replications=300,
-                             rule=rule, master_seed=13, oracle_factor=5,
-                             budget=QUICK)
+                             rule=rule, master_seed=13, budget=QUICK)
     cols = rep.columns
     assert rep.config["rule_mode"] == "ic_two_model"
     assert rep.rows[-1][cols.index("error_prob_drift")] >= 0.9
@@ -177,6 +176,7 @@ def test_empty_ladders_and_grids_are_invalid():
         lambda: uniform_case_sweep(fixture("BLOCK_ORTHO"), theta_grid=grid, t=[0.2],
                                    n_ladder=(), replications=200),
         lambda: aic_equivalence_audit(coll, instances=100, n_ladder=()),
+        lambda: pilot_delta0(coll, t=[0.0, 0.0], gamma_axis=2, lam_grid=[], budget=QUICK),
     ):
         with pytest.raises(ValidationError, match="is empty"):
             run()

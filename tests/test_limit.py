@@ -14,12 +14,11 @@ from pmsdist.dist_limit import (
     cdf_limit_via_integral,
     full_model_gaussian_cdf,
     limit_nonconstancy_scan,
-    local_shift_constants,
     pdf_limit,
 )
 from pmsdist.errors import DensityUndefinedError, ValidationError
 from pmsdist.fixtures import fixture, random_k1_limit_case
-from pmsdist.regression_core import limit_quantities
+from pmsdist.regression_core import limit_quantities, local_shift_constants
 from pmsdist.selection import GeneralToSpecific
 
 QUICK = AccuracyBudget(tol=1e-6, n_z=20_000, seed=0)
@@ -61,6 +60,13 @@ def test_nan_t_is_rejected_and_infinite_t_is_valid():
             evaluate(fx.limits, _alt(fx), [np.nan], fx.rule, QUICK)
         assert evaluate(fx.limits, _alt(fx), [-np.inf], fx.rule, QUICK).value == 0.0
         assert evaluate(fx.limits, _alt(fx), [np.inf], fx.rule, QUICK).value > 1.0 - 1e-9
+    with pytest.raises(ValidationError):
+        full_model_gaussian_cdf(fx.limits, 1.0, [np.nan])
+    assert full_model_gaussian_cdf(fx.limits, 1.0, [np.inf]) == 1.0
+    # every component density vanishes at an infinite coordinate
+    ortho = fixture("ORTHO2")
+    for t in ([np.inf, 0.0], [0.0, -np.inf]):
+        assert pdf_limit(ortho.limits, _alt(ortho), t, ortho.rule) == 0.0
 
 
 def test_two_evaluation_paths_agree():
@@ -363,6 +369,8 @@ def test_validation_errors():
     fx = fixture("COLL2")
     with pytest.raises(ValidationError):
         cdf_limit(fx.limits, _alt(fx), [0.0], fx.rule, QUICK)  # t too short
+    with pytest.raises(ValidationError):
+        full_model_gaussian_cdf(fx.limits, 1.0, [0.0])  # t too short
     with pytest.raises(ValidationError):
         cdf_limit(fx.limits, _alt(fx), [0.0, 0.0], GeneralToSpecific(critical=(2.0,)), QUICK)
     with pytest.raises(ValidationError):

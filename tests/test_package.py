@@ -1,5 +1,6 @@
 """Package-level checks: import footprint and module boundaries."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -136,6 +137,33 @@ def test_every_public_name_is_read():
     assert unread <= UNREAD_PUBLIC, f"public names nothing reads: {sorted(unread - UNREAD_PUBLIC)}"
     assert UNREAD_PUBLIC <= unread, \
         f"stale allow-list entries, remove them: {sorted(UNREAD_PUBLIC - unread)}"
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_module_exports_only_its_own_names():
+    # a name a module merely imports does not belong in its export list, so
+    # a function moved to another module cannot stay exported from the old
+    # one; the package __init__ is exempt, since re-exporting is its job
+    strays = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"pmsdist.{path.stem}")
+        own = _defined(ast.parse(path.read_text(), filename=str(path)))
+        strays += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                   if name not in own]
+    assert not strays, f"exported but defined elsewhere: {strays}"
 
 
 def _calls_of(tree, name: str) -> list[ast.Call]:

@@ -7,8 +7,8 @@ from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import simulate_response
 from pmsdist.regression_core import (
     RegressionProblem,
-    eta,
     limit_quantities,
+    local_shift_constants,
     order_of,
     projection_quantities,
     restricted_ls,
@@ -71,14 +71,23 @@ def test_xi_n_is_inverse_gram_diagonal():
         assert abs(xi_n(pr, p) - np.sqrt(inv[-1, -1])) < 1e-12
 
 
+def _eta(pr, p):
+    """Mean eta(p) of the order-p restricted estimator, theta + beta(p) at
+    A = I and drift gamma = theta."""
+    consts = local_shift_constants(pr.gram, np.eye(pr.P), np.zeros(pr.P), pr.theta, O=0)
+    return pr.theta + consts.beta[p]
+
+
 def test_eta_endpoints_and_projection():
     pr = _random_problem(6)
-    assert np.all(eta(pr, 0) == 0.0)
-    assert np.allclose(eta(pr, pr.P), pr.theta)
+    assert np.all(_eta(pr, 0) == 0.0)
+    assert np.allclose(_eta(pr, pr.P), pr.theta)
     # eta(p) is the minimizer of the population objective over M_p:
     # the residual X theta - X eta(p) is Gram-orthogonal to the first p columns
     for p in range(1, pr.P):
-        resid = pr.gram @ (pr.theta - eta(pr, p))
+        eta = _eta(pr, p)
+        assert np.all(eta[p:] == 0.0)
+        resid = pr.gram @ (pr.theta - eta)
         assert np.allclose(resid[:p], 0.0, atol=1e-10)
 
 
@@ -86,7 +95,7 @@ def test_eta_frozen_collinear_case():
     # Gram [[1, .5], [.5, 1]], theta = (0, 1): dropping the second coordinate
     # shifts half its weight onto the first
     fx = fixture("COLL2", theta=np.array([0.0, 1.0]))
-    assert np.allclose(eta(fx.problem, 1), [0.5, 0.0], atol=1e-12)
+    assert np.allclose(_eta(fx.problem, 1), [0.5, 0.0], atol=1e-12)
 
 
 def test_order_of():
@@ -97,21 +106,36 @@ def test_order_of():
 
 def test_projection_quantities_frozen_collinear_case():
     fx = fixture("COLL2")
-    pq2 = projection_quantities(fx.problem, np.eye(2), 2)
-    assert abs(pq2.xi_np - np.sqrt(4.0 / 3.0)) < 1e-12
-    assert np.allclose(pq2.C_np, [-2.0 / 3.0, 4.0 / 3.0], atol=1e-12)
-    assert np.allclose(pq2.b_np, [0.0, 1.0], atol=1e-10)
-    assert abs(pq2.zeta_np) < 1e-7  # invertible target: W_2 is a function of Z_2
-    pq1 = projection_quantities(fx.problem, np.eye(2), 1)
-    assert abs(pq1.xi_np - 1.0) < 1e-12
-    assert np.allclose(pq1.C_np, [1.0, 0.0], atol=1e-12)
+    dq = projection_quantities(fx.problem, np.eye(2))
+    assert abs(dq.xi(2) - np.sqrt(4.0 / 3.0)) < 1e-12
+    assert np.allclose(dq.C(2), [-2.0 / 3.0, 4.0 / 3.0], atol=1e-12)
+    assert np.allclose(dq.b(2), [0.0, 1.0], atol=1e-10)
+    assert abs(dq.zeta(2)) < 1e-7  # invertible target: W_2 is a function of Z_2
+    assert abs(dq.xi(1) - 1.0) < 1e-12
+    assert np.allclose(dq.C(1), [1.0, 0.0], atol=1e-12)
+    assert np.all(dq.omega(0) == 0.0) and dq.omega(0).shape == (2, 2)
+
+
+def test_projection_quantities_is_the_record_of_the_gram():
+    # the finite-n record is the limit record at Q = X'X/n, field for field
+    designs = [(fixture(name).problem, fixture(name).A)
+               for name in ("COLL2", "ORTHO2", "BLOCK_ORTHO", "P1")]
+    pr4 = _random_problem(8, P=4)
+    designs.append((RegressionProblem(X=pr4.X, theta=pr4.theta, sigma=1.0, O=1),
+                    np.eye(3, 4) + 0.3 * np.ones((3, 4))))
+    for pr, A in designs:
+        got = projection_quantities(pr, A)
+        want = limit_quantities(pr.gram, A, pr.O)
+        for field in ("Q", "A", "xi_inf", "C_inf", "b_inf", "zeta_inf", "omega_inf"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert (got.O, got.q_star) == (want.O, want.q_star)
 
 
 def test_zeta_residue_of_either_sign_is_exactly_zero():
     # COLL2 with A = I at p = 2: W_2 is a function of Z_2, and the
     # cancellation in xi^2 - b'C leaves a positive residue of about 2e-16
     fx = fixture("COLL2")
-    assert projection_quantities(fx.problem, np.eye(2), 2).zeta_np == 0.0
+    assert projection_quantities(fx.problem, np.eye(2)).zeta(2) == 0.0
     assert fx.limits.zeta(2) == 0.0
 
 
@@ -131,8 +155,8 @@ def test_zeta_invariant_under_choice_of_generalized_inverse():
     # zeta^2 = xi^2 - C' Omega^g C is the same for every (1)-inverse of
     # Omega because C lies in the range of Omega
     fx = fixture("COLL2")
+    dq = projection_quantities(fx.problem, np.eye(2))
     for p in (1, 2):
-        pq = projection_quantities(fx.problem, np.eye(2), p)
         gp = fx.problem.gram[:p, :p]
         Ap = np.eye(2)[:, :p]
         omega = Ap @ np.linalg.solve(gp, Ap.T)
@@ -143,8 +167,8 @@ def test_zeta_invariant_under_choice_of_generalized_inverse():
             inv = rng.standard_normal(lam.shape)  # garbage on the null space
             inv[keep] = 1.0 / lam[keep]
             g_alt = (vec * inv) @ vec.T
-            zeta2_alt = pq.xi_np ** 2 - pq.C_np @ g_alt @ pq.C_np
-            assert abs(max(zeta2_alt, 0.0) - pq.zeta_np ** 2) < 1e-10
+            zeta2_alt = dq.xi(p) ** 2 - dq.C(p) @ g_alt @ dq.C(p)
+            assert abs(max(zeta2_alt, 0.0) - dq.zeta(p) ** 2) < 1e-10
 
 
 def test_covariance_identity_monte_carlo():
@@ -160,8 +184,7 @@ def test_covariance_identity_monte_carlo():
         coefs = np.linalg.solve(r, (Y @ q).T).T       # (reps, p)
         target = coefs @ np.eye(2)[:, :p].T           # A theta_tilde(p), (reps, 2)
         trailing = coefs[:, -1]
-        pq = projection_quantities(pr, np.eye(2), p)
-        want = pr.sigma ** 2 * pq.C_np / pr.n
+        want = pr.sigma ** 2 * projection_quantities(pr, np.eye(2)).C(p) / pr.n
         got = np.array([np.cov(target[:, j], trailing)[0, 1] for j in range(2)])
         se = np.sqrt(np.var(target, axis=0) * np.var(trailing) + got ** 2) / np.sqrt(reps)
         assert np.all(np.abs(got - want) <= 4 * se)
