@@ -3,8 +3,10 @@
 Everything here is generic probability plumbing, and the one place the
 package computes Gaussian probabilities: normal cdfs, bivariate rectangle
 probabilities, rank-aware lower-orthant probabilities for possibly singular
-Gaussian vectors, the one conditioned-orthant kernel and Gaussian sampler,
-and composite Gauss-Legendre panel rules with their one refinement loop.
+Gaussian vectors (a full-rank trivariate one by Genz's one-dimensional form
+of Plackett's identity), the one conditioned-orthant kernel and Gaussian
+sampler, and composite Gauss-Legendre panel rules with their one refinement
+loop.
 """
 from __future__ import annotations
 
@@ -223,7 +225,8 @@ def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float
         if r == k - 1:
             n = np.linalg.svd(L.T)[2][-1]
             den = float(n @ g)
-            if abs(den) > 1e-13 * max(float(np.max(np.abs(g))), 1.0):
+            # an infinite bound drops its coordinate, and with it the kink
+            if abs(den) > 1e-13 * max(float(np.max(np.abs(g))), 1.0) and np.all(np.isfinite(u)):
                 return [float(n @ u) / den]
         return []
     load = L[:, 0]
@@ -337,17 +340,19 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
 
     Deterministic wherever the dimension allows: numerical rank 0 is an
     indicator, rank 1 an interval of the normal cdf, a full-rank bivariate
-    R the bivariate normal cdf, and a trivariate R of rank 2 or 3 an
-    integral over Y = R_j / sd(R_j), j the coordinate of largest variance:
-    the other two coordinates are h Y + R' with R' of rank r - 1, so
+    R the bivariate normal cdf and a full-rank trivariate R Genz's
+    one-dimensional trivariate normal cdf (`_trivariate_rows`) on n_panels
+    Gauss-Legendre panels.  A trivariate R of rank 2 is integrated over
+    Y = R_j / sd(R_j), j the coordinate whose largest correlation with the
+    other two is the smallest (so that those two are not nearly collinear
+    with it): the other two are h Y + R' with R' of rank 1, so
 
         P(R <= u) = int_{-TAIL_CUT}^{u_j / sd_j} phi(y) P(R' <= u' - h y) dy,
 
-    a rank-1 interval (r = 2) or a bivariate normal cdf (r = 3) under
-    n_panels equal-width Gauss-Legendre panels per row.  At r = 2 the row's
-    one kink (where the two interval bounds cross, or a zero-loading
-    coordinate flips sign) is an extra edge.  The dropped mass below
-    -TAIL_CUT is at most Phi(-TAIL_CUT) per row.  Other ranks raise
+    a rank-1 interval under n_panels equal-width Gauss-Legendre panels per
+    row, with the row's one kink (where the two interval bounds cross, or a
+    zero-loading coordinate flips sign) as an extra edge.  The dropped mass
+    below -TAIL_CUT is at most Phi(-TAIL_CUT) per row.  Other ranks raise
     ValueError.  Its callers are `gaussian_rect_rows` and
     `conditional_rows`, which integrates it against a `selection_rule`.
     """
@@ -362,36 +367,106 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
         return bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], S[0, 1] / (s[0] * s[1]))
     if k != 3:
         raise ValueError(f"no deterministic rule for a rank-{r} covariance of dimension {k}")
+    if r == 3:
+        return _trivariate_rows(U, S, n_panels)
     # R = L eps; Y = q'eps with q the unit direction of row j, and the rest
-    # of eps spans the orthogonal complement of q
-    j = int(np.argmax(np.sum(L * L, axis=1)))
-    sd_j = float(np.linalg.norm(L[j]))
-    q = L[j] / sd_j
+    # of eps spans the orthogonal complement of q.  A zero-loading
+    # coordinate has no correlations and is never conditioned on.
+    sd = np.sqrt(np.sum(L * L, axis=1))
+    sd = np.where(sd > 1e-13 * sd.max(), sd, np.inf)
+    corr = np.abs(L @ L.T) / np.outer(sd, sd)
+    np.fill_diagonal(corr, 0.0)
+    j = int(np.argmin(np.where(np.isinf(sd), np.inf, corr.max(axis=1))))
+    q = L[j] / sd[j]
     rest = [i for i in range(3) if i != j]
     h = (L @ q)[rest]
-    Lr = (L @ np.linalg.svd(q[None, :])[2][1:].T)[rest]    # (2, r - 1), q's complement
+    Lr = (L @ np.linalg.svd(q[None, :])[2][1:].T)[rest]    # (2, 1), q's complement
     W = U[:, rest]
-    y_top = np.clip(U[:, j] / sd_j, -TAIL_CUT, TAIL_CUT)
+    y_top = np.clip(U[:, j] / sd[j], -TAIL_CUT, TAIL_CUT)
     edges = -TAIL_CUT + (y_top + TAIL_CUT)[:, None] * np.linspace(0.0, 1.0, n_panels + 1)
-    if r == 2:
-        n = np.array([Lr[1, 0], -Lr[0, 0]])
-        den = float(n @ h)
-        if abs(den) > 1e-13 * max(float(np.max(np.abs(h))), 1.0):
-            kink = np.clip((W @ n) / den, -TAIL_CUT, y_top)
-            edges = np.sort(np.column_stack([edges, kink]), axis=1)
+    n = np.array([Lr[1, 0], -Lr[0, 0]])
+    den = float(n @ h)
+    if abs(den) > 1e-13 * max(float(np.max(np.abs(h))), 1.0):
+        kink = np.clip((W @ n) / den, -TAIL_CUT, y_top)
+        edges = np.sort(np.column_stack([edges, kink]), axis=1)
     t, tw = _leggauss(NODES_PER_PANEL)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     y = mid[:, :, None] + half[:, :, None] * t                  # (m, panels, nodes)
-    V0 = W[:, 0, None, None] - h[0] * y
-    V1 = W[:, 1, None, None] - h[1] * y
-    if r == 2:
-        lo, hi = rank1_bounds(np.column_stack([V0.ravel(), V1.ravel()]), Lr[:, 0])
-        cond = np.maximum(ndtr(hi) - ndtr(lo), 0.0).reshape(y.shape)
-    else:
-        s = np.sqrt(np.sum(Lr * Lr, axis=1))
-        cond = bvn_cdf(V0 / s[0], V1 / s[1], float(Lr[0] @ Lr[1]) / (s[0] * s[1]))
+    V = np.column_stack([(W[:, 0, None, None] - h[0] * y).ravel(),
+                         (W[:, 1, None, None] - h[1] * y).ravel()])
+    lo, hi = rank1_bounds(V, Lr[:, 0])
+    cond = np.maximum(ndtr(hi) - ndtr(lo), 0.0).reshape(y.shape)
     return np.einsum("mpn,mpn,n,mp->m", cond, norm_pdf(y), tw, half)
+
+
+def _trivariate_rows(U: np.ndarray, S: np.ndarray, n_panels: int) -> np.ndarray:
+    """P(R <= u) for every row u of U, R ~ N(0, S) trivariate of full rank.
+
+    Plackett's (1954) identity integrated along Genz's (2004) sine path:
+    with h = u / sd(R) and the coordinates ordered so that |rho_23| is the
+    largest correlation, rho_12 = sin(a_12 x) and rho_13 = sin(a_13 x)
+    (a = arcsin rho) move together from 0 at x = 0, so
+
+        P(R <= u) = Phi(h_1) Phi_2(h_2, h_3; rho_23)
+                    + 1/(2 pi) int_0^1 [a_12 f_12(x) + a_13 f_13(x)] dx.
+
+    f_1i = exp(-F/2) Phi(B) is 2 pi cos(a_1i x) times the bivariate density
+    of (h_1, h_i) times the conditional cdf of the third coordinate at its
+    bound (Genz's PNTGND), 0 where the path's determinant is not positive.
+    The x-integral runs on n_panels equal Gauss-Legendre panels of [0, 1],
+    plus edges at 1 - 2^-l that resolve the fall of det R(x) to a small
+    det R near x = 1.  A row with a -inf coordinate is 0; +inf coordinates
+    are dropped, which leaves the bivariate or univariate cdf of the rest
+    (`bvn_cdf`).
+    """
+    sd = np.sqrt(np.diag(S))
+    H = U / sd
+    C = np.clip(S / np.outer(sd, sd), -1.0, 1.0)
+    out = np.zeros(len(H))
+    top = np.isposinf(H)
+    live = ~np.any(np.isneginf(H), axis=1)
+    first = np.argmax(top, axis=1)
+    for i in range(3):
+        a, b = [c for c in range(3) if c != i]
+        rows = live & top[:, i] & (first == i)
+        out[rows] = bvn_cdf(H[rows, a], H[rows, b], C[a, b])
+    rows = live & ~np.any(top, axis=1)
+    o = int(np.argmax(np.abs([C[1, 2], C[0, 2], C[0, 1]])))
+    perm = [o] + [c for c in range(3) if c != o]
+    h1, h2, h3 = H[np.ix_(rows, perm)].T
+    R = C[np.ix_(perm, perm)]
+    val = ndtr(h1) * bvn_cdf(h2, h3, R[1, 2])
+    ang = np.arcsin([R[0, 1], R[0, 2]])
+    rb = R[1, 2]
+    # det R(x) falls to det R at x = 1 within about det R / -det R'(1) of
+    # it: extra edges at 1 - 2^-l, l = 1, 2, ..., down to that width (or to
+    # rounding) resolve the layer that equal panels miss
+    r2, r3 = np.sin(ang)
+    d2, d3 = ang * np.cos(ang)
+    slope = 2.0 * (rb * (d2 * r3 + r2 * d3) - r2 * d2 - r3 * d3)
+    det = 1.0 - r2 * r2 - r3 * r3 - rb * rb + 2.0 * r2 * r3 * rb
+    layers = 0
+    while layers < 52 and -slope * 0.5 ** layers > det:
+        layers += 1
+    x, w = gl_panels(split_edges(0.0, 1.0, n_panels, 1.0 - 0.5 ** np.arange(1, layers + 1)),
+                     NODES_PER_PANEL)
+    path = np.sin(np.outer(ang, x))           # rho_12(x), rho_13(x)
+    cos2 = np.cos(np.outer(ang, x)) ** 2      # 1 - rho^2, without cancellation
+    for i, (hi, hc) in enumerate(((h2, h3), (h3, h2))):
+        if ang[i] == 0.0:
+            continue
+        r, rr, ra = path[i], cos2[i], path[1 - i]
+        dt = rr * (rr - (ra - rb) ** 2 - 2.0 * ra * rb * (1.0 - r))
+        keep = dt > 0.0
+        r, rr, ra, wk = r[keep], rr[keep], ra[keep], w[keep]
+        root = np.sqrt(dt[keep])
+        ft = (h1[:, None] - r * hi[:, None]) ** 2 / rr + hi[:, None] ** 2
+        bt = (np.outer(hc, rr / root) + np.outer(h1, (r * rb - ra) / root)
+              + np.outer(hi, (r * ra - rb) / root))
+        val = val + ang[i] / (2.0 * np.pi) * ((np.exp(-0.5 * ft) * ndtr(bt)) @ wk)
+    out[rows] = np.clip(val, 0.0, 1.0)
+    return out
 
 
 def philox(key: int, stream: int = 0) -> np.random.Generator:

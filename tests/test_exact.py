@@ -531,6 +531,22 @@ def test_k3_points_meet_default_budget_deterministically():
         assert other.value == res.value
 
 
+@pytest.mark.parametrize("t", [(np.inf, -0.5, 0.5), (1.0, np.inf, np.inf),
+                               (np.inf, np.inf, 0.3)])
+def test_k3_infinite_coordinate_is_the_marginal_cdf(t):
+    # an infinite coordinate of t drops its row of A: the k = 3 value is
+    # the cdf of the remaining rows, within the two reported errors (two
+    # infinite coordinates once met inf - inf in `conditional_kinks`)
+    problem, A, rule = _p4_k3_case()
+    t = np.array(t)
+    keep = np.isfinite(t)
+    res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+    ref = cdf_exact(problem, CdfQuery(A=A[keep], t=t[keep], theta=problem.theta, sigma=1.0,
+                                      rule=rule))
+    assert res.warning is None and ref.warning is None
+    assert abs(res.value - ref.value) <= res.abs_error + ref.abs_error, (res, ref)
+
+
 def test_k3_exact_agrees_with_simulation():
     problem, A, rule = _p4_k3_case()
     t = np.array(P4_GRID[1])

@@ -12,6 +12,7 @@ from pmsdist._gauss import (
     gaussian_rect_rows,
     gl_panels,
     norm_pdf,
+    orthant_rows,
     philox,
     psd_factor,
     ray_interval_prob,
@@ -274,6 +275,191 @@ def test_gaussian_rect_k4_rank2_is_deterministic():
 
     for u, v in zip(U, vals):
         assert abs(v - oracle(u)) < 1e-12, (u, v, oracle(u))
+
+
+def test_nearly_collinear_rank2_trivariate_conditions_on_the_odd_coordinate():
+    # coordinates 0 and 2 have correlation 0.9997: conditioned on coordinate
+    # 0 (the largest variance), the bound left over is a near-step in y that
+    # no panel edge brackets, and the rule was 3.3e-4 off with its 24- and
+    # 48-panel values equal
+    L = np.array([[0.02130176052042285, -0.9646757412341953],
+                  [0.09605219378497029, 0.440263832568417],
+                  [0.023859804365035323, -0.9111145678377758]])
+    u = np.array([1.65660722, 2.08562309, -0.51495819])
+    vals, se = gaussian_rect_rows(u[None, :], L @ L.T)
+    assert se[0] == 0.0
+    assert abs(vals[0] - _rank2_orthant_oracle(u, L)) < 1e-12
+
+
+def _correlation(rng, lam_min):
+    """Random 3 x 3 correlation matrix with smallest eigenvalue lam_min."""
+    M = rng.standard_normal((3, 4))
+    C = M @ M.T
+    d = np.sqrt(np.diag(C))
+    C = C / np.outer(d, d)
+    mu = np.linalg.eigvalsh(C)[0]
+    return (1.0 - lam_min) * (C - mu * np.eye(3)) / (1.0 - mu) + lam_min * np.eye(3)
+
+
+# multiples of a step's width at which the oracles split their quadrature
+_STEP = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+
+
+def _bvn_oracle(a, b, rho):
+    """P(X <= a, Y <= b) for a standard bivariate normal with correlation
+    rho, by adaptive quadrature over X, split across the step of width
+    sqrt(1 - rho^2) / |rho| where Y's conditional bound crosses 0."""
+    s = np.sqrt(1.0 - rho * rho)
+    top = min(a, 12.0)
+    pts = b / rho + s / abs(rho) * _STEP if rho != 0.0 else []
+    return quad(lambda y: norm_pdf(y) * ndtr((b - rho * y) / s), -12.0, top,
+                points=[p for p in pts if -12.0 < p < top] or None, epsabs=1e-15,
+                epsrel=1e-13, limit=400)[0]
+
+
+def _plackett_oracle(h, C):
+    """P(X <= h), X ~ N(0, C) for a full-rank correlation matrix C, from
+    Plackett's identity: d P / d rho_ij is the bivariate density of
+    (X_i, X_j) at (h_i, h_j) times the conditional cdf of the third
+    coordinate.  With the pair of largest |rho| last, rho_12 and rho_13 run
+    from 0 along sin(arcsin(rho) x), x in [0, 1], under adaptive quadrature."""
+    pairs = [(1, 2), (0, 2), (0, 1)]
+    first = int(np.argmax([abs(C[i, j]) for i, j in pairs]))
+    order = [first] + [c for c in range(3) if c != first]
+    h, C = np.asarray(h, dtype=float)[order], C[np.ix_(order, order)]
+    ang = np.arcsin([C[0, 1], C[0, 2]])
+
+    def integrand(x):
+        R = C.copy()
+        R[0, 1] = R[1, 0] = np.sin(ang[0] * x)
+        R[0, 2] = R[2, 0] = np.sin(ang[1] * x)
+        total = 0.0
+        for i, c in ((1, 2), (2, 1)):
+            rho = R[0, i]
+            dens = np.exp(-(h[0] ** 2 - 2.0 * rho * h[0] * h[i] + h[i] ** 2)
+                          / (2.0 * (1.0 - rho * rho))) / (2.0 * np.pi * np.sqrt(1.0 - rho * rho))
+            B, cb = R[np.ix_([0, i], [0, i])], R[[0, i], c]
+            var = 1.0 - cb @ np.linalg.solve(B, cb)
+            mean = cb @ np.linalg.solve(B, h[[0, i]])
+            cond = ndtr((h[c] - mean) / np.sqrt(var)) if var > 0.0 else float(h[c] >= mean)
+            total += ang[i - 1] * np.cos(ang[i - 1] * x) * dens * cond
+        return total
+
+    path = quad(integrand, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+    return ndtr(h[0]) * _bvn_oracle(h[1], h[2], C[1, 2]) + path
+
+
+def _conditioning_oracle(u, cov, j, points=()):
+    """P(Z <= u), Z ~ N(0, cov) trivariate, by adaptive quadrature over
+    Y = Z_j / sd(Z_j) of the bivariate normal cdf of the other two."""
+    sd = np.sqrt(cov[j, j])
+    rest = [i for i in range(3) if i != j]
+    h = cov[rest, j] / sd
+    Cc = cov[np.ix_(rest, rest)] - np.outer(h, h)
+    s = np.sqrt(np.diag(Cc))
+
+    def integrand(y):
+        return norm_pdf(y) * float(bvn_cdf((u[rest[0]] - h[0] * y) / s[0],
+                                           (u[rest[1]] - h[1] * y) / s[1],
+                                           Cc[0, 1] / (s[0] * s[1])))
+
+    top = u[j] / sd
+    return quad(integrand, -12.0, top, points=[p for p in points if -12.0 < p < top] or None,
+                epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+
+
+def test_plackett_oracle_matches_conditioning_oracle():
+    # the Plackett-path oracle of the trivariate tests against the
+    # conditioning oracle on well-conditioned matrices
+    rng = np.random.default_rng(3)
+    for lam_min in (1.0, 0.5, 1e-1):
+        C = _correlation(rng, lam_min)
+        for h in rng.normal(0.0, 1.2, size=(4, 3)):
+            assert abs(_plackett_oracle(h, C) - _conditioning_oracle(h, C, 0)) < 1e-12, (C, h)
+
+
+@pytest.mark.parametrize("lam_min,n_panels,bound", [
+    (1.0, 12, 1e-12), (1e-2, 12, 1e-12), (1e-4, 12, 1e-12), (1e-6, 24, 1e-9)])
+def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, n_panels, bound):
+    # random correlation matrices with smallest eigenvalue lam_min, scaled
+    # to random variances; the path integral is smooth until lam_min falls
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        d = rng.uniform(0.5, 2.0, size=3)
+        C = _correlation(rng, lam_min)
+        cov = C * np.outer(d, d)
+        L = psd_factor(cov)
+        assert L.shape[1] == 3
+        H = rng.normal(0.0, 1.2, size=(5, 3))
+        vals = orthant_rows(H * d, cov, L, n_panels)
+        for h, v in zip(H, vals):
+            assert abs(v - _plackett_oracle(h, C)) <= bound, (C, h)
+
+
+@pytest.mark.parametrize("C", [
+    np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.3], [0.5, -0.3, 1.0]]),     # rho_12 = 0
+    np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.4], [0.0, 0.4, 1.0]]),       # rho_13 = 0
+    np.array([[1.0, -0.4, -0.4], [-0.4, 1.0, -0.4], [-0.4, -0.4, 1.0]]),  # all negative
+    np.array([[1.0, -0.7, 0.2], [-0.7, 1.0, -0.5], [0.2, -0.5, 1.0]]),
+], ids=["rho12_zero", "rho13_zero", "all_negative", "mixed_signs"])
+def test_trivariate_orthant_special_correlations(C):
+    H = np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 0.0], [-1.5, 1.0, 0.4], [2.5, 2.0, -0.7]])
+    vals = orthant_rows(H, C, psd_factor(C), 12)
+    for h, v in zip(H, vals):
+        assert abs(v - _plackett_oracle(h, C)) < 1e-12, h
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_trivariate_orthant_with_a_nearly_degenerate_pair(sign):
+    # rho_23 = +/-(1 - 1e-10).  The two oracles take different routes: the
+    # path in the correlations, and the conditioning on Z_2, which leaves
+    # Z_3 a step of width ~1.4e-5 that both must split across (without
+    # the split both miss the same 1.1e-6 at u = 0).  There the closed form
+    # 1/8 + sum arcsin(rho_ij) / (4 pi) is a third.
+    eps = 1e-10
+    C = np.array([[1.0, 0.3, sign * 0.3], [0.3, 1.0, sign * (1.0 - eps)],
+                  [sign * 0.3, sign * (1.0 - eps), 1.0]])
+    L = psd_factor(C)
+    assert L.shape[1] == 3
+    H = np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.4], [1.2, 0.7, -0.9]])
+    vals = orthant_rows(H, C, L, 12)
+    width = np.sqrt(1.0 - C[1, 2] ** 2)
+    for h, v in zip(H, vals):
+        a = _plackett_oracle(h, C)
+        b = _conditioning_oracle(h, C, 1, points=(h[2] + width * _STEP) / C[1, 2])
+        assert abs(a - b) < 1e-13, (h, a, b)
+        assert abs(v - a) < 1e-12, (h, v, a)
+    closed = 0.125 + np.sum(np.arcsin([C[0, 1], C[0, 2], C[1, 2]])) / (4.0 * np.pi)
+    assert abs(_plackett_oracle(H[1], C) - closed) < 1e-15
+    assert abs(vals[1] - closed) < 1e-15
+
+
+def test_trivariate_orthant_infinite_coordinates():
+    # a -inf bound empties the orthant; a +inf one drops its coordinate,
+    # leaving the bivariate or univariate cdf of the rest
+    rng = np.random.Generator(np.random.Philox(5))
+    M = rng.standard_normal((3, 4))
+    cov = M @ M.T + 0.3 * np.eye(3)
+    sd = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(sd, sd)
+    inf = np.inf
+    U = np.array([[inf, 0.4, -0.3], [0.2, inf, 0.9], [-0.6, 0.1, inf],
+                  [inf, inf, 0.2], [inf, -0.5, inf], [0.7, inf, inf],
+                  [inf, inf, inf], [-inf, 0.3, 0.3], [inf, -inf, inf]])
+    vals, se = gaussian_rect_rows(U, cov)
+    assert not np.any(se)
+    for u, v in zip(U, vals):
+        keep = [i for i in range(3) if u[i] < inf]
+        h = u[keep] / sd[keep]
+        if np.any(u == -inf):
+            want = 0.0
+        elif len(keep) == 2:
+            want = float(bvn_cdf(h[0], h[1], corr[keep[0], keep[1]]))
+        elif len(keep) == 1:
+            want = ndtr(h[0])
+        else:
+            want = 1.0
+        assert abs(v - want) < 1e-15, (u, v, want)
 
 
 def test_gl_panels_integrates_polynomials_exactly():

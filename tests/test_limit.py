@@ -273,6 +273,19 @@ def test_k3_limit_is_deterministic_and_meets_tol(theta):
         assert abs(res.value - ref.value) <= res.abs_error + ref.abs_error, (t, res, ref)
 
 
+def test_k3_limit_infinite_coordinate_is_the_marginal_cdf():
+    # t_1 = inf drops the first row of A: both limit paths give the k = 2
+    # cdf of the other rows within the reported errors
+    limits, alt, rule = _multivariate_case(4, 3, 1, np.array((0.5, -0.4, 0.0, 0.0)),
+                                           (2.0, 1.9, 2.1), seed=4)
+    marginal = limit_quantities(limits.Q, limits.A[1:], O=limits.O)
+    ref = cdf_limit(marginal, alt, [-0.5, 0.5], rule, QUICK)
+    for evaluate in (cdf_limit, cdf_limit_via_integral):
+        res = evaluate(limits, alt, [np.inf, -0.5, 0.5], rule, QUICK)
+        assert res.warning is None, res
+        assert abs(res.value - ref.value) <= res.abs_error + ref.abs_error, (res, ref)
+
+
 def test_pdf_matches_finite_differences():
     fx = fixture("ORTHO2")
     alt = _alt(fx, gamma=np.array([0.3, -0.8]))
