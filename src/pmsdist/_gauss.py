@@ -3,12 +3,16 @@
 Everything here is generic probability plumbing, and the one place the
 package computes Gaussian probabilities: normal cdfs, bivariate rectangle
 probabilities, rank-aware lower-orthant probabilities for possibly singular
-Gaussian vectors (a full-rank trivariate one by Genz's one-dimensional form
-of Plackett's identity), the one conditioned-orthant kernel and Gaussian
-sampler, and composite Gauss-Legendre panel rules with their one refinement
-loop.
+Gaussian vectors (rank 2 in any dimension in closed form, a bivariate
+normal over a convex polygon by differences of Owen's T; a full-rank
+trivariate one by Genz's one-dimensional form of Plackett's identity), the
+one conditioned-orthant kernel and Gaussian sampler, and composite
+Gauss-Legendre panel rules with their one refinement loop.  Sampling is
+left only at k >= 4 with conditional rank >= 3 (unconditional rank >= 4).
 """
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -212,23 +216,34 @@ def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float
 
     Rank 0: the ends of the interval {x : g x <= u}.  Rank 1: crossings of
     two conditional bounds (u_i - g_i x) / L_i and sign flips of
-    zero-loading coordinates.  Rank k - 1 >= 2: the x where the k
+    zero-loading coordinates.  Rank r >= 2: the x where r + 1 of the
     conditional hyperplanes in eps-space meet in one point, n'(u - g x) = 0
-    for n spanning the null space of L' (a zero-loading coordinate i gives
-    n = e_i and its sign flip).  Full rank: none.
+    for every (r + 1)-subset of the finite coordinates whose rows of L have
+    rank r, n spanning the null space of their L' (a zero-loading
+    coordinate i gives n = e_i and its sign flip, two parallel rows the x
+    where their lines coincide).  At rank 2 these are where the polygon
+    of `_polygon_rows` changes shape; at k >= 4 and rank >= 3, where the
+    orthant is sampled (unconditional rank >= 4), they are spare edges of
+    the draws' x-rule.  Full rank: none.
     """
     k, r = L.shape
     if r == 0:
         lo, hi = rank1_bounds(u[None, :], g)
         return [float(e) for e in (lo[0], hi[0]) if np.isfinite(e)]
     if r > 1:
-        if r == k - 1:
-            n = np.linalg.svd(L.T)[2][-1]
-            den = float(n @ g)
-            # an infinite bound drops its coordinate, and with it the kink
-            if abs(den) > 1e-13 * max(float(np.max(np.abs(g))), 1.0) and np.all(np.isfinite(u)):
-                return [float(n @ u) / den]
-        return []
+        # an infinite bound drops its coordinate, and with it its kinks
+        tol = 1e-13 * max(float(np.max(np.abs(g))), 1.0)
+        kinks = []
+        for rows in combinations(np.flatnonzero(np.isfinite(u)), r + 1):
+            rows = list(rows)
+            _, sv, vt = np.linalg.svd(L[rows].T)
+            if sv[-1] <= 1e-13 * sv[0]:
+                continue
+            n = vt[-1]
+            den = float(n @ g[rows])
+            if abs(den) > tol:
+                kinks.append(float(n @ u[rows]) / den)
+        return kinks
     load = L[:, 0]
     tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
     breaks: list[float] = []
@@ -258,10 +273,11 @@ def ray_interval_prob(lo, hi, a, b):
 
 
 def needs_sampling(k: int, r: int) -> bool:
-    """Whether `orthant_rows` (exact at rank <= 1 and in dimension <= 3)
-    cannot evaluate a k-variate orthant of rank r.  An unconditional one is
-    conditioned once more (`gaussian_rect_rows`): it samples at rank >= 3."""
-    return k >= 4 and r >= 2
+    """Whether `orthant_rows` (exact at rank <= 2 and in dimension <= 3)
+    cannot evaluate a k-variate orthant of rank r: only at k >= 4 with
+    rank >= 3.  An unconditional one is conditioned once more
+    (`gaussian_rect_rows`): it samples only at rank >= 4."""
+    return k >= 4 and r >= 3
 
 
 def cumulative_rule(f, edges: np.ndarray):
@@ -340,20 +356,13 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
 
     Deterministic wherever the dimension allows: numerical rank 0 is an
     indicator, rank 1 an interval of the normal cdf, a full-rank bivariate
-    R the bivariate normal cdf and a full-rank trivariate R Genz's
-    one-dimensional trivariate normal cdf (`_trivariate_rows`) on n_panels
-    Gauss-Legendre panels.  A trivariate R of rank 2 is integrated over
-    Y = R_j / sd(R_j), j the coordinate whose largest correlation with the
-    other two is the smallest (so that those two are not nearly collinear
-    with it): the other two are h Y + R' with R' of rank 1, so
-
-        P(R <= u) = int_{-TAIL_CUT}^{u_j / sd_j} phi(y) P(R' <= u' - h y) dy,
-
-    a rank-1 interval under n_panels equal-width Gauss-Legendre panels per
-    row, with the row's one kink (where the two interval bounds cross, or a
-    zero-loading coordinate flips sign) as an extra edge.  The dropped mass
-    below -TAIL_CUT is at most Phi(-TAIL_CUT) per row.  Other ranks raise
-    ValueError.  Its callers are `gaussian_rect_rows` and
+    R the bivariate normal cdf, rank 2 in any dimension k >= 3 a standard
+    bivariate normal over a convex polygon in closed form
+    (`_polygon_rows`), and a full-rank trivariate R Genz's one-dimensional
+    trivariate normal cdf (`_trivariate_rows`) on n_panels Gauss-Legendre
+    panels.  Other ranks raise ValueError: sampling is left only at
+    k >= 4 with conditional rank >= 3 (unconditional rank >= 4), see
+    `needs_sampling`.  Its callers are `gaussian_rect_rows` and
     `conditional_rows`, which integrates it against a `selection_rule`.
     """
     k, r = U.shape[1], L.shape[1]
@@ -365,39 +374,72 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
     if k == 2:
         s = np.sqrt(np.diag(S))
         return bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], S[0, 1] / (s[0] * s[1]))
+    if r == 2:
+        return _polygon_rows(U, L)
     if k != 3:
         raise ValueError(f"no deterministic rule for a rank-{r} covariance of dimension {k}")
-    if r == 3:
-        return _trivariate_rows(U, S, n_panels)
-    # R = L eps; Y = q'eps with q the unit direction of row j, and the rest
-    # of eps spans the orthogonal complement of q.  A zero-loading
-    # coordinate has no correlations and is never conditioned on.
-    sd = np.sqrt(np.sum(L * L, axis=1))
-    sd = np.where(sd > 1e-13 * sd.max(), sd, np.inf)
-    corr = np.abs(L @ L.T) / np.outer(sd, sd)
-    np.fill_diagonal(corr, 0.0)
-    j = int(np.argmin(np.where(np.isinf(sd), np.inf, corr.max(axis=1))))
-    q = L[j] / sd[j]
-    rest = [i for i in range(3) if i != j]
-    h = (L @ q)[rest]
-    Lr = (L @ np.linalg.svd(q[None, :])[2][1:].T)[rest]    # (2, 1), q's complement
-    W = U[:, rest]
-    y_top = np.clip(U[:, j] / sd[j], -TAIL_CUT, TAIL_CUT)
-    edges = -TAIL_CUT + (y_top + TAIL_CUT)[:, None] * np.linspace(0.0, 1.0, n_panels + 1)
-    n = np.array([Lr[1, 0], -Lr[0, 0]])
-    den = float(n @ h)
-    if abs(den) > 1e-13 * max(float(np.max(np.abs(h))), 1.0):
-        kink = np.clip((W @ n) / den, -TAIL_CUT, y_top)
-        edges = np.sort(np.column_stack([edges, kink]), axis=1)
-    t, tw = _leggauss(NODES_PER_PANEL)
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    y = mid[:, :, None] + half[:, :, None] * t                  # (m, panels, nodes)
-    V = np.column_stack([(W[:, 0, None, None] - h[0] * y).ravel(),
-                         (W[:, 1, None, None] - h[1] * y).ravel()])
-    lo, hi = rank1_bounds(V, Lr[:, 0])
-    cond = np.maximum(ndtr(hi) - ndtr(lo), 0.0).reshape(y.shape)
-    return np.einsum("mpn,mpn,n,mp->m", cond, norm_pdf(y), tw, half)
+    return _trivariate_rows(U, S, n_panels)
+
+
+def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """P(L eps <= u) for every row u of U, eps ~ N(0, I_2) and L of shape (k, 2).
+
+    Row i of L is the half-plane rho cos(theta - phi_i) <= d_i in polar
+    coordinates, phi_i the angle of L_i and d_i = u_i / |L_i| the signed
+    distance of its line, so the orthant is a convex polygon.  Between two
+    consecutive breakpoint angles (each line's perpendiculars phi_i +/- pi/2,
+    each vertex direction and its opposite) one line bounds the ray from
+    above, at most one from below, and the binding pair is read at the
+    midpoint.  A line at distance h bounds the ray at h / cos(theta - phi),
+    and the mass beyond it on a piece is (Owen 1956; DiDonato, Jarnagin &
+    Hageman 1980)
+
+        1/(2 pi) int exp(-h^2 / (2 cos^2(theta - phi))) dtheta
+            = T(h, tan(theta_2 - phi)) - T(h, tan(theta_1 - phi)),
+
+    with theta - phi reduced into its branch at the midpoint and clipped to
+    [-pi/2, pi/2] (tan just past -pi/2 is large and positive).  A row with
+    a -inf coordinate is 0, a +inf coordinate drops its line, and a
+    zero-loading coordinate drops its line after requiring u_i >= 0.
+    """
+    m, k = U.shape
+    norm = np.hypot(L[:, 0], L[:, 1])
+    live = norm > 1e-13 * max(float(norm.max()), 1.0)
+    phi = np.arctan2(L[:, 1], L[:, 0])
+    D = np.where(live & ~np.isposinf(U), U / np.where(live, norm, 1.0), np.inf)
+    # breakpoints; a vertex of parallel or dropped lines is a spare edge
+    Uf = np.where(np.isfinite(U), U, 0.0)
+    i, j = np.triu_indices(k, 1)
+    vert = np.arctan2(L[i, 0] * Uf[:, j] - L[j, 0] * Uf[:, i],
+                      Uf[:, i] * L[j, 1] - Uf[:, j] * L[i, 1])
+    perp = np.broadcast_to(np.concatenate([phi - 0.5 * np.pi, phi + 0.5 * np.pi]), (m, 2 * k))
+    t1 = np.sort(np.concatenate([perp, vert, vert + np.pi], axis=1) % (2.0 * np.pi), axis=1)
+    t2 = np.concatenate([t1[:, 1:], t1[:, :1] + 2.0 * np.pi], axis=1)
+    tm = 0.5 * (t1 + t2)
+    # cos(tm - phi_i) and the bound d_i / cos of every line on every piece
+    c = np.cos(tm)[:, :, None] * np.cos(phi) + np.sin(tm)[:, :, None] * np.sin(phi)
+    bound = D[:, None, :] / np.where(c == 0.0, 1.0, c)
+    up = np.where(c > 0.0, bound, np.inf)
+    down = np.where(c < 0.0, bound, -np.inf)
+    iu, il = np.argmin(up, axis=2), np.argmax(down, axis=2)
+    hi, lo = up.min(axis=2), np.maximum(down.max(axis=2), 0.0)
+    open_ = hi > lo
+    rows = np.broadcast_to(np.arange(m)[:, None], iu.shape)
+
+    def beyond(mask, h, ph):
+        """Owen's T difference of each masked piece for a line (h, ph)."""
+        psi = (tm[mask] - ph + np.pi) % (2.0 * np.pi) - np.pi
+        a = np.clip(psi - (tm - t1)[mask], -0.5 * np.pi, 0.5 * np.pi)
+        b = np.clip(psi + (t2 - tm)[mask], -0.5 * np.pi, 0.5 * np.pi)
+        return owens_t(h, np.tan(b)) - owens_t(h, np.tan(a))
+
+    piece = np.where(open_ & (lo == 0.0), (t2 - t1) / (2.0 * np.pi), 0.0)
+    mask = open_ & (lo > 0.0)
+    piece[mask] = beyond(mask, -D[rows[mask], il[mask]], phi[il[mask]] + np.pi)
+    mask = open_ & np.isfinite(hi)
+    piece[mask] -= beyond(mask, D[rows[mask], iu[mask]], phi[iu[mask]])
+    dead = np.any(np.isneginf(U) | (~live & (U < 0.0)), axis=1)
+    return np.where(dead, 0.0, np.clip(piece.sum(axis=1), 0.0, 1.0))
 
 
 def _trivariate_rows(U: np.ndarray, S: np.ndarray, n_panels: int) -> np.ndarray:
@@ -489,9 +531,8 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
     orthant is `orthant_rows` at every x-node or, given draws R (rows),
     each draw's x-interval {x : g x <= u - R}, whose rule weight is
     averaged.  Returns (values, pis, errors, SEs): pi is the integral
-    without the orthant, the error the dropped x-mass (plus the
-    Phi(-TAIL_CUT) `orthant_rows` drops), the SE 0 without draws and else
-    at least 1/len(R), as no draw may land in a rare region.
+    without the orthant, the error the dropped x-mass, the SE 0 without
+    draws and else at least 1/len(R), as no draw may land in a rare region.
     """
     m = len(U)
     vals, pis, errs, ses = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m)
@@ -500,7 +541,6 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
         pis[j] = np.sum(wk)
         if R is None:
             vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
-            errs[j] += float(ndtr(-TAIL_CUT))
         else:
             lo, hi = rank1_bounds(u[None, :] - R, g)
             cum = np.concatenate([[0.0], np.cumsum(wk)])
@@ -516,11 +556,12 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     """Lower-orthant probabilities P(Z <= u) for every row u of U, Z ~ N(0, cov).
 
     cov is PSD, possibly singular.  Where it `needs_sampling` (k >= 4,
-    rank >= 2), Z is conditioned on its coordinate of largest variance,
-    which `conditional_rows` integrates exactly: deterministic at rank 2,
-    and at rank >= 3 on one seeded sample of n_samples draws (Philox key
-    (0, 0) unless ``rng`` is given) shared by all rows.  Returns (probabilities,
-    standard_errors): 0 where deterministic, else at least 1/n_samples.
+    rank >= 3), Z is conditioned on its coordinate of largest variance,
+    which `conditional_rows` integrates exactly: deterministic at rank 3,
+    whose conditional orthant is a rank-2 polygon, and at rank >= 4 on one
+    seeded sample of n_samples draws (Philox key (0, 0) unless ``rng`` is
+    given) shared by all rows.  Returns (probabilities, standard_errors):
+    0 where deterministic, else at least 1/n_samples.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))

@@ -34,13 +34,14 @@ and the term integrates it against phi(X) times the conditional orthant
 probability on Gauss-Legendre panels in X.  Their edges bracket the
 kinks of that probability and the near-step the scale mass becomes at
 large dof.  The conditional orthant is a rank-1 interval, a bivariate
-normal cdf (k = 2) or, for k = 3, Genz's one-dimensional trivariate
-normal cdf (r = 3) or one more conditioning step onto a rank-1 interval
-(r = 2); only at k >= 4 with r >= 2 is it estimated, from seeded
-Gaussian draws of R = z - g X integrated exactly over X
-(`_gauss.conditional_rows`), so no draw carries the scale integral.
-pi(p) is each term without the orthant.  The order-O orthant is
-`_gauss.gaussian_rect`, sampled only at k >= 4 and rank >= 3.
+normal cdf (k = 2), for r = 2 at any k >= 3 a bivariate normal over a
+convex polygon in closed form (differences of Owen's T), or for k = 3
+Genz's one-dimensional trivariate normal cdf (r = 3); only at k >= 4
+with r >= 3 is it estimated, from seeded Gaussian draws of R = z - g X
+integrated exactly over X (`_gauss.conditional_rows`), so no draw
+carries the scale integral.  pi(p) is each term without the orthant.
+The order-O orthant is `_gauss.gaussian_rect`, sampled only at k >= 4
+and unconditional rank >= 4.
 Every cdf evaluator of the package, these and the limit ones of
 `dist_limit`, forms its result the same way: per-order parts in a
 `TermTrace` (pi(p) G(t | p), pi(p), error bounds and three sampling
@@ -175,8 +176,9 @@ class AccuracyBudget:
     `_gauss.MAX_REFINEMENTS` doublings are spent, and a result whose error
     bound exceeds tol is flagged.  n_z Gaussian samples, keyed by seed
     (both integers), drive the sampled integrals, which remain only for
-    targets with k >= 4 rows: orthants of rank >= 2 left after conditioning
-    and unconditional ones of rank >= 3, in `cdf_exact` and the limit paths.
+    targets with k >= 4 rows: orthants of rank >= 3 left after conditioning
+    and unconditional ones of rank >= 4, in `cdf_exact` and the limit paths
+    (rank 2 is a polygon in closed form).
     """
 
     tol: float = 1e-5

@@ -24,7 +24,8 @@ purely to cross-check the first.  Both build the per-order parts of a
 `dist_exact.TermTrace` (pi(p) is the chance that order p is selected),
 refine them through `_gauss.refine` and form their result with
 `dist_exact.cdf_result`, as the exact cdf does; the n_z seeded draws
-enter only at k >= 4, once per order (`_rule_rows`).
+enter only at k >= 4 with conditional rank >= 3 (unconditional rank >= 4),
+once per order (`_rule_rows`).
 """
 from __future__ import annotations
 
@@ -252,8 +253,9 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     covariance, so transcription errors in either path surface as
     disagreement.  Each order term E[1{Z <= u} (1 - Delta(sigma zeta_p,
     nu_p + b_p'Z, B_p))] conditions Z on b_p'Z (`_rule_rows`), which is
-    deterministic up to k = 3 and samples only the conditional orthant at
-    k >= 4 with conditional rank >= 2; the terms are refined together
+    deterministic up to k = 3 and at conditional rank <= 2 (a rank-2
+    orthant is a polygon in closed form), and samples only the conditional
+    orthant at k >= 4 with conditional rank >= 3; the terms are refined together
     (`refine`).  Like `cdf_limit`, the result carries the per-order
     term_trace and a warning when its error bound misses budget.tol.
     """

@@ -6,6 +6,7 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from pmsdist._gauss import (
+    _polygon_rows,
     bvn_cdf,
     condition_on_scalar,
     gaussian_rect,
@@ -202,18 +203,30 @@ def test_gaussian_rect_rows_reproduce_gaussian_rect(cov, sampled):
 
 
 def _rank2_orthant_oracle(v, L):
-    """P(L eps <= v) for L of shape (3, 2): adaptive quadrature over eps_1,
-    split where two of the eps_2 bounds cross."""
+    """P(L eps <= v) for L of shape (k, 2): adaptive quadrature over eps_1,
+    split where two of the eps_2 bounds cross or a bound on eps_1 alone
+    binds.  A +inf coordinate drops out, a -inf one empties the orthant."""
+    keep = ~np.isposinf(v)
+    v, L = v[keep], L[keep]
+    if np.any(np.isneginf(v)):
+        return 0.0
+    load = L[:, 1]
+    up, down, flat = load > 0, load < 0, load == 0
+
     def inner(e1):
         w = v - L[:, 0] * e1
-        load = L[:, 1]
-        hi = np.min(w[load > 0] / load[load > 0], initial=np.inf)
-        lo = np.max(w[load < 0] / load[load < 0], initial=-np.inf)
+        if np.any(w[flat] < 0.0):
+            return 0.0
+        hi = np.min(w[up] / load[up], initial=np.inf)
+        lo = np.max(w[down] / load[down], initial=-np.inf)
         return max(ndtr(hi) - ndtr(lo), 0.0) * norm_pdf(e1)
 
-    pts = [(v[i] / L[i, 1] - v[j] / L[j, 1]) / (L[i, 0] / L[i, 1] - L[j, 0] / L[j, 1])
-           for i in range(3) for j in range(i + 1, 3)]
-    return quad(inner, -12.0, 12.0, points=sorted(p for p in pts if abs(p) < 12.0),
+    slope = np.divide(L[:, 0], load, out=np.zeros(len(v)), where=~flat)
+    pts = [(v[i] / load[i] - v[j] / load[j]) / (slope[i] - slope[j])
+           for i in range(len(v)) for j in range(i + 1, len(v))
+           if not (flat[i] or flat[j]) and slope[i] != slope[j]]
+    pts += [v[i] / L[i, 0] for i in np.flatnonzero(flat) if L[i, 0] != 0.0]
+    return quad(inner, -12.0, 12.0, points=sorted(p for p in pts if abs(p) < 12.0) or None,
                 epsabs=1e-14, epsrel=1e-13, limit=200)[0]
 
 
@@ -251,37 +264,93 @@ def test_gaussian_rect_trivariate_is_deterministic():
 
 
 def test_gaussian_rect_k4_rank2_is_deterministic():
-    # Z = L eps with L of shape (4, 2): conditioned on its coordinate of
-    # largest variance, the rest is a rank-1 interval, so no draw is made
+    # Z = L eps with L of shape (4, 2) is a bivariate normal over a polygon
     L = np.array([[1.0, 0.2], [0.5, 1.0], [-0.3, 0.7], [0.8, -0.6]])
     U = np.array([[0.3, 0.1, 0.2, 0.4], [0.0, 0.0, 0.0, 0.0], [-0.5, 1.0, 0.4, 2.0],
                   [2.0, -1.0, 0.3, 0.5], [-9.5, 0.0, 0.0, 0.0]])
     vals, se = gaussian_rect_rows(U, L @ L.T)
     assert not np.any(se)
-
-    def oracle(v):
-        # P(L eps <= v) over eps_1, split where two eps_2 bounds cross
-        def inner(e1):
-            w = v - L[:, 0] * e1
-            load = L[:, 1]
-            hi = np.min(w[load > 0] / load[load > 0], initial=np.inf)
-            lo = np.max(w[load < 0] / load[load < 0], initial=-np.inf)
-            return max(ndtr(hi) - ndtr(lo), 0.0) * norm_pdf(e1)
-
-        pts = [(v[i] / L[i, 1] - v[j] / L[j, 1]) / (L[i, 0] / L[i, 1] - L[j, 0] / L[j, 1])
-               for i in range(4) for j in range(i + 1, 4)]
-        return quad(inner, -12.0, 12.0, points=sorted(p for p in pts if abs(p) < 12.0),
-                    epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-
     for u, v in zip(U, vals):
-        assert abs(v - oracle(u)) < 1e-12, (u, v, oracle(u))
+        assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-12, u
 
 
-def test_nearly_collinear_rank2_trivariate_conditions_on_the_odd_coordinate():
+def test_gaussian_rect_k4_rank2_with_a_nearly_collinear_pair():
+    # coordinates 2 and 3 (from 0) have correlation near 1: conditioned on
+    # coordinate 3, the one of largest variance, coordinate 2 kept a loading
+    # of 0.0017, a near-step that a 24-panel x-rule missed by 2.8e-4 while
+    # reporting SE 0
+    L = np.array([[-1.0225874993231236, -0.44436809119270054],
+                  [-1.3817956672093117, -0.25412041660238327],
+                  [-0.9885391594556918, 1.13937481163987],
+                  [-1.0556453990019363, 1.2194585424050568]])
+    u = np.array([0.606398581333061, 2.160302020688917, -0.47943005693673457,
+                  1.81303515555188])
+    vals, se = gaussian_rect_rows(u[None, :], L @ L.T)
+    assert se[0] == 0.0
+    assert abs(vals[0] - _rank2_orthant_oracle(u, L)) < 1e-12
+    assert abs(vals[0] - 0.303697833) < 1e-9
+
+
+def test_polygon_orthant_on_random_factors():
+    # every k x 2 factor is a bivariate normal over a polygon of up to k
+    # sides; at k = 2 it is also the bivariate normal cdf
+    rng = np.random.default_rng(16)
+    for k in range(2, 7):
+        for _ in range(6):
+            L = rng.standard_normal((k, 2)) * rng.uniform(0.3, 2.0, size=(k, 1))
+            U = rng.normal(0.0, 1.5, size=(5, k))
+            vals = _polygon_rows(U, L)
+            for u, v in zip(U, vals):
+                assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-13, (L, u)
+            if k == 2:
+                S = L @ L.T
+                s = np.sqrt(np.diag(S))
+                want = bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], S[0, 1] / (s[0] * s[1]))
+                assert np.max(np.abs(vals - want)) < 1e-14, L
+
+
+_POLYGON_EDGES = {
+    # a -inf row is 0 and a +inf coordinate drops its line
+    "infinite": ([[1.0, 0.2], [0.5, 1.0], [-0.3, 0.7], [0.8, -0.6]],
+                 [[np.inf, 0.3, 0.2, 0.1], [-np.inf, 0.3, 0.2, 0.1], [np.inf, -np.inf, 1.0, 1.0],
+                  [np.inf, np.inf, 0.2, np.inf], [np.inf] * 4]),
+    # a zero-loading coordinate only asks u_i >= 0
+    "zero_loading": ([[1.0, 0.2], [0.0, 0.0], [-0.3, 0.7], [0.8, -0.6]],
+                     [[0.3, 0.1, 0.2, 0.4], [0.3, -0.1, 0.2, 0.4], [0.3, 0.0, 0.2, 0.4]]),
+    # lines 0-2 are parallel, with the same and opposite normals: no vertex
+    "parallel": ([[1.0, 0.5], [2.0, 1.0], [-1.0, -0.5], [0.3, -1.0]],
+                 [[0.3, 0.1, 0.2, 0.4], [0.3, 1.0, -0.5, 0.4], [1.0, 1.0, 1.0, 1.0]]),
+    # lines through the origin: a vertex at the origin and pieces with h = 0
+    "origin": ([[1.0, 0.2], [0.5, 1.0], [-0.3, 0.7], [0.8, -0.6]],
+               [[0.0, 0.0, 0.5, 0.4], [0.0, 0.0, 0.0, 0.0], [0.0, 0.3, -0.2, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POLYGON_EDGES))
+def test_polygon_orthant_edges(case):
+    L, U = (np.array(a, dtype=float) for a in _POLYGON_EDGES[case])
+    vals = orthant_rows(U, L @ L.T, L, 12)
+    for u, v in zip(U, vals):
+        assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-14, (u, v)
+
+
+def test_polygon_orthant_of_a_box_ends_pieces_at_right_angles():
+    # an axis-aligned box: every piece ends where theta - phi = +/- pi/2 for
+    # its binding line, and tan just past -pi/2 is large and positive
+    L = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    U = np.array([[0.3, 0.1, 0.2, 0.4], [1.0, 1.0, 1.0, 1.0], [0.5, np.inf, 0.5, np.inf],
+                  [-0.2, 2.0, 0.5, -1.0]])
+    vals = orthant_rows(U, L @ L.T, L, 12)
+    want = (np.maximum(ndtr(U[:, 0]) - ndtr(-U[:, 2]), 0.0)
+            * np.maximum(ndtr(U[:, 1]) - ndtr(-U[:, 3]), 0.0))
+    assert np.max(np.abs(vals - want)) < 1e-15, (vals, want)
+
+
+def test_nearly_collinear_rank2_trivariate_is_exact():
     # coordinates 0 and 2 have correlation 0.9997: conditioned on coordinate
-    # 0 (the largest variance), the bound left over is a near-step in y that
-    # no panel edge brackets, and the rule was 3.3e-4 off with its 24- and
-    # 48-panel values equal
+    # 0 (the largest variance), the bound left over is a near-step in y
+    # that no panel edge brackets, and a rule of 24 or 48 y-panels was
+    # 3.3e-4 off
     L = np.array([[0.02130176052042285, -0.9646757412341953],
                   [0.09605219378497029, 0.440263832568417],
                   [0.023859804365035323, -0.9111145678377758]])

@@ -184,7 +184,7 @@ def test_joint_rows_rank2_matches_trivariate_cdf():
 
 def test_sampled_standard_errors_have_a_floor():
     # p_star = 1 on a P = 5, k = 4 design, whose joint terms of conditional
-    # rank >= 2 are sampled: at t = -7 no draw lands in any sampled region,
+    # rank >= 3 are sampled: at t = -7 no draw lands in any sampled region,
     # yet the value is still an estimate with an error
     limits, alt, rule = _multivariate_case(5, 4, 1, np.array([0.5, 0.0, 0.0, 0.0, 0.0]),
                                            (2.0, 1.9, 2.1, 2.0), seed=5)
@@ -200,9 +200,9 @@ def _p5_k4_limit():
 
 
 def test_sampled_orders_draw_once(monkeypatch):
-    # orders 3, 4 and 5 of the P = 5, k = 4 design sample their conditional
-    # orthants of ranks 2, 3 and 4 (the core and order 2 are exact): one
-    # draw each, shared by every refinement level
+    # orders 4 and 5 of the P = 5, k = 4 design sample their conditional
+    # orthants of ranks 3 and 4 (the core and orders 2 and 3 are exact):
+    # one draw each, shared by every refinement level
     import pmsdist.dist_limit as dist_limit
 
     calls = []
@@ -221,14 +221,14 @@ def test_sampled_orders_draw_once(monkeypatch):
     budget = AccuracyBudget(tol=1e-6)
     res = cdf_limit(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
     assert "level=0;" not in res.method    # refined: per-level draws would repeat
-    assert calls == [((budget.n_z, r),) for r in (2, 3, 4)], calls
+    assert calls == [((budget.n_z, r),) for r in (3, 4)], calls
     calls.clear()
     cdf_limit_via_integral(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
-    assert len(calls) == 3, calls
+    assert len(calls) == 2, calls
 
 
 def test_refinement_stops_when_sampling_error_alone_misses_tol():
-    # at tol 1e-6 the three sampled orders' error is ~1.9e-4 at every level,
+    # at tol 1e-6 the two sampled orders' error is ~1.6e-4 at every level,
     # so refinement stops after level 1, and the value agrees with the one
     # refined to level 3 (0.00221599) within the reported error
     limits, alt, rule = _p5_k4_limit()
