@@ -23,14 +23,11 @@ from scipy.special import ndtr, owens_t
 TAIL_CUT = 9.0
 
 # Level l of the cdf evaluators' refined rules has PANELS * 2**l panels of
-# NODES_PER_PANEL Gauss-Legendre nodes; `refine` stops at MAX_REFINEMENTS.
+# NODES_PER_PANEL Gauss-Legendre nodes (`level_edges`); `refine` stops at
+# MAX_REFINEMENTS.
 PANELS = 12
 NODES_PER_PANEL = 12
 MAX_REFINEMENTS = 3
-
-# Panels of the trivariate rule in `gaussian_rect_rows`, which has no
-# refinement loop: fine enough that the rule's error is at rounding level.
-_RECT_PANELS = 24
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -50,7 +47,8 @@ def norm_pdf(x):
     return np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
 
 
-def gl_panels(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+def gl_panels(edges: np.ndarray,
+              nodes_per_panel: int = NODES_PER_PANEL) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on consecutive intervals.
 
     Parameters
@@ -73,13 +71,19 @@ def gl_panels(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.n
     return nodes.ravel(), weights.ravel()
 
 
-def split_edges(lo: float, hi: float, n_panels: int, breaks=()) -> np.ndarray:
-    """Equal-width panel edges on [lo, hi] with extra mandatory break points.
+def level_edges(lo: float, hi: float, level: int) -> np.ndarray:
+    """Edges of the PANELS * 2**level equal panels of [lo, hi]: refinement
+    level ``level`` of every panel rule."""
+    return np.linspace(lo, hi, PANELS * 2 ** level + 1)
 
-    Break points outside (lo, hi) are ignored.  Duplicate/near-duplicate
-    edges are merged so panels never degenerate.
+
+def split_edges(base: np.ndarray, breaks) -> np.ndarray:
+    """Panel edges ``base`` (increasing) with extra mandatory break points.
+
+    Break points outside (base[0], base[-1]) are ignored.  Duplicate and
+    near-duplicate edges are merged so panels never degenerate.
     """
-    base = np.linspace(lo, hi, n_panels + 1)
+    lo, hi = base[0], base[-1]
     extra = [b for b in np.atleast_1d(np.asarray(breaks, dtype=float)) if lo < b < hi]
     if not extra:
         return base
@@ -151,10 +155,10 @@ def bvn_cdf(h, k, rho: float) -> np.ndarray:
     return out
 
 
-def psd_factor(cov: np.ndarray, rel_tol: float = 1e-12, scale: float = 0.0) -> np.ndarray:
+def psd_factor(cov: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Factor L (k x r) with cov ~= L @ L.T for a symmetric PSD matrix.
 
-    Eigenvalues below rel_tol times the larger of the largest eigenvalue and
+    Eigenvalues below 1e-12 times the larger of the largest eigenvalue and
     ``scale`` are treated as exact zeros, so r is the numerical rank.  A
     matrix formed by cancellation passes the scale of its operands, so that
     rounding residue counts as zero.
@@ -162,7 +166,7 @@ def psd_factor(cov: np.ndarray, rel_tol: float = 1e-12, scale: float = 0.0) -> n
     cov = np.asarray(cov, dtype=float)
     lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
     lmax = max(float(lam[-1]), scale, 0.0)
-    keep = lam > max(lmax * rel_tol, 1e-300)
+    keep = lam > max(lmax * 1e-12, 1e-300)
     return vec[:, keep] * np.sqrt(lam[keep])
 
 
@@ -214,50 +218,30 @@ def condition_on_scalar(cov_z: np.ndarray, cov_zw: np.ndarray,
 def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float]:
     """x-values where P(Z <= u | X = x) is not smooth, for Z = g X + L eps.
 
-    Rank 0: the ends of the interval {x : g x <= u}.  Rank 1: crossings of
-    two conditional bounds (u_i - g_i x) / L_i and sign flips of
-    zero-loading coordinates.  Rank r >= 2: the x where r + 1 of the
-    conditional hyperplanes in eps-space meet in one point, n'(u - g x) = 0
-    for every (r + 1)-subset of the finite coordinates whose rows of L have
-    rank r, n spanning the null space of their L' (a zero-loading
-    coordinate i gives n = e_i and its sign flip, two parallel rows the x
-    where their lines coincide).  At rank 2 these are where the polygon
-    of `_polygon_rows` changes shape; at k >= 4 and rank >= 3, where the
-    orthant is sampled (unconditional rank >= 4), they are spare edges of
-    the draws' x-rule.  Full rank: none.
+    L is k x r, r >= 0.  The kinks are the x where r + 1 of the conditional
+    hyperplanes in eps-space meet in one point, n'(u - g x) = 0 for every
+    (r + 1)-subset of the finite coordinates whose rows of L have rank r,
+    n spanning the null space of their L'.  At rank 0 (n = 1) these are
+    every finite u_i / g_i; at rank 1 the crossings of two conditional
+    bounds (u_i - g_i x) / L_i; at any rank a zero-loading coordinate i
+    gives n = e_i and its sign flip u_i / g_i, and two parallel rows the x
+    where their hyperplanes coincide.  At rank 2 these are where the
+    polygon of `_polygon_rows` changes shape; at k >= 4 and rank >= 3,
+    where the orthant is sampled (unconditional rank >= 4), they are spare
+    edges of the draws' x-rule.  Full rank: none.
     """
-    k, r = L.shape
-    if r == 0:
-        lo, hi = rank1_bounds(u[None, :], g)
-        return [float(e) for e in (lo[0], hi[0]) if np.isfinite(e)]
-    if r > 1:
-        # an infinite bound drops its coordinate, and with it its kinks
-        tol = 1e-13 * max(float(np.max(np.abs(g))), 1.0)
-        kinks = []
-        for rows in combinations(np.flatnonzero(np.isfinite(u)), r + 1):
-            rows = list(rows)
-            _, sv, vt = np.linalg.svd(L[rows].T)
-            if sv[-1] <= 1e-13 * sv[0]:
-                continue
-            n = vt[-1]
-            den = float(n @ g[rows])
-            if abs(den) > tol:
-                kinks.append(float(n @ u[rows]) / den)
-        return kinks
-    load = L[:, 0]
-    tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
-    breaks: list[float] = []
-    idx = [i for i in range(k) if abs(load[i]) > tol]
-    for a_pos in range(len(idx)):
-        for b_pos in range(a_pos + 1, len(idx)):
-            i, j = idx[a_pos], idx[b_pos]
-            den = g[i] / load[i] - g[j] / load[j]
-            if abs(den) > 1e-13:
-                breaks.append((u[i] / load[i] - u[j] / load[j]) / den)
-    for i in range(k):
-        if abs(load[i]) <= tol and abs(g[i]) > 1e-13:
-            breaks.append(u[i] / g[i])
-    return [b for b in breaks if np.isfinite(b)]
+    r = L.shape[1]
+    # an infinite bound drops its coordinate, and with it its kinks
+    rows = np.array(list(combinations(np.flatnonzero(np.isfinite(u)), r + 1)), dtype=int)
+    if rows.size == 0:
+        return []
+    _, sv, vt = np.linalg.svd(L[rows].transpose(0, 2, 1))
+    n = vt[:, -1:]
+    num = (n @ u[rows][..., None]).ravel()
+    den = (n @ g[rows][..., None]).ravel()
+    tol = 1e-13 * max(np.abs(g).max(), 1.0)
+    keep = (sv > 1e-13 * sv[:, :1]).all(axis=1) & (np.abs(den) > tol)
+    return (num[keep] / den[keep]).tolist()
 
 
 def ray_interval_prob(lo, hi, a, b):
@@ -290,7 +274,7 @@ def cumulative_rule(f, edges: np.ndarray):
     `dist_exact._ExactEngine._scale_mass`, the scale mass that the exact
     cdf hands to `selection_rule`.
     """
-    x, w = gl_panels(edges, NODES_PER_PANEL)
+    x, w = gl_panels(edges)
     panel_sums = (f(x) * w).reshape(-1, NODES_PER_PANEL).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(panel_sums)])
     t, tw = _leggauss(NODES_PER_PANEL)
@@ -310,23 +294,23 @@ def cumulative_rule(f, edges: np.ndarray):
     return H, float(cum[-1])
 
 
-def selection_rule(x0: float, c: float, K, s_breaks, kinks, n_panels: int):
+def selection_rule(x0: float, c: float, K, s_breaks, kinks, level: int):
     """x-rule of a term conditioned on its selection scalar X ~ N(0, 1).
 
     The term is int phi(x) K(|x - x0| / c) f(x) dx: the order-p test
     rejects at scale s when |x - x0| >= c s, K is the mass of the scales
     it rejects at (rising from 0 to at most 1, steepest near the scales
     ``s_breaks``) and f is a conditional probability with non-smooth points
-    ``kinks`` (`conditional_kinks`).  Returns Gauss-Legendre nodes on
-    n_panels equal panels of [-TAIL_CUT, TAIL_CUT] with extra edges at x0,
-    at x0 +/- c s for each s in s_breaks and at the kinks; their weights
+    ``kinks`` (`conditional_kinks`).  Returns Gauss-Legendre nodes on the
+    `level_edges` of [-TAIL_CUT, TAIL_CUT] at ``level`` with extra edges at
+    x0, at x0 +/- c s for each s in s_breaks and at the kinks; their weights
     times phi(x) K(|x - x0| / c); and the dropped x-mass 2 Phi(-TAIL_CUT).
     Its one caller is `conditional_rows`.
     """
     s = np.asarray(s_breaks, dtype=float)
-    edges = split_edges(-TAIL_CUT, TAIL_CUT, n_panels,
-                        breaks=[x0, *(x0 - c * s), *(x0 + c * s), *kinks])
-    x, w = gl_panels(edges, NODES_PER_PANEL)
+    edges = split_edges(level_edges(-TAIL_CUT, TAIL_CUT, level),
+                        [x0, *(x0 - c * s), *(x0 + c * s), *kinks])
+    x, w = gl_panels(edges)
     return x, w * norm_pdf(x) * K(np.abs(x - x0) / c), 2.0 * float(ndtr(-TAIL_CUT))
 
 
@@ -351,7 +335,7 @@ def refine(evaluate, tol: float, refinable: bool):
     return trace, gap, level
 
 
-def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> np.ndarray:
+def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, level: int) -> np.ndarray:
     """P(R <= u) for every row u of U, R ~ N(0, S) with L a factor of S.
 
     Deterministic wherever the dimension allows: numerical rank 0 is an
@@ -359,11 +343,12 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
     R the bivariate normal cdf, rank 2 in any dimension k >= 3 a standard
     bivariate normal over a convex polygon in closed form
     (`_polygon_rows`), and a full-rank trivariate R Genz's one-dimensional
-    trivariate normal cdf (`_trivariate_rows`) on n_panels Gauss-Legendre
-    panels.  Other ranks raise ValueError: sampling is left only at
-    k >= 4 with conditional rank >= 3 (unconditional rank >= 4), see
-    `needs_sampling`.  Its callers are `gaussian_rect_rows` and
-    `conditional_rows`, which integrates it against a `selection_rule`.
+    trivariate normal cdf (`_trivariate_rows`) on the Gauss-Legendre
+    panels of refinement ``level``.  Other ranks raise ValueError:
+    sampling is left only at k >= 4 with conditional rank >= 3
+    (unconditional rank >= 4), see `needs_sampling`.  Its callers are
+    `gaussian_rect_rows` and `conditional_rows`, which integrates it
+    against a `selection_rule`.
     """
     k, r = U.shape[1], L.shape[1]
     if r == 0:
@@ -378,7 +363,7 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, n_panels: int) -> 
         return _polygon_rows(U, L)
     if k != 3:
         raise ValueError(f"no deterministic rule for a rank-{r} covariance of dimension {k}")
-    return _trivariate_rows(U, S, n_panels)
+    return _trivariate_rows(U, S, level)
 
 
 def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -442,7 +427,7 @@ def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.where(dead, 0.0, np.clip(piece.sum(axis=1), 0.0, 1.0))
 
 
-def _trivariate_rows(U: np.ndarray, S: np.ndarray, n_panels: int) -> np.ndarray:
+def _trivariate_rows(U: np.ndarray, S: np.ndarray, level: int) -> np.ndarray:
     """P(R <= u) for every row u of U, R ~ N(0, S) trivariate of full rank.
 
     Plackett's (1954) identity integrated along Genz's (2004) sine path:
@@ -456,8 +441,8 @@ def _trivariate_rows(U: np.ndarray, S: np.ndarray, n_panels: int) -> np.ndarray:
     f_1i = exp(-F/2) Phi(B) is 2 pi cos(a_1i x) times the bivariate density
     of (h_1, h_i) times the conditional cdf of the third coordinate at its
     bound (Genz's PNTGND), 0 where the path's determinant is not positive.
-    The x-integral runs on n_panels equal Gauss-Legendre panels of [0, 1],
-    plus edges at 1 - 2^-l that resolve the fall of det R(x) to a small
+    The x-integral runs on the `level_edges` of [0, 1] at ``level``, plus
+    edges at 1 - 2^-l that resolve the fall of det R(x) to a small
     det R near x = 1.  A row with a -inf coordinate is 0; +inf coordinates
     are dropped, which leaves the bivariate or univariate cdf of the rest
     (`bvn_cdf`).
@@ -491,8 +476,8 @@ def _trivariate_rows(U: np.ndarray, S: np.ndarray, n_panels: int) -> np.ndarray:
     layers = 0
     while layers < 52 and -slope * 0.5 ** layers > det:
         layers += 1
-    x, w = gl_panels(split_edges(0.0, 1.0, n_panels, 1.0 - 0.5 ** np.arange(1, layers + 1)),
-                     NODES_PER_PANEL)
+    x, w = gl_panels(split_edges(level_edges(0.0, 1.0, level),
+                                 1.0 - 0.5 ** np.arange(1, layers + 1)))
     path = np.sin(np.outer(ang, x))           # rho_12(x), rho_13(x)
     cos2 = np.cos(np.outer(ang, x)) ** 2      # 1 - rho^2, without cancellation
     for i, (hi, hc) in enumerate(((h2, h3), (h3, h2))):
@@ -523,7 +508,7 @@ def gauss_draws(rng: np.random.Generator, n: int, L: np.ndarray) -> np.ndarray:
 
 
 def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
-                     x0: float, c: float, K, s_breaks, n_panels: int, R=None):
+                     x0: float, c: float, K, s_breaks, level: int, R=None):
     """int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U.
 
     The one conditioned-orthant kernel, for R ~ N(0, S = L L') independent
@@ -537,10 +522,10 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
     m = len(U)
     vals, pis, errs, ses = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m)
     for j, u in enumerate(U):
-        x, wk, errs[j] = selection_rule(x0, c, K, s_breaks, conditional_kinks(u, g, L), n_panels)
+        x, wk, errs[j] = selection_rule(x0, c, K, s_breaks, conditional_kinks(u, g, L), level)
         pis[j] = np.sum(wk)
         if R is None:
-            vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, n_panels)
+            vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, level)
         else:
             lo, hi = rank1_bounds(u[None, :] - R, g)
             cum = np.concatenate([[0.0], np.cumsum(wk)])
@@ -560,7 +545,9 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     which `conditional_rows` integrates exactly: deterministic at rank 3,
     whose conditional orthant is a rank-2 polygon, and at rank >= 4 on one
     seeded sample of n_samples draws (Philox key (0, 0) unless ``rng`` is
-    given) shared by all rows.  Returns (probabilities, standard_errors):
+    given) shared by all rows.  There is no refinement loop: every panel
+    rule runs at level 1 (24 panels), fine enough that its error is at
+    rounding level.  Returns (probabilities, standard_errors):
     0 where deterministic, else at least 1/n_samples.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -568,12 +555,12 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     m, k = U.shape
     L = psd_factor(cov)
     if not needs_sampling(k, L.shape[1]):
-        return orthant_rows(U, cov, L, _RECT_PANELS), np.zeros(m)
+        return orthant_rows(U, cov, L, 1), np.zeros(m)
     j = int(np.argmax(np.diag(cov)))
     g, S, L = condition_on_scalar(cov, cov[:, j], float(cov[j, j]))
     rng = philox(0) if rng is None else rng
     R = gauss_draws(rng, n_samples, L) if needs_sampling(k, L.shape[1]) else None
-    vals, _, _, se = conditional_rows(U, g, S, L, 0.0, 1.0, np.ones_like, (), _RECT_PANELS, R)
+    vals, _, _, se = conditional_rows(U, g, S, L, 0.0, 1.0, np.ones_like, (), 1, R)
     return vals, se
 
 

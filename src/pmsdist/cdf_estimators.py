@@ -56,8 +56,8 @@ def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
     Exploits the zero-drift scaling identity — the estimate at scale
     sigma_hat equals the unit-scale formula at t / sigma_hat — to evaluate
     whole groups sharing an effective order in one vectorized pass.
-    sigma_hats must be finite and nonnegative; a zero one gives the
-    point-mass cdf at the origin.
+    sigma_hats must be finite and nonnegative, a zero one giving the
+    point-mass cdf at the origin; p_bars are orders in [0, P].
     """
     budget = budget or AccuracyBudget()
     rule.validate_for(problem.P, problem.O)
@@ -67,6 +67,8 @@ def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
     p_bars = np.asarray(p_bars, dtype=int)
     if sig.shape != p_bars.shape or sig.ndim != 1:
         raise ValidationError("sigma_hats and p_bars must be equal-length vectors")
+    if np.any((p_bars < 0) | (p_bars > problem.P)):
+        raise ValidationError(f"p_bars must lie in [0, {problem.P}]")
     if not np.all(np.isfinite(sig) & (sig >= 0.0)):
         raise ValidationError("sigma_hats must be finite and nonnegative")
     out = np.empty(sig.size)

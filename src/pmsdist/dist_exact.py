@@ -48,7 +48,11 @@ Every cdf evaluator of the package, these and the limit ones of
 standard errors, each at least 1/n_z), refined by `_gauss.refine`, and
 `cdf_result`, the one error budget: refinement gap, truncated mass, the
 defect of sum pi(p) from 1, sampling error and a 1e-14 rounding floor.
-Identical query + budget + seed replays bit-identically.
+The exact cdf's method string is
+"mixture-formula;levels=l;n_z=...;seed=...;k=...": the last refinement
+level l fixes every panel count of the scale, x and trivariate rules
+(`_gauss.level_edges`).  Identical query + budget + seed replays
+bit-identically.
 """
 from __future__ import annotations
 
@@ -58,19 +62,19 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
 
 from ._gauss import (
-    NODES_PER_PANEL,
-    PANELS,
     condition_on_scalar,
     conditional_rows,
     cumulative_rule,
     gauss_draws,
     gaussian_rect,
     gl_panels,
+    level_edges,
     needs_sampling,
     philox,
     rank1_bounds,
     ray_interval_prob,
     refine,
+    split_edges,
 )
 from .errors import ValidationError, cdf_argument
 from .regression_core import (
@@ -170,12 +174,13 @@ class SigmaRatioDensity:
 class AccuracyBudget:
     """Accuracy settings for the cdf evaluators: three fields.
 
-    tol is the absolute quadrature target; `_gauss.refine` doubles panel
-    counts (`_gauss.PANELS`) until successive totals differ by less than
-    tol/2, the sampling error alone exceeds tol, or
-    `_gauss.MAX_REFINEMENTS` doublings are spent, and a result whose error
-    bound exceeds tol is flagged.  n_z Gaussian samples, keyed by seed
-    (both integers), drive the sampled integrals, which remain only for
+    tol is the absolute quadrature target; `_gauss.refine` raises the
+    refinement level, each of which doubles every panel count
+    (`_gauss.level_edges`), until successive totals differ by less than
+    tol/2, the sampling error alone exceeds tol, or its last level is
+    spent, and a result whose error bound exceeds tol is flagged.  The
+    method string records the last level as ``levels=``.  n_z Gaussian
+    samples, keyed by seed (both integers), drive the sampled integrals, which remain only for
     targets with k >= 4 rows: orthants of rank >= 3 left after conditioning
     and unconditional ones of rank >= 4, in `cdf_exact` and the limit paths
     (rank 2 is a polygon in closed form).
@@ -285,14 +290,16 @@ def tail_products(dq: LimitQuantities, sigma: float, nu, c_of, p0: int, s=1.0):
 
 
 def cdf_result(trace: TermTrace, gap: float, level: int, budget: AccuracyBudget,
-               method) -> CdfResult:
+               name: str, k: int) -> CdfResult:
     """The one way a cdf result is formed, from a trace `_gauss.refine` returned.
 
     The error budget is abs_error = gap + sum(errors) + |1 - sum(weights)|
     + sum(sampling) + the 1e-14 rounding floor, gap being the last
     refinement step.  A gap of at least tol/2 with the sampling error
     within tol means refinement ran out of levels; otherwise any abs_error
-    above tol is flagged.  ``method(level)`` names the evaluation.
+    above tol is flagged.  The method string names the evaluation,
+    "{name};levels={level};n_z=...;seed=...;k={k}", the last level and
+    the budget fixing every panel count and sample.
     """
     total = float(trace.total)
     sampling = float(np.sum(trace.sampling))
@@ -303,8 +310,9 @@ def cdf_result(trace: TermTrace, gap: float, level: int, budget: AccuracyBudget,
         warning = "refinement budget exhausted before reaching tol"
     elif abs_error > budget.tol:
         warning = f"abs_error {abs_error:.2e} exceeds tol {budget.tol:.2e}"
+    method = f"{name};levels={level};n_z={budget.n_z};seed={budget.seed};k={k}"
     return CdfResult(value=float(np.clip(total, 0.0, 1.0)), abs_error=abs_error,
-                     method=method(level), clamped=not (0.0 <= total <= 1.0),
+                     method=method, clamped=not (0.0 <= total <= 1.0),
                      warning=warning, term_trace=trace)
 
 
@@ -362,28 +370,24 @@ class _ExactEngine:
         return self._z_cache[p]
 
     # ---- scale grid ----
-    def _s_edges(self, n_panels: int) -> np.ndarray:
-        return self.ratio.ppf(np.linspace(_S_Q_LO, _S_Q_HI, n_panels + 1))
+    def _s_edges(self, level: int) -> np.ndarray:
+        return self.ratio.ppf(level_edges(_S_Q_LO, _S_Q_HI, level))
 
-    def _s_grid(self, n_panels: int, breaks):
-        edges = self._s_edges(n_panels)
-        extra = [b for b in breaks if edges[0] < b < edges[-1]]
-        if extra:
-            edges = np.unique(np.concatenate([edges, np.asarray(extra)]))
-        s, w = gl_panels(edges, NODES_PER_PANEL)
+    def _s_grid(self, level: int, breaks):
+        s, w = gl_panels(split_edges(self._s_edges(level), breaks))
         return s, w * self.ratio.pdf(s), _S_TRUNC
 
-    def _scale_mass(self, p: int, n_panels: int):
+    def _scale_mass(self, p: int, level: int):
         """(K, truncated mass): K(y) integrates pdf(s) tail_p(s) over s <= y.
 
-        K is read through `cumulative_rule` on the panels of `_s_grid`, so
+        K is read through `cumulative_rule` on the level's `_s_edges`, so
         it costs one partial panel per argument.
         """
         def f(s):
             tail = tail_products(self.design, self.sigma, self.nu, self.c, p, s)
             return self.ratio.pdf(s) * tail[p]
 
-        K, _ = cumulative_rule(f, self._s_edges(n_panels))
+        K, _ = cumulative_rule(f, self._s_edges(level))
         return K, _S_TRUNC
 
     # ---- conditional rank 0: two rays in the selection scalar ----
@@ -404,7 +408,7 @@ class _ExactEngine:
                 float(np.sum(wt * ray_interval_prob(-np.inf, np.inf, a, b))), _S_TRUNC)
 
     # ---- the scale integral folded into the selection scalar ----
-    def _conditional_term(self, p: int, u: np.ndarray, n_panels: int, R=None):
+    def _conditional_term(self, p: int, u: np.ndarray, level: int, R=None):
         """(value, pi_value, error, se) of the order-p term with the integrals swapped.
 
         With W = b_p'z + sigma zeta_p e (e standard normal, independent of
@@ -423,24 +427,23 @@ class _ExactEngine:
         if given.  The error adds the truncated scale mass.
         """
         g, S, L = self.split[p]
-        K, trunc = self._scale_mass(p, n_panels)
+        K, trunc = self._scale_mass(p, level)
         vals, pis, errs, ses = conditional_rows(
             u[None, :], g, S, L, -self.nu[p] / (self.sigma * self.design.xi(p)), self.c[p],
-            K, self.s_step, n_panels, R)
+            K, self.s_step, level, R)
         return float(vals[0]), float(pis[0]), trunc + float(errs[0]), float(ses[0])
 
-    def _term_orthant(self, p: int, u: np.ndarray, n_panels: int):
+    def _term_orthant(self, p: int, u: np.ndarray, level: int):
         """(value, pi_value, error) of an order whose orthant is exact."""
-        return self._conditional_term(p, u, n_panels)[:3]
+        return self._conditional_term(p, u, level)[:3]
 
-    def _term_sampled(self, p: int, u: np.ndarray, n_panels: int):
+    def _term_sampled(self, p: int, u: np.ndarray, level: int):
         """(value, pi_value, error, se) of an order whose conditional orthant
         `needs_sampling`, on the draws of `_z_sample`."""
-        return self._conditional_term(p, u, n_panels, self._z_sample(p)[0])
+        return self._conditional_term(p, u, level, self._z_sample(p)[0])
 
     # ---- one full assembly at a given refinement level, for `refine` ----
     def assemble(self, level: int) -> TermTrace:
-        n_panels = PANELS * (2 ** level)
         P, O = self.problem.P, self.problem.O
         t = self.query.t
 
@@ -448,7 +451,7 @@ class _ExactEngine:
         # crosses an end of its x-interval
         crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
                      for end in (lo, hi) if np.isfinite(end)]
-        s, w, trunc = self._s_grid(n_panels, breaks=crossings)
+        s, w, trunc = self._s_grid(level, crossings)
         tail = tail_products(self.design, self.sigma, self.nu, self.c, O, s)
         # terms, weights, errors and sampling errors of orders O..P; the
         # order-O core carries the truncated scale mass
@@ -461,17 +464,11 @@ class _ExactEngine:
             if p in self.rank0:
                 parts[:3, i] = self._term_k1(p, s, w * tail[p])
             elif not needs_sampling(self.k, self.split[p][2].shape[1]):
-                parts[:3, i] = self._term_orthant(p, u, n_panels)
+                parts[:3, i] = self._term_orthant(p, u, level)
             else:
-                value, pi, err, se = self._term_sampled(p, u, n_panels)
+                value, pi, err, se = self._term_sampled(p, u, level)
                 parts[:, i] = value, pi, err, 3.0 * se
         return TermTrace(tuple(range(O, P + 1)), *parts)
-
-    def method_string(self, level: int) -> str:
-        b = self.budget
-        return (f"mixture-formula;s_panels={PANELS * 2 ** level};"
-                f"nodes={NODES_PER_PANEL};levels={level};"
-                f"n_z={b.n_z};seed={b.seed};k={self.k}")
 
 
 def cdf_exact(problem: RegressionProblem, query: CdfQuery,
@@ -487,5 +484,5 @@ def cdf_exact(problem: RegressionProblem, query: CdfQuery,
     """
     budget = budget or AccuracyBudget()
     engine = _ExactEngine(problem, query, budget)
-    trace, gap, level = refine(engine.assemble, budget.tol, True)
-    return cdf_result(trace, gap, level, budget, engine.method_string)
+    return cdf_result(*refine(engine.assemble, budget.tol, True), budget,
+                      "mixture-formula", engine.k)

@@ -35,7 +35,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._gauss import (
-    PANELS,
     bvn_cdf,
     condition_on_scalar,
     conditional_rows,
@@ -114,11 +113,6 @@ def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
             local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O))
 
 
-def _method(name: str, budget: AccuracyBudget, k: int):
-    """method(level) of a limit cdf result, for `cdf_result`."""
-    return lambda level: f"{name};level={level};n_z={budget.n_z};seed={budget.seed};k={k}"
-
-
 # ---------------------------------------------------------------------------
 # primary engine: representation-based, vectorized over rows of T
 # ---------------------------------------------------------------------------
@@ -175,8 +169,7 @@ def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
         return 1.0 - delta(rho, y, 1.0)
 
     def rows(level):
-        vals, pis, errs, ses = conditional_rows(U, g, S, L, x0, c, K, s_breaks,
-                                                PANELS * (2 ** level), R)
+        vals, pis, errs, ses = conditional_rows(U, g, S, L, x0, c, K, s_breaks, level, R)
         return vals, pis, errs, 3.0 * ses
 
     return rows
@@ -235,8 +228,7 @@ def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     _, trace, gaps, level = _cdf_limit_rows(
         limits, consts.p_star, consts.nu, alt.sigma, rule.critical_values(limits.O),
         t[None, :], budget)
-    return cdf_result(trace.row(0), gaps[0], level, budget,
-                      _method("representation", budget, limits.k))
+    return cdf_result(trace.row(0), gaps[0], level, budget, "representation", limits.k)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +294,7 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
         return TermTrace(tuple(range(p_star, P + 1)), *parts)
 
     trace, gap, level = refine(at_level, budget.tol, bool(rules))
-    return cdf_result(trace, gap, level, budget, _method("mixture-integral", budget, k))
+    return cdf_result(trace, gap, level, budget, "mixture-integral", k)
 
 
 def _mvn_pdf(v: np.ndarray, cov: np.ndarray) -> float:

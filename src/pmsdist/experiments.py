@@ -258,9 +258,11 @@ def pilot_delta0(fixture: Fixture, t, gamma_axis: int, lam_grid, *,
 
     The proof technique bounds the achievable error by half the oscillation
     of gamma -> limit cdf; taking a quarter leaves a safety margin for
-    finite-n and Monte Carlo slack.
+    finite-n and Monte Carlo slack.  gamma_axis is 1-based, in [1, P].
     """
     pr = fixture.problem
+    if not 1 <= gamma_axis <= pr.P:
+        raise ValidationError(f"gamma_axis must lie in [1, {pr.P}], got {gamma_axis!r}")
     grid = np.zeros((len(lam_grid), pr.P))
     grid[:, gamma_axis - 1] = np.asarray(lam_grid, dtype=float)
     report = limit_nonconstancy_scan(fixture.limits, pr.theta, pr.sigma,
@@ -296,6 +298,8 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     n_ladder = _ladder(n_ladder)
     pr = fixture.problem
+    if gamma.shape != (pr.P,):
+        raise ValidationError(f"gamma must be a vector of length P = {pr.P}")
     rule = fixture.rule if rule is None else rule
 
     if isinstance(rule, GeneralToSpecific):

@@ -383,20 +383,17 @@ def _err_chunk(kernel: _Kernel, lo: int, hi: int, t: np.ndarray,
     return {"exceed": exceed, "valid": int(ok.sum()), "degenerate": int((~ok).sum())}
 
 
-def estimator_error_probability(plan: SimulationPlan, t, reference,
+def estimator_error_probability(plan: SimulationPlan, t, reference: float,
                                 delta: float, *, workers: int | None = None,
                                 aux_scheme: str = "sqrt_log_n",
                                 budget=None) -> float:
     """Frequency of {|plug-in cdf estimate - reference| > delta} under the plan.
 
-    ``reference`` is the target cdf value: a float, a result object with a
-    ``value`` attribute, or a zero-argument callable producing either.
+    ``reference`` is the target cdf value, a finite float.
     """
     if not delta > 0:
         raise ValidationError("delta must be positive")
-    if callable(reference):
-        reference = reference()
-    ref = float(getattr(reference, "value", reference))
+    ref = float(reference)
     if not np.isfinite(ref):
         raise ValidationError("reference must be finite")
     t_arr = cdf_argument(t, plan.k)

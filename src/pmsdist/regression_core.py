@@ -36,6 +36,7 @@ __all__ = [
     "order_of",
     "limit_quantities",
     "local_shift_constants",
+    "xi_n",
 ]
 
 # Relative eigenvalue cutoff for generalized inverses and SPD checks.

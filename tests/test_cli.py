@@ -264,3 +264,13 @@ def test_nan_arguments_exit_1(capsys, argv):
     rc, out, err = _run(capsys, argv)
     assert rc == EXIT_INVALID and out == ""
     assert _payload(err)["error"]["type"] == "ValidationError"
+
+
+def test_drift_of_the_wrong_length_exits_1(capsys):
+    # a one-coordinate drift on the P = 2 fixture was broadcast over both
+    # coordinates and the sweep ran (exit 0)
+    rc, out, err = _run(capsys, ["sweep", "impossibility", "--fixture", "COLL2", "--t", "0,0",
+                                 "--gamma", "1.25", "--delta0", "0.1", "--n-ladder", "100",
+                                 "--reps", "100"])
+    assert rc == EXIT_INVALID and out == ""
+    assert _payload(err)["error"]["type"] == "ValidationError"

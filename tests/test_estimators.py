@@ -140,3 +140,13 @@ def test_nan_arguments_are_rejected():
         phi_hat_values(pr, fx.A, 2, [0.1, 0.1], np.array([s, np.nan]))
     assert g_check(pr, Y, fx.A, [np.inf, np.inf], fx.rule, budget=QUICK) == 1.0
     assert phi_hat(pr, Y, fx.A, 2, [-np.inf, 0.0]) == 0.0
+
+
+def test_out_of_range_orders_are_rejected():
+    # a p_bar of P + 1 raised a bare KeyError and one of -1 was read as O:
+    # an order outside [0, P] is invalid input
+    fx = fixture("COLL2")
+    for bad in (-1, fx.problem.P + 1):
+        with pytest.raises(ValidationError, match="p_bars"):
+            g_check_values(fx.problem, fx.A, [0.1, 0.1], fx.rule, np.array([1.0, 1.0]),
+                           np.array([1, bad]), budget=QUICK)

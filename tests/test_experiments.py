@@ -182,3 +182,18 @@ def test_empty_ladders_and_grids_are_invalid():
             run()
     with pytest.raises(ValidationError, match="gamma grid"):
         tube_sweep(p1, t=[0.0], rho_grid=[1.0], n_ladder=(100,), n_gamma=0, budget=QUICK)
+
+
+def test_out_of_range_drift_arguments_are_invalid():
+    # a gamma shorter than P was broadcast over every coordinate, and a
+    # gamma_axis outside [1, P] scanned the last axis (0) or raised a bare
+    # IndexError (P + 1)
+    coll = fixture("COLL2")
+    for gamma in ([1.25], [1.25, 0.0, 0.5]):
+        with pytest.raises(ValidationError, match="gamma must be"):
+            impossibility_demo(coll, t=[0.0, 0.0], gamma=gamma, delta0=0.1, n_ladder=(100,),
+                               replications=200, budget=QUICK)
+    for axis in (0, 3, -1):
+        with pytest.raises(ValidationError, match="gamma_axis"):
+            pilot_delta0(coll, t=[0.0, 0.0], gamma_axis=axis, lam_grid=[0.0, 1.0],
+                         budget=QUICK)

@@ -1,4 +1,6 @@
 """Oracle tests for the Gaussian probability helpers."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +11,7 @@ from pmsdist._gauss import (
     _polygon_rows,
     bvn_cdf,
     condition_on_scalar,
+    conditional_kinks,
     gaussian_rect,
     gaussian_rect_rows,
     gl_panels,
@@ -329,7 +332,7 @@ _POLYGON_EDGES = {
 @pytest.mark.parametrize("case", sorted(_POLYGON_EDGES))
 def test_polygon_orthant_edges(case):
     L, U = (np.array(a, dtype=float) for a in _POLYGON_EDGES[case])
-    vals = orthant_rows(U, L @ L.T, L, 12)
+    vals = orthant_rows(U, L @ L.T, L, 0)
     for u, v in zip(U, vals):
         assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-14, (u, v)
 
@@ -340,7 +343,7 @@ def test_polygon_orthant_of_a_box_ends_pieces_at_right_angles():
     L = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     U = np.array([[0.3, 0.1, 0.2, 0.4], [1.0, 1.0, 1.0, 1.0], [0.5, np.inf, 0.5, np.inf],
                   [-0.2, 2.0, 0.5, -1.0]])
-    vals = orthant_rows(U, L @ L.T, L, 12)
+    vals = orthant_rows(U, L @ L.T, L, 0)
     want = (np.maximum(ndtr(U[:, 0]) - ndtr(-U[:, 2]), 0.0)
             * np.maximum(ndtr(U[:, 1]) - ndtr(-U[:, 3]), 0.0))
     assert np.max(np.abs(vals - want)) < 1e-15, (vals, want)
@@ -447,9 +450,9 @@ def test_plackett_oracle_matches_conditioning_oracle():
             assert abs(_plackett_oracle(h, C) - _conditioning_oracle(h, C, 0)) < 1e-12, (C, h)
 
 
-@pytest.mark.parametrize("lam_min,n_panels,bound", [
-    (1.0, 12, 1e-12), (1e-2, 12, 1e-12), (1e-4, 12, 1e-12), (1e-6, 24, 1e-9)])
-def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, n_panels, bound):
+@pytest.mark.parametrize("lam_min,level,bound", [
+    (1.0, 0, 1e-12), (1e-2, 0, 1e-12), (1e-4, 0, 1e-12), (1e-6, 1, 1e-9)])
+def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, level, bound):
     # random correlation matrices with smallest eigenvalue lam_min, scaled
     # to random variances; the path integral is smooth until lam_min falls
     rng = np.random.default_rng(11)
@@ -460,7 +463,7 @@ def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, n_panels, bound
         L = psd_factor(cov)
         assert L.shape[1] == 3
         H = rng.normal(0.0, 1.2, size=(5, 3))
-        vals = orthant_rows(H * d, cov, L, n_panels)
+        vals = orthant_rows(H * d, cov, L, level)
         for h, v in zip(H, vals):
             assert abs(v - _plackett_oracle(h, C)) <= bound, (C, h)
 
@@ -473,7 +476,7 @@ def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, n_panels, bound
 ], ids=["rho12_zero", "rho13_zero", "all_negative", "mixed_signs"])
 def test_trivariate_orthant_special_correlations(C):
     H = np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 0.0], [-1.5, 1.0, 0.4], [2.5, 2.0, -0.7]])
-    vals = orthant_rows(H, C, psd_factor(C), 12)
+    vals = orthant_rows(H, C, psd_factor(C), 0)
     for h, v in zip(H, vals):
         assert abs(v - _plackett_oracle(h, C)) < 1e-12, h
 
@@ -491,7 +494,7 @@ def test_trivariate_orthant_with_a_nearly_degenerate_pair(sign):
     L = psd_factor(C)
     assert L.shape[1] == 3
     H = np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.4], [1.2, 0.7, -0.9]])
-    vals = orthant_rows(H, C, L, 12)
+    vals = orthant_rows(H, C, L, 0)
     width = np.sqrt(1.0 - C[1, 2] ** 2)
     for h, v in zip(H, vals):
         a = _plackett_oracle(h, C)
@@ -576,3 +579,89 @@ def test_condition_on_scalar_judges_rank_on_the_scale_of_cov_z():
     # a small but genuine conditional spread keeps its rank
     g, S, L = condition_on_scalar(np.outer(a, a) * var_w + 1e-8 * np.eye(2), a * var_w, var_w)
     assert L.shape == (2, 2)
+
+
+def _kink_cases():
+    """Seeded (u, g, L) for k = 1..5 and r = 0..min(k, 3), L of rank r like
+    a factor of `condition_on_scalar`: generic rows, and where that rank
+    allows a zero-loading row, a pair of parallel rows of L or a pair
+    parallel in (g, L) (whose hyperplanes never meet); also +/-inf
+    coordinates."""
+    rng = np.random.default_rng(29)
+    for k in range(1, 6):
+        for r in range(min(k, 3) + 1):
+            for variant in ("generic", "zero_loading", "parallel", "coincident", "infinite"):
+                u, g, L = rng.normal(0.0, 1.0, k), rng.normal(0.0, 1.0, k), rng.normal(
+                    0.0, 1.0, (k, r))
+                if variant == "zero_loading" and k > r:
+                    L[0] = 0.0
+                elif variant == "parallel" and k > max(r, 1):
+                    L[1] = -2.0 * L[0]
+                elif variant == "coincident" and k > max(r, 1):
+                    L[1], g[1] = 2.0 * L[0], 2.0 * g[0]
+                elif variant == "infinite":
+                    u[-1] = np.inf
+                    u[0] = -np.inf if k >= 2 else u[0]
+                yield u, g, L
+
+
+def _same_points(a, b, tol):
+    """Whether every point of a is within tol (relative above 1) of one of
+    b, and the other way round."""
+    def covered(x, y):
+        return all(np.any(np.abs(np.asarray(y) - v) <= tol * max(1.0, abs(v))) for v in x)
+    return covered(a, b) and covered(b, a)
+
+
+def _rank1_arm(u, g, load):
+    """The crossings and sign flips the rank-1 arm of `conditional_kinks`
+    listed before the one rule: (u_i/L_i - u_j/L_j) / (g_i/L_i - g_j/L_j)
+    for two loaded coordinates, u_i/g_i for a zero-loading one; an
+    infinite u_i gives an infinite point, which the arm dropped."""
+    tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
+    finite = [i for i in range(len(u)) if np.isfinite(u[i])]
+    idx = [i for i in finite if abs(load[i]) > tol]
+    out = []
+    for a, i in enumerate(idx):
+        for j in idx[a + 1:]:
+            den = g[i] / load[i] - g[j] / load[j]
+            if abs(den) > 1e-13:
+                out.append((u[i] / load[i] - u[j] / load[j]) / den)
+    return out + [u[i] / g[i] for i in finite if abs(load[i]) <= tol and abs(g[i]) > 1e-13]
+
+
+def _hyperplanes_meet(x, u, g, L):
+    """Whether r + 1 of the conditional hyperplanes L_i eps = u_i - g_i x,
+    rows of rank r, meet in one point at x."""
+    r = L.shape[1]
+    for rows in combinations(np.flatnonzero(np.isfinite(u)), r + 1):
+        rows = list(rows)
+        A, b = L[rows], u[rows] - g[rows] * x
+        if r and np.linalg.matrix_rank(A) < r:
+            continue
+        eps = np.linalg.lstsq(A, b, rcond=None)[0] if r else np.zeros(0)
+        if np.max(np.abs(A @ eps - b)) <= 1e-9 * max(1.0, float(np.max(np.abs(b)))):
+            return True
+    return False
+
+
+def test_conditional_kinks_are_one_rule_at_every_rank():
+    # rank 0: every finite bound u_i / g_i; rank 1: the crossings and sign
+    # flips of the rank-1 arm the rule replaced; every rank: r + 1 of the
+    # conditional hyperplanes meet in one point at each kink
+    counts = np.zeros(4, dtype=int)
+    for u, g, L in _kink_cases():
+        r = L.shape[1]
+        kinks = conditional_kinks(u, g, L)
+        counts[r] += len(kinks)
+        if r == 0:
+            finite = np.isfinite(u) & (np.abs(g) > 1e-13)
+            assert _same_points(kinks, (u[finite] / g[finite]).tolist(), 0.0), (u, g, kinks)
+            assert len(kinks) == int(finite.sum())
+        if r == 1:
+            assert _same_points(kinks, _rank1_arm(u, g, L[:, 0]), 1e-12), (u, g, L, kinks)
+        for x in kinks:
+            assert _hyperplanes_meet(x, u, g, L), (u, g, L, x)
+        if r == len(u):
+            assert kinks == []
+    assert np.all(counts > 0), counts

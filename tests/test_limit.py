@@ -220,7 +220,7 @@ def test_sampled_orders_draw_once(monkeypatch):
     limits, alt, rule = _p5_k4_limit()
     budget = AccuracyBudget(tol=1e-6)
     res = cdf_limit(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
-    assert "level=0;" not in res.method    # refined: per-level draws would repeat
+    assert "levels=0;" not in res.method    # refined: per-level draws would repeat
     assert calls == [((budget.n_z, r),) for r in (3, 4)], calls
     calls.clear()
     cdf_limit_via_integral(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
@@ -233,7 +233,7 @@ def test_refinement_stops_when_sampling_error_alone_misses_tol():
     # refined to level 3 (0.00221599) within the reported error
     limits, alt, rule = _p5_k4_limit()
     res = cdf_limit(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, AccuracyBudget(tol=1e-6))
-    assert res.method.startswith("representation;level=1;")
+    assert res.method.startswith("representation;levels=1;")
     assert res.warning is not None and "exceeds tol" in res.warning
     assert abs(res.value - 0.00221599) <= res.abs_error, res
 
@@ -249,7 +249,7 @@ def test_batched_rows_trace_equals_the_one_row_trace():
     assert trace.terms.shape == (len(trace.orders), len(T)) and level == 1
     for j, t in enumerate(T):
         res = cdf_limit(limits, alt, t, rule, QUICK)
-        assert res.method.startswith(f"representation;level={level};")
+        assert res.method.startswith(f"representation;levels={level};")
         row = trace.row(j)
         for field in ("terms", "weights", "errors", "sampling"):
             assert np.array_equal(getattr(row, field), getattr(res.term_trace, field)), field

@@ -126,12 +126,6 @@ def test_estimator_error_probability_extremes():
     # a huge tolerance band is never exceeded; a vanishing band always is
     assert estimator_error_probability(plan, [0.0], 0.5, delta=2.0) == 0.0
     assert estimator_error_probability(plan, [0.0], 123.0, delta=1e-12) == 1.0
-    # reference may be a callable or carry a .value attribute
-    class Res:
-        value = 0.5
-    a = estimator_error_probability(plan, [0.0], Res(), delta=0.05)
-    b = estimator_error_probability(plan, [0.0], lambda: 0.5, delta=0.05)
-    assert a == b
     with pytest.raises(ValidationError):
         estimator_error_probability(plan, [0.0], 0.5, delta=0.0)
     with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Package-level checks: import footprint and module boundaries."""
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -96,17 +97,39 @@ def test_cdf_modules_draw_through_gauss():
 
 
 def test_refinement_policy_lives_in_gauss():
-    # every refinement loop is `_gauss.refine`: no other module may read the
-    # refinement cap, by import or by attribute
-    users = set()
+    # every refinement loop is `_gauss.refine` and every panel count is
+    # `_gauss.level_edges`: no other module may read the panel constants or
+    # the refinement cap, by import or by attribute
+    policy = {"PANELS", "NODES_PER_PANEL", "MAX_REFINEMENTS"}
+    users = {name: set() for name in policy}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                      else [node.id] if isinstance(node, ast.Name)
                      else [node.attr] if isinstance(node, ast.Attribute) else [])
-            if "MAX_REFINEMENTS" in names:
-                users.add(path.stem)
-    assert users == {"_gauss"}, f"MAX_REFINEMENTS referenced outside _gauss: {sorted(users)}"
+            for name in policy.intersection(names):
+                users[name].add(path.stem)
+    assert users == {name: {"_gauss"} for name in policy}, \
+        f"refinement policy referenced outside _gauss: {users}"
+
+
+def test_benchmark_tracer_patches_the_package(monkeypatch):
+    # the benchmark tracer patches private names of the package by identity
+    # (`_ExactEngine._term_k1`, `dist_limit._cdf_limit_rows`, ...): renaming
+    # one breaks its install, which this catches outside the benchmark run
+    spec = importlib.util.spec_from_file_location("spans", BENCHMARK_DIR / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    spec.loader.exec_module(spans)
+    before = {name: getattr(spans._owner(owner), attr)
+              for name, owner, attr, *_ in spans.TARGETS}
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+    finally:
+        tracer.unpatch()
+    assert {name: getattr(spans._owner(owner), attr)
+            for name, owner, attr, *_ in spans.TARGETS} == before
 
 
 def test_every_imported_name_is_used():
