@@ -218,30 +218,39 @@ def condition_on_scalar(cov_z: np.ndarray, cov_zw: np.ndarray,
 def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float]:
     """x-values where P(Z <= u | X = x) is not smooth, for Z = g X + L eps.
 
-    L is k x r, r >= 0.  The kinks are the x where r + 1 of the conditional
-    hyperplanes in eps-space meet in one point, n'(u - g x) = 0 for every
-    (r + 1)-subset of the finite coordinates whose rows of L have rank r,
-    n spanning the null space of their L'.  At rank 0 (n = 1) these are
-    every finite u_i / g_i; at rank 1 the crossings of two conditional
-    bounds (u_i - g_i x) / L_i; at any rank a zero-loading coordinate i
-    gives n = e_i and its sign flip u_i / g_i, and two parallel rows the x
-    where their hyperplanes coincide.  At rank 2 these are where the
-    polygon of `_polygon_rows` changes shape; at k >= 4 and rank >= 3,
-    where the orthant is sampled (unconditional rank >= 4), they are spare
-    edges of the draws' x-rule.  Full rank: none.
+    L is k x r, r >= 0; r below is the rank of the rows with a finite u_i
+    (an infinite bound drops its row).  The kinks are the x where r + 1 of
+    the conditional hyperplanes in eps-space meet in one point: n'u / n'g
+    for every (r + 1)-subset of finite rows of rank r, n spanning the null
+    space of their L'.  Rank 0 gives every finite u_i / g_i (the two
+    binding ends of 1{g x <= u}, the rest spare edges), rank 1 the
+    crossings of two bounds (u_i - g_i x) / L_i, any rank the sign flip
+    u_i / g_i of a zero-loading row (n = e_i).  At rank 2 they are where
+    the polygon of `_polygon_rows` changes shape, at k >= 4 and rank >= 3
+    (sampled) spare edges of the draws' x-rule.  Full row rank: none.
     """
     r = L.shape[1]
+    if r == len(u):
+        return []   # rows of a full-rank factor are independent
     # an infinite bound drops its coordinate, and with it its kinks
-    rows = np.array(list(combinations(np.flatnonzero(np.isfinite(u)), r + 1)), dtype=int)
-    if rows.size == 0:
+    finite = np.flatnonzero(np.isfinite(u))
+    rows = np.array(list(combinations(finite, r + 1)), dtype=int)
+    if rows.size:
+        _, sv, vt = np.linalg.svd(L[rows].transpose(0, 2, 1))
+        full = (sv > 1e-13 * sv[:, :1]).all(axis=1)
+        if full.any():
+            n = vt[:, -1:]
+            num = (n @ u[rows][..., None]).ravel()
+            den = (n @ g[rows][..., None]).ravel()
+            keep = full & (np.abs(den) > 1e-13 * max(np.abs(g).max(), 1.0))
+            return (num[keep] / den[keep]).tolist()
+    # no r + 1 finite rows of rank r: full row rank has no kink, a lower
+    # rank the kinks of L reduced to it
+    _, s, v = np.linalg.svd(L[finite], full_matrices=False)
+    rank = np.count_nonzero(s > 1e-13 * max(np.abs(L).max(initial=0.0), 1.0))
+    if rank == min(r, len(finite)):
         return []
-    _, sv, vt = np.linalg.svd(L[rows].transpose(0, 2, 1))
-    n = vt[:, -1:]
-    num = (n @ u[rows][..., None]).ravel()
-    den = (n @ g[rows][..., None]).ravel()
-    tol = 1e-13 * max(np.abs(g).max(), 1.0)
-    keep = (sv > 1e-13 * sv[:, :1]).all(axis=1) & (np.abs(den) > tol)
-    return (num[keep] / den[keep]).tolist()
+    return conditional_kinks(u, g, L @ v[:rank].T)
 
 
 def ray_interval_prob(lo, hi, a, b):

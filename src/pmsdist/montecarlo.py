@@ -393,9 +393,12 @@ def estimator_error_probability(plan: SimulationPlan, t, reference: float,
     """
     if not delta > 0:
         raise ValidationError("delta must be positive")
-    ref = float(reference)
+    try:
+        ref = float(reference)
+    except (TypeError, ValueError):
+        raise ValidationError("reference must be a finite float") from None
     if not np.isfinite(ref):
-        raise ValidationError("reference must be finite")
+        raise ValidationError("reference must be a finite float")
     t_arr = cdf_argument(t, plan.k)
     c_aux = auxiliary_critical_value(plan.problem.n, plan.problem.P, aux_scheme)
     if not isinstance(plan.rule, GeneralToSpecific):

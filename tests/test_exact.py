@@ -546,6 +546,23 @@ def test_k3_infinite_coordinate_is_the_marginal_cdf(t):
     assert abs(res.value - ref.value) <= res.abs_error + ref.abs_error, (res, ref)
 
 
+@pytest.mark.parametrize("t", [(np.inf, 0.3), (np.inf, -0.7), (0.3, np.inf)])
+def test_k2_infinite_coordinate_keeps_the_kink_of_the_other(t):
+    # ORTHO2 with A = I: order 2 gives z = (e, x), so at t = (inf, u) the
+    # term is the step 1{x <= u - shift} of the zero-loading coordinate,
+    # whose loaded partner the infinite bound drops; as a panel edge the
+    # step leaves the one-row marginal up to rounding, inside a panel it
+    # costs two levels and about 6e-7
+    fx = fixture("ORTHO2")
+    t = np.array(t)
+    keep = np.isfinite(t)
+    res = cdf_exact(fx.problem, _query(fx, t))
+    ref = cdf_exact(fx.problem, CdfQuery(A=fx.A[keep], t=t[keep], theta=fx.problem.theta,
+                                         sigma=fx.problem.sigma, rule=fx.rule))
+    assert res.warning is None and ref.warning is None
+    assert abs(res.value - ref.value) <= 1e-12, (res, ref)
+
+
 def test_k3_exact_agrees_with_simulation():
     problem, A, rule = _p4_k3_case()
     t = np.array(P4_GRID[1])

@@ -19,6 +19,7 @@ from pmsdist._gauss import (
     orthant_rows,
     philox,
     psd_factor,
+    rank1_bounds,
     ray_interval_prob,
     sym_pinv,
 )
@@ -586,11 +587,13 @@ def _kink_cases():
     a factor of `condition_on_scalar`: generic rows, and where that rank
     allows a zero-loading row, a pair of parallel rows of L or a pair
     parallel in (g, L) (whose hyperplanes never meet); also +/-inf
-    coordinates."""
+    coordinates, and a zero-loading row whose loaded partners are all
+    +inf (the finite rows have rank 0 below the rank of L)."""
     rng = np.random.default_rng(29)
     for k in range(1, 6):
         for r in range(min(k, 3) + 1):
-            for variant in ("generic", "zero_loading", "parallel", "coincident", "infinite"):
+            for variant in ("generic", "zero_loading", "parallel", "coincident", "infinite",
+                            "zero_loading_alone"):
                 u, g, L = rng.normal(0.0, 1.0, k), rng.normal(0.0, 1.0, k), rng.normal(
                     0.0, 1.0, (k, r))
                 if variant == "zero_loading" and k > r:
@@ -602,6 +605,8 @@ def _kink_cases():
                 elif variant == "infinite":
                     u[-1] = np.inf
                     u[0] = -np.inf if k >= 2 else u[0]
+                elif variant == "zero_loading_alone" and k > r:
+                    L[0], u[1:] = 0.0, np.inf
                 yield u, g, L
 
 
@@ -632,21 +637,24 @@ def _rank1_arm(u, g, load):
 
 def _hyperplanes_meet(x, u, g, L):
     """Whether r + 1 of the conditional hyperplanes L_i eps = u_i - g_i x,
-    rows of rank r, meet in one point at x."""
-    r = L.shape[1]
-    for rows in combinations(np.flatnonzero(np.isfinite(u)), r + 1):
+    rows of rank r, meet in one point at x; r is the rank of the finite
+    rows."""
+    finite = np.flatnonzero(np.isfinite(u))
+    r = np.linalg.matrix_rank(L[finite]) if L.size else 0
+    for rows in combinations(finite, r + 1):
         rows = list(rows)
         A, b = L[rows], u[rows] - g[rows] * x
         if r and np.linalg.matrix_rank(A) < r:
             continue
-        eps = np.linalg.lstsq(A, b, rcond=None)[0] if r else np.zeros(0)
+        eps = np.linalg.lstsq(A, b, rcond=None)[0] if L.size else np.zeros(L.shape[1])
         if np.max(np.abs(A @ eps - b)) <= 1e-9 * max(1.0, float(np.max(np.abs(b)))):
             return True
     return False
 
 
 def test_conditional_kinks_are_one_rule_at_every_rank():
-    # rank 0: every finite bound u_i / g_i; rank 1: the crossings and sign
+    # rank 0: the two binding ends of 1{g x <= u}, listed with every other
+    # finite bound u_i / g_i as spare edges; rank 1: the crossings and sign
     # flips of the rank-1 arm the rule replaced; every rank: r + 1 of the
     # conditional hyperplanes meet in one point at each kink
     counts = np.zeros(4, dtype=int)
@@ -655,6 +663,9 @@ def test_conditional_kinks_are_one_rule_at_every_rank():
         kinks = conditional_kinks(u, g, L)
         counts[r] += len(kinks)
         if r == 0:
+            ends = np.concatenate(rank1_bounds(u[None, :], g))
+            assert all(np.any(np.abs(np.subtract(kinks, e)) <= 1e-15 * max(1.0, abs(e)))
+                       for e in ends[np.isfinite(ends)]), (u, g, kinks)
             finite = np.isfinite(u) & (np.abs(g) > 1e-13)
             assert _same_points(kinks, (u[finite] / g[finite]).tolist(), 0.0), (u, g, kinks)
             assert len(kinks) == int(finite.sum())

@@ -134,10 +134,12 @@ def test_estimator_error_probability_extremes():
 
 def test_nan_arguments_are_rejected():
     # a NaN delta, reference or grid coordinate has no frequency or cdf to
-    # report: each raises instead of reading as 0
+    # report: each raises instead of reading as 0; so does a reference that
+    # is no float at all (a result object, a callable, text)
     plan = _plan(fixture("P1"), 200, seed=5)
     for t, ref, delta in (([0.0], 0.5, np.nan), ([0.0], np.nan, 0.1), ([0.0], np.inf, 0.1),
-                          ([np.nan], 0.5, 0.1)):
+                          ([np.nan], 0.5, 0.1), ([0.0], empirical_cdf(plan, [[0.0]]), 0.1),
+                          ([0.0], lambda: 0.5, 0.1), ([0.0], "half", 0.1)):
         with pytest.raises(ValidationError):
             estimator_error_probability(plan, t, ref, delta=delta)
     with pytest.raises(ValidationError):
