@@ -170,16 +170,16 @@ def psd_factor(cov: np.ndarray, scale: float = 0.0) -> np.ndarray:
     return vec[:, keep] * np.sqrt(lam[keep])
 
 
-def sym_pinv(mat: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def sym_pinv(mat: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric PSD matrix via eigendecomposition.
 
-    Eigenvalues below rel_tol times the largest count as zero (the
+    Eigenvalues below 1e-12 times the largest count as zero (the
     documented generalized-inverse convention of the package).
     """
     mat = np.asarray(mat, dtype=float)
     lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
     lmax = max(float(np.max(np.abs(lam))), 0.0)
-    keep = np.abs(lam) > max(lmax * rel_tol, 1e-300)
+    keep = np.abs(lam) > max(lmax * 1e-12, 1e-300)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
     return (vec * inv) @ vec.T
@@ -281,7 +281,7 @@ def cumulative_rule(f, edges: np.ndarray):
     same rule, so H can be read at any array of points.  H is 0 at and
     below edges[0] and the total at and above edges[-1].  Its one caller is
     `dist_exact._ExactEngine._scale_mass`, the scale mass that the exact
-    cdf hands to `selection_rule`.
+    cdf hands to its `conditional_rows` rule.
     """
     x, w = gl_panels(edges)
     panel_sums = (f(x) * w).reshape(-1, NODES_PER_PANEL).sum(axis=1)
@@ -301,26 +301,6 @@ def cumulative_rule(f, edges: np.ndarray):
         return out
 
     return H, float(cum[-1])
-
-
-def selection_rule(x0: float, c: float, K, s_breaks, kinks, level: int):
-    """x-rule of a term conditioned on its selection scalar X ~ N(0, 1).
-
-    The term is int phi(x) K(|x - x0| / c) f(x) dx: the order-p test
-    rejects at scale s when |x - x0| >= c s, K is the mass of the scales
-    it rejects at (rising from 0 to at most 1, steepest near the scales
-    ``s_breaks``) and f is a conditional probability with non-smooth points
-    ``kinks`` (`conditional_kinks`).  Returns Gauss-Legendre nodes on the
-    `level_edges` of [-TAIL_CUT, TAIL_CUT] at ``level`` with extra edges at
-    x0, at x0 +/- c s for each s in s_breaks and at the kinks; their weights
-    times phi(x) K(|x - x0| / c); and the dropped x-mass 2 Phi(-TAIL_CUT).
-    Its one caller is `conditional_rows`.
-    """
-    s = np.asarray(s_breaks, dtype=float)
-    edges = split_edges(level_edges(-TAIL_CUT, TAIL_CUT, level),
-                        [x0, *(x0 - c * s), *(x0 + c * s), *kinks])
-    x, w = gl_panels(edges)
-    return x, w * norm_pdf(x) * K(np.abs(x - x0) / c), 2.0 * float(ndtr(-TAIL_CUT))
 
 
 def refine(evaluate, tol: float, refinable: bool):
@@ -356,8 +336,8 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, level: int) -> np.
     panels of refinement ``level``.  Other ranks raise ValueError:
     sampling is left only at k >= 4 with conditional rank >= 3
     (unconditional rank >= 4), see `needs_sampling`.  Its callers are
-    `gaussian_rect_rows` and `conditional_rows`, which integrates it
-    against a `selection_rule`.
+    `gaussian_rect_rows` and the `conditional_rows` rule, which
+    integrates it over the selection scalar.
     """
     k, r = U.shape[1], L.shape[1]
     if r == 0:
@@ -517,32 +497,46 @@ def gauss_draws(rng: np.random.Generator, n: int, L: np.ndarray) -> np.ndarray:
 
 
 def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
-                     x0: float, c: float, K, s_breaks, level: int, R=None):
-    """int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U.
+                     x0: float, c: float, s_breaks):
+    """The one conditioned-orthant kernel, as the rule rows(K, level, R=None)
+    -> (values, pis, errors, SEs) of int phi(x) K(|x - x0| / c) P(R <= u - g x) dx
+    for every row u of U, R ~ N(0, S = L L') independent of X ~ N(0, 1).
 
-    The one conditioned-orthant kernel, for R ~ N(0, S = L L') independent
-    of X (`condition_on_scalar`), on each row's `selection_rule`.  The
-    orthant is `orthant_rows` at every x-node or, given draws R (rows),
-    each draw's x-interval {x : g x <= u - R}, whose rule weight is
-    averaged.  Returns (values, pis, errors, SEs): pi is the integral
-    without the orthant, the error the dropped x-mass, the SE 0 without
-    draws and else at least 1/len(R), as no draw may land in a rare region.
+    The order-p test rejects at scale s when |x - x0| >= c s; K is the mass
+    of the scales it rejects at (rising from 0 to at most 1, steepest near
+    the scales ``s_breaks``).  A row's x-rule is Gauss-Legendre on the
+    `level_edges` of [-TAIL_CUT, TAIL_CUT] with extra edges at x0, at
+    x0 +/- c s for each s in s_breaks and at the row's `conditional_kinks`,
+    formed here once, as no level moves them.  The orthant is
+    `orthant_rows` at every x-node or, given draws R (rows), each draw's
+    x-interval {x : g x <= u - R}, whose rule weight is averaged.  pi is
+    the integral without the orthant, the error the dropped x-mass, the SE
+    0 without draws and else at least 1/len(R), as no draw may land in a
+    rare region.
     """
-    m = len(U)
-    vals, pis, errs, ses = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m)
-    for j, u in enumerate(U):
-        x, wk, errs[j] = selection_rule(x0, c, K, s_breaks, conditional_kinks(u, g, L), level)
-        pis[j] = np.sum(wk)
-        if R is None:
-            vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, level)
-        else:
-            lo, hi = rank1_bounds(u[None, :] - R, g)
-            cum = np.concatenate([[0.0], np.cumsum(wk)])
-            w = np.maximum(cum[np.searchsorted(x, hi, side="right")]
-                           - cum[np.searchsorted(x, lo)], 0.0)
-            vals[j] = np.mean(w)
-            ses[j] = max(float(np.std(w) / np.sqrt(w.size)), 1.0 / w.size)
-    return vals, pis, errs, ses
+    s = np.asarray(s_breaks, dtype=float)
+    breaks = [[x0, *(x0 - c * s), *(x0 + c * s), *conditional_kinks(u, g, L)] for u in U]
+
+    def rows(K, level: int, R=None):
+        m = len(U)
+        vals, pis, ses = np.zeros(m), np.zeros(m), np.zeros(m)
+        base = level_edges(-TAIL_CUT, TAIL_CUT, level)
+        for j, u in enumerate(U):
+            x, wx = gl_panels(split_edges(base, breaks[j]))
+            wk = wx * norm_pdf(x) * K(np.abs(x - x0) / c)
+            pis[j] = np.sum(wk)
+            if R is None:
+                vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, level)
+            else:
+                lo, hi = rank1_bounds(u[None, :] - R, g)
+                cum = np.concatenate([[0.0], np.cumsum(wk)])
+                w = np.maximum(cum[np.searchsorted(x, hi, side="right")]
+                               - cum[np.searchsorted(x, lo)], 0.0)
+                vals[j] = np.mean(w)
+                ses[j] = max(float(np.std(w) / np.sqrt(w.size)), 1.0 / w.size)
+        return vals, pis, np.full(m, 2.0 * float(ndtr(-TAIL_CUT))), ses
+
+    return rows
 
 
 def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
@@ -569,7 +563,7 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     g, S, L = condition_on_scalar(cov, cov[:, j], float(cov[j, j]))
     rng = philox(0) if rng is None else rng
     R = gauss_draws(rng, n_samples, L) if needs_sampling(k, L.shape[1]) else None
-    vals, _, _, se = conditional_rows(U, g, S, L, 0.0, 1.0, np.ones_like, (), 1, R)
+    vals, _, _, se = conditional_rows(U, g, S, L, 0.0, 1.0, ())(np.ones_like, 1, R)
     return vals, se
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from ._gauss import gaussian_rect
 from .dist_exact import AccuracyBudget
 from .dist_limit import _cdf_limit_rows
-from .errors import DegenerateSampleError, ValidationError, cdf_argument
+from .errors import DegenerateSampleError, ValidationError, cdf_argument, target_matrix
 from .regression_core import (
     RegressionProblem,
     limit_quantities,
@@ -100,17 +100,14 @@ def phi_hat(problem: RegressionProblem, Y, A, p: int, t) -> float:
 
 def phi_hat_values(problem: RegressionProblem, A, p: int, t,
                    sigma_hats) -> np.ndarray:
-    """Vectorized `phi_hat` over per-replication residual scales."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    k = A.shape[0]
-    if A.shape[1] != problem.P:
-        raise ValidationError("target width must equal the problem dimension")
+    """Vectorized `phi_hat` over a vector of per-replication residual scales."""
+    A = target_matrix(A, problem.P)
     if not 0 <= p <= problem.P:
         raise ValidationError(f"p must lie in [0, {problem.P}]")
-    t_arr = cdf_argument(t, k)
+    t_arr = cdf_argument(t, A.shape[0])
     sig = np.asarray(sigma_hats, dtype=float)
-    if not np.all(np.isfinite(sig)):
-        raise ValidationError("sigma_hats must be finite")
+    if sig.ndim != 1 or not np.all(np.isfinite(sig)):
+        raise ValidationError("sigma_hats must be a vector of finite values")
     if np.any(sig <= 0.0):
         raise DegenerateSampleError("sigma_hat is zero")
     if p == 0:

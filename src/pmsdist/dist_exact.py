@@ -76,7 +76,7 @@ from ._gauss import (
     refine,
     split_edges,
 )
-from .errors import ValidationError, cdf_argument
+from .errors import ValidationError, cdf_argument, target_matrix
 from .regression_core import (
     LimitQuantities,
     RegressionProblem,
@@ -102,8 +102,8 @@ __all__ = [
 _S_Q_LO, _S_Q_HI = 1e-12, 1.0 - 1e-10
 _S_TRUNC = _S_Q_LO + (1.0 - _S_Q_HI)
 # Ratio-density quantiles whose scales x0 +/- c_p s become x-edges of the
-# `selection_rule`: at large dof K_p(|x - x0| / c_p) is a near-step, and
-# these edges bracket it.
+# `conditional_rows` rule: at large dof K_p(|x - x0| / c_p) is a near-step,
+# and these edges bracket it.
 _STEP_Q = (1e-6, 0.5, 1.0 - 1e-6)
 # Rounding floor of every cdf error bound: the accuracy of `bvn_cdf`
 _ROUNDING = 1e-14
@@ -208,10 +208,8 @@ class CdfQuery:
     rule: GeneralToSpecific
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        A = target_matrix(self.A)
         k, P = A.shape
-        if np.linalg.matrix_rank(A) < k:
-            raise ValidationError("A must have full row rank")
         t = cdf_argument(self.t, k)
         theta = np.asarray(self.theta, dtype=float)
         if theta.shape != (P,) or not np.all(np.isfinite(theta)):
@@ -358,6 +356,7 @@ class _ExactEngine:
                 lo, hi = rank1_bounds((query.t - self.shift[p])[None, :], g)
                 self.rank0[p] = (float(lo[0]), float(hi[0]), -self.nu[p] / sw, float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
+        self._rules: dict = {}   # order -> `conditional_rows` rule, built on first use
 
     # ---- sampled draws for k >= 4 terms (one draw per order, reused
     # across refinement levels so refinement measures quadrature only) ----
@@ -408,7 +407,7 @@ class _ExactEngine:
                 float(np.sum(wt * ray_interval_prob(-np.inf, np.inf, a, b))), _S_TRUNC)
 
     # ---- the scale integral folded into the selection scalar ----
-    def _conditional_term(self, p: int, u: np.ndarray, level: int, R=None):
+    def _conditional_term(self, p: int, level: int, R=None):
         """(value, pi_value, error, se) of the order-p term with the integrals swapped.
 
         With W = b_p'z + sigma zeta_p e (e standard normal, independent of
@@ -421,32 +420,29 @@ class _ExactEngine:
 
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
-        and pi(p) is the same integral without the orthant: the
-        `conditional_rows` of K_p on the split of `__init__`, with edges at
-        the `_STEP_Q` quantiles of the ratio density, against the draws R
-        if given.  The error adds the truncated scale mass.
+        and pi(p) is the same integral without the orthant, at u = t -
+        shift_p: the order's `conditional_rows` rule on the split of
+        `__init__`, with edges at the `_STEP_Q` quantiles of the ratio
+        density, read with the level's K_p and against the draws R if
+        given.  The error adds the truncated scale mass.
         """
-        g, S, L = self.split[p]
+        if p not in self._rules:
+            g, S, L = self.split[p]
+            self._rules[p] = conditional_rows(
+                (self.query.t - self.shift[p])[None, :], g, S, L,
+                -self.nu[p] / (self.sigma * self.design.xi(p)), self.c[p], self.s_step)
         K, trunc = self._scale_mass(p, level)
-        vals, pis, errs, ses = conditional_rows(
-            u[None, :], g, S, L, -self.nu[p] / (self.sigma * self.design.xi(p)), self.c[p],
-            K, self.s_step, level, R)
+        vals, pis, errs, ses = self._rules[p](K, level, R)
         return float(vals[0]), float(pis[0]), trunc + float(errs[0]), float(ses[0])
 
-    def _term_orthant(self, p: int, u: np.ndarray, level: int):
-        """(value, pi_value, error) of an order whose orthant is exact."""
-        return self._conditional_term(p, u, level)[:3]
-
-    def _term_sampled(self, p: int, u: np.ndarray, level: int):
+    def _term_sampled(self, p: int, level: int):
         """(value, pi_value, error, se) of an order whose conditional orthant
         `needs_sampling`, on the draws of `_z_sample`."""
-        return self._conditional_term(p, u, level, self._z_sample(p)[0])
+        return self._conditional_term(p, level, self._z_sample(p)[0])
 
     # ---- one full assembly at a given refinement level, for `refine` ----
     def assemble(self, level: int) -> TermTrace:
         P, O = self.problem.P, self.problem.O
-        t = self.query.t
-
         # one scale grid, with an edge wherever a ray of a rank-0 order
         # crosses an end of its x-interval
         crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
@@ -460,13 +456,12 @@ class _ExactEngine:
         w_tail = float(np.sum(w * tail[O]))
         parts[:, 0] = core * w_tail, w_tail, trunc, 3.0 * core_se * w_tail
         for i, p in enumerate(range(O + 1, P + 1), start=1):
-            u = t - self.shift[p]
             if p in self.rank0:
                 parts[:3, i] = self._term_k1(p, s, w * tail[p])
             elif not needs_sampling(self.k, self.split[p][2].shape[1]):
-                parts[:3, i] = self._term_orthant(p, u, level)
+                parts[:3, i] = self._conditional_term(p, level)[:3]
             else:
-                value, pi, err, se = self._term_sampled(p, u, level)
+                value, pi, err, se = self._term_sampled(p, level)
                 parts[:, i] = value, pi, err, 3.0 * se
         return TermTrace(tuple(range(O, P + 1)), *parts)
 

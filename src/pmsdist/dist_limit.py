@@ -158,18 +158,19 @@ def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
 
     R ~ N(0, L L') (`condition_on_scalar`); K(y) = 1 - Delta(rho, y, 1),
     the step 1{y >= 1} at rho = 0, turns at y = 1 + rho z for z in
-    `_TURN_Z`, which are x-edges of the level's `conditional_rows`.  Where
-    the conditional orthant `needs_sampling`, n_z draws of R keyed by
-    philox(*key) are made once, for every level; their error is 3 SE.
+    `_TURN_Z`, which are x-edges of the rows' `conditional_rows` rule.  The
+    rule and, where the conditional orthant `needs_sampling`, n_z draws of
+    R keyed by philox(*key) are made once, for every level; the draws'
+    error is 3 SE.
     """
     R = gauss_draws(philox(*key), n_z, L) if needs_sampling(*L.shape) else None
-    s_breaks = 1.0 + rho * _TURN_Z
+    rule = conditional_rows(U, g, S, L, x0, c, 1.0 + rho * _TURN_Z)
 
     def K(y):
         return 1.0 - delta(rho, y, 1.0)
 
     def rows(level):
-        vals, pis, errs, ses = conditional_rows(U, g, S, L, x0, c, K, s_breaks, level, R)
+        vals, pis, errs, ses = rule(K, level, R)
         return vals, pis, errs, 3.0 * ses
 
     return rows
@@ -340,6 +341,8 @@ def pdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
 
 def full_model_gaussian_cdf(limits: LimitQuantities, sigma: float, t) -> float:
     """Cdf of N(0, sigma^2 A Q^{-1} A') at t: the no-selection-effect limit."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValidationError("sigma must be positive")
     val, _ = gaussian_rect(cdf_argument(t, limits.k), sigma ** 2 * limits.omega(limits.P))
     return float(val)
 

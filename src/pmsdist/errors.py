@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the one check of a
-cdf argument."""
+cdf argument and of a target matrix."""
 from __future__ import annotations
 
 import numpy as np
@@ -52,3 +52,17 @@ def cdf_argument(t, k: int, *, rows: bool = False) -> np.ndarray:
     if np.isnan(arr).any():
         raise ValidationError("t must not be NaN")
     return arr
+
+
+def target_matrix(A, P: int | None = None) -> np.ndarray:
+    """A target matrix as a float array of shape (k, P): finite (checked before
+    the rank test's SVD meets a NaN), with P columns (any number when P is
+    None) and of full row rank k, else ValidationError."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if P is not None and A.shape[1] != P:
+        raise ValidationError(f"target matrix has {A.shape[1]} columns, expected {P}")
+    if not np.all(np.isfinite(A)):
+        raise ValidationError("target matrix A must be finite")
+    if np.linalg.matrix_rank(A) < A.shape[0]:
+        raise ValidationError("target matrix A must have full row rank")
+    return A

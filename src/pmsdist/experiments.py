@@ -115,13 +115,12 @@ def _with_theta(problem: RegressionProblem, theta) -> RegressionProblem:
 
 
 def convergence_sweep(fixture: Fixture, gamma, t, n_ladder, *,
-                      endpoint_tol: float = 0.01,
                       budget: AccuracyBudget | None = None,
                       master_seed: int = 0) -> SweepReport:
     """|finite-n cdf at theta + gamma/sqrt(n)  -  limit cdf| along an n-ladder.
 
     Verdict: the gap trend is non-increasing up to the combined error bounds,
-    and the endpoint gap is at most endpoint_tol.
+    and the endpoint gap is at most 0.01 (``endpoint_tol`` in the config).
     """
     start = time.perf_counter()
     budget = budget or AccuracyBudget()
@@ -146,6 +145,7 @@ def convergence_sweep(fixture: Fixture, gamma, t, n_ladder, *,
         rows.append((n, res.value, lim.value, gap, err))
     trend_ok = all(gaps[i + 1] <= gaps[i] + errs[i] + errs[i + 1]
                    for i in range(len(gaps) - 1))
+    endpoint_tol = 0.01
     endpoint_ok = gaps[-1] <= endpoint_tol
     verdicts = {"trend_non_increasing": bool(trend_ok),
                 "endpoint_within_tol": bool(endpoint_ok)}
@@ -382,8 +382,9 @@ def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,
     uniformly over a theta grid.
 
     Per n, the metric is the max over theta of |mean Gaussian-estimator
-    value - Monte Carlo cdf| at t; verdict: non-increasing up to Monte
-    Carlo slack and final value <= gap_tol.  Refuses on fixtures whose
+    value - Monte Carlo cdf| at t, the mean over est_draws (a positive
+    integer) draws of sigma_hat; verdict: non-increasing up to Monte Carlo
+    slack and final value <= gap_tol.  Refuses on fixtures whose
     later-stage fits correlate with the target.
     """
     start = time.perf_counter()
@@ -395,6 +396,8 @@ def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,
     theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
     n_ladder = _ladder(n_ladder)
     pr = fixture.problem
+    if not (isinstance(est_draws, (int, np.integer)) and est_draws >= 1):
+        raise ValidationError(f"est_draws must be a positive integer, got {est_draws!r}")
     if theta_grid.shape[1] != pr.P:
         raise ValidationError("theta grid width must equal P")
     p_used = pr.P if order is None else int(order)

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._gauss import philox as _rng  # the name benchmarks/baseline.py times
-from .errors import ValidationError, cdf_argument
+from .errors import ValidationError, cdf_argument, target_matrix
 from .regression_core import RegressionProblem, xi_n
 from .selection import (
     GeneralToSpecific,
@@ -75,12 +75,7 @@ class SimulationPlan:
     master_seed: int
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        k, P = A.shape
-        if P != self.problem.P:
-            raise ValidationError("target width must equal the problem dimension")
-        if np.linalg.matrix_rank(A) < k:
-            raise ValidationError("A must have full row rank")
+        A = target_matrix(self.A, self.problem.P)
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ValidationError("replications must be a positive integer")
         if not (isinstance(self.master_seed, (int, np.integer)) and self.master_seed >= 0):
@@ -165,13 +160,14 @@ def _draw_errors(problem: RegressionProblem, master: int, lo: int, hi: int) -> n
 def simulate_response(problem: RegressionProblem, seed) -> np.ndarray:
     """The full response Y of one replication.
 
-    ``seed`` is either a (master_seed, replication_index) pair — the keying
-    used by every plan-driven routine here — or a bare integer, read as
-    (seed, 0).  Identical keys reproduce Y bit-for-bit, and Q_P'Y and the
-    residual sum of squares of Y are those of the same replication in any
-    plan with that master seed.
+    ``seed`` is a (master_seed, replication_index) pair, the keying used by
+    every plan-driven routine here.  Identical keys reproduce Y
+    bit-for-bit, and Q_P'Y and the residual sum of squares of Y are those
+    of the same replication in any plan with that master seed.
     """
-    master, rep = (int(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed, 0)))
+    if not (isinstance(seed, (tuple, list)) and len(seed) == 2):
+        raise ValidationError("seed must be a (master_seed, replication_index) pair")
+    master, rep = (int(v) for v in seed)
     noise = _draw_errors(problem, master, rep, rep + 1)[0]
     q = problem._qr[problem.P - 1][0]
     # a uniform direction of the residual space, from a stream segment two

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._gauss import sym_pinv
-from .errors import DegenerateSampleError, ValidationError
+from .errors import DegenerateSampleError, ValidationError, target_matrix
 
 __all__ = [
     "RegressionProblem",
@@ -39,7 +39,8 @@ __all__ = [
     "xi_n",
 ]
 
-# Relative eigenvalue cutoff for generalized inverses and SPD checks.
+# Relative eigenvalue cutoff of the SPD check, the one `_gauss.sym_pinv`
+# applies to generalized inverses.
 GINV_REL_TOL = 1e-12
 # Euclidean-norm threshold below which a limiting covariance vector counts
 # as zero when locating q_star.
@@ -57,16 +58,6 @@ def _check_spd(mat: np.ndarray, name: str) -> None:
     if lam[0] <= GINV_REL_TOL * max(lam[-1], 0.0) or lam[0] <= 0.0:
         raise ValidationError(f"{name} must be symmetric positive definite "
                               f"(smallest eigenvalue {lam[0]:.3e})")
-
-
-def _check_target(A: np.ndarray, P: int) -> np.ndarray:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[1] != P:
-        raise ValidationError(f"target matrix has {A.shape[1]} columns, expected {P}")
-    k = A.shape[0]
-    if np.linalg.matrix_rank(A) < k:
-        raise ValidationError("target matrix A must have full row rank")
-    return A
 
 
 @dataclass(frozen=True)
@@ -295,7 +286,7 @@ def _design_record(Q: np.ndarray, A: np.ndarray, O: int) -> LimitQuantities:
         C[p - 1] = Ap @ qinv_ep
         om = Ap @ np.linalg.solve(qp, Ap.T)
         omega[p - 1] = 0.5 * (om + om.T)
-        b[p - 1] = C[p - 1] @ sym_pinv(omega[p - 1], GINV_REL_TOL)
+        b[p - 1] = C[p - 1] @ sym_pinv(omega[p - 1])
         zeta2 = xi2 - float(b[p - 1] @ C[p - 1])
         tol = 1e-10 * max(1.0, abs(xi2))
         if zeta2 < -tol:
@@ -323,7 +314,7 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQua
     definiteness gate: `RegressionProblem` has checked the rank of X, and
     a nearly collinear design keeps its finite-n law.
     """
-    return _design_record(problem.gram, _check_target(A, problem.P), problem.O)
+    return _design_record(problem.gram, target_matrix(A, problem.P), problem.O)
 
 
 def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantities:
@@ -338,7 +329,7 @@ def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantitie
         raise ValidationError("Q must be a square matrix")
     _check_spd(Q, "Q")
     P = Q.shape[0]
-    A = _check_target(A, P)
+    A = target_matrix(A, P)
     if not (0 <= O < P):
         raise ValidationError(f"O must lie in [0, {P}), got {O}")
     return _design_record(Q, A, O)

@@ -142,6 +142,15 @@ def test_nan_arguments_are_rejected():
     assert phi_hat(pr, Y, fx.A, 2, [-np.inf, 0.0]) == 0.0
 
 
+def test_phi_hat_values_needs_a_vector_of_scales():
+    # a 2-D stack of scales filled only its first entry and returned
+    # uninitialised memory (a "cdf" of 1.15) for the rest
+    pr = fixture("COLL2").problem
+    for bad in ([[1.0, 2.0]], 1.0):
+        with pytest.raises(ValidationError, match="sigma_hats"):
+            phi_hat_values(pr, np.eye(2), 2, [0.1, 0.1], bad)
+
+
 def test_out_of_range_orders_are_rejected():
     # a p_bar of P + 1 raised a bare KeyError and one of -1 was read as O:
     # an order outside [0, P] is invalid input

@@ -5,6 +5,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import ndtr
 from scipy.stats import chi, chi2
 
+from pmsdist import _gauss
 from pmsdist._gauss import (
     TAIL_CUT,
     bvn_cdf,
@@ -13,6 +14,7 @@ from pmsdist._gauss import (
     norm_pdf,
     refine,
 )
+from pmsdist.cdf_estimators import g_check_values
 from pmsdist.dist_exact import (
     AccuracyBudget,
     CdfQuery,
@@ -274,9 +276,8 @@ def test_k2_term_agrees_with_sampled_term():
             dq = engine.design
             for p in range(problem.O + 1, problem.P + 1):
                 ranks.add(condition_on_scalar(dq.omega(p), dq.C(p), dq.xi(p) ** 2)[2].shape[1])
-                u = engine.query.t - engine.shift[p]
-                det, _, det_err = engine._term_orthant(p, u, 0)
-                val, _, err, se = engine._term_sampled(p, u, 0)
+                det, _, det_err = engine._conditional_term(p, 0)[:3]
+                val, _, err, se = engine._term_sampled(p, 0)
                 assert abs(det - val) <= 3.0 * se + err + det_err, \
                     f"order {p} at t={t}: {det} vs {val} +- {se}"
     assert ranks == {0, 1, 2}
@@ -308,7 +309,7 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     want, _ = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)
-    got, _, _ = engine._term_orthant(p, u, 0)
+    got, _, _ = engine._conditional_term(p, 0)[:3]
     assert abs(got - want) <= 1e-11, (got, want)
 
 
@@ -337,7 +338,7 @@ def test_k1_term_matches_adaptive_quadrature(name, t):
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     want, _ = quad(inner, lo, hi, points=engine.s_step, epsabs=1e-14, epsrel=1e-12, limit=200)
-    got, _, _ = engine._term_orthant(p, u, 0)
+    got, _, _ = engine._conditional_term(p, 0)[:3]
     assert abs(got - want) <= 1e-11, (got, want)
 
 
@@ -363,7 +364,7 @@ def _total(engine):
 def test_two_ray_arm_agrees_with_general_rule():
     # an order whose z is a multiple of its selection scalar (conditional
     # rank 0) is two rays in that scalar (`_term_k1`); with the engine's
-    # rank-0 table cleared, the swapped rule of `_term_orthant` covers it
+    # rank-0 table cleared, the swapped rule of `_conditional_term` covers it
     budget = AccuracyBudget()
     for problem, A, rule, ts in _two_ray_cases():
         for t in ts:
@@ -393,10 +394,12 @@ def test_orders_dispatch_on_conditional_rank(monkeypatch, case, arms):
         problem, A, rule = {"P3-k2": _p3_k2_case, "P4-k3": _p4_k3_case,
                             "P5-k4": _p5_k4_case}[case]()
     taken = {}
-    for arm, name in (("two_ray", "_term_k1"), ("orthant", "_term_orthant"),
+    for arm, name in (("two_ray", "_term_k1"), ("orthant", "_conditional_term"),
                       ("sampled", "_term_sampled")):
         def spy(self, p, *args, _arm=arm, _original=getattr(_ExactEngine, name)):
-            taken.setdefault(p, set()).add(_arm)
+            # `_term_sampled` reads `_conditional_term` with its draws
+            if _arm != "orthant" or len(args) == 1:
+                taken.setdefault(p, set()).add(_arm)
             return _original(self, p, *args)
         monkeypatch.setattr(_ExactEngine, name, spy)
     budget = AccuracyBudget(n_z=2_000)
@@ -432,9 +435,8 @@ def test_sampled_term_does_not_sample_the_scale_integral():
     budget = AccuracyBudget()
     engine = _ExactEngine(problem, CdfQuery(A=A, t=(-1.0, 1.5), theta=problem.theta,
                                             sigma=1.0, rule=rule), budget)
-    u = engine.query.t - engine.shift[1]
-    det, _, det_err = engine._term_orthant(1, u, 0)
-    val, _, _, se = engine._term_sampled(1, u, 0)
+    det, _, det_err = engine._conditional_term(1, 0)[:3]
+    val, _, _, se = engine._term_sampled(1, 0)
     assert abs(val - det) <= 4.0 * se + det_err, (val, se, det)
 
 
@@ -515,7 +517,7 @@ def test_k3_term_matches_adaptive_quadrature(p, n):
 
     want, _ = quad(integrand, -TAIL_CUT, TAIL_CUT, points=[x0 - c * s_lo, x0, x0 + c * s_lo],
                    epsabs=1e-13, epsrel=1e-12, limit=400)
-    got, _, _ = engine._term_orthant(p, u, 0)
+    got, _, _ = engine._conditional_term(p, 0)[:3]
     assert abs(got - want) <= 1e-9, (got, want)
 
 
@@ -653,11 +655,41 @@ def test_k4_rank2_order_refines_across_its_kinks():
     query = CdfQuery(A=A, t=np.zeros(4), theta=problem.theta, sigma=1.0, rule=rule)
     engine = _ExactEngine(problem, query, AccuracyBudget())
     assert engine.split[3][2].shape == (4, 2)
-    u = query.t - engine.shift[3]
-    ref = engine._term_orthant(3, u, 5)[0]
+    ref = engine._conditional_term(3, 5)[0]
     for level in (0, 1):
-        value = engine._term_orthant(3, u, level)[0]
+        value = engine._conditional_term(3, level)[0]
         assert abs(value - ref) < 1e-12, (level, value, ref)
+
+
+def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
+    # the x-edges of a `conditional_rows` rule do not depend on the level:
+    # COLL2's order 2 (A = I_2, conditional rank 1) forms its kinks once
+    # per row and cdf call, whatever level `refine` stops at; order 1
+    # (rank 0) takes the two-ray arm and forms none
+    calls = []
+
+    def spy(u, g, L, _original=_gauss.conditional_kinks):
+        calls.append(len(u))
+        return _original(u, g, L)
+
+    monkeypatch.setattr(_gauss, "conditional_kinks", spy)
+    fx = fixture("COLL2")
+    levels = set()
+    for tol in (1e-5, 1e-15):
+        for t in ((0.25, 0.25), (-1.0, 1.5)):
+            calls.clear()
+            res = cdf_exact(fx.problem, _query(fx, t), AccuracyBudget(tol=tol))
+            levels.add(res.method.split(";")[1])
+            assert calls == [2], (tol, t, res.method, calls)
+    assert levels == {"levels=1", "levels=3"}, levels
+    alt = LocalAlternative(theta=np.zeros(2), gamma=np.array([0.5, -1.0]), sigma=1.0)
+    calls.clear()
+    res = cdf_limit(fx.limits, alt, (0.25, 0.25), fx.rule, AccuracyBudget(tol=1e-9))
+    assert calls == [2] and "levels=0" not in res.method, (res.method, calls)
+    calls.clear()
+    g_check_values(fx.problem, fx.A, (0.3, -0.2), fx.rule, np.array([0.5, 1.0, 1.7]),
+                   np.zeros(3, dtype=int), budget=AccuracyBudget(tol=1e-9))
+    assert calls == [2, 2, 2], calls
 
 
 def _trace_cases():

@@ -121,6 +121,17 @@ def test_impossibility_demo_small_run():
     assert rep.passed and rep.config["rule_mode"] == "g2s"
 
 
+def test_impossibility_demo_calibrates_delta0_by_the_pilot():
+    # delta0 = None is a quarter of the limit-cdf oscillation along the
+    # drift axis q_star
+    p1 = fixture("P1")
+    rep = impossibility_demo(p1, t=[0.0], gamma=[1.2], delta0=None, n_ladder=(400,),
+                             replications=200, master_seed=11, budget=QUICK)
+    want = pilot_delta0(p1, t=[0.0], gamma_axis=p1.limits.q_star,
+                        lam_grid=np.linspace(-4.0, 4.0, 9), budget=QUICK)
+    assert rep.config["delta0"] == want > 0.0
+
+
 def test_impossibility_demo_ic_variant():
     fam = (SubsetMask(bits=(1,)), SubsetMask(bits=(0,)))
     rule = InformationCriterion(upsilon_n=2.0, family=fam)
@@ -147,6 +158,16 @@ def test_uniform_case_sweep_small_run():
     with pytest.raises(ValidationError):
         uniform_case_sweep(fixture("BLOCK_ORTHO"), theta_grid=np.zeros((1, 3)),
                            t=[0.0], n_ladder=(100,), replications=200)
+
+
+def test_uniform_case_sweep_needs_estimator_draws():
+    # est_draws = 0 averaged no estimate (NaN gaps, which max() skipped) and
+    # passed; a negative count raised numpy's bare ValueError
+    grid = np.array([[0.5, 0.1]])
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValidationError, match="est_draws"):
+            uniform_case_sweep(fixture("BLOCK_ORTHO"), theta_grid=grid, t=[0.2],
+                               n_ladder=(100,), replications=200, est_draws=bad)
 
 
 def test_aic_equivalence_audit_small_run():

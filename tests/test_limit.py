@@ -313,6 +313,23 @@ def test_block_orthogonal_target_sees_no_selection_effect():
             assert abs(want - ndtr(t)) < 1e-12
 
 
+def test_cross_check_order_whose_statistic_does_not_load_on_z():
+    # BLOCK_ORTHO's order-2 test statistic b_2'Z does not load on Z
+    # (b_2 = 0): `cdf_limit_via_integral` keeps that order as a fixed term
+    # outside the refinement, and both paths are Phi(t / sigma)
+    fx = fixture("BLOCK_ORTHO")
+    assert not np.any(fx.limits.b(2))
+    for theta, gamma in (((0.0, 0.0), (0.0, 0.0)), ((0.5, 0.2), (1.0, -2.0)),
+                         ((0.0, 0.0), (-0.5, 3.0))):
+        for sigma in (1.0, 1.7):
+            alt = LocalAlternative(theta=np.array(theta), gamma=np.array(gamma), sigma=sigma)
+            for t in (-1.0, 0.3, 1.2):
+                a = cdf_limit(fx.limits, alt, [t], fx.rule)
+                b = cdf_limit_via_integral(fx.limits, alt, [t], fx.rule)
+                assert abs(a.value - b.value) <= 1e-14, (theta, gamma, sigma, t)
+                assert abs(b.value - ndtr(t / sigma)) <= 1e-14, (theta, gamma, sigma, t)
+
+
 def test_local_shift_constants_frozen_collinear_case():
     # Q = [[1, .5], [.5, 1]], theta = 0, gamma = (0, 1): dropping the second
     # coordinate aliases half the drift onto the first
@@ -390,3 +407,12 @@ def test_validation_errors():
         LocalAlternative(theta=np.zeros(2), gamma=np.zeros(3), sigma=1.0)
     with pytest.raises(ValidationError):
         LocalAlternative(theta=np.zeros(2), gamma=np.zeros(2), sigma=0.0)
+
+
+def test_full_model_gaussian_cdf_needs_a_positive_scale():
+    # sigma = -1 returned the sigma = 1 value (sigma enters squared) and
+    # NaN a cdf of 1
+    fx = fixture("COLL2")
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="sigma"):
+            full_model_gaussian_cdf(fx.limits, bad, [0.1, 0.2])

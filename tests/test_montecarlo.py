@@ -175,6 +175,9 @@ def test_simulate_response_moments_and_keying():
     assert len(np.unique(ys)) == 4              # distinct reps differ
     again = simulate_response(pr, (42, 2))
     assert np.array_equal(again, simulate_response(pr, (42, 2)))
+    for bad in (42, (42,), (42, 2, 0)):   # the key is a (master, replication) pair
+        with pytest.raises(ValidationError, match="pair"):
+            simulate_response(pr, bad)
     draws = np.array([simulate_response(pr, (1, r)).mean() for r in range(500)])
     se = pr.sigma / np.sqrt(pr.n * 500)
     assert abs(draws.mean() - pr.theta[0]) < 4 * se

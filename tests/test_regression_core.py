@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from pmsdist.cdf_estimators import phi_hat_values
+from pmsdist.dist_exact import CdfQuery
 from pmsdist.errors import DegenerateSampleError, ValidationError
 from pmsdist.fixtures import fixture
-from pmsdist.montecarlo import simulate_response
+from pmsdist.montecarlo import SimulationPlan, simulate_response
 from pmsdist.regression_core import (
     RegressionProblem,
     limit_quantities,
@@ -207,3 +209,22 @@ def test_limit_quantities_validation():
         limit_quantities(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))  # not SPD
     with pytest.raises(ValidationError):
         limit_quantities(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]]))  # rank-deficient A
+
+
+def test_non_finite_targets_are_invalid():
+    # a NaN entry of A reached numpy's rank test and raised LinAlgError
+    # ("SVD did not converge") from every entry point that takes a target
+    fx = fixture("COLL2")
+    pr = fx.problem
+    for A in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0]])):
+        for make in (
+            lambda: CdfQuery(A=A, t=np.zeros(A.shape[0]), theta=pr.theta, sigma=1.0,
+                             rule=fx.rule),
+            lambda: SimulationPlan(problem=pr, rule=fx.rule, A=A, replications=10,
+                                   master_seed=0),
+            lambda: limit_quantities(fx.Q, A),
+            lambda: projection_quantities(pr, A),
+            lambda: phi_hat_values(pr, A, 2, np.zeros(A.shape[0]), np.ones(1)),
+        ):
+            with pytest.raises(ValidationError, match="finite"):
+                make()
