@@ -29,6 +29,9 @@ PANELS = 12
 NODES_PER_PANEL = 12
 MAX_REFINEMENTS = 3
 
+# Relative eigenvalue cutoff for generalized inverses and SPD checks.
+GINV_REL_TOL = 1e-12
+
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -173,13 +176,13 @@ def psd_factor(cov: np.ndarray, scale: float = 0.0) -> np.ndarray:
 def sym_pinv(mat: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric PSD matrix via eigendecomposition.
 
-    Eigenvalues below 1e-12 times the largest count as zero (the
+    Eigenvalues below GINV_REL_TOL times the largest count as zero (the
     documented generalized-inverse convention of the package).
     """
     mat = np.asarray(mat, dtype=float)
     lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
     lmax = max(float(np.max(np.abs(lam))), 0.0)
-    keep = np.abs(lam) > max(lmax * 1e-12, 1e-300)
+    keep = np.abs(lam) > max(lmax * GINV_REL_TOL, 1e-300)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
     return (vec * inv) @ vec.T

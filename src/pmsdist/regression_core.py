@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._gauss import sym_pinv
+from ._gauss import GINV_REL_TOL, sym_pinv
 from .errors import DegenerateSampleError, ValidationError, target_matrix
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "xi_n",
 ]
 
-# Relative eigenvalue cutoff of the SPD check, the one `_gauss.sym_pinv`
-# applies to generalized inverses.
-GINV_REL_TOL = 1e-12
 # Euclidean-norm threshold below which a limiting covariance vector counts
 # as zero when locating q_star.
 QSTAR_TOL = 1e-10
@@ -267,9 +264,9 @@ def _design_record(Q: np.ndarray, A: np.ndarray, O: int) -> LimitQuantities:
     """The record of Q and A for p = 1..P, plus q_star; arguments unchecked.
 
     The generalized inverse in b and zeta is the symmetric eigendecomposition
-    pseudo-inverse with relative cutoff 1e-12; zeta^2 is clamped to zero when
-    within 1e-10 (relative to max(1, xi^2)) of it from either side, the
-    floating-point cancellation residue of an exact zero.
+    pseudo-inverse with relative cutoff GINV_REL_TOL; zeta^2 is clamped to
+    zero when within 1e-10 (relative to max(1, xi^2)) of it from either
+    side, the floating-point cancellation residue of an exact zero.
     """
     P, k = Q.shape[0], A.shape[0]
     xi = np.zeros(P)

@@ -273,6 +273,7 @@ def test_drift_of_the_wrong_length_exits_1(capsys):
                                  "--gamma", "1.25", "--delta0", "0.1", "--n-ladder", "100",
                                  "--reps", "100"])
     assert rc == EXIT_INVALID and out == ""
+    assert _payload(err)["error"]["type"] == "ValidationError"
 
 
 @pytest.mark.parametrize("draws", ["0", "-3"])
@@ -282,5 +283,4 @@ def test_uniform_sweep_without_estimator_draws_exits_1(capsys, draws):
                                  "--theta-grid", "0.5,0.1", "--n-ladder", "100",
                                  "--reps", "200", "--est-draws", draws])
     assert rc == EXIT_INVALID and out == ""
-    assert _payload(err)["error"]["type"] == "ValidationError"
     assert _payload(err)["error"]["type"] == "ValidationError"
