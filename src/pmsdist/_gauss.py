@@ -32,16 +32,8 @@ MAX_REFINEMENTS = 3
 # Relative eigenvalue cutoff for generalized inverses and SPD checks.
 GINV_REL_TOL = 1e-12
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return _leggauss_cache[n]
-    except KeyError:
-        xw = leggauss(n)
-        _leggauss_cache[n] = xw
-        return xw
+# Gauss-Legendre nodes and weights of one panel, on [-1, 1]
+_GL_X, _GL_W = leggauss(NODES_PER_PANEL)
 
 
 def norm_pdf(x):
@@ -50,27 +42,24 @@ def norm_pdf(x):
     return np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
 
 
-def gl_panels(edges: np.ndarray,
-              nodes_per_panel: int = NODES_PER_PANEL) -> tuple[np.ndarray, np.ndarray]:
+def gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on consecutive intervals.
 
     Parameters
     ----------
     edges : increasing 1-D array of panel boundaries, length m+1.
-    nodes_per_panel : GL nodes per panel.
 
     Returns
     -------
-    nodes, weights : flat arrays of length m * nodes_per_panel. Summing
+    nodes, weights : flat arrays of length m * NODES_PER_PANEL. Summing
         ``f(nodes) * weights`` approximates the integral of f over
         [edges[0], edges[-1]].
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = _leggauss(nodes_per_panel)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
+    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
+    weights = half[:, None] * _GL_W[None, :]
     return nodes.ravel(), weights.ravel()
 
 
@@ -277,7 +266,7 @@ def needs_sampling(k: int, r: int) -> bool:
 
 
 def cumulative_rule(f, edges: np.ndarray):
-    """H(y) = integral of f from edges[0] to y, and the total over all edges.
+    """H(y) = integral of f from edges[0] to y.
 
     f is integrated on Gauss-Legendre panels of ``edges``; a y inside a
     panel closes the sum of the panels below it with a partial panel of the
@@ -289,7 +278,6 @@ def cumulative_rule(f, edges: np.ndarray):
     x, w = gl_panels(edges)
     panel_sums = (f(x) * w).reshape(-1, NODES_PER_PANEL).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(panel_sums)])
-    t, tw = _leggauss(NODES_PER_PANEL)
 
     def H(y):
         y = np.asarray(y, dtype=float)
@@ -299,11 +287,11 @@ def cumulative_rule(f, edges: np.ndarray):
             yi = y[inside]
             j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
             half = 0.5 * (yi - edges[j])
-            xs = edges[j][:, None] + half[:, None] * (t + 1.0)[None, :]
-            out[inside] = cum[j] + half * (f(xs.ravel()).reshape(xs.shape) @ tw)
+            xs = edges[j][:, None] + half[:, None] * (_GL_X + 1.0)[None, :]
+            out[inside] = cum[j] + half * (f(xs.ravel()).reshape(xs.shape) @ _GL_W)
         return out
 
-    return H, float(cum[-1])
+    return H
 
 
 def refine(evaluate, tol: float, refinable: bool):

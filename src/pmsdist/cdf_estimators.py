@@ -25,7 +25,7 @@ from .regression_core import (
 )
 from .selection import GeneralToSpecific, auxiliary_consistent
 
-__all__ = ["g_check", "g_check_values", "phi_hat", "phi_hat_values"]
+__all__ = ["g_check", "phi_hat"]
 
 
 def g_check(problem: RegressionProblem, Y, A, t, rule: GeneralToSpecific, *,

@@ -93,8 +93,6 @@ __all__ = [
     "TermTrace",
     "delta",
     "cdf_exact",
-    "cdf_result",
-    "tail_products",
 ]
 
 # The scale grid: equal-mass panels of the ratio density between these
@@ -374,10 +372,10 @@ class _ExactEngine:
 
     def _s_grid(self, level: int, breaks):
         s, w = gl_panels(split_edges(self._s_edges(level), breaks))
-        return s, w * self.ratio.pdf(s), _S_TRUNC
+        return s, w * self.ratio.pdf(s)
 
     def _scale_mass(self, p: int, level: int):
-        """(K, truncated mass): K(y) integrates pdf(s) tail_p(s) over s <= y.
+        """K(y), the integral of pdf(s) tail_p(s) over s <= y.
 
         K is read through `cumulative_rule` on the level's `_s_edges`, so
         it costs one partial panel per argument.
@@ -386,8 +384,7 @@ class _ExactEngine:
             tail = tail_products(self.design, self.sigma, self.nu, self.c, p, s)
             return self.ratio.pdf(s) * tail[p]
 
-        K, _ = cumulative_rule(f, self._s_edges(level))
-        return K, _S_TRUNC
+        return cumulative_rule(f, self._s_edges(level))
 
     # ---- conditional rank 0: two rays in the selection scalar ----
     def _term_k1(self, p: int, s: np.ndarray, wt: np.ndarray):
@@ -431,9 +428,8 @@ class _ExactEngine:
             self._rules[p] = conditional_rows(
                 (self.query.t - self.shift[p])[None, :], g, S, L,
                 -self.nu[p] / (self.sigma * self.design.xi(p)), self.c[p], self.s_step)
-        K, trunc = self._scale_mass(p, level)
-        vals, pis, errs, ses = self._rules[p](K, level, R)
-        return float(vals[0]), float(pis[0]), trunc + float(errs[0]), float(ses[0])
+        vals, pis, errs, ses = self._rules[p](self._scale_mass(p, level), level, R)
+        return float(vals[0]), float(pis[0]), _S_TRUNC + float(errs[0]), float(ses[0])
 
     def _term_sampled(self, p: int, level: int):
         """(value, pi_value, error, se) of an order whose conditional orthant
@@ -447,14 +443,14 @@ class _ExactEngine:
         # crosses an end of its x-interval
         crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
                      for end in (lo, hi) if np.isfinite(end)]
-        s, w, trunc = self._s_grid(level, crossings)
+        s, w = self._s_grid(level, crossings)
         tail = tail_products(self.design, self.sigma, self.nu, self.c, O, s)
         # terms, weights, errors and sampling errors of orders O..P; the
         # order-O core carries the truncated scale mass
         parts = np.zeros((4, P - O + 1))
         core, core_se = self.core
         w_tail = float(np.sum(w * tail[O]))
-        parts[:, 0] = core * w_tail, w_tail, trunc, 3.0 * core_se * w_tail
+        parts[:, 0] = core * w_tail, w_tail, _S_TRUNC, 3.0 * core_se * w_tail
         for i, p in enumerate(range(O + 1, P + 1), start=1):
             if p in self.rank0:
                 parts[:3, i] = self._term_k1(p, s, w * tail[p])

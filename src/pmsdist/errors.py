@@ -4,6 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "PmsdistError",
+    "ValidationError",
+    "DegenerateSampleError",
+    "DensityUndefinedError",
+    "ExperimentRefusal",
+]
+
 
 class PmsdistError(Exception):
     """Base class for all package-specific errors."""

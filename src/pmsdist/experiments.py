@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -107,11 +107,6 @@ def _ladder(values, name: str = "n_ladder", kind=int) -> list:
     if not out:
         raise ValidationError(f"{name} is empty")
     return out
-
-
-def _with_theta(problem: RegressionProblem, theta) -> RegressionProblem:
-    return RegressionProblem(X=problem.X, theta=np.asarray(theta, dtype=float),
-                             sigma=problem.sigma, O=problem.O)
 
 
 def convergence_sweep(fixture: Fixture, gamma, t, n_ladder, *,
@@ -342,7 +337,7 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
         if mask_mode:
             base = RegressionProblem(X=base.X, theta=theta0, sigma=pr.sigma, O=pr.P - 1)
             run_rule = GeneralToSpecific(critical=(ic_threshold(n, pr.P, rule.upsilon_n),))
-        prob0, prob1 = base, _with_theta(base, theta1)
+        prob0, prob1 = base, replace(base, theta=theta1)
         refs = [cdf_exact(base, CdfQuery(A=fixture.A, t=t_arr, theta=theta, sigma=pr.sigma,
                                          rule=run_rule), budget).value
                 for theta in (theta0, theta1)]
@@ -411,7 +406,7 @@ def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,
         chi2 = _draw_errors(fx_n.problem, master_seed + 1, 0, est_draws)[:, -1]
         sig = fx_n.problem.sigma * np.sqrt(chi2 / fx_n.problem.dof)
         for theta in theta_grid:
-            prob = _with_theta(fx_n.problem, theta)
+            prob = replace(fx_n.problem, theta=theta)
             plan = SimulationPlan(problem=prob, rule=fixture.rule, A=fixture.A,
                                   replications=replications,
                                   master_seed=master_seed)
@@ -469,7 +464,7 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
 
     def _run(n: int, cutoff: float | None):
         """(ic_vs_exact disagreements, ic_vs_cutoff symdiff count, usable N)."""
-        prob = _with_theta(fixture.at_n(n).problem, pr.theta)
+        prob = fixture.at_n(n).problem
         c_n = ic_threshold(n, P, float(upsilon))
         reps = replicate(SimulationPlan(problem=prob, rule=ic_rule, A=fixture.A,
                                         replications=instances, master_seed=master_seed))

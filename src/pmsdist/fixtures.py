@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .regression_core import LimitQuantities, RegressionProblem, limit_quantities
 from .selection import GeneralToSpecific
 
-__all__ = ["Fixture", "fixture", "FIXTURE_NAMES", "random_k1_limit_case"]
+__all__ = ["Fixture", "fixture", "FIXTURE_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,9 @@ class Fixture:
     def limits(self) -> LimitQuantities:
         return limit_quantities(self.Q, self.A, O=self.problem.O)
 
-    def at_n(self, n: int, theta=None, sigma: float | None = None) -> "Fixture":
-        """The same named design rebuilt at another sample size."""
-        return fixture(self.name, n=n,
-                       theta=self.problem.theta if theta is None else theta,
-                       sigma=self.problem.sigma if sigma is None else sigma)
+    def at_n(self, n: int) -> "Fixture":
+        """The same named design, theta and sigma rebuilt at another sample size."""
+        return fixture(self.name, n=n, theta=self.problem.theta, sigma=self.problem.sigma)
 
 
 def _ortho2_design(n: int) -> np.ndarray:

@@ -44,13 +44,12 @@ from .regression_core import RegressionProblem, xi_n
 from .selection import (
     GeneralToSpecific,
     InformationCriterion,
+    SelectionRule,
     SubsetMask,
-    Thresholding,
     auxiliary_critical_value,
 )
 
 __all__ = [
-    "CHUNK",
     "SimulationPlan",
     "EmpiricalCdf",
     "Replications",
@@ -69,7 +68,7 @@ class SimulationPlan:
     """Everything one simulation study needs: problem, rule, target, size, seed."""
 
     problem: RegressionProblem
-    rule: object
+    rule: SelectionRule
     A: np.ndarray
     replications: int
     master_seed: int
@@ -80,16 +79,9 @@ class SimulationPlan:
             raise ValidationError("replications must be a positive integer")
         if not (isinstance(self.master_seed, (int, np.integer)) and self.master_seed >= 0):
             raise ValidationError("master_seed must be a nonnegative integer")
-        if isinstance(self.rule, GeneralToSpecific):
-            self.rule.validate_for(self.problem.P, self.problem.O)
-        elif isinstance(self.rule, InformationCriterion):
-            if self.rule.family[0].P != self.problem.P:
-                raise ValidationError("mask family does not match problem dimension")
-        elif isinstance(self.rule, Thresholding):
-            if len(self.rule.cutoff) != self.problem.P:
-                raise ValidationError("cutoff length must equal the problem dimension")
-        else:
+        if not isinstance(self.rule, SelectionRule):
             raise ValidationError(f"unsupported rule {type(self.rule).__name__}")
+        self.rule.validate_for(self.problem.P, self.problem.O)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "master_seed", int(self.master_seed))

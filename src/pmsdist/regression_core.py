@@ -217,9 +217,19 @@ def sigma_hat(problem: RegressionProblem, Y: np.ndarray) -> float:
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (problem.n,):
         raise ValidationError(f"Y must have shape ({problem.n},)")
-    q, _ = problem._qr[problem.P - 1]
-    rss = float(Y @ Y - np.sum((q.T @ Y) ** 2))
-    return float(np.sqrt(max(rss, 0.0) / problem.dof))
+    return float(np.sqrt(residual_ss(problem._qr[problem.P - 1][0], Y) / problem.dof))
+
+
+def residual_ss(q: np.ndarray, Y: np.ndarray) -> float:
+    """Residual sum of squares of Y off the orthonormal columns of q.
+
+    Formed from the residual vector Y - q q'Y, not as Y'Y - |q'Y|^2, whose
+    cancellation leaves a rounding residue of order sqrt(eps) |Y| at an
+    exact fit; a residual norm at most GINV_REL_TOL |Y| counts as zero.
+    """
+    r = Y - q @ (q.T @ Y)
+    rss = float(r @ r)
+    return 0.0 if rss <= (GINV_REL_TOL * np.linalg.norm(Y)) ** 2 else rss
 
 
 def t_statistics(problem: RegressionProblem, Y: np.ndarray) -> np.ndarray:

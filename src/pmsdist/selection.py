@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DegenerateSampleError, ValidationError
 from .regression_core import (
     RegressionProblem,
+    residual_ss,
     restricted_ls,
     sigma_hat,
     t_statistics,
@@ -39,7 +40,7 @@ __all__ = [
     "ic_values",
     "select_threshold",
     "auxiliary_consistent",
-    "auxiliary_critical_value",
+    "full_model_t_ratios",
     "post_select_fit",
     "masked_ls",
     "ic_threshold",
@@ -151,6 +152,10 @@ class InformationCriterion:
         object.__setattr__(self, "upsilon_n", float(self.upsilon_n))
         object.__setattr__(self, "family", family)
 
+    def validate_for(self, P: int, O: int) -> None:
+        if self.family[0].P != P:
+            raise ValidationError(f"masks have length {self.family[0].P}, need P = {P}")
+
 
 @dataclass(frozen=True)
 class Thresholding:
@@ -163,6 +168,10 @@ class Thresholding:
         if any(np.isnan(c) or c < 0.0 for c in cut):
             raise ValidationError("cutoffs must be nonnegative (inf allowed)")
         object.__setattr__(self, "cutoff", cut)
+
+    def validate_for(self, P: int, O: int) -> None:
+        if len(self.cutoff) != P:
+            raise ValidationError(f"rule supplies {len(self.cutoff)} cutoffs, need P = {P}")
 
 
 SelectionRule = GeneralToSpecific | InformationCriterion | Thresholding
@@ -221,13 +230,12 @@ def _rss(problem: RegressionProblem, Y: np.ndarray, mask: SubsetMask) -> float:
     idx = list(mask.indices)
     if not idx:
         return float(Y @ Y)
-    sub = problem.X[:, idx]
-    q, _ = np.linalg.qr(sub, mode="reduced")
-    return float(max(Y @ Y - np.sum((q.T @ Y) ** 2), 0.0))
+    return residual_ss(np.linalg.qr(problem.X[:, idx], mode="reduced")[0], Y)
 
 
 def ic_values(problem: RegressionProblem, Y: np.ndarray, rule: InformationCriterion) -> dict:
     """IC(r) = log RSS(r) + |r| upsilon_n / n for every mask in the family."""
+    rule.validate_for(problem.P, problem.O)
     Y = np.asarray(Y, dtype=float)
     out = {}
     for mask in rule.family:
@@ -240,8 +248,6 @@ def ic_values(problem: RegressionProblem, Y: np.ndarray, rule: InformationCriter
 
 def select_ic(problem: RegressionProblem, Y: np.ndarray, rule: InformationCriterion) -> SubsetMask:
     """IC minimizer; ties go to the smallest cardinality, then lexicographic."""
-    if rule.family[0].P != problem.P:
-        raise ValidationError("mask length does not match problem dimension")
     values = ic_values(problem, Y, rule)
     return min(values, key=lambda m: (values[m],) + m.sort_key())
 
@@ -258,8 +264,7 @@ def full_model_t_ratios(problem: RegressionProblem, Y: np.ndarray) -> np.ndarray
 
 def select_threshold(problem: RegressionProblem, Y: np.ndarray, rule: Thresholding) -> SubsetMask:
     """Mask of coordinates whose full-model |t-ratio| clears the cutoff."""
-    if len(rule.cutoff) != problem.P:
-        raise ValidationError(f"need {problem.P} cutoffs, got {len(rule.cutoff)}")
+    rule.validate_for(problem.P, problem.O)
     t = full_model_t_ratios(problem, Y)
     bits = tuple(int(abs(ti) >= ci) for ti, ci in zip(t, rule.cutoff))
     return SubsetMask(bits=bits)
@@ -301,6 +306,9 @@ def auxiliary_critical_value(n: int, P: int, scheme: str = "sqrt_log_n") -> floa
 
 def post_select_fit(problem: RegressionProblem, Y: np.ndarray, rule: SelectionRule) -> PostSelectionFit:
     """Select a model with the given rule and refit it by least squares."""
+    if not isinstance(rule, SelectionRule):
+        raise ValidationError(f"unsupported rule type {type(rule).__name__}")
+    rule.validate_for(problem.P, problem.O)
     s = sigma_hat(problem, Y)
     if s == 0.0:
         raise DegenerateSampleError("sigma_hat is zero")
@@ -316,12 +324,9 @@ def post_select_fit(problem: RegressionProblem, Y: np.ndarray, rule: SelectionRu
         return PostSelectionFit(selected=r_hat,
                                 estimate=masked_ls(problem, Y, r_hat),
                                 sigma_hat=s, t_stats=T, ic_values=values)
-    if isinstance(rule, Thresholding):
-        r_hat = select_threshold(problem, Y, rule)
-        return PostSelectionFit(selected=r_hat,
-                                estimate=masked_ls(problem, Y, r_hat),
-                                sigma_hat=s, t_stats=T)
-    raise ValidationError(f"unsupported rule type {type(rule).__name__}")
+    r_hat = select_threshold(problem, Y, rule)
+    return PostSelectionFit(selected=r_hat, estimate=masked_ls(problem, Y, r_hat),
+                            sigma_hat=s, t_stats=T)
 
 
 def rule_to_json(rule: SelectionRule) -> dict:

@@ -121,6 +121,18 @@ def test_validation_failures_exit_1(capsys):
     assert rc == EXIT_INVALID                                    # needs --t/--grid
 
 
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    # a P = 3 family on the P = 2 fixture ended in an IndexError traceback
+    ["select", "--fixture", "COLL2",
+     "--rule", '{"type": "ic", "upsilon_n": 2.0, "family": ["111", "110"]}'],
+])
+def test_invalid_input_prints_a_validation_error(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert rc == EXIT_INVALID and out == ""
+    assert _payload(err)["error"]["type"] == "ValidationError"
+
+
 @pytest.mark.parametrize("command", ["cdf-exact", "cdf-limit"])
 def test_nan_t_exits_1_and_infinite_t_is_valid(capsys, command):
     rc, out, err = _run(capsys, [command, "--fixture", "P1", "--t=nan"])

@@ -159,3 +159,18 @@ def test_out_of_range_orders_are_rejected():
         with pytest.raises(ValidationError, match="p_bars"):
             g_check_values(fx.problem, fx.A, [0.1, 0.1], fx.rule, np.array([1.0, 1.0]),
                            np.array([1, bad]), budget=QUICK)
+
+
+_COLL2 = fixture("COLL2")
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: g_check_values(_COLL2.problem, _COLL2.A, [0.1, 0.1], _COLL2.rule,
+                            np.ones(2), np.array([1])),
+     ValidationError, "equal-length"),
+    (lambda: phi_hat_values(_COLL2.problem, _COLL2.A, 2, [0.1, 0.1], np.array([1.0, 0.0])),
+     DegenerateSampleError, "sigma_hat is zero"),
+])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -1,4 +1,6 @@
 """Tests for the finite-sample cdf: mixture formula, scale density, engine."""
+import functools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -10,7 +12,6 @@ from pmsdist._gauss import (
     TAIL_CUT,
     bvn_cdf,
     condition_on_scalar,
-    gl_panels,
     norm_pdf,
     refine,
 )
@@ -220,6 +221,14 @@ def test_query_and_budget_validation():
         AccuracyBudget(tol=0.0)
     with pytest.raises(ValidationError):
         AccuracyBudget(n_z=10)
+
+
+def test_query_of_another_width_is_rejected():
+    pr = fixture("COLL2").problem
+    query = CdfQuery(A=np.eye(3), t=np.zeros(3), theta=np.zeros(3), sigma=1.0,
+                     rule=GeneralToSpecific(critical=(2.0, 2.0)))
+    with pytest.raises(ValidationError, match="query A width"):
+        cdf_exact(pr, query)
 
 
 def test_budget_sample_size_and_seed_are_integers():
@@ -453,6 +462,17 @@ def _p4_k3_case(n=40):
 P4_GRID = [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]
 
 
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def _dense_gl(edges, nodes):
+    """Composite Gauss-Legendre rule with ``nodes`` nodes on each panel of
+    ``edges``: the oracles' own rule, far denser than the package's."""
+    x, w = _leggauss(nodes)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
 def _orthant_oracle(v, L):
     """P(L eps <= v) for trivariate L eps, eps standard normal, conditioning on
     eps_1 (ranks 1 and 2) or on the first coordinate (rank 3) under dense
@@ -469,7 +489,7 @@ def _orthant_oracle(v, L):
             for j in range(i + 1, 3):
                 den = L[i, 0] / L[i, 1] - L[j, 0] / L[j, 1]
                 pts.append((v[i] / L[i, 1] - v[j] / L[j, 1]) / den)
-        e1, w = gl_panels(np.array([-TAIL_CUT, *sorted(p for p in pts if abs(p) < TAIL_CUT),
+        e1, w = _dense_gl(np.array([-TAIL_CUT, *sorted(p for p in pts if abs(p) < TAIL_CUT),
                                     TAIL_CUT]), 200)
         W = v[None, :] - np.outer(e1, L[:, 0])
         load = L[:, 1]
@@ -482,7 +502,7 @@ def _orthant_oracle(v, L):
     C = S[1:, 1:] - np.outer(h, h)
     s = np.sqrt(np.diag(C))
     top = min(v[0] / sd0, TAIL_CUT)
-    y, w = gl_panels(np.linspace(-TAIL_CUT, top, 41), 20)
+    y, w = _dense_gl(np.linspace(-TAIL_CUT, top, 41), 20)
     return float(np.sum(w * norm_pdf(y) * bvn_cdf((v[1] - h[0] * y) / s[0],
                                                   (v[2] - h[1] * y) / s[1],
                                                   C[0, 1] / (s[0] * s[1]))))
@@ -589,7 +609,7 @@ def test_large_n_points_meet_budget_and_agree_with_simulation(case):
     else:
         n = 100_000
         fx = fixture("COLL2")
-        fx = fx.at_n(n, theta=fx.problem.theta * np.sqrt(20 / n))
+        fx = fixture(fx.name, n=n, theta=fx.problem.theta * np.sqrt(20 / n))
         problem, A, rule = fx.problem, fx.A, fx.rule
         t = np.array([0.25, -1.0])
         if case == "COLL2-k1":

@@ -16,7 +16,7 @@ from pmsdist.experiments import (
     uniform_case_sweep,
 )
 from pmsdist.fixtures import fixture
-from pmsdist.selection import InformationCriterion, SubsetMask
+from pmsdist.selection import InformationCriterion, SubsetMask, Thresholding
 
 QUICK = AccuracyBudget(tol=1e-5, n_z=20_000, seed=0)
 
@@ -218,3 +218,20 @@ def test_out_of_range_drift_arguments_are_invalid():
         with pytest.raises(ValidationError, match="gamma_axis"):
             pilot_delta0(coll, t=[0.0, 0.0], gamma_axis=axis, lam_grid=[0.0, 1.0],
                          budget=QUICK)
+
+
+_IC_DROP_LAST = InformationCriterion(upsilon_n=2.0, family=(SubsetMask(bits=(1, 1)),
+                                                            SubsetMask(bits=(1, 0))))
+
+
+@pytest.mark.parametrize("name, rule, delta0, fragment", [
+    ("BLOCK_ORTHO", _IC_DROP_LAST, 0.1, "uncorrelated with the target"),
+    ("COLL2", Thresholding(cutoff=(1.0, 1.0)), 0.1, "unsupported rule"),
+    ("COLL2", None, 0.0, "pilot oscillation is zero"),
+])
+def test_impossibility_demo_refusals(name, rule, delta0, fragment):
+    fx = fixture(name)
+    with pytest.raises(ExperimentRefusal, match=fragment):
+        impossibility_demo(fx, t=np.zeros(fx.A.shape[0]), gamma=np.zeros(fx.problem.P),
+                           delta0=delta0, n_ladder=(100,), replications=200, rule=rule,
+                           budget=QUICK)

@@ -537,9 +537,9 @@ def test_trivariate_orthant_infinite_coordinates():
 
 def test_gl_panels_integrates_polynomials_exactly():
     edges = np.array([0.0, 0.3, 1.0])
-    x, w = gl_panels(edges, 6)
-    # degree-7 polynomial is exact under 6-node Gauss-Legendre
-    assert abs(np.sum(w * x ** 7) - 1.0 / 8.0) < 1e-14
+    x, w = gl_panels(edges)
+    # degree-23 polynomial is exact under 12-node Gauss-Legendre
+    assert abs(np.sum(w * x ** 23) - 1.0 / 24.0) < 1e-14
     assert abs(np.sum(w) - 1.0) < 1e-14
 
 

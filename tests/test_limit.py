@@ -416,3 +416,27 @@ def test_full_model_gaussian_cdf_needs_a_positive_scale():
     for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValidationError, match="sigma"):
             full_model_gaussian_cdf(fx.limits, bad, [0.1, 0.2])
+
+
+_COLL2 = fixture("COLL2")
+# rank 2 by numpy's test, yet A A' is singular once rounded
+_NEAR_RANK_1 = limit_quantities(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]]))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: LocalAlternative(theta=[np.nan, 0.0], gamma=np.zeros(2), sigma=1.0),
+     ValidationError, "finite"),
+    (lambda: cdf_limit(_COLL2.limits, LocalAlternative(theta=[1.0], gamma=[0.0], sigma=1.0),
+                       [0.0, 0.0], _COLL2.rule, QUICK),
+     ValidationError, "dimension"),
+    (lambda: pdf_limit(_NEAR_RANK_1, LocalAlternative(theta=[1.0, 1.0], gamma=np.zeros(2),
+                                                      sigma=1.0),
+                       [0.5, 0.5], GeneralToSpecific(critical=(2.0, 2.0))),
+     DensityUndefinedError, "singular"),
+    (lambda: limit_nonconstancy_scan(_COLL2.limits, _COLL2.problem.theta, 1.0, [0.0, 0.0],
+                                     _COLL2.rule, np.zeros((2, 3)), QUICK),
+     ValidationError, "width"),
+])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

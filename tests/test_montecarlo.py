@@ -244,3 +244,21 @@ def test_chunk_memory_is_bounded_whatever_n():
         tracemalloc.stop()
     assert emp.valid + emp.degenerate_count == CHUNK
     assert peak < 32e6
+
+
+_COLL2 = fixture("COLL2")
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: _plan(_COLL2, 10, seed=-1), "master_seed"),
+    (lambda: _plan(_COLL2, 10, seed=1, rule=InformationCriterion(
+        upsilon_n=2.0, family=(SubsetMask(bits=(1, 1, 1)), SubsetMask(bits=(1, 1, 0))))),
+     "need P = 2"),
+    (lambda: _plan(_COLL2, 10, seed=1, rule=Thresholding(cutoff=(1.0,))), "need P = 2"),
+    (lambda: estimator_error_probability(
+        _plan(_COLL2, 10, seed=1, rule=Thresholding(cutoff=(1.0, 1.0))), [0.0, 0.0], 0.5,
+        delta=0.1), "general-to-specific"),
+])
+def test_input_checks(make, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        make()

@@ -189,6 +189,24 @@ def test_every_module_exports_only_its_own_names():
     assert not strays, f"exported but defined elsewhere: {strays}"
 
 
+def test_package_api_is_the_module_lists():
+    # each public module's __all__ is the one declaration of its part of the
+    # API, and the package re-exports exactly those lists: _gauss is private
+    # and cli the entry point
+    modules = [importlib.import_module(f"pmsdist.{path.stem}")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if not path.stem.startswith("_") and path.stem != "cli"]
+    undeclared = [m.__name__ for m in modules if not hasattr(m, "__all__")]
+    assert not undeclared, f"public modules without __all__: {undeclared}"
+    listed = [name for m in modules for name in m.__all__]
+    repeated = sorted({name for name in listed if listed.count(name) > 1})
+    assert not repeated, f"names in two modules' lists: {repeated}"
+    namespace = {}
+    exec("from pmsdist import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(pmsdist.__all__) == sorted(listed)
+
+
 def _calls_of(tree, name: str) -> list[ast.Call]:
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from pmsdist.cdf_estimators import phi_hat_values
+from pmsdist.cdf_estimators import g_check, phi_hat_values
 from pmsdist.dist_exact import CdfQuery
 from pmsdist.errors import DegenerateSampleError, ValidationError
 from pmsdist.fixtures import fixture
@@ -18,6 +18,7 @@ from pmsdist.regression_core import (
     t_statistics,
     xi_n,
 )
+from pmsdist.selection import GeneralToSpecific, post_select_fit
 
 
 def _random_problem(seed, n=40, P=3):
@@ -53,6 +54,32 @@ def test_sigma_hat_zero_for_exact_fit_and_t_raises():
     assert sigma_hat(pr, Y) == 0.0
     with pytest.raises(DegenerateSampleError):
         t_statistics(pr, Y)
+
+
+@pytest.mark.parametrize("case", ["COLL2", "seeded"])
+def test_exact_fit_is_degenerate_and_small_noise_is_not(case):
+    # as Y'Y - |Q'Y|^2 the residual sum of squares of an exact fit kept a
+    # rounding residue (sigma_hat ~ 3e-8 in both cases), so the degenerate
+    # branches below were reached only where the rounding cancelled
+    if case == "COLL2":
+        fx = fixture("COLL2", theta=np.array([1.0, 1.0]))
+        pr, A, rule = fx.problem, fx.A, fx.rule
+    else:
+        pr = _random_problem(9)
+        A, rule = np.eye(pr.P), GeneralToSpecific(critical=(2.0,) * pr.P)
+    Y = pr.X @ pr.theta
+    assert sigma_hat(pr, Y) == 0.0
+    with pytest.raises(DegenerateSampleError):
+        t_statistics(pr, Y)
+    with pytest.raises(DegenerateSampleError):
+        post_select_fit(pr, Y, rule)
+    assert g_check(pr, Y, A, np.zeros(pr.P), rule) == 1.0
+    # relative noise 1e-8 is a sample, not an exact fit
+    noise = np.random.Generator(np.random.Philox(5)).standard_normal(pr.n)
+    noisy = Y + 1e-8 * np.linalg.norm(Y) / np.linalg.norm(noise) * noise
+    assert sigma_hat(pr, noisy) > 0.0
+    assert np.all(np.isfinite(t_statistics(pr, noisy)))
+    assert post_select_fit(pr, noisy, rule).sigma_hat > 0.0
 
 
 def test_t_statistics_definition():
@@ -228,3 +255,32 @@ def test_non_finite_targets_are_invalid():
         ):
             with pytest.raises(ValidationError, match="finite"):
                 make()
+
+
+_COLL2 = fixture("COLL2").problem
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: RegressionProblem(X=np.ones(10), theta=np.zeros(1), sigma=1.0, O=0),
+     ValidationError, "2-D"),
+    (lambda: RegressionProblem(X=np.ones((2, 2)), theta=np.zeros(2), sigma=1.0, O=0),
+     ValidationError, "n > P"),
+    (lambda: RegressionProblem(X=np.full((4, 1), np.inf), theta=np.zeros(1), sigma=1.0, O=0),
+     ValidationError, "finite"),
+    (lambda: restricted_ls(_COLL2, np.zeros(3), 1), ValidationError, "shape"),
+    (lambda: restricted_ls(_COLL2, np.zeros(_COLL2.n), 3), ValidationError, "outside"),
+    (lambda: sigma_hat(_COLL2, np.zeros(3)), ValidationError, "shape"),
+    (lambda: xi_n(_COLL2, 0), ValidationError, "outside"),
+    (lambda: limit_quantities(np.ones((2, 3)), np.eye(2)), ValidationError, "square"),
+    (lambda: limit_quantities(np.eye(2), np.eye(2), O=2), ValidationError, "O must"),
+    (lambda: local_shift_constants(np.eye(2), np.eye(2), np.zeros(3), np.zeros(2)),
+     ValidationError, "dimension"),
+    (lambda: local_shift_constants(np.eye(2), np.eye(2), np.zeros(2), np.zeros(2), O=-1),
+     ValidationError, "O must"),
+    (lambda: fixture("ORTHO2", n=5), ValidationError, "even n"),
+    (lambda: fixture("COLL2", n=10), ValidationError, "divisible by 4"),
+    (lambda: fixture("P1", n=1), ValidationError, "n >= 2"),
+])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -205,3 +205,34 @@ def test_rule_json_round_trips():
         rule_from_json({"type": "lasso"})
     with pytest.raises(ValidationError):
         rule_from_json([])
+
+
+_WIDE_IC = InformationCriterion(upsilon_n=2.0,
+                                family=(SubsetMask(bits=(1, 1, 1)), SubsetMask(bits=(1, 1, 0))))
+
+
+@pytest.mark.parametrize("rule", [_WIDE_IC, Thresholding(cutoff=(2.0, 2.0, 2.0))])
+def test_rules_of_another_width_are_rejected(rule):
+    # a P = 3 family on a P = 2 problem ended post_select_fit in an
+    # IndexError; every entry point now asks the rule's validate_for
+    pr = fixture("COLL2").problem
+    Y = simulate_response(pr, (0, 0))
+    select = ic_values if isinstance(rule, InformationCriterion) else select_threshold
+    for call in (post_select_fit, select):
+        with pytest.raises(ValidationError, match="need P = 2"):
+            call(pr, Y, rule)
+
+
+_ORTHO2 = fixture("ORTHO2").problem
+_Y = _exact_sample(_ORTHO2, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: InformationCriterion(upsilon_n=1.0, family=()), "non-empty"),
+    (lambda: select_ic(_ORTHO2, _Y, _WIDE_IC), "need P = 2"),
+    (lambda: post_select_fit(_ORTHO2, _Y, "stepwise"), "unsupported rule type"),
+    (lambda: rule_to_json("stepwise"), "unsupported rule type"),
+])
+def test_input_checks(call, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        call()
