@@ -6,9 +6,19 @@ probabilities, rank-aware lower-orthant probabilities for possibly singular
 Gaussian vectors (rank 2 in any dimension in closed form, a bivariate
 normal over a convex polygon by differences of Owen's T; a full-rank
 trivariate one by Genz's one-dimensional form of Plackett's identity), the
-one conditioned-orthant kernel and Gaussian sampler, and composite
-Gauss-Legendre panel rules with their one refinement loop.  Sampling is
-left only at k >= 4 with conditional rank >= 3 (unconditional rank >= 4).
+one conditioned-orthant kernel and Gaussian sampler, and composite panel
+rules with their one refinement loop.  Sampling is left only at k >= 4
+with conditional rank >= 3 (unconditional rank >= 4).
+
+Every panel rule is the 25-node Kronrod extension (K25) of the 12-node
+Gauss-Legendre rule (G12), computed by Laurie's (1997) algorithm: the G12
+nodes are K25 nodes, so one evaluation gives both, a rule reports its K25
+value and |K25 - G12| is its error estimate (QUADPACK's QAG, Piessens et
+al. 1983).  Inner rules (the s-panels of `cumulative_rule`, the path
+panels of `_trivariate_rows`) return both parts as well, so the estimate
+of an outer rule covers the whole nested term.  Every rule starts from
+the PANELS equal panels of `panel_edges` plus its break points; `refine`
+bisects the panels whose estimates are large, row by row.
 """
 from __future__ import annotations
 
@@ -22,18 +32,59 @@ from scipy.special import ndtr, owens_t
 # truncated there and the discarded mass is accounted for by callers.
 TAIL_CUT = 9.0
 
-# Level l of the cdf evaluators' refined rules has PANELS * 2**l panels of
-# NODES_PER_PANEL Gauss-Legendre nodes (`level_edges`); `refine` stops at
-# MAX_REFINEMENTS.
+# Every panel rule starts from PANELS equal panels (`panel_edges`) of
+# NODES_PER_PANEL Kronrod nodes; `refine` stops after MAX_ROUNDS rounds of
+# bisection.
 PANELS = 12
-NODES_PER_PANEL = 12
-MAX_REFINEMENTS = 3
+NODES_PER_PANEL = 25
+MAX_ROUNDS = 10
 
 # Relative eigenvalue cutoff for generalized inverses and SPD checks.
 GINV_REL_TOL = 1e-12
 
-# Gauss-Legendre nodes and weights of one panel, on [-1, 1]
-_GL_X, _GL_W = leggauss(NODES_PER_PANEL)
+
+def kronrod_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1] of the (2n + 1)-node Kronrod extension
+    of the n-node Gauss-Legendre rule, exact for polynomials of degree
+    3n + 1 (n even).
+
+    Laurie's (1997) algorithm builds the Jacobi-Kronrod matrix from the
+    Legendre recurrence b_k = k^2 / (4k^2 - 1), whose diagonal vanishes for
+    this symmetric weight; its eigenvalues are the nodes and the squared
+    first components of its eigenvectors, times b_0 = 2, the weights.
+    """
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1.0, -(-3 * n // 2) + 1)
+    b[0], b[1:k.size + 1] = 2.0, k ** 2 / (4.0 * k ** 2 - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for i in range((m + 1) // 2, -1, -1):
+            u += b[i + n + 1] * s[i] - b[m - i] * s[i + 1]
+            s[i + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for i in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - i)
+            u += b[m - i] * s[j + 2] - b[i + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    x, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = b[0] * vec[0] ** 2
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+# K25 nodes and weights of one panel on [-1, 1], and the G12 weights at the
+# same nodes (zero off the embedded Gauss nodes, every other one)
+_K_X, _K_W = kronrod_legendre(12)
+_G_W = np.zeros(NODES_PER_PANEL)
+_G_W[1::2] = leggauss(12)[1]
 
 
 def norm_pdf(x):
@@ -42,8 +93,8 @@ def norm_pdf(x):
     return np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
 
 
-def gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on consecutive intervals.
+def gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite K25 rule on consecutive intervals, with its embedded G12 rule.
 
     Parameters
     ----------
@@ -51,22 +102,76 @@ def gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    nodes, weights : flat arrays of length m * NODES_PER_PANEL. Summing
-        ``f(nodes) * weights`` approximates the integral of f over
-        [edges[0], edges[-1]].
+    nodes, k_weights, g_weights : flat arrays of length m * NODES_PER_PANEL,
+        increasing nodes.  Summing ``f(nodes) * k_weights`` approximates
+        the integral of f over [edges[0], edges[-1]] by K25 on every panel,
+        ``f(nodes) * g_weights`` by G12 (zero weight off its nodes).
     """
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    weights = half[:, None] * _GL_W[None, :]
-    return nodes.ravel(), weights.ravel()
+    return _panel_nodes(edges[:-1], edges[1:])
 
 
-def level_edges(lo: float, hi: float, level: int) -> np.ndarray:
-    """Edges of the PANELS * 2**level equal panels of [lo, hi]: refinement
-    level ``level`` of every panel rule."""
-    return np.linspace(lo, hi, PANELS * 2 ** level + 1)
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
+    """`gl_panels` on the panels [lo_i, hi_i], in any order."""
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * _K_X
+    return nodes.ravel(), (half[:, None] * _K_W).ravel(), (half[:, None] * _G_W).ravel()
+
+
+def panel_edges(lo: float, hi: float) -> np.ndarray:
+    """Edges of the PANELS equal panels of [lo, hi] every panel rule starts
+    from, before its break points (`split_edges`) and bisection (`refine`)."""
+    return np.linspace(lo, hi, PANELS + 1)
+
+
+class Panels:
+    """One row's composite K25 rule of one integrand, refined by bisection.
+
+    f(x) -> (fk, fg), two arrays of shape (q, len(x)): q components of the
+    integrand at the nodes x, with any inner rule at K25 (fk) and at G12
+    (fg); a flat integrand returns the same array twice.  Every panel keeps
+    its K25 sums of fk and its G12 sums of fg.  ``total`` is the K25
+    integral of every component; a panel's estimate is |K25 - G12| summed
+    over the first ``terms`` components (the terms, not their weights), and
+    ``gap`` the sum of the estimates.  `bisect` re-evaluates only the
+    halves of the panels it splits.
+    """
+
+    def __init__(self, f, edges: np.ndarray, terms: int = 1):
+        self.f, self.terms = f, terms
+        self.lo, self.hi = edges[:-1], edges[1:]
+        self.K, self.G = self._sums(self.lo, self.hi)
+        self._estimate()
+
+    def _sums(self, lo, hi):
+        x, wk, wg = _panel_nodes(lo, hi)
+        fk, fg = self.f(x)
+        shape = (-1, lo.size, NODES_PER_PANEL)
+        return (fk * wk).reshape(shape).sum(axis=2), (fg * wg).reshape(shape).sum(axis=2)
+
+    def _estimate(self):
+        self.estimates = np.abs(self.K[:self.terms] - self.G[:self.terms]).sum(axis=0)
+        self.gap = float(self.estimates.sum())
+        self.total = self.K.sum(axis=1)
+
+    @property
+    def size(self) -> int:
+        return self.lo.size
+
+    def bisect(self, cut: float) -> None:
+        """Split every panel whose estimate is at least ``cut`` in two."""
+        split = self.estimates >= cut
+        if not split.any():
+            return
+        lo, hi = self.lo[split], self.hi[split]
+        mid = 0.5 * (lo + hi)
+        K, G = self._sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        keep = ~split
+        self.lo = np.concatenate([self.lo[keep], lo, mid])
+        self.hi = np.concatenate([self.hi[keep], mid, hi])
+        self.K = np.concatenate([self.K[:, keep], K], axis=1)
+        self.G = np.concatenate([self.G[:, keep], G], axis=1)
+        self._estimate()
 
 
 def split_edges(base: np.ndarray, breaks) -> np.ndarray:
@@ -266,56 +371,70 @@ def needs_sampling(k: int, r: int) -> bool:
 
 
 def cumulative_rule(f, edges: np.ndarray):
-    """H(y) = integral of f from edges[0] to y.
+    """H(y) = integral of f from edges[0] to y, as its K25 and G12 parts.
 
-    f is integrated on Gauss-Legendre panels of ``edges``; a y inside a
-    panel closes the sum of the panels below it with a partial panel of the
-    same rule, so H can be read at any array of points.  H is 0 at and
-    below edges[0] and the total at and above edges[-1].  Its one caller is
+    f is integrated on the K25 panels of ``edges``; a y inside a panel
+    closes the sum of the panels below it with a partial panel of the same
+    rule, whose embedded G12 nodes give the G12 part, so H can be read at
+    any array of points and returns (K25, G12) arrays.  H is 0 at and below
+    edges[0] and the total at and above edges[-1].  Its one caller is
     `dist_exact._ExactEngine._scale_mass`, the scale mass that the exact
     cdf hands to its `conditional_rows` rule.
     """
-    x, w = gl_panels(edges)
-    panel_sums = (f(x) * w).reshape(-1, NODES_PER_PANEL).sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(panel_sums)])
+    x, wk, wg = gl_panels(edges)
+    fx = f(x)
+    cum = [np.concatenate([[0.0], np.cumsum((fx * w).reshape(-1, NODES_PER_PANEL).sum(axis=1))])
+           for w in (wk, wg)]
 
     def H(y):
         y = np.asarray(y, dtype=float)
-        out = np.where(y >= edges[-1], cum[-1], 0.0)
+        out = [np.where(y >= edges[-1], c[-1], 0.0) for c in cum]
         inside = (y > edges[0]) & (y < edges[-1])
         if np.any(inside):
             yi = y[inside]
             j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
             half = 0.5 * (yi - edges[j])
-            xs = edges[j][:, None] + half[:, None] * (_GL_X + 1.0)[None, :]
-            out[inside] = cum[j] + half * (f(xs.ravel()).reshape(xs.shape) @ _GL_W)
+            xs = edges[j][:, None] + half[:, None] * (_K_X + 1.0)[None, :]
+            fs = f(xs.ravel()).reshape(xs.shape)
+            for o, c, w in zip(out, cum, (_K_W, _G_W)):
+                o[inside] = c[j] + half * (fs @ w)
         return out
 
     return H
 
 
-def refine(evaluate, tol: float, refinable: bool):
-    """The one refinement loop: evaluate(level) -> a `dist_exact.TermTrace`.
+def refine(assemble, rules, tol: float):
+    """The one refinement loop: globally adaptive bisection, row by row.
 
-    If ``refinable``, levels 1, 2, ... follow until each of the trace's
-    totals differs from the previous level's by less than tol/2 or its
-    sampling error (summed over the orders; no level reduces it) alone
-    exceeds tol, or MAX_REFINEMENTS is reached.  Returns (last trace,
-    |last - previous totals| (0 without refinement), last level).
+    rules lists every panel rule of the evaluation, each as its `Panels`
+    over the rows, and assemble() -> a `dist_exact.TermTrace` (with a
+    trailing axis of rows if batched) reads their current sums.  Row j's
+    gap is the sum of its panels' estimates.  While it is at least tol/2,
+    its sampling error (summed over the orders; no bisection reduces it) is
+    within tol and fewer than MAX_ROUNDS rounds have run, each round
+    bisects the row's panels whose estimate is at least tol/2 over the
+    row's panel count, of which there is one whenever the gap is that
+    large.  A row's panels move only on its own figures, so a batched row
+    equals its one-row call.  Returns (trace, gaps over the rows, rounds
+    run).
     """
-    trace = evaluate(0)
-    totals = trace.total
-    gap, level = np.zeros_like(totals), 0
-    if refinable:
-        for level in range(1, MAX_REFINEMENTS + 1):
-            trace = evaluate(level)
-            gap, totals = np.abs(trace.total - totals), trace.total
-            if np.all((gap < 0.5 * tol) | (trace.sampling.sum(axis=0) > tol)):
-                break
-    return trace, gap, level
+    rounds = 0
+    while True:
+        trace = assemble()
+        gaps = np.zeros(np.size(trace.total))
+        for rule in rules:
+            gaps += [panels.gap for panels in rule]
+        live = (gaps >= 0.5 * tol) & (np.atleast_1d(trace.sampling.sum(axis=0)) <= tol)
+        if rounds == MAX_ROUNDS or not live.any():
+            return trace, gaps, rounds
+        rounds += 1
+        for j in np.flatnonzero(live):
+            cut = 0.5 * tol / sum(rule[j].size for rule in rules)
+            for rule in rules:
+                rule[j].bisect(cut)
 
 
-def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, level: int) -> np.ndarray:
+def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(R <= u) for every row u of U, R ~ N(0, S) with L a factor of S.
 
     Deterministic wherever the dimension allows: numerical rank 0 is an
@@ -323,8 +442,9 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, level: int) -> np.
     R the bivariate normal cdf, rank 2 in any dimension k >= 3 a standard
     bivariate normal over a convex polygon in closed form
     (`_polygon_rows`), and a full-rank trivariate R Genz's one-dimensional
-    trivariate normal cdf (`_trivariate_rows`) on the Gauss-Legendre
-    panels of refinement ``level``.  Other ranks raise ValueError:
+    trivariate normal cdf (`_trivariate_rows`).  Returns the values at
+    K25 and at G12, which differ only for the trivariate path integral:
+    the closed forms return one array twice.  Other ranks raise ValueError:
     sampling is left only at k >= 4 with conditional rank >= 3
     (unconditional rank >= 4), see `needs_sampling`.  Its callers are
     `gaussian_rect_rows` and the `conditional_rows` rule, which
@@ -332,18 +452,20 @@ def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray, level: int) -> np.
     """
     k, r = U.shape[1], L.shape[1]
     if r == 0:
-        return np.all(U >= 0.0, axis=1).astype(float)
-    if r == 1:
+        v = np.all(U >= 0.0, axis=1).astype(float)
+    elif r == 1:
         lo, hi = rank1_bounds(U, L[:, 0])
-        return np.maximum(ndtr(hi) - ndtr(lo), 0.0)
-    if k == 2:
+        v = np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+    elif k == 2:
         s = np.sqrt(np.diag(S))
-        return bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], S[0, 1] / (s[0] * s[1]))
-    if r == 2:
-        return _polygon_rows(U, L)
-    if k != 3:
+        v = bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], S[0, 1] / (s[0] * s[1]))
+    elif r == 2:
+        v = _polygon_rows(U, L)
+    elif k != 3:
         raise ValueError(f"no deterministic rule for a rank-{r} covariance of dimension {k}")
-    return _trivariate_rows(U, S, level)
+    else:
+        return _trivariate_rows(U, S)
+    return v, v
 
 
 def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -407,7 +529,7 @@ def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.where(dead, 0.0, np.clip(piece.sum(axis=1), 0.0, 1.0))
 
 
-def _trivariate_rows(U: np.ndarray, S: np.ndarray, level: int) -> np.ndarray:
+def _trivariate_rows(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(R <= u) for every row u of U, R ~ N(0, S) trivariate of full rank.
 
     Plackett's (1954) identity integrated along Genz's (2004) sine path:
@@ -421,29 +543,30 @@ def _trivariate_rows(U: np.ndarray, S: np.ndarray, level: int) -> np.ndarray:
     f_1i = exp(-F/2) Phi(B) is 2 pi cos(a_1i x) times the bivariate density
     of (h_1, h_i) times the conditional cdf of the third coordinate at its
     bound (Genz's PNTGND), 0 where the path's determinant is not positive.
-    The x-integral runs on the `level_edges` of [0, 1] at ``level``, plus
+    The x-integral runs on the K25 panels of `panel_edges` of [0, 1], plus
     edges at 1 - 2^-l that resolve the fall of det R(x) to a small
-    det R near x = 1.  A row with a -inf coordinate is 0; +inf coordinates
-    are dropped, which leaves the bivariate or univariate cdf of the rest
-    (`bvn_cdf`).
+    det R near x = 1, and returns the values at K25 and at G12.  A row
+    with a -inf coordinate is 0; +inf coordinates are dropped, which leaves
+    the bivariate or univariate cdf of the rest (`bvn_cdf`), the same in
+    both.
     """
     sd = np.sqrt(np.diag(S))
     H = U / sd
     C = np.clip(S / np.outer(sd, sd), -1.0, 1.0)
-    out = np.zeros(len(H))
+    out = np.zeros((2, len(H)))
     top = np.isposinf(H)
     live = ~np.any(np.isneginf(H), axis=1)
     first = np.argmax(top, axis=1)
     for i in range(3):
         a, b = [c for c in range(3) if c != i]
         rows = live & top[:, i] & (first == i)
-        out[rows] = bvn_cdf(H[rows, a], H[rows, b], C[a, b])
+        out[:, rows] = bvn_cdf(H[rows, a], H[rows, b], C[a, b])
     rows = live & ~np.any(top, axis=1)
     o = int(np.argmax(np.abs([C[1, 2], C[0, 2], C[0, 1]])))
     perm = [o] + [c for c in range(3) if c != o]
     h1, h2, h3 = H[np.ix_(rows, perm)].T
     R = C[np.ix_(perm, perm)]
-    val = ndtr(h1) * bvn_cdf(h2, h3, R[1, 2])
+    val = 2 * [ndtr(h1) * bvn_cdf(h2, h3, R[1, 2])]    # at K25 and at G12
     ang = np.arcsin([R[0, 1], R[0, 2]])
     rb = R[1, 2]
     # det R(x) falls to det R at x = 1 within about det R / -det R'(1) of
@@ -456,8 +579,8 @@ def _trivariate_rows(U: np.ndarray, S: np.ndarray, level: int) -> np.ndarray:
     layers = 0
     while layers < 52 and -slope * 0.5 ** layers > det:
         layers += 1
-    x, w = gl_panels(split_edges(level_edges(0.0, 1.0, level),
-                                 1.0 - 0.5 ** np.arange(1, layers + 1)))
+    x, wk, wg = gl_panels(split_edges(panel_edges(0.0, 1.0),
+                                      1.0 - 0.5 ** np.arange(1, layers + 1)))
     path = np.sin(np.outer(ang, x))           # rho_12(x), rho_13(x)
     cos2 = np.cos(np.outer(ang, x)) ** 2      # 1 - rho^2, without cancellation
     for i, (hi, hc) in enumerate(((h2, h3), (h3, h2))):
@@ -466,14 +589,15 @@ def _trivariate_rows(U: np.ndarray, S: np.ndarray, level: int) -> np.ndarray:
         r, rr, ra = path[i], cos2[i], path[1 - i]
         dt = rr * (rr - (ra - rb) ** 2 - 2.0 * ra * rb * (1.0 - r))
         keep = dt > 0.0
-        r, rr, ra, wk = r[keep], rr[keep], ra[keep], w[keep]
+        r, rr, ra = r[keep], rr[keep], ra[keep]
         root = np.sqrt(dt[keep])
         ft = (h1[:, None] - r * hi[:, None]) ** 2 / rr + hi[:, None] ** 2
         bt = (np.outer(hc, rr / root) + np.outer(h1, (r * rb - ra) / root)
               + np.outer(hi, (r * ra - rb) / root))
-        val = val + ang[i] / (2.0 * np.pi) * ((np.exp(-0.5 * ft) * ndtr(bt)) @ wk)
-    out[rows] = np.clip(val, 0.0, 1.0)
-    return out
+        f = ang[i] / (2.0 * np.pi) * np.exp(-0.5 * ft) * ndtr(bt)
+        val = [v + f @ w[keep] for v, w in zip(val, (wk, wg))]
+    out[:, rows] = np.clip(val, 0.0, 1.0)
+    return out[0], out[1]
 
 
 def philox(key: int, stream: int = 0) -> np.random.Generator:
@@ -488,46 +612,58 @@ def gauss_draws(rng: np.random.Generator, n: int, L: np.ndarray) -> np.ndarray:
 
 
 def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
-                     x0: float, c: float, s_breaks):
-    """The one conditioned-orthant kernel, as the rule rows(K, level, R=None)
-    -> (values, pis, errors, SEs) of int phi(x) K(|x - x0| / c) P(R <= u - g x) dx
-    for every row u of U, R ~ N(0, S = L L') independent of X ~ N(0, 1).
+                     x0: float, c: float, s_breaks, K, R=None):
+    """The one conditioned-orthant kernel: the rule of
+    int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U,
+    R ~ N(0, S = L L') independent of X ~ N(0, 1).
 
-    The order-p test rejects at scale s when |x - x0| >= c s; K is the mass
-    of the scales it rejects at (rising from 0 to at most 1, steepest near
-    the scales ``s_breaks``).  A row's x-rule is Gauss-Legendre on the
-    `level_edges` of [-TAIL_CUT, TAIL_CUT] with extra edges at x0, at
-    x0 +/- c s for each s in s_breaks and at the row's `conditional_kinks`,
-    formed here once, as no level moves them.  The orthant is
-    `orthant_rows` at every x-node or, given draws R (rows), each draw's
-    x-interval {x : g x <= u - R}, whose rule weight is averaged.  pi is
-    the integral without the orthant, the error the dropped x-mass, the SE
-    0 without draws and else at least 1/len(R), as no draw may land in a
-    rare region.
+    The order-p test rejects at scale s when |x - x0| >= c s; K(y) -> (K25,
+    G12 parts) is the mass of the scales it rejects at (rising from 0 to at
+    most 1, steepest near the scales ``s_breaks``).  A row's x-rule is a
+    `Panels` on the `panel_edges` of [-TAIL_CUT, TAIL_CUT] with extra edges
+    at x0, at x0 +/- c s for each s in s_breaks and at the row's
+    `conditional_kinks`; its components are the term and pi, the integral
+    without the orthant.  The orthant is `orthant_rows` at every x-node
+    or, given draws R (rows), the share of the draws whose x-interval
+    {x : g x <= u - R} holds the node.  Returns (panels, errors, SEs) over
+    the rows: the error is the dropped x-mass, the SE 0 without draws and
+    else that of the draws' interval weights on the first pass, at least
+    1/len(R), as no draw may land in a rare region.
     """
     s = np.asarray(s_breaks, dtype=float)
-    breaks = [[x0, *(x0 - c * s), *(x0 + c * s), *conditional_kinks(u, g, L)] for u in U]
+    base = panel_edges(-TAIL_CUT, TAIL_CUT)
+    panels, ses = [], np.zeros(len(U))
+    for j, u in enumerate(U):
+        edges = split_edges(base, [x0, *(x0 - c * s), *(x0 + c * s),
+                                   *conditional_kinks(u, g, L)])
 
-    def rows(K, level: int, R=None):
-        m = len(U)
-        vals, pis, ses = np.zeros(m), np.zeros(m), np.zeros(m)
-        base = level_edges(-TAIL_CUT, TAIL_CUT, level)
-        for j, u in enumerate(U):
-            x, wx = gl_panels(split_edges(base, breaks[j]))
-            wk = wx * norm_pdf(x) * K(np.abs(x - x0) / c)
-            pis[j] = np.sum(wk)
-            if R is None:
-                vals[j] = wk @ orthant_rows(u[None, :] - np.outer(x, g), S, L, level)
-            else:
-                lo, hi = rank1_bounds(u[None, :] - R, g)
-                cum = np.concatenate([[0.0], np.cumsum(wk)])
-                w = np.maximum(cum[np.searchsorted(x, hi, side="right")]
-                               - cum[np.searchsorted(x, lo)], 0.0)
-                vals[j] = np.mean(w)
-                ses[j] = max(float(np.std(w) / np.sqrt(w.size)), 1.0 / w.size)
-        return vals, pis, np.full(m, 2.0 * float(ndtr(-TAIL_CUT))), ses
+        if R is None:
+            def orthant(x, u=u):
+                return orthant_rows(u[None, :] - np.outer(x, g), S, L)
+        else:
+            lo, hi = rank1_bounds(u[None, :] - R, g)
+            hit = lo <= hi
+            lo_s, hi_s, n = np.sort(lo[hit]), np.sort(hi[hit]), len(R)
 
-    return rows
+            def orthant(x, lo_s=lo_s, hi_s=hi_s, n=n):
+                share = (np.searchsorted(lo_s, x, side="right")
+                         - np.searchsorted(hi_s, x, side="left")) / n
+                return share, share
+
+            x, wk, _ = gl_panels(edges)
+            cum = np.concatenate([[0.0], np.cumsum(wk * norm_pdf(x) * K(np.abs(x - x0) / c)[0])])
+            w = np.maximum(cum[np.searchsorted(x, hi, side="right")]
+                           - cum[np.searchsorted(x, lo)], 0.0)
+            ses[j] = max(float(np.std(w) / np.sqrt(n)), 1.0 / n)
+
+        def f(x, orthant=orthant):
+            pdf = norm_pdf(x)
+            kk, kg = (pdf * m for m in K(np.abs(x - x0) / c))
+            ok, og = orthant(x)
+            return np.array([kk * ok, kk]), np.array([kg * og, kg])
+
+        panels.append(Panels(f, edges))
+    return panels, np.full(len(U), 2.0 * float(ndtr(-TAIL_CUT))), ses
 
 
 def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
@@ -540,22 +676,22 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     whose conditional orthant is a rank-2 polygon, and at rank >= 4 on one
     seeded sample of n_samples draws (Philox key (0, 0) unless ``rng`` is
     given) shared by all rows.  There is no refinement loop: every panel
-    rule runs at level 1 (24 panels), fine enough that its error is at
-    rounding level.  Returns (probabilities, standard_errors):
-    0 where deterministic, else at least 1/n_samples.
+    rule runs one K25 pass, whose error is at rounding level.  Returns
+    (probabilities, standard_errors): 0 where deterministic, else at least
+    1/n_samples.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     m, k = U.shape
     L = psd_factor(cov)
     if not needs_sampling(k, L.shape[1]):
-        return orthant_rows(U, cov, L, 1), np.zeros(m)
+        return orthant_rows(U, cov, L)[0], np.zeros(m)
     j = int(np.argmax(np.diag(cov)))
     g, S, L = condition_on_scalar(cov, cov[:, j], float(cov[j, j]))
     rng = philox(0) if rng is None else rng
     R = gauss_draws(rng, n_samples, L) if needs_sampling(k, L.shape[1]) else None
-    vals, _, _, se = conditional_rows(U, g, S, L, 0.0, 1.0, ())(np.ones_like, 1, R)
-    return vals, se
+    panels, _, se = conditional_rows(U, g, S, L, 0.0, 1.0, (), lambda y: (1.0, 1.0), R)
+    return np.array([p.total[0] for p in panels]), se
 
 
 def gaussian_rect(upper: np.ndarray, cov: np.ndarray, *, rng=None,

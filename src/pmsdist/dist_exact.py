@@ -17,7 +17,7 @@ design record of X'X/n (`regression_core.projection_quantities`) and the
 shifts and drifts of `regression_core.local_shift_constants`, and the
 later-stage factors prod_{q > p} Delta_q (`tail_products`, shared with
 the limit paths at scale 1) are taken at each scale node.  The outer
-scale integral runs over equal-mass Gauss-Legendre panels of the
+scale integral runs over equal-mass Gauss-Kronrod panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
 
 Every order-p integrand depends on z only through the orthant {z <= u}
@@ -26,12 +26,12 @@ so z is conditioned once per order on X = W / sd(W): z = g X + R, with R
 of conditional rank r.  The test rejects at scale s when
 |X - x0| >= s c_p, and r alone picks how the term is evaluated.  At
 r = 0 (z = g X) the orthant is an x-interval, and the term is its mass
-outside the two rays at each node of the level's one scale grid, in
-closed form; the grid has an edge wherever a ray crosses an interval
-end.  Otherwise the test rejects at every scale up to |X - x0| / c_p, so
-the scale integral becomes a cumulative scale mass read at each X node,
-and the term integrates it against phi(X) times the conditional orthant
-probability on Gauss-Legendre panels in X.  Their edges bracket the
+outside the two rays at each node of the one scale grid, in closed form;
+the grid has an edge wherever a ray crosses an interval end.  Otherwise
+the test rejects at every scale up to |X - x0| / c_p, so the scale
+integral becomes a cumulative scale mass read at each X node, and the
+term integrates it against phi(X) times the conditional orthant
+probability on Gauss-Kronrod panels in X.  Their edges bracket the
 kinks of that probability and the near-step the scale mass becomes at
 large dof.  The conditional orthant is a rank-1 interval, a bivariate
 normal cdf (k = 2), for r = 2 at any k >= 3 a bivariate normal over a
@@ -45,31 +45,32 @@ and unconditional rank >= 4.
 Every cdf evaluator of the package, these and the limit ones of
 `dist_limit`, forms its result the same way: per-order parts in a
 `TermTrace` (pi(p) G(t | p), pi(p), error bounds and three sampling
-standard errors, each at least 1/n_z), refined by `_gauss.refine`, and
-`cdf_result`, the one error budget: refinement gap, truncated mass, the
-defect of sum pi(p) from 1, sampling error and a 1e-14 rounding floor.
-The exact cdf's method string is
-"mixture-formula;levels=l;n_z=...;seed=...;k=...": the last refinement
-level l fixes every panel count of the scale, x and trivariate rules
-(`_gauss.level_edges`).  Identical query + budget + seed replays
+standard errors, each at least 1/n_z), read from K25 panel rules that
+`_gauss.refine` bisects where their |K25 - G12| estimates are large, and
+`cdf_result`, the one error budget: the summed estimates, dropped mass,
+the defect of sum pi(p) from 1 (which carries the truncated scale mass),
+sampling error and a 1e-14 rounding floor.  The exact cdf's method string
+is "mixture-formula;levels=l;n_z=...;seed=...;k=...", l the rounds of
+bisection `refine` ran.  Identical query + budget + seed replays
 bit-identically.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
 
 from ._gauss import (
+    Panels,
     condition_on_scalar,
     conditional_rows,
     cumulative_rule,
     gauss_draws,
     gaussian_rect,
-    gl_panels,
-    level_edges,
     needs_sampling,
+    panel_edges,
     philox,
     rank1_bounds,
     ray_interval_prob,
@@ -96,9 +97,9 @@ __all__ = [
 ]
 
 # The scale grid: equal-mass panels of the ratio density between these
-# quantiles; the mass outside them is reported as truncation error.
+# quantiles; the mass outside them is missing from sum pi(p), whose defect
+# from 1 `cdf_result` charges, once.
 _S_Q_LO, _S_Q_HI = 1e-12, 1.0 - 1e-10
-_S_TRUNC = _S_Q_LO + (1.0 - _S_Q_HI)
 # Ratio-density quantiles whose scales x0 +/- c_p s become x-edges of the
 # `conditional_rows` rule: at large dof K_p(|x - x0| / c_p) is a near-step,
 # and these edges bracket it.
@@ -172,12 +173,12 @@ class SigmaRatioDensity:
 class AccuracyBudget:
     """Accuracy settings for the cdf evaluators: three fields.
 
-    tol is the absolute quadrature target; `_gauss.refine` raises the
-    refinement level, each of which doubles every panel count
-    (`_gauss.level_edges`), until successive totals differ by less than
-    tol/2, the sampling error alone exceeds tol, or its last level is
-    spent, and a result whose error bound exceeds tol is flagged.  The
-    method string records the last level as ``levels=``.  n_z Gaussian
+    tol is the absolute quadrature target: every panel rule runs one
+    Gauss-Kronrod pass, and `_gauss.refine` bisects the panels with large
+    |K25 - G12| estimates until the summed estimate is below tol/2, the
+    sampling error alone exceeds tol, or its last round is spent; a result
+    whose error bound exceeds tol is flagged.  The method string records
+    the rounds of bisection as ``levels=``.  n_z Gaussian
     samples, keyed by seed (both integers), drive the sampled integrals, which remain only for
     targets with k >= 4 rows: orthants of rank >= 3 left after conditioning
     and unconditional ones of rank >= 4, in `cdf_exact` and the limit paths
@@ -285,17 +286,23 @@ def tail_products(dq: LimitQuantities, sigma: float, nu, c_of, p0: int, s=1.0):
     return tail
 
 
-def cdf_result(trace: TermTrace, gap: float, level: int, budget: AccuracyBudget,
+def cdf_result(trace: TermTrace, gap: float, rounds: int, budget: AccuracyBudget,
                name: str, k: int) -> CdfResult:
     """The one way a cdf result is formed, from a trace `_gauss.refine` returned.
 
     The error budget is abs_error = gap + sum(errors) + |1 - sum(weights)|
-    + sum(sampling) + the 1e-14 rounding floor, gap being the last
-    refinement step.  A gap of at least tol/2 with the sampling error
-    within tol means refinement ran out of levels; otherwise any abs_error
-    above tol is flagged.  The method string names the evaluation,
-    "{name};levels={level};n_z=...;seed=...;k={k}", the last level and
-    the budget fixing every panel count and sample.
+    + sum(sampling) + the 1e-14 rounding floor, gap being the summed
+    |K25 - G12| estimates of the panel rules.  A gap of at least tol/2 with
+    the sampling error within tol means refinement ran out of rounds;
+    otherwise any abs_error above tol is flagged.  The method string names
+    the evaluation, "{name};levels={rounds};n_z=...;seed=...;k={k}", the
+    rounds of bisection, which with the budget fix every panel and sample.
+
+    The weights sum to 1 up to quadrature, sampling and any mass the
+    evaluation drops.  The exact cdf drops the scale mass outside its
+    grid, and nothing else charges it: at each scale the order terms are
+    probabilities of disjoint events, so they sum to at most 1, and the
+    truncated scale mass bounds the total's truncation error once.
     """
     total = float(trace.total)
     sampling = float(np.sum(trace.sampling))
@@ -306,7 +313,7 @@ def cdf_result(trace: TermTrace, gap: float, level: int, budget: AccuracyBudget,
         warning = "refinement budget exhausted before reaching tol"
     elif abs_error > budget.tol:
         warning = f"abs_error {abs_error:.2e} exceeds tol {budget.tol:.2e}"
-    method = f"{name};levels={level};n_z={budget.n_z};seed={budget.seed};k={k}"
+    method = f"{name};levels={rounds};n_z={budget.n_z};seed={budget.seed};k={k}"
     return CdfResult(value=float(np.clip(total, 0.0, 1.0)), abs_error=abs_error,
                      method=method, clamped=not (0.0 <= total <= 1.0),
                      warning=warning, term_trace=trace)
@@ -354,10 +361,11 @@ class _ExactEngine:
                 lo, hi = rank1_bounds((query.t - self.shift[p])[None, :], g)
                 self.rank0[p] = (float(lo[0]), float(hi[0]), -self.nu[p] / sw, float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
-        self._rules: dict = {}   # order -> `conditional_rows` rule, built on first use
+        self._grid: Panels | None = None
+        self._orders: dict[int, tuple[Panels, float, float]] = {}
 
-    # ---- sampled draws for k >= 4 terms (one draw per order, reused
-    # across refinement levels so refinement measures quadrature only) ----
+    # ---- sampled draws for k >= 4 terms (one draw per order, shared by
+    # every bisection so refinement measures quadrature only) ----
     def _z_sample(self, p: int) -> tuple[np.ndarray]:
         """(R,): n_z draws, keyed by (seed, p), of R = z - g X ~ N(0, S_p),
         the part of z the split of `__init__` leaves after conditioning."""
@@ -367,45 +375,60 @@ class _ExactEngine:
         return self._z_cache[p]
 
     # ---- scale grid ----
-    def _s_edges(self, level: int) -> np.ndarray:
-        return self.ratio.ppf(level_edges(_S_Q_LO, _S_Q_HI, level))
+    @cached_property
+    def _s_edges(self) -> np.ndarray:
+        return self.ratio.ppf(panel_edges(_S_Q_LO, _S_Q_HI))
 
-    def _s_grid(self, level: int, breaks):
-        s, w = gl_panels(split_edges(self._s_edges(level), breaks))
-        return s, w * self.ratio.pdf(s)
+    def _s_grid(self) -> Panels:
+        """The one scale grid's `Panels`: components the core's term and each
+        rank-0 order's (`_term_k1`), then their weights, with an edge
+        wherever a ray of a rank-0 order crosses an end of its x-interval."""
+        O, core = self.problem.O, self.core[0]
+        crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
+                     for end in (lo, hi) if np.isfinite(end)]
 
-    def _scale_mass(self, p: int, level: int):
-        """K(y), the integral of pdf(s) tail_p(s) over s <= y.
+        def f(s):
+            pdf = self.ratio.pdf(s)
+            tail = tail_products(self.design, self.sigma, self.nu, self.c, O, s)
+            terms = [(core * pdf * tail[O], pdf * tail[O])]
+            terms += [self._term_k1(p, s, pdf * tail[p]) for p in self.rank0]
+            parts = np.array([v for v, _ in terms] + [w for _, w in terms])
+            return parts, parts
 
-        K is read through `cumulative_rule` on the level's `_s_edges`, so
-        it costs one partial panel per argument.
+        return Panels(f, split_edges(self._s_edges, crossings), terms=1 + len(self.rank0))
+
+    def _scale_mass(self, p: int):
+        """K(y), the integral of pdf(s) tail_p(s) over s <= y, as its K25 and
+        G12 parts.
+
+        K is read through `cumulative_rule` on `_s_edges`, so it costs one
+        partial panel per argument.
         """
         def f(s):
             tail = tail_products(self.design, self.sigma, self.nu, self.c, p, s)
             return self.ratio.pdf(s) * tail[p]
 
-        return cumulative_rule(f, self._s_edges(level))
+        return cumulative_rule(f, self._s_edges)
 
     # ---- conditional rank 0: two rays in the selection scalar ----
     def _term_k1(self, p: int, s: np.ndarray, wt: np.ndarray):
-        """(value, pi_value, error) of a rank-0 order p on the level's scale grid.
+        """(value, pi_value) integrands of a rank-0 order p at the scale nodes s.
 
         The arm of every order whose z is a multiple g X of its selection
         scalar, for any k (the name predates that; `benchmarks/spans.py`
         traces it).  z <= u holds on an x-interval [lo, hi], and at scale s
         the order-p test rejects outside (x0 - c_p s, x0 + c_p s), so the
         inner expectation is `ray_interval_prob` at every scale node s and
-        pi(p) is the same on the whole line.  wt holds the grid weights
-        times pdf(s) tail_p(s); the error is the truncated scale mass.
+        pi(p) is the same on the whole line.  wt holds pdf(s) tail_p(s).
         """
         lo, hi, x0, c = self.rank0[p]
         a, b = x0 - c * s, x0 + c * s
-        return (float(np.sum(wt * ray_interval_prob(lo, hi, a, b))),
-                float(np.sum(wt * ray_interval_prob(-np.inf, np.inf, a, b))), _S_TRUNC)
+        return (wt * ray_interval_prob(lo, hi, a, b),
+                wt * ray_interval_prob(-np.inf, np.inf, a, b))
 
     # ---- the scale integral folded into the selection scalar ----
-    def _conditional_term(self, p: int, level: int, R=None):
-        """(value, pi_value, error, se) of the order-p term with the integrals swapped.
+    def _conditional_term(self, p: int, R=None) -> tuple[Panels, float, float]:
+        """(panels, error, se) of the order-p term with the integrals swapped.
 
         With W = b_p'z + sigma zeta_p e (e standard normal, independent of
         z), 1 - Delta(sigma zeta_p, nu_p + b_p'z, B) = P(|nu_p + W| >= B | z).
@@ -420,45 +443,53 @@ class _ExactEngine:
         and pi(p) is the same integral without the orthant, at u = t -
         shift_p: the order's `conditional_rows` rule on the split of
         `__init__`, with edges at the `_STEP_Q` quantiles of the ratio
-        density, read with the level's K_p and against the draws R if
-        given.  The error adds the truncated scale mass.
+        density, against the draws R if given.  The panels' totals are the
+        term and pi(p), the error the dropped x-mass.
         """
-        if p not in self._rules:
-            g, S, L = self.split[p]
-            self._rules[p] = conditional_rows(
-                (self.query.t - self.shift[p])[None, :], g, S, L,
-                -self.nu[p] / (self.sigma * self.design.xi(p)), self.c[p], self.s_step)
-        vals, pis, errs, ses = self._rules[p](self._scale_mass(p, level), level, R)
-        return float(vals[0]), float(pis[0]), _S_TRUNC + float(errs[0]), float(ses[0])
+        g, S, L = self.split[p]
+        panels, errs, ses = conditional_rows(
+            (self.query.t - self.shift[p])[None, :], g, S, L,
+            -self.nu[p] / (self.sigma * self.design.xi(p)), self.c[p], self.s_step,
+            self._scale_mass(p), R)
+        return panels[0], float(errs[0]), float(ses[0])
 
-    def _term_sampled(self, p: int, level: int):
-        """(value, pi_value, error, se) of an order whose conditional orthant
+    def _term_sampled(self, p: int):
+        """(panels, error, se) of an order whose conditional orthant
         `needs_sampling`, on the draws of `_z_sample`."""
-        return self._conditional_term(p, level, self._z_sample(p)[0])
+        return self._conditional_term(p, self._z_sample(p)[0])
 
-    # ---- one full assembly at a given refinement level, for `refine` ----
-    def assemble(self, level: int) -> TermTrace:
+    # ---- the rules, built once, and the trace `refine` reads from them ----
+    def panels(self) -> list[Panels]:
+        """Every panel rule of the cdf: the scale grid and one per order of
+        conditional rank >= 1, made on first use."""
+        if self._grid is None:
+            self._grid = self._s_grid()
+            for p in range(self.problem.O + 1, self.problem.P + 1):
+                if p in self.rank0:
+                    continue
+                if needs_sampling(self.k, self.split[p][2].shape[1]):
+                    self._orders[p] = self._term_sampled(p)
+                else:
+                    self._orders[p] = self._conditional_term(p)
+        return [self._grid, *(panels for panels, _, _ in self._orders.values())]
+
+    def assemble(self) -> TermTrace:
+        """The trace of the rules' current sums."""
         P, O = self.problem.P, self.problem.O
-        # one scale grid, with an edge wherever a ray of a rank-0 order
-        # crosses an end of its x-interval
-        crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
-                     for end in (lo, hi) if np.isfinite(end)]
-        s, w = self._s_grid(level, crossings)
-        tail = tail_products(self.design, self.sigma, self.nu, self.c, O, s)
-        # terms, weights, errors and sampling errors of orders O..P; the
-        # order-O core carries the truncated scale mass
+        self.panels()
+        grid = self._grid.total
+        n = grid.size // 2
+        # terms, weights, errors and sampling errors of orders O..P
         parts = np.zeros((4, P - O + 1))
-        core, core_se = self.core
-        w_tail = float(np.sum(w * tail[O]))
-        parts[:, 0] = core * w_tail, w_tail, _S_TRUNC, 3.0 * core_se * w_tail
+        parts[:2, 0] = grid[0], grid[n]
+        parts[3, 0] = 3.0 * self.core[1] * grid[n]
+        rank0 = {p: i for i, p in enumerate(self.rank0, start=1)}
         for i, p in enumerate(range(O + 1, P + 1), start=1):
-            if p in self.rank0:
-                parts[:3, i] = self._term_k1(p, s, w * tail[p])
-            elif not needs_sampling(self.k, self.split[p][2].shape[1]):
-                parts[:3, i] = self._conditional_term(p, level)[:3]
+            if p in rank0:
+                parts[:2, i] = grid[rank0[p]], grid[n + rank0[p]]
             else:
-                value, pi, err, se = self._term_sampled(p, level)
-                parts[:, i] = value, pi, err, 3.0 * se
+                panels, err, se = self._orders[p]
+                parts[:, i] = *panels.total, err, 3.0 * se
         return TermTrace(tuple(range(O, P + 1)), *parts)
 
 
@@ -475,5 +506,5 @@ def cdf_exact(problem: RegressionProblem, query: CdfQuery,
     """
     budget = budget or AccuracyBudget()
     engine = _ExactEngine(problem, query, budget)
-    return cdf_result(*refine(engine.assemble, budget.tol, True), budget,
-                      "mixture-formula", engine.k)
+    trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()], budget.tol)
+    return cdf_result(trace, gaps[0], rounds, budget, "mixture-formula", engine.k)

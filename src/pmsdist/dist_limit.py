@@ -22,8 +22,8 @@ evaluates the mixture-of-shifted-Gaussians integral form directly, with
 its own shift constants and each term conditioned on b_p'Z, and exists
 purely to cross-check the first.  Both build the per-order parts of a
 `dist_exact.TermTrace` (pi(p) is the chance that order p is selected),
-refine them through `_gauss.refine` and form their result with
-`dist_exact.cdf_result`, as the exact cdf does; the n_z seeded draws
+read from panel rules that `_gauss.refine` bisects, and form their result
+with `dist_exact.cdf_result`, as the exact cdf does; the n_z seeded draws
 enter only at k >= 4 with conditional rank >= 3 (unconditional rank >= 4),
 once per order (`_rule_rows`).
 """
@@ -35,6 +35,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._gauss import (
+    GINV_REL_TOL,
     bvn_cdf,
     condition_on_scalar,
     conditional_rows,
@@ -128,8 +129,9 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     x0 = -nu / sd(W) and c = B / sd(W): at r = 0 (Z = g X, also a Z of
     zero variance) the rows' x-intervals meet the rays in closed form
     (`ray_interval_prob`); otherwise `_rule_rows` (keyed by ``key``).
-    Returns (rows, quad): rows(level) -> (values, pis, errors, sampling
-    errors), pi = P(|W + nu| >= B) being the value without the orthant.
+    Returns (rows, panels): rows() -> (values, pis, errors, sampling
+    errors), pi = P(|W + nu| >= B) being the value without the orthant,
+    read from the rows' `Panels` (one per row; none for a closed form).
     """
     m, k = U.shape
     sw = np.sqrt(var_w)
@@ -144,36 +146,38 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     else:
         g, S, L = condition_on_scalar(cov_z, cov_zw, var_w)
         if L.shape[1] > 0:
-            return _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, key, n_z), True
+            return _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, key, n_z)
         lo, hi = rank1_bounds(U, g)
         vals = ray_interval_prob(lo, hi, w_lo / sw, w_hi / sw)
     pi = ray_interval_prob(-np.inf, np.inf, w_lo / sw, w_hi / sw)
-    return (lambda level: (vals, pi, 0.0, 0.0)), False
+    return (lambda: (vals, pi, 0.0, 0.0)), []
 
 
 def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
-    """rows(level) -> (values, pis, errors, sampling errors) of
-    int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U,
-    pi being the integral without the orthant.
+    """(rows, panels) of int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for
+    every row u of U: rows() -> (values, pis, errors, sampling errors) reads
+    the rows' `Panels`, pi being the integral without the orthant.
 
     R ~ N(0, L L') (`condition_on_scalar`); K(y) = 1 - Delta(rho, y, 1),
     the step 1{y >= 1} at rho = 0, turns at y = 1 + rho z for z in
     `_TURN_Z`, which are x-edges of the rows' `conditional_rows` rule.  The
     rule and, where the conditional orthant `needs_sampling`, n_z draws of
-    R keyed by philox(*key) are made once, for every level; the draws'
-    error is 3 SE.
+    R keyed by philox(*key) are made once, for every round of bisection;
+    the draws' error is 3 SE.
     """
     R = gauss_draws(philox(*key), n_z, L) if needs_sampling(*L.shape) else None
-    rule = conditional_rows(U, g, S, L, x0, c, 1.0 + rho * _TURN_Z)
 
     def K(y):
-        return 1.0 - delta(rho, y, 1.0)
+        mass = 1.0 - delta(rho, y, 1.0)
+        return mass, mass
 
-    def rows(level):
-        vals, pis, errs, ses = rule(K, level, R)
+    panels, errs, ses = conditional_rows(U, g, S, L, x0, c, 1.0 + rho * _TURN_Z, K, R)
+
+    def rows():
+        vals, pis = np.array([p.total for p in panels]).T
         return vals, pis, errs, 3.0 * ses
 
-    return rows
+    return rows, panels
 
 
 def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
@@ -182,7 +186,7 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
 
     nu[p] and c_of[p] are the drift and critical value of order p.  Returns
     (totals, trace of orders p_star..P with a trailing axis of rows,
-    refinement gaps, level).
+    summed estimates per row, rounds of bisection run).
     """
     P, k, m = limits.P, limits.k, T.shape[0]
     tails = tail_products(limits, sigma, nu, c_of, p_star)
@@ -203,17 +207,17 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
                             budget.n_z)
              for p in range(p_star + 1, P + 1)}
 
-    def at_level(level):
+    def assemble():
         parts = np.empty((4, P - p_star + 1, m))
         parts[:, 0] = core
         for i, p in enumerate(range(p_star + 1, P + 1), start=1):
-            parts[0, i], parts[1, i], parts[2, i], parts[3, i] = joint[p][0](level)
+            parts[0, i], parts[1, i], parts[2, i], parts[3, i] = joint[p][0]()
             parts[:, i] *= tails[p]
         return TermTrace(tuple(range(p_star, P + 1)), *parts)
 
-    trace, gaps, level = refine(at_level, budget.tol,
-                                any(quad for _, quad in joint.values()))
-    return trace.total, trace, gaps, level
+    trace, gaps, rounds = refine(assemble, [panels for _, panels in joint.values() if panels],
+                                 budget.tol)
+    return trace.total, trace, gaps, rounds
 
 
 def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
@@ -226,10 +230,10 @@ def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     """
     budget = budget or AccuracyBudget()
     t, consts = _limit_query(limits, alt, t, rule)
-    _, trace, gaps, level = _cdf_limit_rows(
+    _, trace, gaps, rounds = _cdf_limit_rows(
         limits, consts.p_star, consts.nu, alt.sigma, rule.critical_values(limits.O),
         t[None, :], budget)
-    return cdf_result(trace.row(0), gaps[0], level, budget, "representation", limits.k)
+    return cdf_result(trace.row(0), gaps[0], rounds, budget, "representation", limits.k)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +252,10 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     nu_p + b_p'Z, B_p))] conditions Z on b_p'Z (`_rule_rows`), which is
     deterministic up to k = 3 and at conditional rank <= 2 (a rank-2
     orthant is a polygon in closed form), and samples only the conditional
-    orthant at k >= 4 with conditional rank >= 3; the terms are refined together
-    (`refine`).  Like `cdf_limit`, the result carries the per-order
-    term_trace and a warning when its error bound misses budget.tol.
+    orthant at k >= 4 with conditional rank >= 3; the terms' rules are
+    bisected together (`refine`).  Like `cdf_limit`, the result carries the
+    per-order term_trace and a warning when its error bound misses
+    budget.tol.
     """
     budget = budget or AccuracyBudget()
     P, k = limits.P, limits.k
@@ -260,7 +265,7 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     tails = tail_products(limits, sigma, consts.nu, c_of, p_star)
 
     # terms, weights, errors and sampling errors of orders p_star..P; the
-    # orders without a rule are fixed across levels
+    # orders without a rule are fixed across rounds
     fixed = np.zeros((4, P - p_star + 1))
     core, core_se = gaussian_rect(t - consts.beta[p_star], sigma ** 2 * limits.omega(p_star),
                                   rng=philox(budget.seed + 31), n_samples=budget.n_z)
@@ -287,55 +292,69 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
         rules[i] = _rule_rows(u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
                               sigma * zeta_p / B, (budget.seed + 63, p), budget.n_z)
 
-    def at_level(level):
+    def assemble():
         parts = fixed.copy()
-        for i, rows in rules.items():
-            parts[:, i] = [v[0] for v in rows(level)]
+        for i, (rows, _) in rules.items():
+            parts[:, i] = [v[0] for v in rows()]
             parts[:, i] *= tails[p_star + i]
         return TermTrace(tuple(range(p_star, P + 1)), *parts)
 
-    trace, gap, level = refine(at_level, budget.tol, bool(rules))
-    return cdf_result(trace, gap, level, budget, "mixture-integral", k)
+    trace, gaps, rounds = refine(assemble, [panels for _, panels in rules.values()],
+                                 budget.tol)
+    return cdf_result(trace, gaps[0], rounds, budget, "mixture-integral", k)
 
 
-def _mvn_pdf(v: np.ndarray, cov: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise DensityUndefinedError("component covariance is singular")
-    q = float(v @ np.linalg.solve(cov, v))
-    k = v.size
-    return float(np.exp(-0.5 * q - 0.5 * logdet - 0.5 * k * np.log(2.0 * np.pi)))
+def _gaussian_density(cov: np.ndarray):
+    """v -> the N(0, cov) density at v, read from the eigenvalues of cov.
+
+    A covariance whose smallest eigenvalue is at most GINV_REL_TOL times
+    its largest (the package's generalized-inverse cutoff) is singular and
+    raises DensityUndefinedError.  The gate and the density read the same
+    eigenvalues, so a covariance that passes cannot give rounding noise.
+    """
+    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
+    if lam[0] <= GINV_REL_TOL * max(lam[-1], 0.0):
+        raise DensityUndefinedError(
+            f"component covariance is singular (eigenvalues {lam[0]:.3e} to {lam[-1]:.3e})")
+    log_norm = -0.5 * (float(np.sum(np.log(lam))) + lam.size * np.log(2.0 * np.pi))
+
+    def density(v: np.ndarray) -> float:
+        z = vec.T @ v
+        return float(np.exp(log_norm - 0.5 * np.sum(z * z / lam)))
+
+    return density
 
 
 def pdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
               rule: GeneralToSpecific) -> float:
     """Density of the limit distribution at t.
 
-    Defined when p_star > 0 and the first p_star target columns have full
-    row rank (every mixture component is then absolutely continuous);
+    Defined when p_star > 0 and every mixture component's covariance
+    sigma^2 omega(p), p >= p_star, is nonsingular by `_gaussian_density`'s
+    eigenvalue test (the components are then absolutely continuous);
     otherwise raises DensityUndefinedError.  It is 0 at a t with an
     infinite coordinate.
     """
     t, consts = _limit_query(limits, alt, t, rule)
     sigma = alt.sigma
     p_star = consts.p_star
-    if p_star == 0 or np.linalg.matrix_rank(limits.A[:, :p_star]) < limits.k:
-        raise DensityUndefinedError(
-            "density requires p_star > 0 and a full-row-rank leading target block")
+    if p_star == 0:
+        raise DensityUndefinedError("density requires p_star > 0: order 0 is a point mass")
+    density = {p: _gaussian_density(sigma ** 2 * limits.omega(p))
+               for p in range(p_star, limits.P + 1)}
 
     if not np.all(np.isfinite(t)):
         return 0.0   # every component density vanishes there
     c_of = rule.critical_values(limits.O)
     tails = tail_products(limits, sigma, consts.nu, c_of, p_star)
 
-    val = _mvn_pdf(t - consts.beta[p_star],
-                   sigma ** 2 * limits.omega(p_star)) * tails[p_star]
+    val = density[p_star](t - consts.beta[p_star]) * tails[p_star]
     for p in range(p_star + 1, limits.P + 1):
         v = t - consts.beta[p]
         a = consts.nu[p] + float(limits.b(p) @ v)
         B = c_of[p] * sigma * limits.xi(p)
         one_minus = 1.0 - float(delta(sigma * limits.zeta(p), a, B))
-        val += one_minus * _mvn_pdf(v, sigma ** 2 * limits.omega(p)) * tails[p]
+        val += one_minus * density[p](v) * tails[p]
     return float(val)
 
 

@@ -37,6 +37,13 @@ QUICK = AccuracyBudget(tol=1e-4, n_z=20_000, seed=0)
 E1 = np.array([[1.0, 0.0]])
 
 
+def _term(engine, p, sampled=False):
+    """(value, pi, error, se) of order p's `conditional_rows` rule as it
+    stands: after its first pass unless its panels were bisected since."""
+    panels, err, se = engine._term_sampled(p) if sampled else engine._conditional_term(p)
+    return (*panels.total, err, se)
+
+
 def _query(fx, t, theta=None, sigma=None):
     return CdfQuery(A=fx.A, t=t,
                     theta=fx.problem.theta if theta is None else theta,
@@ -134,7 +141,8 @@ def test_engine_shifts_and_drifts_are_the_projection_means():
 def test_nearly_collinear_design_keeps_its_value():
     # cond(X'X/n) is about 3e14: too ill-conditioned for the limit Gram's
     # positive definiteness gate, but the finite-n law is well defined and
-    # its value is frozen
+    # its value is frozen (the K25 values, within 1e-13 of 48-panel
+    # Gauss-Legendre rules)
     rng = np.random.default_rng(7)
     n = 200
     x2 = rng.standard_normal(n)
@@ -144,11 +152,32 @@ def test_nearly_collinear_design_keeps_its_value():
     with pytest.raises(ValidationError):
         limit_quantities(problem.gram, np.eye(3)[:2], problem.O)
     rule = GeneralToSpecific(critical=(2.0, 2.0))
-    for A, t, want in ((np.array([[1.0, 0.0, 0.0]]), [0.3], 0.619730120937688),
-                       (np.eye(3)[:2], [0.3, -0.2], 0.30112547748222585)):
+    for A, t, want in ((np.array([[1.0, 0.0, 0.0]]), [0.3], 0.6197301209392971),
+                       (np.eye(3)[:2], [0.3, -0.2], 0.3011254774830683)):
         res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
         assert res.warning is None
         assert abs(res.value - want) <= 1e-15, (res.value, want)
+
+
+def test_scale_truncation_is_charged_once(monkeypatch):
+    # at each scale the order terms are probabilities of disjoint events, so
+    # the scale mass outside the grid (1.01e-10) bounds the total's
+    # truncation error once: widening the grid moves the value by at most
+    # that mass, which abs_error carries in |1 - sum pi(p)| and nowhere else
+    import pmsdist.dist_exact as dist_exact
+
+    trunc = dist_exact._S_Q_LO + (1.0 - dist_exact._S_Q_HI)
+    problem, A, rule = _p4_k3_case()
+    query = CdfQuery(A=A, t=P4_GRID[0], theta=problem.theta, sigma=1.0, rule=rule)
+    res = cdf_exact(problem, query)
+    tr = res.term_trace
+    assert np.sum(tr.errors) < 1e-17 and abs(1.0 - np.sum(tr.weights) - trunc) < 1e-13, tr
+    assert res.abs_error < 3.0 * trunc, res
+    monkeypatch.setattr(dist_exact, "_S_Q_LO", 1e-15)
+    monkeypatch.setattr(dist_exact, "_S_Q_HI", 1.0 - 1e-13)
+    wide = cdf_exact(problem, query)
+    assert abs(1.0 - np.sum(wide.term_trace.weights)) < 1e-12, wide
+    assert abs(wide.value - res.value) <= trunc, (wide, res)
 
 
 def test_replay_is_bit_identical():
@@ -285,8 +314,8 @@ def test_k2_term_agrees_with_sampled_term():
             dq = engine.design
             for p in range(problem.O + 1, problem.P + 1):
                 ranks.add(condition_on_scalar(dq.omega(p), dq.C(p), dq.xi(p) ** 2)[2].shape[1])
-                det, _, det_err = engine._conditional_term(p, 0)[:3]
-                val, _, err, se = engine._term_sampled(p, 0)
+                det, _, det_err = _term(engine, p)[:3]
+                val, _, err, se = _term(engine, p, sampled=True)
                 assert abs(det - val) <= 3.0 * se + err + det_err, \
                     f"order {p} at t={t}: {det} vs {val} +- {se}"
     assert ranks == {0, 1, 2}
@@ -318,7 +347,7 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     want, _ = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)
-    got, _, _ = engine._conditional_term(p, 0)[:3]
+    got, _, _ = _term(engine, p)[:3]
     assert abs(got - want) <= 1e-11, (got, want)
 
 
@@ -347,7 +376,7 @@ def test_k1_term_matches_adaptive_quadrature(name, t):
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     want, _ = quad(inner, lo, hi, points=engine.s_step, epsabs=1e-14, epsrel=1e-12, limit=200)
-    got, _, _ = engine._conditional_term(p, 0)[:3]
+    got, _, _ = _term(engine, p)[:3]
     assert abs(got - want) <= 1e-11, (got, want)
 
 
@@ -365,8 +394,9 @@ def _two_ray_cases():
 
 def _total(engine):
     """(unclamped total, abs_error) of an engine, as `cdf_exact` refines it."""
-    res = cdf_result(*refine(engine.assemble, engine.budget.tol, True), engine.budget,
-                     "mixture-formula", engine.k)
+    trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()],
+                                 engine.budget.tol)
+    res = cdf_result(trace, gaps[0], rounds, engine.budget, "mixture-formula", engine.k)
     return float(res.term_trace.total), res.abs_error
 
 
@@ -407,20 +437,20 @@ def test_orders_dispatch_on_conditional_rank(monkeypatch, case, arms):
                       ("sampled", "_term_sampled")):
         def spy(self, p, *args, _arm=arm, _original=getattr(_ExactEngine, name)):
             # `_term_sampled` reads `_conditional_term` with its draws
-            if _arm != "orthant" or len(args) == 1:
+            if _arm != "orthant" or not args:
                 taken.setdefault(p, set()).add(_arm)
             return _original(self, p, *args)
         monkeypatch.setattr(_ExactEngine, name, spy)
     budget = AccuracyBudget(n_z=2_000)
     query = CdfQuery(A=A, t=np.full(A.shape[0], 0.3), theta=problem.theta, sigma=1.0, rule=rule)
     engine = _ExactEngine(problem, query, budget)
-    engine.assemble(0)
+    engine.assemble()
     assert taken == {p: {arm} for p, arm in arms.items()}
     for p, arm in arms.items():
         dq = engine.design
-        _, quad = _joint_rows(query.t[None, :], dq.omega(p), dq.C(p), dq.xi(p) ** 2,
-                              0.3, 2.0 * dq.xi(p), (0, 0), budget.n_z)
-        assert quad == (arm != "two_ray"), (p, arm)
+        _, panels = _joint_rows(query.t[None, :], dq.omega(p), dq.C(p), dq.xi(p) ** 2,
+                                0.3, 2.0 * dq.xi(p), (0, 0), budget.n_z)
+        assert bool(panels) == (arm != "two_ray"), (p, arm)
 
 
 def test_k2_points_meet_default_budget_deterministically():
@@ -444,8 +474,8 @@ def test_sampled_term_does_not_sample_the_scale_integral():
     budget = AccuracyBudget()
     engine = _ExactEngine(problem, CdfQuery(A=A, t=(-1.0, 1.5), theta=problem.theta,
                                             sigma=1.0, rule=rule), budget)
-    det, _, det_err = engine._conditional_term(1, 0)[:3]
-    val, _, _, se = engine._term_sampled(1, 0)
+    det, _, det_err = _term(engine, 1)[:3]
+    val, _, _, se = _term(engine, 1, sampled=True)
     assert abs(val - det) <= 4.0 * se + det_err, (val, se, det)
 
 
@@ -537,7 +567,7 @@ def test_k3_term_matches_adaptive_quadrature(p, n):
 
     want, _ = quad(integrand, -TAIL_CUT, TAIL_CUT, points=[x0 - c * s_lo, x0, x0 + c * s_lo],
                    epsabs=1e-13, epsrel=1e-12, limit=400)
-    got, _, _ = engine._conditional_term(p, 0)[:3]
+    got, _, _ = _term(engine, p)[:3]
     assert abs(got - want) <= 1e-9, (got, want)
 
 
@@ -574,7 +604,7 @@ def test_k2_infinite_coordinate_keeps_the_kink_of_the_other(t):
     # term is the step 1{x <= u - shift} of the zero-loading coordinate,
     # whose loaded partner the infinite bound drops; as a panel edge the
     # step leaves the one-row marginal up to rounding, inside a panel it
-    # costs two levels and about 6e-7
+    # costs bisection rounds or about 6e-7
     fx = fixture("ORTHO2")
     t = np.array(t)
     keep = np.isfinite(t)
@@ -658,33 +688,144 @@ def test_k4_rank1_order_does_not_depend_on_the_sample():
     # order 2 of the P = 5, k = 4 design conditions to rank 1, which
     # `orthant_rows` evaluates exactly: its term is the same whatever the
     # seed and size of the sample the higher orders draw
+    # on the first pass and after every panel is bisected
     problem, A, rule = _p5_k4_case()
     query = CdfQuery(A=A, t=(1.0, -0.5, 0.5, 0.8), theta=problem.theta, sigma=1.0, rule=rule)
-    for level in (0, 1):
+    engines = [_ExactEngine(problem, query, budget)
+               for budget in (AccuracyBudget(), AccuracyBudget(seed=7, n_z=1000))]
+    for bisections in (0, 1):
         order2 = []
-        for budget in (AccuracyBudget(), AccuracyBudget(seed=7, n_z=1000)):
-            order2.append(_ExactEngine(problem, query, budget).assemble(level).terms[1])
-        assert order2[0] == order2[1], (level, order2)
+        for engine in engines:
+            if bisections:
+                engine.panels()[1].bisect(0.0)
+            order2.append(engine.assemble().terms[1])
+        assert order2[0] == order2[1], (bisections, order2)
 
 
 def test_k4_rank2_order_refines_across_its_kinks():
     # order 3 of the P = 5, k = 4 design conditions to rank 2: its polygon
     # changes shape where three of the four conditional lines meet, and
-    # without x-edges there levels 0 and 1 were both 8.8e-7 off level 5
+    # without x-edges there the 12- and 24-panel Gauss-Legendre rules were
+    # both 8.8e-7 off a 384-panel one; the first pass and one bisection of
+    # every panel agree with five bisections
     problem, A, rule = _p5_k4_case()
     query = CdfQuery(A=A, t=np.zeros(4), theta=problem.theta, sigma=1.0, rule=rule)
     engine = _ExactEngine(problem, query, AccuracyBudget())
     assert engine.split[3][2].shape == (4, 2)
-    ref = engine._conditional_term(3, 5)[0]
-    for level in (0, 1):
-        value = engine._conditional_term(3, level)[0]
-        assert abs(value - ref) < 1e-12, (level, value, ref)
+    panels, values = engine._conditional_term(3)[0], []
+    for _ in range(6):
+        values.append(panels.total[0])
+        panels.bisect(0.0)
+    assert panels.size >= 12 * 2 ** 6
+    for value in values[:2]:
+        assert abs(value - values[5]) < 1e-12, values
+
+
+def _last_order_oracle(engine):
+    """Nested-quad oracle of the last order's term of a P = 2 design.
+
+    With no later test the scale mass is the ratio cdf between the grid's
+    quantiles, and the x-integral runs under `quad` split at x0, the
+    scale-grid ends, every kink and each coordinate's bound sweeping
+    through +/-9 of its loading (the near-step of a small loading).
+    """
+    p = engine.problem.P
+    g, _, L = engine.split[p]
+    assert p == 2 and L.shape[1] == 1
+    u = engine.query.t - engine.shift[p]
+    x0, c = -engine.nu[p] / (engine.sigma * engine.design.xi(p)), engine.c[p]
+    s_lo, s_hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
+    load = L[:, 0]
+
+    def integrand(x):
+        y = abs(x - x0) / c
+        mass = engine.ratio.cdf(min(y, s_hi)) - engine.ratio.cdf(s_lo) if y > s_lo else 0.0
+        v = u - g * x
+        if np.any(v[load == 0.0] < 0.0):
+            return 0.0
+        hi = np.min(v[load > 0] / load[load > 0], initial=np.inf)
+        lo = np.max(v[load < 0] / load[load < 0], initial=-np.inf)
+        return norm_pdf(x) * mass * max(ndtr(hi) - ndtr(lo), 0.0)
+
+    points = [x0, x0 - c * s_lo, x0 + c * s_lo, x0 - c * s_hi, x0 + c * s_hi,
+              *_gauss.conditional_kinks(u, g, L)]
+    for i in np.flatnonzero(g):
+        points += list((u[i] - np.linspace(-9.0, 9.0, 19) * load[i]) / g[i])
+    edges = [-TAIL_CUT, *sorted(x for x in points if abs(x) < TAIL_CUT), TAIL_CUT]
+    return sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]) if b > a)
+
+
+@pytest.mark.parametrize("A,t,first_pass_misses", [
+    (((0.01, 1.0), (1.0, 0.0)), (1.0, -0.2), False),
+    (((0.001, 1.0), (1.0, 0.0)), (0.3, 0.2), True),
+])
+def test_near_step_queries_are_within_their_error(A, t, first_pass_misses):
+    # COLL2 with a target row nearly parallel to order 2's selection
+    # statistic: the conditional bound of its coordinate sweeps through its
+    # range within dx ~ 0.01 / |g|, beside a kink but bracketed by no edge.
+    # The 12- and 24-panel Gauss-Legendre rules agreed on values 1.1e-4 and
+    # 1.5e-4 off while reporting 4e-10 and 2.3e-9.  The second query's
+    # first-pass estimate is below its error too: bisection makes it honest
+    fx = fixture("COLL2")
+    query = CdfQuery(A=np.array(A), t=t, theta=fx.problem.theta, sigma=1.0, rule=fx.rule)
+    want = _last_order_oracle(_ExactEngine(fx.problem, query, AccuracyBudget()))
+    res = cdf_exact(fx.problem, query)
+    assert res.warning is None and "levels=0" not in res.method, res
+    assert abs(res.term_trace.terms[-1] - want) <= res.abs_error, (res, want)
+    if A[0][0] == 0.01:
+        # the 120M-replication Monte Carlo figure of the whole value
+        assert abs(res.value - 0.197289) <= 4.0 * 3.6e-5 + res.abs_error, res
+    engine = _ExactEngine(fx.problem, query, AccuracyBudget())
+    first = engine.assemble().terms[-1]
+    gap = sum(panels.gap for panels in engine.panels())
+    assert (abs(first - want) > gap) == first_pass_misses, (first, want, gap)
+
+
+@pytest.mark.parametrize("A,t", [(np.eye(2), (0.25, -1.0)), (E1, (0.25,)),
+                                 (np.eye(2), (1.5, 1.5)), (np.eye(2), (-1.0, 0.25))])
+def test_large_n_last_order_is_within_its_error(A, t):
+    # COLL2 at n = 1e5: the scale mass K(|x - x0| / c) is a near-step in x;
+    # the order-2 term was 2.0e-10 off at 12 and 24 panels, 20 times their gap
+    n = 100_000
+    fx = fixture("COLL2")
+    fx = fixture("COLL2", n=n, theta=fx.problem.theta * np.sqrt(20 / n))
+    query = CdfQuery(A=A, t=t, theta=fx.problem.theta, sigma=1.0, rule=fx.rule)
+    res = cdf_exact(fx.problem, query)
+    want = _last_order_oracle(_ExactEngine(fx.problem, query, AccuracyBudget()))
+    assert res.warning is None
+    assert abs(res.term_trace.terms[-1] - want) <= res.abs_error, (res, want)
+
+
+def test_random_near_parallel_targets_are_within_their_error():
+    # seeded P = 2 designs whose first target row (lam, 1), |lam| <= 0.03,
+    # is nearly parallel to order 2's selection statistic: every last-order
+    # term is within abs_error of its oracle or flagged, and bisection ran
+    rng = np.random.default_rng(20)
+    bisected = 0
+    for _ in range(30):
+        n = int(rng.choice([20, 60, 400]))
+        rho = rng.uniform(-0.9, 0.9)
+        Z = rng.standard_normal((n, 2))
+        X = np.column_stack([Z[:, 0], rho * Z[:, 0] + np.sqrt(1.0 - rho ** 2) * Z[:, 1]])
+        problem = RegressionProblem(X=X, theta=rng.uniform(-1.0, 1.0, 2) * 4.0 / np.sqrt(n),
+                                    sigma=1.0, O=0)
+        lam = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, -1.5)
+        A = np.array([[lam, 1.0], [1.0, rng.uniform(-0.5, 0.5)]])
+        query = CdfQuery(A=A, t=rng.uniform(-1.5, 1.5, 2), theta=problem.theta, sigma=1.0,
+                         rule=GeneralToSpecific(critical=tuple(rng.uniform(1.5, 2.5, 2))))
+        res = cdf_exact(problem, query)
+        want = _last_order_oracle(_ExactEngine(problem, query, AccuracyBudget()))
+        assert (abs(res.term_trace.terms[-1] - want) <= res.abs_error
+                or res.warning is not None), (res, want)
+        bisected += "levels=0" not in res.method
+    assert bisected >= 10, bisected
 
 
 def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
-    # the x-edges of a `conditional_rows` rule do not depend on the level:
+    # the x-edges of a `conditional_rows` rule do not depend on bisection:
     # COLL2's order 2 (A = I_2, conditional rank 1) forms its kinks once
-    # per row and cdf call, whatever level `refine` stops at; order 1
+    # per row and cdf call, whatever round `refine` stops at; order 1
     # (rank 0) takes the two-ray arm and forms none
     calls = []
 
@@ -701,10 +842,10 @@ def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
             res = cdf_exact(fx.problem, _query(fx, t), AccuracyBudget(tol=tol))
             levels.add(res.method.split(";")[1])
             assert calls == [2], (tol, t, res.method, calls)
-    assert levels == {"levels=1", "levels=3"}, levels
+    assert levels == {"levels=0", f"levels={_gauss.MAX_ROUNDS}"}, levels
     alt = LocalAlternative(theta=np.zeros(2), gamma=np.array([0.5, -1.0]), sigma=1.0)
     calls.clear()
-    res = cdf_limit(fx.limits, alt, (0.25, 0.25), fx.rule, AccuracyBudget(tol=1e-9))
+    res = cdf_limit(fx.limits, alt, (0.25, 0.25), fx.rule, AccuracyBudget(tol=1e-17))
     assert calls == [2] and "levels=0" not in res.method, (res.method, calls)
     calls.clear()
     g_check_values(fx.problem, fx.A, (0.3, -0.2), fx.rule, np.array([0.5, 1.0, 1.7]),

@@ -15,6 +15,7 @@ from pmsdist._gauss import (
     gaussian_rect,
     gaussian_rect_rows,
     gl_panels,
+    kronrod_legendre,
     norm_pdf,
     orthant_rows,
     philox,
@@ -333,7 +334,7 @@ _POLYGON_EDGES = {
 @pytest.mark.parametrize("case", sorted(_POLYGON_EDGES))
 def test_polygon_orthant_edges(case):
     L, U = (np.array(a, dtype=float) for a in _POLYGON_EDGES[case])
-    vals = orthant_rows(U, L @ L.T, L, 0)
+    vals, _ = orthant_rows(U, L @ L.T, L)
     for u, v in zip(U, vals):
         assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-14, (u, v)
 
@@ -344,7 +345,7 @@ def test_polygon_orthant_of_a_box_ends_pieces_at_right_angles():
     L = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     U = np.array([[0.3, 0.1, 0.2, 0.4], [1.0, 1.0, 1.0, 1.0], [0.5, np.inf, 0.5, np.inf],
                   [-0.2, 2.0, 0.5, -1.0]])
-    vals = orthant_rows(U, L @ L.T, L, 0)
+    vals, _ = orthant_rows(U, L @ L.T, L)
     want = (np.maximum(ndtr(U[:, 0]) - ndtr(-U[:, 2]), 0.0)
             * np.maximum(ndtr(U[:, 1]) - ndtr(-U[:, 3]), 0.0))
     assert np.max(np.abs(vals - want)) < 1e-15, (vals, want)
@@ -451,9 +452,9 @@ def test_plackett_oracle_matches_conditioning_oracle():
             assert abs(_plackett_oracle(h, C) - _conditioning_oracle(h, C, 0)) < 1e-12, (C, h)
 
 
-@pytest.mark.parametrize("lam_min,level,bound", [
-    (1.0, 0, 1e-12), (1e-2, 0, 1e-12), (1e-4, 0, 1e-12), (1e-6, 1, 1e-9)])
-def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, level, bound):
+@pytest.mark.parametrize("lam_min,bound", [
+    (1.0, 1e-12), (1e-2, 1e-12), (1e-4, 1e-12), (1e-6, 1e-9)])
+def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, bound):
     # random correlation matrices with smallest eigenvalue lam_min, scaled
     # to random variances; the path integral is smooth until lam_min falls
     rng = np.random.default_rng(11)
@@ -464,7 +465,7 @@ def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, level, bound):
         L = psd_factor(cov)
         assert L.shape[1] == 3
         H = rng.normal(0.0, 1.2, size=(5, 3))
-        vals = orthant_rows(H * d, cov, L, level)
+        vals, _ = orthant_rows(H * d, cov, L)
         for h, v in zip(H, vals):
             assert abs(v - _plackett_oracle(h, C)) <= bound, (C, h)
 
@@ -477,7 +478,7 @@ def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, level, bound):
 ], ids=["rho12_zero", "rho13_zero", "all_negative", "mixed_signs"])
 def test_trivariate_orthant_special_correlations(C):
     H = np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 0.0], [-1.5, 1.0, 0.4], [2.5, 2.0, -0.7]])
-    vals = orthant_rows(H, C, psd_factor(C), 0)
+    vals, _ = orthant_rows(H, C, psd_factor(C))
     for h, v in zip(H, vals):
         assert abs(v - _plackett_oracle(h, C)) < 1e-12, h
 
@@ -495,7 +496,7 @@ def test_trivariate_orthant_with_a_nearly_degenerate_pair(sign):
     L = psd_factor(C)
     assert L.shape[1] == 3
     H = np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.4], [1.2, 0.7, -0.9]])
-    vals = orthant_rows(H, C, L, 0)
+    vals, _ = orthant_rows(H, C, L)
     width = np.sqrt(1.0 - C[1, 2] ** 2)
     for h, v in zip(H, vals):
         a = _plackett_oracle(h, C)
@@ -537,10 +538,33 @@ def test_trivariate_orthant_infinite_coordinates():
 
 def test_gl_panels_integrates_polynomials_exactly():
     edges = np.array([0.0, 0.3, 1.0])
-    x, w = gl_panels(edges)
-    # degree-23 polynomial is exact under 12-node Gauss-Legendre
-    assert abs(np.sum(w * x ** 23) - 1.0 / 24.0) < 1e-14
-    assert abs(np.sum(w) - 1.0) < 1e-14
+    x, wk, wg = gl_panels(edges)
+    assert np.all(np.diff(x) > 0.0)
+    # degree 37 is exact under the 25-node Kronrod rule, degree 23 under its
+    # embedded 12-node Gauss-Legendre rule
+    assert abs(np.sum(wk * x ** 37) - 1.0 / 38.0) < 1e-14
+    assert abs(np.sum(wg * x ** 23) - 1.0 / 24.0) < 1e-14
+    assert abs(np.sum(wk) - 1.0) < 1e-14 and abs(np.sum(wg) - 1.0) < 1e-14
+
+
+def test_kronrod_rule_extends_gauss_legendre():
+    # Laurie's algorithm reproduces QUADPACK's published K15 constants
+    # (the 7-node extension), and the K25 rule of every panel has positive
+    # weights, embeds the 12 Gauss-Legendre nodes and is exact for x^j,
+    # j <= 37, on [-1, 1]
+    x15, w15 = kronrod_legendre(7)
+    assert abs(x15[-1] - 0.991455371120812639206854697526329) < 1e-15
+    assert abs(w15[7] - 0.209482141084727828012999174891714) < 1e-15
+    x, w = kronrod_legendre(12)
+    assert x.size == 25 and np.all(w > 0.0) and np.all(np.diff(x) > 0.0)
+    gx, gw = np.polynomial.legendre.leggauss(12)
+    assert np.max(np.abs(x[1::2] - gx)) < 1e-15
+    for j in range(38):
+        assert abs(w @ x ** j - (1.0 - (-1.0) ** (j + 1)) / (j + 1)) < 1e-14, j
+    # the embedded rule is the Gauss-Legendre rule, exact to degree 23 only
+    _, wk, wg = gl_panels(np.array([-1.0, 1.0]))
+    assert np.array_equal(wk, w) and np.array_equal(wg[1::2], gw) and not np.any(wg[::2])
+    assert abs(wg @ x ** 24 - 2.0 / 25.0) > 1e-8
 
 
 def test_psd_factor_reconstructs():

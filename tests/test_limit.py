@@ -4,8 +4,8 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
-from pmsdist._gauss import condition_on_scalar
-from pmsdist.dist_exact import AccuracyBudget, TermTrace
+from pmsdist._gauss import GINV_REL_TOL, condition_on_scalar
+from pmsdist.dist_exact import AccuracyBudget, TermTrace, cdf_result
 from pmsdist.dist_limit import (
     LocalAlternative,
     _cdf_limit_rows,
@@ -81,6 +81,25 @@ def test_two_evaluation_paths_agree():
             f"seed {seed}: {a.value} +- {a.abs_error} vs {b.value} +- {b.abs_error}"
 
 
+@pytest.mark.parametrize("turn_z", [None, (0.0, 4.75, -4.75)], ids=["edges", "sparse"])
+def test_cross_check_of_case_138_is_within_its_error(monkeypatch, turn_z):
+    # with the cross-check's x-edges at z in {0, +-4.75} only, a panel
+    # between two of them never refined under level doubling, and the
+    # cross-check was 1.16e-11 off `cdf_limit` (closed forms at k = 1, the
+    # oracle) while reporting 1.6e-14
+    import pmsdist.dist_limit as dist_limit
+
+    if turn_z is not None:
+        monkeypatch.setattr(dist_limit, "_TURN_Z", np.array(turn_z))
+    limits, theta, gamma, sigma, rule, t = random_k1_limit_case(138)
+    alt = LocalAlternative(theta=theta, gamma=gamma, sigma=sigma)
+    budget = AccuracyBudget(tol=1e-6)
+    oracle = cdf_limit(limits, alt, t, rule, budget)
+    assert oracle.abs_error == 1e-14 and oracle.method.startswith("representation;levels=0;")
+    res = cdf_limit_via_integral(limits, alt, t, rule, budget)
+    assert abs(res.value - oracle.value) <= res.abs_error or res.warning is not None, res
+
+
 def _multivariate_case(P, k, O, theta, critical, seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((P + 3, P))
@@ -118,10 +137,10 @@ def test_vanishing_conditional_covariance_takes_closed_form():
     cov_z, cov_zw, var_w = limits.omega(1), limits.C(1), limits.xi(1) ** 2
     assert condition_on_scalar(cov_z, cov_zw, var_w)[2].shape[1] == 0
     U = np.array([[0.0, 0.0], [0.8, -0.3], [-1.0, 1.5]])
-    rows, quad = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
-                             (0, 0), QUICK.n_z)
-    vals, _, err, _ = rows(0)
-    assert err == 0.0 and not quad
+    rows, panels = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
+                               (0, 0), QUICK.n_z)
+    vals, _, err, _ = rows()
+    assert err == 0.0 and not panels
     # against Z = C_1 W / xi_1^2 simulated directly
     W = limits.xi(1) * np.random.default_rng(5).standard_normal(400_000)
     Z = np.outer(W, cov_zw / var_w)
@@ -132,10 +151,10 @@ def test_vanishing_conditional_covariance_takes_closed_form():
 
 def _rays(cov_z, cov_zw, u, x_lo, x_hi):
     """_joint_rows at one row u for W = X ~ N(0, 1) outside (x_lo, x_hi)."""
-    rows, quad = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
-                             -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), (0, 0), QUICK.n_z)
-    vals, _, err, _ = rows(0)
-    return float(vals[0]), err, quad
+    rows, panels = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
+                               -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), (0, 0), QUICK.n_z)
+    vals, _, err, _ = rows()
+    return float(vals[0]), err, bool(panels)
 
 
 RAY_PAIRS = [(-2.0, -1.0), (-0.7, 0.5), (-0.3, 1.0), (0.2, 9.5), (-9.5, 9.5)]
@@ -202,7 +221,8 @@ def _p5_k4_limit():
 def test_sampled_orders_draw_once(monkeypatch):
     # orders 4 and 5 of the P = 5, k = 4 design sample their conditional
     # orthants of ranks 3 and 4 (the core and orders 2 and 3 are exact):
-    # one draw each, shared by every refinement level
+    # one draw each, shared by every round of bisection (each call here
+    # bisects every panel once before `refine` runs)
     import pmsdist.dist_limit as dist_limit
 
     calls = []
@@ -217,10 +237,21 @@ def test_sampled_orders_draw_once(monkeypatch):
 
     original = dist_limit.philox
     monkeypatch.setattr(dist_limit, "philox", lambda *key: Counting(original(*key)))
+    bisected = []
+
+    def bisect_all_then_refine(assemble, rules, tol, _refine=dist_limit.refine):
+        first = assemble().total
+        for rule in rules:
+            for panels in rule:
+                panels.bisect(0.0)
+        bisected.append(np.all(assemble().total != first))
+        return _refine(assemble, rules, tol)
+
+    monkeypatch.setattr(dist_limit, "refine", bisect_all_then_refine)
     limits, alt, rule = _p5_k4_limit()
     budget = AccuracyBudget(tol=1e-6)
-    res = cdf_limit(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
-    assert "levels=0;" not in res.method    # refined: per-level draws would repeat
+    cdf_limit(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
+    assert bisected == [True]    # bisected: per-round draws would repeat
     assert calls == [((budget.n_z, r),) for r in (3, 4)], calls
     calls.clear()
     cdf_limit_via_integral(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, budget)
@@ -228,28 +259,43 @@ def test_sampled_orders_draw_once(monkeypatch):
 
 
 def test_refinement_stops_when_sampling_error_alone_misses_tol():
-    # at tol 1e-6 the two sampled orders' error is ~1.6e-4 at every level,
-    # so refinement stops after level 1, and the value agrees with the one
-    # refined to level 3 (0.00221599) within the reported error
+    # at tol 1e-6 the two sampled orders' error is ~1.6e-4 whatever the
+    # panels, so refinement stops after the first pass although its
+    # estimate is at least tol/2, and the value agrees with a 96-panel
+    # Gauss-Legendre one (0.00221599) within the reported error
     limits, alt, rule = _p5_k4_limit()
-    res = cdf_limit(limits, alt, (1.0, -0.5, 0.5, 0.8), rule, AccuracyBudget(tol=1e-6))
-    assert res.method.startswith("representation;levels=1;")
+    t = np.array([1.0, -0.5, 0.5, 0.8])
+    budget = AccuracyBudget(tol=1e-6)
+    consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O)
+    _, trace, gaps, rounds = _cdf_limit_rows(limits, consts.p_star, consts.nu, alt.sigma,
+                                             rule.critical_values(limits.O), t[None, :], budget)
+    assert gaps[0] >= 0.5 * budget.tol and trace.sampling.sum() > budget.tol and rounds == 0
+    res = cdf_limit(limits, alt, t, rule, budget)
+    assert res.method.startswith("representation;levels=0;")
     assert res.warning is not None and "exceeds tol" in res.warning
     assert abs(res.value - 0.00221599) <= res.abs_error, res
 
 
 def test_batched_rows_trace_equals_the_one_row_trace():
-    # row j of the batched representation trace is cdf_limit's trace at T[j]
-    # (all rows refine to the same level here, as the method strings show)
+    # row j of the batched representation trace is cdf_limit's trace at T[j],
+    # both on the first pass and where bisection is decided per row: at tol
+    # 1e-14 only the last row is bisected, as the method strings show
     limits, alt, rule = _multivariate_case(3, 2, 0, np.zeros(3), (1.8, 2.0, 2.2), seed=3)
     consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O)
     T = np.array([(0.0, 0.0), (0.8, -0.3), (-1.0, 1.5)])
-    totals, trace, gaps, level = _cdf_limit_rows(limits, consts.p_star, consts.nu, alt.sigma,
-                                                 rule.critical_values(limits.O), T, QUICK)
-    assert trace.terms.shape == (len(trace.orders), len(T)) and level == 1
+    for budget, rows_rounds in ((QUICK, (0, 0, 0)), (AccuracyBudget(tol=1e-14), (0, 0, 1))):
+        _check_batched_rows(limits, alt, rule, consts, T, budget, rows_rounds)
+
+
+def _check_batched_rows(limits, alt, rule, consts, T, budget, rows_rounds):
+    totals, trace, gaps, rounds = _cdf_limit_rows(limits, consts.p_star, consts.nu, alt.sigma,
+                                                  rule.critical_values(limits.O), T, budget)
+    assert trace.terms.shape == (len(trace.orders), len(T)) and rounds == max(rows_rounds)
     for j, t in enumerate(T):
-        res = cdf_limit(limits, alt, t, rule, QUICK)
-        assert res.method.startswith(f"representation;levels={level};")
+        res = cdf_limit(limits, alt, t, rule, budget)
+        assert res.method.startswith(f"representation;levels={rows_rounds[j]};")
+        assert res.abs_error == cdf_result(trace.row(j), gaps[j], rows_rounds[j], budget,
+                                           "representation", limits.k).abs_error
         row = trace.row(j)
         for field in ("terms", "weights", "errors", "sampling"):
             assert np.array_equal(getattr(row, field), getattr(res.term_trace, field)), field
@@ -393,6 +439,28 @@ def test_pdf_undefined_when_mass_has_atoms():
     alt = LocalAlternative(theta=np.array([0.7, 0.0]), gamma=np.zeros(2), sigma=1.0)
     with pytest.raises(DensityUndefinedError):
         pdf_limit(limits, alt, [0.0], GeneralToSpecific(critical=(2.0, 2.0)))
+
+
+def test_pdf_limit_decides_singularity_once_on_omega():
+    # Q = I, A = ((1, 1), (1, 1 + e)): omega's condition number is about
+    # 16 / e^2, the square of A's.  The density is defined exactly while
+    # omega's eigenvalue ratio exceeds GINV_REL_TOL, and then scales as 1/e;
+    # it once raised at e = 1e-8 .. 1e-13 (A's rank) and returned 5.0e6 of
+    # rounding noise at 1e-14 (omega's determinant)
+    rule = GeneralToSpecific(critical=(2.0, 2.0))
+    alt = LocalAlternative(theta=[1.0, 1.0], gamma=np.zeros(2), sigma=1.0)
+    defined = {}
+    for e in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14):
+        limits = limit_quantities(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0 + e]]))
+        lam = np.linalg.eigvalsh(limits.omega(2))
+        if lam[0] > GINV_REL_TOL * lam[-1]:
+            defined[e] = pdf_limit(limits, alt, [0.5, 0.5], rule)
+        else:
+            with pytest.raises(DensityUndefinedError, match="singular"):
+                pdf_limit(limits, alt, [0.5, 0.5], rule)
+    assert sorted(defined) == [1e-4, 1e-3, 1e-2, 1e-1]
+    for e, value in defined.items():
+        assert abs(e * value / (0.1 * defined[0.1]) - 1.0) < 1e-6, (e, value)
 
 
 def test_validation_errors():
