@@ -15,10 +15,14 @@ Gauss-Legendre rule (G12), computed by Laurie's (1997) algorithm: the G12
 nodes are K25 nodes, so one evaluation gives both, a rule reports its K25
 value and |K25 - G12| is its error estimate (QUADPACK's QAG, Piessens et
 al. 1983).  Inner rules (the s-panels of `cumulative_rule`, the path
-panels of `_trivariate_rows`) return both parts as well, so the estimate
-of an outer rule covers the whole nested term.  Every rule starts from
-the PANELS equal panels of `panel_edges` plus its break points; `refine`
-bisects the panels whose estimates are large, row by row.
+rule of `_trivariate_rows`) return both parts as well, so the estimate
+of an outer rule covers the whole nested term.  The outer rules (the
+x-rules of `conditional_rows`, the exact cdf's scale grid) and the
+s-panels start from the PANELS equal panels of `panel_edges` plus their
+break points; the path rule is one panel of [0, 1] plus the edges of its
+determinant layer.  `refine` bisects the outer panels whose estimates
+are large, row by row, and stops a row at its error floor: the error no
+bisection reduces (`error_floor`).
 """
 from __future__ import annotations
 
@@ -32,15 +36,17 @@ from scipy.special import ndtr, owens_t
 # truncated there and the discarded mass is accounted for by callers.
 TAIL_CUT = 9.0
 
-# Every panel rule starts from PANELS equal panels (`panel_edges`) of
-# NODES_PER_PANEL Kronrod nodes; `refine` stops after MAX_ROUNDS rounds of
-# bisection.
+# The outer rules and the s-panels start from PANELS equal panels
+# (`panel_edges`) of NODES_PER_PANEL Kronrod nodes; `refine` stops after
+# MAX_ROUNDS rounds of bisection.
 PANELS = 12
 NODES_PER_PANEL = 25
 MAX_ROUNDS = 10
 
 # Relative eigenvalue cutoff for generalized inverses and SPD checks.
 GINV_REL_TOL = 1e-12
+# Rounding floor of every cdf error bound: the accuracy of `bvn_cdf`
+ROUNDING = 1e-14
 
 
 def kronrod_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +125,9 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
 
 
 def panel_edges(lo: float, hi: float) -> np.ndarray:
-    """Edges of the PANELS equal panels of [lo, hi] every panel rule starts
-    from, before its break points (`split_edges`) and bisection (`refine`)."""
+    """Edges of the PANELS equal panels of [lo, hi] that the outer rules and
+    the s-panels of `cumulative_rule` start from, before their break points
+    (`split_edges`) and bisection (`refine`)."""
     return np.linspace(lo, hi, PANELS + 1)
 
 
@@ -403,20 +410,29 @@ def cumulative_rule(f, edges: np.ndarray):
     return H
 
 
-def refine(assemble, rules, tol: float):
+def error_floor(trace, truncated: float = 0.0):
+    """The part of a trace's error bound that no bisection reduces: the
+    dropped mass of its orders, the mass ``truncated`` outside every rule
+    (the exact cdf's scale mass) and ROUNDING, per row if batched."""
+    return trace.errors.sum(axis=0) + truncated + ROUNDING
+
+
+def refine(assemble, rules, tol: float, truncated: float = 0.0):
     """The one refinement loop: globally adaptive bisection, row by row.
 
     rules lists every panel rule of the evaluation, each as its `Panels`
     over the rows, and assemble() -> a `dist_exact.TermTrace` (with a
     trailing axis of rows if batched) reads their current sums.  Row j's
-    gap is the sum of its panels' estimates.  While it is at least tol/2,
-    its sampling error (summed over the orders; no bisection reduces it) is
-    within tol and fewer than MAX_ROUNDS rounds have run, each round
-    bisects the row's panels whose estimate is at least tol/2 over the
-    row's panel count, of which there is one whenever the gap is that
-    large.  A row's panels move only on its own figures, so a batched row
-    equals its one-row call.  Returns (trace, gaps over the rows, rounds
-    run).
+    gap is the sum of its panels' estimates.  A row is live while its gap
+    is at least tol/2 and its `error_floor` (with ``truncated``) plus its
+    sampling error, summed over the orders, is within tol: no bisection
+    reduces either, so a row whose floor misses tol is not bisected at
+    all.  While a row is live and fewer than MAX_ROUNDS rounds have run,
+    each round bisects the row's panels whose estimate is at least tol/2
+    over the row's panel count, of which there is one whenever the gap is
+    that large.  A row's panels move only on its own figures, so a batched
+    row equals its one-row call.  Returns (trace, gaps over the rows,
+    rounds run).
     """
     rounds = 0
     while True:
@@ -424,7 +440,8 @@ def refine(assemble, rules, tol: float):
         gaps = np.zeros(np.size(trace.total))
         for rule in rules:
             gaps += [panels.gap for panels in rule]
-        live = (gaps >= 0.5 * tol) & (np.atleast_1d(trace.sampling.sum(axis=0)) <= tol)
+        fixed = error_floor(trace, truncated) + trace.sampling.sum(axis=0)
+        live = (gaps >= 0.5 * tol) & (np.atleast_1d(fixed) <= tol)
         if rounds == MAX_ROUNDS or not live.any():
             return trace, gaps, rounds
         rounds += 1
@@ -543,9 +560,12 @@ def _trivariate_rows(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarr
     f_1i = exp(-F/2) Phi(B) is 2 pi cos(a_1i x) times the bivariate density
     of (h_1, h_i) times the conditional cdf of the third coordinate at its
     bound (Genz's PNTGND), 0 where the path's determinant is not positive.
-    The x-integral runs on the K25 panels of `panel_edges` of [0, 1], plus
-    edges at 1 - 2^-l that resolve the fall of det R(x) to a small
-    det R near x = 1, and returns the values at K25 and at G12.  A row
+    The x-integral runs on one K25 panel of [0, 1], split at 1 - 2^-l to
+    resolve the fall of det R(x) to a small det R near x = 1, and returns
+    the values at K25 and at G12, whose difference the enclosing rule's
+    estimate carries.  On the panel the integrand is smooth enough that
+    the two parts agree at rounding level (within 1e-14 down to
+    lambda_min(R) = 1e-10), so the path rule is never bisected.  A row
     with a -inf coordinate is 0; +inf coordinates are dropped, which leaves
     the bivariate or univariate cdf of the rest (`bvn_cdf`), the same in
     both.
@@ -579,7 +599,7 @@ def _trivariate_rows(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarr
     layers = 0
     while layers < 52 and -slope * 0.5 ** layers > det:
         layers += 1
-    x, wk, wg = gl_panels(split_edges(panel_edges(0.0, 1.0),
+    x, wk, wg = gl_panels(split_edges(np.array([0.0, 1.0]),
                                       1.0 - 0.5 ** np.arange(1, layers + 1)))
     path = np.sin(np.outer(ang, x))           # rho_12(x), rho_13(x)
     cos2 = np.cos(np.outer(ang, x)) ** 2      # 1 - rho^2, without cancellation
@@ -675,8 +695,10 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     which `conditional_rows` integrates exactly: deterministic at rank 3,
     whose conditional orthant is a rank-2 polygon, and at rank >= 4 on one
     seeded sample of n_samples draws (Philox key (0, 0) unless ``rng`` is
-    given) shared by all rows.  There is no refinement loop: every panel
-    rule runs one K25 pass, whose error is at rounding level.  Returns
+    given) shared by all rows.  There is no refinement loop: the x-rule
+    runs one K25 pass on its `panel_edges` and a full-rank trivariate
+    orthant one path panel (`_trivariate_rows`), each with an error at
+    rounding level.  Returns
     (probabilities, standard_errors): 0 where deterministic, else at least
     1/n_samples.
     """

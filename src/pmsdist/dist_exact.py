@@ -49,7 +49,9 @@ standard errors, each at least 1/n_z), read from K25 panel rules that
 `_gauss.refine` bisects where their |K25 - G12| estimates are large, and
 `cdf_result`, the one error budget: the summed estimates, dropped mass,
 the defect of sum pi(p) from 1 (which carries the truncated scale mass),
-sampling error and a 1e-14 rounding floor.  The exact cdf's method string
+sampling error and a 1e-14 rounding floor.  No bisection reduces the
+dropped and truncated mass and the rounding floor, so `refine` stops
+below that error floor and `cdf_result` names it in its warning.  The exact cdf's method string
 is "mixture-formula;levels=l;n_z=...;seed=...;k=...", l the rounds of
 bisection `refine` ran.  Identical query + budget + seed replays
 bit-identically.
@@ -63,10 +65,12 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
 
 from ._gauss import (
+    ROUNDING,
     Panels,
     condition_on_scalar,
     conditional_rows,
     cumulative_rule,
+    error_floor,
     gauss_draws,
     gaussian_rect,
     needs_sampling,
@@ -104,8 +108,6 @@ _S_Q_LO, _S_Q_HI = 1e-12, 1.0 - 1e-10
 # `conditional_rows` rule: at large dof K_p(|x - x0| / c_p) is a near-step,
 # and these edges bracket it.
 _STEP_Q = (1e-6, 0.5, 1.0 - 1e-6)
-# Rounding floor of every cdf error bound: the accuracy of `bvn_cdf`
-_ROUNDING = 1e-14
 
 
 def delta(s: float, a, b):
@@ -175,10 +177,13 @@ class AccuracyBudget:
 
     tol is the absolute quadrature target: every panel rule runs one
     Gauss-Kronrod pass, and `_gauss.refine` bisects the panels with large
-    |K25 - G12| estimates until the summed estimate is below tol/2, the
-    sampling error alone exceeds tol, or its last round is spent; a result
-    whose error bound exceeds tol is flagged.  The method string records
-    the rounds of bisection as ``levels=``.  n_z Gaussian
+    |K25 - G12| estimates until the summed estimate is below tol/2 or its
+    last round is spent.  It does not bisect once the error floor (the
+    dropped and truncated mass and the 1e-14 rounding floor, which no
+    bisection reduces) plus the sampling error exceeds tol, so a tol below
+    the floor costs one pass.  A result whose error bound exceeds tol is
+    flagged.  The method string records the rounds of bisection as
+    ``levels=``.  n_z Gaussian
     samples, keyed by seed (both integers), drive the sampled integrals, which remain only for
     targets with k >= 4 rows: orthants of rank >= 3 left after conditioning
     and unconditional ones of rank >= 4, in `cdf_exact` and the limit paths
@@ -287,16 +292,20 @@ def tail_products(dq: LimitQuantities, sigma: float, nu, c_of, p0: int, s=1.0):
 
 
 def cdf_result(trace: TermTrace, gap: float, rounds: int, budget: AccuracyBudget,
-               name: str, k: int) -> CdfResult:
+               name: str, k: int, truncated: float = 0.0) -> CdfResult:
     """The one way a cdf result is formed, from a trace `_gauss.refine` returned.
 
     The error budget is abs_error = gap + sum(errors) + |1 - sum(weights)|
     + sum(sampling) + the 1e-14 rounding floor, gap being the summed
-    |K25 - G12| estimates of the panel rules.  A gap of at least tol/2 with
-    the sampling error within tol means refinement ran out of rounds;
-    otherwise any abs_error above tol is flagged.  The method string names
-    the evaluation, "{name};levels={rounds};n_z=...;seed=...;k={k}", the
-    rounds of bisection, which with the budget fix every panel and sample.
+    |K25 - G12| estimates of the panel rules.  Its floor, which no
+    bisection reduces, is `_gauss.error_floor`: sum(errors), the mass
+    ``truncated`` outside every rule and the rounding floor.  A floor
+    above tol is flagged as such (`refine` ran no round); a gap of at
+    least tol/2 with the floor plus the sampling error within tol means
+    refinement ran out of rounds; otherwise any abs_error above tol is
+    flagged.  The method string names the evaluation,
+    "{name};levels={rounds};n_z=...;seed=...;k={k}", the rounds of
+    bisection, which with the budget fix every panel and sample.
 
     The weights sum to 1 up to quadrature, sampling and any mass the
     evaluation drops.  The exact cdf drops the scale mass outside its
@@ -306,10 +315,14 @@ def cdf_result(trace: TermTrace, gap: float, rounds: int, budget: AccuracyBudget
     """
     total = float(trace.total)
     sampling = float(np.sum(trace.sampling))
+    floor = float(error_floor(trace, truncated))
     abs_error = (float(gap) + float(np.sum(trace.errors))
-                 + abs(1.0 - float(np.sum(trace.weights))) + sampling + _ROUNDING)
+                 + abs(1.0 - float(np.sum(trace.weights))) + sampling + ROUNDING)
     warning = None
-    if gap >= 0.5 * budget.tol and sampling <= budget.tol:
+    if floor > budget.tol:
+        warning = (f"tol {budget.tol:.2e} is below the error floor {floor:.2e} "
+                   "(dropped and truncated mass and rounding)")
+    elif gap >= 0.5 * budget.tol and floor + sampling <= budget.tol:
         warning = "refinement budget exhausted before reaching tol"
     elif abs_error > budget.tol:
         warning = f"abs_error {abs_error:.2e} exceeds tol {budget.tol:.2e}"
@@ -333,6 +346,8 @@ class _ExactEngine:
         self.k = query.A.shape[0]
         self.ratio = SigmaRatioDensity(problem.dof)
         self.s_step = self.ratio.ppf(np.array(_STEP_Q))
+        # the scale mass outside the grid, part of the error floor
+        self.truncated = _S_Q_LO + (1.0 - _S_Q_HI)
         # the limit formula's design record and constants at Q = X'X/n and
         # gamma = sqrt(n) theta, theta the query's: orthant shifts
         # sqrt(n) A (eta(p) - theta) and drifts sqrt(n) eta_p(p), eta(p) the
@@ -506,5 +521,7 @@ def cdf_exact(problem: RegressionProblem, query: CdfQuery,
     """
     budget = budget or AccuracyBudget()
     engine = _ExactEngine(problem, query, budget)
-    trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()], budget.tol)
-    return cdf_result(trace, gaps[0], rounds, budget, "mixture-formula", engine.k)
+    trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()], budget.tol,
+                                 engine.truncated)
+    return cdf_result(trace, gaps[0], rounds, budget, "mixture-formula", engine.k,
+                      engine.truncated)

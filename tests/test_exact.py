@@ -180,6 +180,26 @@ def test_scale_truncation_is_charged_once(monkeypatch):
     assert abs(wide.value - res.value) <= trunc, (wide, res)
 
 
+@pytest.mark.parametrize("name,n,t", [("P1", None, (0.0,)), ("COLL2", None, (0.25, 0.25)),
+                                      ("COLL2", 100_000, (0.25, 0.25))])
+def test_tol_below_the_error_floor_costs_one_pass(name, n, t):
+    # the truncated scale mass (1.01e-10) and the rounding floor bound every
+    # exact abs_error from below, and no bisection reduces them: a tol under
+    # them returns after the first pass, with a warning that names the floor
+    fx = fixture(name) if n is None else fixture(name, n=n)
+    for tol in (1e-11, 1e-15):
+        res = cdf_exact(fx.problem, _query(fx, t), AccuracyBudget(tol=tol))
+        assert res.method.startswith("mixture-formula;levels=0;"), res
+        assert res.warning is not None and "error floor" in res.warning, res
+        assert res.abs_error > 1e-10, res
+    # the limit paths drop no mass: their floor is the rounding floor
+    alt = LocalAlternative(theta=np.zeros(fx.problem.P),
+                           gamma=np.linspace(0.5, 1.0, fx.problem.P), sigma=1.0)
+    for evaluate in (cdf_limit, cdf_limit_via_integral):
+        res = evaluate(fx.limits, alt, t, fx.rule, AccuracyBudget(tol=1e-15))
+        assert "levels=0;" in res.method and "error floor" in res.warning, res
+
+
 def test_replay_is_bit_identical():
     fx = fixture("COLL2")
     q = _query(fx, [0.3, -0.2])
@@ -395,8 +415,9 @@ def _two_ray_cases():
 def _total(engine):
     """(unclamped total, abs_error) of an engine, as `cdf_exact` refines it."""
     trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()],
-                                 engine.budget.tol)
-    res = cdf_result(trace, gaps[0], rounds, engine.budget, "mixture-formula", engine.k)
+                                 engine.budget.tol, engine.truncated)
+    res = cdf_result(trace, gaps[0], rounds, engine.budget, "mixture-formula", engine.k,
+                     engine.truncated)
     return float(res.term_trace.total), res.abs_error
 
 
@@ -490,6 +511,18 @@ def _p4_k3_case(n=40):
 
 
 P4_GRID = [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]
+
+
+def test_p4_k3_grid_values_are_frozen():
+    # the exact_grid benchmark's P = 4, k = 3 points, whose order-4 and
+    # core orthants are full-rank trivariate (`_trivariate_rows`): frozen
+    # at the values of 12 equal path panels, which one panel reproduces
+    problem, A, rule = _p4_k3_case()
+    for t, want in zip(P4_GRID, (0.39652699262430724, 0.4262569572216834,
+                                 0.13499028531018303)):
+        res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+        assert res.warning is None and res.method.startswith("mixture-formula;levels=0;")
+        assert abs(res.value - want) <= 1e-14, (t, res.value, want)
 
 
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
@@ -824,9 +857,12 @@ def test_random_near_parallel_targets_are_within_their_error():
 
 def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
     # the x-edges of a `conditional_rows` rule do not depend on bisection:
-    # COLL2's order 2 (A = I_2, conditional rank 1) forms its kinks once
-    # per row and cdf call, whatever round `refine` stops at; order 1
-    # (rank 0) takes the two-ray arm and forms none
+    # COLL2's order 2 (conditional rank 1) forms its kinks once per row and
+    # cdf call, whatever round `refine` stops at; order 1 (rank 0) takes
+    # the two-ray arm and forms none.  A = I_2 meets tol in the first pass;
+    # the near-step target of `test_near_step_queries_are_within_their_error`
+    # is bisected, in the exact cdf at (0.25, 0.25) and the default tol, in
+    # the limit at (-0.85, -0.15) and tol 1e-9, both above their floors
     calls = []
 
     def spy(u, g, L, _original=_gauss.conditional_kinks):
@@ -835,18 +871,22 @@ def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
 
     monkeypatch.setattr(_gauss, "conditional_kinks", spy)
     fx = fixture("COLL2")
+    step = np.array([[0.001, 1.0], [1.0, 0.0]])
     levels = set()
-    for tol in (1e-5, 1e-15):
+    for A in (np.eye(2), step):
         for t in ((0.25, 0.25), (-1.0, 1.5)):
             calls.clear()
-            res = cdf_exact(fx.problem, _query(fx, t), AccuracyBudget(tol=tol))
+            query = CdfQuery(A=A, t=t, theta=fx.problem.theta, sigma=1.0, rule=fx.rule)
+            res = cdf_exact(fx.problem, query)
             levels.add(res.method.split(";")[1])
-            assert calls == [2], (tol, t, res.method, calls)
-    assert levels == {"levels=0", f"levels={_gauss.MAX_ROUNDS}"}, levels
-    alt = LocalAlternative(theta=np.zeros(2), gamma=np.array([0.5, -1.0]), sigma=1.0)
+            assert calls == [2] and res.warning is None, (A, t, res.method, calls)
+    assert "levels=0" in levels and len(levels) > 1, levels
+    limits = limit_quantities(fx.problem.gram, step, O=fx.problem.O)
+    alt = LocalAlternative(theta=np.zeros(2), gamma=np.array([-1.5, -1.5]), sigma=1.0)
     calls.clear()
-    res = cdf_limit(fx.limits, alt, (0.25, 0.25), fx.rule, AccuracyBudget(tol=1e-17))
+    res = cdf_limit(limits, alt, (-0.85, -0.15), fx.rule, AccuracyBudget(tol=1e-9))
     assert calls == [2] and "levels=0" not in res.method, (res.method, calls)
+    assert res.warning is None, res
     calls.clear()
     g_check_values(fx.problem, fx.A, (0.3, -0.2), fx.rule, np.array([0.5, 1.0, 1.7]),
                    np.zeros(3, dtype=int), budget=AccuracyBudget(tol=1e-9))

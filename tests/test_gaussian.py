@@ -470,6 +470,26 @@ def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, bound):
             assert abs(v - _plackett_oracle(h, C)) <= bound, (C, h)
 
 
+def test_trivariate_path_rule_parts_agree():
+    # the path rule of a full-rank trivariate orthant is one K25 panel (plus
+    # the edges of its determinant layer) and is never bisected: its K25
+    # and G12 parts, whose difference the enclosing rule's estimate
+    # carries, agree at rounding level on ill-conditioned matrices down to
+    # lambda_min = 1e-10 and with a nearly degenerate pair
+    rng = np.random.default_rng(21)
+    cases = [_correlation(rng, lam_min) for lam_min in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+             for _ in range(4)]
+    for sign in (1.0, -1.0):
+        r = sign * (1.0 - 1e-10)
+        cases.append(np.array([[1.0, 0.3, sign * 0.3], [0.3, 1.0, r], [sign * 0.3, r, 1.0]]))
+    for C in cases:
+        L = psd_factor(C)
+        assert L.shape[1] == 3
+        H = rng.normal(0.0, 3.0, size=(50, 3))
+        k25, g12 = orthant_rows(H, C, L)
+        assert np.max(np.abs(k25 - g12)) <= 1e-14, C
+
+
 @pytest.mark.parametrize("C", [
     np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.3], [0.5, -0.3, 1.0]]),     # rho_12 = 0
     np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.4], [0.0, 0.4, 1.0]]),       # rho_13 = 0

@@ -278,13 +278,18 @@ def test_refinement_stops_when_sampling_error_alone_misses_tol():
 
 def test_batched_rows_trace_equals_the_one_row_trace():
     # row j of the batched representation trace is cdf_limit's trace at T[j],
-    # both on the first pass and where bisection is decided per row: at tol
-    # 1e-14 only the last row is bisected, as the method strings show
-    limits, alt, rule = _multivariate_case(3, 2, 0, np.zeros(3), (1.8, 2.0, 2.2), seed=3)
+    # both on the first pass and where bisection is decided per row: COLL2
+    # with a target row nearly parallel to order 2's selection statistic,
+    # where at tol 1e-9, above the error floor, only the last row is
+    # bisected, as the method strings show
+    fx = fixture("COLL2")
+    limits = limit_quantities(fx.problem.gram, np.array([[0.001, 1.0], [1.0, 0.0]]),
+                              O=fx.problem.O)
+    alt = LocalAlternative(theta=np.zeros(2), gamma=np.array([-1.5, -1.5]), sigma=1.0)
     consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O)
-    T = np.array([(0.0, 0.0), (0.8, -0.3), (-1.0, 1.5)])
-    for budget, rows_rounds in ((QUICK, (0, 0, 0)), (AccuracyBudget(tol=1e-14), (0, 0, 1))):
-        _check_batched_rows(limits, alt, rule, consts, T, budget, rows_rounds)
+    T = np.array([(0.0, 0.0), (0.8, -0.3), (-0.85, -0.15)])
+    for budget, rows_rounds in ((QUICK, (0, 0, 0)), (AccuracyBudget(tol=1e-9), (0, 0, 2))):
+        _check_batched_rows(limits, alt, fx.rule, consts, T, budget, rows_rounds)
 
 
 def _check_batched_rows(limits, alt, rule, consts, T, budget, rows_rounds):
