@@ -19,6 +19,13 @@ later-stage factors prod_{q > p} Delta_q (`tail_products`, shared with
 the limit paths at scale 1) are taken at each scale node.  The outer
 scale integral runs over equal-mass Gauss-Kronrod panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
+What depends on neither t, theta nor sigma is built once and shared by
+every later call: the design record once per (problem, target), kept on
+the problem (one O(P k^2) record per distinct target, whatever n is),
+and the scale layout (the grid's edges and the `_STEP_Q` scales) once
+per (dof, quantiles), both read-only.  The shifts, drifts, each order's
+conditioning split (which depends on sigma) and the panel rules are
+built per call.
 
 Every order-p integrand depends on z only through the orthant {z <= u}
 and the scalar W = b'z + sigma zeta e that the order-p test rejects on,
@@ -59,7 +66,7 @@ bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
@@ -169,6 +176,15 @@ class SigmaRatioDensity:
     def cdf(self, s):
         x = np.maximum(np.asarray(s, dtype=float), 0.0) / self._scale
         return gammainc(0.5 * self.dof, 0.5 * x ** 2)
+
+
+@lru_cache
+def _ratio_quantiles(dof: int, q: tuple[float, ...]) -> np.ndarray:
+    """The ratio density's ppf at the quantiles q, read-only: the scale
+    layout depends on the dof alone, so each is computed once per (dof, q)."""
+    out = SigmaRatioDensity(dof).ppf(np.array(q))
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -345,7 +361,10 @@ class _ExactEngine:
         P, O = problem.P, problem.O
         self.k = query.A.shape[0]
         self.ratio = SigmaRatioDensity(problem.dof)
-        self.s_step = self.ratio.ppf(np.array(_STEP_Q))
+        # the scale layout: the x-edge scales and the scale grid's edges
+        self.s_step = _ratio_quantiles(problem.dof, _STEP_Q)
+        self._s_edges = _ratio_quantiles(problem.dof,
+                                         tuple(panel_edges(_S_Q_LO, _S_Q_HI).tolist()))
         # the scale mass outside the grid, part of the error floor
         self.truncated = _S_Q_LO + (1.0 - _S_Q_HI)
         # the limit formula's design record and constants at Q = X'X/n and
@@ -359,9 +378,11 @@ class _ExactEngine:
         self.c = query.rule.critical_values(O)
         self.sigma = query.sigma
         dq, sig = self.design, self.sigma
-        # the order-O orthant does not involve the scale: one evaluation
+        # the order-O orthant does not involve the scale: one evaluation,
+        # which can sample only at k >= 4
+        rng = philox(budget.seed, 10_000) if self.k >= 4 else None
         self.core = gaussian_rect(query.t - self.shift[O], sig ** 2 * dq.omega(O),
-                                  rng=philox(budget.seed, 10_000), n_samples=budget.n_z)
+                                  rng=rng, n_samples=budget.n_z)
         # every order p > O conditioned once on its selection scalar
         # X = W / (sigma xi_p): z = g X + R with R ~ N(0, S), S = L L'; a
         # rank-0 order (z = g X) keeps the x-interval of {g X <= u}, x0 and
@@ -390,10 +411,6 @@ class _ExactEngine:
         return self._z_cache[p]
 
     # ---- scale grid ----
-    @cached_property
-    def _s_edges(self) -> np.ndarray:
-        return self.ratio.ppf(panel_edges(_S_Q_LO, _S_Q_HI))
-
     def _s_grid(self) -> Panels:
         """The one scale grid's `Panels`: components the core's term and each
         rank-0 order's (`_term_k1`), then their weights, with an edge

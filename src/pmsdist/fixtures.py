@@ -15,6 +15,7 @@ P1           single intercept column, P = 1, O = 0, threshold 1.96.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class Fixture:
     rule: GeneralToSpecific
     Q: np.ndarray
 
-    @property
+    @cached_property
     def limits(self) -> LimitQuantities:
         return limit_quantities(self.Q, self.A, O=self.problem.O)
 

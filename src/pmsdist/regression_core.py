@@ -123,6 +123,11 @@ class RegressionProblem:
             out.append((q, r))
         return tuple(out)
 
+    @cached_property
+    def _records(self) -> dict[tuple, LimitQuantities]:
+        """`projection_quantities` records, keyed by the target's shape and bytes."""
+        return {}
+
 
 @dataclass(frozen=True)
 class LimitQuantities:
@@ -309,8 +314,8 @@ def _design_record(Q: np.ndarray, A: np.ndarray, O: int) -> LimitQuantities:
             break
     return LimitQuantities(
         Q=_readonly(Q), A=_readonly(A), O=int(O),
-        xi_inf=xi, C_inf=C, b_inf=b, zeta_inf=zeta, omega_inf=omega,
-        q_star=q_star,
+        xi_inf=_readonly(xi), C_inf=_readonly(C), b_inf=_readonly(b),
+        zeta_inf=_readonly(zeta), omega_inf=_readonly(omega), q_star=q_star,
     )
 
 
@@ -320,8 +325,21 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQua
     The finite-n counterpart of `limit_quantities`, without its positive
     definiteness gate: `RegressionProblem` has checked the rank of X, and
     a nearly collinear design keeps its finite-n law.
+
+    The record depends on neither t, theta nor sigma, so it is built once
+    per (problem, target) and kept on the problem, keyed by the float64
+    target's shape and bytes; every later call with the same target gets
+    the same read-only record.  A target is validated only when it is
+    first seen: equal bytes were valid then.  The memo holds one record of
+    O(P k^2) floats per distinct target, whatever n is.
     """
-    return _design_record(problem.gram, target_matrix(A, problem.P), problem.O)
+    A = np.asarray(A, dtype=float)
+    key = (A.shape, A.tobytes())
+    rec = problem._records.get(key)
+    if rec is None:
+        rec = _design_record(problem.gram, target_matrix(A, problem.P), problem.O)
+        problem._records[key] = rec
+    return rec
 
 
 def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantities:

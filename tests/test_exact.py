@@ -525,6 +525,81 @@ def test_p4_k3_grid_values_are_frozen():
         assert abs(res.value - want) <= 1e-14, (t, res.value, want)
 
 
+def _benchmark_points():
+    """(make_problem, query) of the 39 exact_grid benchmark points and the
+    27 P1 queries of its plugin_sweeps workload; make_problem builds the
+    point's problem afresh."""
+    grid1 = [(t,) for t in np.linspace(-1.5, 1.5, 9)]
+    grid2 = [(a, b) for a in (-1.0, 0.25, 1.5) for b in (-1.0, 0.25, 1.5)]
+    points = []
+    for name in ("ORTHO2", "COLL2"):
+        fx = fixture(name)
+        points += [(lambda nm=name: fixture(nm).problem,
+                    CdfQuery(A=A, t=t, theta=fx.problem.theta, sigma=1.0, rule=fx.rule))
+                   for A, grid in ((np.eye(2), grid2), (E1, grid1)) for t in grid]
+    problem, A, rule = _p4_k3_case()
+    points += [(lambda: _p4_k3_case()[0],
+                CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+               for t in P4_GRID]
+    for n in (100, 400, 1600):
+        fx = fixture("P1", n=n)
+        points += [(lambda m=n: fixture("P1", n=m).problem,
+                    CdfQuery(A=fx.A, t=[0.0], theta=[lam / np.sqrt(n)], sigma=1.0,
+                             rule=fx.rule))
+                   for lam in np.linspace(-0.999, 0.999, 9)]
+    return points
+
+
+def test_shared_setup_replays_a_cold_call_bit_for_bit():
+    # the design record (per problem and target) and the scale layout (per
+    # dof) are built once and shared: a problem that has already served
+    # another t and theta gives the value, abs_error, method and warning of
+    # a fresh problem with an empty layout cache
+    from pmsdist.dist_exact import _ratio_quantiles
+
+    points = _benchmark_points()
+    assert len(points) == 39 + 27
+    warm_problems = {}
+    for make, query in points:
+        _ratio_quantiles.cache_clear()
+        cold = cdf_exact(make(), query)
+        if make not in warm_problems:
+            warm_problems[make] = make()
+            moved = CdfQuery(A=query.A, t=query.t + 0.5, theta=0.5 * query.theta + 0.1,
+                             sigma=1.0, rule=query.rule)
+            cdf_exact(warm_problems[make], moved)
+        warm = cdf_exact(warm_problems[make], query)
+        assert ((cold.value, cold.abs_error, cold.method, cold.warning)
+                == (warm.value, warm.abs_error, warm.method, warm.warning)), (query, cold, warm)
+
+
+def test_scale_layout_is_shared_read_only_and_follows_the_quantiles(monkeypatch):
+    import pmsdist.dist_exact as dist_exact
+
+    fx = fixture("COLL2")
+    q = _query(fx, (0.25, 0.25))
+    ratio = SigmaRatioDensity(fx.problem.dof)
+    a = _ExactEngine(fx.problem, q, QUICK)
+    b = _ExactEngine(fixture("COLL2").problem, q, QUICK)
+    assert a.s_step is b.s_step and a._s_edges is b._s_edges
+    for arr in (a.s_step, a._s_edges):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert np.array_equal(a._s_edges, ratio.ppf(_gauss.panel_edges(1e-12, 1.0 - 1e-10)))
+    assert np.array_equal(a.s_step, ratio.ppf(np.array([1e-6, 0.5, 1.0 - 1e-6])))
+    other = _ExactEngine(fixture("COLL2", n=40).problem, q, QUICK)
+    assert other._s_edges is not a._s_edges
+    # the quantiles are read on every call, so patching them moves the layout
+    monkeypatch.setattr(dist_exact, "_S_Q_LO", 1e-15)
+    monkeypatch.setattr(dist_exact, "_S_Q_HI", 1.0 - 1e-13)
+    monkeypatch.setattr(dist_exact, "_STEP_Q", (0.5,))
+    wide = _ExactEngine(fx.problem, q, QUICK)
+    assert np.array_equal(wide._s_edges, ratio.ppf(_gauss.panel_edges(1e-15, 1.0 - 1e-13)))
+    assert np.array_equal(wide.s_step, ratio.ppf(np.array([0.5])))
+    monkeypatch.setattr(_gauss, "PANELS", 6)
+    assert _ExactEngine(fx.problem, q, QUICK)._s_edges.size == 7
+
+
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
 
 

@@ -160,6 +160,54 @@ def test_projection_quantities_is_the_record_of_the_gram():
         assert (got.O, got.q_star) == (want.O, want.q_star)
 
 
+def test_projection_record_is_built_once_per_problem_and_target():
+    fx = fixture("COLL2")
+    pr = fx.problem
+    rec = projection_quantities(pr, np.eye(2))
+    # equal float64 bytes and shape, whatever container: the same record
+    assert projection_quantities(pr, [[1, 0], [0, 1]]) is rec
+    assert projection_quantities(pr, np.eye(2)) is rec
+    # another target, or the same values in another shape: its own record
+    e1 = projection_quantities(pr, [[1.0, 0.0]])
+    assert e1 is not rec and projection_quantities(pr, [[1.0, 0.0]]) is e1
+    e2 = projection_quantities(pr, [[0.0, 1.0]])
+    assert np.array_equal(e2.A, [[0.0, 1.0]]) and not np.array_equal(e2.C_inf, e1.C_inf)
+    flat = projection_quantities(pr, [1.0, 0.0])
+    assert flat is not e1
+    assert np.array_equal(flat.omega_inf, e1.omega_inf) and flat.q_star == e1.q_star
+    # another problem on the same design keeps its own memo
+    twin = RegressionProblem(X=pr.X, theta=pr.theta, sigma=pr.sigma, O=pr.O)
+    assert projection_quantities(twin, np.eye(2)) is not rec
+
+
+@pytest.mark.parametrize("A,fragment", [
+    ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+    (np.eye(3), "columns"),
+    ([[1.0, 2.0], [2.0, 4.0]], "rank"),
+])
+def test_memoized_problem_still_validates_new_targets(A, fragment):
+    pr = fixture("COLL2").problem
+    projection_quantities(pr, np.eye(2))
+    with pytest.raises(ValidationError, match=fragment):
+        projection_quantities(pr, A)
+    assert len(pr._records) == 1
+
+
+def test_design_records_are_read_only():
+    # records are shared by every later cdf on their problem: a write into
+    # one must fail rather than move those values
+    fx = fixture("COLL2")
+    for rec in (projection_quantities(fx.problem, fx.A), fx.limits):
+        for field in ("Q", "A", "xi_inf", "C_inf", "b_inf", "zeta_inf", "omega_inf"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rec, field)[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            rec.omega(2)[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            rec.C(1)[0] = 5.0
+    assert fx.limits is fx.limits
+
+
 def test_zeta_residue_of_either_sign_is_exactly_zero():
     # COLL2 with A = I at p = 2: W_2 is a function of Z_2, and the
     # cancellation in xi^2 - b'C leaves a positive residue of about 2e-16
