@@ -43,7 +43,7 @@ PANELS = 12
 NODES_PER_PANEL = 25
 MAX_ROUNDS = 10
 
-# Relative eigenvalue cutoff for generalized inverses and SPD checks.
+# Relative eigenvalue cutoff of the one numerical-rank rule (`sym_eigh`).
 GINV_REL_TOL = 1e-12
 # Rounding floor of every cdf error bound: the accuracy of `bvn_cdf`
 ROUNDING = 1e-14
@@ -259,31 +259,29 @@ def bvn_cdf(h, k, rho: float) -> np.ndarray:
     return out
 
 
-def psd_factor(cov: np.ndarray, scale: float = 0.0) -> np.ndarray:
-    """Factor L (k x r) with cov ~= L @ L.T for a symmetric PSD matrix.
-
-    Eigenvalues below 1e-12 times the larger of the largest eigenvalue and
-    ``scale`` are treated as exact zeros, so r is the numerical rank.  A
-    matrix formed by cancellation passes the scale of its operands, so that
-    rounding residue counts as zero.
-    """
-    cov = np.asarray(cov, dtype=float)
-    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
+def sym_eigh(mat: np.ndarray, scale: float = 0.0):
+    """(lam, vec, keep): the ascending eigenpairs of the symmetric part of
+    mat and the package's one numerical-rank rule, the mask of eigenvalues
+    above GINV_REL_TOL times the larger of the largest one and ``scale``.
+    A matrix formed by cancellation passes the scale of its operands, so
+    that rounding residue counts as zero."""
+    mat = np.asarray(mat, dtype=float)
+    lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
     lmax = max(float(lam[-1]), scale, 0.0)
-    keep = lam > max(lmax * 1e-12, 1e-300)
+    return lam, vec, lam > max(lmax * GINV_REL_TOL, 1e-300)
+
+
+def psd_factor(cov: np.ndarray, scale: float = 0.0) -> np.ndarray:
+    """Factor L (k x r) with cov ~= L @ L.T for a symmetric PSD matrix, r
+    its numerical rank by `sym_eigh` (at ``scale``)."""
+    lam, vec, keep = sym_eigh(cov, scale)
     return vec[:, keep] * np.sqrt(lam[keep])
 
 
 def sym_pinv(mat: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric PSD matrix via eigendecomposition.
-
-    Eigenvalues below GINV_REL_TOL times the largest count as zero (the
-    documented generalized-inverse convention of the package).
-    """
-    mat = np.asarray(mat, dtype=float)
-    lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
-    lmax = max(float(np.max(np.abs(lam))), 0.0)
-    keep = np.abs(lam) > max(lmax * GINV_REL_TOL, 1e-300)
+    """Moore-Penrose inverse of a symmetric PSD matrix via eigendecomposition,
+    the eigenvalues `sym_eigh` does not count being zero."""
+    lam, vec, keep = sym_eigh(mat)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
     return (vec * inv) @ vec.T

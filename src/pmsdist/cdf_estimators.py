@@ -53,9 +53,9 @@ def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
                    budget: AccuracyBudget | None = None) -> np.ndarray:
     """Plug-in estimates for many replications at one argument t.
 
-    Exploits the zero-drift scaling identity — the estimate at scale
-    sigma_hat equals the unit-scale formula at t / sigma_hat — to evaluate
-    whole groups sharing an effective order in one vectorized pass.
+    At zero drift the estimate at scale sigma_hat is the unit-scale formula
+    at t / sigma_hat (the identity every cdf evaluator applies first), so
+    whole groups sharing an effective order take one vectorized pass.
     sigma_hats must be finite and nonnegative, a zero one giving the
     point-mass cdf at the origin; p_bars are orders in [0, P].
     """
@@ -80,7 +80,7 @@ def g_check_values(problem: RegressionProblem, A, t, rule: GeneralToSpecific,
     for p in np.unique(p_eff[~zero]):
         rows = (~zero) & (p_eff == p)
         T = t_arr[None, :] / sig[rows, None]
-        totals, _, _, _ = _cdf_limit_rows(limits, int(p), nu, 1.0, c_of, T, budget)
+        totals, _, _, _ = _cdf_limit_rows(limits, int(p), nu, c_of, T=T, budget=budget)
         out[rows] = np.clip(totals, 0.0, 1.0)
     return out
 

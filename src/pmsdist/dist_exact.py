@@ -11,7 +11,9 @@ residual-scale ratio sigma_hat/sigma.
 
 Evaluation strategy
 -------------------
-The formula is the limit one of `dist_limit` at Q = X'X/n and drift
+G at (t, theta, sigma) is G at (t / sigma, theta / sigma, 1): the engine
+divides sigma out where it starts and computes at unit sigma.  The
+formula is the limit one of `dist_limit` at Q = X'X/n and drift
 gamma = sqrt(n) theta, mixed over sigma_hat/sigma: the engine reads the
 design record of X'X/n (`regression_core.projection_quantities`) and the
 shifts and drifts of `regression_core.local_shift_constants`, and the
@@ -19,16 +21,16 @@ later-stage factors prod_{q > p} Delta_q (`tail_products`, shared with
 the limit paths at scale 1) are taken at each scale node.  The outer
 scale integral runs over equal-mass Gauss-Kronrod panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
-What depends on neither t, theta nor sigma is built once and shared by
-every later call: the design record once per (problem, target), kept on
-the problem (one O(P k^2) record per distinct target, whatever n is),
-and the scale layout (the grid's edges and the `_STEP_Q` scales) once
-per (dof, quantiles), both read-only.  The shifts, drifts, each order's
-conditioning split (which depends on sigma) and the panel rules are
-built per call.
+What depends on neither t nor theta is built once and shared by every
+later call: the design record once per (problem, target), kept on the
+problem (one O(P k^2) record per distinct target, whatever n is), and
+the scale layout (the grid's edges and the `_STEP_Q` scales) once per
+(dof, quantiles), both read-only.  The shifts, drifts, panel rules and
+each order's conditioning split (a function of the design record alone)
+are built per call.
 
 Every order-p integrand depends on z only through the orthant {z <= u}
-and the scalar W = b'z + sigma zeta e that the order-p test rejects on,
+and the scalar W = b'z + zeta e that the order-p test rejects on,
 so z is conditioned once per order on X = W / sd(W): z = g X + R, with R
 of conditional rank r.  The test rejects at scale s when
 |X - x0| >= s c_p, and r alone picks how the term is evaluated.  At
@@ -289,21 +291,21 @@ class TermTrace:
                          self.errors[:, j], self.sampling[:, j])
 
 
-def tail_products(dq: LimitQuantities, sigma: float, nu, c_of, p0: int, s=1.0):
+def tail_products(dq: LimitQuantities, nu, c_of, p0: int, s=1.0):
     """prod_{q > p} Delta_q for p = p0..P, keyed by p: the later-stage factors.
 
-    Delta_q = delta(sigma xi_q, nu_q, s c_q sigma xi_q) is the probability
-    that the order-q test does not reject at scale s = sigma_hat / sigma,
-    with dq the design record, nu_q the drift and c_q the critical value
-    of order q.  s is 1 in the limit and the array of scale nodes of the
-    exact cdf, whose shape every product takes.
+    Delta_q = delta(xi_q, nu_q, s c_q xi_q) is the probability, at unit
+    sigma, that the order-q test does not reject at scale s = sigma_hat /
+    sigma, with dq the design record, nu_q the drift and c_q the critical
+    value of order q.  s is 1 in the limit and the array of scale nodes of
+    the exact cdf, whose shape every product takes.
     """
     P = dq.P
     tail = {P: np.ones_like(s, dtype=float)}
     for p in range(P - 1, p0 - 1, -1):
         q = p + 1
         xi = dq.xi(q)
-        tail[p] = tail[q] * delta(sigma * xi, nu[q], s * c_of[q] * sigma * xi)
+        tail[p] = tail[q] * delta(xi, nu[q], s * c_of[q] * xi)
     return tail
 
 
@@ -356,7 +358,6 @@ class _ExactEngine:
             raise ValidationError("query A width does not match problem dimension")
         query.rule.validate_for(problem.P, problem.O)
         self.problem = problem
-        self.query = query
         self.budget = budget
         P, O = problem.P, problem.O
         self.k = query.A.shape[0]
@@ -367,35 +368,34 @@ class _ExactEngine:
                                          tuple(panel_edges(_S_Q_LO, _S_Q_HI).tolist()))
         # the scale mass outside the grid, part of the error floor
         self.truncated = _S_Q_LO + (1.0 - _S_Q_HI)
-        # the limit formula's design record and constants at Q = X'X/n and
-        # gamma = sqrt(n) theta, theta the query's: orthant shifts
-        # sqrt(n) A (eta(p) - theta) and drifts sqrt(n) eta_p(p), eta(p) the
-        # mean of the order-p restricted estimator
+        # at unit sigma (t and theta over sigma), the limit formula's design
+        # record and constants at Q = X'X/n and gamma = sqrt(n) theta: orthant
+        # shifts sqrt(n) A (eta(p) - theta) and drifts sqrt(n) eta_p(p), eta(p)
+        # the mean of the order-p restricted estimator
+        self.u = query.t / query.sigma
         self.design = projection_quantities(problem, query.A)
         consts = local_shift_constants(problem.gram, query.A, np.zeros(P),
-                                       np.sqrt(problem.n) * query.theta, O)
+                                       np.sqrt(problem.n) * (query.theta / query.sigma), O)
         self.shift, self.nu = consts.beta, consts.nu
         self.c = query.rule.critical_values(O)
-        self.sigma = query.sigma
-        dq, sig = self.design, self.sigma
+        dq = self.design
         # the order-O orthant does not involve the scale: one evaluation,
         # which can sample only at k >= 4
         rng = philox(budget.seed, 10_000) if self.k >= 4 else None
-        self.core = gaussian_rect(query.t - self.shift[O], sig ** 2 * dq.omega(O),
+        self.core = gaussian_rect(self.u - self.shift[O], dq.omega(O),
                                   rng=rng, n_samples=budget.n_z)
         # every order p > O conditioned once on its selection scalar
-        # X = W / (sigma xi_p): z = g X + R with R ~ N(0, S), S = L L'; a
-        # rank-0 order (z = g X) keeps the x-interval of {g X <= u}, x0 and
-        # c_p of its two-ray term (`_term_k1`)
+        # X = W / xi_p: z = g X + R with R ~ N(0, S), S = L L'; a rank-0
+        # order (z = g X) keeps the x-interval of {g X <= u}, x0 and c_p of
+        # its two-ray term (`_term_k1`)
         self.split: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.rank0: dict[int, tuple[float, float, float, float]] = {}
         for p in range(O + 1, P + 1):
-            sw = sig * dq.xi(p)
-            g, S, L = condition_on_scalar(sig ** 2 * dq.omega(p), sig ** 2 * dq.C(p), sw ** 2)
-            self.split[p] = (g, S, L)
+            xi = dq.xi(p)
+            g, S, L = self.split[p] = condition_on_scalar(dq.omega(p), dq.C(p), xi ** 2)
             if L.shape[1] == 0:
-                lo, hi = rank1_bounds((query.t - self.shift[p])[None, :], g)
-                self.rank0[p] = (float(lo[0]), float(hi[0]), -self.nu[p] / sw, float(self.c[p]))
+                lo, hi = rank1_bounds((self.u - self.shift[p])[None, :], g)
+                self.rank0[p] = (float(lo[0]), float(hi[0]), -self.nu[p] / xi, float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
         self._grid: Panels | None = None
         self._orders: dict[int, tuple[Panels, float, float]] = {}
@@ -421,7 +421,7 @@ class _ExactEngine:
 
         def f(s):
             pdf = self.ratio.pdf(s)
-            tail = tail_products(self.design, self.sigma, self.nu, self.c, O, s)
+            tail = tail_products(self.design, self.nu, self.c, O, s)
             terms = [(core * pdf * tail[O], pdf * tail[O])]
             terms += [self._term_k1(p, s, pdf * tail[p]) for p in self.rank0]
             parts = np.array([v for v, _ in terms] + [w for _, w in terms])
@@ -437,7 +437,7 @@ class _ExactEngine:
         partial panel per argument.
         """
         def f(s):
-            tail = tail_products(self.design, self.sigma, self.nu, self.c, p, s)
+            tail = tail_products(self.design, self.nu, self.c, p, s)
             return self.ratio.pdf(s) * tail[p]
 
         return cumulative_rule(f, self._s_edges)
@@ -462,26 +462,26 @@ class _ExactEngine:
     def _conditional_term(self, p: int, R=None) -> tuple[Panels, float, float]:
         """(panels, error, se) of the order-p term with the integrals swapped.
 
-        With W = b_p'z + sigma zeta_p e (e standard normal, independent of
-        z), 1 - Delta(sigma zeta_p, nu_p + b_p'z, B) = P(|nu_p + W| >= B | z).
-        Split z = g X + R on X = W / (sigma xi_p), with R ~ N(0, S)
-        independent of X.  At scale s the order-p test rejects when
-        |X - x0| >= s c_p, x0 = -nu_p / (sigma xi_p), so z <= u and the
-        rejection hold together for every s up to |X - x0| / c_p, and with
+        At unit sigma, with W = b_p'z + zeta_p e (e standard normal,
+        independent of z) and B = s c_p xi_p, 1 - Delta(zeta_p, nu_p + b_p'z,
+        B) = P(|nu_p + W| >= B | z).  Split z = g X + R on X = W / xi_p,
+        with R ~ N(0, S) independent of X.  At scale s the order-p test
+        rejects when |X - x0| >= s c_p, x0 = -nu_p / xi_p, so z <= u and
+        the rejection hold together for every s up to |X - x0| / c_p, and with
         K_p the scale mass below s (`_scale_mass`) the term is
 
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
-        and pi(p) is the same integral without the orthant, at u = t -
-        shift_p: the order's `conditional_rows` rule on the split of
+        and pi(p) is the same integral without the orthant, at u = t / sigma
+        - shift_p: the order's `conditional_rows` rule on the split of
         `__init__`, with edges at the `_STEP_Q` quantiles of the ratio
         density, against the draws R if given.  The panels' totals are the
         term and pi(p), the error the dropped x-mass.
         """
         g, S, L = self.split[p]
         panels, errs, ses = conditional_rows(
-            (self.query.t - self.shift[p])[None, :], g, S, L,
-            -self.nu[p] / (self.sigma * self.design.xi(p)), self.c[p], self.s_step,
+            (self.u - self.shift[p])[None, :], g, S, L,
+            -self.nu[p] / self.design.xi(p), self.c[p], self.s_step,
             self._scale_mass(p), R)
         return panels[0], float(errs[0]), float(ses[0])
 

@@ -6,24 +6,26 @@ this module evaluates the limit cdf and its density when one exists.  Both
 read the design record `regression_core.LimitQuantities` of the limit Gram
 and the constants (p_star, shift vectors beta, scalar drifts nu) of
 `regression_core.local_shift_constants`, as the exact cdf of `dist_exact`
-does at Q = X'X/n and gamma = sqrt(n) theta.
+does at Q = X'X/n and gamma = sqrt(n) theta.  Like it, each evaluator
+divides sigma out first (`_limit_query`) and computes at unit sigma.
 
 Two independent evaluation paths are provided.  The primary path works
 through the probabilistic representation of the limit: independent scalar
-Gaussians W_p (variance sigma^2 xi_p^2) drive partial sums
+Gaussians W_p (variance xi_p^2) drive partial sums
 Z_p = sum_{r <= p} xi_r^{-2} C_r W_r, and each mixture term is the joint
-probability P(Z_p <= u_p, |W_p + nu_p| >= c_p sigma xi_p) times later-stage
+probability P(Z_p <= u_p, |W_p + nu_p| >= c_p xi_p) times later-stage
 interval factors (`dist_exact.tail_products` at scale 1).  Joint
 probabilities reduce to closed bivariate-normal forms for scalar targets,
 to the two-ray interval of the exact cdf (`_gauss.ray_interval_prob`) at
 conditional rank 0, and otherwise to the conditioned-orthant kernel of the
-exact cdf (`_gauss.conditional_rows`, at the one scale 1).  The secondary path (`cdf_limit_via_integral`)
-evaluates the mixture-of-shifted-Gaussians integral form directly, with
-its own shift constants and each term conditioned on b_p'Z, and exists
-purely to cross-check the first.  Both build the per-order parts of a
-`dist_exact.TermTrace` (pi(p) is the chance that order p is selected),
-read from panel rules that `_gauss.refine` bisects, and form their result
-with `dist_exact.cdf_result`, as the exact cdf does; the n_z seeded draws
+exact cdf (`_gauss.conditional_rows`, at the one scale 1).  The secondary
+path (`cdf_limit_via_integral`) evaluates the mixture-of-shifted-Gaussians
+integral form directly, with its own shift constants and each term
+conditioned on b_p'Z, and exists purely to cross-check the first.  Both
+build the per-order parts of a `dist_exact.TermTrace` (pi(p) is the
+chance that order p is selected), read from panel rules that
+`_gauss.refine` bisects, and form their result with
+`dist_exact.cdf_result`, as the exact cdf does; the n_z seeded draws
 enter only at k >= 4 with conditional rank >= 3 (unconditional rank >= 4),
 once per order (`_rule_rows`).
 """
@@ -35,7 +37,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._gauss import (
-    GINV_REL_TOL,
     bvn_cdf,
     condition_on_scalar,
     conditional_rows,
@@ -47,6 +48,7 @@ from ._gauss import (
     rank1_bounds,
     ray_interval_prob,
     refine,
+    sym_eigh,
 )
 from .dist_exact import AccuracyBudget, CdfResult, TermTrace, cdf_result, delta, tail_products
 from .errors import DensityUndefinedError, ValidationError, cdf_argument
@@ -106,12 +108,14 @@ class OscillationReport:
 
 def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
                  rule: GeneralToSpecific) -> tuple[np.ndarray, LocalShiftConstants]:
-    """Checks shared by the limit evaluators; returns (t, shift constants)."""
+    """Checks shared by the limit evaluators; returns the unit-sigma query:
+    (t / sigma, shift constants at drift gamma / sigma)."""
     if alt.P != limits.P:
         raise ValidationError("alternative dimension does not match limits")
     rule.validate_for(limits.P, limits.O)
-    return (cdf_argument(t, limits.k),
-            local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O))
+    return (cdf_argument(t, limits.k) / alt.sigma,
+            local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma / alt.sigma,
+                                  limits.O))
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +184,20 @@ def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
     return rows, panels
 
 
-def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
-                    c_of: np.ndarray, T: np.ndarray, budget: AccuracyBudget):
-    """All representation terms for each row of T, refined together.
+def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, c_of: np.ndarray, *,
+                    T: np.ndarray, budget: AccuracyBudget):
+    """All representation terms at unit sigma for each row of T, refined together.
 
     nu[p] and c_of[p] are the drift and critical value of order p.  Returns
     (totals, trace of orders p_star..P with a trailing axis of rows,
     summed estimates per row, rounds of bisection run).
     """
     P, k, m = limits.P, limits.k, T.shape[0]
-    tails = tail_products(limits, sigma, nu, c_of, p_star)
+    tails = tail_products(limits, nu, c_of, p_star)
     shift = {P: np.zeros(k)}
     for p in range(P - 1, p_star - 1, -1):
         shift[p] = shift[p + 1] + limits.C(p + 1) * (nu[p + 1] / limits.xi(p + 1) ** 2)
-    core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], sigma ** 2 * limits.omega(p_star),
+    core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], limits.omega(p_star),
                                     rng=philox(budget.seed + 977), n_samples=budget.n_z)
     # terms, weights, errors and sampling errors of order p_star, whose
     # weight is the chance that no later test rejects
@@ -201,10 +205,9 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, sigma: float,
     core = np.empty((4, m))
     core[0], core[1], core[2], core[3] = core0 * w0, w0, 0.0, 3.0 * se0 * w0
     # every order conditioned (and, where it must be, sampled) once
-    joint = {p: _joint_rows(T + shift[p][None, :], sigma ** 2 * limits.omega(p),
-                            sigma ** 2 * limits.C(p), sigma ** 2 * limits.xi(p) ** 2, nu[p],
-                            c_of[p] * sigma * limits.xi(p), (budget.seed + 1000 + p, 0),
-                            budget.n_z)
+    joint = {p: _joint_rows(T + shift[p][None, :], limits.omega(p), limits.C(p),
+                            limits.xi(p) ** 2, nu[p], c_of[p] * limits.xi(p),
+                            (budget.seed + 1000 + p, 0), budget.n_z)
              for p in range(p_star + 1, P + 1)}
 
     def assemble():
@@ -231,8 +234,8 @@ def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     budget = budget or AccuracyBudget()
     t, consts = _limit_query(limits, alt, t, rule)
     _, trace, gaps, rounds = _cdf_limit_rows(
-        limits, consts.p_star, consts.nu, alt.sigma, rule.critical_values(limits.O),
-        t[None, :], budget)
+        limits, consts.p_star, consts.nu, rule.critical_values(limits.O),
+        T=t[None, :], budget=budget)
     return cdf_result(trace.row(0), gaps[0], rounds, budget, "representation", limits.k)
 
 
@@ -248,7 +251,7 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     Independent of `cdf_limit`: uses the direct shift vectors beta(p) and
     the conditional-spread constants (b, zeta) instead of the joint (Z, W)
     covariance, so transcription errors in either path surface as
-    disagreement.  Each order term E[1{Z <= u} (1 - Delta(sigma zeta_p,
+    disagreement.  Each order term E[1{Z <= u} (1 - Delta(zeta_p,
     nu_p + b_p'Z, B_p))] conditions Z on b_p'Z (`_rule_rows`), which is
     deterministic up to k = 3 and at conditional rank <= 2 (a rank-2
     orthant is a polygon in closed form), and samples only the conditional
@@ -260,14 +263,14 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     budget = budget or AccuracyBudget()
     P, k = limits.P, limits.k
     t, consts = _limit_query(limits, alt, t, rule)
-    sigma, p_star = alt.sigma, consts.p_star
+    p_star = consts.p_star
     c_of = rule.critical_values(limits.O)
-    tails = tail_products(limits, sigma, consts.nu, c_of, p_star)
+    tails = tail_products(limits, consts.nu, c_of, p_star)
 
     # terms, weights, errors and sampling errors of orders p_star..P; the
     # orders without a rule are fixed across rounds
     fixed = np.zeros((4, P - p_star + 1))
-    core, core_se = gaussian_rect(t - consts.beta[p_star], sigma ** 2 * limits.omega(p_star),
+    core, core_se = gaussian_rect(t - consts.beta[p_star], limits.omega(p_star),
                                   rng=philox(budget.seed + 31), n_samples=budget.n_z)
     w0 = tails[p_star]
     fixed[:, 0] = core * w0, w0, 0.0, 3.0 * core_se * w0
@@ -275,22 +278,22 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     for i, p in enumerate(range(p_star + 1, P + 1), start=1):
         u = t - consts.beta[p]
         xi_p, zeta_p, b_p = limits.xi(p), limits.zeta(p), limits.b(p)
-        B = c_of[p] * sigma * xi_p
-        cov_z = sigma ** 2 * limits.omega(p)
+        B = c_of[p] * xi_p
+        cov_z = limits.omega(p)
         var_v = float(b_p @ cov_z @ b_p)
-        if var_v <= (_ZERO_SD_REL * sigma * xi_p) ** 2:
+        if var_v <= (_ZERO_SD_REL * xi_p) ** 2:
             # the order-p test statistic V = b_p'Z does not load on Z
             val, se = gaussian_rect(u, cov_z, rng=philox(budget.seed + 63, p),
                                     n_samples=budget.n_z)
-            pi = 1.0 - float(delta(sigma * zeta_p, consts.nu[p], B))
+            pi = 1.0 - float(delta(zeta_p, consts.nu[p], B))
             fixed[:, i] = pi * val * tails[p], pi * tails[p], 0.0, 3.0 * se * tails[p]
             continue
-        # condition on X = V / sd(V): 1 - Delta(sigma zeta_p, nu_p + V, B) is the
+        # condition on X = V / sd(V): 1 - Delta(zeta_p, nu_p + V, B) is the
         # mass K(|X - x0| / c) of `_rule_rows`, x0 = -nu_p / sd(V), c = B / sd(V)
         g, S, L = condition_on_scalar(cov_z, cov_z @ b_p, var_v)
         sv = np.sqrt(var_v)
         rules[i] = _rule_rows(u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
-                              sigma * zeta_p / B, (budget.seed + 63, p), budget.n_z)
+                              zeta_p / B, (budget.seed + 63, p), budget.n_z)
 
     def assemble():
         parts = fixed.copy()
@@ -307,13 +310,13 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
 def _gaussian_density(cov: np.ndarray):
     """v -> the N(0, cov) density at v, read from the eigenvalues of cov.
 
-    A covariance whose smallest eigenvalue is at most GINV_REL_TOL times
-    its largest (the package's generalized-inverse cutoff) is singular and
-    raises DensityUndefinedError.  The gate and the density read the same
+    A covariance of which `sym_eigh`, the package's numerical-rank rule,
+    counts an eigenvalue as zero is singular and raises
+    DensityUndefinedError.  The gate and the density read the same
     eigenvalues, so a covariance that passes cannot give rounding noise.
     """
-    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
-    if lam[0] <= GINV_REL_TOL * max(lam[-1], 0.0):
+    lam, vec, keep = sym_eigh(cov)
+    if not keep.all():
         raise DensityUndefinedError(
             f"component covariance is singular (eigenvalues {lam[0]:.3e} to {lam[-1]:.3e})")
     log_norm = -0.5 * (float(np.sum(np.log(lam))) + lam.size * np.log(2.0 * np.pi))
@@ -330,39 +333,36 @@ def pdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
     """Density of the limit distribution at t.
 
     Defined when p_star > 0 and every mixture component's covariance
-    sigma^2 omega(p), p >= p_star, is nonsingular by `_gaussian_density`'s
+    omega(p), p >= p_star, is nonsingular by `_gaussian_density`'s
     eigenvalue test (the components are then absolutely continuous);
     otherwise raises DensityUndefinedError.  It is 0 at a t with an
-    infinite coordinate.
+    infinite coordinate.  It is sigma^-k times the unit-sigma density.
     """
     t, consts = _limit_query(limits, alt, t, rule)
-    sigma = alt.sigma
     p_star = consts.p_star
     if p_star == 0:
         raise DensityUndefinedError("density requires p_star > 0: order 0 is a point mass")
-    density = {p: _gaussian_density(sigma ** 2 * limits.omega(p))
-               for p in range(p_star, limits.P + 1)}
+    density = {p: _gaussian_density(limits.omega(p)) for p in range(p_star, limits.P + 1)}
 
     if not np.all(np.isfinite(t)):
         return 0.0   # every component density vanishes there
     c_of = rule.critical_values(limits.O)
-    tails = tail_products(limits, sigma, consts.nu, c_of, p_star)
+    tails = tail_products(limits, consts.nu, c_of, p_star)
 
     val = density[p_star](t - consts.beta[p_star]) * tails[p_star]
     for p in range(p_star + 1, limits.P + 1):
         v = t - consts.beta[p]
         a = consts.nu[p] + float(limits.b(p) @ v)
-        B = c_of[p] * sigma * limits.xi(p)
-        one_minus = 1.0 - float(delta(sigma * limits.zeta(p), a, B))
+        one_minus = 1.0 - float(delta(limits.zeta(p), a, c_of[p] * limits.xi(p)))
         val += one_minus * density[p](v) * tails[p]
-    return float(val)
+    return float(val * alt.sigma ** -limits.k)
 
 
 def full_model_gaussian_cdf(limits: LimitQuantities, sigma: float, t) -> float:
     """Cdf of N(0, sigma^2 A Q^{-1} A') at t: the no-selection-effect limit."""
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValidationError("sigma must be positive")
-    val, _ = gaussian_rect(cdf_argument(t, limits.k), sigma ** 2 * limits.omega(limits.P))
+    val, _ = gaussian_rect(cdf_argument(t, limits.k) / sigma, limits.omega(limits.P))
     return float(val)
 
 

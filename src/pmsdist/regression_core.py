@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._gauss import GINV_REL_TOL, sym_pinv
+from ._gauss import GINV_REL_TOL, sym_eigh, sym_pinv
 from .errors import DegenerateSampleError, ValidationError, target_matrix
 
 __all__ = [
@@ -51,8 +51,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_spd(mat: np.ndarray, name: str) -> None:
-    lam = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if lam[0] <= GINV_REL_TOL * max(lam[-1], 0.0) or lam[0] <= 0.0:
+    lam, _, keep = sym_eigh(mat)
+    if not keep.all():
         raise ValidationError(f"{name} must be symmetric positive definite "
                               f"(smallest eigenvalue {lam[0]:.3e})")
 

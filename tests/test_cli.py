@@ -221,6 +221,31 @@ def test_config_file_merging(capsys, tmp_path):
     assert rc == EXIT_INVALID
 
 
+@pytest.mark.parametrize("kind,config,flags", [
+    ("convergence", {"fixture": "P1", "t": [0.3], "gamma": 0.7, "n_ladder": [100, 400],
+                     "tol": 1e-6},
+     ["--fixture", "P1", "--t", "0.3", "--gamma", "0.7", "--n-ladder", "100,400",
+      "--tol", "1e-6"]),
+    ("uniform", {"fixture": "BLOCK_ORTHO", "t": 0.2, "theta_grid": [[0.5, 0.1], [0.4, 0.0]],
+                 "n_ladder": 100, "reps": 200, "est_draws": 20},
+     ["--fixture", "BLOCK_ORTHO", "--t", "0.2", "--theta-grid", "0.5,0.1;0.4,0.0",
+      "--n-ladder", "100", "--reps", "200", "--est-draws", "20"]),
+])
+def test_config_numbers_and_lists_match_string_flags(capsys, tmp_path, kind, config, flags):
+    # a config file may give t, gamma, ladders and grids as JSON numbers
+    # and lists; the run equals the one from the string flags
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    payloads = []
+    for argv in (["sweep", kind, "--config", str(cfg)], ["sweep", kind, *flags]):
+        rc, out, _ = _run(capsys, argv)
+        assert rc == EXIT_OK
+        payload = _payload(out)
+        del payload["wall_clock_s"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_sweep_writes_artifacts(capsys, tmp_path):
     prefix = tmp_path / "conv"
     rc, out, _ = _run(capsys, ["sweep", "convergence", "--fixture", "P1",

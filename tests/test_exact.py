@@ -26,8 +26,14 @@ from pmsdist.dist_exact import (
     delta,
     tail_products,
 )
-from pmsdist.dist_limit import LocalAlternative, _joint_rows, cdf_limit, cdf_limit_via_integral
-from pmsdist.errors import ValidationError
+from pmsdist.dist_limit import (
+    LocalAlternative,
+    _joint_rows,
+    cdf_limit,
+    cdf_limit_via_integral,
+    pdf_limit,
+)
+from pmsdist.errors import DensityUndefinedError, ValidationError
 from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import SimulationPlan, empirical_cdf
 from pmsdist.regression_core import RegressionProblem, limit_quantities
@@ -351,7 +357,7 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
     fx = fixture(name)
     budget = AccuracyBudget()
     engine = _ExactEngine(fx.problem, _query(fx, t), budget)
-    u = engine.query.t - engine.shift[p]
+    u = engine.u - engine.shift[p]
     if name == "COLL2":
         x_end, factor = u[0], float(u[1] >= 0.0)
     else:
@@ -362,7 +368,7 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
     def integrand(s):
         x_lo, x_hi = x0 - s * c, x0 + s * c
         rays = ndtr(min(x_end, x_lo)) + max(ndtr(x_end) - ndtr(x_hi), 0.0)
-        tail = tail_products(dq, engine.sigma, engine.nu, engine.c, p, np.array([s]))[p][0]
+        tail = tail_products(dq, engine.nu, engine.c, p, np.array([s]))[p][0]
         return engine.ratio.pdf(s) * tail * factor * rays
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
@@ -380,10 +386,10 @@ def test_k1_term_matches_adaptive_quadrature(name, t):
     fx = fixture(name)
     engine = _ExactEngine(fx.problem, CdfQuery(A=E1, t=[t], theta=fx.problem.theta,
                                                sigma=1.0, rule=fx.rule), AccuracyBudget())
-    p, sig = 2, engine.sigma
+    p, sig = 2, 1.0
     dq = engine.design
     assert dq.zeta(p) > 0.1 * dq.xi(p)
-    u = engine.query.t - engine.shift[p]
+    u = engine.u - engine.shift[p]
     b, mp, cssx = float(dq.b(p)[0]), engine.nu[p], engine.c[p] * sig * dq.xi(p)
     sd = sig * np.sqrt(dq.omega(p)[0, 0])
 
@@ -391,7 +397,7 @@ def test_k1_term_matches_adaptive_quadrature(name, t):
         def f(z):
             return norm_pdf(z / sd) / sd * (1.0 - delta(sig * dq.zeta(p), mp + b * z, s * cssx))
         val, _ = quad(f, -12.0 * sd, u[0], epsabs=1e-15, epsrel=1e-13, limit=200)
-        tail = tail_products(dq, engine.sigma, engine.nu, engine.c, p, np.array([s]))[p][0]
+        tail = tail_products(dq, engine.nu, engine.c, p, np.array([s]))[p][0]
         return engine.ratio.pdf(s) * tail * val
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
@@ -657,15 +663,14 @@ def test_k3_term_matches_adaptive_quadrature(p, n):
     budget = AccuracyBudget()
     engine = _ExactEngine(problem, CdfQuery(A=A, t=P4_GRID[0], theta=problem.theta,
                                             sigma=1.0, rule=rule), budget)
-    u = engine.query.t - engine.shift[p]
+    u = engine.u - engine.shift[p]
     dq = engine.design
     g, _, L = condition_on_scalar(dq.omega(p), dq.C(p), dq.xi(p) ** 2)
     assert L.shape[1] == p - 1
     x0, c = -engine.nu[p] / dq.xi(p), engine.c[p]
     s_lo, s_hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     dens = chi(df=engine.ratio.dof, scale=1.0 / np.sqrt(engine.ratio.dof))
-    K = solve_ivp(lambda s, _: [dens.pdf(s) * tail_products(dq, engine.sigma, engine.nu,
-                                                            engine.c, p, s)[p]],
+    K = solve_ivp(lambda s, _: [dens.pdf(s) * tail_products(dq, engine.nu, engine.c, p, s)[p]],
                   (s_lo, s_hi), [0.0], method="DOP853", rtol=1e-13, atol=1e-16,
                   dense_output=True).sol
 
@@ -840,8 +845,8 @@ def _last_order_oracle(engine):
     p = engine.problem.P
     g, _, L = engine.split[p]
     assert p == 2 and L.shape[1] == 1
-    u = engine.query.t - engine.shift[p]
-    x0, c = -engine.nu[p] / (engine.sigma * engine.design.xi(p)), engine.c[p]
+    u = engine.u - engine.shift[p]
+    x0, c = -engine.nu[p] / engine.design.xi(p), engine.c[p]
     s_lo, s_hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     load = L[:, 0]
 
@@ -888,6 +893,22 @@ def test_near_step_queries_are_within_their_error(A, t, first_pass_misses):
     first = engine.assemble().terms[-1]
     gap = sum(panels.gap for panels in engine.panels())
     assert (abs(first - want) > gap) == first_pass_misses, (first, want, gap)
+
+
+def test_spent_rounds_are_flagged(monkeypatch):
+    # the first near-step query above meets tol after two rounds of
+    # bisection; with no round to run, its first-pass estimate is above
+    # tol / 2 while the error floor is far below tol, and the result says
+    # refinement ran out
+    fx = fixture("COLL2")
+    query = CdfQuery(A=np.array([[0.01, 1.0], [1.0, 0.0]]), t=(1.0, -0.2),
+                     theta=fx.problem.theta, sigma=1.0, rule=fx.rule)
+    budget = AccuracyBudget()
+    assert cdf_exact(fx.problem, query, budget).method.startswith("mixture-formula;levels=2;")
+    monkeypatch.setattr(_gauss, "MAX_ROUNDS", 0)
+    res = cdf_exact(fx.problem, query, budget)
+    assert res.warning == "refinement budget exhausted before reaching tol", res
+    assert res.method.startswith("mixture-formula;levels=0;") and res.abs_error > budget.tol
 
 
 @pytest.mark.parametrize("A,t", [(np.eye(2), (0.25, -1.0)), (E1, (0.25,)),
@@ -1009,3 +1030,41 @@ def test_every_evaluator_traces_its_value_by_order():
         if tr.sampling.sum() > 0.0:
             sampled.add(label)
     assert sampled == {"exact.P5-k4", "cdf_limit.P5-k4", "cdf_limit_via_integral.P5-k4"}
+
+
+def _same_result(a, b):
+    return (a.value, a.abs_error, a.method, a.warning) == (b.value, b.abs_error, b.method,
+                                                           b.warning)
+
+
+@pytest.mark.parametrize("sigma", [1e-6, 0.37, 3.0, 1e6])
+@pytest.mark.parametrize("name", ["COLL2", "ORTHO2", "P1", "BLOCK_ORTHO"])
+def test_every_evaluator_is_scale_equivariant(name, sigma):
+    # G at (t, theta, sigma) is G at (t / sigma, theta / sigma, 1), and the
+    # limit cdf at (t, gamma, sigma) is that at (t, gamma) / sigma and unit
+    # sigma: bit for bit, since every evaluator divides sigma out first;
+    # the density of a scalar target scales by 1 / sigma
+    fx = fixture(name)
+    P, k = fx.limits.P, fx.limits.k
+    theta = fx.problem.theta.copy()
+    theta[-1] = 0.0      # a nonzero drift moves the last order
+    t = np.linspace(-0.4, 0.9, k) * sigma
+    gamma = np.linspace(-1.5, 0.8, P) * sigma
+    for th in (theta * sigma, fx.problem.theta * sigma):
+        scaled = cdf_exact(fx.problem, _query(fx, t, theta=th, sigma=sigma))
+        unit = cdf_exact(fx.problem, _query(fx, t / sigma, theta=th / sigma, sigma=1.0))
+        assert _same_result(scaled, unit), (scaled, unit)
+    alt = LocalAlternative(theta=theta, gamma=gamma, sigma=sigma)
+    alt1 = LocalAlternative(theta=theta, gamma=gamma / sigma, sigma=1.0)
+    for evaluate in (cdf_limit, cdf_limit_via_integral):
+        scaled = evaluate(fx.limits, alt, t, fx.rule)
+        unit = evaluate(fx.limits, alt1, t / sigma, fx.rule)
+        assert _same_result(scaled, unit), (evaluate.__name__, scaled, unit)
+    # the density of the first target row, whose components are scalar
+    limits = limit_quantities(fx.Q, fx.A[:1], O=fx.problem.O)
+    if name == "P1":     # p_star = 0: an atom at the origin, no density
+        with pytest.raises(DensityUndefinedError):
+            pdf_limit(limits, alt, t[:1], fx.rule)
+        return
+    want = pdf_limit(limits, alt1, t[:1] / sigma, fx.rule) / sigma
+    assert 0.0 < want and abs(pdf_limit(limits, alt, t[:1], fx.rule) - want) <= 1e-15 * want

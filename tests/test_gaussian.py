@@ -16,6 +16,7 @@ from pmsdist._gauss import (
     gaussian_rect_rows,
     gl_panels,
     kronrod_legendre,
+    needs_sampling,
     norm_pdf,
     orthant_rows,
     philox,
@@ -24,6 +25,9 @@ from pmsdist._gauss import (
     ray_interval_prob,
     sym_pinv,
 )
+from pmsdist.dist_limit import _gaussian_density
+from pmsdist.errors import DensityUndefinedError, ValidationError
+from pmsdist.regression_core import limit_quantities
 
 
 def test_bvn_cdf_against_scipy():
@@ -339,6 +343,15 @@ def test_polygon_orthant_edges(case):
         assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-14, (u, v)
 
 
+def test_orthant_rows_leaves_rank_three_in_four_dimensions_to_sampling():
+    # no closed form covers rank 3 at k = 4: `needs_sampling` sends it to
+    # the draws, and the deterministic kernel refuses it
+    L = np.eye(4, 3) + 0.2
+    assert needs_sampling(4, 3)
+    with pytest.raises(ValueError, match="rank-3 covariance of dimension 4"):
+        orthant_rows(np.zeros((1, 4)), L @ L.T, L)
+
+
 def test_polygon_orthant_of_a_box_ends_pieces_at_right_angles():
     # an axis-aligned box: every piece ends where theta - phi = +/- pi/2 for
     # its binding line, and tan just past -pi/2 is large and positive
@@ -594,6 +607,23 @@ def test_psd_factor_reconstructs():
     L = psd_factor(cov)
     assert L.shape == (3, 2)
     assert np.allclose(L @ L.T, cov, atol=1e-12)
+
+
+@pytest.mark.parametrize("small,rank", [(2e-12, 2), (5e-13, 1), (-1e-13, 1)])
+def test_one_numerical_rank_rule(small, rank):
+    # an eigenvalue counts as nonzero above 1e-12 times the largest, in the
+    # factor, the pseudo-inverse, the SPD check and the density alike
+    M = np.array([[1.0, 0.0], [0.0, small]])
+    assert psd_factor(M).shape[1] == rank
+    assert np.count_nonzero(sym_pinv(M)) == rank
+    if rank == 2:
+        limit_quantities(M, np.eye(2))
+        _gaussian_density(M)
+        return
+    with pytest.raises(ValidationError):
+        limit_quantities(M, np.eye(2))
+    with pytest.raises(DensityUndefinedError):
+        _gaussian_density(M)
 
 
 def test_sym_pinv_properties():

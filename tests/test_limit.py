@@ -10,6 +10,7 @@ from pmsdist.dist_limit import (
     LocalAlternative,
     _cdf_limit_rows,
     _joint_rows,
+    _limit_query,
     cdf_limit,
     cdf_limit_via_integral,
     full_model_gaussian_cdf,
@@ -266,9 +267,10 @@ def test_refinement_stops_when_sampling_error_alone_misses_tol():
     limits, alt, rule = _p5_k4_limit()
     t = np.array([1.0, -0.5, 0.5, 0.8])
     budget = AccuracyBudget(tol=1e-6)
-    consts = local_shift_constants(limits.Q, limits.A, alt.theta, alt.gamma, limits.O)
-    _, trace, gaps, rounds = _cdf_limit_rows(limits, consts.p_star, consts.nu, alt.sigma,
-                                             rule.critical_values(limits.O), t[None, :], budget)
+    u, consts = _limit_query(limits, alt, t, rule)
+    _, trace, gaps, rounds = _cdf_limit_rows(limits, consts.p_star, consts.nu,
+                                             rule.critical_values(limits.O), T=u[None, :],
+                                             budget=budget)
     assert gaps[0] >= 0.5 * budget.tol and trace.sampling.sum() > budget.tol and rounds == 0
     res = cdf_limit(limits, alt, t, rule, budget)
     assert res.method.startswith("representation;levels=0;")
@@ -293,8 +295,9 @@ def test_batched_rows_trace_equals_the_one_row_trace():
 
 
 def _check_batched_rows(limits, alt, rule, consts, T, budget, rows_rounds):
-    totals, trace, gaps, rounds = _cdf_limit_rows(limits, consts.p_star, consts.nu, alt.sigma,
-                                                  rule.critical_values(limits.O), T, budget)
+    totals, trace, gaps, rounds = _cdf_limit_rows(limits, consts.p_star, consts.nu,
+                                                  rule.critical_values(limits.O), T=T,
+                                                  budget=budget)
     assert trace.terms.shape == (len(trace.orders), len(T)) and rounds == max(rows_rounds)
     for j, t in enumerate(T):
         res = cdf_limit(limits, alt, t, rule, budget)

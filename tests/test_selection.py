@@ -181,6 +181,18 @@ def test_post_select_fit_shapes():
         post_select_fit(pr, pr.X @ pr.theta, GeneralToSpecific(critical=(2.0, 2.0)))
 
 
+def test_exact_fit_is_degenerate_for_ic_values_and_t_ratios():
+    # Y = X theta leaves no residual: the full model's RSS and sigma_hat
+    # are zero, so the IC of that mask and every t-ratio are undefined
+    pr = fixture("COLL2").problem
+    Y = pr.X @ pr.theta
+    family = (SubsetMask(bits=(1, 1)), SubsetMask(bits=(1, 0)))
+    with pytest.raises(DegenerateSampleError, match="RSS is zero"):
+        ic_values(pr, Y, InformationCriterion(upsilon_n=2.0, family=family))
+    with pytest.raises(DegenerateSampleError, match="sigma_hat is zero"):
+        full_model_t_ratios(pr, Y)
+
+
 def test_auxiliary_consistent_scans_all_orders():
     pr = fixture("ORTHO2").problem  # O = 1 is ignored by the auxiliary scan
     assert auxiliary_consistent(pr, _exact_sample(pr, [0.0, 0.0])) == 0
