@@ -20,12 +20,15 @@ of an outer rule covers the whole nested term.  The outer rules (the
 x-rules of `conditional_rows`, the exact cdf's scale grid) and the
 s-panels start from the PANELS equal panels of `panel_edges` plus their
 break points; the path rule is one panel of [0, 1] plus the edges of its
-determinant layer.  `refine` bisects the outer panels whose estimates
-are large, row by row, and stops a row at its error floor: the error no
-bisection reduces (`error_floor`).
+determinant layer.  An outer rule integrates q order terms, then their
+q weights, and its estimate covers the terms.  `refine` bisects the
+outer panels whose estimates are large, row by row, and stops a row at
+its error floor: the error no bisection reduces (`error_floor`).  Each
+order's part of a cdf is one `OrderTerm`, a closed form's or a rule's.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -134,18 +137,18 @@ def panel_edges(lo: float, hi: float) -> np.ndarray:
 class Panels:
     """One row's composite K25 rule of one integrand, refined by bisection.
 
-    f(x) -> (fk, fg), two arrays of shape (q, len(x)): q components of the
-    integrand at the nodes x, with any inner rule at K25 (fk) and at G12
-    (fg); a flat integrand returns the same array twice.  Every panel keeps
-    its K25 sums of fk and its G12 sums of fg.  ``total`` is the K25
-    integral of every component; a panel's estimate is |K25 - G12| summed
-    over the first ``terms`` components (the terms, not their weights), and
-    ``gap`` the sum of the estimates.  `bisect` re-evaluates only the
+    f(x) -> (fk, fg), two arrays of shape (2q, len(x)): q order terms
+    followed by their q weights, at the nodes x, with any inner rule at K25
+    (fk) and at G12 (fg); a flat integrand returns the same array twice.
+    Every panel keeps its K25 sums of fk and its G12 sums of fg.  ``total``
+    is the K25 integral of every component; a panel's estimate is
+    |K25 - G12| summed over the terms (the first half of the components),
+    and ``gap`` the sum of the estimates.  `bisect` re-evaluates only the
     halves of the panels it splits.
     """
 
-    def __init__(self, f, edges: np.ndarray, terms: int = 1):
-        self.f, self.terms = f, terms
+    def __init__(self, f, edges: np.ndarray):
+        self.f = f
         self.lo, self.hi = edges[:-1], edges[1:]
         self.K, self.G = self._sums(self.lo, self.hi)
         self._estimate()
@@ -157,7 +160,8 @@ class Panels:
         return (fk * wk).reshape(shape).sum(axis=2), (fg * wg).reshape(shape).sum(axis=2)
 
     def _estimate(self):
-        self.estimates = np.abs(self.K[:self.terms] - self.G[:self.terms]).sum(axis=0)
+        q = len(self.K) // 2
+        self.estimates = np.abs(self.K[:q] - self.G[:q]).sum(axis=0)
         self.gap = float(self.estimates.sum())
         self.total = self.K.sum(axis=1)
 
@@ -179,6 +183,32 @@ class Panels:
         self.K = np.concatenate([self.K[:, keep], K], axis=1)
         self.G = np.concatenate([self.G[:, keep], G], axis=1)
         self._estimate()
+
+
+@dataclass(frozen=True)
+class OrderTerm:
+    """One order's part of a trace over its rows, G(t) = sum_p pi(p) G(t | p).
+
+    A closed form gives its term pi(p) G(t | p) and weight pi(p) directly;
+    a rule gives None for both and its per-row `Panels`, whose K25 totals
+    (term, weight) `refine` moves by bisection.  error is the term's
+    deterministic bound (dropped mass) and se the standard error of its
+    draws, 0 where nothing is sampled; scalars broadcast over the rows.
+    """
+
+    term: object
+    weight: object
+    error: object
+    se: object
+    panels: tuple = ()
+
+    def parts(self) -> np.ndarray:
+        """(4, rows): term, weight, error bound and sampling error 3 SE."""
+        term, weight = (np.array([p.total for p in self.panels]).T if self.panels
+                        else (self.term, self.weight))
+        out = np.empty((4, *np.shape(term)))
+        out[0], out[1], out[2], out[3] = term, weight, self.error, 3.0 * self.se
+        return out
 
 
 def split_edges(base: np.ndarray, breaks) -> np.ndarray:
@@ -643,9 +673,9 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
     `conditional_kinks`; its components are the term and pi, the integral
     without the orthant.  The orthant is `orthant_rows` at every x-node
     or, given draws R (rows), the share of the draws whose x-interval
-    {x : g x <= u - R} holds the node.  Returns (panels, errors, SEs) over
-    the rows: the error is the dropped x-mass, the SE 0 without draws and
-    else that of the draws' interval weights on the first pass, at least
+    {x : g x <= u - R} holds the node.  Returns the rows' `OrderTerm`: the
+    x-rules, the error the dropped x-mass, the SE 0 without draws and else
+    that of the draws' interval weights on the first pass, at least
     1/len(R), as no draw may land in a rare region.
     """
     s = np.asarray(s_breaks, dtype=float)
@@ -681,7 +711,7 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
             return np.array([kk * ok, kk]), np.array([kg * og, kg])
 
         panels.append(Panels(f, edges))
-    return panels, np.full(len(U), 2.0 * float(ndtr(-TAIL_CUT))), ses
+    return OrderTerm(None, None, 2.0 * float(ndtr(-TAIL_CUT)), ses, tuple(panels))
 
 
 def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
@@ -696,9 +726,9 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     given) shared by all rows.  There is no refinement loop: the x-rule
     runs one K25 pass on its `panel_edges` and a full-rank trivariate
     orthant one path panel (`_trivariate_rows`), each with an error at
-    rounding level.  Returns
-    (probabilities, standard_errors): 0 where deterministic, else at least
-    1/n_samples.
+    rounding level.  Returns (probabilities, standard_errors), where it
+    conditions the terms and SE of the rule's `OrderTerm`: the SE is 0
+    where deterministic, else at least 1/n_samples.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -710,8 +740,8 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     g, S, L = condition_on_scalar(cov, cov[:, j], float(cov[j, j]))
     rng = philox(0) if rng is None else rng
     R = gauss_draws(rng, n_samples, L) if needs_sampling(k, L.shape[1]) else None
-    panels, _, se = conditional_rows(U, g, S, L, 0.0, 1.0, (), lambda y: (1.0, 1.0), R)
-    return np.array([p.total[0] for p in panels]), se
+    term = conditional_rows(U, g, S, L, 0.0, 1.0, (), lambda y: (1.0, 1.0), R)
+    return term.parts()[0], term.se
 
 
 def gaussian_rect(upper: np.ndarray, cov: np.ndarray, *, rng=None,

@@ -63,40 +63,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _floats(value) -> list[float]:
-    if value is None:
-        return []
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, str):
-        return [float(v) for v in value.split(",") if v.strip() != ""]
-    return [float(v) for v in value]
+def _floats(value: str) -> list[float]:
+    return [float(v) for v in value.split(",") if v.strip() != ""]
 
 
-def _ints(value) -> list[int]:
-    if isinstance(value, str):
-        return [int(v) for v in value.split(",") if v.strip() != ""]
-    return [int(v) for v in np.atleast_1d(value)]
+def _ints(value: str) -> list[int]:
+    return [int(v) for v in value.split(",") if v.strip() != ""]
 
 
-def _grid(value) -> list[list[float]]:
-    if isinstance(value, str):
-        return [_floats(row) for row in value.split(";") if row.strip() != ""]
-    return [_floats(row) for row in value]
-
-
-def _np_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, SubsetMask):
-        return str(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+def _grid(value: str) -> list[list[float]]:
+    return [_floats(row) for row in value.split(";") if row.strip() != ""]
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_np_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if out_path:
         with open(out_path, "w") as fh:
@@ -452,19 +432,40 @@ def build_parser():
     return parser, subparsers
 
 
+def _flag_text(value) -> str:
+    """A config value as the text of its flag: a string as is, a list as its
+    comma-separated items, a list of rows as its rows each ended by ';',
+    anything else as its JSON text (a number's repr)."""
+    if isinstance(value, list):
+        if any(isinstance(v, list) for v in value):
+            return "".join(_flag_text(row) + ";" for row in value)
+        return ",".join(map(_flag_text, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def _apply_config(parser, subparsers, argv, args):
-    """Merge a JSON config file under the explicit flags and re-parse."""
+    """Re-parse with a JSON config file's values as flags before the
+    explicit ones, so those still win and every value is parsed as its
+    flag's text (`_flag_text`); a null value sets nothing."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
-    sp = subparsers[args.command]
-    allowed = {a.dest for a in sp._actions} - {"help", "config", "func"}
-    unknown = sorted(set(cfg) - allowed)
+    flags = {a.dest: a for a in subparsers[args.command]._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(flags))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    sp.set_defaults(**cfg)
-    return parser.parse_args(argv)
+    extra = []
+    for key, value in cfg.items():
+        flag = flags[key].option_strings[-1]
+        if flags[key].nargs == 0:   # store_true
+            if not isinstance(value, bool):
+                raise ValidationError(f"config key {key} takes true or false")
+            extra += [flag] if value else []
+        elif value is not None:
+            extra.append(f"{flag}={_flag_text(value)}")
+    return parser.parse_args(argv[:1] + extra + argv[1:])
 
 
 def main(argv=None) -> int:

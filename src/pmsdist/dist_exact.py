@@ -54,8 +54,10 @@ and unconditional rank >= 4.
 Every cdf evaluator of the package, these and the limit ones of
 `dist_limit`, forms its result the same way: per-order parts in a
 `TermTrace` (pi(p) G(t | p), pi(p), error bounds and three sampling
-standard errors, each at least 1/n_z), read from K25 panel rules that
-`_gauss.refine` bisects where their |K25 - G12| estimates are large, and
+standard errors, each at least 1/n_z), read from one `_gauss.OrderTerm`
+per order, whose K25 panel rules `_gauss.refine` bisects where their
+|K25 - G12| estimates are large (here order O and the rank-0 orders share
+the scale grid, whose totals are their terms and weights), and
 `cdf_result`, the one error budget: the summed estimates, dropped mass,
 the defect of sum pi(p) from 1 (which carries the truncated scale mass),
 sampling error and a 1e-14 rounding floor.  No bisection reduces the
@@ -75,6 +77,7 @@ from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
 
 from ._gauss import (
     ROUNDING,
+    OrderTerm,
     Panels,
     condition_on_scalar,
     conditional_rows,
@@ -398,7 +401,7 @@ class _ExactEngine:
                 self.rank0[p] = (float(lo[0]), float(hi[0]), -self.nu[p] / xi, float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
         self._grid: Panels | None = None
-        self._orders: dict[int, tuple[Panels, float, float]] = {}
+        self._orders: dict[int, OrderTerm] = {}
 
     # ---- sampled draws for k >= 4 terms (one draw per order, shared by
     # every bisection so refinement measures quadrature only) ----
@@ -427,7 +430,7 @@ class _ExactEngine:
             parts = np.array([v for v, _ in terms] + [w for _, w in terms])
             return parts, parts
 
-        return Panels(f, split_edges(self._s_edges, crossings), terms=1 + len(self.rank0))
+        return Panels(f, split_edges(self._s_edges, crossings))
 
     def _scale_mass(self, p: int):
         """K(y), the integral of pdf(s) tail_p(s) over s <= y, as its K25 and
@@ -459,8 +462,8 @@ class _ExactEngine:
                 wt * ray_interval_prob(-np.inf, np.inf, a, b))
 
     # ---- the scale integral folded into the selection scalar ----
-    def _conditional_term(self, p: int, R=None) -> tuple[Panels, float, float]:
-        """(panels, error, se) of the order-p term with the integrals swapped.
+    def _conditional_term(self, p: int, R=None) -> OrderTerm:
+        """The `OrderTerm` of order p, one row, with the integrals swapped.
 
         At unit sigma, with W = b_p'z + zeta_p e (e standard normal,
         independent of z) and B = s c_p xi_p, 1 - Delta(zeta_p, nu_p + b_p'z,
@@ -475,18 +478,16 @@ class _ExactEngine:
         and pi(p) is the same integral without the orthant, at u = t / sigma
         - shift_p: the order's `conditional_rows` rule on the split of
         `__init__`, with edges at the `_STEP_Q` quantiles of the ratio
-        density, against the draws R if given.  The panels' totals are the
-        term and pi(p), the error the dropped x-mass.
+        density, against the draws R if given.  Its panels' totals are the
+        term and pi(p), its error the dropped x-mass.
         """
         g, S, L = self.split[p]
-        panels, errs, ses = conditional_rows(
-            (self.u - self.shift[p])[None, :], g, S, L,
-            -self.nu[p] / self.design.xi(p), self.c[p], self.s_step,
-            self._scale_mass(p), R)
-        return panels[0], float(errs[0]), float(ses[0])
+        return conditional_rows((self.u - self.shift[p])[None, :], g, S, L,
+                                -self.nu[p] / self.design.xi(p), self.c[p], self.s_step,
+                                self._scale_mass(p), R)
 
-    def _term_sampled(self, p: int):
-        """(panels, error, se) of an order whose conditional orthant
+    def _term_sampled(self, p: int) -> OrderTerm:
+        """The `OrderTerm` of an order whose conditional orthant
         `needs_sampling`, on the draws of `_z_sample`."""
         return self._conditional_term(p, self._z_sample(p)[0])
 
@@ -499,30 +500,23 @@ class _ExactEngine:
             for p in range(self.problem.O + 1, self.problem.P + 1):
                 if p in self.rank0:
                     continue
-                if needs_sampling(self.k, self.split[p][2].shape[1]):
-                    self._orders[p] = self._term_sampled(p)
-                else:
-                    self._orders[p] = self._conditional_term(p)
-        return [self._grid, *(panels for panels, _, _ in self._orders.values())]
+                sampled = needs_sampling(self.k, self.split[p][2].shape[1])
+                self._orders[p] = self._term_sampled(p) if sampled else self._conditional_term(p)
+        return [self._grid, *(term.panels[0] for term in self._orders.values())]
 
     def assemble(self) -> TermTrace:
-        """The trace of the rules' current sums."""
-        P, O = self.problem.P, self.problem.O
+        """The trace of the rules' current sums: the scale grid's terms and
+        weights of order O and the rank-0 orders, and each other order's
+        `OrderTerm` parts."""
+        O = self.problem.O
         self.panels()
-        grid = self._grid.total
-        n = grid.size // 2
-        # terms, weights, errors and sampling errors of orders O..P
-        parts = np.zeros((4, P - O + 1))
-        parts[:2, 0] = grid[0], grid[n]
-        parts[3, 0] = 3.0 * self.core[1] * grid[n]
-        rank0 = {p: i for i, p in enumerate(self.rank0, start=1)}
-        for i, p in enumerate(range(O + 1, P + 1), start=1):
-            if p in rank0:
-                parts[:2, i] = grid[rank0[p]], grid[n + rank0[p]]
-            else:
-                panels, err, se = self._orders[p]
-                parts[:, i] = *panels.total, err, 3.0 * se
-        return TermTrace(tuple(range(O, P + 1)), *parts)
+        terms, weights = self._grid.total.reshape(2, -1)
+        # the core's sampling error scales with its weight, a grid total
+        parts = {O: [terms[0], weights[0], 0.0, 3.0 * self.core[1] * weights[0]]}
+        parts.update((p, [terms[i], weights[i], 0.0, 0.0]) for i, p in enumerate(self.rank0, 1))
+        parts.update((p, term.parts()[:, 0]) for p, term in self._orders.items())
+        orders = sorted(parts)
+        return TermTrace(tuple(orders), *np.array([parts[p] for p in orders]).T)
 
 
 def cdf_exact(problem: RegressionProblem, query: CdfQuery,

@@ -22,12 +22,13 @@ exact cdf (`_gauss.conditional_rows`, at the one scale 1).  The secondary
 path (`cdf_limit_via_integral`) evaluates the mixture-of-shifted-Gaussians
 integral form directly, with its own shift constants and each term
 conditioned on b_p'Z, and exists purely to cross-check the first.  Both
-build the per-order parts of a `dist_exact.TermTrace` (pi(p) is the
-chance that order p is selected), read from panel rules that
-`_gauss.refine` bisects, and form their result with
-`dist_exact.cdf_result`, as the exact cdf does; the n_z seeded draws
-enter only at k >= 4 with conditional rank >= 3 (unconditional rank >= 4),
-once per order (`_rule_rows`).
+keep one `_gauss.OrderTerm` per order (pi(p) is the chance that order p
+is selected): a closed form's values, or the rows' `conditional_rows`
+rule, which `_gauss.refine` bisects.  Their `dist_exact.TermTrace`
+stacks each record's parts times the order's later-stage factors, and
+`dist_exact.cdf_result` forms the result, as in the exact cdf; the n_z
+seeded draws enter only at k >= 4 with conditional rank >= 3
+(unconditional rank >= 4), once per order (`_rule_rows`).
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._gauss import (
+    OrderTerm,
     bvn_cdf,
     condition_on_scalar,
     conditional_rows,
@@ -123,7 +125,7 @@ def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
 # ---------------------------------------------------------------------------
 
 def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
-                var_w: float, nu: float, B: float, key, n_z: int):
+                var_w: float, nu: float, B: float, key, n_z: int) -> OrderTerm:
     """P(Z <= u_row, |W + nu| >= B) for centered joint Gaussians (Z, W), B > 0.
 
     Z is k-variate with covariance cov_z, W scalar with variance var_w,
@@ -133,9 +135,9 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
     x0 = -nu / sd(W) and c = B / sd(W): at r = 0 (Z = g X, also a Z of
     zero variance) the rows' x-intervals meet the rays in closed form
     (`ray_interval_prob`); otherwise `_rule_rows` (keyed by ``key``).
-    Returns (rows, panels): rows() -> (values, pis, errors, sampling
-    errors), pi = P(|W + nu| >= B) being the value without the orthant,
-    read from the rows' `Panels` (one per row; none for a closed form).
+    Returns the rows' `OrderTerm`, its weight pi = P(|W + nu| >= B) the
+    value without the orthant: the closed forms give values and pi with no
+    error, a rule its per-row `Panels`.
     """
     m, k = U.shape
     sw = np.sqrt(var_w)
@@ -153,21 +155,19 @@ def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
             return _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, key, n_z)
         lo, hi = rank1_bounds(U, g)
         vals = ray_interval_prob(lo, hi, w_lo / sw, w_hi / sw)
-    pi = ray_interval_prob(-np.inf, np.inf, w_lo / sw, w_hi / sw)
-    return (lambda: (vals, pi, 0.0, 0.0)), []
+    return OrderTerm(vals, ray_interval_prob(-np.inf, np.inf, w_lo / sw, w_hi / sw), 0.0, 0.0)
 
 
-def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
-    """(rows, panels) of int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for
-    every row u of U: rows() -> (values, pis, errors, sampling errors) reads
-    the rows' `Panels`, pi being the integral without the orthant.
+def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int) -> OrderTerm:
+    """The `conditional_rows` record of int phi(x) K(|x - x0| / c)
+    P(R <= u - g x) dx for every row u of U, its weight pi the integral
+    without the orthant.
 
     R ~ N(0, L L') (`condition_on_scalar`); K(y) = 1 - Delta(rho, y, 1),
     the step 1{y >= 1} at rho = 0, turns at y = 1 + rho z for z in
     `_TURN_Z`, which are x-edges of the rows' `conditional_rows` rule.  The
     rule and, where the conditional orthant `needs_sampling`, n_z draws of
-    R keyed by philox(*key) are made once, for every round of bisection;
-    the draws' error is 3 SE.
+    R keyed by philox(*key) are made once, for every round of bisection.
     """
     R = gauss_draws(philox(*key), n_z, L) if needs_sampling(*L.shape) else None
 
@@ -175,13 +175,16 @@ def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int):
         mass = 1.0 - delta(rho, y, 1.0)
         return mass, mass
 
-    panels, errs, ses = conditional_rows(U, g, S, L, x0, c, 1.0 + rho * _TURN_Z, K, R)
+    return conditional_rows(U, g, S, L, x0, c, 1.0 + rho * _TURN_Z, K, R)
 
-    def rows():
-        vals, pis = np.array([p.total for p in panels]).T
-        return vals, pis, errs, 3.0 * ses
 
-    return rows, panels
+def _assemble(terms: dict, tails: dict):
+    """assemble() -> the trace of the orders' records times tails[p], and their rules."""
+    def assemble():
+        parts = [term.parts() * tails[p] for p, term in terms.items()]
+        return TermTrace(tuple(terms), *np.array(parts).swapaxes(0, 1))
+
+    return assemble, [term.panels for term in terms.values() if term.panels]
 
 
 def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, c_of: np.ndarray, *,
@@ -192,34 +195,21 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, c_of: np.ndarray, 
     (totals, trace of orders p_star..P with a trailing axis of rows,
     summed estimates per row, rounds of bisection run).
     """
-    P, k, m = limits.P, limits.k, T.shape[0]
+    P, k = limits.P, limits.k
     tails = tail_products(limits, nu, c_of, p_star)
     shift = {P: np.zeros(k)}
     for p in range(P - 1, p_star - 1, -1):
         shift[p] = shift[p + 1] + limits.C(p + 1) * (nu[p + 1] / limits.xi(p + 1) ** 2)
-    core0, se0 = gaussian_rect_rows(T + shift[p_star][None, :], limits.omega(p_star),
-                                    rng=philox(budget.seed + 977), n_samples=budget.n_z)
-    # terms, weights, errors and sampling errors of order p_star, whose
-    # weight is the chance that no later test rejects
-    w0 = tails[p_star]
-    core = np.empty((4, m))
-    core[0], core[1], core[2], core[3] = core0 * w0, w0, 0.0, 3.0 * se0 * w0
+    # order p_star, whose weight is the chance that no later test rejects
+    core, se = gaussian_rect_rows(T + shift[p_star][None, :], limits.omega(p_star),
+                                  rng=philox(budget.seed + 977), n_samples=budget.n_z)
+    terms = {p_star: OrderTerm(core, 1.0, 0.0, se)}
     # every order conditioned (and, where it must be, sampled) once
-    joint = {p: _joint_rows(T + shift[p][None, :], limits.omega(p), limits.C(p),
-                            limits.xi(p) ** 2, nu[p], c_of[p] * limits.xi(p),
-                            (budget.seed + 1000 + p, 0), budget.n_z)
-             for p in range(p_star + 1, P + 1)}
-
-    def assemble():
-        parts = np.empty((4, P - p_star + 1, m))
-        parts[:, 0] = core
-        for i, p in enumerate(range(p_star + 1, P + 1), start=1):
-            parts[0, i], parts[1, i], parts[2, i], parts[3, i] = joint[p][0]()
-            parts[:, i] *= tails[p]
-        return TermTrace(tuple(range(p_star, P + 1)), *parts)
-
-    trace, gaps, rounds = refine(assemble, [panels for _, panels in joint.values() if panels],
-                                 budget.tol)
+    for p in range(p_star + 1, P + 1):
+        terms[p] = _joint_rows(T + shift[p][None, :], limits.omega(p), limits.C(p),
+                               limits.xi(p) ** 2, nu[p], c_of[p] * limits.xi(p),
+                               (budget.seed + 1000 + p, 0), budget.n_z)
+    trace, gaps, rounds = refine(*_assemble(terms, tails), budget.tol)
     return trace.total, trace, gaps, rounds
 
 
@@ -261,21 +251,14 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     budget.tol.
     """
     budget = budget or AccuracyBudget()
-    P, k = limits.P, limits.k
     t, consts = _limit_query(limits, alt, t, rule)
     p_star = consts.p_star
     c_of = rule.critical_values(limits.O)
-    tails = tail_products(limits, consts.nu, c_of, p_star)
-
-    # terms, weights, errors and sampling errors of orders p_star..P; the
-    # orders without a rule are fixed across rounds
-    fixed = np.zeros((4, P - p_star + 1))
-    core, core_se = gaussian_rect(t - consts.beta[p_star], limits.omega(p_star),
-                                  rng=philox(budget.seed + 31), n_samples=budget.n_z)
-    w0 = tails[p_star]
-    fixed[:, 0] = core * w0, w0, 0.0, 3.0 * core_se * w0
-    rules = {}
-    for i, p in enumerate(range(p_star + 1, P + 1), start=1):
+    core, se = gaussian_rect(t - consts.beta[p_star], limits.omega(p_star),
+                             rng=philox(budget.seed + 31), n_samples=budget.n_z)
+    # one row, t; order p_star's weight is the chance no later test rejects
+    terms = {p_star: OrderTerm(np.array([core]), 1.0, 0.0, se)}
+    for p in range(p_star + 1, limits.P + 1):
         u = t - consts.beta[p]
         xi_p, zeta_p, b_p = limits.xi(p), limits.zeta(p), limits.b(p)
         B = c_of[p] * xi_p
@@ -286,25 +269,17 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
             val, se = gaussian_rect(u, cov_z, rng=philox(budget.seed + 63, p),
                                     n_samples=budget.n_z)
             pi = 1.0 - float(delta(zeta_p, consts.nu[p], B))
-            fixed[:, i] = pi * val * tails[p], pi * tails[p], 0.0, 3.0 * se * tails[p]
+            terms[p] = OrderTerm(np.array([pi * val]), pi, 0.0, se)
             continue
         # condition on X = V / sd(V): 1 - Delta(zeta_p, nu_p + V, B) is the
         # mass K(|X - x0| / c) of `_rule_rows`, x0 = -nu_p / sd(V), c = B / sd(V)
         g, S, L = condition_on_scalar(cov_z, cov_z @ b_p, var_v)
         sv = np.sqrt(var_v)
-        rules[i] = _rule_rows(u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
+        terms[p] = _rule_rows(u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
                               zeta_p / B, (budget.seed + 63, p), budget.n_z)
-
-    def assemble():
-        parts = fixed.copy()
-        for i, (rows, _) in rules.items():
-            parts[:, i] = [v[0] for v in rows()]
-            parts[:, i] *= tails[p_star + i]
-        return TermTrace(tuple(range(p_star, P + 1)), *parts)
-
-    trace, gaps, rounds = refine(assemble, [panels for _, panels in rules.values()],
-                                 budget.tol)
-    return cdf_result(trace, gaps[0], rounds, budget, "mixture-integral", k)
+    tails = tail_products(limits, consts.nu, c_of, p_star)
+    trace, gaps, rounds = refine(*_assemble(terms, tails), budget.tol)
+    return cdf_result(trace.row(0), gaps[0], rounds, budget, "mixture-integral", limits.k)
 
 
 def _gaussian_density(cov: np.ndarray):

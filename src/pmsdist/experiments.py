@@ -70,11 +70,14 @@ class SweepReport:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     verdicts: dict[str, bool]
-    passed: bool
     master_seed: int
     config: dict
     wall_clock_s: float
     notes: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def passed(self) -> bool:
+        return all(self.verdicts.values())
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -147,8 +150,7 @@ def convergence_sweep(fixture: Fixture, gamma, t, n_ladder, *,
     return SweepReport(
         experiment="convergence_sweep", fixture=fixture.name,
         columns=("n", "exact", "limit", "gap", "error_bound"),
-        rows=tuple(rows), verdicts=verdicts, passed=all(verdicts.values()),
-        master_seed=master_seed,
+        rows=tuple(rows), verdicts=verdicts, master_seed=master_seed,
         config={"gamma": gamma.tolist(), "t": t_arr.tolist(),
                 "n_ladder": n_ladder, "endpoint_tol": endpoint_tol,
                 "tol": budget.tol},
@@ -235,8 +237,7 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
     return SweepReport(
         experiment="tube_sweep", fixture=fixture.name,
         columns=("n", "rho", "grid_points", "sup_gap", "argmax_gamma"),
-        rows=tuple(rows), verdicts=verdicts, passed=all(verdicts.values()),
-        master_seed=master_seed,
+        rows=tuple(rows), verdicts=verdicts, master_seed=master_seed,
         config={"t": t_arr.tolist(), "rho_grid": rho_grid,
                 "n_ladder": n_ladder, "n_gamma": n_gamma,
                 "delta_report": delta_report, "exterior_min": exterior_min,
@@ -357,8 +358,7 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
         experiment="impossibility_demo", fixture=fixture.name,
         columns=("n", "reference_fixed", "reference_drift",
                  "error_prob_fixed", "error_prob_drift"),
-        rows=tuple(rows), verdicts=verdicts, passed=all(verdicts.values()),
-        master_seed=master_seed,
+        rows=tuple(rows), verdicts=verdicts, master_seed=master_seed,
         config={"t": t_arr.tolist(), "gamma": gamma.tolist(),
                 "delta0": float(delta0),
                 "n_ladder": n_ladder,
@@ -428,8 +428,7 @@ def uniform_case_sweep(fixture: Fixture, theta_grid, t, n_ladder, *,
         experiment="uniform_case_sweep", fixture=fixture.name,
         columns=("n", *[f"theta_{i + 1}" for i in range(pr.P)],
                  "estimator_mean", "mc_cdf", "gap"),
-        rows=tuple(rows), verdicts=verdicts, passed=all(verdicts.values()),
-        master_seed=master_seed,
+        rows=tuple(rows), verdicts=verdicts, master_seed=master_seed,
         config={"t": t_arr.tolist(), "theta_grid": theta_grid.tolist(),
                 "n_ladder": n_ladder,
                 "replications": replications, "est_draws": est_draws,
@@ -499,8 +498,7 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
     return SweepReport(
         experiment="aic_equivalence_audit", fixture=fixture.name,
         columns=("metric", "n", "instances_used", "count", "frequency"),
-        rows=tuple(rows), verdicts=verdicts, passed=all(verdicts.values()),
-        master_seed=master_seed,
+        rows=tuple(rows), verdicts=verdicts, master_seed=master_seed,
         config={"instances": instances, "n_ladder": n_ladder,
                 "upsilon": float(upsilon)},
         wall_clock_s=time.perf_counter() - start)

@@ -246,6 +246,62 @@ def test_config_numbers_and_lists_match_string_flags(capsys, tmp_path, kind, con
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("command,config", [
+    ("cdf-exact", {"fixture": "P1", "t": "0", "n": [100, 200]}),
+    ("cdf-exact", {"fixture": "P1", "t": "0", "n": 100.5}),
+    ("cdf-exact", {"fixture": "P1", "t": [[0.5]]}),
+    ("select", {"fixture": "P1", "rule": 5}),
+    ("cdf-exact", {"fixture": 7, "t": "0"}),
+    ("cdf-exact", {"fixture": "P1", "t": "0", "seed": True}),
+])
+def test_wrong_typed_config_values_exit_1(capsys, tmp_path, command, config):
+    # config values are parsed as their flags' text; the first five ended
+    # in a TypeError or AttributeError traceback
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert rc == EXIT_INVALID and out == ""
+    assert "error" in _payload(err)
+
+
+def test_config_keys_name_flags_only(capsys, tmp_path):
+    # a positional argument is not a config key
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fixture": "P1", "t": "0.3", "gamma": "0.7", "kind": "tube"}))
+    rc, _, err = _run(capsys, ["sweep", "convergence", "--config", str(cfg)])
+    assert rc == EXIT_INVALID
+    assert "kind" in _payload(err)["error"]["message"]
+
+
+def test_a_null_config_value_sets_nothing(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"fixture": "P1", "t": "0.0", "out": None}))
+    rc, out, _ = _run(capsys, ["cdf-limit", "--config", "run.json"])
+    assert rc == EXIT_OK and _payload(out)["warning"] is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "--fixture", "P1", "--order", "5"], "order must lie in"),
+    (["sweep", "convergence", "--fixture", "P1", "--t", "0.3"], "needs --t and --gamma"),
+    (["sweep", "tube", "--fixture", "P1"], "tube sweep needs --t"),
+    (["sweep", "impossibility", "--fixture", "P1", "--t", "0.0"], "needs --t and --gamma"),
+    (["sweep", "uniform", "--fixture", "BLOCK_ORTHO", "--t", "0.2"], "needs --t and --theta-grid"),
+], ids=["fit-order", "convergence", "tube", "impossibility", "uniform"])
+def test_missing_or_invalid_arguments_exit_1(capsys, argv, message):
+    rc, out, err = _run(capsys, argv)
+    assert rc == EXIT_INVALID and out == ""
+    assert message in _payload(err)["error"]["message"]
+
+
+def test_config_file_holding_a_list_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps(["--fixture", "P1"]))
+    rc, out, err = _run(capsys, ["cdf-exact", "--config", str(cfg)])
+    assert rc == EXIT_INVALID and out == ""
+    assert "JSON object" in _payload(err)["error"]["message"]
+
+
 def test_sweep_writes_artifacts(capsys, tmp_path):
     prefix = tmp_path / "conv"
     rc, out, _ = _run(capsys, ["sweep", "convergence", "--fixture", "P1",

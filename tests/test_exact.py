@@ -46,8 +46,9 @@ E1 = np.array([[1.0, 0.0]])
 def _term(engine, p, sampled=False):
     """(value, pi, error, se) of order p's `conditional_rows` rule as it
     stands: after its first pass unless its panels were bisected since."""
-    panels, err, se = engine._term_sampled(p) if sampled else engine._conditional_term(p)
-    return (*panels.total, err, se)
+    term = engine._term_sampled(p) if sampled else engine._conditional_term(p)
+    value, pi, err, _ = term.parts()[:, 0]
+    return value, pi, err, float(term.se[0])
 
 
 def _query(fx, t, theta=None, sigma=None):
@@ -475,9 +476,9 @@ def test_orders_dispatch_on_conditional_rank(monkeypatch, case, arms):
     assert taken == {p: {arm} for p, arm in arms.items()}
     for p, arm in arms.items():
         dq = engine.design
-        _, panels = _joint_rows(query.t[None, :], dq.omega(p), dq.C(p), dq.xi(p) ** 2,
-                                0.3, 2.0 * dq.xi(p), (0, 0), budget.n_z)
-        assert bool(panels) == (arm != "two_ray"), (p, arm)
+        term = _joint_rows(query.t[None, :], dq.omega(p), dq.C(p), dq.xi(p) ** 2,
+                           0.3, 2.0 * dq.xi(p), (0, 0), budget.n_z)
+        assert bool(term.panels) == (arm != "two_ray"), (p, arm)
 
 
 def test_k2_points_meet_default_budget_deterministically():
@@ -825,7 +826,7 @@ def test_k4_rank2_order_refines_across_its_kinks():
     query = CdfQuery(A=A, t=np.zeros(4), theta=problem.theta, sigma=1.0, rule=rule)
     engine = _ExactEngine(problem, query, AccuracyBudget())
     assert engine.split[3][2].shape == (4, 2)
-    panels, values = engine._conditional_term(3)[0], []
+    panels, values = engine._conditional_term(3).panels[0], []
     for _ in range(6):
         values.append(panels.total[0])
         panels.bisect(0.0)

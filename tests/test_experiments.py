@@ -8,6 +8,7 @@ import pytest
 from pmsdist.dist_exact import AccuracyBudget
 from pmsdist.errors import ExperimentRefusal, ValidationError
 from pmsdist.experiments import (
+    SweepReport,
     aic_equivalence_audit,
     convergence_sweep,
     impossibility_demo,
@@ -235,3 +236,12 @@ def test_impossibility_demo_refusals(name, rule, delta0, fragment):
         impossibility_demo(fx, t=np.zeros(fx.A.shape[0]), gamma=np.zeros(fx.problem.P),
                            delta0=delta0, n_ladder=(100,), replications=200, rule=rule,
                            budget=QUICK)
+
+
+def test_a_failing_verdict_fails_the_report(tmp_path):
+    report = SweepReport(experiment="demo", fixture="P1", columns=("n",), rows=((100,),),
+                         verdicts={"holds": True, "fails": False}, master_seed=0,
+                         config={}, wall_clock_s=0.0)
+    assert report.passed is False
+    report.write_manifest(str(tmp_path / "demo.json"))
+    assert json.loads((tmp_path / "demo.json").read_text())["passed"] is False

@@ -138,10 +138,9 @@ def test_vanishing_conditional_covariance_takes_closed_form():
     cov_z, cov_zw, var_w = limits.omega(1), limits.C(1), limits.xi(1) ** 2
     assert condition_on_scalar(cov_z, cov_zw, var_w)[2].shape[1] == 0
     U = np.array([[0.0, 0.0], [0.8, -0.3], [-1.0, 1.5]])
-    rows, panels = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1),
-                               (0, 0), QUICK.n_z)
-    vals, _, err, _ = rows()
-    assert err == 0.0 and not panels
+    term = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1), (0, 0), QUICK.n_z)
+    vals, _, err, _ = term.parts()
+    assert np.all(err == 0.0) and not term.panels
     # against Z = C_1 W / xi_1^2 simulated directly
     W = limits.xi(1) * np.random.default_rng(5).standard_normal(400_000)
     Z = np.outer(W, cov_zw / var_w)
@@ -152,10 +151,10 @@ def test_vanishing_conditional_covariance_takes_closed_form():
 
 def _rays(cov_z, cov_zw, u, x_lo, x_hi):
     """_joint_rows at one row u for W = X ~ N(0, 1) outside (x_lo, x_hi)."""
-    rows, panels = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
-                               -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), (0, 0), QUICK.n_z)
-    vals, _, err, _ = rows()
-    return float(vals[0]), err, bool(panels)
+    term = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
+                       -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), (0, 0), QUICK.n_z)
+    vals, _, err, _ = term.parts()
+    return float(vals[0]), float(err[0]), bool(term.panels)
 
 
 RAY_PAIRS = [(-2.0, -1.0), (-0.7, 0.5), (-0.3, 1.0), (0.2, 9.5), (-9.5, 9.5)]
