@@ -414,7 +414,8 @@ def cumulative_rule(f, edges: np.ndarray):
     any array of points and returns (K25, G12) arrays.  H is 0 at and below
     edges[0] and the total at and above edges[-1].  Its one caller is
     `dist_exact._ExactEngine._scale_mass`, the scale mass that the exact
-    cdf hands to its `conditional_rows` rule.
+    cdf hands to its `conditional_rows` rule, for every order but the last
+    (whose scale mass is the ratio density's cdf in closed form).
     """
     x, wk, wg = gl_panels(edges)
     fx = f(x)
@@ -522,15 +523,19 @@ def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
     consecutive breakpoint angles (each line's perpendiculars phi_i +/- pi/2,
     each vertex direction and its opposite) one line bounds the ray from
     above, at most one from below, and the binding pair is read at the
-    midpoint.  A line at distance h bounds the ray at h / cos(theta - phi),
-    and the mass beyond it on a piece is (Owen 1956; DiDonato, Jarnagin &
-    Hageman 1980)
+    midpoint, in a loop over the k lines on (rows x pieces) arrays.  A line
+    at distance h bounds the ray at h / cos(theta - phi), and the mass
+    beyond it on a piece is (Owen 1956; DiDonato, Jarnagin & Hageman 1980)
 
         1/(2 pi) int exp(-h^2 / (2 cos^2(theta - phi))) dtheta
             = T(h, tan(theta_2 - phi)) - T(h, tan(theta_1 - phi)),
 
     with theta - phi reduced into its branch at the midpoint and clipped to
-    [-pi/2, pi/2] (tan just past -pi/2 is large and positive).  A row with
+    [-pi/2, pi/2] (tan just past -pi/2 is large and positive).  Over a run
+    of consecutive pieces bound by one line these differences telescope, so
+    T is evaluated only at the run's two ends, one difference per run (kept
+    apart from the other runs' so that nearly equal T values of a far
+    polygon cancel before they are summed).  A row with
     a -inf coordinate is 0, a +inf coordinate drops its line, and a
     zero-loading coordinate drops its line after requiring u_i >= 0.
     """
@@ -548,30 +553,44 @@ def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
     t1 = np.sort(np.concatenate([perp, vert, vert + np.pi], axis=1) % (2.0 * np.pi), axis=1)
     t2 = np.concatenate([t1[:, 1:], t1[:, :1] + 2.0 * np.pi], axis=1)
     tm = 0.5 * (t1 + t2)
-    # cos(tm - phi_i) and the bound d_i / cos of every line on every piece
-    c = np.cos(tm)[:, :, None] * np.cos(phi) + np.sin(tm)[:, :, None] * np.sin(phi)
-    bound = D[:, None, :] / np.where(c == 0.0, 1.0, c)
-    up = np.where(c > 0.0, bound, np.inf)
-    down = np.where(c < 0.0, bound, -np.inf)
-    iu, il = np.argmin(up, axis=2), np.argmax(down, axis=2)
-    hi, lo = up.min(axis=2), np.maximum(down.max(axis=2), 0.0)
+    # the binding lines of every piece, one line at a time: line n bounds
+    # the ray at d_n / cos(tm - phi_n), from above where the cosine is
+    # positive and from below where it is negative
+    hi, lo = np.full(tm.shape, np.inf), np.zeros(tm.shape)
+    iu, il = np.zeros(tm.shape, dtype=int), np.zeros(tm.shape, dtype=int)
+    ct, st = np.cos(tm), np.sin(tm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(k):
+            c = ct * np.cos(phi[n]) + st * np.sin(phi[n])
+            bound = D[:, n:n + 1] / c
+            up = (c > 0.0) & (bound < hi)
+            hi, iu = np.where(up, bound, hi), np.where(up, n, iu)
+            down = (c < 0.0) & (bound > lo)
+            lo, il = np.where(down, bound, lo), np.where(down, n, il)
     open_ = hi > lo
-    rows = np.broadcast_to(np.arange(m)[:, None], iu.shape)
 
-    def beyond(mask, h, ph):
-        """Owen's T difference of each masked piece for a line (h, ph)."""
-        psi = (tm[mask] - ph + np.pi) % (2.0 * np.pi) - np.pi
-        a = np.clip(psi - (tm - t1)[mask], -0.5 * np.pi, 0.5 * np.pi)
-        b = np.clip(psi + (t2 - tm)[mask], -0.5 * np.pi, 0.5 * np.pi)
-        return owens_t(h, np.tan(b)) - owens_t(h, np.tan(a))
+    def beyond(mask, line, h, ph):
+        """Per row, the summed Owen's T differences of the pieces in mask
+        for their lines (h, ph): one difference per maximal run of pieces
+        bound by one line, from its first piece's start to its last piece's
+        end, since inside a run they telescope."""
+        same = mask[:, 1:] & mask[:, :-1] & (line[:, 1:] == line[:, :-1])
+        first, last = mask.copy(), mask.copy()
+        first[:, 1:] &= ~same
+        last[:, :-1] &= ~same
+        (r0, q0), (r1, q1) = np.nonzero(first), np.nonzero(last)
+        r, q = np.concatenate([r1, r0]), np.concatenate([q1, q0])
+        n = line[r, q]
+        psi = (tm[r, q] - ph[n] + np.pi) % (2.0 * np.pi) - np.pi
+        end = np.concatenate([t2[r1, q1], t1[r0, q0]])
+        t = owens_t(h[r, n], np.tan(np.clip(psi + (end - tm[r, q]), -0.5 * np.pi, 0.5 * np.pi)))
+        return np.bincount(r0, weights=t[:r0.size] - t[r0.size:], minlength=m)
 
-    piece = np.where(open_ & (lo == 0.0), (t2 - t1) / (2.0 * np.pi), 0.0)
-    mask = open_ & (lo > 0.0)
-    piece[mask] = beyond(mask, -D[rows[mask], il[mask]], phi[il[mask]] + np.pi)
-    mask = open_ & np.isfinite(hi)
-    piece[mask] -= beyond(mask, D[rows[mask], iu[mask]], phi[iu[mask]])
+    total = (np.where(open_ & (lo == 0.0), (t2 - t1) / (2.0 * np.pi), 0.0).sum(axis=1)
+             + beyond(open_ & (lo > 0.0), il, -D, phi + np.pi)
+             - beyond(open_ & np.isfinite(hi), iu, D, phi))
     dead = np.any(np.isneginf(U) | (~live & (U < 0.0)), axis=1)
-    return np.where(dead, 0.0, np.clip(piece.sum(axis=1), 0.0, 1.0))
+    return np.where(dead, 0.0, np.clip(total, 0.0, 1.0))
 
 
 def _trivariate_rows(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

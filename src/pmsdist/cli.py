@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -57,7 +58,16 @@ EXIT_REFUSED = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ValidationError (exit 1)."""
+    """argparse that reports usage problems as ValidationError (exit 1).
+
+    An argument that starts with a minus and a number (``-1,0.5``,
+    ``-.5;1``, ``-inf,0``) is a value, not an option, so a comma list or
+    grid may start with a negative number after its flag; no option here
+    starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf)", re.IGNORECASE)
 
     def error(self, message):
         raise ValidationError(message)

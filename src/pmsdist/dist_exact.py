@@ -38,7 +38,9 @@ r = 0 (z = g X) the orthant is an x-interval, and the term is its mass
 outside the two rays at each node of the one scale grid, in closed form;
 the grid has an edge wherever a ray crosses an interval end.  Otherwise
 the test rejects at every scale up to |X - x0| / c_p, so the scale
-integral becomes a cumulative scale mass read at each X node, and the
+integral becomes a cumulative scale mass read at each X node (for the
+last order, which no later test follows, the ratio density's own cdf in
+closed form; for the others a partial panel of the scale grid), and the
 term integrates it against phi(X) times the conditional orthant
 probability on Gauss-Kronrod panels in X.  Their edges bracket the
 kinks of that probability and the near-step the scale mass becomes at
@@ -73,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln, ndtr, xlogy
+from scipy.special import gammainc, gammaincinv, gammaln, ndtr
 
 from ._gauss import (
     ROUNDING,
@@ -152,8 +154,12 @@ class SigmaRatioDensity:
     """Density of sigma_hat/sigma: sqrt(chi^2_dof / dof).
 
     The chi law with dof degrees of freedom at scale 1/sqrt(dof), in closed
-    form: the pdf through gammaln, the cdf through the regularized lower
-    incomplete gamma function and the ppf through its inverse.
+    form: the pdf through its logarithm (gammaln, and (dof - 1) log x taken
+    as 0 at dof 1, so that density is finite at s = 0), the cdf through the
+    regularized lower incomplete gamma function and the ppf through its
+    inverse.  At large dof the log-density is a sum of large terms, so the
+    pdf carries their rounding (about 1e-11 of its value at dof 1e5); the
+    cdf does not.
     """
 
     dof: int
@@ -170,9 +176,12 @@ class SigmaRatioDensity:
     def pdf(self, s):
         s = np.asarray(s, dtype=float)
         d, x = self.dof, np.maximum(s, 0.0) / self._scale
-        # xlogy keeps the dof = 1 density finite at s = 0
+        # (d - 1) log x is -inf at s = 0 and, at dof 1, 0 everywhere, which
+        # keeps that density finite there
+        with np.errstate(divide="ignore"):
+            xlogx = (d - 1.0) * np.log(x) if d > 1 else 0.0
         log_pdf = (np.log(2) - 0.5 * np.log(2) * d - gammaln(0.5 * d)
-                   + xlogy(d - 1.0, x) - 0.5 * x ** 2)
+                   + xlogx - 0.5 * x ** 2)
         return np.where(s >= 0.0, np.exp(log_pdf) / self._scale, 0.0)[()]
 
     def ppf(self, q):
@@ -433,12 +442,26 @@ class _ExactEngine:
         return Panels(f, split_edges(self._s_edges, crossings))
 
     def _scale_mass(self, p: int):
-        """K(y), the integral of pdf(s) tail_p(s) over s <= y, as its K25 and
-        G12 parts.
+        """K(y), the integral of pdf(s) tail_p(s) over the scale grid's
+        s <= y, as its K25 and G12 parts.
 
-        K is read through `cumulative_rule` on `_s_edges`, so it costs one
-        partial panel per argument.
+        The last order P has no later stage (tail_P = 1), so its K is the
+        ratio density's own cdf F, in closed form: F(min(y, s_hi)) - F(s_lo)
+        above the grid's first edge s_lo and 0 at and below it, s_hi its last
+        edge, both parts the same array.  Every other order reads K through
+        `cumulative_rule` on `_s_edges`, so it costs one partial panel of
+        pdf(s) tail_p(s) per argument.
         """
+        if p == self.problem.P:
+            cdf, s_lo, s_hi = self.ratio.cdf, self._s_edges[0], self._s_edges[-1]
+            below = cdf(s_lo)
+
+            def mass(y):
+                k = np.where(y > s_lo, cdf(np.minimum(y, s_hi)) - below, 0.0)
+                return k, k
+
+            return mass
+
         def f(s):
             tail = tail_products(self.design, self.nu, self.c, p, s)
             return self.ratio.pdf(s) * tail[p]

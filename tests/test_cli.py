@@ -246,6 +246,27 @@ def test_config_numbers_and_lists_match_string_flags(capsys, tmp_path, kind, con
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["cdf-limit", "--fixture", "COLL2"], "--t", "-1,0.5"),
+    (["fit", "--fixture", "COLL2", "--seed", "1"], "--theta", "-1,0.5"),
+    (["cdf-limit", "--fixture", "COLL2", "--t", "0,0"], "--gamma", "-1,0.5"),
+    (["mc", "--fixture", "COLL2", "--reps", "500"], "--grid", "-1,0;0.5,1"),
+    (["sweep", "uniform", "--fixture", "BLOCK_ORTHO", "--t", "0.2", "--n-ladder", "100",
+      "--reps", "200", "--est-draws", "20"], "--theta-grid", "-0.5,0.1;0.4,0.0"),
+], ids=["t", "theta", "gamma", "grid", "theta-grid"])
+def test_a_list_may_start_with_a_negative_number(capsys, argv, flag, value):
+    # "--t -1,0.5" was read as an unknown option "-1,0.5" and exited 1; it
+    # now runs exactly as "--t=-1,0.5"
+    payloads = []
+    for tail in ([flag, value], [f"{flag}={value}"]):
+        rc, out, _ = _run(capsys, argv + tail)
+        assert rc == EXIT_OK
+        payload = _payload(out)
+        payload.pop("wall_clock_s", None)
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 @pytest.mark.parametrize("command,config", [
     ("cdf-exact", {"fixture": "P1", "t": "0", "n": [100, 200]}),
     ("cdf-exact", {"fixture": "P1", "t": "0", "n": 100.5}),

@@ -1,5 +1,6 @@
 """Tests for the finite-sample cdf: mixture formula, scale density, engine."""
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,49 @@ def test_sigma_ratio_density_is_scaled_chi(dof):
     assert abs(dens.cdf(0.9) - chi2(df=dof).cdf(dof * 0.81)) < 1e-12
     with pytest.raises(ValidationError):
         SigmaRatioDensity(0)
+
+
+def test_sigma_ratio_density_at_its_edges():
+    # (d - 1) log x is 0 at dof 1, so that density is finite at s = 0, and
+    # -inf at dof >= 2, so those densities are 0 there; s < 0 gives 0; no
+    # RuntimeWarning on the way
+    s = np.array([0.0, -0.5, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        one = SigmaRatioDensity(1).pdf(s)
+        assert np.isfinite(one[0]) and one[0] > 0.0
+        assert abs(one[0] - chi(df=1).pdf(0.0)) < 1e-15 and not np.any(one[1:])
+        assert SigmaRatioDensity(1).pdf(0.0) == one[0]
+        for dof in (2, 3, 18, 99_998):
+            assert not np.any(SigmaRatioDensity(dof).pdf(s)), dof
+
+
+@pytest.mark.parametrize("dof,tol", [(1, 1e-14), (2, 1e-14), (18, 1e-14), (36, 1e-14),
+                                     (99_998, 1e-10)])
+def test_last_order_scale_mass_is_the_ratio_cdf(dof, tol):
+    # the last order has no later test (tail_P = 1), so its scale mass is
+    # the ratio cdf between the grid's edges in closed form, one array for
+    # both parts.  It matches the K25 rule of the pdf on the same edges
+    # (the form every earlier order keeps) below, inside and above the
+    # grid.  At dof 99,998 (COLL2 at n = 1e5) the log-density is a sum of
+    # terms near 6e5 whose rounding, 1e-11 of the density, the pdf rule
+    # carries and the incomplete gamma function does not
+    X = np.random.default_rng(dof).standard_normal((dof + 2, 2))
+    problem = RegressionProblem(X=X, theta=np.array([0.5, 0.3]), sigma=1.0, O=0)
+    query = CdfQuery(A=np.eye(2), t=(0.25, 0.25), theta=problem.theta, sigma=1.0,
+                     rule=fixture("COLL2").rule)
+    engine = _ExactEngine(problem, query, AccuracyBudget())
+    edges = engine._s_edges
+    y = np.concatenate([[0.0, 0.5 * edges[0], edges[0]],
+                        np.linspace(edges[0], edges[-1], 52)[1:-1], 0.5 * (edges[1:] + edges[:-1]),
+                        [edges[-1], 1.5 * edges[-1], np.inf]])
+    k25, g12 = engine._scale_mass(2)(y)
+    assert np.array_equal(k25, g12)
+    assert not np.any(k25[:3]) and np.all(k25[-3:] == k25[-1])
+    rule, _ = _gauss.cumulative_rule(engine.ratio.pdf, edges)(y)
+    assert np.max(np.abs(k25 - rule)) < tol
+    ratio = engine.ratio
+    assert abs(k25[-1] - (ratio.cdf(edges[-1]) - ratio.cdf(edges[0]))) == 0.0
 
 
 def test_exact_equals_gaussian_when_target_ignores_tested_coordinate():

@@ -343,6 +343,35 @@ def test_polygon_orthant_edges(case):
         assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-14, (u, v)
 
 
+# lines 1 and 2 meet at (0, 1.2), on line 0's perpendicular at angle pi/2
+# (a vertex angle equal to a perpendicular one); line 3 is parallel to
+# line 0 with the opposite normal; line 4 has zero loading
+_POLYGON_LINES = np.array([[1.0, 0.0], [0.6, 0.8], [-0.5, 0.9], [-2.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_polygon_rows_match_quadrature_over_the_factor(k):
+    # the line loop and the Owen's T differences read only at the ends of
+    # each run of pieces bound by one line, against adaptive quadrature
+    L = _POLYGON_LINES[:k]
+    rng = np.random.default_rng(k)
+    U = rng.normal(0.3, 1.2, size=(10, k))
+    U[0, :3] = (0.3, 0.96, 1.08)          # the vertex (0, 1.2) is on the polygon
+    U[1, 0] = np.inf
+    U[2, 1] = -np.inf
+    U[3, :2] = np.inf
+    U[4] = np.inf
+    if k >= 4:
+        U[5, [0, 3]] = (0.4, 0.6)         # -0.3 <= x <= 0.4 between the parallel lines
+        U[6, [0, 3]] = (-0.4, 0.6)        # x <= -0.4 and x >= -0.3: empty
+    if k == 5:
+        U[7, 4], U[8, 4] = -0.1, 0.0      # zero loading: 0, then no constraint
+    vals = _polygon_rows(U, L)
+    assert vals[2] == 0.0 and (k < 4 or vals[6] == 0.0) and (k < 5 or vals[7] == 0.0)
+    for u, v in zip(U, vals):
+        assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-13, (u, v)
+
+
 def test_orthant_rows_leaves_rank_three_in_four_dimensions_to_sampling():
     # no closed form covers rank 3 at k = 4: `needs_sampling` sends it to
     # the draws, and the deterministic kernel refuses it
