@@ -25,6 +25,10 @@ q weights, and its estimate covers the terms.  `refine` bisects the
 outer panels whose estimates are large, row by row, and stops a row at
 its error floor: the error no bisection reduces (`error_floor`).  Each
 order's part of a cdf is one `OrderTerm`, a closed form's or a rule's.
+A rule's integrand is split into factors that no argument t moves and
+the rest; a `NodeMemo` keeps the factors at the nodes of a t-free layout
+for the panels a first pass leaves whole, so a caller that evaluates
+many t at one parameter point computes them once.
 """
 from __future__ import annotations
 
@@ -127,6 +131,12 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
     return nodes.ravel(), (half[:, None] * _K_W).ravel(), (half[:, None] * _G_W).ravel()
 
 
+def layout_constants() -> tuple[int, float]:
+    """(PANELS, TAIL_CUT), read at call time: every panel layout is built
+    from them, so anything kept on a layout keys on them."""
+    return PANELS, TAIL_CUT
+
+
 def panel_edges(lo: float, hi: float) -> np.ndarray:
     """Edges of the PANELS equal panels of [lo, hi] that the outer rules and
     the s-panels of `cumulative_rule` start from, before their break points
@@ -137,25 +147,28 @@ def panel_edges(lo: float, hi: float) -> np.ndarray:
 class Panels:
     """One row's composite K25 rule of one integrand, refined by bisection.
 
-    f(x) -> (fk, fg), two arrays of shape (2q, len(x)): q order terms
+    f(x, a) -> (fk, fg), two arrays of shape (2q, len(x)): q order terms
     followed by their q weights, at the nodes x, with any inner rule at K25
     (fk) and at G12 (fg); a flat integrand returns the same array twice.
-    Every panel keeps its K25 sums of fk and its G12 sums of fg.  ``total``
-    is the K25 integral of every component; a panel's estimate is
-    |K25 - G12| summed over the terms (the first half of the components),
-    and ``gap`` the sum of the estimates.  `bisect` re-evaluates only the
-    halves of the panels it splits.
+    a = factors(x) are the integrand's factors that the query's t does not
+    move (an array of rows over the nodes).  Given a `NodeMemo`, the first
+    pass reads them for the panels the memo keeps whole; `bisect`
+    evaluates its halves afresh.  Every panel keeps its K25 sums of fk and
+    its G12 sums of fg.  ``total`` is the K25 integral of every component;
+    a panel's estimate is |K25 - G12| summed over the terms (the first half
+    of the components), and ``gap`` the sum of the estimates.  `bisect`
+    re-evaluates only the halves of the panels it splits.
     """
 
-    def __init__(self, f, edges: np.ndarray):
-        self.f = f
+    def __init__(self, f, edges: np.ndarray, factors, memo: NodeMemo | None = None):
+        self.f, self.factors = f, factors
         self.lo, self.hi = edges[:-1], edges[1:]
-        self.K, self.G = self._sums(self.lo, self.hi)
+        self.K, self.G = self._sums(self.lo, self.hi, memo)
         self._estimate()
 
-    def _sums(self, lo, hi):
+    def _sums(self, lo, hi, memo=None):
         x, wk, wg = _panel_nodes(lo, hi)
-        fk, fg = self.f(x)
+        fk, fg = self.f(x, self.factors(x) if memo is None else memo.read(lo, hi, x, self.factors))
         shape = (-1, lo.size, NODES_PER_PANEL)
         return (fk * wk).reshape(shape).sum(axis=2), (fg * wg).reshape(shape).sum(axis=2)
 
@@ -183,6 +196,56 @@ class Panels:
         self.K = np.concatenate([self.K[:, keep], K], axis=1)
         self.G = np.concatenate([self.G[:, keep], G], axis=1)
         self._estimate()
+
+
+class NodeMemo:
+    """Integrand factors that no t moves, at the K25 nodes of one panel layout.
+
+    ``edges`` is the layout a rule has before the break points of a
+    particular t (bound on first use when None).  A `Panels` first pass
+    reads the factors of every panel it keeps whole from here once they
+    are filled, evaluates the rest in one call, and fills the whole panels
+    it evaluated.  Split and bisected panels are never stored, so the memo
+    holds at most one (rows, panels, NODES_PER_PANEL) array of the layout
+    however many t it serves.  Each node's factors come from elementwise
+    operations on that node alone, so a read equals a fresh evaluation bit
+    for bit.
+    """
+
+    def __init__(self, edges: np.ndarray | None = None):
+        self.edges = self.kept = self.values = None
+        if edges is not None:
+            self.bind(edges)
+
+    def bind(self, edges: np.ndarray) -> None:
+        # per panel, padded by one so that any left edge inside the layout
+        # indexes them: its right edge, and that edge again once the panel's
+        # factors are kept (NaN before, which equals no edge)
+        self.edges, self._right = edges, np.append(edges[1:], np.nan)
+        self.kept = np.full(edges.size, np.nan)
+
+    def read(self, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, factors) -> np.ndarray:
+        """factors(x) at the nodes x of the panels [lo_i, hi_i] of a layout
+        inside the memo's."""
+        j = np.searchsorted(self.edges, lo)
+        at = self.edges[j] == lo
+        need = ~(at & (self.kept[j] == hi))
+        n = np.count_nonzero(need)
+        if n == lo.size:
+            a = factors(x)
+        else:
+            a = self.values[:, j]
+            if n:
+                a[:, need] = factors(x.reshape(lo.size, -1)[need].ravel()).reshape(len(a), n, -1)
+            a = a.reshape(len(a), -1)
+        if n:
+            fill = need & at & (self._right[j] == hi)
+            if fill.any():
+                if self.values is None:
+                    self.values = np.empty((len(a), self.edges.size, NODES_PER_PANEL))
+                self.values[:, j[fill]] = a.reshape(len(a), lo.size, -1)[:, fill]
+                self.kept[j[fill]] = hi[fill]
+        return a
 
 
 @dataclass(frozen=True)
@@ -405,38 +468,75 @@ def needs_sampling(k: int, r: int) -> bool:
     return k >= 4 and r >= 3
 
 
-def cumulative_rule(f, edges: np.ndarray):
+class ScaleMass:
+    """A scale mass K(y) -> (K25, G12 parts) of a `conditional_rows` rule.
+
+    It comes in two halves: rows(y) -> (r, len(y)), the values K is formed
+    from at each argument, which a `NodeMemo` may keep at the rule's nodes,
+    and reduce(y, rows), which forms the two parts from them.  A closed form
+    has one row, read as both parts.
+    """
+
+    def __init__(self, rows, reduce=None):
+        self.rows = rows
+        self.reduce = reduce or (lambda y, r: (r[0], r[0]))
+
+    def __call__(self, y):
+        return self.reduce(y, self.rows(y))
+
+
+def cumulative_sums(fx: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K25 and G12 integrals, from edges[0] to each edge, of the
+    integrand whose values at the nodes of `gl_panels`(edges) are fx."""
+    _, wk, wg = gl_panels(edges)
+    return tuple(np.concatenate([[0.0], np.cumsum((fx * w).reshape(-1, NODES_PER_PANEL).sum(1))])
+                 for w in (wk, wg))
+
+
+def cumulative_rule(f, edges: np.ndarray, cum=None) -> ScaleMass:
     """H(y) = integral of f from edges[0] to y, as its K25 and G12 parts.
 
-    f is integrated on the K25 panels of ``edges``; a y inside a panel
-    closes the sum of the panels below it with a partial panel of the same
-    rule, whose embedded G12 nodes give the G12 part, so H can be read at
-    any array of points and returns (K25, G12) arrays.  H is 0 at and below
-    edges[0] and the total at and above edges[-1].  Its one caller is
+    f is integrated on the K25 panels of ``edges`` (`cumulative_sums`, or
+    ``cum`` if already known); a y inside a panel closes the sum of the
+    panels below it with a partial panel of the same rule, whose embedded
+    G12 nodes give the G12 part, so H can be read at any array of points
+    and returns (K25, G12) arrays.  H is 0 at and below edges[0] and the
+    total at and above edges[-1].  As a `ScaleMass` its rows at y are f at
+    the partial panel's NODES_PER_PANEL nodes (0 outside the edges), and
+    reduce sums them.  Its one caller is
     `dist_exact._ExactEngine._scale_mass`, the scale mass that the exact
     cdf hands to its `conditional_rows` rule, for every order but the last
     (whose scale mass is the ratio density's cdf in closed form).
     """
-    x, wk, wg = gl_panels(edges)
-    fx = f(x)
-    cum = [np.concatenate([[0.0], np.cumsum((fx * w).reshape(-1, NODES_PER_PANEL).sum(axis=1))])
-           for w in (wk, wg)]
+    cum = cumulative_sums(f(gl_panels(edges)[0]), edges) if cum is None else cum
 
-    def H(y):
+    def partial(y):
+        """The inside arguments, and the panel and half-width of each one's partial panel."""
+        inside = (y > edges[0]) & (y < edges[-1])
+        yi = y[inside]
+        j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
+        return inside, j, 0.5 * (yi - edges[j])
+
+    def rows(y):
+        y = np.asarray(y, dtype=float)
+        out = np.zeros((NODES_PER_PANEL, y.size))
+        inside, j, half = partial(y)
+        if inside.any():
+            xs = edges[j][:, None] + half[:, None] * (_K_X + 1.0)[None, :]
+            out[:, inside] = f(xs.ravel()).reshape(xs.shape).T
+        return out
+
+    def reduce(y, fs):
         y = np.asarray(y, dtype=float)
         out = [np.where(y >= edges[-1], c[-1], 0.0) for c in cum]
-        inside = (y > edges[0]) & (y < edges[-1])
-        if np.any(inside):
-            yi = y[inside]
-            j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
-            half = 0.5 * (yi - edges[j])
-            xs = edges[j][:, None] + half[:, None] * (_K_X + 1.0)[None, :]
-            fs = f(xs.ravel()).reshape(xs.shape)
+        inside, j, half = partial(y)
+        if inside.any():
+            fs = np.ascontiguousarray(fs[:, inside].T)
             for o, c, w in zip(out, cum, (_K_W, _G_W)):
                 o[inside] = c[j] + half * (fs @ w)
         return out
 
-    return H
+    return ScaleMass(rows, reduce)
 
 
 def error_floor(trace, truncated: float = 0.0):
@@ -679,30 +779,40 @@ def gauss_draws(rng: np.random.Generator, n: int, L: np.ndarray) -> np.ndarray:
 
 
 def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
-                     x0: float, c: float, s_breaks, K, R=None):
+                     x0: float, c: float, s_breaks, K: ScaleMass, R=None,
+                     memo: NodeMemo | None = None):
     """The one conditioned-orthant kernel: the rule of
     int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U,
     R ~ N(0, S = L L') independent of X ~ N(0, 1).
 
-    The order-p test rejects at scale s when |x - x0| >= c s; K(y) -> (K25,
-    G12 parts) is the mass of the scales it rejects at (rising from 0 to at
-    most 1, steepest near the scales ``s_breaks``).  A row's x-rule is a
-    `Panels` on the `panel_edges` of [-TAIL_CUT, TAIL_CUT] with extra edges
-    at x0, at x0 +/- c s for each s in s_breaks and at the row's
-    `conditional_kinks`; its components are the term and pi, the integral
-    without the orthant.  The orthant is `orthant_rows` at every x-node
-    or, given draws R (rows), the share of the draws whose x-interval
-    {x : g x <= u - R} holds the node.  Returns the rows' `OrderTerm`: the
-    x-rules, the error the dropped x-mass, the SE 0 without draws and else
-    that of the draws' interval weights on the first pass, at least
-    1/len(R), as no draw may land in a rare region.
+    The order-p test rejects at scale s when |x - x0| >= c s; the
+    `ScaleMass` K(y) -> (K25, G12 parts) is the mass of the scales it
+    rejects at (rising from 0 to at most 1, steepest near the scales
+    ``s_breaks``).  A row's x-rule is a `Panels` on the `panel_edges` of
+    [-TAIL_CUT, TAIL_CUT] with extra edges at x0, at x0 +/- c s for each s
+    in s_breaks and at the row's `conditional_kinks`; its components are
+    the term and pi, the integral without the orthant.  Its factors are
+    phi(x) and K's rows at each node, which depend on no row: a `NodeMemo`
+    ``memo`` keeps them on the layout without the kinks, shared by every
+    row and call with the same x0, c and s_breaks.  The orthant is
+    `orthant_rows` at every x-node or, given draws R (rows), the share of
+    the draws whose x-interval {x : g x <= u - R} holds the node.  Returns
+    the rows' `OrderTerm`: the x-rules, the error the dropped x-mass, the
+    SE 0 without draws and else that of the draws' interval weights on the
+    first pass, at least 1/len(R), as no draw may land in a rare region.
     """
     s = np.asarray(s_breaks, dtype=float)
     base = panel_edges(-TAIL_CUT, TAIL_CUT)
+    breaks = [x0, *(x0 - c * s), *(x0 + c * s)]
+    if memo is not None and memo.edges is None:
+        memo.bind(split_edges(base, breaks))
     panels, ses = [], np.zeros(len(U))
+
+    def factors(x):
+        return np.vstack([norm_pdf(x)[None], K.rows(np.abs(x - x0) / c)])
+
     for j, u in enumerate(U):
-        edges = split_edges(base, [x0, *(x0 - c * s), *(x0 + c * s),
-                                   *conditional_kinks(u, g, L)])
+        edges = split_edges(base, [*breaks, *conditional_kinks(u, g, L)])
 
         if R is None:
             def orthant(x, u=u):
@@ -723,13 +833,12 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
                            - cum[np.searchsorted(x, lo)], 0.0)
             ses[j] = max(float(np.std(w) / np.sqrt(n)), 1.0 / n)
 
-        def f(x, orthant=orthant):
-            pdf = norm_pdf(x)
-            kk, kg = (pdf * m for m in K(np.abs(x - x0) / c))
+        def f(x, a, orthant=orthant):
+            kk, kg = (a[0] * m for m in K.reduce(np.abs(x - x0) / c, a[1:]))
             ok, og = orthant(x)
             return np.array([kk * ok, kk]), np.array([kg * og, kg])
 
-        panels.append(Panels(f, edges))
+        panels.append(Panels(f, edges, factors, memo))
     return OrderTerm(None, None, 2.0 * float(ndtr(-TAIL_CUT)), ses, tuple(panels))
 
 
@@ -759,7 +868,7 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     g, S, L = condition_on_scalar(cov, cov[:, j], float(cov[j, j]))
     rng = philox(0) if rng is None else rng
     R = gauss_draws(rng, n_samples, L) if needs_sampling(k, L.shape[1]) else None
-    term = conditional_rows(U, g, S, L, 0.0, 1.0, (), lambda y: (1.0, 1.0), R)
+    term = conditional_rows(U, g, S, L, 0.0, 1.0, (), ScaleMass(lambda y: np.ones((1, y.size))), R)
     return term.parts()[0], term.se
 
 

@@ -100,7 +100,14 @@ def phi_hat(problem: RegressionProblem, Y, A, p: int, t) -> float:
 
 def phi_hat_values(problem: RegressionProblem, A, p: int, t,
                    sigma_hats) -> np.ndarray:
-    """Vectorized `phi_hat` over a vector of per-replication residual scales."""
+    """`phi_hat` at each of a vector of per-replication residual scales.
+
+    Validates once and reads the design record once, then calls
+    `gaussian_rect` once per scale, at t / sigma_hat: the loop is not
+    vectorized.  (One `gaussian_rect_rows` call over every row would be,
+    but `benchmarks/spans.py` counts these calls through this module's
+    `gaussian_rect` name.)
+    """
     A = target_matrix(A, problem.P)
     if not 0 <= p <= problem.P:
         raise ValidationError(f"p must lie in [0, {problem.P}]")

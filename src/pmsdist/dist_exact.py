@@ -23,11 +23,25 @@ scale integral runs over equal-mass Gauss-Kronrod panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
 What depends on neither t nor theta is built once and shared by every
 later call: the design record once per (problem, target), kept on the
-problem (one O(P k^2) record per distinct target, whatever n is), and
-the scale layout (the grid's edges and the `_STEP_Q` scales) once per
-(dof, quantiles), both read-only.  The shifts, drifts, panel rules and
-each order's conditioning split (a function of the design record alone)
-are built per call.
+problem (one O(P k^2) record per distinct target, whatever n is) with
+each order's conditioning split (`LimitQuantities.split`), and the
+scale layout (the grid's edges and the `_STEP_Q` scales) once per (dof,
+quantiles), all read-only.  What depends on theta but not on t is built
+once per theta as a drift record (`_Drift`), kept beside the design
+record in one slot per target (`regression_core.kept_drift`) and keyed
+by theta / sigma, the critical values and the layout constants: the
+shifts, drifts and ray centres, each order p < P's scale mass, and, from
+the record's second call on, the node factors no t moves (pdf(s) and
+the later-stage products on the scale grid, phi(x) and the scale mass
+at the x-nodes) for every panel a call keeps whole (`_gauss.NodeMemo`).
+A call computes only what t moves: u, the order-O orthant, the rank-0
+intervals and their crossings, the kinks, the orthant at every x-node,
+and the factors of the panels its crossings and kinks split; the panels
+`refine` bisects are evaluated afresh and never kept, so the record's
+size is fixed by its layouts however many t or theta a sweep visits.
+Each kept factor comes from elementwise operations on its own node, and
+every sum over nodes is formed per call as before, so a result is the
+same bit for bit whether its record was cold or warm.
 
 Every order-p integrand depends on z only through the orthant {z <= u}
 and the scalar W = b'z + zeta e that the order-p test rejects on,
@@ -79,14 +93,18 @@ from scipy.special import gammainc, gammaincinv, gammaln, ndtr
 
 from ._gauss import (
     ROUNDING,
+    NodeMemo,
     OrderTerm,
     Panels,
-    condition_on_scalar,
+    ScaleMass,
     conditional_rows,
     cumulative_rule,
+    cumulative_sums,
     error_floor,
     gauss_draws,
     gaussian_rect,
+    gl_panels,
+    layout_constants,
     needs_sampling,
     panel_edges,
     philox,
@@ -99,6 +117,7 @@ from .errors import ValidationError, cdf_argument, target_matrix
 from .regression_core import (
     LimitQuantities,
     RegressionProblem,
+    kept_drift,
     local_shift_constants,
     projection_quantities,
 )
@@ -362,6 +381,46 @@ def cdf_result(trace: TermTrace, gap: float, rounds: int, budget: AccuracyBudget
                      warning=warning, term_trace=trace)
 
 
+class _Drift:
+    """The t-free half of the exact cdf at one (design record, theta/sigma,
+    critical values): what `_ExactEngine` builds once per theta and reads
+    at every t, kept beside the design record (`kept_drift`).
+
+    Holds the scale layout it was built on (`_ratio_quantiles`, shared per
+    dof), the orthant shifts, the drifts nu_p and the ray centres x0_p =
+    -nu_p / xi_p; each order p < P's scale mass K_p as its full-panel sums
+    (``mass``, made on first use); and `NodeMemo`s of the factors no t
+    moves: at the scale grid's nodes (``grid``: the ratio density pdf(s),
+    tail_q(s) for q = O..P and each rank-0 order's pi integrand), and at
+    each conditional order's x-rule nodes (``rules``: phi(x) and the rows
+    of its scale mass), filled from the record's second call on
+    (``served``).  Arrays and numbers only, so a problem carrying it
+    pickles.
+    """
+
+    def __init__(self, problem: RegressionProblem, dq: LimitQuantities, A: np.ndarray,
+                 theta: np.ndarray):
+        P, O = problem.P, problem.O
+        # the scale layout: the x-edge scales and the scale grid's edges
+        self.s_step = _ratio_quantiles(problem.dof, _STEP_Q)
+        s_edges = _ratio_quantiles(problem.dof, tuple(panel_edges(_S_Q_LO, _S_Q_HI).tolist()))
+        # at unit sigma, the limit formula's constants at Q = X'X/n and
+        # gamma = sqrt(n) theta: orthant shifts sqrt(n) A (eta(p) - theta)
+        # and drifts sqrt(n) eta_p(p), eta(p) the mean of the order-p
+        # restricted estimator
+        consts = local_shift_constants(problem.gram, A, np.zeros(P), np.sqrt(problem.n) * theta, O)
+        self.shift, self.nu = consts.beta, consts.nu
+        for v in self.shift.values():
+            v.setflags(write=False)
+        self.x0 = {p: -self.nu[p] / dq.xi(p) for p in range(O + 1, P + 1)}
+        # the orders of conditional rank 0, whose pi integrands are grid rows
+        self.rays = [p for p in self.x0 if dq.split(p)[2].shape[1] == 0]
+        self.mass: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.grid = NodeMemo(s_edges)
+        self.rules = {p: NodeMemo() for p in self.x0 if p not in self.rays}
+        self.served = False
+
+
 class _ExactEngine:
     """Assembles the finite-n mixture formula for one (problem, query) pair."""
 
@@ -374,40 +433,38 @@ class _ExactEngine:
         P, O = problem.P, problem.O
         self.k = query.A.shape[0]
         self.ratio = SigmaRatioDensity(problem.dof)
-        # the scale layout: the x-edge scales and the scale grid's edges
-        self.s_step = _ratio_quantiles(problem.dof, _STEP_Q)
-        self._s_edges = _ratio_quantiles(problem.dof,
-                                         tuple(panel_edges(_S_Q_LO, _S_Q_HI).tolist()))
         # the scale mass outside the grid, part of the error floor
         self.truncated = _S_Q_LO + (1.0 - _S_Q_HI)
-        # at unit sigma (t and theta over sigma), the limit formula's design
-        # record and constants at Q = X'X/n and gamma = sqrt(n) theta: orthant
-        # shifts sqrt(n) A (eta(p) - theta) and drifts sqrt(n) eta_p(p), eta(p)
-        # the mean of the order-p restricted estimator
+        # at unit sigma (t and theta over sigma): the design record, and the
+        # drift record of theta / sigma kept beside it, keyed by everything
+        # it is built from that a call may change
         self.u = query.t / query.sigma
-        self.design = projection_quantities(problem, query.A)
-        consts = local_shift_constants(problem.gram, query.A, np.zeros(P),
-                                       np.sqrt(problem.n) * (query.theta / query.sigma), O)
-        self.shift, self.nu = consts.beta, consts.nu
+        self.design = dq = projection_quantities(problem, query.A)
         self.c = query.rule.critical_values(O)
-        dq = self.design
+        theta = query.theta / query.sigma
+        key = (theta.tobytes(), self.c.tobytes(), _S_Q_LO, _S_Q_HI, _STEP_Q, layout_constants())
+        self.drift = kept_drift(problem, query.A, key,
+                                lambda: _Drift(problem, dq, query.A, theta))
+        self.shift, self.nu = self.drift.shift, self.drift.nu
+        self.s_step, self._s_edges = self.drift.s_step, self.drift.grid.edges
+        # the node factors are kept from a drift record's second call on, so
+        # a sweep that visits each theta once never pays for keeping them
+        self.keep, self.drift.served = self.drift.served, True
         # the order-O orthant does not involve the scale: one evaluation,
         # which can sample only at k >= 4
         rng = philox(budget.seed, 10_000) if self.k >= 4 else None
         self.core = gaussian_rect(self.u - self.shift[O], dq.omega(O),
                                   rng=rng, n_samples=budget.n_z)
-        # every order p > O conditioned once on its selection scalar
-        # X = W / xi_p: z = g X + R with R ~ N(0, S), S = L L'; a rank-0
-        # order (z = g X) keeps the x-interval of {g X <= u}, x0 and c_p of
-        # its two-ray term (`_term_k1`)
-        self.split: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # every order p > O split once on its selection scalar X = W / xi_p
+        # (`LimitQuantities.split`): z = g X + R with R ~ N(0, S), S = L L';
+        # a rank-0 order (z = g X) keeps the x-interval of {g X <= u}, x0
+        # and c_p of its two-ray term (`_term_k1`)
+        self.split = {p: dq.split(p) for p in range(O + 1, P + 1)}
         self.rank0: dict[int, tuple[float, float, float, float]] = {}
-        for p in range(O + 1, P + 1):
-            xi = dq.xi(p)
-            g, S, L = self.split[p] = condition_on_scalar(dq.omega(p), dq.C(p), xi ** 2)
+        for p, (g, _, L) in self.split.items():
             if L.shape[1] == 0:
                 lo, hi = rank1_bounds((self.u - self.shift[p])[None, :], g)
-                self.rank0[p] = (float(lo[0]), float(hi[0]), -self.nu[p] / xi, float(self.c[p]))
+                self.rank0[p] = (float(lo[0]), float(hi[0]), self.drift.x0[p], float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
         self._grid: Panels | None = None
         self._orders: dict[int, OrderTerm] = {}
@@ -423,25 +480,41 @@ class _ExactEngine:
         return self._z_cache[p]
 
     # ---- scale grid ----
+    def _grid_factors(self, s: np.ndarray) -> np.ndarray:
+        """The scale grid's t-free rows at the nodes s: pdf(s), tail_q(s)
+        for q = O..P, then the pi integrand pdf(s) tail_p(s) P(X outside its
+        rays) of each order of conditional rank 0."""
+        O = self.problem.O
+        pdf = self.ratio.pdf(s)
+        tail = tail_products(self.design, self.nu, self.c, O, s)
+        rows = [pdf, *(tail[q] for q in range(O, self.problem.P + 1))]
+        for p in self.drift.rays:
+            x0, c = self.drift.x0[p], float(self.c[p])
+            rows.append(pdf * tail[p] * ray_interval_prob(-np.inf, np.inf, x0 - c * s, x0 + c * s))
+        return np.array(rows)
+
     def _s_grid(self) -> Panels:
         """The one scale grid's `Panels`: components the core's term and each
         rank-0 order's (`_term_k1`), then their weights, with an edge
-        wherever a ray of a rank-0 order crosses an end of its x-interval."""
-        O, core = self.problem.O, self.core[0]
+        wherever a ray of a rank-0 order crosses an end of its x-interval;
+        its t-free factors (`_grid_factors`) are kept on the drift record."""
+        O, P, core = self.problem.O, self.problem.P, self.core[0]
         crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
                      for end in (lo, hi) if np.isfinite(end)]
 
-        def f(s):
-            pdf = self.ratio.pdf(s)
-            tail = tail_products(self.design, self.nu, self.c, O, s)
-            terms = [(core * pdf * tail[O], pdf * tail[O])]
-            terms += [self._term_k1(p, s, pdf * tail[p]) for p in self.rank0]
+        pi_row = {p: P - O + 2 + i for i, p in enumerate(self.drift.rays)}
+
+        def f(s, a):
+            pdf, tail = a[0], a[1:P - O + 2]
+            terms = [(core * pdf * tail[0], pdf * tail[0])]
+            terms += [(self._term_k1(p, s, pdf * tail[p - O]), a[pi_row[p]]) for p in self.rank0]
             parts = np.array([v for v, _ in terms] + [w for _, w in terms])
             return parts, parts
 
-        return Panels(f, split_edges(self._s_edges, crossings))
+        return Panels(f, split_edges(self._s_edges, crossings), self._grid_factors,
+                      self.drift.grid if self.keep else None)
 
-    def _scale_mass(self, p: int):
+    def _scale_mass(self, p: int) -> ScaleMass:
         """K(y), the integral of pdf(s) tail_p(s) over the scale grid's
         s <= y, as its K25 and G12 parts.
 
@@ -449,40 +522,42 @@ class _ExactEngine:
         ratio density's own cdf F, in closed form: F(min(y, s_hi)) - F(s_lo)
         above the grid's first edge s_lo and 0 at and below it, s_hi its last
         edge, both parts the same array.  Every other order reads K through
-        `cumulative_rule` on `_s_edges`, so it costs one partial panel of
-        pdf(s) tail_p(s) per argument.
+        `cumulative_rule` on `_s_edges`, whose full-panel sums are made once
+        per drift record from its grid factors, so it costs one partial
+        panel of pdf(s) tail_p(s) per argument.
         """
         if p == self.problem.P:
             cdf, s_lo, s_hi = self.ratio.cdf, self._s_edges[0], self._s_edges[-1]
             below = cdf(s_lo)
+            return ScaleMass(lambda y: np.where(y > s_lo, cdf(np.minimum(y, s_hi)) - below,
+                                                0.0)[None])
 
-            def mass(y):
-                k = np.where(y > s_lo, cdf(np.minimum(y, s_hi)) - below, 0.0)
-                return k, k
-
-            return mass
+        edges = self._s_edges
+        cum = self.drift.mass.get(p)
+        if cum is None:
+            a = self._grid_factors(gl_panels(edges)[0])
+            cum = self.drift.mass[p] = cumulative_sums(a[0] * a[1 + p - self.problem.O], edges)
 
         def f(s):
             tail = tail_products(self.design, self.nu, self.c, p, s)
             return self.ratio.pdf(s) * tail[p]
 
-        return cumulative_rule(f, self._s_edges)
+        return cumulative_rule(f, edges, cum)
 
     # ---- conditional rank 0: two rays in the selection scalar ----
-    def _term_k1(self, p: int, s: np.ndarray, wt: np.ndarray):
-        """(value, pi_value) integrands of a rank-0 order p at the scale nodes s.
+    def _term_k1(self, p: int, s: np.ndarray, wt: np.ndarray) -> np.ndarray:
+        """The value integrand of a rank-0 order p at the scale nodes s.
 
         The arm of every order whose z is a multiple g X of its selection
         scalar, for any k (the name predates that; `benchmarks/spans.py`
         traces it).  z <= u holds on an x-interval [lo, hi], and at scale s
         the order-p test rejects outside (x0 - c_p s, x0 + c_p s), so the
-        inner expectation is `ray_interval_prob` at every scale node s and
-        pi(p) is the same on the whole line.  wt holds pdf(s) tail_p(s).
+        inner expectation is `ray_interval_prob` at every scale node s.
+        wt holds pdf(s) tail_p(s).  The pi integrand, the same on the whole
+        line, does not depend on t: it is a row of `_grid_factors`.
         """
         lo, hi, x0, c = self.rank0[p]
-        a, b = x0 - c * s, x0 + c * s
-        return (wt * ray_interval_prob(lo, hi, a, b),
-                wt * ray_interval_prob(-np.inf, np.inf, a, b))
+        return wt * ray_interval_prob(lo, hi, x0 - c * s, x0 + c * s)
 
     # ---- the scale integral folded into the selection scalar ----
     def _conditional_term(self, p: int, R=None) -> OrderTerm:
@@ -505,9 +580,9 @@ class _ExactEngine:
         term and pi(p), its error the dropped x-mass.
         """
         g, S, L = self.split[p]
-        return conditional_rows((self.u - self.shift[p])[None, :], g, S, L,
-                                -self.nu[p] / self.design.xi(p), self.c[p], self.s_step,
-                                self._scale_mass(p), R)
+        return conditional_rows((self.u - self.shift[p])[None, :], g, S, L, self.drift.x0[p],
+                                self.c[p], self.s_step, self._scale_mass(p), R,
+                                self.drift.rules.get(p) if self.keep else None)
 
     def _term_sampled(self, p: int) -> OrderTerm:
         """The `OrderTerm` of an order whose conditional orthant

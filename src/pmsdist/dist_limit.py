@@ -39,6 +39,7 @@ from scipy.special import ndtr
 
 from ._gauss import (
     OrderTerm,
+    ScaleMass,
     bvn_cdf,
     condition_on_scalar,
     conditional_rows,
@@ -171,10 +172,7 @@ def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int) -> Or
     """
     R = gauss_draws(philox(*key), n_z, L) if needs_sampling(*L.shape) else None
 
-    def K(y):
-        mass = 1.0 - delta(rho, y, 1.0)
-        return mass, mass
-
+    K = ScaleMass(lambda y: (1.0 - delta(rho, y, 1.0))[None])
     return conditional_rows(U, g, S, L, x0, c, 1.0 + rho * _TURN_Z, K, R)
 
 

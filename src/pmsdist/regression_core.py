@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._gauss import GINV_REL_TOL, sym_eigh, sym_pinv
+from ._gauss import GINV_REL_TOL, condition_on_scalar, sym_eigh, sym_pinv
 from .errors import DegenerateSampleError, ValidationError, target_matrix
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "sigma_hat",
     "t_statistics",
     "projection_quantities",
+    "kept_drift",
     "order_of",
     "limit_quantities",
     "local_shift_constants",
@@ -128,6 +129,12 @@ class RegressionProblem:
         """`projection_quantities` records, keyed by the target's shape and bytes."""
         return {}
 
+    @cached_property
+    def _drifts(self) -> dict[tuple, tuple]:
+        """One slot per `_records` key: (key, record) of the drift record
+        `kept_drift` built last for that target."""
+        return {}
+
 
 @dataclass(frozen=True)
 class LimitQuantities:
@@ -180,6 +187,21 @@ class LimitQuantities:
     def omega(self, p: int) -> np.ndarray:
         """Covariance A[p] Q[p:p]^{-1} A[p]' of the order-p law (unit sigma)."""
         return self.omega_inf[p - 1] if p else np.zeros((self.k, self.k))
+
+    def split(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Order p's target estimate z split on its selection scalar X =
+        W / xi_p, z = g X + R with R ~ N(0, S), S = L L'
+        (`condition_on_scalar`): (g, S, L), a function of the record alone,
+        built on first use and kept, read-only."""
+        out = self._splits.get(p)
+        if out is None:
+            out = self._splits[p] = tuple(_readonly(v) for v in condition_on_scalar(
+                self.omega(p), self.C(p), self.xi(p) ** 2))
+        return out
+
+    @cached_property
+    def _splits(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -329,17 +351,44 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQua
     The record depends on neither t, theta nor sigma, so it is built once
     per (problem, target) and kept on the problem, keyed by the float64
     target's shape and bytes; every later call with the same target gets
-    the same read-only record.  A target is validated only when it is
-    first seen: equal bytes were valid then.  The memo holds one record of
-    O(P k^2) floats per distinct target, whatever n is.
+    the same read-only record, and with it each order's conditioning
+    split (`LimitQuantities.split`, built on first use).  A target is
+    validated only when it is first seen: equal bytes were valid then.
+    The memo holds one record of O(P k^2) floats per distinct target,
+    whatever n is; beside each record the problem keeps one slot for the
+    drift record of the last parameter point (`kept_drift`).
     """
     A = np.asarray(A, dtype=float)
-    key = (A.shape, A.tobytes())
+    key = _target_key(A)
     rec = problem._records.get(key)
     if rec is None:
         rec = _design_record(problem.gram, target_matrix(A, problem.P), problem.O)
         problem._records[key] = rec
     return rec
+
+
+def _target_key(A: np.ndarray) -> tuple:
+    return A.shape, A.tobytes()
+
+
+def kept_drift(problem: RegressionProblem, A: np.ndarray, key: tuple, build):
+    """The drift record of float64 target A at ``key``, kept beside A's
+    design record: the one in A's slot if it was built at an equal key,
+    else build(), which takes the slot.
+
+    A drift record is what a cdf evaluator derives from the design record
+    and one parameter point without its argument t (`dist_exact` keys it
+    by theta/sigma, the critical values and its layout constants).  The
+    slot holds one record per target, the last point's, so a sweep over
+    any number of points keeps one; ``key`` must compare with ``!=``
+    (bytes, numbers and tuples of them), and the record must pickle, as a
+    problem travels to worker processes with its slots.
+    """
+    slot = _target_key(A)
+    kept = problem._drifts.get(slot)
+    if kept is None or kept[0] != key:
+        kept = problem._drifts[slot] = (key, build())
+    return kept[1]
 
 
 def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantities:

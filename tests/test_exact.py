@@ -624,6 +624,135 @@ def test_shared_setup_replays_a_cold_call_bit_for_bit():
                 == (warm.value, warm.abs_error, warm.method, warm.warning)), (query, cold, warm)
 
 
+def _bits(res):
+    """A result as bytes: value, abs_error, method, warning and its trace."""
+    tt = res.term_trace
+    arrays = (tt.terms, tt.weights, tt.errors, tt.sampling)
+    return (float(res.value).hex(), float(res.abs_error).hex(), res.method, res.warning,
+            tt.orders, b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays))
+
+
+def test_drift_record_replays_fresh_problems_bit_for_bit():
+    # the t-free half of a call (shifts, drifts, scale masses, node factors)
+    # is kept per theta beside the design record: over every exact_grid
+    # set, forward, reversed and with another theta between every two
+    # points (which takes the slot each time), each point is the point of a
+    # fresh problem, trace and all
+    points = _benchmark_points()[:39]
+    fresh = [_bits(cdf_exact(make(), query)) for make, query in points]
+    for order in ("forward", "reversed", "interleaved"):
+        index = range(len(points)) if order != "reversed" else range(len(points))[::-1]
+        problems = {}
+        for i in index:
+            make, query = points[i]
+            problem = problems.setdefault(make, make())
+            if order == "interleaved":
+                other = CdfQuery(A=query.A, t=query.t, theta=0.5 * query.theta - 0.2,
+                                 sigma=1.0, rule=query.rule)
+                cdf_exact(problem, other)
+            assert _bits(cdf_exact(problem, query)) == fresh[i], (order, i)
+
+
+def test_sigma_scaled_query_reads_the_same_drift_record():
+    # G(t, theta, sigma) is G(t / sigma, theta / sigma, 1): both read one
+    # record, keyed by theta / sigma, and agree bit for bit
+    for name in ("COLL2", "P4-k3"):
+        problem, A, rule = ((fixture(name).problem, fixture(name).A, fixture(name).rule)
+                            if name == "COLL2" else _p4_k3_case())
+        t = np.linspace(-0.5, 1.0, A.shape[0])
+        for sigma in (3.0, 0.7):
+            theta = problem.theta * 1.1
+            unit = CdfQuery(A=A, t=t / sigma, theta=theta / sigma, sigma=1.0, rule=rule)
+            scaled = CdfQuery(A=A, t=t, theta=theta, sigma=sigma, rule=rule)
+            want = [_bits(cdf_exact(problem, unit)) for _ in range(2)]
+            record = problem._drifts[(A.shape, A.tobytes())]
+            assert _bits(cdf_exact(problem, scaled)) == want[0] == want[1], (name, sigma)
+            assert problem._drifts[(A.shape, A.tobytes())] is record
+
+
+def test_bisected_panels_never_enter_the_drift_record():
+    # a call that bisects reads the record's node factors but stores none
+    # of its halves: the near-step target bisects at the default tol and
+    # deeper at 1.2e-10 (tol 1e-13 is below the error floor, 1.01e-10, and
+    # bisects nothing), and the calls after it equal a fresh problem's
+    fx = fixture("COLL2")
+    A = np.array([[0.01, 1.0], [1.0, 0.0]])
+
+    def query(t):
+        return CdfQuery(A=A, t=t, theta=fx.problem.theta, sigma=1.0, rule=fx.rule)
+
+    fine = AccuracyBudget(tol=1.2e-10)
+    problem = fixture("COLL2").problem
+    for t in ((1.0, -0.2), (0.25, 0.25)):
+        cdf_exact(problem, query(t))
+    deep = cdf_exact(problem, query((1.0, -0.2)), fine)
+    assert deep.warning is None and "levels=0" not in deep.method, deep
+    assert _bits(deep) == _bits(cdf_exact(fixture("COLL2").problem, query((1.0, -0.2)), fine))
+    for t in ((0.25, 0.25), (1.0, -0.2), (-1.0, 1.5)):
+        res = cdf_exact(problem, query(t))
+        assert _bits(res) == _bits(cdf_exact(fixture("COLL2").problem, query(t))), t
+
+
+def _memo_bytes(drift):
+    return sum(m.values.nbytes for m in (drift.grid, *drift.rules.values())
+               if m.values is not None)
+
+
+def test_drift_slots_and_memos_stay_bounded():
+    # one slot per design record whatever number of theta a sweep visits,
+    # and node memos sized by the t-free layouts whatever number of t
+    fx = fixture("P1", n=400)
+    for lam in np.linspace(-3.0, 3.0, 200):
+        cdf_exact(fx.problem, CdfQuery(A=fx.A, t=[0.1], theta=[lam / 20.0], sigma=1.0,
+                                       rule=fx.rule))
+    assert len(fx.problem._drifts) == len(fx.problem._records) == 1
+    fx = fixture("COLL2")
+    sizes, records = [], set()
+    for t in np.random.default_rng(26).uniform(-2.0, 2.0, (100, 2)):
+        cdf_exact(fx.problem, CdfQuery(A=fx.A, t=t, theta=fx.problem.theta, sigma=1.0,
+                                       rule=fx.rule))
+        drift = fx.problem._drifts[(fx.A.shape, fx.A.tobytes())][1]
+        records.add(id(drift))
+        sizes.append(_memo_bytes(drift))
+    assert len(records) == 1 and len(set(sizes[1:])) == 1 and sizes[1] > 0, sizes
+
+
+def test_patched_layouts_never_read_a_stale_drift_record(monkeypatch):
+    # the record's key holds the layout constants read at call time, so a
+    # patched layout on a warm problem gives a fresh problem's value: P4's
+    # orders 2 and 3 read their scale masses from the record's sums
+    import pmsdist.dist_exact as dist_exact
+
+    problem, A, rule = _p4_k3_case()
+    queries = [CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule)
+               for t in P4_GRID[:2]]
+    for q in queries * 2:
+        cdf_exact(problem, q)
+    for module, name, value in ((dist_exact, "_S_Q_LO", 1e-15), (_gauss, "PANELS", 7),
+                                (dist_exact, "_STEP_Q", (0.5,)), (_gauss, "TAIL_CUT", 8.0)):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, value)
+            for q in queries:
+                want = _bits(cdf_exact(_p4_k3_case()[0], q))
+                assert _bits(cdf_exact(problem, q)) == want, name
+                assert _bits(cdf_exact(problem, q)) == want, name
+
+
+def test_a_problem_with_a_drift_record_pickles_to_workers():
+    # the drift record holds arrays and numbers only: a problem that has
+    # served cdf_exact goes to worker processes and simulates as in-process
+    fx = fixture("COLL2")
+    for t in ((0.25, 0.25), (-1.0, 1.5)):
+        cdf_exact(fx.problem, _query(fx, t))
+    assert fx.problem._drifts
+    plan = SimulationPlan(problem=fx.problem, rule=fx.rule, A=fx.A, replications=16_384,
+                          master_seed=26)
+    grid = np.array([[0.25, 0.25], [-1.0, 1.5]])
+    two, one = (empirical_cdf(plan, grid, workers=w) for w in (2, 1))
+    assert np.array_equal(two.estimates, one.estimates)
+    assert np.array_equal(two.standard_errors, one.standard_errors)
+
+
 def test_scale_layout_is_shared_read_only_and_follows_the_quantiles(monkeypatch):
     import pmsdist.dist_exact as dist_exact
 
