@@ -843,7 +843,8 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
 
 
 def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
-                       n_samples: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
+                       n_samples: int = 200_000,
+                       factor: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Lower-orthant probabilities P(Z <= u) for every row u of U, Z ~ N(0, cov).
 
     cov is PSD, possibly singular.  Where it `needs_sampling` (k >= 4,
@@ -856,12 +857,14 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     orthant one path panel (`_trivariate_rows`), each with an error at
     rounding level.  Returns (probabilities, standard_errors), where it
     conditions the terms and SE of the rule's `OrderTerm`: the SE is 0
-    where deterministic, else at least 1/n_samples.
+    where deterministic, else at least 1/n_samples.  ``factor``, when
+    given, is `psd_factor(cov)` made once by the caller
+    (`LimitQuantities.factor`).
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     m, k = U.shape
-    L = psd_factor(cov)
+    L = psd_factor(cov) if factor is None else factor
     if not needs_sampling(k, L.shape[1]):
         return orthant_rows(U, cov, L)[0], np.zeros(m)
     j = int(np.argmax(np.diag(cov)))
@@ -873,7 +876,8 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
 
 
 def gaussian_rect(upper: np.ndarray, cov: np.ndarray, *, rng=None,
-                  n_samples: int = 200_000) -> tuple[float, float]:
+                  n_samples: int = 200_000,
+                  factor: np.ndarray | None = None) -> tuple[float, float]:
     """Lower-orthant probability P(Z <= upper): the one-row `gaussian_rect_rows`."""
-    p, se = gaussian_rect_rows(upper, cov, rng=rng, n_samples=n_samples)
+    p, se = gaussian_rect_rows(upper, cov, rng=rng, n_samples=n_samples, factor=factor)
     return float(p[0]), float(se[0])

@@ -102,7 +102,8 @@ def phi_hat_values(problem: RegressionProblem, A, p: int, t,
                    sigma_hats) -> np.ndarray:
     """`phi_hat` at each of a vector of per-replication residual scales.
 
-    Validates once and reads the design record once, then calls
+    Validates once and reads the design record and its factor of
+    omega(p) once, then calls
     `gaussian_rect` once per scale, at t / sigma_hat: the loop is not
     vectorized.  (One `gaussian_rect_rows` call over every row would be,
     but `benchmarks/spans.py` counts these calls through this module's
@@ -119,9 +120,10 @@ def phi_hat_values(problem: RegressionProblem, A, p: int, t,
         raise DegenerateSampleError("sigma_hat is zero")
     if p == 0:
         return np.full(sig.shape, 1.0 if np.all(t_arr >= 0.0) else 0.0)
-    cov = projection_quantities(problem, A).omega(p)
+    dq = projection_quantities(problem, A)
+    cov, factor = dq.omega(p), dq.factor(p)
     out = np.empty(sig.size)
     for j, s in enumerate(sig):
-        val, _ = gaussian_rect(t_arr / s, cov)
+        val, _ = gaussian_rect(t_arr / s, cov, factor=factor)
         out[j] = val
     return out

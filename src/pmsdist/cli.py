@@ -19,6 +19,7 @@ refused its hypotheses).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -366,7 +367,10 @@ def _add_common(sp) -> None:
                     help="process count for Monte Carlo work")
 
 
+@functools.cache
 def build_parser():
+    """(parser, subparsers by name): built on the first call of a process
+    and shared by every later one, as parsing never changes the tree."""
     parser = _Parser(prog="pmsdist",
                      description="distributions of post-model-selection "
                                  "estimators in Gaussian linear regression")

@@ -65,8 +65,9 @@ Genz's one-dimensional trivariate normal cdf (r = 3); only at k >= 4
 with r >= 3 is it estimated, from seeded Gaussian draws of R = z - g X
 integrated exactly over X (`_gauss.conditional_rows`), so no draw
 carries the scale integral.  pi(p) is each term without the orthant.
-The order-O orthant is `_gauss.gaussian_rect`, sampled only at k >= 4
-and unconditional rank >= 4.
+The order-O orthant is `_gauss.gaussian_rect` on the design record's
+kept factor of omega(O), sampled only at k >= 4 and unconditional rank
+>= 4.
 Every cdf evaluator of the package, these and the limit ones of
 `dist_limit`, forms its result the same way: per-order parts in a
 `TermTrace` (pi(p) G(t | p), pi(p), error bounds and three sampling
@@ -454,7 +455,7 @@ class _ExactEngine:
         # which can sample only at k >= 4
         rng = philox(budget.seed, 10_000) if self.k >= 4 else None
         self.core = gaussian_rect(self.u - self.shift[O], dq.omega(O),
-                                  rng=rng, n_samples=budget.n_z)
+                                  rng=rng, n_samples=budget.n_z, factor=dq.factor(O))
         # every order p > O split once on its selection scalar X = W / xi_p
         # (`LimitQuantities.split`): z = g X + R with R ~ N(0, S), S = L L';
         # a rank-0 order (z = g X) keeps the x-interval of {g X <= u}, x0

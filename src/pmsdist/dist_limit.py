@@ -200,7 +200,8 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, c_of: np.ndarray, 
         shift[p] = shift[p + 1] + limits.C(p + 1) * (nu[p + 1] / limits.xi(p + 1) ** 2)
     # order p_star, whose weight is the chance that no later test rejects
     core, se = gaussian_rect_rows(T + shift[p_star][None, :], limits.omega(p_star),
-                                  rng=philox(budget.seed + 977), n_samples=budget.n_z)
+                                  rng=philox(budget.seed + 977), n_samples=budget.n_z,
+                                  factor=limits.factor(p_star))
     terms = {p_star: OrderTerm(core, 1.0, 0.0, se)}
     # every order conditioned (and, where it must be, sampled) once
     for p in range(p_star + 1, P + 1):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cdf_estimators import phi_hat_values
-from .dist_exact import AccuracyBudget, CdfQuery, cdf_exact
+from .dist_exact import AccuracyBudget, CdfQuery, CdfResult, cdf_exact
 from .dist_limit import LocalAlternative, cdf_limit, limit_nonconstancy_scan
 from .errors import ExperimentRefusal, ValidationError
 from .fixtures import Fixture
@@ -37,7 +37,7 @@ from .montecarlo import (
     replicate,
     simulate_response,
 )
-from .regression_core import RegressionProblem
+from .regression_core import RegressionProblem, order_of
 from .selection import (
     GeneralToSpecific,
     InformationCriterion,
@@ -173,6 +173,12 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
     with n.  Refuses when no coordinate stays correlated with the target
     (q_star undefined), or when the exterior filter empties the grid; an
     empty ladder, rho grid or gamma grid (n_gamma < 1) is invalid input.
+
+    At zero drift the shifts beta(p) and drifts nu_p of
+    `local_shift_constants` vanish, so a point's own limit depends on it
+    only through its true order p_star = max(order_of(theta_n), O): the
+    sweep evaluates `cdf_limit` once per p_star met, at most P - O + 1
+    times, and reads that result at every other point of the same order.
     """
     start = time.perf_counter()
     budget = budget or AccuracyBudget()
@@ -189,6 +195,7 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
     pr = fixture.problem
     rows = []
     sups_by_n: dict[int, float] = {}
+    own_limits: dict[int, CdfResult] = {}
     for n in n_ladder:
         fx_n = fixture.at_n(n)
         for rho in rho_grid:
@@ -206,11 +213,13 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
                     if abs(theta_n[qs - 1]) < exterior_min:
                         continue
                 kept += 1
-                own_limit = cdf_limit(limits,
-                                      LocalAlternative(theta=theta_n,
-                                                       gamma=np.zeros(pr.P),
-                                                       sigma=pr.sigma),
-                                      t_arr, fixture.rule, budget)
+                p_star = max(order_of(theta_n), limits.O)
+                own_limit = own_limits.get(p_star)
+                if own_limit is None:
+                    own_limit = own_limits[p_star] = cdf_limit(
+                        limits, LocalAlternative(theta=theta_n, gamma=np.zeros(pr.P),
+                                                 sigma=pr.sigma),
+                        t_arr, fixture.rule, budget)
                 res = cdf_exact(fx_n.problem,
                                 CdfQuery(A=fixture.A, t=t_arr, theta=theta_n,
                                          sigma=pr.sigma, rule=fixture.rule),
@@ -468,7 +477,7 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
         reps = replicate(SimulationPlan(problem=prob, rule=ic_rule, A=fixture.A,
                                         replications=instances, master_seed=master_seed))
         ok = reps.valid
-        picked_full = np.array([m == full for m in reps.selected])
+        picked_full = np.array([m == full for m in reps.models])[reps.model_index]
         t_drop = np.abs(reps.t_ratios[:, P - 1])
         disagree = int(np.sum(ok & (picked_full != (t_drop > c_n))))
         symdiff = 0 if cutoff is None else int(np.sum(ok & (picked_full != (t_drop >= cutoff))))

@@ -34,9 +34,9 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._gauss import philox as _rng  # the name benchmarks/baseline.py times
 from .errors import ValidationError, cdf_argument, target_matrix
@@ -115,16 +115,23 @@ class EmpiricalCdf:
 class Replications:
     """Per-replication outcome of a plan, in replication order.
 
-    selected holds each replication's model (an order or a SubsetMask),
-    estimates the (R, P) post-selection fits, t_ratios the (R, P)
-    full-model t-ratios, and valid flags the non-degenerate replications.
+    models holds each selected model (an order or a SubsetMask) once, in
+    model-id order, and model_index each replication's position in it;
+    selected is each replication's model, read from the two.  estimates
+    holds the (R, P) post-selection fits, t_ratios the (R, P) full-model
+    t-ratios, and valid flags the non-degenerate replications.
     """
 
-    selected: list
+    models: tuple
+    model_index: np.ndarray
     estimates: np.ndarray
     sigma_hat: np.ndarray
     t_ratios: np.ndarray
     valid: np.ndarray
+
+    @cached_property
+    def selected(self) -> list:
+        return [self.models[i] for i in self.model_index.tolist()]
 
 
 def _draw_errors(problem: RegressionProblem, master: int, lo: int, hi: int) -> np.ndarray:
@@ -187,8 +194,11 @@ class _Kernel:
         self.A_theta = plan.A @ pr.theta
         qf = self.qf = pr._qr[P - 1][0]
         self.mu = qf.T @ (pr.X @ pr.theta)
-        # nested order p: coef = G[p] @ S with G[p] = R_p^{-1} Q_p'Q_P
-        G = [np.zeros((0, P))] + [solve_triangular(r, q.T @ qf) for q, r in pr._qr]
+        # nested order p: coef = G[p] @ S with G[p] = R_p^{-1} Q_p'Q_P.  LU
+        # of a triangular R pivots nowhere, so np.linalg.solve is the
+        # triangular solve; scipy's solve_triangular on several columns
+        # wakes every unpinned BLAS thread, milliseconds per call
+        G = [np.zeros((0, P))] + [np.linalg.solve(r, q.T @ qf) for q, r in pr._qr]
         self.full_map = G[P]
         self.ginv_sqrt = np.sqrt(np.diag(np.linalg.inv(pr.gram)))
         self.fits: dict[int, np.ndarray] = {}
@@ -224,7 +234,7 @@ class _Kernel:
             return np.zeros((self.P, self.P)), np.zeros((self.P, 0))
         q, r = np.linalg.qr(self.plan.problem.X[:, list(indices)], mode="reduced")
         basis = self.qf.T @ q
-        return self._padded(indices, solve_triangular(r, basis.T)), basis
+        return self._padded(indices, np.linalg.solve(r, basis.T)), basis
 
     def key(self, model_id: int):
         """The model an id stands for: an order or a SubsetMask."""
@@ -402,8 +412,8 @@ def replicate(plan: SimulationPlan) -> Replications:
     """Every replication of the plan: selected model, fit, scale, t-ratios."""
     kernel = _Kernel(plan)
     outs = [kernel.run(lo, hi, True) for lo, hi in _chunk_bounds(plan.replications)]
-    ids = np.concatenate([o["ids"] for o in outs])
-    return Replications(selected=[kernel.key(int(i)) for i in ids],
+    ids, index = np.unique(np.concatenate([o["ids"] for o in outs]), return_inverse=True)
+    return Replications(models=tuple(kernel.key(int(i)) for i in ids), model_index=index,
                         **{name: np.concatenate([o[field] for o in outs])
                            for name, field in (("estimates", "est"), ("sigma_hat", "sigma"),
                                                ("t_ratios", "t"), ("valid", "ok"))})
@@ -417,7 +427,8 @@ def dump_replications(plan: SimulationPlan, path: str) -> None:
         writer.writerow(["rep", "selected_model"]
                         + [f"estimate_{i}" for i in range(1, plan.problem.P + 1)]
                         + ["sigma_hat"])
-        for r, (key, est, sig) in enumerate(zip(reps.selected, reps.estimates,
-                                                reps.sigma_hat)):
-            writer.writerow([r, str(key)] + [repr(float(v)) for v in est]
+        names = [str(m) for m in reps.models]
+        for r, (i, est, sig) in enumerate(zip(reps.model_index.tolist(), reps.estimates,
+                                              reps.sigma_hat)):
+            writer.writerow([r, names[i]] + [repr(float(v)) for v in est]
                             + [repr(float(sig))])

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from ._gauss import GINV_REL_TOL, condition_on_scalar, sym_eigh, sym_pinv
+from ._gauss import GINV_REL_TOL, condition_on_scalar, psd_factor, sym_eigh, sym_pinv
 from .errors import DegenerateSampleError, ValidationError, target_matrix
 
 __all__ = [
@@ -203,6 +202,18 @@ class LimitQuantities:
     def _splits(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return {}
 
+    def factor(self, p: int) -> np.ndarray:
+        """The `psd_factor` L of omega(p), omega(p) ~= L L': a function of
+        the record alone, built on first use and kept, read-only."""
+        out = self._factors.get(p)
+        if out is None:
+            out = self._factors[p] = _readonly(psd_factor(self.omega(p)))
+        return out
+
+    @cached_property
+    def _factors(self) -> dict[int, np.ndarray]:
+        return {}
+
 
 @dataclass(frozen=True)
 class LocalShiftConstants:
@@ -235,7 +246,7 @@ def restricted_ls(problem: RegressionProblem, Y: np.ndarray, p: int) -> np.ndarr
     q, r = problem._qr[p - 1]
     if np.min(np.abs(np.diag(r))) <= 0.0:
         raise ValidationError(f"X[:, :{p}] is numerically singular")
-    out[:p] = solve_triangular(r, q.T @ Y)
+    out[:p] = np.linalg.solve(r, q.T @ Y)
     return out
 
 
@@ -352,7 +363,8 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQua
     per (problem, target) and kept on the problem, keyed by the float64
     target's shape and bytes; every later call with the same target gets
     the same read-only record, and with it each order's conditioning
-    split (`LimitQuantities.split`, built on first use).  A target is
+    split and covariance factor (`LimitQuantities.split` and
+    `LimitQuantities.factor`, built on first use).  A target is
     validated only when it is first seen: equal bytes were valid then.
     The memo holds one record of O(P k^2) floats per distinct target,
     whatever n is; beside each record the problem keeps one slot for the

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pmsdist.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_REFUSED, main
+from pmsdist.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_REFUSED, build_parser, main
 
 
 def _run(capsys, argv):
@@ -219,6 +219,24 @@ def test_config_file_merging(capsys, tmp_path):
     broken.write_text("{not json")
     rc, _, _ = _run(capsys, ["cdf-limit", "--config", str(broken)])
     assert rc == EXIT_INVALID
+
+
+def test_main_is_reentrant_on_its_one_parser(capsys, tmp_path):
+    # the parser is built once per process; no call leaves state in it
+    assert build_parser() is build_parser()
+    argv = ["cdf-limit", "--fixture", "COLL2", "--t", "-1,0.5", "--gamma", "0.5,-0.25"]
+    rc, first, _ = _run(capsys, argv)
+    assert rc == EXIT_OK
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fixture": "P1", "t": "0.3", "gamma": "0.7", "tol": 1e-4,
+                               "cross_check": True}))
+    rc, out, _ = _run(capsys, ["cdf-limit", "--config", str(cfg)])
+    assert rc == EXIT_OK and _payload(out)["config"]["cross_check"] is True
+    rc, out, err = _run(capsys, ["cdf-limit", "--fixture", "P1", "--no-such-flag"])
+    assert rc == EXIT_INVALID and out == ""
+    assert _payload(err)["error"]["type"] == "ValidationError"
+    rc, again, _ = _run(capsys, argv)
+    assert rc == EXIT_OK and again == first
 
 
 @pytest.mark.parametrize("kind,config,flags", [

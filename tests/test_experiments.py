@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from pmsdist.dist_exact import AccuracyBudget
+from pmsdist import experiments
+from pmsdist.dist_exact import AccuracyBudget, CdfQuery, cdf_exact
+from pmsdist.dist_limit import LocalAlternative, cdf_limit
 from pmsdist.errors import ExperimentRefusal, ValidationError
 from pmsdist.experiments import (
     SweepReport,
@@ -77,6 +79,63 @@ def test_tube_sweep_exterior_mode_vanishes():
     assert rep.passed and rep.verdicts["exterior_sup_vanishes"]
     sups = [row[rep.columns.index("sup_gap")] for row in rep.rows]
     assert sups[-1] <= 0.05
+
+
+def _tube_rows_per_lambda(fx, t, rho_grid, n_ladder, n_gamma, exterior_min):
+    """The tube sweep's rows with each point's own limit evaluated at that point."""
+    pr, qs = fx.problem, fx.limits.q_star
+    rows = []
+    for n in n_ladder:
+        fx_n = fx.at_n(n)
+        for rho in rho_grid:
+            sup_gap, arg_lam, kept = 0.0, None, 0
+            for lam in np.linspace(-0.999 * rho, 0.999 * rho, n_gamma):
+                step = np.zeros(pr.P)
+                step[qs - 1] = lam
+                theta_n = pr.theta + (step / np.sqrt(n) if exterior_min is None else step)
+                if exterior_min is not None and abs(theta_n[qs - 1]) < exterior_min:
+                    continue
+                kept += 1
+                own = cdf_limit(fx.limits, LocalAlternative(theta=theta_n, gamma=np.zeros(pr.P),
+                                                            sigma=pr.sigma), t, fx.rule, QUICK)
+                res = cdf_exact(fx_n.problem, CdfQuery(A=fx.A, t=t, theta=theta_n,
+                                                       sigma=pr.sigma, rule=fx.rule), QUICK)
+                gap = abs(res.value - own.value)
+                if gap >= sup_gap:
+                    sup_gap, arg_lam = gap, float(lam)
+            rows.append((n, float(rho), kept, sup_gap, np.nan if arg_lam is None else arg_lam))
+    return rows
+
+
+@pytest.mark.parametrize("name,t,rho_grid,exterior_min", [
+    ("P1", [0.0], [1.0], None),
+    ("P1", [0.0], [1.0, 4.0], 0.25),
+    ("COLL2", [0.0, 0.5], [2.0], None),
+    ("COLL2", [0.3, 0.3], [3.0], 0.5),
+], ids=["P1-local", "P1-exterior", "COLL2-local", "COLL2-exterior"])
+def test_tube_sweep_evaluates_one_own_limit_per_true_order(monkeypatch, name, t, rho_grid,
+                                                           exterior_min):
+    # at zero drift the own limit depends on theta only through p_star, so a
+    # sweep needs at most P - O + 1 limits, and its rows are those of a
+    # limit evaluated at every point
+    fx = fixture(name)
+    n_ladder = (52, 200)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cdf_limit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "cdf_limit", counted)
+    rep = tube_sweep(fx, t=t, rho_grid=rho_grid, n_ladder=n_ladder, n_gamma=5,
+                     exterior_min=exterior_min, budget=QUICK)
+    assert 1 <= len(calls) <= fx.problem.P - fx.problem.O + 1
+    if name == "P1" and exterior_min is None:
+        assert len(calls) == 2   # lambda = 0 is order 0, every other point order 1
+    ref = _tube_rows_per_lambda(fx, np.asarray(t, dtype=float), rho_grid, n_ladder, 5,
+                                exterior_min)
+    assert np.array_equal(np.array(rep.rows, dtype=float), np.array(ref, dtype=float),
+                          equal_nan=True)
 
 
 def test_refusals():

@@ -120,6 +120,21 @@ def test_vectorized_kernels_reproduce_scalar_pipeline(rule, tmp_path):
         assert np.allclose(got, fit.estimate, atol=1e-10), f"rep {r}"
 
 
+@pytest.mark.parametrize("rule", [None, *COLL2_RULES[1:]], ids=["g2s", "ic", "threshold"])
+def test_replicate_selects_the_kernel_model_of_each_id(rule):
+    # replicate makes one key per distinct model id; every replication,
+    # over more than one chunk, still reads the model of its own id
+    fx = fixture("COLL2")
+    plan = _plan(fx, CHUNK + 300, seed=17, rule=rule)
+    reps = replicate(plan)
+    kernel = montecarlo._Kernel(plan)
+    ids = np.concatenate([kernel.run(lo, hi, True)["ids"]
+                          for lo, hi in montecarlo._chunk_bounds(plan.replications)])
+    assert len(reps.selected) == ids.size == plan.replications
+    assert len(reps.models) == np.unique(ids).size
+    assert all(m == kernel.key(int(i)) for m, i in zip(reps.selected, ids))
+
+
 def test_estimator_error_probability_extremes():
     fx = fixture("P1")
     plan = _plan(fx, 2000, seed=5)

@@ -26,13 +26,15 @@ UNREAD_PUBLIC = {"full_model_gaussian_cdf"}
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs start-up time and memory; nothing in the package
-    # needs it, so a fresh interpreter must not load it with pmsdist
+    # scipy.stats and scipy.linalg cost start-up time and memory; nothing in
+    # the package needs them, so a fresh interpreter must not load them with
+    # pmsdist
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    code = "import sys, pmsdist; print('scipy.stats' in sys.modules)"
+    code = ("import sys, pmsdist; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def _private_imports():
