@@ -26,9 +26,9 @@ outer panels whose estimates are large, row by row, and stops a row at
 its error floor: the error no bisection reduces (`error_floor`).  Each
 order's part of a cdf is one `OrderTerm`, a closed form's or a rule's.
 A rule's integrand is split into factors that no argument t moves and
-the rest; a `NodeMemo` keeps the factors at the nodes of a t-free layout
-for the panels a first pass leaves whole, so a caller that evaluates
-many t at one parameter point computes them once.
+the rest; a `NodeMemo` keeps the factors at every node of a t-free
+layout from its second read on, so a caller that evaluates many t at one
+parameter point computes them on its first two reads only.
 """
 from __future__ import annotations
 
@@ -152,9 +152,9 @@ class Panels:
     (fk) and at G12 (fg); a flat integrand returns the same array twice.
     a = factors(x) are the integrand's factors that the query's t does not
     move (an array of rows over the nodes).  Given a `NodeMemo`, the first
-    pass reads them for the panels the memo keeps whole; `bisect`
-    evaluates its halves afresh.  Every panel keeps its K25 sums of fk and
-    its G12 sums of fg.  ``total`` is the K25 integral of every component;
+    pass reads them through it (`NodeMemo.read`); `bisect` evaluates its
+    halves afresh.  Every panel keeps its K25 sums of fk and its G12 sums
+    of fg.  ``total`` is the K25 integral of every component;
     a panel's estimate is |K25 - G12| summed over the terms (the first half
     of the components), and ``gap`` the sum of the estimates.  `bisect`
     re-evaluates only the halves of the panels it splits.
@@ -202,50 +202,39 @@ class NodeMemo:
     """Integrand factors that no t moves, at the K25 nodes of one panel layout.
 
     ``edges`` is the layout a rule has before the break points of a
-    particular t (bound on first use when None).  A `Panels` first pass
-    reads the factors of every panel it keeps whole from here once they
-    are filled, evaluates the rest in one call, and fills the whole panels
-    it evaluated.  Split and bisected panels are never stored, so the memo
-    holds at most one (rows, panels, NODES_PER_PANEL) array of the layout
-    however many t it serves.  Each node's factors come from elementwise
+    particular t (set by the caller on first use when None).  The first
+    read evaluates factors(x) at the caller's nodes and stores nothing, so
+    a layout read once costs nothing extra; the second evaluates them at
+    every node of the layout in one call (``values``, the factors at
+    `gl_panels`(edges)); every read from then on takes the caller's panels
+    that are panels of the layout from ``values`` and evaluates the rest,
+    the panels its break points split, afresh.  Split and bisected panels
+    are never stored, so the memo holds one array of the layout however
+    many t it serves.  Each node's factors come from elementwise
     operations on that node alone, so a read equals a fresh evaluation bit
     for bit.
     """
 
     def __init__(self, edges: np.ndarray | None = None):
-        self.edges = self.kept = self.values = None
-        if edges is not None:
-            self.bind(edges)
-
-    def bind(self, edges: np.ndarray) -> None:
-        # per panel, padded by one so that any left edge inside the layout
-        # indexes them: its right edge, and that edge again once the panel's
-        # factors are kept (NaN before, which equals no edge)
-        self.edges, self._right = edges, np.append(edges[1:], np.nan)
-        self.kept = np.full(edges.size, np.nan)
+        self.edges, self.values, self.seen = edges, None, False
 
     def read(self, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, factors) -> np.ndarray:
         """factors(x) at the nodes x of the panels [lo_i, hi_i] of a layout
         inside the memo's."""
-        j = np.searchsorted(self.edges, lo)
-        at = self.edges[j] == lo
-        need = ~(at & (self.kept[j] == hi))
-        n = np.count_nonzero(need)
+        if not self.seen:
+            self.seen = True
+            return factors(x)
+        if self.values is None:
+            self.values = factors(gl_panels(self.edges)[0])
+        j = np.minimum(np.searchsorted(self.edges, lo), self.edges.size - 2)
+        fresh = (self.edges[j] != lo) | (self.edges[j + 1] != hi)
+        n = np.count_nonzero(fresh)
         if n == lo.size:
-            a = factors(x)
-        else:
-            a = self.values[:, j]
-            if n:
-                a[:, need] = factors(x.reshape(lo.size, -1)[need].ravel()).reshape(len(a), n, -1)
-            a = a.reshape(len(a), -1)
+            return factors(x)
+        a = self.values.reshape(len(self.values), -1, NODES_PER_PANEL)[:, j]
         if n:
-            fill = need & at & (self._right[j] == hi)
-            if fill.any():
-                if self.values is None:
-                    self.values = np.empty((len(a), self.edges.size, NODES_PER_PANEL))
-                self.values[:, j[fill]] = a.reshape(len(a), lo.size, -1)[:, fill]
-                self.kept[j[fill]] = hi[fill]
-        return a
+            a[:, fresh] = factors(x.reshape(lo.size, -1)[fresh].ravel()).reshape(len(a), n, -1)
+        return a.reshape(len(a), -1)
 
 
 @dataclass(frozen=True)
@@ -493,11 +482,11 @@ def cumulative_sums(fx: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.n
                  for w in (wk, wg))
 
 
-def cumulative_rule(f, edges: np.ndarray, cum=None) -> ScaleMass:
+def cumulative_rule(f, edges: np.ndarray, cum: tuple[np.ndarray, np.ndarray]) -> ScaleMass:
     """H(y) = integral of f from edges[0] to y, as its K25 and G12 parts.
 
-    f is integrated on the K25 panels of ``edges`` (`cumulative_sums`, or
-    ``cum`` if already known); a y inside a panel closes the sum of the
+    ``cum`` is f's `cumulative_sums` on the K25 panels of ``edges``, made
+    once by the caller; a y inside a panel closes the sum of the
     panels below it with a partial panel of the same rule, whose embedded
     G12 nodes give the G12 part, so H can be read at any array of points
     and returns (K25, G12) arrays.  H is 0 at and below edges[0] and the
@@ -508,8 +497,6 @@ def cumulative_rule(f, edges: np.ndarray, cum=None) -> ScaleMass:
     cdf hands to its `conditional_rows` rule, for every order but the last
     (whose scale mass is the ratio density's cdf in closed form).
     """
-    cum = cumulative_sums(f(gl_panels(edges)[0]), edges) if cum is None else cum
-
     def partial(y):
         """The inside arguments, and the panel and half-width of each one's partial panel."""
         inside = (y > edges[0]) & (y < edges[-1])
@@ -805,7 +792,7 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
     base = panel_edges(-TAIL_CUT, TAIL_CUT)
     breaks = [x0, *(x0 - c * s), *(x0 + c * s)]
     if memo is not None and memo.edges is None:
-        memo.bind(split_edges(base, breaks))
+        memo.edges = split_edges(base, breaks)
     panels, ses = [], np.zeros(len(U))
 
     def factors(x):

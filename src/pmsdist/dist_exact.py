@@ -27,21 +27,22 @@ problem (one O(P k^2) record per distinct target, whatever n is) with
 each order's conditioning split (`LimitQuantities.split`), and the
 scale layout (the grid's edges and the `_STEP_Q` scales) once per (dof,
 quantiles), all read-only.  What depends on theta but not on t is built
-once per theta as a drift record (`_Drift`), kept beside the design
-record in one slot per target (`regression_core.kept_drift`) and keyed
-by theta / sigma, the critical values and the layout constants: the
-shifts, drifts and ray centres, each order p < P's scale mass, and, from
-the record's second call on, the node factors no t moves (pdf(s) and
-the later-stage products on the scale grid, phi(x) and the scale mass
-at the x-nodes) for every panel a call keeps whole (`_gauss.NodeMemo`).
-A call computes only what t moves: u, the order-O orthant, the rank-0
+once per theta as a drift record (`_Drift`), kept in the design record's
+one drift slot (`LimitQuantities.drift`) and keyed by theta / sigma, the
+critical values and the layout constants: the shifts, drifts and ray
+centres, each order p < P's scale mass, and the node factors no t moves
+(pdf(s) and the later-stage products on the scale grid, phi(x) and the
+scale mass at the x-nodes) in one `_gauss.NodeMemo` per layout, which
+stores nothing on its first read and every node of its layout on its
+second, so a theta a sweep visits once pays nothing for it.  A call
+computes only what t moves: u, the order-O orthant, the rank-0
 intervals and their crossings, the kinks, the orthant at every x-node,
 and the factors of the panels its crossings and kinks split; the panels
 `refine` bisects are evaluated afresh and never kept, so the record's
 size is fixed by its layouts however many t or theta a sweep visits.
-Each kept factor comes from elementwise operations on its own node, and
-every sum over nodes is formed per call as before, so a result is the
-same bit for bit whether its record was cold or warm.
+Each kept factor is elementwise in its node and every sum over nodes is
+formed per call, so a result is the same bit for bit from a cold or a
+warm record.
 
 Every order-p integrand depends on z only through the orthant {z <= u}
 and the scalar W = b'z + zeta e that the order-p test rejects on,
@@ -118,7 +119,6 @@ from .errors import ValidationError, cdf_argument, target_matrix
 from .regression_core import (
     LimitQuantities,
     RegressionProblem,
-    kept_drift,
     local_shift_constants,
     projection_quantities,
 )
@@ -385,22 +385,22 @@ def cdf_result(trace: TermTrace, gap: float, rounds: int, budget: AccuracyBudget
 class _Drift:
     """The t-free half of the exact cdf at one (design record, theta/sigma,
     critical values): what `_ExactEngine` builds once per theta and reads
-    at every t, kept beside the design record (`kept_drift`).
+    at every t, kept in the design record's drift slot
+    (`LimitQuantities.drift`).
 
     Holds the scale layout it was built on (`_ratio_quantiles`, shared per
     dof), the orthant shifts, the drifts nu_p and the ray centres x0_p =
-    -nu_p / xi_p; each order p < P's scale mass K_p as its full-panel sums
-    (``mass``, made on first use); and `NodeMemo`s of the factors no t
-    moves: at the scale grid's nodes (``grid``: the ratio density pdf(s),
-    tail_q(s) for q = O..P and each rank-0 order's pi integrand), and at
-    each conditional order's x-rule nodes (``rules``: phi(x) and the rows
-    of its scale mass), filled from the record's second call on
-    (``served``).  Arrays and numbers only, so a problem carrying it
-    pickles.
+    -nu_p / xi_p, with the orders of conditional rank 0 (``rays``); each
+    order p < P's scale mass K_p as its full-panel sums (``mass``, made on
+    first use); and `NodeMemo`s of the factors no t moves: at the scale
+    grid's nodes (``grid``: the ratio density pdf(s), tail_q(s) for
+    q = O..P and each rank-0 order's pi integrand), and at each
+    conditional order's x-rule nodes (``rules``: phi(x) and the rows of its
+    scale mass), each filled whole on its second read.  Arrays and numbers
+    only, so a problem carrying it pickles.
     """
 
-    def __init__(self, problem: RegressionProblem, dq: LimitQuantities, A: np.ndarray,
-                 theta: np.ndarray):
+    def __init__(self, problem: RegressionProblem, dq: LimitQuantities, theta: np.ndarray):
         P, O = problem.P, problem.O
         # the scale layout: the x-edge scales and the scale grid's edges
         self.s_step = _ratio_quantiles(problem.dof, _STEP_Q)
@@ -409,7 +409,7 @@ class _Drift:
         # gamma = sqrt(n) theta: orthant shifts sqrt(n) A (eta(p) - theta)
         # and drifts sqrt(n) eta_p(p), eta(p) the mean of the order-p
         # restricted estimator
-        consts = local_shift_constants(problem.gram, A, np.zeros(P), np.sqrt(problem.n) * theta, O)
+        consts = local_shift_constants(dq.Q, dq.A, np.zeros(P), np.sqrt(problem.n) * theta, O)
         self.shift, self.nu = consts.beta, consts.nu
         for v in self.shift.values():
             v.setflags(write=False)
@@ -419,7 +419,6 @@ class _Drift:
         self.mass: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.grid = NodeMemo(s_edges)
         self.rules = {p: NodeMemo() for p in self.x0 if p not in self.rays}
-        self.served = False
 
 
 class _ExactEngine:
@@ -431,41 +430,34 @@ class _ExactEngine:
         query.rule.validate_for(problem.P, problem.O)
         self.problem = problem
         self.budget = budget
-        P, O = problem.P, problem.O
+        O = problem.O
         self.k = query.A.shape[0]
         self.ratio = SigmaRatioDensity(problem.dof)
         # the scale mass outside the grid, part of the error floor
         self.truncated = _S_Q_LO + (1.0 - _S_Q_HI)
         # at unit sigma (t and theta over sigma): the design record, and the
-        # drift record of theta / sigma kept beside it, keyed by everything
-        # it is built from that a call may change
+        # drift record of theta / sigma in its slot, keyed by everything it
+        # is built from that a call may change
         self.u = query.t / query.sigma
         self.design = dq = projection_quantities(problem, query.A)
         self.c = query.rule.critical_values(O)
         theta = query.theta / query.sigma
         key = (theta.tobytes(), self.c.tobytes(), _S_Q_LO, _S_Q_HI, _STEP_Q, layout_constants())
-        self.drift = kept_drift(problem, query.A, key,
-                                lambda: _Drift(problem, dq, query.A, theta))
+        self.drift = dq.drift(key, lambda: _Drift(problem, dq, theta))
         self.shift, self.nu = self.drift.shift, self.drift.nu
         self.s_step, self._s_edges = self.drift.s_step, self.drift.grid.edges
-        # the node factors are kept from a drift record's second call on, so
-        # a sweep that visits each theta once never pays for keeping them
-        self.keep, self.drift.served = self.drift.served, True
         # the order-O orthant does not involve the scale: one evaluation,
         # which can sample only at k >= 4
         rng = philox(budget.seed, 10_000) if self.k >= 4 else None
         self.core = gaussian_rect(self.u - self.shift[O], dq.omega(O),
                                   rng=rng, n_samples=budget.n_z, factor=dq.factor(O))
-        # every order p > O split once on its selection scalar X = W / xi_p
-        # (`LimitQuantities.split`): z = g X + R with R ~ N(0, S), S = L L';
-        # a rank-0 order (z = g X) keeps the x-interval of {g X <= u}, x0
-        # and c_p of its two-ray term (`_term_k1`)
-        self.split = {p: dq.split(p) for p in range(O + 1, P + 1)}
+        # each order p > O is split on its selection scalar X = W / xi_p,
+        # z = g X + R (`LimitQuantities.split`); a rank-0 order (z = g X)
+        # keeps the x-interval of {g X <= u}, x0 and c_p of its two rays
         self.rank0: dict[int, tuple[float, float, float, float]] = {}
-        for p, (g, _, L) in self.split.items():
-            if L.shape[1] == 0:
-                lo, hi = rank1_bounds((self.u - self.shift[p])[None, :], g)
-                self.rank0[p] = (float(lo[0]), float(hi[0]), self.drift.x0[p], float(self.c[p]))
+        for p in self.drift.rays:
+            lo, hi = rank1_bounds((self.u - self.shift[p])[None, :], dq.split(p)[0])
+            self.rank0[p] = (float(lo[0]), float(hi[0]), self.drift.x0[p], float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
         self._grid: Panels | None = None
         self._orders: dict[int, OrderTerm] = {}
@@ -474,9 +466,10 @@ class _ExactEngine:
     # every bisection so refinement measures quadrature only) ----
     def _z_sample(self, p: int) -> tuple[np.ndarray]:
         """(R,): n_z draws, keyed by (seed, p), of R = z - g X ~ N(0, S_p),
-        the part of z the split of `__init__` leaves after conditioning."""
+        the part of z its split (`LimitQuantities.split`) leaves after
+        conditioning."""
         if p not in self._z_cache:
-            R = gauss_draws(philox(self.budget.seed, p), self.budget.n_z, self.split[p][2])
+            R = gauss_draws(philox(self.budget.seed, p), self.budget.n_z, self.design.split(p)[2])
             self._z_cache[p] = (R,)
         return self._z_cache[p]
 
@@ -513,7 +506,7 @@ class _ExactEngine:
             return parts, parts
 
         return Panels(f, split_edges(self._s_edges, crossings), self._grid_factors,
-                      self.drift.grid if self.keep else None)
+                      self.drift.grid)
 
     def _scale_mass(self, p: int) -> ScaleMass:
         """K(y), the integral of pdf(s) tail_p(s) over the scale grid's
@@ -575,15 +568,15 @@ class _ExactEngine:
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
         and pi(p) is the same integral without the orthant, at u = t / sigma
-        - shift_p: the order's `conditional_rows` rule on the split of
-        `__init__`, with edges at the `_STEP_Q` quantiles of the ratio
-        density, against the draws R if given.  Its panels' totals are the
-        term and pi(p), its error the dropped x-mass.
+        - shift_p: the order's `conditional_rows` rule on its split
+        (`LimitQuantities.split`), with edges at the `_STEP_Q` quantiles of
+        the ratio density, against the draws R if given.  Its panels'
+        totals are the term and pi(p), its error the dropped x-mass.
         """
-        g, S, L = self.split[p]
+        g, S, L = self.design.split(p)
         return conditional_rows((self.u - self.shift[p])[None, :], g, S, L, self.drift.x0[p],
                                 self.c[p], self.s_step, self._scale_mass(p), R,
-                                self.drift.rules.get(p) if self.keep else None)
+                                self.drift.rules.get(p))
 
     def _term_sampled(self, p: int) -> OrderTerm:
         """The `OrderTerm` of an order whose conditional orthant
@@ -599,7 +592,7 @@ class _ExactEngine:
             for p in range(self.problem.O + 1, self.problem.P + 1):
                 if p in self.rank0:
                     continue
-                sampled = needs_sampling(self.k, self.split[p][2].shape[1])
+                sampled = needs_sampling(self.k, self.design.split(p)[2].shape[1])
                 self._orders[p] = self._term_sampled(p) if sampled else self._conditional_term(p)
         return [self._grid, *(term.panels[0] for term in self._orders.values())]
 

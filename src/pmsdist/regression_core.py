@@ -32,7 +32,6 @@ __all__ = [
     "sigma_hat",
     "t_statistics",
     "projection_quantities",
-    "kept_drift",
     "order_of",
     "limit_quantities",
     "local_shift_constants",
@@ -128,12 +127,6 @@ class RegressionProblem:
         """`projection_quantities` records, keyed by the target's shape and bytes."""
         return {}
 
-    @cached_property
-    def _drifts(self) -> dict[tuple, tuple]:
-        """One slot per `_records` key: (key, record) of the drift record
-        `kept_drift` built last for that target."""
-        return {}
-
 
 @dataclass(frozen=True)
 class LimitQuantities:
@@ -150,7 +143,10 @@ class LimitQuantities:
     directly, and omega(0), the order-0 estimator being the point 0, is
     the zero matrix.  q_star is the largest q > O whose covariance vector
     is (numerically) non-zero, or None when every such vector vanishes —
-    the hypothesis gate for the non-uniformity phenomena.
+    the hypothesis gate for the non-uniformity phenomena.  Beside these the
+    record keeps what its readers build from it on first use: each order's
+    conditioning split and covariance factor (`split`, `factor`) and one
+    slot for a drift record (`drift`).
     """
 
     Q: np.ndarray
@@ -213,6 +209,24 @@ class LimitQuantities:
     @cached_property
     def _factors(self) -> dict[int, np.ndarray]:
         return {}
+
+    def drift(self, key: tuple, build):
+        """The drift record at ``key`` in this record's one slot: the kept
+        one if it was built at an equal key, else build(), which takes it.
+
+        A drift record is what a cdf evaluator derives from the design
+        record and one parameter point without its argument t (`dist_exact`
+        keys it by theta/sigma, the critical values and its layout
+        constants); the slot keeps the last point's, so a sweep keeps one.
+        ``key`` must compare with ``!=`` (bytes, numbers and tuples of
+        them), and the drift record must pickle, as a problem travels to
+        worker processes with its design records.
+        """
+        kept = getattr(self, "_drift", None)
+        if kept is None or kept[0] != key:
+            kept = (key, build())
+            object.__setattr__(self, "_drift", kept)
+        return kept[1]
 
 
 @dataclass(frozen=True)
@@ -367,40 +381,16 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQua
     `LimitQuantities.factor`, built on first use).  A target is
     validated only when it is first seen: equal bytes were valid then.
     The memo holds one record of O(P k^2) floats per distinct target,
-    whatever n is; beside each record the problem keeps one slot for the
-    drift record of the last parameter point (`kept_drift`).
+    whatever n is; each record keeps one slot for the drift record of the
+    last parameter point (`LimitQuantities.drift`).
     """
     A = np.asarray(A, dtype=float)
-    key = _target_key(A)
+    key = A.shape, A.tobytes()
     rec = problem._records.get(key)
     if rec is None:
         rec = _design_record(problem.gram, target_matrix(A, problem.P), problem.O)
         problem._records[key] = rec
     return rec
-
-
-def _target_key(A: np.ndarray) -> tuple:
-    return A.shape, A.tobytes()
-
-
-def kept_drift(problem: RegressionProblem, A: np.ndarray, key: tuple, build):
-    """The drift record of float64 target A at ``key``, kept beside A's
-    design record: the one in A's slot if it was built at an equal key,
-    else build(), which takes the slot.
-
-    A drift record is what a cdf evaluator derives from the design record
-    and one parameter point without its argument t (`dist_exact` keys it
-    by theta/sigma, the critical values and its layout constants).  The
-    slot holds one record per target, the last point's, so a sweep over
-    any number of points keeps one; ``key`` must compare with ``!=``
-    (bytes, numbers and tuples of them), and the record must pickle, as a
-    problem travels to worker processes with its slots.
-    """
-    slot = _target_key(A)
-    kept = problem._drifts.get(slot)
-    if kept is None or kept[0] != key:
-        kept = problem._drifts[slot] = (key, build())
-    return kept[1]
 
 
 def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantities:

@@ -37,7 +37,7 @@ from pmsdist.dist_limit import (
 from pmsdist.errors import DensityUndefinedError, ValidationError
 from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import SimulationPlan, empirical_cdf
-from pmsdist.regression_core import RegressionProblem, limit_quantities
+from pmsdist.regression_core import RegressionProblem, limit_quantities, projection_quantities
 from pmsdist.selection import GeneralToSpecific, InformationCriterion, SubsetMask
 
 QUICK = AccuracyBudget(tol=1e-4, n_z=20_000, seed=0)
@@ -132,7 +132,8 @@ def test_last_order_scale_mass_is_the_ratio_cdf(dof, tol):
     k25, g12 = engine._scale_mass(2)(y)
     assert np.array_equal(k25, g12)
     assert not np.any(k25[:3]) and np.all(k25[-3:] == k25[-1])
-    rule, _ = _gauss.cumulative_rule(engine.ratio.pdf, edges)(y)
+    pdf_sums = _gauss.cumulative_sums(engine.ratio.pdf(_gauss.gl_panels(edges)[0]), edges)
+    rule, _ = _gauss.cumulative_rule(engine.ratio.pdf, edges, pdf_sums)(y)
     assert np.max(np.abs(k25 - rule)) < tol
     ratio = engine.ratio
     assert abs(k25[-1] - (ratio.cdf(edges[-1]) - ratio.cdf(edges[0]))) == 0.0
@@ -665,9 +666,9 @@ def test_sigma_scaled_query_reads_the_same_drift_record():
             unit = CdfQuery(A=A, t=t / sigma, theta=theta / sigma, sigma=1.0, rule=rule)
             scaled = CdfQuery(A=A, t=t, theta=theta, sigma=sigma, rule=rule)
             want = [_bits(cdf_exact(problem, unit)) for _ in range(2)]
-            record = problem._drifts[(A.shape, A.tobytes())]
+            slot = projection_quantities(problem, A)._drift
             assert _bits(cdf_exact(problem, scaled)) == want[0] == want[1], (name, sigma)
-            assert problem._drifts[(A.shape, A.tobytes())] is record
+            assert projection_quantities(problem, A)._drift is slot
 
 
 def test_bisected_panels_never_enter_the_drift_record():
@@ -705,13 +706,14 @@ def test_drift_slots_and_memos_stay_bounded():
     for lam in np.linspace(-3.0, 3.0, 200):
         cdf_exact(fx.problem, CdfQuery(A=fx.A, t=[0.1], theta=[lam / 20.0], sigma=1.0,
                                        rule=fx.rule))
-    assert len(fx.problem._drifts) == len(fx.problem._records) == 1
+    (record,) = fx.problem._records.values()
+    assert record._drift[0][0] == np.array([3.0 / 20.0]).tobytes()
     fx = fixture("COLL2")
     sizes, records = [], set()
     for t in np.random.default_rng(26).uniform(-2.0, 2.0, (100, 2)):
         cdf_exact(fx.problem, CdfQuery(A=fx.A, t=t, theta=fx.problem.theta, sigma=1.0,
                                        rule=fx.rule))
-        drift = fx.problem._drifts[(fx.A.shape, fx.A.tobytes())][1]
+        drift = projection_quantities(fx.problem, fx.A)._drift[1]
         records.add(id(drift))
         sizes.append(_memo_bytes(drift))
     assert len(records) == 1 and len(set(sizes[1:])) == 1 and sizes[1] > 0, sizes
@@ -744,7 +746,7 @@ def test_a_problem_with_a_drift_record_pickles_to_workers():
     fx = fixture("COLL2")
     for t in ((0.25, 0.25), (-1.0, 1.5)):
         cdf_exact(fx.problem, _query(fx, t))
-    assert fx.problem._drifts
+    assert projection_quantities(fx.problem, fx.A)._drift
     plan = SimulationPlan(problem=fx.problem, rule=fx.rule, A=fx.A, replications=16_384,
                           master_seed=26)
     grid = np.array([[0.25, 0.25], [-1.0, 1.5]])
@@ -998,7 +1000,7 @@ def test_k4_rank2_order_refines_across_its_kinks():
     problem, A, rule = _p5_k4_case()
     query = CdfQuery(A=A, t=np.zeros(4), theta=problem.theta, sigma=1.0, rule=rule)
     engine = _ExactEngine(problem, query, AccuracyBudget())
-    assert engine.split[3][2].shape == (4, 2)
+    assert engine.design.split(3)[2].shape == (4, 2)
     panels, values = engine._conditional_term(3).panels[0], []
     for _ in range(6):
         values.append(panels.total[0])
@@ -1017,7 +1019,7 @@ def _last_order_oracle(engine):
     through +/-9 of its loading (the near-step of a small loading).
     """
     p = engine.problem.P
-    g, _, L = engine.split[p]
+    g, _, L = engine.design.split(p)
     assert p == 2 and L.shape[1] == 1
     u = engine.u - engine.shift[p]
     x0, c = -engine.nu[p] / engine.design.xi(p), engine.c[p]

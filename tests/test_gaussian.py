@@ -8,6 +8,9 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from pmsdist._gauss import (
+    NODES_PER_PANEL,
+    NodeMemo,
+    Panels,
     _polygon_rows,
     bvn_cdf,
     condition_on_scalar,
@@ -23,6 +26,7 @@ from pmsdist._gauss import (
     psd_factor,
     rank1_bounds,
     ray_interval_prob,
+    split_edges,
     sym_pinv,
 )
 from pmsdist.dist_limit import _gaussian_density
@@ -627,6 +631,77 @@ def test_kronrod_rule_extends_gauss_legendre():
     _, wk, wg = gl_panels(np.array([-1.0, 1.0]))
     assert np.array_equal(wk, w) and np.array_equal(wg[1::2], gw) and not np.any(wg[::2])
     assert abs(wg @ x ** 24 - 2.0 / 25.0) > 1e-8
+
+
+class _CountingFactors:
+    """Two elementwise factor rows, recording the nodes of every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(x.size)
+        return np.vstack([np.exp(-x ** 2), np.sin(3.0 * x)])
+
+
+def _read(memo, edges, factors):
+    return memo.read(edges[:-1], edges[1:], gl_panels(edges)[0], factors)
+
+
+MEMO_LAYOUT = np.linspace(-1.0, 1.0, 5)
+
+
+def test_node_memo_stores_nothing_on_its_first_read():
+    factors, memo = _CountingFactors(), NodeMemo(MEMO_LAYOUT)
+    a = _read(memo, MEMO_LAYOUT, factors)
+    assert memo.values is None and factors.calls == [4 * NODES_PER_PANEL]
+    assert np.array_equal(a, factors(gl_panels(MEMO_LAYOUT)[0]))
+
+
+def test_node_memo_fills_its_whole_layout_on_its_second_read():
+    # the second read splits a panel, yet the memo stores every panel of
+    # its layout, the split one too, in one call
+    factors, memo = _CountingFactors(), NodeMemo(MEMO_LAYOUT)
+    split = split_edges(MEMO_LAYOUT, [0.2])
+    for _ in range(2):
+        a = _read(memo, split, factors)
+    assert factors.calls[1] == 4 * NODES_PER_PANEL
+    assert np.array_equal(a, factors(gl_panels(split)[0]))
+    assert memo.values.shape == (2, 4 * NODES_PER_PANEL)
+    assert np.array_equal(memo.values, factors(gl_panels(MEMO_LAYOUT)[0]))
+
+
+def test_node_memo_evaluates_only_the_panels_a_read_splits():
+    factors, memo = _CountingFactors(), NodeMemo(MEMO_LAYOUT)
+    for _ in range(2):
+        _read(memo, MEMO_LAYOUT, factors)
+    kept = memo.values.copy()
+    for extra in (0.2, -0.9, 0.7):
+        split = split_edges(MEMO_LAYOUT, [extra])
+        del factors.calls[:]
+        a = _read(memo, split, factors)
+        assert factors.calls == [2 * NODES_PER_PANEL], extra
+        assert np.array_equal(a, factors(gl_panels(split)[0])), extra
+    del factors.calls[:]
+    assert np.array_equal(_read(memo, MEMO_LAYOUT, factors), kept) and not factors.calls
+    assert np.array_equal(memo.values, kept)
+
+
+def test_bisection_stores_nothing_in_the_node_memo():
+    factors, memo = _CountingFactors(), NodeMemo(MEMO_LAYOUT)
+
+    def f(x, a):
+        return a, a
+
+    panels = Panels(f, MEMO_LAYOUT, factors, memo)
+    panels.bisect(0.0)
+    assert memo.values is None
+    panels = Panels(f, MEMO_LAYOUT, factors, memo)
+    kept = memo.values.copy()
+    del factors.calls[:]
+    panels.bisect(0.0)
+    assert factors.calls == [2 * 4 * NODES_PER_PANEL]
+    assert np.array_equal(memo.values, kept)
 
 
 def test_psd_factor_reconstructs():
