@@ -15,7 +15,7 @@ Gauss-Legendre rule (G12), computed by Laurie's (1997) algorithm: the G12
 nodes are K25 nodes, so one evaluation gives both, a rule reports its K25
 value and |K25 - G12| is its error estimate (QUADPACK's QAG, Piessens et
 al. 1983).  Inner rules (the s-panels of `cumulative_rule`, the path
-rule of `_trivariate_rows`) return both parts as well, so the estimate
+rule of `_Trivariate`) return both parts as well, so the estimate
 of an outer rule covers the whole nested term.  The outer rules (the
 x-rules of `conditional_rows`, the exact cdf's scale grid) and the
 s-panels start from the PANELS equal panels of `panel_edges` plus their
@@ -28,7 +28,12 @@ order's part of a cdf is one `OrderTerm`, a closed form's or a rule's.
 A rule's integrand is split into factors that no argument t moves and
 the rest; a `NodeMemo` keeps the factors at every node of a t-free
 layout from its second read on, so a caller that evaluates many t at one
-parameter point computes them on its first two reads only.
+parameter point computes them on its first two reads only.  Likewise a
+conditioned orthant (`ConditionedOrthant`) is a record of one split that
+keeps what no u moves: the kink rule's null vectors and denominators per
+pattern of finite coordinates, the interval loads, and the constants of
+its orthant kernel (`orthant_kernel`: the polygon's lines, the trivariate
+path rule); a call supplies only its rows u.
 """
 from __future__ import annotations
 
@@ -206,7 +211,8 @@ class NodeMemo:
     read evaluates factors(x) at the caller's nodes and stores nothing, so
     a layout read once costs nothing extra; the second evaluates them at
     every node of the layout in one call (``values``, the factors at
-    `gl_panels`(edges)); every read from then on takes the caller's panels
+    `gl_panels`(edges), which `whole` may have filled before for a caller
+    that needs them all); every read from then on takes the caller's panels
     that are panels of the layout from ``values`` and evaluates the rest,
     the panels its break points split, afresh.  Split and bisected panels
     are never stored, so the memo holds one array of the layout however
@@ -224,8 +230,7 @@ class NodeMemo:
         if not self.seen:
             self.seen = True
             return factors(x)
-        if self.values is None:
-            self.values = factors(gl_panels(self.edges)[0])
+        self.whole(factors)
         j = np.minimum(np.searchsorted(self.edges, lo), self.edges.size - 2)
         fresh = (self.edges[j] != lo) | (self.edges[j + 1] != hi)
         n = np.count_nonzero(fresh)
@@ -235,6 +240,14 @@ class NodeMemo:
         if n:
             a[:, fresh] = factors(x.reshape(lo.size, -1)[fresh].ravel()).reshape(len(a), n, -1)
         return a.reshape(len(a), -1)
+
+    def whole(self, factors) -> np.ndarray:
+        """``values``, the factors at every node of the layout, evaluated
+        in one call on first use: by the second read, or earlier by a
+        caller that needs the whole layout itself."""
+        if self.values is None:
+            self.values = factors(gl_panels(self.edges)[0])
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -369,21 +382,29 @@ def sym_pinv(mat: np.ndarray) -> np.ndarray:
     return (vec * inv) @ vec.T
 
 
-def rank1_bounds(U: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interval {x : load * x <= u coordinatewise} for every row u of U.
+class _Interval:
+    """{x : load * x <= u coordinatewise} for every row u of a U: the kept
+    signs of the loads.
 
-    Returns (lo, hi) arrays over the rows.  Coordinates with negligible
-    loading require u >= 0 outright; a row violating that gets the empty
-    interval (inf, -inf).
+    Called on U it returns (lo, hi) arrays over the rows.  Coordinates with
+    negligible loading require u >= 0 outright; a row violating that gets
+    the empty interval (inf, -inf).  The masks and loads depend on the
+    load alone, and a call divides by the kept loads, so it equals a fresh
+    evaluation bit for bit.
     """
-    m = U.shape[0]
-    tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
-    pos, neg = load > tol, load < -tol
-    zero = ~(pos | neg)
-    hi = np.min(U[:, pos] / load[pos], axis=1) if pos.any() else np.full(m, np.inf)
-    lo = np.max(U[:, neg] / load[neg], axis=1) if neg.any() else np.full(m, -np.inf)
-    bad = np.any(U[:, zero] < 0.0, axis=1)
-    return np.where(bad, np.inf, lo), np.where(bad, -np.inf, hi)
+
+    def __init__(self, load: np.ndarray):
+        tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
+        self.pos, self.neg = load > tol, load < -tol
+        self.zero = ~(self.pos | self.neg)
+        self.up, self.down = load[self.pos], load[self.neg]
+
+    def __call__(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = U.shape[0]
+        hi = np.min(U[:, self.pos] / self.up, axis=1) if self.up.size else np.full(m, np.inf)
+        lo = np.max(U[:, self.neg] / self.down, axis=1) if self.down.size else np.full(m, -np.inf)
+        bad = np.any(U[:, self.zero] < 0.0, axis=1)
+        return np.where(bad, np.inf, lo), np.where(bad, -np.inf, hi)
 
 
 def condition_on_scalar(cov_z: np.ndarray, cov_zw: np.ndarray,
@@ -399,42 +420,58 @@ def condition_on_scalar(cov_z: np.ndarray, cov_zw: np.ndarray,
     return g, S, psd_factor(S, scale=float(np.max(np.diag(cov_z))))
 
 
-def conditional_kinks(u: np.ndarray, g: np.ndarray, L: np.ndarray) -> list[float]:
-    """x-values where P(Z <= u | X = x) is not smooth, for Z = g X + L eps.
+def kink_normals(g: np.ndarray, L: np.ndarray, finite: np.ndarray):
+    """The t-free half of `conditional_kinks` for one pattern of finite
+    coordinates (indices ``finite``): (rows, n, den), or None where there
+    is no kink.
 
-    L is k x r, r >= 0; r below is the rank of the rows with a finite u_i
-    (an infinite bound drops its row).  The kinks are the x where r + 1 of
-    the conditional hyperplanes in eps-space meet in one point: n'u / n'g
-    for every (r + 1)-subset of finite rows of rank r, n spanning the null
-    space of their L'.  Rank 0 gives every finite u_i / g_i (the two
-    binding ends of 1{g x <= u}, the rest spare edges), rank 1 the
-    crossings of two bounds (u_i - g_i x) / L_i, any rank the sign flip
-    u_i / g_i of a zero-loading row (n = e_i).  At rank 2 they are where
-    the polygon of `_polygon_rows` changes shape, at k >= 4 and rank >= 3
-    (sampled) spare edges of the draws' x-rule.  Full row rank: none.
+    Z = g X + L eps with L k x r, r >= 0; r below is the rank of the rows
+    ``finite`` (an infinite bound drops its row).  The kinks are the x
+    where r + 1 of the conditional hyperplanes in eps-space meet in one
+    point: n'u / n'g for every (r + 1)-subset of finite rows of rank r, n
+    spanning the null space of their L'.  Each kept subset's row indices,
+    its null vector n and the denominator den = n'g depend on g and L
+    alone; a subset of lower rank or with n'g ~ 0 is dropped.  Where no
+    r + 1 finite rows have rank r, a full row rank has no kink and a lower
+    rank the kinks of L reduced to it.
     """
-    r = L.shape[1]
-    if r == len(u):
-        return []   # rows of a full-rank factor are independent
-    # an infinite bound drops its coordinate, and with it its kinks
-    finite = np.flatnonzero(np.isfinite(u))
-    rows = np.array(list(combinations(finite, r + 1)), dtype=int)
-    if rows.size:
-        _, sv, vt = np.linalg.svd(L[rows].transpose(0, 2, 1))
-        full = (sv > 1e-13 * sv[:, :1]).all(axis=1)
-        if full.any():
-            n = vt[:, -1:]
-            num = (n @ u[rows][..., None]).ravel()
-            den = (n @ g[rows][..., None]).ravel()
-            keep = full & (np.abs(den) > 1e-13 * max(np.abs(g).max(), 1.0))
-            return (num[keep] / den[keep]).tolist()
-    # no r + 1 finite rows of rank r: full row rank has no kink, a lower
-    # rank the kinks of L reduced to it
-    _, s, v = np.linalg.svd(L[finite], full_matrices=False)
-    rank = np.count_nonzero(s > 1e-13 * max(np.abs(L).max(initial=0.0), 1.0))
-    if rank == min(r, len(finite)):
+    while L.shape[1] < g.size:
+        r = L.shape[1]
+        rows = np.array(list(combinations(finite, r + 1)), dtype=int)
+        if rows.size:
+            _, sv, vt = np.linalg.svd(L[rows].transpose(0, 2, 1))
+            full = (sv > 1e-13 * sv[:, :1]).all(axis=1)
+            if full.any():
+                n = vt[:, -1:]
+                den = (n @ g[rows][..., None]).ravel()
+                keep = full & (np.abs(den) > 1e-13 * max(np.abs(g).max(), 1.0))
+                return (rows[keep], n[keep], den[keep]) if keep.any() else None
+        _, s, v = np.linalg.svd(L[finite], full_matrices=False)
+        rank = np.count_nonzero(s > 1e-13 * max(np.abs(L).max(initial=0.0), 1.0))
+        if rank == min(r, len(finite)):
+            return None
+        L = L @ v[:rank].T
+    return None   # rows of a full-rank factor are independent
+
+
+def conditional_kinks(u: np.ndarray, orthant: ConditionedOrthant) -> list[float]:
+    """x-values where P(Z <= u | X = x) is not smooth, for the split
+    Z = g X + L eps of ``orthant``: n'u / den for every kept subset of
+    `kink_normals` of u's finite coordinates, which the orthant builds on
+    the first row with that pattern and keeps.
+
+    Rank 0 gives every finite u_i / g_i (the two binding ends of
+    1{g x <= u}, the rest spare edges), rank 1 the crossings of two bounds
+    (u_i - g_i x) / L_i, any rank the sign flip u_i / g_i of a
+    zero-loading row (n = e_i).  At rank 2 they are where the polygon of
+    `_Polygon` changes shape, at k >= 4 and rank >= 3 (sampled) spare
+    edges of the draws' x-rule.
+    """
+    normals = orthant.normals(np.isfinite(u))
+    if normals is None:
         return []
-    return conditional_kinks(u, g, L @ v[:rank].T)
+    rows, n, den = normals
+    return ((n @ u[rows][..., None]).ravel() / den).tolist()
 
 
 def ray_interval_prob(lo, hi, a, b):
@@ -442,7 +479,7 @@ def ray_interval_prob(lo, hi, a, b):
 
     The interval [lo, hi] (empty when lo > hi) meets the two rays in closed
     form; all arguments broadcast.  It is the rank-0 term of both cdf
-    engines: Z = g X lies in its orthant on the interval `rank1_bounds`
+    engines: Z = g X lies in its orthant on the interval `_Interval`
     gives, and the order's test rejects outside (a, b).
     """
     return (np.maximum(ndtr(np.minimum(hi, a)) - ndtr(lo), 0.0)
@@ -450,7 +487,7 @@ def ray_interval_prob(lo, hi, a, b):
 
 
 def needs_sampling(k: int, r: int) -> bool:
-    """Whether `orthant_rows` (exact at rank <= 2 and in dimension <= 3)
+    """Whether `orthant_kernel` (exact at rank <= 2 and in dimension <= 3)
     cannot evaluate a k-variate orthant of rank r: only at k >= 4 with
     rank >= 3.  An unconditional one is conditioned once more
     (`gaussian_rect_rows`): it samples only at rank >= 4."""
@@ -567,41 +604,71 @@ def refine(assemble, rules, tol: float, truncated: float = 0.0):
                 rule[j].bisect(cut)
 
 
-def orthant_rows(U: np.ndarray, S: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(R <= u) for every row u of U, R ~ N(0, S) with L a factor of S.
+def orthant_kernel(S: np.ndarray, L: np.ndarray):
+    """The kernel of P(R <= u), R ~ N(0, S) with L (k x r) a factor of S:
+    everything of it that no u moves, built once.
 
-    Deterministic wherever the dimension allows: numerical rank 0 is an
-    indicator, rank 1 an interval of the normal cdf, a full-rank bivariate
-    R the bivariate normal cdf, rank 2 in any dimension k >= 3 a standard
-    bivariate normal over a convex polygon in closed form
-    (`_polygon_rows`), and a full-rank trivariate R Genz's one-dimensional
-    trivariate normal cdf (`_trivariate_rows`).  Returns the values at
-    K25 and at G12, which differ only for the trivariate path integral:
-    the closed forms return one array twice.  Other ranks raise ValueError:
-    sampling is left only at k >= 4 with conditional rank >= 3
-    (unconditional rank >= 4), see `needs_sampling`.  Its callers are
-    `gaussian_rect_rows` and the `conditional_rows` rule, which
-    integrates it over the selection scalar.
+    Called on the rows U it returns the values at K25 and at G12, which
+    differ only for the trivariate path integral: the closed forms return
+    one array twice.  Deterministic wherever the dimension allows:
+    numerical rank 0 is an indicator, rank 1 an interval of the normal cdf
+    (`_Rank1`), a full-rank bivariate R the bivariate normal cdf
+    (`_Bivariate`), rank 2 in any dimension k >= 3 a standard bivariate
+    normal over a convex polygon in closed form (`_Polygon`), and a
+    full-rank trivariate R Genz's one-dimensional trivariate normal cdf
+    (`_Trivariate`).  Other ranks raise ValueError: sampling is left only
+    at k >= 4 with conditional rank >= 3 (unconditional rank >= 4), see
+    `needs_sampling`.  Each kernel keeps arrays and numbers only and
+    computes per call exactly what a fresh one would, so a kept kernel
+    equals a fresh evaluation bit for bit.
     """
-    k, r = U.shape[1], L.shape[1]
+    k, r = L.shape
     if r == 0:
-        v = np.all(U >= 0.0, axis=1).astype(float)
-    elif r == 1:
-        lo, hi = rank1_bounds(U, L[:, 0])
-        v = np.maximum(ndtr(hi) - ndtr(lo), 0.0)
-    elif k == 2:
-        s = np.sqrt(np.diag(S))
-        v = bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], S[0, 1] / (s[0] * s[1]))
-    elif r == 2:
-        v = _polygon_rows(U, L)
-    elif k != 3:
+        return _Indicator()
+    if r == 1:
+        return _Rank1(L)
+    if k == 2:
+        return _Bivariate(S)
+    if r == 2:
+        return _Polygon(L)
+    if k != 3:
         raise ValueError(f"no deterministic rule for a rank-{r} covariance of dimension {k}")
-    else:
-        return _trivariate_rows(U, S)
-    return v, v
+    return _Trivariate(S)
 
 
-def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
+class _Indicator:
+    """Rank 0: R = 0, so the orthant holds where u >= 0."""
+
+    def __call__(self, U):
+        v = np.all(U >= 0.0, axis=1).astype(float)
+        return v, v
+
+
+class _Rank1:
+    """Rank 1: R = L eps, eps ~ N(0, 1), on the interval of `_Interval`."""
+
+    def __init__(self, L):
+        self.interval = _Interval(L[:, 0])
+
+    def __call__(self, U):
+        lo, hi = self.interval(U)
+        v = np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+        return v, v
+
+
+class _Bivariate:
+    """A full-rank bivariate R: `bvn_cdf` at the kept sds and correlation."""
+
+    def __init__(self, S):
+        self.s = np.sqrt(np.diag(S))
+        self.rho = S[0, 1] / (self.s[0] * self.s[1])
+
+    def __call__(self, U):
+        v = bvn_cdf(U[:, 0] / self.s[0], U[:, 1] / self.s[1], self.rho)
+        return v, v
+
+
+class _Polygon:
     """P(L eps <= u) for every row u of U, eps ~ N(0, I_2) and L of shape (k, 2).
 
     Row i of L is the half-plane rho cos(theta - phi_i) <= d_i in polar
@@ -625,62 +692,79 @@ def _polygon_rows(U: np.ndarray, L: np.ndarray) -> np.ndarray:
     polygon cancel before they are summed).  A row with
     a -inf coordinate is 0, a +inf coordinate drops its line, and a
     zero-loading coordinate drops its line after requiring u_i >= 0.
+    The lines' norms and angles, their perpendiculars, the cosine and sine
+    of each angle and the pairs whose vertices a row has are kept; a call
+    pays for the distances, vertices and pieces of its rows.
     """
-    m, k = U.shape
-    norm = np.hypot(L[:, 0], L[:, 1])
-    live = norm > 1e-13 * max(float(norm.max()), 1.0)
-    phi = np.arctan2(L[:, 1], L[:, 0])
-    D = np.where(live & ~np.isposinf(U), U / np.where(live, norm, 1.0), np.inf)
-    # breakpoints; a vertex of parallel or dropped lines is a spare edge
-    Uf = np.where(np.isfinite(U), U, 0.0)
-    i, j = np.triu_indices(k, 1)
-    vert = np.arctan2(L[i, 0] * Uf[:, j] - L[j, 0] * Uf[:, i],
-                      Uf[:, i] * L[j, 1] - Uf[:, j] * L[i, 1])
-    perp = np.broadcast_to(np.concatenate([phi - 0.5 * np.pi, phi + 0.5 * np.pi]), (m, 2 * k))
-    t1 = np.sort(np.concatenate([perp, vert, vert + np.pi], axis=1) % (2.0 * np.pi), axis=1)
-    t2 = np.concatenate([t1[:, 1:], t1[:, :1] + 2.0 * np.pi], axis=1)
-    tm = 0.5 * (t1 + t2)
-    # the binding lines of every piece, one line at a time: line n bounds
-    # the ray at d_n / cos(tm - phi_n), from above where the cosine is
-    # positive and from below where it is negative
-    hi, lo = np.full(tm.shape, np.inf), np.zeros(tm.shape)
-    iu, il = np.zeros(tm.shape, dtype=int), np.zeros(tm.shape, dtype=int)
-    ct, st = np.cos(tm), np.sin(tm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for n in range(k):
-            c = ct * np.cos(phi[n]) + st * np.sin(phi[n])
-            bound = D[:, n:n + 1] / c
-            up = (c > 0.0) & (bound < hi)
-            hi, iu = np.where(up, bound, hi), np.where(up, n, iu)
-            down = (c < 0.0) & (bound > lo)
-            lo, il = np.where(down, bound, lo), np.where(down, n, il)
-    open_ = hi > lo
 
-    def beyond(mask, line, h, ph):
-        """Per row, the summed Owen's T differences of the pieces in mask
-        for their lines (h, ph): one difference per maximal run of pieces
-        bound by one line, from its first piece's start to its last piece's
-        end, since inside a run they telescope."""
-        same = mask[:, 1:] & mask[:, :-1] & (line[:, 1:] == line[:, :-1])
-        first, last = mask.copy(), mask.copy()
-        first[:, 1:] &= ~same
-        last[:, :-1] &= ~same
-        (r0, q0), (r1, q1) = np.nonzero(first), np.nonzero(last)
-        r, q = np.concatenate([r1, r0]), np.concatenate([q1, q0])
-        n = line[r, q]
-        psi = (tm[r, q] - ph[n] + np.pi) % (2.0 * np.pi) - np.pi
-        end = np.concatenate([t2[r1, q1], t1[r0, q0]])
-        t = owens_t(h[r, n], np.tan(np.clip(psi + (end - tm[r, q]), -0.5 * np.pi, 0.5 * np.pi)))
-        return np.bincount(r0, weights=t[:r0.size] - t[r0.size:], minlength=m)
+    def __init__(self, L):
+        norm = np.hypot(L[:, 0], L[:, 1])
+        self.live = norm > 1e-13 * max(float(norm.max()), 1.0)
+        self.norm = np.where(self.live, norm, 1.0)
+        self.phi = np.arctan2(L[:, 1], L[:, 0])
+        self.back = self.phi + np.pi
+        perp = np.concatenate([self.phi - 0.5 * np.pi, self.phi + 0.5 * np.pi])
+        self.perp = perp % (2.0 * np.pi)
+        self.turn = [(np.cos(f), np.sin(f)) for f in self.phi]
+        self.i, self.j = np.triu_indices(L.shape[0], 1)
+        self.pairs = L[self.i, 0], L[self.j, 0], L[self.i, 1], L[self.j, 1]
 
-    total = (np.where(open_ & (lo == 0.0), (t2 - t1) / (2.0 * np.pi), 0.0).sum(axis=1)
-             + beyond(open_ & (lo > 0.0), il, -D, phi + np.pi)
-             - beyond(open_ & np.isfinite(hi), iu, D, phi))
-    dead = np.any(np.isneginf(U) | (~live & (U < 0.0)), axis=1)
-    return np.where(dead, 0.0, np.clip(total, 0.0, 1.0))
+    def __call__(self, U):
+        m, k = U.shape
+        D = np.where(self.live & ~np.isposinf(U), U / self.norm, np.inf)
+        # breakpoints; a vertex of parallel or dropped lines is a spare edge
+        Uf = np.where(np.isfinite(U), U, 0.0)
+        Ui, Uj = Uf[:, self.i], Uf[:, self.j]
+        li0, lj0, li1, lj1 = self.pairs
+        vert = np.arctan2(li0 * Uj - lj0 * Ui, Ui * lj1 - Uj * li1)
+        t1 = np.sort(np.concatenate([np.broadcast_to(self.perp, (m, 2 * k)),
+                                     vert % (2.0 * np.pi), (vert + np.pi) % (2.0 * np.pi)],
+                                    axis=1), axis=1)
+        t2 = np.concatenate([t1[:, 1:], t1[:, :1] + 2.0 * np.pi], axis=1)
+        tm = 0.5 * (t1 + t2)
+        # the binding lines of every piece, one line at a time: line n bounds
+        # the ray at d_n / cos(tm - phi_n), from above where the cosine is
+        # positive and from below where it is negative
+        hi, lo = np.full(tm.shape, np.inf), np.zeros(tm.shape)
+        iu, il = np.zeros(tm.shape, dtype=int), np.zeros(tm.shape, dtype=int)
+        ct, st = np.cos(tm), np.sin(tm)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for n, (cn, sn) in enumerate(self.turn):
+                c = ct * cn + st * sn
+                bound = D[:, n:n + 1] / c
+                up = (c > 0.0) & (bound < hi)
+                hi, iu = np.where(up, bound, hi), np.where(up, n, iu)
+                down = (c < 0.0) & (bound > lo)
+                lo, il = np.where(down, bound, lo), np.where(down, n, il)
+        open_ = hi > lo
+
+        def beyond(mask, line, h, ph):
+            """Per row, the summed Owen's T differences of the pieces in mask
+            for their lines (h, ph): one difference per maximal run of pieces
+            bound by one line, from its first piece's start to its last piece's
+            end, since inside a run they telescope."""
+            same = mask[:, 1:] & mask[:, :-1] & (line[:, 1:] == line[:, :-1])
+            first, last = mask.copy(), mask.copy()
+            first[:, 1:] &= ~same
+            last[:, :-1] &= ~same
+            (r0, q0), (r1, q1) = np.nonzero(first), np.nonzero(last)
+            r, q = np.concatenate([r1, r0]), np.concatenate([q1, q0])
+            n = line[r, q]
+            psi = (tm[r, q] - ph[n] + np.pi) % (2.0 * np.pi) - np.pi
+            end = np.concatenate([t2[r1, q1], t1[r0, q0]])
+            t = owens_t(h[r, n],
+                        np.tan(np.clip(psi + (end - tm[r, q]), -0.5 * np.pi, 0.5 * np.pi)))
+            return np.bincount(r0, weights=t[:r0.size] - t[r0.size:], minlength=m)
+
+        total = (np.where(open_ & (lo == 0.0), (t2 - t1) / (2.0 * np.pi), 0.0).sum(axis=1)
+                 + beyond(open_ & (lo > 0.0), il, -D, self.back)
+                 - beyond(open_ & np.isfinite(hi), iu, D, self.phi))
+        dead = np.any(np.isneginf(U) | (~self.live & (U < 0.0)), axis=1)
+        v = np.where(dead, 0.0, np.clip(total, 0.0, 1.0))
+        return v, v
 
 
-def _trivariate_rows(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Trivariate:
     """P(R <= u) for every row u of U, R ~ N(0, S) trivariate of full rank.
 
     Plackett's (1954) identity integrated along Genz's (2004) sine path:
@@ -702,56 +786,100 @@ def _trivariate_rows(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarr
     lambda_min(R) = 1e-10), so the path rule is never bisected.  A row
     with a -inf coordinate is 0; +inf coordinates are dropped, which leaves
     the bivariate or univariate cdf of the rest (`bvn_cdf`), the same in
-    both.
+    both.  The sds, correlations, order and path rule depend on S alone
+    and are kept: per arm 1i, a_1i / (2 pi) and, at the path's nodes
+    where the determinant is positive, rho_1i(x), 1 - rho_1i(x)^2, the
+    coefficients of B on the other coordinate, on h_1 and on h_i, and the
+    two weights; a call pays for F, B and their sums.
     """
-    sd = np.sqrt(np.diag(S))
-    H = U / sd
-    C = np.clip(S / np.outer(sd, sd), -1.0, 1.0)
-    out = np.zeros((2, len(H)))
-    top = np.isposinf(H)
-    live = ~np.any(np.isneginf(H), axis=1)
-    first = np.argmax(top, axis=1)
-    for i in range(3):
-        a, b = [c for c in range(3) if c != i]
-        rows = live & top[:, i] & (first == i)
-        out[:, rows] = bvn_cdf(H[rows, a], H[rows, b], C[a, b])
-    rows = live & ~np.any(top, axis=1)
-    o = int(np.argmax(np.abs([C[1, 2], C[0, 2], C[0, 1]])))
-    perm = [o] + [c for c in range(3) if c != o]
-    h1, h2, h3 = H[np.ix_(rows, perm)].T
-    R = C[np.ix_(perm, perm)]
-    val = 2 * [ndtr(h1) * bvn_cdf(h2, h3, R[1, 2])]    # at K25 and at G12
-    ang = np.arcsin([R[0, 1], R[0, 2]])
-    rb = R[1, 2]
-    # det R(x) falls to det R at x = 1 within about det R / -det R'(1) of
-    # it: extra edges at 1 - 2^-l, l = 1, 2, ..., down to that width (or to
-    # rounding) resolve the layer that equal panels miss
-    r2, r3 = np.sin(ang)
-    d2, d3 = ang * np.cos(ang)
-    slope = 2.0 * (rb * (d2 * r3 + r2 * d3) - r2 * d2 - r3 * d3)
-    det = 1.0 - r2 * r2 - r3 * r3 - rb * rb + 2.0 * r2 * r3 * rb
-    layers = 0
-    while layers < 52 and -slope * 0.5 ** layers > det:
-        layers += 1
-    x, wk, wg = gl_panels(split_edges(np.array([0.0, 1.0]),
-                                      1.0 - 0.5 ** np.arange(1, layers + 1)))
-    path = np.sin(np.outer(ang, x))           # rho_12(x), rho_13(x)
-    cos2 = np.cos(np.outer(ang, x)) ** 2      # 1 - rho^2, without cancellation
-    for i, (hi, hc) in enumerate(((h2, h3), (h3, h2))):
-        if ang[i] == 0.0:
-            continue
-        r, rr, ra = path[i], cos2[i], path[1 - i]
-        dt = rr * (rr - (ra - rb) ** 2 - 2.0 * ra * rb * (1.0 - r))
-        keep = dt > 0.0
-        r, rr, ra = r[keep], rr[keep], ra[keep]
-        root = np.sqrt(dt[keep])
-        ft = (h1[:, None] - r * hi[:, None]) ** 2 / rr + hi[:, None] ** 2
-        bt = (np.outer(hc, rr / root) + np.outer(h1, (r * rb - ra) / root)
-              + np.outer(hi, (r * ra - rb) / root))
-        f = ang[i] / (2.0 * np.pi) * np.exp(-0.5 * ft) * ndtr(bt)
-        val = [v + f @ w[keep] for v, w in zip(val, (wk, wg))]
-    out[:, rows] = np.clip(val, 0.0, 1.0)
-    return out[0], out[1]
+
+    def __init__(self, S):
+        self.sd = np.sqrt(np.diag(S))
+        self.C = C = np.clip(S / np.outer(self.sd, self.sd), -1.0, 1.0)
+        o = int(np.argmax(np.abs([C[1, 2], C[0, 2], C[0, 1]])))
+        self.perm = [o] + [c for c in range(3) if c != o]
+        R = C[np.ix_(self.perm, self.perm)]
+        ang = np.arcsin([R[0, 1], R[0, 2]])
+        self.rb = rb = R[1, 2]
+        # det R(x) falls to det R at x = 1 within about det R / -det R'(1) of
+        # it: extra edges at 1 - 2^-l, l = 1, 2, ..., down to that width (or to
+        # rounding) resolve the layer that equal panels miss
+        r2, r3 = np.sin(ang)
+        d2, d3 = ang * np.cos(ang)
+        slope = 2.0 * (rb * (d2 * r3 + r2 * d3) - r2 * d2 - r3 * d3)
+        det = 1.0 - r2 * r2 - r3 * r3 - rb * rb + 2.0 * r2 * r3 * rb
+        layers = 0
+        while layers < 52 and -slope * 0.5 ** layers > det:
+            layers += 1
+        x, wk, wg = gl_panels(split_edges(np.array([0.0, 1.0]),
+                                          1.0 - 0.5 ** np.arange(1, layers + 1)))
+        path = np.sin(np.outer(ang, x))           # rho_12(x), rho_13(x)
+        cos2 = np.cos(np.outer(ang, x)) ** 2      # 1 - rho^2, without cancellation
+        self.arms = []
+        for i in range(2):
+            if ang[i] == 0.0:
+                continue
+            r, rr, ra = path[i], cos2[i], path[1 - i]
+            dt = rr * (rr - (ra - rb) ** 2 - 2.0 * ra * rb * (1.0 - r))
+            keep = dt > 0.0
+            r, rr, ra = r[keep], rr[keep], ra[keep]
+            root = np.sqrt(dt[keep])
+            self.arms.append((i, ang[i] / (2.0 * np.pi), r, rr, rr / root,
+                              (r * rb - ra) / root, (r * ra - rb) / root, wk[keep], wg[keep]))
+
+    def __call__(self, U):
+        H = U / self.sd
+        out = np.zeros((2, len(H)))
+        top = np.isposinf(H)
+        live = ~np.any(np.isneginf(H), axis=1)
+        first = np.argmax(top, axis=1)
+        for i in range(3):
+            rows = live & top[:, i] & (first == i)
+            if rows.any():
+                a, b = [c for c in range(3) if c != i]
+                out[:, rows] = bvn_cdf(H[rows, a], H[rows, b], self.C[a, b])
+        rows = live & ~np.any(top, axis=1)
+        h1, h2, h3 = H[np.ix_(rows, self.perm)].T
+        val = 2 * [ndtr(h1) * bvn_cdf(h2, h3, self.rb)]    # at K25 and at G12
+        for i, scale, r, rr, bc, b1, bi, wk, wg in self.arms:
+            hi, hc = (h2, h3) if i == 0 else (h3, h2)
+            ft = (h1[:, None] - r * hi[:, None]) ** 2 / rr + hi[:, None] ** 2
+            bt = np.outer(hc, bc) + np.outer(h1, b1) + np.outer(hi, bi)
+            f = scale * np.exp(-0.5 * ft) * ndtr(bt)
+            val = [v + f @ w for v, w in zip(val, (wk, wg))]
+        out[:, rows] = np.clip(val, 0.0, 1.0)
+        return out[0], out[1]
+
+
+class ConditionedOrthant:
+    """One split Z = g X + R, R ~ N(0, S = L L') independent of X ~ N(0, 1)
+    (`condition_on_scalar`), with everything of P(Z <= u | X = x) that
+    neither u nor x moves: a read-only record made once per split.
+
+    ``interval`` is the `_Interval` of the loads g, {x : g x <= u} (the
+    whole orthant at rank 0, and the x-interval of a draw of R);
+    ``kernel`` the `orthant_kernel` of (S, L), None where the orthant
+    `needs_sampling`; and `normals` the kink rule of `kink_normals` for
+    each pattern of finite coordinates of u that has been asked for (at
+    most 2^k), built on first use.  A call supplies only its rows:
+    ``kernel(u - g x)`` and `conditional_kinks`(u, self).  Arrays and
+    numbers only, so a record carrying it pickles.
+    """
+
+    def __init__(self, g: np.ndarray, S: np.ndarray, L: np.ndarray):
+        self.g, self.S, self.L = g, S, L
+        self.k, self.r = L.shape
+        self.interval = _Interval(g)
+        self.kernel = None if needs_sampling(self.k, self.r) else orthant_kernel(S, L)
+        self._normals: dict[bytes, tuple | None] = {}
+
+    def normals(self, finite: np.ndarray):
+        """`kink_normals` of the pattern ``finite`` (a mask over the
+        coordinates), built on first use and kept."""
+        key = finite.tobytes()
+        if key not in self._normals:
+            self._normals[key] = kink_normals(self.g, self.L, np.flatnonzero(finite))
+        return self._normals[key]
 
 
 def philox(key: int, stream: int = 0) -> np.random.Generator:
@@ -765,51 +893,56 @@ def gauss_draws(rng: np.random.Generator, n: int, L: np.ndarray) -> np.ndarray:
     return rng.standard_normal((n, L.shape[1])) @ L.T
 
 
-def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
-                     x0: float, c: float, s_breaks, K: ScaleMass, R=None,
-                     memo: NodeMemo | None = None):
+def conditional_rows(U: np.ndarray, orthant: ConditionedOrthant, x0: float, c: float,
+                     s_breaks, K: ScaleMass, R=None, memo: NodeMemo | None = None):
     """The one conditioned-orthant kernel: the rule of
     int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U,
-    R ~ N(0, S = L L') independent of X ~ N(0, 1).
+    with the split z = g X + R, R ~ N(0, S = L L') independent of
+    X ~ N(0, 1), of ``orthant`` (a `ConditionedOrthant`).
 
     The order-p test rejects at scale s when |x - x0| >= c s; the
     `ScaleMass` K(y) -> (K25, G12 parts) is the mass of the scales it
     rejects at (rising from 0 to at most 1, steepest near the scales
-    ``s_breaks``).  A row's x-rule is a `Panels` on the `panel_edges` of
-    [-TAIL_CUT, TAIL_CUT] with extra edges at x0, at x0 +/- c s for each s
-    in s_breaks and at the row's `conditional_kinks`; its components are
+    ``s_breaks``).  The rule's layout without kinks is the `panel_edges`
+    of [-TAIL_CUT, TAIL_CUT] with extra edges at x0 and at x0 +/- c s for
+    each s in s_breaks; a `NodeMemo` ``memo`` keeps it (``memo.edges``),
+    else it is made once per call.  A row's x-rule is a `Panels` on that
+    layout with the row's `conditional_kinks` inserted; its components are
     the term and pi, the integral without the orthant.  Its factors are
-    phi(x) and K's rows at each node, which depend on no row: a `NodeMemo`
-    ``memo`` keeps them on the layout without the kinks, shared by every
-    row and call with the same x0, c and s_breaks.  The orthant is
-    `orthant_rows` at every x-node or, given draws R (rows), the share of
-    the draws whose x-interval {x : g x <= u - R} holds the node.  Returns
-    the rows' `OrderTerm`: the x-rules, the error the dropped x-mass, the
-    SE 0 without draws and else that of the draws' interval weights on the
-    first pass, at least 1/len(R), as no draw may land in a rare region.
+    phi(x) and K's rows at each node, which depend on no row: the memo
+    keeps them on the layout, shared by every row and call with the same
+    x0, c and s_breaks.  The orthant is the record's kept kernel at every
+    x-node or, given draws R (rows), the share of the draws whose
+    x-interval {x : g x <= u - R} holds the node.  A call pays for its
+    rows alone: their kinks, the orthant at the nodes and, with draws, the
+    draws' intervals.  Returns the rows' `OrderTerm`: the x-rules, the
+    error the dropped x-mass, the SE 0 without draws and else that of the
+    draws' interval weights on the first pass, at least 1/len(R), as no
+    draw may land in a rare region.
     """
-    s = np.asarray(s_breaks, dtype=float)
-    base = panel_edges(-TAIL_CUT, TAIL_CUT)
-    breaks = [x0, *(x0 - c * s), *(x0 + c * s)]
-    if memo is not None and memo.edges is None:
-        memo.edges = split_edges(base, breaks)
-    panels, ses = [], np.zeros(len(U))
+    layout = None if memo is None else memo.edges
+    if layout is None:
+        s = np.asarray(s_breaks, dtype=float)
+        layout = split_edges(panel_edges(-TAIL_CUT, TAIL_CUT), [x0, *(x0 - c * s), *(x0 + c * s)])
+        if memo is not None:
+            memo.edges = layout
+    g, panels, ses = orthant.g, [], np.zeros(len(U))
 
     def factors(x):
         return np.vstack([norm_pdf(x)[None], K.rows(np.abs(x - x0) / c)])
 
     for j, u in enumerate(U):
-        edges = split_edges(base, [*breaks, *conditional_kinks(u, g, L)])
+        edges = split_edges(layout, conditional_kinks(u, orthant))
 
         if R is None:
-            def orthant(x, u=u):
-                return orthant_rows(u[None, :] - np.outer(x, g), S, L)
+            def orthant_at(x, u=u):
+                return orthant.kernel(u[None, :] - np.outer(x, g))
         else:
-            lo, hi = rank1_bounds(u[None, :] - R, g)
+            lo, hi = orthant.interval(u[None, :] - R)
             hit = lo <= hi
             lo_s, hi_s, n = np.sort(lo[hit]), np.sort(hi[hit]), len(R)
 
-            def orthant(x, lo_s=lo_s, hi_s=hi_s, n=n):
+            def orthant_at(x, lo_s=lo_s, hi_s=hi_s, n=n):
                 share = (np.searchsorted(lo_s, x, side="right")
                          - np.searchsorted(hi_s, x, side="left")) / n
                 return share, share
@@ -820,9 +953,9 @@ def conditional_rows(U: np.ndarray, g: np.ndarray, S: np.ndarray, L: np.ndarray,
                            - cum[np.searchsorted(x, lo)], 0.0)
             ses[j] = max(float(np.std(w) / np.sqrt(n)), 1.0 / n)
 
-        def f(x, a, orthant=orthant):
+        def f(x, a, orthant_at=orthant_at):
             kk, kg = (a[0] * m for m in K.reduce(np.abs(x - x0) / c, a[1:]))
-            ok, og = orthant(x)
+            ok, og = orthant_at(x)
             return np.array([kk * ok, kk]), np.array([kg * og, kg])
 
         panels.append(Panels(f, edges, factors, memo))
@@ -841,7 +974,7 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     seeded sample of n_samples draws (Philox key (0, 0) unless ``rng`` is
     given) shared by all rows.  There is no refinement loop: the x-rule
     runs one K25 pass on its `panel_edges` and a full-rank trivariate
-    orthant one path panel (`_trivariate_rows`), each with an error at
+    orthant one path panel (`_Trivariate`), each with an error at
     rounding level.  Returns (probabilities, standard_errors), where it
     conditions the terms and SE of the rule's `OrderTerm`: the SE is 0
     where deterministic, else at least 1/n_samples.  ``factor``, when
@@ -853,12 +986,12 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     m, k = U.shape
     L = psd_factor(cov) if factor is None else factor
     if not needs_sampling(k, L.shape[1]):
-        return orthant_rows(U, cov, L)[0], np.zeros(m)
+        return orthant_kernel(cov, L)(U)[0], np.zeros(m)
     j = int(np.argmax(np.diag(cov)))
-    g, S, L = condition_on_scalar(cov, cov[:, j], float(cov[j, j]))
+    orthant = ConditionedOrthant(*condition_on_scalar(cov, cov[:, j], float(cov[j, j])))
     rng = philox(0) if rng is None else rng
-    R = gauss_draws(rng, n_samples, L) if needs_sampling(k, L.shape[1]) else None
-    term = conditional_rows(U, g, S, L, 0.0, 1.0, (), ScaleMass(lambda y: np.ones((1, y.size))), R)
+    R = gauss_draws(rng, n_samples, orthant.L) if needs_sampling(k, orthant.r) else None
+    term = conditional_rows(U, orthant, 0.0, 1.0, (), ScaleMass(lambda y: np.ones((1, y.size))), R)
     return term.parts()[0], term.se
 
 

@@ -24,7 +24,8 @@ chi-based ratio density, truncated where the tail mass drops below 1e-10.
 What depends on neither t nor theta is built once and shared by every
 later call: the design record once per (problem, target), kept on the
 problem (one O(P k^2) record per distinct target, whatever n is) with
-each order's conditioning split (`LimitQuantities.split`), and the
+each order's conditioned orthant (`LimitQuantities.orthant`: the split,
+the kernel constants of its orthant and its kink normals), and the
 scale layout (the grid's edges and the `_STEP_Q` scales) once per (dof,
 quantiles), all read-only.  What depends on theta but not on t is built
 once per theta as a drift record (`_Drift`), kept in the design record's
@@ -34,10 +35,13 @@ centres, each order p < P's scale mass, and the node factors no t moves
 (pdf(s) and the later-stage products on the scale grid, phi(x) and the
 scale mass at the x-nodes) in one `_gauss.NodeMemo` per layout, which
 stores nothing on its first read and every node of its layout on its
-second, so a theta a sweep visits once pays nothing for it.  A call
-computes only what t moves: u, the order-O orthant, the rank-0
-intervals and their crossings, the kinks, the orthant at every x-node,
-and the factors of the panels its crossings and kinks split; the panels
+second, so a theta a sweep visits once pays nothing for it; the scale
+masses read the grid memo's whole layout, evaluated once per drift
+record, and its fill reuses that array.  A call computes only what t
+moves: u, the order-O orthant, the rank-0 intervals and their
+crossings, the kinks (n'u / n'g on the kept normals), the orthant at
+every x-node (on the kept kernel), and the factors of the panels its
+crossings and kinks split; the panels
 `refine` bisects are evaluated afresh and never kept, so the record's
 size is fixed by its layouts however many t or theta a sweep visits.
 Each kept factor is elementwise in its node and every sum over nodes is
@@ -105,12 +109,10 @@ from ._gauss import (
     error_floor,
     gauss_draws,
     gaussian_rect,
-    gl_panels,
     layout_constants,
     needs_sampling,
     panel_edges,
     philox,
-    rank1_bounds,
     ray_interval_prob,
     refine,
     split_edges,
@@ -415,7 +417,7 @@ class _Drift:
             v.setflags(write=False)
         self.x0 = {p: -self.nu[p] / dq.xi(p) for p in range(O + 1, P + 1)}
         # the orders of conditional rank 0, whose pi integrands are grid rows
-        self.rays = [p for p in self.x0 if dq.split(p)[2].shape[1] == 0]
+        self.rays = [p for p in self.x0 if dq.orthant(p).r == 0]
         self.mass: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.grid = NodeMemo(s_edges)
         self.rules = {p: NodeMemo() for p in self.x0 if p not in self.rays}
@@ -452,11 +454,11 @@ class _ExactEngine:
         self.core = gaussian_rect(self.u - self.shift[O], dq.omega(O),
                                   rng=rng, n_samples=budget.n_z, factor=dq.factor(O))
         # each order p > O is split on its selection scalar X = W / xi_p,
-        # z = g X + R (`LimitQuantities.split`); a rank-0 order (z = g X)
+        # z = g X + R (`LimitQuantities.orthant`); a rank-0 order (z = g X)
         # keeps the x-interval of {g X <= u}, x0 and c_p of its two rays
         self.rank0: dict[int, tuple[float, float, float, float]] = {}
         for p in self.drift.rays:
-            lo, hi = rank1_bounds((self.u - self.shift[p])[None, :], dq.split(p)[0])
+            lo, hi = dq.orthant(p).interval((self.u - self.shift[p])[None, :])
             self.rank0[p] = (float(lo[0]), float(hi[0]), self.drift.x0[p], float(self.c[p]))
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
         self._grid: Panels | None = None
@@ -466,10 +468,10 @@ class _ExactEngine:
     # every bisection so refinement measures quadrature only) ----
     def _z_sample(self, p: int) -> tuple[np.ndarray]:
         """(R,): n_z draws, keyed by (seed, p), of R = z - g X ~ N(0, S_p),
-        the part of z its split (`LimitQuantities.split`) leaves after
+        the part of z its split (`LimitQuantities.orthant`) leaves after
         conditioning."""
         if p not in self._z_cache:
-            R = gauss_draws(philox(self.budget.seed, p), self.budget.n_z, self.design.split(p)[2])
+            R = gauss_draws(philox(self.budget.seed, p), self.budget.n_z, self.design.orthant(p).L)
             self._z_cache[p] = (R,)
         return self._z_cache[p]
 
@@ -517,8 +519,10 @@ class _ExactEngine:
         above the grid's first edge s_lo and 0 at and below it, s_hi its last
         edge, both parts the same array.  Every other order reads K through
         `cumulative_rule` on `_s_edges`, whose full-panel sums are made once
-        per drift record from its grid factors, so it costs one partial
-        panel of pdf(s) tail_p(s) per argument.
+        per drift record from the grid factors at every node of the layout
+        (`NodeMemo.whole`: one evaluation shared by every order and the
+        grid memo's fill), so it costs one partial panel of pdf(s) tail_p(s)
+        per argument.
         """
         if p == self.problem.P:
             cdf, s_lo, s_hi = self.ratio.cdf, self._s_edges[0], self._s_edges[-1]
@@ -529,7 +533,7 @@ class _ExactEngine:
         edges = self._s_edges
         cum = self.drift.mass.get(p)
         if cum is None:
-            a = self._grid_factors(gl_panels(edges)[0])
+            a = self.drift.grid.whole(self._grid_factors)
             cum = self.drift.mass[p] = cumulative_sums(a[0] * a[1 + p - self.problem.O], edges)
 
         def f(s):
@@ -568,15 +572,14 @@ class _ExactEngine:
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
         and pi(p) is the same integral without the orthant, at u = t / sigma
-        - shift_p: the order's `conditional_rows` rule on its split
-        (`LimitQuantities.split`), with edges at the `_STEP_Q` quantiles of
-        the ratio density, against the draws R if given.  Its panels'
+        - shift_p: the order's `conditional_rows` rule on its kept split
+        (`LimitQuantities.orthant`), with edges at the `_STEP_Q` quantiles
+        of the ratio density, against the draws R if given.  Its panels'
         totals are the term and pi(p), its error the dropped x-mass.
         """
-        g, S, L = self.design.split(p)
-        return conditional_rows((self.u - self.shift[p])[None, :], g, S, L, self.drift.x0[p],
-                                self.c[p], self.s_step, self._scale_mass(p), R,
-                                self.drift.rules.get(p))
+        return conditional_rows((self.u - self.shift[p])[None, :], self.design.orthant(p),
+                                self.drift.x0[p], self.c[p], self.s_step, self._scale_mass(p),
+                                R, self.drift.rules.get(p))
 
     def _term_sampled(self, p: int) -> OrderTerm:
         """The `OrderTerm` of an order whose conditional orthant
@@ -592,7 +595,7 @@ class _ExactEngine:
             for p in range(self.problem.O + 1, self.problem.P + 1):
                 if p in self.rank0:
                     continue
-                sampled = needs_sampling(self.k, self.design.split(p)[2].shape[1])
+                sampled = needs_sampling(self.k, self.design.orthant(p).r)
                 self._orders[p] = self._term_sampled(p) if sampled else self._conditional_term(p)
         return [self._grid, *(term.panels[0] for term in self._orders.values())]
 

@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._gauss import (
+    ConditionedOrthant,
     OrderTerm,
     ScaleMass,
     bvn_cdf,
@@ -48,7 +49,6 @@ from ._gauss import (
     gaussian_rect_rows,
     needs_sampling,
     philox,
-    rank1_bounds,
     ray_interval_prob,
     refine,
     sym_eigh,
@@ -125,55 +125,60 @@ def _limit_query(limits: LimitQuantities, alt: LocalAlternative, t,
 # primary engine: representation-based, vectorized over rows of T
 # ---------------------------------------------------------------------------
 
-def _joint_rows(U: np.ndarray, cov_z: np.ndarray, cov_zw: np.ndarray,
-                var_w: float, nu: float, B: float, key, n_z: int) -> OrderTerm:
-    """P(Z <= u_row, |W + nu| >= B) for centered joint Gaussians (Z, W), B > 0.
+def _joint_rows(U: np.ndarray, limits: LimitQuantities, p: int, nu: float, B: float,
+                key, n_z: int) -> OrderTerm:
+    """P(Z <= u_row, |W + nu| >= B) for order p's centered joint Gaussians
+    (Z, W) of the record ``limits``, B > 0.
 
-    Z is k-variate with covariance cov_z, W scalar with variance var_w,
-    Cov(Z, W) = cov_zw.  A scalar Z of nonzero variance is a closed
+    Z is k-variate with covariance omega(p), W scalar with variance xi_p^2,
+    Cov(Z, W) = C(p).  A scalar Z of nonzero variance is a closed
     bivariate-normal form.  Otherwise Z = g X + R, X = W / sd(W) and R of
-    rank r (`condition_on_scalar`), and the rays are |X - x0| >= c for
-    x0 = -nu / sd(W) and c = B / sd(W): at r = 0 (Z = g X, also a Z of
-    zero variance) the rows' x-intervals meet the rays in closed form
-    (`ray_interval_prob`); otherwise `_rule_rows` (keyed by ``key``).
-    Returns the rows' `OrderTerm`, its weight pi = P(|W + nu| >= B) the
-    value without the orthant: the closed forms give values and pi with no
-    error, a rule its per-row `Panels`.
+    rank r, the record's kept split (`LimitQuantities.orthant`), and the
+    rays are |X - x0| >= c for x0 = -nu / sd(W) and c = B / sd(W): at
+    r = 0 (Z = g X, also a Z of zero variance) the rows' x-intervals meet
+    the rays in closed form (`ray_interval_prob`); otherwise `_rule_rows`
+    (keyed by ``key``).  Returns the rows' `OrderTerm`, its weight
+    pi = P(|W + nu| >= B) the value without the orthant: the closed forms
+    give values and pi with no error, a rule its per-row `Panels`.
     """
     m, k = U.shape
+    cov_z, var_w = limits.omega(p), limits.xi(p) ** 2
     sw = np.sqrt(var_w)
     w_lo, w_hi = -nu - B, -nu + B
     if k == 1 and cov_z[0, 0] > _ZERO_SD_REL ** 2 * var_w:
         sz = np.sqrt(float(cov_z[0, 0]))
-        rho = float(np.clip(cov_zw[0] / (sz * sw), -1.0, 1.0))
+        rho = float(np.clip(limits.C(p)[0] / (sz * sw), -1.0, 1.0))
         h = U[:, 0] / sz
         vals = np.clip(np.asarray(bvn_cdf(h, np.full(m, w_lo / sw), rho))
                        + ndtr(h)
                        - np.asarray(bvn_cdf(h, np.full(m, w_hi / sw), rho)), 0.0, 1.0)
     else:
-        g, S, L = condition_on_scalar(cov_z, cov_zw, var_w)
-        if L.shape[1] > 0:
-            return _rule_rows(U, g, S, L, -nu / sw, B / sw, 0.0, key, n_z)
-        lo, hi = rank1_bounds(U, g)
+        orthant = limits.orthant(p)
+        if orthant.r > 0:
+            return _rule_rows(U, orthant, -nu / sw, B / sw, 0.0, key, n_z)
+        lo, hi = orthant.interval(U)
         vals = ray_interval_prob(lo, hi, w_lo / sw, w_hi / sw)
     return OrderTerm(vals, ray_interval_prob(-np.inf, np.inf, w_lo / sw, w_hi / sw), 0.0, 0.0)
 
 
-def _rule_rows(U, g, S, L, x0: float, c: float, rho: float, key, n_z: int) -> OrderTerm:
+def _rule_rows(U, orthant: ConditionedOrthant, x0: float, c: float, rho: float, key,
+               n_z: int) -> OrderTerm:
     """The `conditional_rows` record of int phi(x) K(|x - x0| / c)
     P(R <= u - g x) dx for every row u of U, its weight pi the integral
     without the orthant.
 
-    R ~ N(0, L L') (`condition_on_scalar`); K(y) = 1 - Delta(rho, y, 1),
-    the step 1{y >= 1} at rho = 0, turns at y = 1 + rho z for z in
-    `_TURN_Z`, which are x-edges of the rows' `conditional_rows` rule.  The
-    rule and, where the conditional orthant `needs_sampling`, n_z draws of
-    R keyed by philox(*key) are made once, for every round of bisection.
+    The split z = g X + R, R ~ N(0, L L'), is ``orthant``;
+    K(y) = 1 - Delta(rho, y, 1), the step 1{y >= 1} at rho = 0, turns at
+    y = 1 + rho z for z in `_TURN_Z`, which are x-edges of the rows'
+    `conditional_rows` rule.  The rule and, where the conditional orthant
+    `needs_sampling`, n_z draws of R keyed by philox(*key) are made once,
+    for every round of bisection.
     """
-    R = gauss_draws(philox(*key), n_z, L) if needs_sampling(*L.shape) else None
+    sampled = needs_sampling(orthant.k, orthant.r)
+    R = gauss_draws(philox(*key), n_z, orthant.L) if sampled else None
 
     K = ScaleMass(lambda y: (1.0 - delta(rho, y, 1.0))[None])
-    return conditional_rows(U, g, S, L, x0, c, 1.0 + rho * _TURN_Z, K, R)
+    return conditional_rows(U, orthant, x0, c, 1.0 + rho * _TURN_Z, K, R)
 
 
 def _assemble(terms: dict, tails: dict):
@@ -205,8 +210,7 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, c_of: np.ndarray, 
     terms = {p_star: OrderTerm(core, 1.0, 0.0, se)}
     # every order conditioned (and, where it must be, sampled) once
     for p in range(p_star + 1, P + 1):
-        terms[p] = _joint_rows(T + shift[p][None, :], limits.omega(p), limits.C(p),
-                               limits.xi(p) ** 2, nu[p], c_of[p] * limits.xi(p),
+        terms[p] = _joint_rows(T + shift[p][None, :], limits, p, nu[p], c_of[p] * limits.xi(p),
                                (budget.seed + 1000 + p, 0), budget.n_z)
     trace, gaps, rounds = refine(*_assemble(terms, tails), budget.tol)
     return trace.total, trace, gaps, rounds
@@ -272,9 +276,9 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
             continue
         # condition on X = V / sd(V): 1 - Delta(zeta_p, nu_p + V, B) is the
         # mass K(|X - x0| / c) of `_rule_rows`, x0 = -nu_p / sd(V), c = B / sd(V)
-        g, S, L = condition_on_scalar(cov_z, cov_z @ b_p, var_v)
+        orthant = ConditionedOrthant(*condition_on_scalar(cov_z, cov_z @ b_p, var_v))
         sv = np.sqrt(var_v)
-        terms[p] = _rule_rows(u[None, :], g, S, L, -consts.nu[p] / sv, B / sv,
+        terms[p] = _rule_rows(u[None, :], orthant, -consts.nu[p] / sv, B / sv,
                               zeta_p / B, (budget.seed + 63, p), budget.n_z)
     tails = tail_products(limits, consts.nu, c_of, p_star)
     trace, gaps, rounds = refine(*_assemble(terms, tails), budget.tol)

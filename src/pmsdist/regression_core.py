@@ -21,7 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._gauss import GINV_REL_TOL, condition_on_scalar, psd_factor, sym_eigh, sym_pinv
+from ._gauss import (
+    GINV_REL_TOL,
+    ConditionedOrthant,
+    condition_on_scalar,
+    psd_factor,
+    sym_eigh,
+    sym_pinv,
+)
 from .errors import DegenerateSampleError, ValidationError, target_matrix
 
 __all__ = [
@@ -145,8 +152,11 @@ class LimitQuantities:
     is (numerically) non-zero, or None when every such vector vanishes —
     the hypothesis gate for the non-uniformity phenomena.  Beside these the
     record keeps what its readers build from it on first use: each order's
-    conditioning split and covariance factor (`split`, `factor`) and one
-    slot for a drift record (`drift`).
+    conditioned orthant (`orthant`: the split z = g X + R on its selection
+    scalar, with everything of its orthant kernel and kink rule that no
+    argument moves, read by both cdf engines) and covariance factor
+    (`factor`), and one slot for a drift record (`drift`).  A cdf call
+    then supplies only its rows u.
     """
 
     Q: np.ndarray
@@ -183,19 +193,21 @@ class LimitQuantities:
         """Covariance A[p] Q[p:p]^{-1} A[p]' of the order-p law (unit sigma)."""
         return self.omega_inf[p - 1] if p else np.zeros((self.k, self.k))
 
-    def split(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def orthant(self, p: int) -> ConditionedOrthant:
         """Order p's target estimate z split on its selection scalar X =
         W / xi_p, z = g X + R with R ~ N(0, S), S = L L'
-        (`condition_on_scalar`): (g, S, L), a function of the record alone,
-        built on first use and kept, read-only."""
-        out = self._splits.get(p)
+        (`condition_on_scalar`), as a `ConditionedOrthant`: g, S and L
+        read-only, with the kernel of P(R <= u - g x) and the kink rule
+        of its x-rules, everything that no u moves.  A function of the
+        record alone, built on first use and kept."""
+        out = self._orthants.get(p)
         if out is None:
-            out = self._splits[p] = tuple(_readonly(v) for v in condition_on_scalar(
-                self.omega(p), self.C(p), self.xi(p) ** 2))
+            split = condition_on_scalar(self.omega(p), self.C(p), self.xi(p) ** 2)
+            out = self._orthants[p] = ConditionedOrthant(*(_readonly(v) for v in split))
         return out
 
     @cached_property
-    def _splits(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def _orthants(self) -> dict[int, ConditionedOrthant]:
         return {}
 
     def factor(self, p: int) -> np.ndarray:
@@ -376,8 +388,8 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQua
     The record depends on neither t, theta nor sigma, so it is built once
     per (problem, target) and kept on the problem, keyed by the float64
     target's shape and bytes; every later call with the same target gets
-    the same read-only record, and with it each order's conditioning
-    split and covariance factor (`LimitQuantities.split` and
+    the same read-only record, and with it each order's conditioned
+    orthant and covariance factor (`LimitQuantities.orthant` and
     `LimitQuantities.factor`, built on first use).  A target is
     validated only when it is first seen: equal bytes were valid then.
     The memo holds one record of O(P k^2) floats per distinct target,

@@ -13,6 +13,7 @@ from pmsdist._gauss import (
     TAIL_CUT,
     bvn_cdf,
     condition_on_scalar,
+    gl_panels,
     norm_pdf,
     refine,
 )
@@ -521,8 +522,7 @@ def test_orders_dispatch_on_conditional_rank(monkeypatch, case, arms):
     assert taken == {p: {arm} for p, arm in arms.items()}
     for p, arm in arms.items():
         dq = engine.design
-        term = _joint_rows(query.t[None, :], dq.omega(p), dq.C(p), dq.xi(p) ** 2,
-                           0.3, 2.0 * dq.xi(p), (0, 0), budget.n_z)
+        term = _joint_rows(query.t[None, :], dq, p, 0.3, 2.0 * dq.xi(p), (0, 0), budget.n_z)
         assert bool(term.panels) == (arm != "two_ray"), (p, arm)
 
 
@@ -567,7 +567,7 @@ P4_GRID = [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5), (-1.0, 1.0, 1.5)]
 
 def test_p4_k3_grid_values_are_frozen():
     # the exact_grid benchmark's P = 4, k = 3 points, whose order-4 and
-    # core orthants are full-rank trivariate (`_trivariate_rows`): frozen
+    # core orthants are full-rank trivariate (`_Trivariate`): frozen
     # at the values of 12 equal path panels, which one panel reproduces
     problem, A, rule = _p4_k3_case()
     for t, want in zip(P4_GRID, (0.39652699262430724, 0.4262569572216834,
@@ -753,6 +753,25 @@ def test_a_problem_with_a_drift_record_pickles_to_workers():
     two, one = (empirical_cdf(plan, grid, workers=w) for w in (2, 1))
     assert np.array_equal(two.estimates, one.estimates)
     assert np.array_equal(two.standard_errors, one.standard_errors)
+
+
+def test_kept_orthants_pickle_with_their_problem():
+    # P4's design record keeps a rank-1, a polygon and a trivariate orthant
+    # with their kink normals: arrays and numbers only, so the problem
+    # pickles, and the copy reads the same values bit for bit without
+    # building them again
+    import pickle
+
+    problem, A, rule = _p4_k3_case()
+    queries = [CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule) for t in P4_GRID]
+    want = [cdf_exact(problem, q) for q in queries]
+    copy = pickle.loads(pickle.dumps(problem))
+    kept = projection_quantities(copy, A)._orthants
+    assert sorted(kept) == [2, 3, 4] and all(o._normals for o in kept.values())
+    for q, res in zip(queries, want):
+        got = cdf_exact(copy, q)
+        assert (got.value, got.abs_error, got.method) == (res.value, res.abs_error, res.method)
+    assert projection_quantities(copy, A)._orthants is kept
 
 
 def test_scale_layout_is_shared_read_only_and_follows_the_quantiles(monkeypatch):
@@ -975,7 +994,7 @@ def test_k4_sampled_standard_errors_have_a_floor():
 
 def test_k4_rank1_order_does_not_depend_on_the_sample():
     # order 2 of the P = 5, k = 4 design conditions to rank 1, which
-    # `orthant_rows` evaluates exactly: its term is the same whatever the
+    # `orthant_kernel` evaluates exactly: its term is the same whatever the
     # seed and size of the sample the higher orders draw
     # on the first pass and after every panel is bisected
     problem, A, rule = _p5_k4_case()
@@ -1000,7 +1019,7 @@ def test_k4_rank2_order_refines_across_its_kinks():
     problem, A, rule = _p5_k4_case()
     query = CdfQuery(A=A, t=np.zeros(4), theta=problem.theta, sigma=1.0, rule=rule)
     engine = _ExactEngine(problem, query, AccuracyBudget())
-    assert engine.design.split(3)[2].shape == (4, 2)
+    assert engine.design.orthant(3).L.shape == (4, 2)
     panels, values = engine._conditional_term(3).panels[0], []
     for _ in range(6):
         values.append(panels.total[0])
@@ -1019,7 +1038,8 @@ def _last_order_oracle(engine):
     through +/-9 of its loading (the near-step of a small loading).
     """
     p = engine.problem.P
-    g, _, L = engine.design.split(p)
+    orthant = engine.design.orthant(p)
+    g, L = orthant.g, orthant.L
     assert p == 2 and L.shape[1] == 1
     u = engine.u - engine.shift[p]
     x0, c = -engine.nu[p] / engine.design.xi(p), engine.c[p]
@@ -1037,7 +1057,7 @@ def _last_order_oracle(engine):
         return norm_pdf(x) * mass * max(ndtr(hi) - ndtr(lo), 0.0)
 
     points = [x0, x0 - c * s_lo, x0 + c * s_lo, x0 - c * s_hi, x0 + c * s_hi,
-              *_gauss.conditional_kinks(u, g, L)]
+              *_gauss.conditional_kinks(u, orthant)]
     for i in np.flatnonzero(g):
         points += list((u[i] - np.linspace(-9.0, 9.0, 19) * load[i]) / g[i])
     edges = [-TAIL_CUT, *sorted(x for x in points if abs(x) < TAIL_CUT), TAIL_CUT]
@@ -1131,38 +1151,112 @@ def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
     # the x-edges of a `conditional_rows` rule do not depend on bisection:
     # COLL2's order 2 (conditional rank 1) forms its kinks once per row and
     # cdf call, whatever round `refine` stops at; order 1 (rank 0) takes
-    # the two-ray arm and forms none.  A = I_2 meets tol in the first pass;
-    # the near-step target of `test_near_step_queries_are_within_their_error`
+    # the two-ray arm and forms none.  The null vectors behind them are
+    # formed once per design record, by its first row: a later t of the
+    # same target forms none.  A = I_2 meets tol in the first pass; the
+    # near-step target of `test_near_step_queries_are_within_their_error`
     # is bisected, in the exact cdf at (0.25, 0.25) and the default tol, in
     # the limit at (-0.85, -0.15) and tol 1e-9, both above their floors
-    calls = []
+    calls, normals = [], []
 
-    def spy(u, g, L, _original=_gauss.conditional_kinks):
+    def spy(u, orthant, _original=_gauss.conditional_kinks):
         calls.append(len(u))
-        return _original(u, g, L)
+        return _original(u, orthant)
+
+    def spy_normals(g, L, finite, _original=_gauss.kink_normals):
+        normals.append(len(g))
+        return _original(g, L, finite)
 
     monkeypatch.setattr(_gauss, "conditional_kinks", spy)
+    monkeypatch.setattr(_gauss, "kink_normals", spy_normals)
     fx = fixture("COLL2")
+    problem = RegressionProblem(X=np.array(fx.problem.X), theta=fx.problem.theta, sigma=1.0,
+                                O=fx.problem.O)
     step = np.array([[0.001, 1.0], [1.0, 0.0]])
     levels = set()
     for A in (np.eye(2), step):
-        for t in ((0.25, 0.25), (-1.0, 1.5)):
+        for i, t in enumerate(((0.25, 0.25), (-1.0, 1.5))):
             calls.clear()
-            query = CdfQuery(A=A, t=t, theta=fx.problem.theta, sigma=1.0, rule=fx.rule)
-            res = cdf_exact(fx.problem, query)
+            normals.clear()
+            query = CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=fx.rule)
+            res = cdf_exact(problem, query)
             levels.add(res.method.split(";")[1])
             assert calls == [2] and res.warning is None, (A, t, res.method, calls)
+            assert normals == ([2] if i == 0 else []), (A, t, normals)
     assert "levels=0" in levels and len(levels) > 1, levels
     limits = limit_quantities(fx.problem.gram, step, O=fx.problem.O)
     alt = LocalAlternative(theta=np.zeros(2), gamma=np.array([-1.5, -1.5]), sigma=1.0)
+    for i in range(2):
+        calls.clear()
+        normals.clear()
+        res = cdf_limit(limits, alt, (-0.85, -0.15), fx.rule, AccuracyBudget(tol=1e-9))
+        assert calls == [2] and "levels=0" not in res.method, (res.method, calls)
+        assert res.warning is None, res
+        assert normals == ([2] if i == 0 else []), normals
     calls.clear()
-    res = cdf_limit(limits, alt, (-0.85, -0.15), fx.rule, AccuracyBudget(tol=1e-9))
-    assert calls == [2] and "levels=0" not in res.method, (res.method, calls)
-    assert res.warning is None, res
-    calls.clear()
+    normals.clear()
     g_check_values(fx.problem, fx.A, (0.3, -0.2), fx.rule, np.array([0.5, 1.0, 1.7]),
                    np.zeros(3, dtype=int), budget=AccuracyBudget(tol=1e-9))
-    assert calls == [2, 2, 2], calls
+    assert calls == [2, 2, 2] and normals == [2], (calls, normals)
+
+
+def test_a_design_record_builds_each_orders_orthant_once(monkeypatch):
+    # an order's conditioned orthant (its split, kernel constants and kink
+    # normals) depends on the design record alone: three t on P4 build one
+    # per conditional order (2, 3 and 4, of ranks 1, 2 and 3) with one kink
+    # rule each, and a cdf_limit on the same record builds none, and reads
+    # the values of a record of its own bit for bit
+    import pmsdist.regression_core as regression_core
+
+    built, normals = [], []
+
+    class Counting(_gauss.ConditionedOrthant):
+        def __init__(self, g, S, L):
+            built.append(L.shape)
+            super().__init__(g, S, L)
+
+    def spy_normals(g, L, finite, _original=_gauss.kink_normals):
+        normals.append(L.shape)
+        return _original(g, L, finite)
+
+    monkeypatch.setattr(regression_core, "ConditionedOrthant", Counting)
+    monkeypatch.setattr(_gauss, "kink_normals", spy_normals)
+    problem, A, rule = _p4_k3_case()
+    for t in P4_GRID:
+        cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
+    assert built == [(3, 1), (3, 2), (3, 3)] and normals == built, (built, normals)
+    record = projection_quantities(problem, A)
+    alt = LocalAlternative(theta=np.zeros(4), gamma=np.sqrt(problem.n) * problem.theta,
+                           sigma=1.0)
+    for t in P4_GRID:
+        shared = cdf_limit(record, alt, t, rule)
+        own = cdf_limit(limit_quantities(problem.gram, A, O=problem.O), alt, t, rule)
+        assert (shared.value, shared.abs_error) == (own.value, own.abs_error), (t, shared, own)
+    assert len(built) == 3 + 3 * 3 and len(normals) == 3 + 3 * 3, (built, normals)
+
+
+def test_scale_grid_factors_are_evaluated_twice_per_drift_record(monkeypatch):
+    # at a theta the design record has not seen, P4's scale grid evaluates
+    # its t-free factors at the layout's nodes on the grid memo's first
+    # read, and once more for the scale masses of orders 2 and 3 and the
+    # memo's fill together: 2 x the layout over three t, where each order
+    # and the fill evaluated it again (4 x)
+    import pmsdist.dist_exact as dist_exact
+
+    nodes = []
+
+    def spy(self, s, _original=dist_exact._ExactEngine._grid_factors):
+        nodes.append(np.size(s))
+        return _original(self, s)
+
+    monkeypatch.setattr(dist_exact._ExactEngine, "_grid_factors", spy)
+    problem, A, rule = _p4_k3_case()
+    theta = 0.5 * problem.theta
+    for t in P4_GRID:
+        res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=theta, sigma=1.0, rule=rule))
+        assert res.method.startswith("mixture-formula;levels=0;"), res
+    layout = gl_panels(projection_quantities(problem, A)._drift[1].grid.edges)[0].size
+    assert nodes == [layout, layout], (nodes, layout)
 
 
 def _trace_cases():

@@ -9,9 +9,11 @@ from scipy.stats import multivariate_normal
 
 from pmsdist._gauss import (
     NODES_PER_PANEL,
+    ConditionedOrthant,
     NodeMemo,
     Panels,
-    _polygon_rows,
+    _Interval,
+    _Polygon,
     bvn_cdf,
     condition_on_scalar,
     conditional_kinks,
@@ -21,10 +23,9 @@ from pmsdist._gauss import (
     kronrod_legendre,
     needs_sampling,
     norm_pdf,
-    orthant_rows,
+    orthant_kernel,
     philox,
     psd_factor,
-    rank1_bounds,
     ray_interval_prob,
     split_edges,
     sym_pinv,
@@ -312,7 +313,7 @@ def test_polygon_orthant_on_random_factors():
         for _ in range(6):
             L = rng.standard_normal((k, 2)) * rng.uniform(0.3, 2.0, size=(k, 1))
             U = rng.normal(0.0, 1.5, size=(5, k))
-            vals = _polygon_rows(U, L)
+            vals = _Polygon(L)(U)[0]
             for u, v in zip(U, vals):
                 assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-13, (L, u)
             if k == 2:
@@ -342,7 +343,7 @@ _POLYGON_EDGES = {
 @pytest.mark.parametrize("case", sorted(_POLYGON_EDGES))
 def test_polygon_orthant_edges(case):
     L, U = (np.array(a, dtype=float) for a in _POLYGON_EDGES[case])
-    vals, _ = orthant_rows(U, L @ L.T, L)
+    vals, _ = orthant_kernel(L @ L.T, L)(U)
     for u, v in zip(U, vals):
         assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-14, (u, v)
 
@@ -370,7 +371,7 @@ def test_polygon_rows_match_quadrature_over_the_factor(k):
         U[6, [0, 3]] = (-0.4, 0.6)        # x <= -0.4 and x >= -0.3: empty
     if k == 5:
         U[7, 4], U[8, 4] = -0.1, 0.0      # zero loading: 0, then no constraint
-    vals = _polygon_rows(U, L)
+    vals = _Polygon(L)(U)[0]
     assert vals[2] == 0.0 and (k < 4 or vals[6] == 0.0) and (k < 5 or vals[7] == 0.0)
     for u, v in zip(U, vals):
         assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-13, (u, v)
@@ -382,7 +383,7 @@ def test_orthant_rows_leaves_rank_three_in_four_dimensions_to_sampling():
     L = np.eye(4, 3) + 0.2
     assert needs_sampling(4, 3)
     with pytest.raises(ValueError, match="rank-3 covariance of dimension 4"):
-        orthant_rows(np.zeros((1, 4)), L @ L.T, L)
+        orthant_kernel(L @ L.T, L)
 
 
 def test_polygon_orthant_of_a_box_ends_pieces_at_right_angles():
@@ -391,7 +392,7 @@ def test_polygon_orthant_of_a_box_ends_pieces_at_right_angles():
     L = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     U = np.array([[0.3, 0.1, 0.2, 0.4], [1.0, 1.0, 1.0, 1.0], [0.5, np.inf, 0.5, np.inf],
                   [-0.2, 2.0, 0.5, -1.0]])
-    vals, _ = orthant_rows(U, L @ L.T, L)
+    vals, _ = orthant_kernel(L @ L.T, L)(U)
     want = (np.maximum(ndtr(U[:, 0]) - ndtr(-U[:, 2]), 0.0)
             * np.maximum(ndtr(U[:, 1]) - ndtr(-U[:, 3]), 0.0))
     assert np.max(np.abs(vals - want)) < 1e-15, (vals, want)
@@ -511,7 +512,7 @@ def test_trivariate_orthant_on_ill_conditioned_matrices(lam_min, bound):
         L = psd_factor(cov)
         assert L.shape[1] == 3
         H = rng.normal(0.0, 1.2, size=(5, 3))
-        vals, _ = orthant_rows(H * d, cov, L)
+        vals, _ = orthant_kernel(cov, L)(H * d)
         for h, v in zip(H, vals):
             assert abs(v - _plackett_oracle(h, C)) <= bound, (C, h)
 
@@ -532,7 +533,7 @@ def test_trivariate_path_rule_parts_agree():
         L = psd_factor(C)
         assert L.shape[1] == 3
         H = rng.normal(0.0, 3.0, size=(50, 3))
-        k25, g12 = orthant_rows(H, C, L)
+        k25, g12 = orthant_kernel(C, L)(H)
         assert np.max(np.abs(k25 - g12)) <= 1e-14, C
 
 
@@ -544,7 +545,7 @@ def test_trivariate_path_rule_parts_agree():
 ], ids=["rho12_zero", "rho13_zero", "all_negative", "mixed_signs"])
 def test_trivariate_orthant_special_correlations(C):
     H = np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 0.0], [-1.5, 1.0, 0.4], [2.5, 2.0, -0.7]])
-    vals, _ = orthant_rows(H, C, psd_factor(C))
+    vals, _ = orthant_kernel(C, psd_factor(C))(H)
     for h, v in zip(H, vals):
         assert abs(v - _plackett_oracle(h, C)) < 1e-12, h
 
@@ -562,7 +563,7 @@ def test_trivariate_orthant_with_a_nearly_degenerate_pair(sign):
     L = psd_factor(C)
     assert L.shape[1] == 3
     H = np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.4], [1.2, 0.7, -0.9]])
-    vals, _ = orthant_rows(H, C, L)
+    vals, _ = orthant_kernel(C, L)(H)
     width = np.sqrt(1.0 - C[1, 2] ** 2)
     for h, v in zip(H, vals):
         a = _plackett_oracle(h, C)
@@ -838,10 +839,10 @@ def test_conditional_kinks_are_one_rule_at_every_rank():
     counts = np.zeros(4, dtype=int)
     for u, g, L in _kink_cases():
         r = L.shape[1]
-        kinks = conditional_kinks(u, g, L)
+        kinks = conditional_kinks(u, ConditionedOrthant(g, L @ L.T, L))
         counts[r] += len(kinks)
         if r == 0:
-            ends = np.concatenate(rank1_bounds(u[None, :], g))
+            ends = np.concatenate(_Interval(g)(u[None, :]))
             assert all(np.any(np.abs(np.subtract(kinks, e)) <= 1e-15 * max(1.0, abs(e)))
                        for e in ends[np.isfinite(ends)]), (u, g, kinks)
             finite = np.isfinite(u) & (np.abs(g) > 1e-13)
@@ -854,3 +855,226 @@ def test_conditional_kinks_are_one_rule_at_every_rank():
         if r == len(u):
             assert kinks == []
     assert np.all(counts > 0), counts
+
+
+# ---------------------------------------------------------------------------
+# the kept records against the per-call kernels they replaced
+# ---------------------------------------------------------------------------
+# The functions below are the kernels as they were evaluated from scratch
+# on every call, before `ConditionedOrthant` and `orthant_kernel` kept
+# their t-free constants; a kept record must reproduce them bit for bit.
+
+def _fresh_rank1_bounds(U, load):
+    m = U.shape[0]
+    tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
+    pos, neg = load > tol, load < -tol
+    zero = ~(pos | neg)
+    hi = np.min(U[:, pos] / load[pos], axis=1) if pos.any() else np.full(m, np.inf)
+    lo = np.max(U[:, neg] / load[neg], axis=1) if neg.any() else np.full(m, -np.inf)
+    bad = np.any(U[:, zero] < 0.0, axis=1)
+    return np.where(bad, np.inf, lo), np.where(bad, -np.inf, hi)
+
+
+def _fresh_kinks(u, g, L):
+    r = L.shape[1]
+    if r == len(u):
+        return []
+    finite = np.flatnonzero(np.isfinite(u))
+    rows = np.array(list(combinations(finite, r + 1)), dtype=int)
+    if rows.size:
+        _, sv, vt = np.linalg.svd(L[rows].transpose(0, 2, 1))
+        full = (sv > 1e-13 * sv[:, :1]).all(axis=1)
+        if full.any():
+            n = vt[:, -1:]
+            num = (n @ u[rows][..., None]).ravel()
+            den = (n @ g[rows][..., None]).ravel()
+            keep = full & (np.abs(den) > 1e-13 * max(np.abs(g).max(), 1.0))
+            return (num[keep] / den[keep]).tolist()
+    _, s, v = np.linalg.svd(L[finite], full_matrices=False)
+    rank = np.count_nonzero(s > 1e-13 * max(np.abs(L).max(initial=0.0), 1.0))
+    if rank == min(r, len(finite)):
+        return []
+    return _fresh_kinks(u, g, L @ v[:rank].T)
+
+
+def _fresh_polygon(U, L):
+    from scipy.special import owens_t
+
+    m, k = U.shape
+    norm = np.hypot(L[:, 0], L[:, 1])
+    live = norm > 1e-13 * max(float(norm.max()), 1.0)
+    phi = np.arctan2(L[:, 1], L[:, 0])
+    D = np.where(live & ~np.isposinf(U), U / np.where(live, norm, 1.0), np.inf)
+    Uf = np.where(np.isfinite(U), U, 0.0)
+    i, j = np.triu_indices(k, 1)
+    vert = np.arctan2(L[i, 0] * Uf[:, j] - L[j, 0] * Uf[:, i],
+                      Uf[:, i] * L[j, 1] - Uf[:, j] * L[i, 1])
+    perp = np.broadcast_to(np.concatenate([phi - 0.5 * np.pi, phi + 0.5 * np.pi]), (m, 2 * k))
+    t1 = np.sort(np.concatenate([perp, vert, vert + np.pi], axis=1) % (2.0 * np.pi), axis=1)
+    t2 = np.concatenate([t1[:, 1:], t1[:, :1] + 2.0 * np.pi], axis=1)
+    tm = 0.5 * (t1 + t2)
+    hi, lo = np.full(tm.shape, np.inf), np.zeros(tm.shape)
+    iu, il = np.zeros(tm.shape, dtype=int), np.zeros(tm.shape, dtype=int)
+    ct, st = np.cos(tm), np.sin(tm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(k):
+            c = ct * np.cos(phi[n]) + st * np.sin(phi[n])
+            bound = D[:, n:n + 1] / c
+            up = (c > 0.0) & (bound < hi)
+            hi, iu = np.where(up, bound, hi), np.where(up, n, iu)
+            down = (c < 0.0) & (bound > lo)
+            lo, il = np.where(down, bound, lo), np.where(down, n, il)
+    open_ = hi > lo
+
+    def beyond(mask, line, h, ph):
+        same = mask[:, 1:] & mask[:, :-1] & (line[:, 1:] == line[:, :-1])
+        first, last = mask.copy(), mask.copy()
+        first[:, 1:] &= ~same
+        last[:, :-1] &= ~same
+        (r0, q0), (r1, q1) = np.nonzero(first), np.nonzero(last)
+        r, q = np.concatenate([r1, r0]), np.concatenate([q1, q0])
+        n = line[r, q]
+        psi = (tm[r, q] - ph[n] + np.pi) % (2.0 * np.pi) - np.pi
+        end = np.concatenate([t2[r1, q1], t1[r0, q0]])
+        t = owens_t(h[r, n], np.tan(np.clip(psi + (end - tm[r, q]), -0.5 * np.pi, 0.5 * np.pi)))
+        return np.bincount(r0, weights=t[:r0.size] - t[r0.size:], minlength=m)
+
+    total = (np.where(open_ & (lo == 0.0), (t2 - t1) / (2.0 * np.pi), 0.0).sum(axis=1)
+             + beyond(open_ & (lo > 0.0), il, -D, phi + np.pi)
+             - beyond(open_ & np.isfinite(hi), iu, D, phi))
+    dead = np.any(np.isneginf(U) | (~live & (U < 0.0)), axis=1)
+    return np.where(dead, 0.0, np.clip(total, 0.0, 1.0))
+
+
+def _fresh_trivariate(U, S):
+    sd = np.sqrt(np.diag(S))
+    H = U / sd
+    C = np.clip(S / np.outer(sd, sd), -1.0, 1.0)
+    out = np.zeros((2, len(H)))
+    top = np.isposinf(H)
+    live = ~np.any(np.isneginf(H), axis=1)
+    first = np.argmax(top, axis=1)
+    for i in range(3):
+        a, b = [c for c in range(3) if c != i]
+        rows = live & top[:, i] & (first == i)
+        out[:, rows] = bvn_cdf(H[rows, a], H[rows, b], C[a, b])
+    rows = live & ~np.any(top, axis=1)
+    o = int(np.argmax(np.abs([C[1, 2], C[0, 2], C[0, 1]])))
+    perm = [o] + [c for c in range(3) if c != o]
+    h1, h2, h3 = H[np.ix_(rows, perm)].T
+    R = C[np.ix_(perm, perm)]
+    val = 2 * [ndtr(h1) * bvn_cdf(h2, h3, R[1, 2])]
+    ang = np.arcsin([R[0, 1], R[0, 2]])
+    rb = R[1, 2]
+    r2, r3 = np.sin(ang)
+    d2, d3 = ang * np.cos(ang)
+    slope = 2.0 * (rb * (d2 * r3 + r2 * d3) - r2 * d2 - r3 * d3)
+    det = 1.0 - r2 * r2 - r3 * r3 - rb * rb + 2.0 * r2 * r3 * rb
+    layers = 0
+    while layers < 52 and -slope * 0.5 ** layers > det:
+        layers += 1
+    x, wk, wg = gl_panels(split_edges(np.array([0.0, 1.0]),
+                                      1.0 - 0.5 ** np.arange(1, layers + 1)))
+    path = np.sin(np.outer(ang, x))
+    cos2 = np.cos(np.outer(ang, x)) ** 2
+    for i, (hi, hc) in enumerate(((h2, h3), (h3, h2))):
+        if ang[i] == 0.0:
+            continue
+        r, rr, ra = path[i], cos2[i], path[1 - i]
+        dt = rr * (rr - (ra - rb) ** 2 - 2.0 * ra * rb * (1.0 - r))
+        keep = dt > 0.0
+        r, rr, ra = r[keep], rr[keep], ra[keep]
+        root = np.sqrt(dt[keep])
+        ft = (h1[:, None] - r * hi[:, None]) ** 2 / rr + hi[:, None] ** 2
+        bt = (np.outer(hc, rr / root) + np.outer(h1, (r * rb - ra) / root)
+              + np.outer(hi, (r * ra - rb) / root))
+        f = ang[i] / (2.0 * np.pi) * np.exp(-0.5 * ft) * ndtr(bt)
+        val = [v + f @ w[keep] for v, w in zip(val, (wk, wg))]
+    out[:, rows] = np.clip(val, 0.0, 1.0)
+    return out[0], out[1]
+
+
+def _fresh_orthant(U, S, L):
+    k, r = U.shape[1], L.shape[1]
+    if r == 0:
+        v = np.all(U >= 0.0, axis=1).astype(float)
+    elif r == 1:
+        lo, hi = _fresh_rank1_bounds(U, L[:, 0])
+        v = np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+    elif k == 2:
+        s = np.sqrt(np.diag(S))
+        v = bvn_cdf(U[:, 0] / s[0], U[:, 1] / s[1], S[0, 1] / (s[0] * s[1]))
+    elif r == 2:
+        v = _fresh_polygon(U, L)
+    else:
+        return _fresh_trivariate(U, S)
+    return v, v
+
+
+def _kept_record_cases():
+    """(label, g, L) at k = 2, 3, 4 and ranks 0-3: generic factors, a pair
+    of parallel lines, a zero-loading row; the polygon lines of
+    `_POLYGON_LINES` and trivariate factors with a zero and a nearly
+    degenerate correlation."""
+    rng = np.random.default_rng(29_2)
+    for k in (2, 3, 4):
+        for r in range(min(k, 3) + 1):
+            for variant in ("generic", "parallel", "zero_loading"):
+                g, L = rng.normal(0.0, 1.0, k), rng.normal(0.0, 1.0, (k, r))
+                if variant == "parallel":
+                    if not k > max(r, 1):
+                        continue
+                    L[1] = -2.0 * L[0]
+                elif variant == "zero_loading":
+                    if not k > r:
+                        continue
+                    L[0], g[2 % k] = 0.0, 0.0
+                yield f"k{k}-r{r}-{variant}", g, L
+    for k in (3, 4, 5):
+        yield f"lines-k{k}", rng.normal(0.0, 1.0, k), _POLYGON_LINES[:k]
+    for name, C in (("rho12_zero", [[1.0, 0.0, 0.5], [0.0, 1.0, -0.3], [0.5, -0.3, 1.0]]),
+                    ("degenerate", [[1.0, 0.3, 0.3], [0.3, 1.0, 1.0 - 1e-10],
+                                    [0.3, 1.0 - 1e-10, 1.0]])):
+        yield f"trivariate-{name}", rng.normal(0.0, 1.0, 3), psd_factor(np.array(C))
+
+
+def _kept_record_rows(k, rng):
+    """Rows u with finite, +inf, -inf and zero coordinates."""
+    U = rng.normal(0.2, 1.5, size=(24, k))
+    U[1, 0] = np.inf
+    U[2, k - 1] = -np.inf
+    U[3, [0, k - 1]] = np.inf
+    U[4] = np.inf
+    U[5] = 0.0
+    U[6, 0], U[6, 1] = np.inf, -np.inf
+    U[7, 1:] = np.inf
+    return U
+
+
+def _bits(values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("label,g,L", list(_kept_record_cases()),
+                         ids=[c[0] for c in _kept_record_cases()])
+def test_kept_orthant_record_equals_a_fresh_evaluation_bit_for_bit(label, g, L):
+    # one record serves every row and call: its kernel (the whole batch,
+    # then each row alone), its x-interval and each row's kinks, read
+    # twice so that the second read takes the kept kink normals, equal the
+    # per-call kernels on the same inputs bit for bit
+    S = L @ L.T
+    k, r = L.shape
+    record = ConditionedOrthant(g, S, L)
+    U = _kept_record_rows(k, np.random.default_rng(k + 10 * r))
+    assert (record.kernel is None) == needs_sampling(k, r)
+    for _ in range(2):
+        if record.kernel is not None:
+            assert _bits(record.kernel(U)) == _bits(_fresh_orthant(U, S, L)), label
+            for u in U:
+                assert (_bits(record.kernel(u[None, :]))
+                        == _bits(_fresh_orthant(u[None, :], S, L))), (label, u)
+        assert _bits(record.interval(U)) == _bits(_fresh_rank1_bounds(U, g)), label
+        for u in U:
+            kinks = conditional_kinks(u, record)
+            assert _bits(kinks) == _bits(_fresh_kinks(u, g, L)), (label, u, kinks)
+    assert len(record._normals) <= 2 ** k

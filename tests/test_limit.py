@@ -19,7 +19,7 @@ from pmsdist.dist_limit import (
 )
 from pmsdist.errors import DensityUndefinedError, ValidationError
 from pmsdist.fixtures import fixture, random_k1_limit_case
-from pmsdist.regression_core import limit_quantities, local_shift_constants
+from pmsdist.regression_core import LimitQuantities, limit_quantities, local_shift_constants
 from pmsdist.selection import GeneralToSpecific
 
 QUICK = AccuracyBudget(tol=1e-6, n_z=20_000, seed=0)
@@ -138,7 +138,7 @@ def test_vanishing_conditional_covariance_takes_closed_form():
     cov_z, cov_zw, var_w = limits.omega(1), limits.C(1), limits.xi(1) ** 2
     assert condition_on_scalar(cov_z, cov_zw, var_w)[2].shape[1] == 0
     U = np.array([[0.0, 0.0], [0.8, -0.3], [-1.0, 1.5]])
-    term = _joint_rows(U, cov_z, cov_zw, var_w, 0.4, 1.8 * limits.xi(1), (0, 0), QUICK.n_z)
+    term = _joint_rows(U, limits, 1, 0.4, 1.8 * limits.xi(1), (0, 0), QUICK.n_z)
     vals, _, err, _ = term.parts()
     assert np.all(err == 0.0) and not term.panels
     # against Z = C_1 W / xi_1^2 simulated directly
@@ -150,8 +150,14 @@ def test_vanishing_conditional_covariance_takes_closed_form():
 
 
 def _rays(cov_z, cov_zw, u, x_lo, x_hi):
-    """_joint_rows at one row u for W = X ~ N(0, 1) outside (x_lo, x_hi)."""
-    term = _joint_rows(np.atleast_2d(u), cov_z, cov_zw, 1.0,
+    """_joint_rows at one row u for W = X ~ N(0, 1) outside (x_lo, x_hi),
+    on a one-order design record that holds only the joint law of (Z, W):
+    Cov(Z) = cov_z, Cov(Z, W) = cov_zw and xi_1 = 1."""
+    k = len(cov_zw)
+    record = LimitQuantities(Q=np.eye(1), A=np.zeros((k, 1)), O=0, xi_inf=np.ones(1),
+                             C_inf=np.array([cov_zw]), b_inf=np.zeros((1, k)),
+                             zeta_inf=np.zeros(1), omega_inf=np.array([cov_z]), q_star=None)
+    term = _joint_rows(np.atleast_2d(u), record, 1,
                        -0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), (0, 0), QUICK.n_z)
     vals, _, err, _ = term.parts()
     return float(vals[0]), float(err[0]), bool(term.panels)

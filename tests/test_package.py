@@ -101,7 +101,7 @@ def test_cdf_modules_draw_through_gauss():
 def test_refinement_policy_lives_in_gauss():
     # every refinement loop is `_gauss.refine` and every starting panel
     # layout is set in `_gauss` (`panel_edges`, the one-panel path rule of
-    # `_trivariate_rows`): no other module may read the panel constants or
+    # `_Trivariate`): no other module may read the panel constants or
     # the cap on bisection rounds, by import or by attribute
     policy = {"PANELS", "NODES_PER_PANEL", "MAX_ROUNDS"}
     users = {name: set() for name in policy}
