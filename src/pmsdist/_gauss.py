@@ -4,7 +4,7 @@ Everything here is generic probability plumbing, and the one place the
 package computes Gaussian probabilities: normal cdfs, bivariate rectangle
 probabilities, rank-aware lower-orthant probabilities for possibly singular
 Gaussian vectors (rank 2 in any dimension in closed form, a bivariate
-normal over a convex polygon by differences of Owen's T; a full-rank
+normal over a convex polygon as a sum of Owen's T over its edges; a full-rank
 trivariate one by Genz's one-dimensional form of Plackett's identity), the
 one conditioned-orthant kernel and Gaussian sampler, and composite panel
 rules with their one refinement loop.  Sampling is left only at k >= 4
@@ -32,8 +32,9 @@ parameter point computes them on its first two reads only.  Likewise a
 conditioned orthant (`ConditionedOrthant`) is a record of one split that
 keeps what no u moves: the kink rule's null vectors and denominators per
 pattern of finite coordinates, the interval loads, and the constants of
-its orthant kernel (`orthant_kernel`: the polygon's lines, the trivariate
-path rule); a call supplies only its rows u.
+its orthant kernel (`orthant_kernel`: the polygon's pairwise cosines and
+sines of its normals, the trivariate path rule); a call supplies only its
+rows u.
 """
 from __future__ import annotations
 
@@ -172,8 +173,12 @@ class Panels:
         self._estimate()
 
     def _sums(self, lo, hi, memo=None):
-        x, wk, wg = _panel_nodes(lo, hi)
-        fk, fg = self.f(x, self.factors(x) if memo is None else memo.read(lo, hi, x, self.factors))
+        if memo is None:
+            x, wk, wg = _panel_nodes(lo, hi)
+            a = self.factors(x)
+        else:
+            x, wk, wg, a = memo.read(lo, hi, self.factors)
+        fk, fg = self.f(x, a)
         shape = (-1, lo.size, NODES_PER_PANEL)
         return (fk * wk).reshape(shape).sum(axis=2), (fg * wg).reshape(shape).sum(axis=2)
 
@@ -212,41 +217,52 @@ class NodeMemo:
     a layout read once costs nothing extra; the second evaluates them at
     every node of the layout in one call (``values``, the factors at
     `gl_panels`(edges), which `whole` may have filled before for a caller
-    that needs them all); every read from then on takes the caller's panels
-    that are panels of the layout from ``values`` and evaluates the rest,
-    the panels its break points split, afresh.  Split and bisected panels
-    are never stored, so the memo holds one array of the layout however
-    many t it serves.  Each node's factors come from elementwise
+    that needs them all) and keeps those nodes and weights (``nodes``),
+    both read-only.  From then on a read of the layout itself returns
+    ``nodes`` and ``values`` as they are, and any other read takes the
+    caller's panels that are panels of the layout from ``values`` and
+    evaluates the rest, the panels its break points split, afresh, at
+    nodes formed for all its panels (which costs less than gathering the
+    kept ones).  Split and bisected panels are never stored, so the memo
+    holds one layout however many t it serves.  Each panel's nodes come
+    from its two ends alone and each node's factors from elementwise
     operations on that node alone, so a read equals a fresh evaluation bit
     for bit.
     """
 
     def __init__(self, edges: np.ndarray | None = None):
-        self.edges, self.values, self.seen = edges, None, False
+        self.edges, self.values, self.nodes, self.seen = edges, None, None, False
 
-    def read(self, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, factors) -> np.ndarray:
-        """factors(x) at the nodes x of the panels [lo_i, hi_i] of a layout
-        inside the memo's."""
+    def read(self, lo: np.ndarray, hi: np.ndarray, factors):
+        """(x, wk, wg, a): the nodes and weights of `gl_panels` on the
+        panels [lo_i, hi_i] of a layout inside the memo's, and factors(x)."""
         if not self.seen:
             self.seen = True
-            return factors(x)
+            x, wk, wg = _panel_nodes(lo, hi)
+            return x, wk, wg, factors(x)
         self.whole(factors)
         j = np.minimum(np.searchsorted(self.edges, lo), self.edges.size - 2)
         fresh = (self.edges[j] != lo) | (self.edges[j + 1] != hi)
         n = np.count_nonzero(fresh)
+        if not n and lo.size == self.edges.size - 1:
+            return (*self.nodes, self.values)
+        x, wk, wg = _panel_nodes(lo, hi)
         if n == lo.size:
-            return factors(x)
+            return x, wk, wg, factors(x)
         a = self.values.reshape(len(self.values), -1, NODES_PER_PANEL)[:, j]
         if n:
             a[:, fresh] = factors(x.reshape(lo.size, -1)[fresh].ravel()).reshape(len(a), n, -1)
-        return a.reshape(len(a), -1)
+        return x, wk, wg, a.reshape(len(a), -1)
 
     def whole(self, factors) -> np.ndarray:
         """``values``, the factors at every node of the layout, evaluated
-        in one call on first use: by the second read, or earlier by a
-        caller that needs the whole layout itself."""
+        in one call on first use, with ``nodes``: by the second read, or
+        earlier by a caller that needs the whole layout itself."""
         if self.values is None:
-            self.values = factors(gl_panels(self.edges)[0])
+            self.nodes = np.array(gl_panels(self.edges))
+            self.values = factors(self.nodes[0])
+            self.nodes.setflags(write=False)
+            self.values.setflags(write=False)
         return self.values
 
 
@@ -463,9 +479,9 @@ def conditional_kinks(u: np.ndarray, orthant: ConditionedOrthant) -> list[float]
     Rank 0 gives every finite u_i / g_i (the two binding ends of
     1{g x <= u}, the rest spare edges), rank 1 the crossings of two bounds
     (u_i - g_i x) / L_i, any rank the sign flip u_i / g_i of a
-    zero-loading row (n = e_i).  At rank 2 they are where the polygon of
-    `_Polygon` changes shape, at k >= 4 and rank >= 3 (sampled) spare
-    edges of the draws' x-rule.
+    zero-loading row (n = e_i).  At rank 2 they are where three lines of
+    the polygon of `_Polygon` meet, so that an edge appears or vanishes,
+    at k >= 4 and rank >= 3 (sampled) spare edges of the draws' x-rule.
     """
     normals = orthant.normals(np.isfinite(u))
     if normals is None:
@@ -614,7 +630,8 @@ def orthant_kernel(S: np.ndarray, L: np.ndarray):
     numerical rank 0 is an indicator, rank 1 an interval of the normal cdf
     (`_Rank1`), a full-rank bivariate R the bivariate normal cdf
     (`_Bivariate`), rank 2 in any dimension k >= 3 a standard bivariate
-    normal over a convex polygon in closed form (`_Polygon`), and a
+    normal over a convex polygon in closed form, two Owen's T per edge
+    (`_Polygon`), and a
     full-rank trivariate R Genz's one-dimensional trivariate normal cdf
     (`_Trivariate`).  Other ranks raise ValueError: sampling is left only
     at k >= 4 with conditional rank >= 3 (unconditional rank >= 4), see
@@ -671,95 +688,76 @@ class _Bivariate:
 class _Polygon:
     """P(L eps <= u) for every row u of U, eps ~ N(0, I_2) and L of shape (k, 2).
 
-    Row i of L is the half-plane rho cos(theta - phi_i) <= d_i in polar
-    coordinates, phi_i the angle of L_i and d_i = u_i / |L_i| the signed
-    distance of its line, so the orthant is a convex polygon.  Between two
-    consecutive breakpoint angles (each line's perpendiculars phi_i +/- pi/2,
-    each vertex direction and its opposite) one line bounds the ray from
-    above, at most one from below, and the binding pair is read at the
-    midpoint, in a loop over the k lines on (rows x pieces) arrays.  A line
-    at distance h bounds the ray at h / cos(theta - phi), and the mass
-    beyond it on a piece is (Owen 1956; DiDonato, Jarnagin & Hageman 1980)
+    Row i of L is the half-plane a_i'x <= d_i, a_i = L_i / |L_i| its unit
+    normal and d_i = u_i / |L_i| the signed distance of its line, so the
+    orthant is a convex polygon.  Its edge i is the part
+    {d_i a_i + tau a_i+ : tau_lo < tau < tau_hi} of line i inside every
+    other line j, a_i+ being a_i turned by pi/2: tau (a_j'a_i+) <= d_j -
+    d_i (a_j'a_i).  The mass is a sum over the edges (DiDonato, Jarnagin &
+    Hageman 1980; Owen 1956)
 
-        1/(2 pi) int exp(-h^2 / (2 cos^2(theta - phi))) dtheta
-            = T(h, tan(theta_2 - phi)) - T(h, tan(theta_1 - phi)),
+        P = theta_0 / (2 pi) - sum_i [T(d_i, tau_hi / d_i) - T(d_i, tau_lo / d_i)],
 
-    with theta - phi reduced into its branch at the midpoint and clipped to
-    [-pi/2, pi/2] (tan just past -pi/2 is large and positive).  Over a run
-    of consecutive pieces bound by one line these differences telescope, so
-    T is evaluated only at the run's two ends, one difference per run (kept
-    apart from the other runs' so that nearly equal T values of a far
-    polygon cancel before they are summed).  A row with
-    a -inf coordinate is 0, a +inf coordinate drops its line, and a
-    zero-loading coordinate drops its line after requiring u_i >= 0.
-    The lines' norms and angles, their perpendiculars, the cosine and sine
-    of each angle and the pairs whose vertices a row has are kept; a call
-    pays for the distances, vertices and pieces of its rows.
+    each edge's difference taken before the sum, so that nearly equal T
+    values of a far polygon cancel to 0, and over the edges with d_i != 0.
+    theta_0 is the angle of the polygon's tangent cone at the origin: 2 pi
+    when every d > 0, 0 when some d < 0, and else the largest gap g between
+    the angles of the normals of the lines with d = 0, less pi (0 if
+    g <= pi); -0.0 counts as 0.  Each pair's vertex is solved once, on the
+    edge of the lower index, and read on the other edge from the same
+    point, so that two nearly coincident lines cut each other at one point.
+    Parallel lines with the same normal drop the farther line's edge, or of
+    two equal lines the later one; with opposite normals they bound a strip,
+    and a row whose strip has no width (d_i + d_j <= 0) is 0.  A row with a
+    -inf coordinate is 0, a +inf coordinate drops its line, and a
+    zero-loading coordinate drops its line after requiring u_i >= 0.  The
+    live lines, their norms, a_j'a_i and a_j'a_i+ for every pair and the
+    sorted angles of the normals are kept; a call pays for arithmetic on
+    (rows x pairs) arrays and two Owen's T per nonempty edge.
     """
 
     def __init__(self, L):
         norm = np.hypot(L[:, 0], L[:, 1])
         self.live = norm > 1e-13 * max(float(norm.max()), 1.0)
-        self.norm = np.where(self.live, norm, 1.0)
-        self.phi = np.arctan2(L[:, 1], L[:, 0])
-        self.back = self.phi + np.pi
-        perp = np.concatenate([self.phi - 0.5 * np.pi, self.phi + 0.5 * np.pi])
-        self.perp = perp % (2.0 * np.pi)
-        self.turn = [(np.cos(f), np.sin(f)) for f in self.phi]
-        self.i, self.j = np.triu_indices(L.shape[0], 1)
-        self.pairs = L[self.i, 0], L[self.j, 0], L[self.i, 1], L[self.j, 1]
+        self.norm = np.where(self.live, norm, 1.0)[:, None]
+        a0, a1 = (L / self.norm).T
+        # [j, i] over a trailing axis of rows: a_j'a_i, a_j'a_i+ (antisymmetric
+        # bit for bit) and i > j
+        self.cos = (a0[:, None] * a0 + a1[:, None] * a1)[..., None]
+        self.sin = (a1[:, None] * a0 - a0[:, None] * a1)[..., None]
+        self.later = (np.arange(L.shape[0]) > np.arange(L.shape[0])[:, None])[..., None]
+        self.up, self.down = self.sin > 0.0, self.sin < 0.0
+        self.same = (self.sin == 0.0) & (self.cos > 0.0)
+        self.opposite = (self.sin == 0.0) & (self.cos < 0.0)
+        phi = np.arctan2(L[:, 1], L[:, 0])
+        self.order = np.argsort(phi)
+        self.phi = phi[self.order]
 
     def __call__(self, U):
-        m, k = U.shape
-        D = np.where(self.live & ~np.isposinf(U), U / self.norm, np.inf)
-        # breakpoints; a vertex of parallel or dropped lines is a spare edge
-        Uf = np.where(np.isfinite(U), U, 0.0)
-        Ui, Uj = Uf[:, self.i], Uf[:, self.j]
-        li0, lj0, li1, lj1 = self.pairs
-        vert = np.arctan2(li0 * Uj - lj0 * Ui, Ui * lj1 - Uj * li1)
-        t1 = np.sort(np.concatenate([np.broadcast_to(self.perp, (m, 2 * k)),
-                                     vert % (2.0 * np.pi), (vert + np.pi) % (2.0 * np.pi)],
-                                    axis=1), axis=1)
-        t2 = np.concatenate([t1[:, 1:], t1[:, :1] + 2.0 * np.pi], axis=1)
-        tm = 0.5 * (t1 + t2)
-        # the binding lines of every piece, one line at a time: line n bounds
-        # the ray at d_n / cos(tm - phi_n), from above where the cosine is
-        # positive and from below where it is negative
-        hi, lo = np.full(tm.shape, np.inf), np.zeros(tm.shape)
-        iu, il = np.zeros(tm.shape, dtype=int), np.zeros(tm.shape, dtype=int)
-        ct, st = np.cos(tm), np.sin(tm)
+        U = np.ascontiguousarray(U.T)
+        keep = self.live[:, None] & np.isfinite(U)
+        D = np.where(keep, U / self.norm, 0.0) + 0.0
+        Dj, Di = D[:, None], D[None]
+        both = keep[:, None] & keep[None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for n, (cn, sn) in enumerate(self.turn):
-                c = ct * cn + st * sn
-                bound = D[:, n:n + 1] / c
-                up = (c > 0.0) & (bound < hi)
-                hi, iu = np.where(up, bound, hi), np.where(up, n, iu)
-                down = (c < 0.0) & (bound > lo)
-                lo, il = np.where(down, bound, lo), np.where(down, n, il)
-        open_ = hi > lo
-
-        def beyond(mask, line, h, ph):
-            """Per row, the summed Owen's T differences of the pieces in mask
-            for their lines (h, ph): one difference per maximal run of pieces
-            bound by one line, from its first piece's start to its last piece's
-            end, since inside a run they telescope."""
-            same = mask[:, 1:] & mask[:, :-1] & (line[:, 1:] == line[:, :-1])
-            first, last = mask.copy(), mask.copy()
-            first[:, 1:] &= ~same
-            last[:, :-1] &= ~same
-            (r0, q0), (r1, q1) = np.nonzero(first), np.nonzero(last)
-            r, q = np.concatenate([r1, r0]), np.concatenate([q1, q0])
-            n = line[r, q]
-            psi = (tm[r, q] - ph[n] + np.pi) % (2.0 * np.pi) - np.pi
-            end = np.concatenate([t2[r1, q1], t1[r0, q0]])
-            t = owens_t(h[r, n],
-                        np.tan(np.clip(psi + (end - tm[r, q]), -0.5 * np.pi, 0.5 * np.pi)))
-            return np.bincount(r0, weights=t[:r0.size] - t[r0.size:], minlength=m)
-
-        total = (np.where(open_ & (lo == 0.0), (t2 - t1) / (2.0 * np.pi), 0.0).sum(axis=1)
-                 + beyond(open_ & (lo > 0.0), il, -D, self.back)
-                 - beyond(open_ & np.isfinite(hi), iu, D, self.phi))
-        dead = np.any(np.isneginf(U) | (~self.live & (U < 0.0)), axis=1)
+            tau = (Dj - Di * self.cos) / self.sin
+            # edge i > j reads the vertex off edge j: d_j a_j + tau_ji a_j+
+            tau = np.where(self.later, Dj * self.sin + tau.transpose(1, 0, 2) * self.cos, tau)
+        hi = np.min(np.where(both & self.up, tau, np.inf), axis=0)
+        lo = np.max(np.where(both & self.down, tau, -np.inf), axis=0)
+        hidden = both & self.same & ((Di > Dj) | ((Di == Dj) & self.later))
+        i, r = np.nonzero(keep & (D != 0.0) & (lo < hi) & ~hidden.any(axis=0))
+        h = np.concatenate([D[i, r], D[i, r]])
+        t = owens_t(h, np.concatenate([hi[i, r], lo[i, r]]) / h)
+        cone = np.where(np.any(keep & (D < 0.0), axis=0), 0.0, 1.0)
+        zero = keep & (D == 0.0)
+        for row in np.flatnonzero((cone == 1.0) & zero.any(axis=0)):
+            phi = self.phi[zero[self.order, row]]
+            gap = np.diff(phi, append=phi[0] + 2.0 * np.pi).max()
+            cone[row] = max(gap - np.pi, 0.0) / (2.0 * np.pi)
+        total = cone - np.bincount(r, weights=t[:r.size] - t[r.size:], minlength=U.shape[1])
+        dead = np.any(np.isneginf(U) | (~self.live[:, None] & (U < 0.0)), axis=0)
+        dead |= np.any(both & self.opposite & (Di + Dj <= 0.0), axis=(0, 1))
         v = np.where(dead, 0.0, np.clip(total, 0.0, 1.0))
         return v, v
 

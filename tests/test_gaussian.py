@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 from scipy.stats import multivariate_normal
 
 from pmsdist._gauss import (
@@ -334,7 +334,7 @@ _POLYGON_EDGES = {
     # lines 0-2 are parallel, with the same and opposite normals: no vertex
     "parallel": ([[1.0, 0.5], [2.0, 1.0], [-1.0, -0.5], [0.3, -1.0]],
                  [[0.3, 0.1, 0.2, 0.4], [0.3, 1.0, -0.5, 0.4], [1.0, 1.0, 1.0, 1.0]]),
-    # lines through the origin: a vertex at the origin and pieces with h = 0
+    # lines through the origin: a vertex at the origin, read by the cone term
     "origin": ([[1.0, 0.2], [0.5, 1.0], [-0.3, 0.7], [0.8, -0.6]],
                [[0.0, 0.0, 0.5, 0.4], [0.0, 0.0, 0.0, 0.0], [0.0, 0.3, -0.2, 0.0]]),
 }
@@ -348,16 +348,16 @@ def test_polygon_orthant_edges(case):
         assert abs(v - _rank2_orthant_oracle(u, L)) < 1e-14, (u, v)
 
 
-# lines 1 and 2 meet at (0, 1.2), on line 0's perpendicular at angle pi/2
-# (a vertex angle equal to a perpendicular one); line 3 is parallel to
-# line 0 with the opposite normal; line 4 has zero loading
+# lines 1 and 2 meet at (0, 1.2), right above the origin on line 0's
+# normal turned by pi/2; line 3 is parallel to line 0 with the opposite
+# normal; line 4 has zero loading
 _POLYGON_LINES = np.array([[1.0, 0.0], [0.6, 0.8], [-0.5, 0.9], [-2.0, 0.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_polygon_rows_match_quadrature_over_the_factor(k):
-    # the line loop and the Owen's T differences read only at the ends of
-    # each run of pieces bound by one line, against adaptive quadrature
+    # the edge sum, two Owen's T per nonempty edge, against adaptive
+    # quadrature
     L = _POLYGON_LINES[:k]
     rng = np.random.default_rng(k)
     U = rng.normal(0.3, 1.2, size=(10, k))
@@ -387,8 +387,8 @@ def test_orthant_rows_leaves_rank_three_in_four_dimensions_to_sampling():
 
 
 def test_polygon_orthant_of_a_box_ends_pieces_at_right_angles():
-    # an axis-aligned box: every piece ends where theta - phi = +/- pi/2 for
-    # its binding line, and tan just past -pi/2 is large and positive
+    # an axis-aligned box: every edge ends at a right angle, where its
+    # neighbour's a_j'a_i is 0
     L = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     U = np.array([[0.3, 0.1, 0.2, 0.4], [1.0, 1.0, 1.0, 1.0], [0.5, np.inf, 0.5, np.inf],
                   [-0.2, 2.0, 0.5, -1.0]])
@@ -396,6 +396,98 @@ def test_polygon_orthant_of_a_box_ends_pieces_at_right_angles():
     want = (np.maximum(ndtr(U[:, 0]) - ndtr(-U[:, 2]), 0.0)
             * np.maximum(ndtr(U[:, 1]) - ndtr(-U[:, 3]), 0.0))
     assert np.max(np.abs(vals - want)) < 1e-15, (vals, want)
+
+
+def _oracle_case(L, U, bound=1e-14):
+    L, U = np.array(L, dtype=float), np.array(U, dtype=float)
+    vals, _ = orthant_kernel(L @ L.T, L)(U)
+    for u, v in zip(U, vals):
+        assert abs(v - _rank2_orthant_oracle(u, L)) < bound, (u, v)
+    return vals
+
+
+def test_polygon_orthant_with_the_origin_on_its_boundary():
+    # -0.0 is 0: the origin is a vertex (rows 0, 1) or on one line (rows 2,
+    # 3), and the cone term reads the gap between the normals of its lines
+    L = [[1.0, 0.2], [0.5, 1.0], [-0.3, 0.7], [0.8, -0.6]]
+    U = [[-0.0, 0.0, 0.5, 0.4], [0.0, -0.0, 1.0, 1.0], [-0.0, 0.3, 0.5, 0.4],
+         [0.4, 0.3, -0.0, 0.6], [-0.0, -0.0, -0.0, -0.0]]
+    vals = _oracle_case(L, U)
+    assert np.array_equal(vals, _oracle_case(L, np.abs(U)))
+
+
+def test_polygon_orthant_with_two_equal_lines():
+    # the same normal and the same distance, at three scales of L's row: one
+    # of the two edges is kept, so the value is that of the lines without
+    # the copy
+    base = np.array([[1.0, 0.2], [0.5, 1.0], [-0.3, 0.7]])
+    U = np.array([[0.3, 0.1, 0.2], [1.0, -0.5, 0.8], [0.0, 0.4, 0.4], [-0.2, 0.9, 1.5]])
+    for scale in (1.0, 2.0, 3.0):
+        L = np.vstack([base, scale * base[1]])
+        V = np.hstack([U, scale * U[:, 1:2]])
+        vals = _oracle_case(L, V)
+        assert np.max(np.abs(vals - _Polygon(base)(U)[0])) < 1e-15, scale
+
+
+def test_polygon_orthant_of_a_strip_without_width_is_zero():
+    # opposite normals with d_i + d_j = 0: a strip of no width, 0 exactly,
+    # through the origin or off it, in either order of the two lines
+    L = np.array([[1.0, 0.2], [-2.0, -0.4], [0.5, 1.0], [-0.3, 0.7]])
+    U = np.array([[0.3, -0.6, 0.5, 0.4], [-0.3, 0.6, 0.5, 0.4], [0.0, -0.0, 0.5, 0.4],
+                  [0.3, -0.5, 0.5, 0.4]])
+    for order in ([0, 1, 2, 3], [2, 1, 3, 0]):
+        vals = _oracle_case(L[order], U[:, order])
+        assert np.array_equal(vals[:3], np.zeros(3)) and vals[3] > 0.0, order
+
+
+def test_polygon_orthant_with_a_nearly_parallel_pair():
+    # line 1 is line 0 turned by 1e-9, with the same and the opposite
+    # normal: their vertex is far out or, when their distances nearly
+    # agree, anywhere along them, and both edges read it from one point
+    turn = np.array([[np.cos(1e-9), -np.sin(1e-9)], [np.sin(1e-9), np.cos(1e-9)]])
+    base = np.array([[1.0, 0.2], [0.0, 0.0], [0.5, 1.0], [-0.3, 0.7]])
+    for sign in (1.0, -1.0):
+        L = base.copy()
+        L[1] = sign * (turn @ L[0])
+        U = np.array([[0.3, sign * 0.3, 0.5, 0.4], [0.3, sign * 0.35, 0.5, 0.4],
+                      [0.3, sign * 0.25, 0.5, 0.4], [0.3, sign * (0.3 + 1e-10), 0.5, 0.4],
+                      [0.3, -sign * 0.2, 1.5, 1.4]])
+        _oracle_case(L, U, 1e-13)
+
+
+def test_polygon_orthant_far_from_the_origin_is_zero():
+    # a wedge whose vertex is at distance 19 along lines that pass within
+    # 0.2-1.9 of the origin: every edge's T values agree in every bit, so
+    # the value is exactly 0, with or without a third line cutting it
+    for angle in (0.01, 0.1):
+        a = np.tan(angle)
+        L = [[-a, 1.0], [-a, -1.0], [0.3, 0.2]]
+        U = [[-19.0 * a, -19.0 * a, 50.0], [-19.0 * a, -19.0 * a, np.inf],
+             [-19.0 * a, -19.0 * a, 7.0]]
+        assert np.array_equal(_oracle_case(L, U), np.zeros(3)), angle
+
+
+def test_polygon_orthant_reads_at_most_two_owens_t_per_edge(monkeypatch):
+    import pmsdist._gauss as gauss
+
+    sizes = []
+
+    def counting(h, a):
+        sizes.append(np.size(h))
+        return owens_t(h, a)
+
+    monkeypatch.setattr(gauss, "owens_t", counting)
+    box = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    _Polygon(box)(np.array([[0.3, 0.1, 0.2, 0.4]]))
+    assert sizes == [8]
+    rng = np.random.default_rng(30)
+    for k in range(2, 8):
+        L = rng.standard_normal((k, 2))
+        U = rng.normal(0.0, 1.5, size=(50, k))
+        U[rng.random(U.shape) < 0.1] = np.inf
+        del sizes[:]
+        _Polygon(L)(U)
+        assert sum(sizes) <= 2 * np.count_nonzero(np.isfinite(U)), k
 
 
 def test_nearly_collinear_rank2_trivariate_is_exact():
@@ -646,7 +738,9 @@ class _CountingFactors:
 
 
 def _read(memo, edges, factors):
-    return memo.read(edges[:-1], edges[1:], gl_panels(edges)[0], factors)
+    x, wk, wg, a = memo.read(edges[:-1], edges[1:], factors)
+    assert _bits((x, wk, wg)) == _bits(gl_panels(edges))
+    return a
 
 
 MEMO_LAYOUT = np.linspace(-1.0, 1.0, 5)
@@ -703,6 +797,31 @@ def test_bisection_stores_nothing_in_the_node_memo():
     panels.bisect(0.0)
     assert factors.calls == [2 * 4 * NODES_PER_PANEL]
     assert np.array_equal(memo.values, kept)
+
+
+def test_node_memo_returns_its_layout_as_kept(monkeypatch):
+    # the memo keeps its layout's nodes and weights with its factors, read
+    # only: from the second read on, a read of the layout forms no nodes
+    # and returns the kept arrays, and a split read forms its own
+    import pmsdist._gauss as gauss
+
+    sizes, form = [], gauss._panel_nodes
+
+    def counting(lo, hi):
+        sizes.append(lo.size)
+        return form(lo, hi)
+
+    monkeypatch.setattr(gauss, "_panel_nodes", counting)
+    factors, memo = _CountingFactors(), NodeMemo(MEMO_LAYOUT)
+    reads = [memo.read(MEMO_LAYOUT[:-1], MEMO_LAYOUT[1:], factors) for _ in range(3)]
+    assert sizes == [4, 4]
+    assert all(np.shares_memory(v, kept) for v, kept in zip(reads[2], (*memo.nodes, memo.values)))
+    assert not memo.nodes.flags.writeable and not memo.values.flags.writeable
+    split = split_edges(MEMO_LAYOUT, [0.2])
+    del sizes[:], factors.calls[:]
+    x, wk, wg, a = memo.read(split[:-1], split[1:], factors)
+    assert sizes == [5] and factors.calls == [2 * NODES_PER_PANEL]
+    assert _bits((x, wk, wg, a)) == _bits((*gl_panels(split), factors(gl_panels(split)[0])))
 
 
 def test_psd_factor_reconstructs():
@@ -898,51 +1017,37 @@ def _fresh_kinks(u, g, L):
 
 
 def _fresh_polygon(U, L):
-    from scipy.special import owens_t
-
-    m, k = U.shape
+    k, m = L.shape[0], U.shape[0]
     norm = np.hypot(L[:, 0], L[:, 1])
     live = norm > 1e-13 * max(float(norm.max()), 1.0)
-    phi = np.arctan2(L[:, 1], L[:, 0])
-    D = np.where(live & ~np.isposinf(U), U / np.where(live, norm, 1.0), np.inf)
-    Uf = np.where(np.isfinite(U), U, 0.0)
-    i, j = np.triu_indices(k, 1)
-    vert = np.arctan2(L[i, 0] * Uf[:, j] - L[j, 0] * Uf[:, i],
-                      Uf[:, i] * L[j, 1] - Uf[:, j] * L[i, 1])
-    perp = np.broadcast_to(np.concatenate([phi - 0.5 * np.pi, phi + 0.5 * np.pi]), (m, 2 * k))
-    t1 = np.sort(np.concatenate([perp, vert, vert + np.pi], axis=1) % (2.0 * np.pi), axis=1)
-    t2 = np.concatenate([t1[:, 1:], t1[:, :1] + 2.0 * np.pi], axis=1)
-    tm = 0.5 * (t1 + t2)
-    hi, lo = np.full(tm.shape, np.inf), np.zeros(tm.shape)
-    iu, il = np.zeros(tm.shape, dtype=int), np.zeros(tm.shape, dtype=int)
-    ct, st = np.cos(tm), np.sin(tm)
+    norm = np.where(live, norm, 1.0)[:, None]
+    a0, a1 = (L / norm).T
+    cos = (a0[:, None] * a0 + a1[:, None] * a1)[..., None]
+    sin = (a1[:, None] * a0 - a0[:, None] * a1)[..., None]
+    later = (np.arange(k) > np.arange(k)[:, None])[..., None]
+    U = np.ascontiguousarray(U.T)
+    keep = live[:, None] & np.isfinite(U)
+    D = np.where(keep, U / norm, 0.0) + 0.0
+    Dj, Di = D[:, None], D[None]
+    both = keep[:, None] & keep[None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n in range(k):
-            c = ct * np.cos(phi[n]) + st * np.sin(phi[n])
-            bound = D[:, n:n + 1] / c
-            up = (c > 0.0) & (bound < hi)
-            hi, iu = np.where(up, bound, hi), np.where(up, n, iu)
-            down = (c < 0.0) & (bound > lo)
-            lo, il = np.where(down, bound, lo), np.where(down, n, il)
-    open_ = hi > lo
-
-    def beyond(mask, line, h, ph):
-        same = mask[:, 1:] & mask[:, :-1] & (line[:, 1:] == line[:, :-1])
-        first, last = mask.copy(), mask.copy()
-        first[:, 1:] &= ~same
-        last[:, :-1] &= ~same
-        (r0, q0), (r1, q1) = np.nonzero(first), np.nonzero(last)
-        r, q = np.concatenate([r1, r0]), np.concatenate([q1, q0])
-        n = line[r, q]
-        psi = (tm[r, q] - ph[n] + np.pi) % (2.0 * np.pi) - np.pi
-        end = np.concatenate([t2[r1, q1], t1[r0, q0]])
-        t = owens_t(h[r, n], np.tan(np.clip(psi + (end - tm[r, q]), -0.5 * np.pi, 0.5 * np.pi)))
-        return np.bincount(r0, weights=t[:r0.size] - t[r0.size:], minlength=m)
-
-    total = (np.where(open_ & (lo == 0.0), (t2 - t1) / (2.0 * np.pi), 0.0).sum(axis=1)
-             + beyond(open_ & (lo > 0.0), il, -D, phi + np.pi)
-             - beyond(open_ & np.isfinite(hi), iu, D, phi))
-    dead = np.any(np.isneginf(U) | (~live & (U < 0.0)), axis=1)
+        tau = (Dj - Di * cos) / sin
+        tau = np.where(later, Dj * sin + tau.transpose(1, 0, 2) * cos, tau)
+    hi = np.min(np.where(both & (sin > 0.0), tau, np.inf), axis=0)
+    lo = np.max(np.where(both & (sin < 0.0), tau, -np.inf), axis=0)
+    hidden = both & (sin == 0.0) & (cos > 0.0) & ((Di > Dj) | ((Di == Dj) & later))
+    i, r = np.nonzero(keep & (D != 0.0) & (lo < hi) & ~hidden.any(axis=0))
+    h = np.concatenate([D[i, r], D[i, r]])
+    t = owens_t(h, np.concatenate([hi[i, r], lo[i, r]]) / h)
+    cone = np.where(np.any(keep & (D < 0.0), axis=0), 0.0, 1.0)
+    phi = np.arctan2(L[:, 1], L[:, 0])
+    for row in np.flatnonzero((cone == 1.0) & np.any(keep & (D == 0.0), axis=0)):
+        ang = np.sort(phi[keep[:, row] & (D[:, row] == 0.0)])
+        gap = np.diff(ang, append=ang[0] + 2.0 * np.pi).max()
+        cone[row] = max(gap - np.pi, 0.0) / (2.0 * np.pi)
+    total = cone - np.bincount(r, weights=t[:r.size] - t[r.size:], minlength=m)
+    strip = both & (sin == 0.0) & (cos < 0.0) & (Di + Dj <= 0.0)
+    dead = np.any(np.isneginf(U) | (~live[:, None] & (U < 0.0)), axis=0) | strip.any(axis=(0, 1))
     return np.where(dead, 0.0, np.clip(total, 0.0, 1.0))
 
 
