@@ -12,7 +12,11 @@ chi^2_r, and the kernels map S through P-space maps built once per call:
 Q_P'q_p / r_pp for the trailing coefficient of each nested order,
 R_m^{-1} Q_m'Q_P for the refit of each model m, and Q_P'Q_m for the
 residual sum of a subset, RSS(m) = Y'Y - |Q_m'Y|^2 with Y'Y = |S|^2 + RSS.
-A chunk of CHUNK replications holds O(CHUNK * P) floats whatever n is.
+A chunk of B <= CHUNK replications holds O(CHUNK * P) floats whatever n is, with the
+replications last (S (P, B), loss (k, B), grid indicator (m, B)); Python loops run over
+orders, models, grid columns and grid rows only, and the draws do not depend on it.  Steps
+work in place and free what later steps do not read, so a chunk's peak heap stays under
+glibc's trim threshold and repeated calls reuse pages instead of faulting them in afresh.
 
 Draws are keyed per chunk with counter-based Philox streams (Salmon et al.
 2011, "Parallel random numbers: as easy as 1, 2, 3").  Chunk c of master
@@ -184,6 +188,7 @@ class _Kernel:
     into the sorted mask family for IC, the kept bits read as a binary
     number for thresholding.  ``fits[id]`` is the model's P x P map from S
     to its length-P estimate, zero in the rows of excluded coordinates.
+    Chunks are (P, B) and every map C-contiguous, so map @ S is one BLAS call.
     """
 
     def __init__(self, plan: SimulationPlan):
@@ -206,8 +211,8 @@ class _Kernel:
         if isinstance(rule, GeneralToSpecific):
             self.mode = "g2s"
             self.xi = np.array([xi_n(pr, p) for p in range(1, P + 1)])
-            # column p-1 maps S to the trailing coefficient of order p
-            self.trailing = np.stack([G[p][p - 1] for p in range(1, P + 1)], axis=1)
+            # row p-1 maps S to the trailing coefficient of order p
+            self.trailing = np.stack([G[p][p - 1] for p in range(1, P + 1)])
             self.crit = np.asarray(rule.critical, dtype=float)
             self.fits = {p: self._padded(range(p), G[p]) for p in range(P + 1)}
         elif isinstance(rule, InformationCriterion):
@@ -221,7 +226,6 @@ class _Kernel:
         else:
             self.mode = "threshold"
             self.cutoff = np.asarray(rule.cutoff, dtype=float)
-            self.bit_weights = 1 << np.arange(P - 1, -1, -1)
 
     def _padded(self, indices, cmap: np.ndarray) -> np.ndarray:
         out = np.zeros((self.P, self.P))
@@ -251,48 +255,72 @@ class _Kernel:
         return self.fits[model_id]
 
     def statistics(self, lo: int, hi: int):
-        """(S, RSS, sigma_hat) of replications lo..hi-1."""
+        """(S, RSS, sigma_hat) of replications lo..hi-1, S as a (P, B) array."""
         pr = self.plan.problem
         noise = _draw_errors(pr, self.plan.master_seed, lo, hi)
         rss = pr.sigma ** 2 * noise[:, self.P]
-        return self.mu + pr.sigma * noise[:, :self.P], rss, np.sqrt(rss / pr.dof)
+        S = np.add(self.mu[:, None], pr.sigma * noise[:, :self.P].T, order="C")
+        return S, rss, np.sqrt(rss / pr.dof)
 
-    def sequential_t(self, S: np.ndarray, sig: np.ndarray) -> np.ndarray:
-        """(B, P) sequential t-statistics of orders 1..P."""
+    def ratios(self, cmap: np.ndarray, scale: np.ndarray, S: np.ndarray, sig: np.ndarray):
+        """(P, B) sqrt(n) (cmap @ S) / (scale sigma_hat): sequential or full-model t-ratios."""
+        t = cmap @ S
+        t *= self.sqrt_n
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.sqrt_n * (S @ self.trailing) / (sig[:, None] * self.xi)
+            t /= scale[:, None] * sig
+        return t
 
-    def full_t(self, S: np.ndarray, sig: np.ndarray) -> np.ndarray:
-        """(B, P) full-model t-ratios."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.sqrt_n * (S @ self.full_map.T) / (sig[:, None] * self.ginv_sqrt)
+    def order_scan(self, S: np.ndarray, sig: np.ndarray, O: int, crit) -> np.ndarray:
+        """(B,) highest order p > O whose |sequential t| reaches crit[p - O - 1], else O."""
+        ids = np.full(S.shape[1], O)
+        for p, t in enumerate(self.ratios(self.trailing, self.xi, S, sig)[O:], start=O + 1):
+            ids = np.where(np.abs(t) >= crit[p - O - 1], p, ids)
+        return ids
+
+    def present(self, ids: np.ndarray):
+        """Sorted distinct ids, counts; thresholding's P-bit codes are too wide to bincount."""
+        if self.mode == "threshold":
+            return np.unique(ids, return_counts=True)
+        tally = np.bincount(ids)
+        return np.flatnonzero(tally), tally[tally > 0]
 
     def run(self, lo: int, hi: int, want_raw: bool):
+        """ids, ok, sigma (B,); est, t (P, B) and loss (k, B) of replications lo..hi-1."""
         S, rss, sig = self.statistics(lo, hi)
         ok = sig > 0.0
-        t_full = self.full_t(S, sig) if want_raw or self.mode == "threshold" else None
+        t_full = self.ratios(self.full_map, self.ginv_sqrt, S, sig) if want_raw else None
         if self.mode == "g2s":
-            O, P = self.plan.problem.O, self.P
-            sat = np.ones((S.shape[0], P - O + 1), dtype=bool)
-            if P > O:
-                sat[:, 1:] = np.abs(self.sequential_t(S, sig)[:, O:]) >= self.crit
-            ids = np.where(ok, P - sat[:, ::-1].argmax(axis=1), O)
+            O = self.plan.problem.O
+            ids = np.where(ok, self.order_scan(S, sig, O, self.crit), O)
         elif self.mode == "ic":
-            vals = np.empty((S.shape[0], len(self.masks)))
+            ids, best = np.zeros(S.shape[1], dtype=np.intp), np.full(S.shape[1], np.inf)
+            resid, val = np.empty_like(S), np.empty_like(rss)
             for i, V in enumerate(self.bases):
-                resid = S - (S @ V) @ V.T
-                rss_m = rss + np.einsum("ij,ij->i", resid, resid)
+                np.subtract(S, np.matmul(V, V.T @ S, out=resid), out=resid)
+                np.einsum("ij,ij->j", resid, resid, out=val)
+                val += rss
+                ok &= val > 0.0
                 with np.errstate(divide="ignore"):
-                    vals[:, i] = np.log(rss_m) + self.penalty[i]
-                ok = ok & (rss_m > 0.0)
-            ids = vals.argmin(axis=1)
+                    np.log(val, out=val)
+                val += self.penalty[i]
+                ids = np.where(val < best, i, ids)   # strict: a tie keeps the earlier mask
+                np.minimum(best, val, out=best)
+            del resid, val, best
         else:
-            keep = (np.abs(t_full) >= self.cutoff) & ok[:, None]
-            ids = keep @ self.bit_weights
-        est = np.empty_like(S)
-        for model_id in np.unique(ids):
-            np.copyto(est, S @ self._fit(int(model_id)).T, where=(ids == model_id)[:, None])
-        loss = self.sqrt_n * (est @ self.plan.A.T - self.A_theta)
+            ids = np.zeros(S.shape[1], dtype=np.int64)
+            for row, c in zip(self.ratios(self.full_map, self.ginv_sqrt, S, sig), self.cutoff):
+                ids <<= 1
+                ids |= (np.abs(row, out=row) >= c) & ok
+            del row
+        del rss   # the fits read none of these: free them first (module docstring)
+        present = self.present(ids)[0].tolist()
+        fits = [self._fit(m) for m in present]   # thresholding's QRs run before est exists
+        est = fits[0] @ S
+        for model_id, fit in zip(present[1:], fits[1:]):
+            np.copyto(est, fit @ S, where=ids == model_id)
+        loss = self.plan.A @ est
+        loss -= self.A_theta[:, None]
+        loss *= self.sqrt_n
         return {"ids": ids, "loss": loss, "ok": ok, "sigma": sig, "est": est, "t": t_full}
 
 
@@ -312,40 +340,33 @@ def _run_chunks(fn, kernel: _Kernel, workers: int | None, *extra) -> list:
 
 
 def _cdf_chunk(kernel: _Kernel, lo: int, hi: int, grid: np.ndarray):
-    out = kernel.run(lo, hi, False)
-    ok, ids, loss = out["ok"], out["ids"], out["loss"]
-    below = np.repeat(ok[:, None], grid.shape[0], axis=1)
+    """Integer tallies of replications lo..hi-1 on the grid, one (models, B) @ (B,) per row."""
+    ok, ids, loss = map(kernel.run(lo, hi, False).get, ("ok", "ids", "loss"))  # est dies here
+    below = np.tile(ok, (grid.shape[0], 1))
     for j in range(grid.shape[1]):
-        below &= loss[:, j, None] <= grid[:, j]
-    models = np.unique(ids[ok])
-    member = (ids == models[:, None]) & ok
-    # (models, grid) counts; float products are exact below 2**53
-    joint = (member.astype(float) @ below).astype(np.int64)
-    keys = [kernel.key(int(m)) for m in models]
+        below &= loss[j] <= grid[:, j, None]
+    del loss   # free it before the products
+    models, tally = kernel.present(ids[ok])
+    member = ((ids == models[:, None]) & ok).astype(np.float32)
+    joint = np.array([member @ row for row in below], dtype=np.int64).T   # float32: exact
+    keys = [kernel.key(m) for m in models.tolist()]
     return {"counts": joint.sum(axis=0), "joint": dict(zip(keys, joint)),
-            "model": dict(zip(keys, member.sum(axis=1).tolist())),
+            "model": dict(zip(keys, tally.tolist())),
             "degenerate": int((~ok).sum())}
 
 
 def _merge_cdf(plan: SimulationPlan, grid: np.ndarray, chunks: list[dict]) -> EmpiricalCdf:
-    m = grid.shape[0]
-    counts = np.zeros(m, dtype=np.int64)
-    joint: dict = {}
-    model: dict = {}
-    degenerate = 0
+    joint, model = {}, {}
     for ch in chunks:
-        counts += ch["counts"]
-        degenerate += ch["degenerate"]
         for key, val in ch["model"].items():
             model[key] = model.get(key, 0) + val
         for key, val in ch["joint"].items():
-            if key in joint:
-                joint[key] += val
-            else:
-                joint[key] = val.copy()
+            joint[key] = joint.get(key, 0) + val
+    counts = sum(ch["counts"] for ch in chunks)
+    degenerate = sum(ch["degenerate"] for ch in chunks)
     valid = plan.replications - degenerate
-    est = counts / valid if valid else np.zeros(m)
-    se = np.sqrt(est * (1.0 - est) / valid) if valid else np.full(m, np.nan)
+    est = counts / valid if valid else np.zeros(len(grid))
+    se = np.sqrt(est * (1.0 - est) / valid) if valid else np.full(len(grid), np.nan)
     conditional = {key: joint[key] / model[key] for key in joint}
     return EmpiricalCdf(grid=grid, estimates=est, standard_errors=se,
                         model_counts=model, conditional=conditional,
@@ -373,8 +394,7 @@ def _err_chunk(kernel: _Kernel, lo: int, hi: int, t: np.ndarray,
     S, _, sig = kernel.statistics(lo, hi)
     ok = sig > 0.0
     # auxiliary order estimate: all-coordinate scan with a diverging cutoff
-    sat = np.abs(kernel.sequential_t(S, sig)) >= c_aux
-    p_bar = np.where(sat.any(axis=1), pr.P - sat[:, ::-1].argmax(axis=1), 0)
+    p_bar = kernel.order_scan(S, sig, 0, [c_aux] * pr.P)
     vals = g_check_values(pr, kernel.plan.A, t, kernel.plan.rule, sig[ok], p_bar[ok],
                           budget=budget)
     exceed = int(np.sum(np.abs(vals - ref) > delta))
@@ -414,7 +434,7 @@ def replicate(plan: SimulationPlan) -> Replications:
     outs = [kernel.run(lo, hi, True) for lo, hi in _chunk_bounds(plan.replications)]
     ids, index = np.unique(np.concatenate([o["ids"] for o in outs]), return_inverse=True)
     return Replications(models=tuple(kernel.key(int(i)) for i in ids), model_index=index,
-                        **{name: np.concatenate([o[field] for o in outs])
+                        **{name: np.concatenate([o[field].T for o in outs])
                            for name, field in (("estimates", "est"), ("sigma_hat", "sigma"),
                                                ("t_ratios", "t"), ("valid", "ok"))})
 

@@ -1,6 +1,7 @@
 """Tests for the simulation oracle: seeding, chunked kernels, tallies."""
 import csv
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from pmsdist.montecarlo import (
     replicate,
     simulate_response,
 )
+from pmsdist.regression_core import RegressionProblem
 from pmsdist.selection import (
     GeneralToSpecific,
     InformationCriterion,
     SubsetMask,
     Thresholding,
+    auxiliary_critical_value,
     post_select_fit,
 )
 
@@ -40,6 +43,8 @@ def test_worker_count_never_changes_results():
         assert np.array_equal(results[0].estimates, other.estimates)
         assert np.array_equal(results[0].standard_errors, other.standard_errors)
         assert results[0].model_counts == other.model_counts
+        assert results[0].valid == other.valid
+        assert results[0].degenerate_count == other.degenerate_count
 
 
 def test_replications_are_keyed_individually(tmp_path):
@@ -226,7 +231,7 @@ def _plan_statistics(plan):
     kernel = montecarlo._Kernel(plan)
     parts = [kernel.statistics(lo, hi)[:2]
              for lo, hi in montecarlo._chunk_bounds(plan.replications)]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    return np.concatenate([p[0].T for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def test_statistics_are_keyed_by_replication_not_by_plan_size():
@@ -277,3 +282,234 @@ _COLL2 = fixture("COLL2")
 def test_input_checks(make, fragment):
     with pytest.raises(ValidationError, match=fragment):
         make()
+
+
+# The (B, P) kernel that the replications-last kernel replaced, kept as the
+# oracle it must equal bit for bit: S, t and the fits hold one replication
+# per row, models come from np.unique, orders from a reversed argmax and IC
+# choices from argmin.  It reads the maps the kernel builds.
+def _reference_run(kernel, lo, hi, want_raw):
+    pr = kernel.plan.problem
+    P = pr.P
+    noise = montecarlo._draw_errors(pr, kernel.plan.master_seed, lo, hi)
+    rss = pr.sigma ** 2 * noise[:, P]
+    S, sig = kernel.mu + pr.sigma * noise[:, :P], np.sqrt(rss / pr.dof)
+    ok = sig > 0.0
+    t_full = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if want_raw or kernel.mode == "threshold":
+            t_full = kernel.sqrt_n * (S @ kernel.full_map.T) / (sig[:, None] * kernel.ginv_sqrt)
+    if kernel.mode == "g2s":
+        O = pr.O
+        sat = np.ones((S.shape[0], P - O + 1), dtype=bool)
+        if P > O:
+            sat[:, 1:] = np.abs(_reference_sequential_t(kernel, S, sig)[:, O:]) >= kernel.crit
+        ids = np.where(ok, P - sat[:, ::-1].argmax(axis=1), O)
+    elif kernel.mode == "ic":
+        vals = np.empty((S.shape[0], len(kernel.masks)))
+        for i, V in enumerate(kernel.bases):
+            resid = S - (S @ V) @ V.T
+            rss_m = rss + np.einsum("ij,ij->i", resid, resid)
+            with np.errstate(divide="ignore"):
+                vals[:, i] = np.log(rss_m) + kernel.penalty[i]
+            ok = ok & (rss_m > 0.0)
+        ids = vals.argmin(axis=1)
+    else:
+        keep = (np.abs(t_full) >= kernel.cutoff) & ok[:, None]
+        ids = keep @ (1 << np.arange(P - 1, -1, -1))
+    est = np.empty_like(S)
+    for model_id in np.unique(ids):
+        np.copyto(est, S @ kernel._fit(int(model_id)).T, where=(ids == model_id)[:, None])
+    loss = kernel.sqrt_n * (est @ kernel.plan.A.T - kernel.A_theta)
+    return {"ids": ids, "loss": loss, "ok": ok, "sigma": sig, "est": est, "t": t_full}
+
+
+def _reference_sequential_t(kernel, S, sig):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return kernel.sqrt_n * (S @ kernel.trailing.T) / (sig[:, None] * kernel.xi)
+
+
+def _reference_aux_order(kernel, S, sig, c_aux):
+    sat = np.abs(_reference_sequential_t(kernel, S, sig)) >= c_aux
+    return np.where(sat.any(axis=1), kernel.P - sat[:, ::-1].argmax(axis=1), 0)
+
+
+def _reference_cdf_chunk(kernel, lo, hi, grid):
+    out = _reference_run(kernel, lo, hi, False)
+    ok, ids, loss = out["ok"], out["ids"], out["loss"]
+    below = np.repeat(ok[:, None], grid.shape[0], axis=1)
+    for j in range(grid.shape[1]):
+        below &= loss[:, j, None] <= grid[:, j]
+    models = np.unique(ids[ok])
+    member = (ids == models[:, None]) & ok
+    joint = (member.astype(float) @ below).astype(np.int64)
+    keys = [kernel.key(int(m)) for m in models]
+    return {"counts": joint.sum(axis=0), "joint": dict(zip(keys, joint)),
+            "model": dict(zip(keys, member.sum(axis=1).tolist())),
+            "degenerate": int((~ok).sum())}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+_GRID2 = np.array([[0.0, 0.0], [-0.5, 1.0], [1.0, -0.5], [0.3, 0.3], [-1.0, -1.0]])
+_ALL_SUBSETS = tuple(SubsetMask(bits=b) for b in ((0, 0), (1, 0), (0, 1), (1, 1)))
+# forty coordinates: thresholding ids are 40-bit codes, far wider than any
+# array indexed by id; the four with theta = 0 vary the model kept
+_P40 = SimpleNamespace(
+    problem=RegressionProblem(X=np.random.default_rng(0).standard_normal((200, 40)),
+                              theta=np.r_[0.0, 0.0, np.ones(36), 0.0, 0.0], sigma=1.0, O=0),
+    A=np.eye(40)[[0, 39]])
+_LAYOUT_CASES = {
+    "g2s_large_n": (fixture("BLOCK_ORTHO", n=1000), None, np.array([[-0.5], [0.0], [0.7]])),
+    "g2s_small_n": (fixture("ORTHO2", n=20), None, _GRID2),
+    "ic": (fixture("COLL2", n=200, theta=[0.1, 0.1]),
+           InformationCriterion(upsilon_n=2.0, family=_ALL_SUBSETS), _GRID2),
+    "threshold": (fixture("COLL2", n=200, theta=[0.1, 0.1]), Thresholding(cutoff=(2.0, 2.0)),
+                  _GRID2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+@pytest.mark.parametrize("seed", [3, 40])
+def test_kernel_equals_the_rows_first_reference_bit_for_bit(case, seed):
+    # a full chunk and a partial one; ids, fits, losses, t-ratios and every
+    # tally equal those of the (B, P) reference
+    fx, rule, grid = _LAYOUT_CASES[case]
+    kernel = montecarlo._Kernel(_plan(fx, CHUNK + 1234, seed=seed, rule=rule))
+    for lo, hi in montecarlo._chunk_bounds(kernel.plan.replications):
+        new, ref = kernel.run(lo, hi, True), _reference_run(kernel, lo, hi, True)
+        for field in ("ids", "ok", "sigma"):
+            assert _same_bits(new[field], ref[field]), field
+        for field in ("est", "loss", "t"):
+            assert _same_bits(new[field].T, ref[field]), field
+        _assert_same_tallies(kernel, lo, hi, grid)
+        if kernel.mode == "g2s":
+            S, _, sig = kernel.statistics(lo, hi)
+            c_aux = auxiliary_critical_value(fx.problem.n, fx.problem.P)
+            assert _same_bits(kernel.order_scan(S, sig, 0, [c_aux] * fx.problem.P),
+                              _reference_aux_order(kernel, S.T, sig, c_aux))
+
+
+def _assert_same_tallies(kernel, lo, hi, grid):
+    new, ref = (chunk(kernel, lo, hi, grid)
+                for chunk in (montecarlo._cdf_chunk, _reference_cdf_chunk))
+    assert _same_bits(new["counts"], ref["counts"])
+    assert list(new["joint"]) == list(ref["joint"])
+    assert all(_same_bits(new["joint"][m], ref["joint"][m]) for m in ref["joint"])
+    assert new["model"] == ref["model"] and new["degenerate"] == ref["degenerate"]
+
+
+@pytest.mark.parametrize("seed", [3, 40])
+def test_forty_bit_threshold_codes_equal_the_reference(seed):
+    # the models present are found without an array indexed by id, which
+    # would span 2**40 entries here.  Selections and tallies equal the
+    # reference bit for bit; at this P, BLAS may round fit @ S and the
+    # reference's S @ fit.T apart in the last bits of a partial chunk
+    plan = _plan(_P40, CHUNK + 1234, seed=seed, rule=Thresholding(cutoff=(2.0,) * 40))
+    kernel = montecarlo._Kernel(plan)
+    for lo, hi in montecarlo._chunk_bounds(plan.replications):
+        new, ref = kernel.run(lo, hi, True), _reference_run(kernel, lo, hi, True)
+        assert new["ids"].min() > 2 ** 32 and len(np.unique(new["ids"])) > 5
+        for field in ("ids", "ok", "sigma"):
+            assert _same_bits(new[field], ref[field]), field
+        for field in ("est", "loss", "t"):
+            assert np.allclose(new[field].T, ref[field], rtol=0.0, atol=1e-13), field
+        _assert_same_tallies(kernel, lo, hi, _GRID2)
+    emp = empirical_cdf(plan, _GRID2)
+    assert sum(emp.model_counts.values()) == emp.valid == plan.replications
+
+
+def test_kernel_tallies_of_one_seed_are_frozen():
+    fx, rule, grid = _LAYOUT_CASES["ic"]
+    chunk = montecarlo._cdf_chunk(montecarlo._Kernel(_plan(fx, CHUNK, seed=3, rule=rule)),
+                                  0, CHUNK, grid)
+    assert chunk["counts"].tolist() == [996, 2330, 2341, 1583, 945]
+    assert {str(m): c for m, c in chunk["model"].items()} == {
+        "00": 944, "01": 3135, "10": 3181, "11": 932}
+    assert chunk["degenerate"] == 0
+
+
+def _patch_draws(monkeypatch, rows, column):
+    """Zero noise column(s) ``column`` of the given replications in every draw."""
+    draw = montecarlo._draw_errors
+
+    def patched(problem, master, lo, hi):
+        out = draw(problem, master, lo, hi)
+        out[[r - lo for r in rows if lo <= r < hi], column] = 0.0
+        return out
+    monkeypatch.setattr(montecarlo, "_draw_errors", patched)
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_rows_without_residual_scale_are_degenerate_and_leave_the_rest(case, monkeypatch):
+    # chi2 = 0 gives sigma_hat = 0 in four rows over two chunks: they are
+    # counted as degenerate, g2s gives them the protected order, and every
+    # other row is tallied as in the unpatched run
+    fx, rule, grid = _LAYOUT_CASES[case]
+    plan = _plan(fx, CHUNK + 300, seed=9, rule=rule)
+    rows = [0, 5, 4000, CHUNK + 17]
+    kernel = montecarlo._Kernel(plan)
+    outs = [kernel.run(lo, hi, False) for lo, hi in montecarlo._chunk_bounds(plan.replications)]
+    ids, ok = (np.concatenate([o[f] for o in outs]) for f in ("ids", "ok"))
+    loss = np.concatenate([o["loss"] for o in outs], axis=1)
+    assert ok[rows].all()
+    ok[rows] = False
+    below = np.all(loss[:, ok, None] <= grid.T[:, None, :], axis=0).sum(axis=0)
+    models, counts = np.unique(ids[ok], return_counts=True)
+    _patch_draws(monkeypatch, rows, fx.problem.P)
+    emp = empirical_cdf(plan, grid)
+    assert emp.degenerate_count == plan.replications - ok.sum() and emp.valid == ok.sum()
+    assert emp.model_counts == {kernel.key(m): c for m, c in zip(models.tolist(),
+                                                                 counts.tolist())}
+    assert np.array_equal(emp.estimates, below / ok.sum())
+    reps = replicate(plan)
+    assert not reps.valid[rows].any() and not reps.sigma_hat[rows].any()
+    if kernel.mode == "g2s":
+        assert [reps.selected[r] for r in rows] == [fx.problem.O] * len(rows)
+
+
+def test_an_exact_ic_tie_goes_to_the_earlier_mask(monkeypatch):
+    # at theta = 0 a replication with z = 0 has S = 0, so every mask leaves
+    # the full-model residual sum and the two singletons' criteria tie
+    # exactly; the earlier in the kernel's mask order, (0, 1), wins, as in
+    # select_ic
+    fx = fixture("COLL2", theta=[0.0, 0.0])
+    rule = InformationCriterion(upsilon_n=2.0, family=_ALL_SUBSETS[1:])
+    rows = [2, 7, 300]
+    _patch_draws(monkeypatch, rows, slice(0, fx.problem.P))
+    reps = replicate(_plan(fx, 400, seed=5, rule=rule))
+    assert reps.valid[rows].all()
+    assert [reps.selected[r] for r in rows] == [SubsetMask(bits=(0, 1))] * len(rows)
+
+
+def test_a_t_ratio_exactly_at_its_cutoff_keeps_the_coordinate():
+    fx = fixture("COLL2")
+    r, at = 11, np.abs(replicate(_plan(fx, 50, seed=6)).t_ratios[11])
+    for i, bits in ((None, (1, 1)), (0, (0, 1)), (1, (1, 0))):
+        cutoff = at.copy()
+        if i is not None:   # one ulp above |t| drops the coordinate
+            cutoff[i] = np.nextafter(cutoff[i], np.inf)
+        reps = replicate(_plan(fx, 50, seed=6, rule=Thresholding(cutoff=tuple(cutoff))))
+        assert reps.selected[r] == SubsetMask(bits=bits)
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_a_chunk_peaks_under_twelve_rows_of_replications(case):
+    # the kernel works in place and frees what later steps do not read, so a
+    # chunk's peak heap stays under the trim threshold glibc reaches and
+    # repeated calls reuse pages instead of faulting them in again; at P = 2
+    # the peak is under twelve float64 rows of length B (0.75 MiB a chunk)
+    fx, rule, grid = _LAYOUT_CASES[case]
+    kernel = montecarlo._Kernel(_plan(fx, CHUNK, seed=3, rule=rule))
+    montecarlo._cdf_chunk(kernel, 0, CHUNK, grid)   # thresholding keeps the fits it builds
+    tracemalloc.start()
+    try:
+        montecarlo._cdf_chunk(kernel, 0, CHUNK, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fx.problem.P == 2 and peak < 12 * 8 * CHUNK, peak
