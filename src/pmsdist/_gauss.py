@@ -299,11 +299,12 @@ def split_edges(base: np.ndarray, breaks) -> np.ndarray:
     near-duplicate edges are merged so panels never degenerate.
     """
     lo, hi = base[0], base[-1]
-    extra = [b for b in np.atleast_1d(np.asarray(breaks, dtype=float)) if lo < b < hi]
-    if not extra:
+    extra = np.asarray(breaks, dtype=float).ravel()
+    extra = extra[(lo < extra) & (extra < hi)]
+    if not extra.size:
         return base
-    edges = np.unique(np.concatenate([base, np.asarray(extra)]))
-    # drop edges closer than a sliver of the range to their neighbor
+    edges = np.sort(np.concatenate([base, extra]))
+    # drop edges closer than a sliver of the range to their neighbor, or equal
     keep = np.concatenate([[True], np.diff(edges) > 1e-13 * max(hi - lo, 1.0)])
     edges = edges[keep]
     edges[0], edges[-1] = lo, hi
@@ -412,13 +413,16 @@ class _Interval:
     def __init__(self, load: np.ndarray):
         tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
         self.pos, self.neg = load > tol, load < -tol
-        self.zero = ~(self.pos | self.neg)
+        zero = ~(self.pos | self.neg)
+        self.zero = zero if zero.any() else None
         self.up, self.down = load[self.pos], load[self.neg]
 
     def __call__(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = U.shape[0]
         hi = np.min(U[:, self.pos] / self.up, axis=1) if self.up.size else np.full(m, np.inf)
         lo = np.max(U[:, self.neg] / self.down, axis=1) if self.down.size else np.full(m, -np.inf)
+        if self.zero is None:
+            return lo, hi
         bad = np.any(U[:, self.zero] < 0.0, axis=1)
         return np.where(bad, np.inf, lo), np.where(bad, -np.inf, hi)
 

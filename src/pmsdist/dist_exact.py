@@ -15,35 +15,38 @@ G at (t, theta, sigma) is G at (t / sigma, theta / sigma, 1): the engine
 divides sigma out where it starts and computes at unit sigma.  The
 formula is the limit one of `dist_limit` at Q = X'X/n and drift
 gamma = sqrt(n) theta, mixed over sigma_hat/sigma: the engine reads the
-design record of X'X/n (`regression_core.projection_quantities`) and the
-shifts and drifts of `regression_core.local_shift_constants`, and the
-later-stage factors prod_{q > p} Delta_q (`tail_products`, shared with
-the limit paths at scale 1) are taken at each scale node.  The outer
-scale integral runs over equal-mass Gauss-Kronrod panels of the
+design record of X'X/n (`regression_core.projection_quantities`), and
+the later-stage factors prod_{q > p} Delta_q (`tail_products`, shared
+with the limit paths at scale 1) are taken at each scale node.  The
+outer scale integral runs over equal-mass Gauss-Kronrod panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
 What depends on neither t nor theta is built once and shared by every
 later call: the design record once per (problem, target), kept on the
 problem (one O(P k^2) record per distinct target, whatever n is) with
 each order's conditioned orthant (`LimitQuantities.orthant`: the split,
-the kernel constants of its orthant and its kink normals), and the
-scale layout (the grid's edges and the `_STEP_Q` scales) once per (dof,
-quantiles), all read-only.  What depends on theta but not on t is built
-once per theta as a drift record (`_Drift`), kept in the design record's
-one drift slot (`LimitQuantities.drift`) and keyed by theta / sigma, the
-critical values and the layout constants: the shifts, drifts and ray
-centres, each order p < P's scale mass, and the node factors no t moves
-(pdf(s) and the later-stage products on the scale grid, phi(x) and the
-scale mass at the x-nodes) in one `_gauss.NodeMemo` per layout, which
-stores nothing on its first read and every node of its layout on its
-second, so a theta a sweep visits once pays nothing for it; the scale
-masses read the grid memo's whole layout, evaluated once per drift
-record, and its fill reuses that array.  A call computes only what t
-moves: u, the order-O orthant, the rank-0 intervals and their
-crossings, the kinks (n'u / n'g on the kept normals), the orthant at
-every x-node (on the kept kernel), and the factors of the panels its
-crossings and kinks split; the panels
-`refine` bisects are evaluated afresh and never kept, so the record's
-size is fixed by its layouts however many t or theta a sweep visits.
+the kernel constants of its orthant and its kink normals) and the drift
+maps (`LimitQuantities.drift_maps`: the shifts and drifts of
+`regression_core.local_shift_constants`, linear in gamma), and the scale
+layout (the grid's edges and the `_STEP_Q` scales) once per (dof,
+quantiles, layout constants), all read-only.  What depends on theta but
+not on t is built once per theta as a drift record (`_Drift`), kept in
+the design record's one drift slot (`LimitQuantities.drift`) and keyed
+by theta / sigma, the critical values and the layout constants.  A cold
+theta computes only that record: the shifts, drifts and ray centres (two
+products with the drift maps), each order p < P's scale mass, and the
+node factors no t moves (pdf(s), the later-stage products and each
+rank-0 order's pi integrand, pdf(s) (tail_p(s) - tail_{p-1}(s)), on the
+scale grid; phi(x) and the scale mass at the x-nodes) in one
+`_gauss.NodeMemo` per layout, which stores nothing on its first read and
+every node of its layout on its second, so a theta a sweep visits once
+pays nothing for it; the scale masses read the grid memo's whole layout,
+evaluated once per drift record, and its fill reuses that array.  A call
+computes only what t moves: u, the order-O orthant, the rank-0 intervals
+and their crossings, the kinks (n'u / n'g on the kept normals), the
+orthant at every x-node (on the kept kernel), and the factors of the
+panels its crossings and kinks split; the panels `refine` bisects are
+evaluated afresh and never kept, so the record's size is fixed by its
+layouts however many t or theta a sweep visits.
 Each kept factor is elementwise in its node and every sum over nodes is
 formed per call, so a result is the same bit for bit from a cold or a
 warm record.
@@ -121,7 +124,6 @@ from .errors import ValidationError, cdf_argument, target_matrix
 from .regression_core import (
     LimitQuantities,
     RegressionProblem,
-    local_shift_constants,
     projection_quantities,
 )
 from .selection import GeneralToSpecific
@@ -176,12 +178,13 @@ class SigmaRatioDensity:
     """Density of sigma_hat/sigma: sqrt(chi^2_dof / dof).
 
     The chi law with dof degrees of freedom at scale 1/sqrt(dof), in closed
-    form: the pdf through its logarithm (gammaln, and (dof - 1) log x taken
-    as 0 at dof 1, so that density is finite at s = 0), the cdf through the
-    regularized lower incomplete gamma function and the ppf through its
-    inverse.  At large dof the log-density is a sum of large terms, so the
-    pdf carries their rounding (about 1e-11 of its value at dof 1e5); the
-    cdf does not.
+    form: the cdf through the regularized lower incomplete gamma function,
+    the ppf through its inverse, and the pdf as log pdf(s) = c - log s -
+    a (u - log(1 + u)), a = dof / 2 and u = s^2 - 1, with c = `_log_norm`:
+    no large terms cancel, and the rounding of log1p(u), times a, is what
+    remains (1.6e-13 of the value at dof 99,998).  log(1 + u) is 2 log s
+    below s = 1/2; at dof 1 the log s terms cancel, and that density is
+    finite at s = 0.
     """
 
     dof: int
@@ -197,14 +200,14 @@ class SigmaRatioDensity:
 
     def pdf(self, s):
         s = np.asarray(s, dtype=float)
-        d, x = self.dof, np.maximum(s, 0.0) / self._scale
-        # (d - 1) log x is -inf at s = 0 and, at dof 1, 0 everywhere, which
-        # keeps that density finite there
-        with np.errstate(divide="ignore"):
-            xlogx = (d - 1.0) * np.log(x) if d > 1 else 0.0
-        log_pdf = (np.log(2) - 0.5 * np.log(2) * d - gammaln(0.5 * d)
-                   + xlogx - 0.5 * x ** 2)
-        return np.where(s >= 0.0, np.exp(log_pdf) / self._scale, 0.0)[()]
+        x = np.maximum(s, 1e-300)   # s <= 0 is set to 0 below
+        u = (x - 1.0) * (x + 1.0)
+        if self.dof == 1:
+            return np.where(s >= 0.0, np.exp(_log_norm(1) - 0.5 * u), 0.0)[()]
+        log_x = np.log(x)
+        log_x2 = np.where(x < 0.5, 2.0 * log_x, np.log1p(np.maximum(u, -0.75)))
+        log_pdf = _log_norm(self.dof) - 0.5 * self.dof * (u - log_x2) - log_x
+        return np.where(s > 0.0, np.exp(log_pdf), 0.0)[()]
 
     def ppf(self, q):
         return np.sqrt(2.0 * gammaincinv(0.5 * self.dof, q)) * self._scale
@@ -215,12 +218,31 @@ class SigmaRatioDensity:
 
 
 @lru_cache
+def _log_norm(dof: int) -> float:
+    """log 2 + a log a - a - log Gamma(a), a = dof / 2, the ratio density's
+    log-norm: from a = 15 on, log 2 + log(a / 2 pi) / 2 less the Stirling
+    series of log Gamma(a), whose large terms it leaves out."""
+    a = 0.5 * dof
+    if a < 15.0:
+        return float(np.log(2.0) + a * np.log(a) - a - gammaln(a))
+    b = 1.0 / (a * a)
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - b / 1188) * b) * b) * b) / a
+    return float(np.log(2.0) + 0.5 * np.log(a / (2.0 * np.pi)) - stirling)
+
+
+@lru_cache
 def _ratio_quantiles(dof: int, q: tuple[float, ...]) -> np.ndarray:
     """The ratio density's ppf at the quantiles q, read-only: the scale
     layout depends on the dof alone, so each is computed once per (dof, q)."""
     out = SigmaRatioDensity(dof).ppf(np.array(q))
     out.setflags(write=False)
     return out
+
+
+@lru_cache
+def _scale_edges(dof: int, lo: float, hi: float, layout: tuple) -> np.ndarray:
+    """`_ratio_quantiles` at the `panel_edges` of [lo, hi], per ``layout``."""
+    return _ratio_quantiles(dof, tuple(panel_edges(lo, hi).tolist()))
 
 
 @dataclass(frozen=True)
@@ -331,15 +353,16 @@ def tail_products(dq: LimitQuantities, nu, c_of, p0: int, s=1.0):
     Delta_q = delta(xi_q, nu_q, s c_q xi_q) is the probability, at unit
     sigma, that the order-q test does not reject at scale s = sigma_hat /
     sigma, with dq the design record, nu_q the drift and c_q the critical
-    value of order q.  s is 1 in the limit and the array of scale nodes of
-    the exact cdf, whose shape every product takes.
+    value of order q, here Phi(s c_q - x) - Phi(-s c_q - x) >= 0 with x =
+    nu_q / xi_q.  s is 1 in the limit and the array of scale nodes of the
+    exact cdf, whose shape every product takes.
     """
     P = dq.P
     tail = {P: np.ones_like(s, dtype=float)}
     for p in range(P - 1, p0 - 1, -1):
         q = p + 1
-        xi = dq.xi(q)
-        tail[p] = tail[q] * delta(xi, nu[q], s * c_of[q] * xi)
+        x, sc = nu[q] / dq.xi(q), s * c_of[q]
+        tail[p] = tail[q] * np.maximum(ndtr(sc - x) - ndtr(-sc - x), 0.0)
     return tail
 
 
@@ -391,31 +414,34 @@ class _Drift:
     (`LimitQuantities.drift`).
 
     Holds the scale layout it was built on (`_ratio_quantiles`, shared per
-    dof), the orthant shifts, the drifts nu_p and the ray centres x0_p =
+    dof and layout), the orthant shifts and the drifts nu_p (the design
+    record's `drift_maps` times gamma, no solve) and the ray centres x0_p =
     -nu_p / xi_p, with the orders of conditional rank 0 (``rays``); each
     order p < P's scale mass K_p as its full-panel sums (``mass``, made on
     first use); and `NodeMemo`s of the factors no t moves: at the scale
     grid's nodes (``grid``: the ratio density pdf(s), tail_q(s) for
-    q = O..P and each rank-0 order's pi integrand), and at each
-    conditional order's x-rule nodes (``rules``: phi(x) and the rows of its
-    scale mass), each filled whole on its second read.  Arrays and numbers
-    only, so a problem carrying it pickles.
+    q = O..P and each rank-0 order's pi integrand, a difference of two tail
+    products), and at each conditional order's x-rule nodes (``rules``:
+    phi(x) and the rows of its scale mass), each filled whole on its second
+    read.  Arrays and numbers only, so a problem carrying it pickles.
     """
 
     def __init__(self, problem: RegressionProblem, dq: LimitQuantities, theta: np.ndarray):
         P, O = problem.P, problem.O
         # the scale layout: the x-edge scales and the scale grid's edges
         self.s_step = _ratio_quantiles(problem.dof, _STEP_Q)
-        s_edges = _ratio_quantiles(problem.dof, tuple(panel_edges(_S_Q_LO, _S_Q_HI).tolist()))
+        s_edges = _scale_edges(problem.dof, _S_Q_LO, _S_Q_HI, layout_constants())
         # at unit sigma, the limit formula's constants at Q = X'X/n and
         # gamma = sqrt(n) theta: orthant shifts sqrt(n) A (eta(p) - theta)
         # and drifts sqrt(n) eta_p(p), eta(p) the mean of the order-p
         # restricted estimator
-        consts = local_shift_constants(dq.Q, dq.A, np.zeros(P), np.sqrt(problem.n) * theta, O)
-        self.shift, self.nu = consts.beta, consts.nu
-        for v in self.shift.values():
-            v.setflags(write=False)
-        self.x0 = {p: -self.nu[p] / dq.xi(p) for p in range(O + 1, P + 1)}
+        B, N = dq.drift_maps
+        gamma = np.sqrt(problem.n) * theta
+        shift = B @ gamma
+        shift.setflags(write=False)
+        self.shift = dict(zip(range(O, P + 1), shift))
+        self.nu = dict(zip(range(O + 1, P + 1), (N @ gamma).tolist()))
+        self.x0 = {p: -nu / dq.xi(p) for p, nu in self.nu.items()}
         # the orders of conditional rank 0, whose pi integrands are grid rows
         self.rays = [p for p in self.x0 if dq.orthant(p).r == 0]
         self.mass: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -478,15 +504,13 @@ class _ExactEngine:
     # ---- scale grid ----
     def _grid_factors(self, s: np.ndarray) -> np.ndarray:
         """The scale grid's t-free rows at the nodes s: pdf(s), tail_q(s)
-        for q = O..P, then the pi integrand pdf(s) tail_p(s) P(X outside its
-        rays) of each order of conditional rank 0."""
+        for q = O..P, then the pi integrand pdf(s) tail_p(s) (1 - Delta_p)
+        = pdf(s) (tail_p(s) - tail_{p-1}(s)) of each order of rank 0."""
         O = self.problem.O
         pdf = self.ratio.pdf(s)
         tail = tail_products(self.design, self.nu, self.c, O, s)
         rows = [pdf, *(tail[q] for q in range(O, self.problem.P + 1))]
-        for p in self.drift.rays:
-            x0, c = self.drift.x0[p], float(self.c[p])
-            rows.append(pdf * tail[p] * ray_interval_prob(-np.inf, np.inf, x0 - c * s, x0 + c * s))
+        rows += [pdf * (tail[p] - tail[p - 1]) for p in self.drift.rays]
         return np.array(rows)
 
     def _s_grid(self) -> Panels:

@@ -13,10 +13,12 @@ Q_P'q_p / r_pp for the trailing coefficient of each nested order,
 R_m^{-1} Q_m'Q_P for the refit of each model m, and Q_P'Q_m for the
 residual sum of a subset, RSS(m) = Y'Y - |Q_m'Y|^2 with Y'Y = |S|^2 + RSS.
 A chunk of B <= CHUNK replications holds O(CHUNK * P) floats whatever n is, with the
-replications last (S (P, B), loss (k, B), grid indicator (m, B)); Python loops run over
-orders, models, grid columns and grid rows only, and the draws do not depend on it.  Steps
-work in place and free what later steps do not read, so a chunk's peak heap stays under
-glibc's trim threshold and repeated calls reuse pages instead of faulting them in afresh.
+replications last (S (P, B), loss (k, B), grid indicator (m, B), and the indicator of
+the models present in blocks of at most 2P float32 rows, never larger than S, however
+many models a chunk meets); Python loops run over orders, models, grid columns and grid
+rows only, and the draws do not depend on it.  Steps work in place and free what later
+steps do not read, so a chunk's peak heap stays under glibc's trim threshold and repeated
+calls reuse pages instead of faulting them in afresh.
 
 Draws are keyed per chunk with counter-based Philox streams (Salmon et al.
 2011, "Parallel random numbers: as easy as 1, 2, 3").  Chunk c of master
@@ -340,15 +342,19 @@ def _run_chunks(fn, kernel: _Kernel, workers: int | None, *extra) -> list:
 
 
 def _cdf_chunk(kernel: _Kernel, lo: int, hi: int, grid: np.ndarray):
-    """Integer tallies of replications lo..hi-1 on the grid, one (models, B) @ (B,) per row."""
+    """Integer tallies of replications lo..hi-1 on the grid: for each block of at most
+    2P models present, one (block, B) @ (B,) per grid row."""
     ok, ids, loss = map(kernel.run(lo, hi, False).get, ("ok", "ids", "loss"))  # est dies here
     below = np.tile(ok, (grid.shape[0], 1))
     for j in range(grid.shape[1]):
         below &= loss[j] <= grid[:, j, None]
     del loss   # free it before the products
     models, tally = kernel.present(ids[ok])
-    member = ((ids == models[:, None]) & ok).astype(np.float32)
-    joint = np.array([member @ row for row in below], dtype=np.int64).T   # float32: exact
+    step, blocks = 2 * kernel.P, []
+    for i in range(0, max(models.size, 1), step):
+        member = ((ids == models[i:i + step, None]) & ok).astype(np.float32)
+        blocks.append(np.array([member @ row for row in below], dtype=np.int64).T)  # exact
+    joint = np.concatenate(blocks)
     keys = [kernel.key(m) for m in models.tolist()]
     return {"counts": joint.sum(axis=0), "joint": dict(zip(keys, joint)),
             "model": dict(zip(keys, tally.tolist())),

@@ -12,7 +12,8 @@ scales and target covariances of every order) and the one source of shift
 vectors and drifts (`local_shift_constants`).  The finite-n law depends on
 the design only through X'X/n and on theta only through sqrt(n) theta, so
 both distribution formulas read these: the limit one at the limit Gram Q
-and the drift gamma, the exact one at Q = X'X/n and gamma = sqrt(n) theta.
+and the drift gamma, the exact one at Q = X'X/n and gamma = sqrt(n) theta,
+through the record's maps of the constants at theta = 0 (linear in gamma).
 """
 from __future__ import annotations
 
@@ -155,8 +156,9 @@ class LimitQuantities:
     conditioned orthant (`orthant`: the split z = g X + R on its selection
     scalar, with everything of its orthant kernel and kink rule that no
     argument moves, read by both cdf engines) and covariance factor
-    (`factor`), and one slot for a drift record (`drift`).  A cdf call
-    then supplies only its rows u.
+    (`factor`), the shifts and drifts at theta = 0 as maps of gamma
+    (`drift_maps`), and one slot for a drift record (`drift`).  A cdf call
+    then supplies only its rows u, and a new theta two products.
     """
 
     Q: np.ndarray
@@ -221,6 +223,19 @@ class LimitQuantities:
     @cached_property
     def _factors(self) -> dict[int, np.ndarray]:
         return {}
+
+    @cached_property
+    def drift_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B, N): `local_shift_constants` at theta = 0, linear in the drift
+        gamma, as maps: beta(p) = B[p - O] gamma for p = O..P and nu_p =
+        N[p - O - 1] gamma for p > O, their columns the constants at the
+        unit drifts.  Built on first use and kept, read-only, so a new
+        gamma costs two products and no solve."""
+        P, O = self.P, self.O
+        cols = [local_shift_constants(self.Q, self.A, np.zeros(P), e, O) for e in np.eye(P)]
+        B = np.array([[c.beta[p] for c in cols] for p in range(O, P + 1)]).transpose(0, 2, 1)
+        N = np.array([[c.nu[p] for c in cols] for p in range(O + 1, P + 1)])
+        return _readonly(B), _readonly(N)
 
     def drift(self, key: tuple, build):
         """The drift record at ``key`` in this record's one slot: the kept

@@ -15,6 +15,7 @@ from pmsdist._gauss import (
     condition_on_scalar,
     gl_panels,
     norm_pdf,
+    ray_interval_prob,
     refine,
 )
 from pmsdist.cdf_estimators import g_check_values
@@ -38,7 +39,12 @@ from pmsdist.dist_limit import (
 from pmsdist.errors import DensityUndefinedError, ValidationError
 from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import SimulationPlan, empirical_cdf
-from pmsdist.regression_core import RegressionProblem, limit_quantities, projection_quantities
+from pmsdist.regression_core import (
+    RegressionProblem,
+    limit_quantities,
+    local_shift_constants,
+    projection_quantities,
+)
 from pmsdist.selection import GeneralToSpecific, InformationCriterion, SubsetMask
 
 QUICK = AccuracyBudget(tol=1e-4, n_z=20_000, seed=0)
@@ -75,14 +81,29 @@ def test_delta_frozen_value_and_properties():
         delta(-1.0, 0.0, 1.0)
 
 
+def _ratio_pdf_mp(dof, s):
+    """The ratio density 2 a^a s^(2a - 1) exp(-a s^2) / Gamma(a), a = dof / 2,
+    in 40-digit arithmetic at each s > 0."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a = mpmath.mpf(dof) / 2
+        c = 2 * a ** a / mpmath.gamma(a)
+        return np.array([float(c * x ** (2 * a - 1) * mpmath.exp(-a * x ** 2))
+                         for x in map(mpmath.mpf, s)])
+
+
 @pytest.mark.parametrize("dof", [1, 2, 18, 100_000])
 def test_sigma_ratio_density_is_scaled_chi(dof):
     dens = SigmaRatioDensity(dof)
     ref = chi(df=dof, scale=1.0 / np.sqrt(dof))
     q = np.array([1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-10])
     s = np.concatenate([[0.0], ref.ppf(q), [0.5, 1.0, 2.0]])
-    # s = 0 included: at dof = 1 the density there is sqrt(2 / pi), not NaN
-    np.testing.assert_allclose(dens.pdf(s), ref.pdf(s), rtol=1e-12, atol=1e-300)
+    # s = 0 included: at dof = 1 the density there is sqrt(2 / pi), not NaN.
+    # The pdf is held to the 40-digit law: scipy's chi pdf is off by up to
+    # 1.5e-10 at dof 100,000, the rounding of its large log terms
+    want = np.concatenate([[chi(df=dof).pdf(0.0)], _ratio_pdf_mp(dof, s[1:])])
+    np.testing.assert_allclose(dens.pdf(s), want, rtol=1e-12, atol=1e-300)
     np.testing.assert_allclose(dens.cdf(s), ref.cdf(s), rtol=1e-12, atol=1e-300)
     np.testing.assert_allclose(dens.ppf(q), ref.ppf(q), rtol=1e-12)
     assert dens.ppf(0.0) == 0.0 and dens.cdf(0.0) == 0.0 and dens.pdf(-1.0) == 0.0
@@ -1257,6 +1278,122 @@ def test_scale_grid_factors_are_evaluated_twice_per_drift_record(monkeypatch):
         assert res.method.startswith("mixture-formula;levels=0;"), res
     layout = gl_panels(projection_quantities(problem, A)._drift[1].grid.edges)[0].size
     assert nodes == [layout, layout], (nodes, layout)
+
+
+@pytest.mark.parametrize("dof,tol", [(1, 1e-13), (36, 1e-13), (1_599, 1e-13),
+                                     (99_998, 2e-13)])
+def test_sigma_ratio_density_meets_the_40_digit_law_on_the_scale_grid(dof, tol):
+    # log pdf = c(a) - log s - a (u - log1p(u)): no large terms cancel, so
+    # at every node of the scale grid the pdf is within tol of the law in
+    # relative terms (a log-pdf summed from terms near a log a was
+    # off by up to 1.1e-10 at dof 99,998).  At dof 99,998 the rounding of
+    # log1p(u), times a = 5e4, is 1.6e-13 at the nodes 7 sd into a tail
+    dens = SigmaRatioDensity(dof)
+    s = gl_panels(dens.ppf(_gauss.panel_edges(1e-12, 1.0 - 1e-10)))[0]
+    assert np.max(np.abs(dens.pdf(s) / _ratio_pdf_mp(dof, s) - 1.0)) <= tol
+
+
+def test_drift_maps_equal_the_local_shift_constants():
+    # at theta = 0 the shifts beta(p) and drifts nu_p are linear in gamma:
+    # the design record's maps give `local_shift_constants` at every order
+    # p >= O, on the fixtures, P4 and random designs with O > 0
+    rng = np.random.default_rng(33)
+    cases = [(fixture(name).problem, fixture(name).A) for name in ("P1", "ORTHO2", "COLL2")]
+    cases.append(_p4_k3_case()[:2])
+    for _ in range(20):
+        P = int(rng.integers(2, 7))
+        k, n = int(rng.integers(1, P + 1)), P + int(rng.integers(3, 40))
+        problem = RegressionProblem(X=rng.standard_normal((n, P)), theta=np.zeros(P),
+                                    sigma=1.0, O=int(rng.integers(1, P)))
+        cases.append((problem, rng.standard_normal((k, P))))
+    for problem, A in cases:
+        record = projection_quantities(problem, A)
+        B, N = record.drift_maps
+        P, O = problem.P, problem.O
+        for gamma in 3.0 * rng.standard_normal((3, P)):
+            consts = local_shift_constants(record.Q, record.A, np.zeros(P), gamma, O)
+            for p in range(O, P + 1):
+                assert np.max(np.abs(B[p - O] @ gamma - consts.beta[p])) <= 1e-14, p
+                if p > O:
+                    assert abs(N[p - O - 1] @ gamma - consts.nu[p]) <= 1e-14, p
+
+
+def test_rank0_pi_rows_are_differences_of_the_tail_products():
+    # pdf(s) tail_p(s) P(X outside the rays of order p) is pdf(s) (tail_p(s)
+    # - tail_{p-1}(s)): the grid row equals the two-ray form within 2e-16 of
+    # pdf(s) at every node, for P1's order 1 and COLL2's order 1 (rank 0)
+    for name, t in (("P1", [0.3]), ("COLL2", [0.25, 0.25])):
+        fx = fixture(name)
+        for theta in (fx.problem.theta, 1.7 * fx.problem.theta + 0.05):
+            engine = _ExactEngine(fx.problem, _query(fx, t, theta=theta), QUICK)
+            (p,) = engine.drift.rays
+            s = gl_panels(engine._s_edges)[0]
+            rows = engine._grid_factors(s)
+            tail = tail_products(engine.design, engine.nu, engine.c, fx.problem.O, s)
+            x0, c = engine.drift.x0[p], float(engine.c[p])
+            want = rows[0] * tail[p] * ray_interval_prob(-np.inf, np.inf, x0 - c * s, x0 + c * s)
+            assert np.all(np.abs(rows[-1] - want) <= 2e-16 * rows[0]), (name, theta)
+
+
+# The 27 P1 queries of the plugin_sweeps benchmark (n = 100, 400, 1600 by
+# rows; theta = lam / sqrt(n), lam on 9 points of [-0.999, 0.999]).  Within
+# 3.5e-13 of the values before the ratio pdf lost its cancellation, whose
+# rounding was 1.1e-12 of the density at dof 1,599
+P1_SWEEP_VALUES = [
+    ["0x1.5feb953f6fc6bp-3", "0x1.dbdc02c85c15cp-4", "0x1.31f0c545d9116p-4",
+     "0x1.758e972855fdfp-5", "0x1.f27b3ba4941f4p-1", "0x1.e8a7168c9c865p-1",
+     "0x1.d9c1e75666c40p-1", "0x1.c4847fa616636p-1", "0x1.a8051aaf45f47p-1"],
+    ["0x1.5a72f982fad7ap-3", "0x1.d213d96a2e2eap-4", "0x1.29e3f4ab36fffp-4",
+     "0x1.694c4b63bf871p-5", "0x1.f305e33ec54b4p-1", "0x1.e96b3b48e5edbp-1",
+     "0x1.dac38169bb062p-1", "0x1.c5bd84d1dc203p-1", "0x1.a963419e63302p-1"],
+    ["0x1.59158b86a3979p-3", "0x1.cfa42cb285301p-4", "0x1.27e3edca839cdp-4",
+     "0x1.6642ebbc97ca2p-5", "0x1.f3281bb9ea45dp-1", "0x1.e99bd14358688p-1",
+     "0x1.db038245d171ap-1", "0x1.c60b7a68d13f2p-1", "0x1.a9ba9d1d78ff3p-1"],
+]
+
+
+def test_p1_sweep_points_read_the_same_cold_and_warm():
+    # every sweep point is a theta its design record has not seen: the
+    # first call builds the drift record from the kept maps, the third
+    # reads it whole (memos filled on the second), and both give the
+    # frozen value
+    for n, row in zip((100, 400, 1600), P1_SWEEP_VALUES):
+        fx = fixture("P1", n=n)
+        for lam, want in zip(np.linspace(-0.999, 0.999, 9), row):
+            query = _query(fx, [0.0], theta=[lam / np.sqrt(n)], sigma=1.0)
+            cold, _, warm = (cdf_exact(fx.problem, query) for _ in range(3))
+            assert _bits(cold) == _bits(warm), (n, lam)
+            assert abs(cold.value - float.fromhex(want)) <= 1e-15, (n, lam, cold.value.hex())
+
+
+def test_a_new_theta_costs_no_solve_and_one_ray_interval_per_rank0_order(monkeypatch):
+    # once the design record has its drift maps, a P1 point at a new theta
+    # (no bisection) solves nothing and evaluates the two-ray probability
+    # only for its value: its pi row is the difference of tail products
+    import pmsdist.dist_exact as dist_exact
+    import pmsdist.regression_core as regression_core
+
+    calls = {"shift": 0, "rays": 0}
+
+    def spy_shift(*args, _original=regression_core.local_shift_constants):
+        calls["shift"] += 1
+        return _original(*args)
+
+    def spy_rays(*args, _original=dist_exact.ray_interval_prob):
+        calls["rays"] += 1
+        return _original(*args)
+
+    for module in (regression_core, dist_exact):   # wherever the name is bound
+        if hasattr(module, "local_shift_constants"):
+            monkeypatch.setattr(module, "local_shift_constants", spy_shift)
+    monkeypatch.setattr(dist_exact, "ray_interval_prob", spy_rays)
+    fx = fixture("P1", n=400)
+    cdf_exact(fx.problem, _query(fx, [0.0], theta=[0.01], sigma=1.0))
+    for lam in np.linspace(-0.999, 0.999, 9):
+        calls.update(shift=0, rays=0)
+        res = cdf_exact(fx.problem, _query(fx, [0.0], theta=[lam / 20.0], sigma=1.0))
+        assert res.method.startswith("mixture-formula;levels=0;"), res
+        assert calls == {"shift": 0, "rays": 1}, (lam, calls)
 
 
 def _trace_cases():

@@ -1183,3 +1183,37 @@ def test_kept_orthant_record_equals_a_fresh_evaluation_bit_for_bit(label, g, L):
             kinks = conditional_kinks(u, record)
             assert _bits(kinks) == _bits(_fresh_kinks(u, g, L)), (label, u, kinks)
     assert len(record._normals) <= 2 ** k
+
+
+def test_split_edges_merges_exact_duplicates_with_the_near_ones():
+    # the breaks are sorted in with their duplicates: an exact duplicate is a
+    # panel of zero width and falls to the filter that merges edges closer
+    # than a sliver of the range, so the edges are those of the distinct
+    # values under the same filter
+    rng = np.random.default_rng(5)
+    base = np.linspace(-2.0, 3.0, 7)
+    for _ in range(200):
+        breaks = np.concatenate([rng.choice(base, 2), rng.uniform(-3.0, 4.0, 4),
+                                 rng.choice(base, 2) + 1e-14 * rng.standard_normal(2)])
+        breaks = np.concatenate([breaks, breaks[2:4]])
+        want = np.unique(np.concatenate([base, breaks[(breaks > -2.0) & (breaks < 3.0)]]))
+        want = want[np.concatenate([[True], np.diff(want) > 5e-13])]
+        want[0], want[-1] = -2.0, 3.0
+        assert np.array_equal(split_edges(base, breaks), want), breaks
+    assert split_edges(base, [5.0, -2.0, 3.0, np.nan]) is base
+
+
+@pytest.mark.parametrize("g", [np.array([0.5, -1.2, 2.0]), np.array([0.5, 1e-15, -1.2]),
+                               np.array([-0.7, -0.2]), np.array([0.0, 0.0])])
+def test_interval_of_the_loads_with_and_without_negligible_ones(g):
+    # {x : g x <= u} for each row u: the tightest bound of each sign, and
+    # empty where a negligible load meets u < 0; without such a load the
+    # call has no check to make and gives the same ends
+    U = np.random.default_rng(6).standard_normal((40, g.size))
+    lo, hi = _Interval(g)(U)
+    for u, a, b in zip(U, lo, hi):
+        small = np.abs(g) <= 1e-13
+        want = (np.inf, -np.inf) if np.any(u[small] < 0.0) else (
+            max((u[i] / g[i] for i in np.flatnonzero(g < -1e-13)), default=-np.inf),
+            min((u[i] / g[i] for i in np.flatnonzero(g > 1e-13)), default=np.inf))
+        assert (a, b) == want, (g, u)

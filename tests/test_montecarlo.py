@@ -423,6 +423,26 @@ def test_forty_bit_threshold_codes_equal_the_reference(seed):
     assert sum(emp.model_counts.values()) == emp.valid == plan.replications
 
 
+def test_tallies_of_many_models_hold_their_member_indicator_in_blocks():
+    # thresholding 16 coordinates at theta = 0 with cutoffs 0.5 meets
+    # thousands of models in 3,000 replications: their member indicator is
+    # formed 2P = 32 models at a time, so the traced peak (the kernel's
+    # per-model fits among it) stays under 12 MiB where the whole (models,
+    # B) indicator took 47 MiB, and the tallies equal the reference's
+    problem = RegressionProblem(X=np.random.default_rng(33).standard_normal((200, 16)),
+                                theta=np.zeros(16), sigma=1.0, O=0)
+    plan = SimulationPlan(problem=problem, rule=Thresholding(cutoff=(0.5,) * 16),
+                          A=np.eye(16)[:2], replications=3000, master_seed=5)
+    tracemalloc.start()
+    try:
+        emp = empirical_cdf(plan, _GRID2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(emp.model_counts) > 2500 and peak <= 12 * 2 ** 20, (len(emp.model_counts), peak)
+    _assert_same_tallies(montecarlo._Kernel(plan), 0, 3000, _GRID2)
+
+
 def test_kernel_tallies_of_one_seed_are_frozen():
     fx, rule, grid = _LAYOUT_CASES["ic"]
     chunk = montecarlo._cdf_chunk(montecarlo._Kernel(_plan(fx, CHUNK, seed=3, rule=rule)),
