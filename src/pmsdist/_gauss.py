@@ -884,9 +884,12 @@ class ConditionedOrthant:
         return self._normals[key]
 
 
-def philox(key: int, stream: int = 0) -> np.random.Generator:
-    """Generator on the counter-based Philox stream keyed by (key, stream)."""
-    return np.random.Generator(np.random.Philox(key=np.array([key, stream], dtype=np.uint64)))
+def philox(key: int, stream: int = 0, jumps: int = 0) -> np.random.Generator:
+    """Generator on the counter-based Philox stream keyed by (key, stream),
+    its counter ``jumps`` * 2**128 blocks in: the state of
+    ``Philox(...).jumped(jumps)``, set directly at a third of the cost."""
+    return np.random.Generator(np.random.Philox(
+        counter=[0, 0, jumps, 0], key=np.array([key, stream], dtype=np.uint64)))
 
 
 def gauss_draws(rng: np.random.Generator, n: int, L: np.ndarray) -> np.ndarray:

@@ -286,8 +286,10 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
 
     At each n the same replication streams drive two curves: the frequency
     of {|estimate - truth| > delta0} at fixed theta (falls with n) and at
-    theta + gamma/sqrt(n) (rises toward 1).  delta0 = None auto-calibrates
-    via pilot_delta0 along the drift axis.
+    theta + gamma/sqrt(n) (rises toward 1).  Both come from one paired
+    `estimator_error_probability` call per n, which draws each chunk's
+    noise once and evaluates the plug-in once over both points' rows.
+    delta0 = None auto-calibrates via pilot_delta0 along the drift axis.
 
     ``rule=None`` uses the fixture's sequential rule.  A two-model
     information criterion (full model vs drop-last) is run as its exact
@@ -347,18 +349,14 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
         if mask_mode:
             base = RegressionProblem(X=base.X, theta=theta0, sigma=pr.sigma, O=pr.P - 1)
             run_rule = GeneralToSpecific(critical=(ic_threshold(n, pr.P, rule.upsilon_n),))
-        prob0, prob1 = base, replace(base, theta=theta1)
         refs = [cdf_exact(base, CdfQuery(A=fixture.A, t=t_arr, theta=theta, sigma=pr.sigma,
                                          rule=run_rule), budget).value
                 for theta in (theta0, theta1)]
-        vals = []
-        for prob, ref in zip((prob0, prob1), refs):
-            plan = SimulationPlan(problem=prob, rule=run_rule, A=fixture.A,
-                                  replications=replications,
-                                  master_seed=master_seed)
-            vals.append(estimator_error_probability(
-                plan, t_arr, ref, delta0, workers=workers,
-                aux_scheme=aux_scheme, budget=budget))
+        plans = [SimulationPlan(problem=prob, rule=run_rule, A=fixture.A,
+                                replications=replications, master_seed=master_seed)
+                 for prob in (base, replace(base, theta=theta1))]
+        vals = estimator_error_probability(plans, t_arr, refs, delta0, workers=workers,
+                                           aux_scheme=aux_scheme, budget=budget)
         fall_last, rise_last = vals
         rows.append((n, refs[0], refs[1], vals[0], vals[1]))
     verdicts = {"fixed_theta_error_falls": bool(fall_last <= 0.1),

@@ -23,17 +23,25 @@ calls reuse pages instead of faulting them in afresh.
 Draws are keyed per chunk with counter-based Philox streams (Salmon et al.
 2011, "Parallel random numbers: as easy as 1, 2, 3").  Chunk c of master
 seed m draws its (CHUNK, P) normals from Philox(key=[m, c]) and its
-chi-square variates, as 2 * Gamma((n - P) / 2), from the jumped copy of
-that bit generator taken before any draw; replication c * CHUNK + j is row
-j.  Both arrays fill in order, so a partial chunk is the prefix of the full
-one: a replication's statistics depend neither on the plan's size nor on
-how the chunks are spread over worker processes.  Per-chunk integer tallies
+chi-square variates, as 2 * Gamma((n - P) / 2), from the same key with its
+counter started 2**128 blocks in (the state ``.jumped()`` reaches, set as a
+counter); replication c * CHUNK + j is row j.  Both arrays fill in order,
+so a partial chunk is the prefix of the full one: a replication's
+statistics depend neither on the plan's size nor on how the chunks are
+spread over worker processes.  Per-chunk integer tallies
 are merged in chunk order.
+
+Plans that differ only in theta share their noise: z, RSS and sigma_hat do
+not depend on theta, only S's mean Q_P'X theta does.  Given such plans,
+``estimator_error_probability`` draws each chunk once, forms one S per
+plan, and evaluates the plug-in estimate once over every plan's rows; each
+frequency equals its one-plan call.
 
 ``simulate_response`` lifts replication r to a full response,
 Y = X theta + sigma (Q_P z_r + sqrt(chi^2_r) u_r), with u_r a uniform unit
-vector of the residual space drawn from a stream keyed (m, r); the scalar
-selection pipeline applied to it reproduces the vectorized kernels.
+vector of the residual space drawn from the stream keyed (m, r), its
+counter 2 * 2**128 blocks in; the scalar selection pipeline applied to it
+reproduces the vectorized kernels.
 """
 from __future__ import annotations
 
@@ -153,9 +161,9 @@ def _draw_errors(problem: RegressionProblem, master: int, lo: int, hi: int) -> n
         base = c * CHUNK
         a, b = max(lo, base), min(hi, base + CHUNK)
         gen = _rng(master, c)
-        # jump before drawing z, so the chi-square stream does not depend
-        # on how many rows of z the chunk draws
-        chi_gen = np.random.Generator(gen.bit_generator.jumped())
+        # 2**128 blocks on, so the chi-square stream does not depend on how
+        # many rows of z the chunk draws
+        chi_gen = _rng(master, c, 1)
         out[a - lo:b - lo, :P] = gen.standard_normal((b - base, P))[a - base:]
         out[a - lo:b - lo, P] = 2.0 * chi_gen.standard_gamma(problem.dof / 2.0,
                                                              size=b - base)[a - base:]
@@ -177,7 +185,7 @@ def simulate_response(problem: RegressionProblem, seed) -> np.ndarray:
     q = problem._qr[problem.P - 1][0]
     # a uniform direction of the residual space, from a stream segment two
     # jumps past the chunk draws
-    g = np.random.Generator(_rng(master, rep).bit_generator.jumped(2)).standard_normal(problem.n)
+    g = _rng(master, rep, 2).standard_normal(problem.n)
     g -= q @ (q.T @ g)
     resid = np.sqrt(noise[-1]) * g / np.linalg.norm(g)
     return problem.X @ problem.theta + problem.sigma * (q @ noise[:-1] + resid)
@@ -200,14 +208,14 @@ class _Kernel:
         self.sqrt_n = np.sqrt(pr.n)
         self.A_theta = plan.A @ pr.theta
         qf = self.qf = pr._qr[P - 1][0]
-        self.mu = qf.T @ (pr.X @ pr.theta)
+        self.mu = self.mean(pr.theta)
         # nested order p: coef = G[p] @ S with G[p] = R_p^{-1} Q_p'Q_P.  LU
         # of a triangular R pivots nowhere, so np.linalg.solve is the
         # triangular solve; scipy's solve_triangular on several columns
         # wakes every unpinned BLAS thread, milliseconds per call
         G = [np.zeros((0, P))] + [np.linalg.solve(r, q.T @ qf) for q, r in pr._qr]
         self.full_map = G[P]
-        self.ginv_sqrt = np.sqrt(np.diag(np.linalg.inv(pr.gram)))
+        self.ginv_sqrt = np.sqrt(pr.gram_inv_diag)
         self.fits: dict[int, np.ndarray] = {}
         rule = plan.rule
         if isinstance(rule, GeneralToSpecific):
@@ -238,7 +246,7 @@ class _Kernel:
         """(estimate map from R_m^{-1} Q_m'Q_P, basis Q_P'Q_m) of a subset."""
         if not indices:
             return np.zeros((self.P, self.P)), np.zeros((self.P, 0))
-        q, r = np.linalg.qr(self.plan.problem.X[:, list(indices)], mode="reduced")
+        q, r = self.plan.problem._subset_qr(indices)
         basis = self.qf.T @ q
         return self._padded(indices, np.linalg.solve(r, basis.T)), basis
 
@@ -256,13 +264,26 @@ class _Kernel:
             self.fits[model_id] = self._mask_fit(self.key(model_id).indices)[0]
         return self.fits[model_id]
 
-    def statistics(self, lo: int, hi: int):
-        """(S, RSS, sigma_hat) of replications lo..hi-1, S as a (P, B) array."""
+    def mean(self, theta: np.ndarray) -> np.ndarray:
+        """The mean Q_P'X theta of S at a theta of this design."""
+        return self.qf.T @ (self.plan.problem.X @ theta)
+
+    def draw(self, lo: int, hi: int):
+        """(z, RSS, sigma_hat) of replications lo..hi-1, z as a (P, B) view:
+        everything of a chunk that theta does not move."""
         pr = self.plan.problem
         noise = _draw_errors(pr, self.plan.master_seed, lo, hi)
         rss = pr.sigma ** 2 * noise[:, self.P]
-        S = np.add(self.mu[:, None], pr.sigma * noise[:, :self.P].T, order="C")
-        return S, rss, np.sqrt(rss / pr.dof)
+        return noise[:, :self.P].T, rss, np.sqrt(rss / pr.dof)
+
+    def signal(self, mu: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """S = mu + sigma z as a C-contiguous (P, B) array."""
+        return np.add(mu[:, None], self.plan.problem.sigma * z, order="C")
+
+    def statistics(self, lo: int, hi: int):
+        """(S, RSS, sigma_hat) of replications lo..hi-1, S as a (P, B) array."""
+        z, rss, sig = self.draw(lo, hi)
+        return self.signal(self.mu, z), rss, sig
 
     def ratios(self, cmap: np.ndarray, scale: np.ndarray, S: np.ndarray, sig: np.ndarray):
         """(P, B) sqrt(n) (cmap @ S) / (scale sigma_hat): sequential or full-model t-ratios."""
@@ -298,8 +319,14 @@ class _Kernel:
             ids, best = np.zeros(S.shape[1], dtype=np.intp), np.full(S.shape[1], np.inf)
             resid, val = np.empty_like(S), np.empty_like(rss)
             for i, V in enumerate(self.bases):
-                np.subtract(S, np.matmul(V, V.T @ S, out=resid), out=resid)
-                np.einsum("ij,ij->j", resid, resid, out=val)
+                r = S   # the empty mask leaves S itself
+                if V.shape[1]:
+                    # one column: the outer product is the same single product per
+                    # entry as numpy's matmul with an inner dimension of 1, at a third
+                    # of its cost
+                    (np.multiply if V.shape[1] == 1 else np.matmul)(V, V.T @ S, out=resid)
+                    r = np.subtract(S, resid, out=resid)
+                np.einsum("ij,ij->j", r, r, out=val)
                 val += rss
                 ok &= val > 0.0
                 with np.errstate(divide="ignore"):
@@ -307,7 +334,7 @@ class _Kernel:
                 val += self.penalty[i]
                 ids = np.where(val < best, i, ids)   # strict: a tie keeps the earlier mask
                 np.minimum(best, val, out=best)
-            del resid, val, best
+            del r, resid, val, best
         else:
             ids = np.zeros(S.shape[1], dtype=np.int64)
             for row, c in zip(self.ratios(self.full_map, self.ginv_sqrt, S, sig), self.cutoff):
@@ -392,46 +419,70 @@ def empirical_cdf(plan: SimulationPlan, grid, workers: int | None = None) -> Emp
     return _merge_cdf(plan, grid_arr, chunks)
 
 
-def _err_chunk(kernel: _Kernel, lo: int, hi: int, t: np.ndarray,
-               ref: float, delta: float, c_aux: float, budget):
+def _err_chunk(kernel: _Kernel, lo: int, hi: int, mus: list, t: np.ndarray,
+               refs: list, delta: float, c_aux: float, budget):
+    """Exceedances of replications lo..hi-1 at each mean in ``mus``: one draw,
+    one auxiliary scan per mean, one plug-in call over every mean's rows."""
     from .cdf_estimators import g_check_values
 
     pr = kernel.plan.problem
-    S, _, sig = kernel.statistics(lo, hi)
+    z, _, sig = kernel.draw(lo, hi)
     ok = sig > 0.0
     # auxiliary order estimate: all-coordinate scan with a diverging cutoff
-    p_bar = kernel.order_scan(S, sig, 0, [c_aux] * pr.P)
-    vals = g_check_values(pr, kernel.plan.A, t, kernel.plan.rule, sig[ok], p_bar[ok],
-                          budget=budget)
-    exceed = int(np.sum(np.abs(vals - ref) > delta))
+    p_bars = [kernel.order_scan(kernel.signal(mu, z), sig, 0, [c_aux] * pr.P)[ok]
+              for mu in mus]
+    vals = g_check_values(pr, kernel.plan.A, t, kernel.plan.rule, np.tile(sig[ok], len(mus)),
+                          np.concatenate(p_bars), budget=budget)
+    exceed = [int(np.sum(np.abs(v - ref) > delta))
+              for v, ref in zip(np.split(vals, len(mus)), refs)]
     return {"exceed": exceed, "valid": int(ok.sum()), "degenerate": int((~ok).sum())}
 
 
-def estimator_error_probability(plan: SimulationPlan, t, reference: float,
-                                delta: float, *, workers: int | None = None,
-                                aux_scheme: str = "sqrt_log_n",
-                                budget=None) -> float:
+def _same_but_theta(a: SimulationPlan, b: SimulationPlan) -> bool:
+    pa, pb = a.problem, b.problem
+    return (np.array_equal(pa.X, pb.X) and pa.sigma == pb.sigma and pa.O == pb.O
+            and a.rule == b.rule and np.array_equal(a.A, b.A)
+            and a.replications == b.replications and a.master_seed == b.master_seed)
+
+
+def estimator_error_probability(plan, t, reference, delta: float, *,
+                                workers: int | None = None,
+                                aux_scheme: str = "sqrt_log_n", budget=None):
     """Frequency of {|plug-in cdf estimate - reference| > delta} under the plan.
 
-    ``reference`` is the target cdf value, a finite float.
+    ``reference`` is the target cdf value, a finite float.  ``plan`` may
+    also be a sequence of plans that agree on everything but theta (X,
+    sigma, O, rule, A, replications, master seed), with ``reference`` a
+    sequence of as many values; the result is then one frequency per plan,
+    each equal to that plan's own call.  The plans share their noise and
+    sigma_hat, so each chunk is drawn once and the plug-in evaluated once
+    over every plan's rows.
     """
     if not delta > 0:
         raise ValidationError("delta must be positive")
+    single = isinstance(plan, SimulationPlan)
+    plans, refs = ([plan], [reference]) if single else (list(plan), reference)
     try:
-        ref = float(reference)
+        refs = [float(r) for r in refs]
     except (TypeError, ValueError):
-        raise ValidationError("reference must be a finite float") from None
-    if not np.isfinite(ref):
-        raise ValidationError("reference must be a finite float")
-    t_arr = cdf_argument(t, plan.k)
-    c_aux = auxiliary_critical_value(plan.problem.n, plan.problem.P, aux_scheme)
-    if not isinstance(plan.rule, GeneralToSpecific):
+        refs = None
+    if not (refs and len(refs) == len(plans) and np.all(np.isfinite(refs))):
+        raise ValidationError("reference must be a finite float, one per plan")
+    first = plans[0]
+    if not all(isinstance(p, SimulationPlan) and _same_but_theta(first, p) for p in plans):
+        raise ValidationError("plans must be SimulationPlans that differ only in theta")
+    t_arr = cdf_argument(t, first.k)
+    c_aux = auxiliary_critical_value(first.problem.n, first.problem.P, aux_scheme)
+    if not isinstance(first.rule, GeneralToSpecific):
         raise ValidationError("estimator error study needs a general-to-specific plan")
-    chunks = _run_chunks(_err_chunk, _Kernel(plan), workers,
-                         t_arr, ref, delta, c_aux, budget)
-    exceed = sum(c["exceed"] for c in chunks)
+    kernel = _Kernel(first)
+    chunks = _run_chunks(_err_chunk, kernel, workers,
+                         [kernel.mean(p.problem.theta) for p in plans],
+                         t_arr, refs, delta, c_aux, budget)
     valid = sum(c["valid"] for c in chunks)
-    return exceed / valid if valid else 0.0
+    freqs = [sum(counts) / valid if valid else 0.0
+             for counts in zip(*(c["exceed"] for c in chunks))]
+    return freqs[0] if single else freqs
 
 
 def replicate(plan: SimulationPlan) -> Replications:

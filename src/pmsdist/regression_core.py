@@ -122,6 +122,11 @@ class RegressionProblem:
         return _readonly(self.X.T @ self.X / self.n)
 
     @cached_property
+    def gram_inv_diag(self) -> np.ndarray:
+        """Diagonal of (X'X/n)^{-1}, the squared scales of the full-model t-ratios."""
+        return _readonly(np.diag(np.linalg.inv(self.gram)))
+
+    @cached_property
     def _qr(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Reduced QR factors of X[:, :p] for p = 1..P."""
         out = []
@@ -129,6 +134,15 @@ class RegressionProblem:
             q, r = np.linalg.qr(self.X[:, :p], mode="reduced")
             out.append((q, r))
         return tuple(out)
+
+    def _subset_qr(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced QR factors of X[:, indices], indices non-empty: the kept
+        nested factor for a prefix 0..p-1, else a fresh one, never kept (a
+        thresholding family meets thousands of subsets)."""
+        idx = list(indices)
+        if idx == list(range(len(idx))):
+            return self._qr[len(idx) - 1]
+        return np.linalg.qr(self.X[:, idx], mode="reduced")
 
     @cached_property
     def _records(self) -> dict[tuple, LimitQuantities]:

@@ -227,10 +227,12 @@ def masked_ls(problem: RegressionProblem, Y: np.ndarray, mask: SubsetMask) -> np
 
 
 def _rss(problem: RegressionProblem, Y: np.ndarray, mask: SubsetMask) -> float:
-    idx = list(mask.indices)
-    if not idx:
+    """Residual sum of squares of Y off the mask's columns.  A prefix mask
+    reads the problem's kept nested QR factor; any other mask factors
+    X[:, mask] per call, and nothing per mask is kept."""
+    if not mask.cardinality:
         return float(Y @ Y)
-    return residual_ss(np.linalg.qr(problem.X[:, idx], mode="reduced")[0], Y)
+    return residual_ss(problem._subset_qr(mask.indices)[0], Y)
 
 
 def ic_values(problem: RegressionProblem, Y: np.ndarray, rule: InformationCriterion) -> dict:
@@ -258,8 +260,7 @@ def full_model_t_ratios(problem: RegressionProblem, Y: np.ndarray) -> np.ndarray
     if s == 0.0:
         raise DegenerateSampleError("sigma_hat is zero")
     coef = restricted_ls(problem, Y, problem.P)
-    gram_inv_diag = np.diag(np.linalg.inv(problem.gram))
-    return np.sqrt(problem.n) * coef / (s * np.sqrt(gram_inv_diag))
+    return np.sqrt(problem.n) * coef / (s * np.sqrt(problem.gram_inv_diag))
 
 
 def select_threshold(problem: RegressionProblem, Y: np.ndarray, rule: Thresholding) -> SubsetMask:

@@ -304,3 +304,25 @@ def test_a_failing_verdict_fails_the_report(tmp_path):
     assert report.passed is False
     report.write_manifest(str(tmp_path / "demo.json"))
     assert json.loads((tmp_path / "demo.json").read_text())["passed"] is False
+
+
+def test_a_paired_impossibility_step_draws_and_evaluates_once_per_chunk(monkeypatch):
+    # both curves of one n read the same noise, sigma_hat and plug-in: one
+    # draw and one g_check_values call per chunk serve the two points
+    from pmsdist import cdf_estimators, montecarlo
+
+    calls = {"draw": 0, "g_check": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(montecarlo, "_draw_errors", counted("draw", montecarlo._draw_errors))
+    monkeypatch.setattr(cdf_estimators, "g_check_values",
+                        counted("g_check", cdf_estimators.g_check_values))
+    rep = impossibility_demo(fixture("P1"), t=[0.0], gamma=[1.2], delta0=0.10, n_ladder=(400,),
+                             replications=montecarlo.CHUNK + 100, master_seed=11, budget=QUICK)
+    assert calls == {"draw": 2, "g_check": 2}
+    assert rep.rows[0][3] < rep.rows[0][4]

@@ -1,6 +1,7 @@
 """Tests for the simulation oracle: seeding, chunked kernels, tallies."""
 import csv
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from pmsdist.selection import (
     SubsetMask,
     Thresholding,
     auxiliary_critical_value,
+    ic_threshold,
     post_select_fit,
 )
 
@@ -533,3 +535,113 @@ def test_a_chunk_peaks_under_twelve_rows_of_replications(case):
     finally:
         tracemalloc.stop()
     assert fx.problem.P == 2 and peak < 12 * 8 * CHUNK, peak
+
+
+def test_philox_counters_give_the_jumped_streams():
+    # a stream set j * 2**128 blocks in by its counter is the jumped one:
+    # the chi-square and direction streams of every chunk and replication
+    rng = np.random.default_rng(2007)
+    keys = [(0, 0), (5, 7)] + [tuple(int(v) for v in rng.integers(0, 2 ** 64, 2, dtype=np.uint64))
+                               for _ in range(6)]
+    for key, stream in keys:
+        for j in (0, 1, 2, 3):
+            bits = np.random.Philox(key=np.array([key, stream], dtype=np.uint64))
+            want = np.random.Generator(bits.jumped(j) if j else bits)
+            got = montecarlo._rng(key, stream, j)
+            assert got.standard_normal(37).tobytes() == want.standard_normal(37).tobytes()
+            assert (got.standard_gamma(2.5, 41).tobytes()
+                    == want.standard_gamma(2.5, 41).tobytes())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ic_kernel_with_empty_and_one_column_masks_equals_the_reference(seed):
+    # the empty mask's residual is S itself and a one-column basis projects
+    # by an outer product; ids, fits, t-ratios and tallies still equal the
+    # (B, P) reference bit for bit
+    rng = np.random.default_rng(seed)
+    P = int(rng.integers(2, 5))
+    problem = RegressionProblem(X=rng.standard_normal((int(rng.integers(P + 3, 60)), P)),
+                                theta=0.3 * rng.standard_normal(P), sigma=1.0, O=0)
+    family = {SubsetMask.full(P), SubsetMask(bits=(1,) * (P - 1) + (0,)),
+              SubsetMask(bits=(0,) * P)} | {SubsetMask.from_indices(P, [i]) for i in range(P)}
+    rule = InformationCriterion(upsilon_n=2.0, family=tuple(sorted(family, key=str)))
+    plan = SimulationPlan(problem=problem, rule=rule, A=np.eye(P)[:2], replications=1500,
+                          master_seed=seed)
+    kernel = montecarlo._Kernel(plan)
+    new, ref = kernel.run(0, 1500, True), _reference_run(kernel, 0, 1500, True)
+    for field in ("ids", "ok", "sigma"):
+        assert _same_bits(new[field], ref[field]), field
+    for field in ("est", "loss", "t"):
+        assert _same_bits(new[field].T, ref[field]), field
+    assert len(np.unique(new["ids"])) > 2
+    _assert_same_tallies(kernel, 0, 1500, _GRID2)
+
+
+def _paired_plans(case):
+    """The two plans of one impossibility step (fixed and drifted theta),
+    over two chunks, as `impossibility_demo` builds them, and its t."""
+    n, reps = 400, CHUNK + 700
+    if case == "ic_mask":   # the two-model IC run as its |t|-threshold rule
+        fx = fixture("COLL2", n=n, theta=[1.0, 0.0])
+        base = RegressionProblem(X=fx.problem.X, theta=fx.problem.theta, sigma=1.0, O=1)
+        rule = GeneralToSpecific(critical=(ic_threshold(n, 2, 2.0),))
+        gamma, t = [0.0, 2.5], [0.5, 0.5]
+    else:
+        fx = fixture("P1", n=n)
+        base, rule, gamma, t = fx.problem, fx.rule, [1.25], [float(case[4:])]
+    drifted = replace(base, theta=base.theta + np.asarray(gamma) / np.sqrt(n))
+    return [SimulationPlan(problem=pr, rule=rule, A=fx.A, replications=reps, master_seed=3)
+            for pr in (base, drifted)], t
+
+
+def _one_plan_frequency(plan, t, ref, delta):
+    """The one-plan study as a loop over chunks: its own kernel, draws, scan
+    and plug-in call per chunk."""
+    from pmsdist.cdf_estimators import g_check_values
+
+    kernel, pr = montecarlo._Kernel(plan), plan.problem
+    c_aux = auxiliary_critical_value(pr.n, pr.P)
+    exceed = valid = 0
+    for lo, hi in montecarlo._chunk_bounds(plan.replications):
+        S, _, sig = kernel.statistics(lo, hi)
+        ok = sig > 0.0
+        p_bar = kernel.order_scan(S, sig, 0, [c_aux] * pr.P)[ok]
+        vals = g_check_values(pr, plan.A, t, plan.rule, sig[ok], p_bar)
+        exceed += int(np.sum(np.abs(vals - ref) > delta))
+        valid += int(ok.sum())
+    return exceed / valid
+
+
+@pytest.mark.parametrize("case, refs, delta", [("P1, 0.0", (0.975, 0.975), 0.1),
+                                               ("P1, 0.3", (0.975, 0.975), 0.1),
+                                               ("ic_mask", (0.38, 0.38), 0.005)])
+def test_paired_error_probabilities_equal_their_one_plan_studies(case, refs, delta):
+    plans, t = _paired_plans(case)
+    paired = estimator_error_probability(plans, t, refs, delta)
+    want = [_one_plan_frequency(p, t, r, delta) for p, r in zip(plans, refs)]
+    assert [v.hex() for v in paired] == [v.hex() for v in want]
+    assert [estimator_error_probability(p, t, r, delta) for p, r in zip(plans, refs)] == paired
+    assert 0.0 < min(paired) < max(paired) < 1.0
+    if case == "P1, 0.0":
+        assert estimator_error_probability(tuple(plans), t, np.array(refs), delta,
+                                           workers=2) == paired
+
+
+def test_the_sequence_form_is_validated():
+    fx = fixture("P1", n=100)
+    base = _plan(fx, 300, seed=5)
+    pair = [base, replace(base, problem=replace(fx.problem, theta=[0.1]))]
+    assert len(estimator_error_probability(pair, [0.0], [0.5, 0.5], delta=0.1)) == 2
+    for refs in ([0.5, np.nan], [np.inf, 0.5], [0.5], [0.5, 0.5, 0.5], 0.5, "ab"):
+        with pytest.raises(ValidationError, match="reference"):
+            estimator_error_probability(pair, [0.0], refs, delta=0.1)
+    others = [replace(base, problem=replace(fx.problem, X=2.0 * fx.problem.X)),
+              replace(base, problem=replace(fx.problem, sigma=2.0)),
+              replace(base, master_seed=6), replace(base, replications=301),
+              replace(base, rule=GeneralToSpecific(critical=(2.5,))), replace(base, A=[[2.0]])]
+    for other in others:
+        with pytest.raises(ValidationError, match="differ only in theta"):
+            estimator_error_probability([base, other], [0.0], [0.5, 0.5], delta=0.1)
+    for plans, refs in (([], []), ([base, "plan"], [0.5, 0.5])):
+        with pytest.raises(ValidationError):
+            estimator_error_probability(plans, [0.0], refs, delta=0.1)

@@ -248,3 +248,32 @@ _Y = _exact_sample(_ORTHO2, [1.0, 1.0])
 def test_input_checks(call, fragment):
     with pytest.raises(ValidationError, match=fragment):
         call()
+
+
+@pytest.mark.parametrize("name", ["COLL2", "ORTHO2"])
+@pytest.mark.parametrize("n", [20, 200, 2000])
+def test_kept_factors_give_the_fresh_factor_values_bit_for_bit(name, n):
+    # prefix masks read the problem's kept nested QR and the t-ratios its
+    # kept gram-inverse diagonal; the other masks still factor per call.
+    # Every value equals the one from a QR and an inverse made afresh
+    fam = tuple(SubsetMask(bits=b) for b in ((1, 1), (1, 0), (0, 1), (0, 0)))
+    rule = InformationCriterion(upsilon_n=2.0, family=fam)
+    problem = fixture(name, n=n).problem
+    for r in range(5):
+        Y = simulate_response(problem, (17, r))
+        got = ic_values(problem, Y, rule)
+        for mask in fam:
+            idx = list(mask.indices)
+            if idx:
+                q = np.linalg.qr(problem.X[:, idx], mode="reduced")[0]
+                res = Y - q @ (q.T @ Y)
+                rss = float(res @ res)
+            else:
+                rss = float(Y @ Y)
+            want = float(np.log(rss) + mask.cardinality * 2.0 / n)
+            assert got[mask].hex() == want.hex(), mask
+        scale = np.sqrt(np.diag(np.linalg.inv(problem.X.T @ problem.X / n)))
+        q, rr = np.linalg.qr(problem.X, mode="reduced")
+        coef = np.linalg.solve(rr, q.T @ Y)
+        want_t = np.sqrt(n) * coef / (sigma_hat(problem, Y) * scale)
+        assert full_model_t_ratios(problem, Y).tobytes() == want_t.tobytes()
