@@ -17,13 +17,14 @@ value and |K25 - G12| is its error estimate (QUADPACK's QAG, Piessens et
 al. 1983).  Inner rules (the s-panels of `cumulative_rule`, the path
 rule of `_Trivariate`) return both parts as well, so the estimate
 of an outer rule covers the whole nested term.  The outer rules (the
-x-rules of `conditional_rows`, the exact cdf's scale grid) and the
-s-panels start from the PANELS equal panels of `panel_edges` plus their
-break points; the path rule is one panel of [0, 1] plus the edges of its
-determinant layer.  An outer rule integrates q order terms, then their
-q weights, and its estimate covers the terms.  `refine` bisects the
-outer panels whose estimates are large, row by row, and stops a row at
-its error floor: the error no bisection reduces (`error_floor`).  Each
+x-rules of `conditional_rows`) and the s-panels (the exact cdf's scale
+tables, `cumulative_sums`) start from the PANELS equal panels of
+`panel_edges` plus their break points; the path rule is one panel of
+[0, 1] plus the edges of its determinant layer.  An outer rule
+integrates q order terms, then their q weights, and its estimate covers
+the terms.  `refine` bisects the outer panels whose estimates are large,
+row by row, and stops a row at its error floor: the error no bisection
+reduces (`error_floor`).  Each
 order's part of a cdf is one `OrderTerm`, a closed form's or a rule's.
 A rule's integrand is split into factors that no argument t moves and
 the rest; a `NodeMemo` keeps the factors at every node of a t-free
@@ -104,6 +105,7 @@ def kronrod_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _K_X, _K_W = kronrod_legendre(12)
 _G_W = np.zeros(NODES_PER_PANEL)
 _G_W[1::2] = leggauss(12)[1]
+_KG_W = np.array([_K_W, _G_W])
 
 
 def norm_pdf(x):
@@ -216,8 +218,7 @@ class NodeMemo:
     read evaluates factors(x) at the caller's nodes and stores nothing, so
     a layout read once costs nothing extra; the second evaluates them at
     every node of the layout in one call (``values``, the factors at
-    `gl_panels`(edges), which `whole` may have filled before for a caller
-    that needs them all) and keeps those nodes and weights (``nodes``),
+    `gl_panels`(edges)) and keeps those nodes and weights (``nodes``),
     both read-only.  From then on a read of the layout itself returns
     ``nodes`` and ``values`` as they are, and any other read takes the
     caller's panels that are panels of the layout from ``values`` and
@@ -240,7 +241,11 @@ class NodeMemo:
             self.seen = True
             x, wk, wg = _panel_nodes(lo, hi)
             return x, wk, wg, factors(x)
-        self.whole(factors)
+        if self.values is None:
+            self.nodes = np.array(gl_panels(self.edges))
+            self.values = factors(self.nodes[0])
+            self.nodes.setflags(write=False)
+            self.values.setflags(write=False)
         j = np.minimum(np.searchsorted(self.edges, lo), self.edges.size - 2)
         fresh = (self.edges[j] != lo) | (self.edges[j + 1] != hi)
         n = np.count_nonzero(fresh)
@@ -253,17 +258,6 @@ class NodeMemo:
         if n:
             a[:, fresh] = factors(x.reshape(lo.size, -1)[fresh].ravel()).reshape(len(a), n, -1)
         return x, wk, wg, a.reshape(len(a), -1)
-
-    def whole(self, factors) -> np.ndarray:
-        """``values``, the factors at every node of the layout, evaluated
-        in one call on first use, with ``nodes``: by the second read, or
-        earlier by a caller that needs the whole layout itself."""
-        if self.values is None:
-            self.nodes = np.array(gl_panels(self.edges))
-            self.values = factors(self.nodes[0])
-            self.nodes.setflags(write=False)
-            self.values.setflags(write=False)
-        return self.values
 
 
 @dataclass(frozen=True)
@@ -498,9 +492,11 @@ def ray_interval_prob(lo, hi, a, b):
     """P(lo <= X <= hi, X <= a or X >= b) for X ~ N(0, 1), with a <= b.
 
     The interval [lo, hi] (empty when lo > hi) meets the two rays in closed
-    form; all arguments broadcast.  It is the rank-0 term of both cdf
-    engines: Z = g X lies in its orthant on the interval `_Interval`
-    gives, and the order's test rejects outside (a, b).
+    form; all arguments broadcast.  It is the rank-0 term of the limit
+    cdf at its one scale (the exact cdf integrates it over the scale
+    through its tables, `dist_exact._ExactEngine._term_k1`): Z = g X lies
+    in its orthant on the interval `_Interval` gives, and the order's test
+    rejects outside (a, b).
     """
     return (np.maximum(ndtr(np.minimum(hi, a)) - ndtr(lo), 0.0)
             + np.maximum(ndtr(hi) - ndtr(np.maximum(lo, b)), 0.0))
@@ -531,29 +527,35 @@ class ScaleMass:
         return self.reduce(y, self.rows(y))
 
 
-def cumulative_sums(fx: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cumulative_sums(fx: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The K25 and G12 integrals, from edges[0] to each edge, of the
-    integrand whose values at the nodes of `gl_panels`(edges) are fx."""
-    _, wk, wg = gl_panels(edges)
-    return tuple(np.concatenate([[0.0], np.cumsum((fx * w).reshape(-1, NODES_PER_PANEL).sum(1))])
-                 for w in (wk, wg))
+    integrands whose values at the nodes of `gl_panels`(edges) are fx (the
+    last axis the nodes, any rows before it): one array, the K25 part
+    first, each panel's sum formed as `cumulative_rule`'s partial panel."""
+    rows = fx.shape[:-1]
+    sums = (_KG_W @ fx.reshape(-1, NODES_PER_PANEL).T).reshape(2, *rows, -1)
+    sums *= 0.5 * (edges[1:] - edges[:-1])
+    out = np.zeros((2, *rows, edges.size))
+    np.cumsum(sums, axis=-1, out=out[..., 1:])
+    return out
 
 
-def cumulative_rule(f, edges: np.ndarray, cum: tuple[np.ndarray, np.ndarray]) -> ScaleMass:
+def cumulative_rule(f, edges: np.ndarray, cum: np.ndarray) -> ScaleMass:
     """H(y) = integral of f from edges[0] to y, as its K25 and G12 parts.
 
-    ``cum`` is f's `cumulative_sums` on the K25 panels of ``edges``, made
-    once by the caller; a y inside a panel closes the sum of the
-    panels below it with a partial panel of the same rule, whose embedded
-    G12 nodes give the G12 part, so H can be read at any array of points
-    and returns (K25, G12) arrays.  H is 0 at and below edges[0] and the
-    total at and above edges[-1].  As a `ScaleMass` its rows at y are f at
-    the partial panel's NODES_PER_PANEL nodes (0 outside the edges), and
-    reduce sums them.  Its one caller is
-    `dist_exact._ExactEngine._scale_mass`, the scale mass that the exact
-    cdf hands to its `conditional_rows` rule, for every order but the last
-    (whose scale mass is the ratio density's cdf in closed form).
+    ``cum`` is f's `cumulative_sums` on ``edges``, made once by the
+    caller; a y inside a panel closes the sum of the panels below it with
+    a partial panel of the same rule (its G12 nodes give the G12 part).
+    H is 0 at and below edges[0] and the total at and above edges[-1],
+    without evaluating f.  f(x) may have m rows, with ``cum`` of m rows,
+    and each part then a row per integrand.  As a `ScaleMass` its rows at
+    y are f at the partial panel's nodes (0 outside the edges), and reduce
+    sums them.  The exact cdf reads its scale masses
+    (`dist_exact._ExactEngine._scale_mass`) and rank-0 terms
+    (`dist_exact._ExactEngine._term_k1`) through it.
     """
+    rows = cum[0].shape[:-1]
+
     def partial(y):
         """The inside arguments, and the panel and half-width of each one's partial panel."""
         inside = (y > edges[0]) & (y < edges[-1])
@@ -561,26 +563,27 @@ def cumulative_rule(f, edges: np.ndarray, cum: tuple[np.ndarray, np.ndarray]) ->
         j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
         return inside, j, 0.5 * (yi - edges[j])
 
-    def rows(y):
+    def values(y):
         y = np.asarray(y, dtype=float)
-        out = np.zeros((NODES_PER_PANEL, y.size))
+        out = np.zeros((*rows, NODES_PER_PANEL, y.size))
         inside, j, half = partial(y)
         if inside.any():
             xs = edges[j][:, None] + half[:, None] * (_K_X + 1.0)[None, :]
-            out[:, inside] = f(xs.ravel()).reshape(xs.shape).T
-        return out
+            out[..., inside] = np.swapaxes(f(xs.ravel()).reshape(*rows, *xs.shape), -1, -2)
+        return out.reshape(-1, y.size)
 
     def reduce(y, fs):
         y = np.asarray(y, dtype=float)
-        out = [np.where(y >= edges[-1], c[-1], 0.0) for c in cum]
+        out = np.where(y >= edges[-1], cum[..., -1:], 0.0)
         inside, j, half = partial(y)
         if inside.any():
-            fs = np.ascontiguousarray(fs[:, inside].T)
+            fs = fs.reshape(*rows, NODES_PER_PANEL, y.size)[..., inside]
+            fs = np.ascontiguousarray(np.swapaxes(fs, -1, -2))
             for o, c, w in zip(out, cum, (_K_W, _G_W)):
-                o[inside] = c[j] + half * (fs @ w)
+                o[..., inside] = c[..., j] + half * (fs @ w)
         return out
 
-    return ScaleMass(rows, reduce)
+    return ScaleMass(values, reduce)
 
 
 def error_floor(trace, truncated: float = 0.0):

@@ -18,49 +18,42 @@ gamma = sqrt(n) theta, mixed over sigma_hat/sigma: the engine reads the
 design record of X'X/n (`regression_core.projection_quantities`), and
 the later-stage factors prod_{q > p} Delta_q (`tail_products`, shared
 with the limit paths at scale 1) are taken at each scale node.  The
-outer scale integral runs over equal-mass Gauss-Kronrod panels of the
+scale integral runs over equal-mass Gauss-Kronrod panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
-What depends on neither t nor theta is built once and shared by every
-later call: the design record once per (problem, target), kept on the
-problem (one O(P k^2) record per distinct target, whatever n is) with
-each order's conditioned orthant (`LimitQuantities.orthant`: the split,
-the kernel constants of its orthant and its kink normals) and the drift
-maps (`LimitQuantities.drift_maps`: the shifts and drifts of
-`regression_core.local_shift_constants`, linear in gamma), and the scale
-layout (the grid's edges and the `_STEP_Q` scales) once per (dof,
-quantiles, layout constants), all read-only.  What depends on theta but
-not on t is built once per theta as a drift record (`_Drift`), kept in
-the design record's one drift slot (`LimitQuantities.drift`) and keyed
-by theta / sigma, the critical values and the layout constants.  A cold
-theta computes only that record: the shifts, drifts and ray centres (two
-products with the drift maps), each order p < P's scale mass, and the
-node factors no t moves (pdf(s), the later-stage products and each
-rank-0 order's pi integrand, pdf(s) (tail_p(s) - tail_{p-1}(s)), on the
-scale grid; phi(x) and the scale mass at the x-nodes) in one
-`_gauss.NodeMemo` per layout, which stores nothing on its first read and
-every node of its layout on its second, so a theta a sweep visits once
-pays nothing for it; the scale masses read the grid memo's whole layout,
-evaluated once per drift record, and its fill reuses that array.  A call
-computes only what t moves: u, the order-O orthant, the rank-0 intervals
-and their crossings, the kinks (n'u / n'g on the kept normals), the
-orthant at every x-node (on the kept kernel), and the factors of the
-panels its crossings and kinks split; the panels `refine` bisects are
-evaluated afresh and never kept, so the record's size is fixed by its
-layouts however many t or theta a sweep visits.
-Each kept factor is elementwise in its node and every sum over nodes is
-formed per call, so a result is the same bit for bit from a cold or a
-warm record.
+Built once and shared by every later call, all read-only: the design
+record per (problem, target), kept on the problem, with each order's
+conditioned orthant (`LimitQuantities.orthant`) and the drift maps
+(`LimitQuantities.drift_maps`, the shifts and drifts of
+`regression_core.local_shift_constants`, linear in gamma); the scale
+layout (the grid's edges, its nodes s and pdf(s), the `_STEP_Q` scales)
+per (dof, quantiles, layout constants); and per theta a drift record
+(`_Drift`) in the design record's one drift slot, keyed by theta /
+sigma, the critical values and the layout constants.  A cold theta
+computes only that record: the shifts, drifts and ray centres (two
+products with the drift maps), the later-stage products at the layout's
+nodes, once, and from them the scale tables, cumulative sums on the
+grid's edges; its `_gauss.NodeMemo` per x-rule stores nothing on its
+first read, so a theta a sweep visits once pays nothing for it.  No call
+builds a scale grid: order O's term is its orthant times a table total,
+a rank-0 order's a few partial-panel reads of its tables.  A call
+computes only what t moves: u, the order-O orthant, the rank-0 reads,
+the kinks (on the kept normals), the orthant at every x-node (on the
+kept kernel) and the panels its kinks split; the panels `refine` bisects
+are evaluated afresh and never kept, so a record's size is fixed however
+many t or theta a sweep visits.  Each kept factor is elementwise in its
+node and each table made once from them, so a result is the same bit
+for bit from a cold or a warm record.
 
 Every order-p integrand depends on z only through the orthant {z <= u}
 and the scalar W = b'z + zeta e that the order-p test rejects on,
 so z is conditioned once per order on X = W / sd(W): z = g X + R, with R
 of conditional rank r.  The test rejects at scale s when
 |X - x0| >= s c_p, and r alone picks how the term is evaluated.  At
-r = 0 (z = g X) the orthant is an x-interval, and the term is its mass
-outside the two rays at each node of the one scale grid, in closed form;
-the grid has an edge wherever a ray crosses an interval end.  Otherwise
-the test rejects at every scale up to |X - x0| / c_p, so the scale
-integral becomes a cumulative scale mass read at each X node (for the
+r = 0 (z = g X) the orthant is an x-interval, and the term, its mass
+outside the two rays integrated over the scale, is read off the tables
+at the scales where a ray crosses an end (`_ExactEngine._term_k1`).
+Otherwise the test rejects at every scale up to |X - x0| / c_p, so the
+scale integral becomes a cumulative scale mass read at each X node (for the
 last order, which no later test follows, the ratio density's own cdf in
 closed form; for the others a partial panel of the scale grid), and the
 term integrates it against phi(X) times the conditional orthant
@@ -81,16 +74,16 @@ Every cdf evaluator of the package, these and the limit ones of
 `TermTrace` (pi(p) G(t | p), pi(p), error bounds and three sampling
 standard errors, each at least 1/n_z), read from one `_gauss.OrderTerm`
 per order, whose K25 panel rules `_gauss.refine` bisects where their
-|K25 - G12| estimates are large (here order O and the rank-0 orders share
-the scale grid, whose totals are their terms and weights), and
+|K25 - G12| estimates are large (order O and the rank-0 orders have no
+rule; their table reads' |K25 - G12| joins the estimates), and
 `cdf_result`, the one error budget: the summed estimates, dropped mass,
 the defect of sum pi(p) from 1 (which carries the truncated scale mass),
 sampling error and a 1e-14 rounding floor.  No bisection reduces the
 dropped and truncated mass and the rounding floor, so `refine` stops
-below that error floor and `cdf_result` names it in its warning.  The exact cdf's method string
-is "mixture-formula;levels=l;n_z=...;seed=...;k=...", l the rounds of
-bisection `refine` ran.  Identical query + budget + seed replays
-bit-identically.
+below that error floor and `cdf_result` names it in its warning.  The
+method string "mixture-formula;levels=l;n_z=...;seed=...;k=..." records
+l, the rounds of bisection `refine` ran.  Identical query + budget +
+seed replays bit-identically.
 """
 from __future__ import annotations
 
@@ -112,13 +105,12 @@ from ._gauss import (
     error_floor,
     gauss_draws,
     gaussian_rect,
+    gl_panels,
     layout_constants,
     needs_sampling,
     panel_edges,
     philox,
-    ray_interval_prob,
     refine,
-    split_edges,
 )
 from .errors import ValidationError, cdf_argument, target_matrix
 from .regression_core import (
@@ -240,9 +232,15 @@ def _ratio_quantiles(dof: int, q: tuple[float, ...]) -> np.ndarray:
 
 
 @lru_cache
-def _scale_edges(dof: int, lo: float, hi: float, layout: tuple) -> np.ndarray:
-    """`_ratio_quantiles` at the `panel_edges` of [lo, hi], per ``layout``."""
-    return _ratio_quantiles(dof, tuple(panel_edges(lo, hi).tolist()))
+def _scale_layout(dof: int, lo: float, hi: float, layout: tuple):
+    """The scale grid at ``dof``, read-only: its edges (`_ratio_quantiles`
+    at the `panel_edges` of [lo, hi], per ``layout``), K25 nodes s and pdf(s)."""
+    edges = _ratio_quantiles(dof, tuple(panel_edges(lo, hi).tolist()))
+    s = gl_panels(edges)[0]
+    pdf = SigmaRatioDensity(dof).pdf(s)
+    s.setflags(write=False)
+    pdf.setflags(write=False)
+    return edges, s, pdf
 
 
 @dataclass(frozen=True)
@@ -347,7 +345,7 @@ class TermTrace:
                          self.errors[:, j], self.sampling[:, j])
 
 
-def tail_products(dq: LimitQuantities, nu, c_of, p0: int, s=1.0):
+def tail_products(dq: LimitQuantities, nu, c_of, p0: int, s=1.0, cdfs=None):
     """prod_{q > p} Delta_q for p = p0..P, keyed by p: the later-stage factors.
 
     Delta_q = delta(xi_q, nu_q, s c_q xi_q) is the probability, at unit
@@ -355,14 +353,17 @@ def tail_products(dq: LimitQuantities, nu, c_of, p0: int, s=1.0):
     sigma, with dq the design record, nu_q the drift and c_q the critical
     value of order q, here Phi(s c_q - x) - Phi(-s c_q - x) >= 0 with x =
     nu_q / xi_q.  s is 1 in the limit and the array of scale nodes of the
-    exact cdf, whose shape every product takes.
+    exact cdf, whose shape every product takes.  A dict ``cdfs`` receives
+    each q's two normal cdfs, (Phi(-s c_q - x), Phi(s c_q - x)).
     """
     P = dq.P
     tail = {P: np.ones_like(s, dtype=float)}
+    cdfs = {} if cdfs is None else cdfs
     for p in range(P - 1, p0 - 1, -1):
         q = p + 1
         x, sc = nu[q] / dq.xi(q), s * c_of[q]
-        tail[p] = tail[q] * np.maximum(ndtr(sc - x) - ndtr(-sc - x), 0.0)
+        lo, hi = cdfs[q] = ndtr(-sc - x), ndtr(sc - x)
+        tail[p] = tail[q] * np.maximum(hi - lo, 0.0)
     return tail
 
 
@@ -413,24 +414,24 @@ class _Drift:
     at every t, kept in the design record's drift slot
     (`LimitQuantities.drift`).
 
-    Holds the scale layout it was built on (`_ratio_quantiles`, shared per
-    dof and layout), the orthant shifts and the drifts nu_p (the design
-    record's `drift_maps` times gamma, no solve) and the ray centres x0_p =
-    -nu_p / xi_p, with the orders of conditional rank 0 (``rays``); each
-    order p < P's scale mass K_p as its full-panel sums (``mass``, made on
-    first use); and `NodeMemo`s of the factors no t moves: at the scale
-    grid's nodes (``grid``: the ratio density pdf(s), tail_q(s) for
-    q = O..P and each rank-0 order's pi integrand, a difference of two tail
-    products), and at each conditional order's x-rule nodes (``rules``:
-    phi(x) and the rows of its scale mass), each filled whole on its second
-    read.  Arrays and numbers only, so a problem carrying it pickles.
+    Holds the scale layout it was built on (`_ratio_quantiles` and
+    `_scale_layout`, shared per dof and layout); the orthant shifts, the
+    drifts nu_p (the design record's `drift_maps` times gamma, no solve)
+    and ray centres x0_p = -nu_p / xi_p, with the orders of conditional
+    rank 0 (``rays``); the scale tables (``mass``: per order a read-only
+    (K25, G12) array of `cumulative_sums` rows, from one evaluation of
+    the tail products at the layout's nodes) of order O's weight pdf(s)
+    tail_O(s), each order p < P's scale mass w(s) = pdf(s) tail_p(s), and
+    for a rank-0 order also w(s) Phi(x0_p -/+ c_p s) and its pi integrand
+    pdf(s) (tail_p(s) - tail_{p-1}(s)); and a `NodeMemo` per x-rule
+    (``rules``).  Arrays and numbers only, so a problem carrying it
+    pickles.
     """
 
-    def __init__(self, problem: RegressionProblem, dq: LimitQuantities, theta: np.ndarray):
+    def __init__(self, problem: RegressionProblem, dq: LimitQuantities, theta, c):
         P, O = problem.P, problem.O
-        # the scale layout: the x-edge scales and the scale grid's edges
         self.s_step = _ratio_quantiles(problem.dof, _STEP_Q)
-        s_edges = _scale_edges(problem.dof, _S_Q_LO, _S_Q_HI, layout_constants())
+        self.edges, s, pdf = _scale_layout(problem.dof, _S_Q_LO, _S_Q_HI, layout_constants())
         # at unit sigma, the limit formula's constants at Q = X'X/n and
         # gamma = sqrt(n) theta: orthant shifts sqrt(n) A (eta(p) - theta)
         # and drifts sqrt(n) eta_p(p), eta(p) the mean of the order-p
@@ -442,11 +443,21 @@ class _Drift:
         self.shift = dict(zip(range(O, P + 1), shift))
         self.nu = dict(zip(range(O + 1, P + 1), (N @ gamma).tolist()))
         self.x0 = {p: -nu / dq.xi(p) for p, nu in self.nu.items()}
-        # the orders of conditional rank 0, whose pi integrands are grid rows
         self.rays = [p for p in self.x0 if dq.orthant(p).r == 0]
-        self.mass: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.grid = NodeMemo(s_edges)
         self.rules = {p: NodeMemo() for p in self.x0 if p not in self.rays}
+        # Phi(x0_p -/+ c_p s), the two cdfs of each Delta_p
+        tail = tail_products(dq, self.nu, c, O, s, cdfs := {})
+        rows = {O: [pdf * tail[O]]}
+        for p in self.x0:
+            w = pdf * tail[p]
+            if p in self.rays:
+                rows[p] = [w, w * cdfs[p][0], w * cdfs[p][1], pdf * (tail[p] - tail[p - 1])]
+            elif p < P:
+                rows[p] = [w]
+        tables = cumulative_sums(np.array([r for v in rows.values() for r in v]), self.edges)
+        tables.setflags(write=False)
+        ends = np.cumsum([len(v) for v in rows.values()])
+        self.mass = {p: tables[:, end - len(v):end] for (p, v), end in zip(rows.items(), ends)}
 
 
 class _ExactEngine:
@@ -456,10 +467,8 @@ class _ExactEngine:
         if query.A.shape[1] != problem.P:
             raise ValidationError("query A width does not match problem dimension")
         query.rule.validate_for(problem.P, problem.O)
-        self.problem = problem
-        self.budget = budget
+        self.problem, self.budget, self.k = problem, budget, query.A.shape[0]
         O = problem.O
-        self.k = query.A.shape[0]
         self.ratio = SigmaRatioDensity(problem.dof)
         # the scale mass outside the grid, part of the error floor
         self.truncated = _S_Q_LO + (1.0 - _S_Q_HI)
@@ -471,9 +480,9 @@ class _ExactEngine:
         self.c = query.rule.critical_values(O)
         theta = query.theta / query.sigma
         key = (theta.tobytes(), self.c.tobytes(), _S_Q_LO, _S_Q_HI, _STEP_Q, layout_constants())
-        self.drift = dq.drift(key, lambda: _Drift(problem, dq, theta))
+        self.drift = dq.drift(key, lambda: _Drift(problem, dq, theta, self.c))
         self.shift, self.nu = self.drift.shift, self.drift.nu
-        self.s_step, self._s_edges = self.drift.s_step, self.drift.grid.edges
+        self.s_step, self._s_edges = self.drift.s_step, self.drift.edges
         # the order-O orthant does not involve the scale: one evaluation,
         # which can sample only at k >= 4
         rng = philox(budget.seed, 10_000) if self.k >= 4 else None
@@ -481,13 +490,11 @@ class _ExactEngine:
                                   rng=rng, n_samples=budget.n_z, factor=dq.factor(O))
         # each order p > O is split on its selection scalar X = W / xi_p,
         # z = g X + R (`LimitQuantities.orthant`); a rank-0 order (z = g X)
-        # keeps the x-interval of {g X <= u}, x0 and c_p of its two rays
-        self.rank0: dict[int, tuple[float, float, float, float]] = {}
-        for p in self.drift.rays:
-            lo, hi = dq.orthant(p).interval((self.u - self.shift[p])[None, :])
-            self.rank0[p] = (float(lo[0]), float(hi[0]), self.drift.x0[p], float(self.c[p]))
+        # keeps the x-interval [lo, hi] of {g X <= u}
+        ends = {p: dq.orthant(p).interval((self.u - self.shift[p])[None, :])
+                for p in self.drift.rays}
+        self.rank0 = {p: (float(lo[0]), float(hi[0])) for p, (lo, hi) in ends.items()}
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
-        self._grid: Panels | None = None
         self._orders: dict[int, OrderTerm] = {}
 
     # ---- sampled draws for k >= 4 terms (one draw per order, shared by
@@ -501,39 +508,7 @@ class _ExactEngine:
             self._z_cache[p] = (R,)
         return self._z_cache[p]
 
-    # ---- scale grid ----
-    def _grid_factors(self, s: np.ndarray) -> np.ndarray:
-        """The scale grid's t-free rows at the nodes s: pdf(s), tail_q(s)
-        for q = O..P, then the pi integrand pdf(s) tail_p(s) (1 - Delta_p)
-        = pdf(s) (tail_p(s) - tail_{p-1}(s)) of each order of rank 0."""
-        O = self.problem.O
-        pdf = self.ratio.pdf(s)
-        tail = tail_products(self.design, self.nu, self.c, O, s)
-        rows = [pdf, *(tail[q] for q in range(O, self.problem.P + 1))]
-        rows += [pdf * (tail[p] - tail[p - 1]) for p in self.drift.rays]
-        return np.array(rows)
-
-    def _s_grid(self) -> Panels:
-        """The one scale grid's `Panels`: components the core's term and each
-        rank-0 order's (`_term_k1`), then their weights, with an edge
-        wherever a ray of a rank-0 order crosses an end of its x-interval;
-        its t-free factors (`_grid_factors`) are kept on the drift record."""
-        O, P, core = self.problem.O, self.problem.P, self.core[0]
-        crossings = [abs(end - x0) / c for lo, hi, x0, c in self.rank0.values()
-                     for end in (lo, hi) if np.isfinite(end)]
-
-        pi_row = {p: P - O + 2 + i for i, p in enumerate(self.drift.rays)}
-
-        def f(s, a):
-            pdf, tail = a[0], a[1:P - O + 2]
-            terms = [(core * pdf * tail[0], pdf * tail[0])]
-            terms += [(self._term_k1(p, s, pdf * tail[p - O]), a[pi_row[p]]) for p in self.rank0]
-            parts = np.array([v for v, _ in terms] + [w for _, w in terms])
-            return parts, parts
-
-        return Panels(f, split_edges(self._s_edges, crossings), self._grid_factors,
-                      self.drift.grid)
-
+    # ---- the scale tables ----
     def _scale_mass(self, p: int) -> ScaleMass:
         """K(y), the integral of pdf(s) tail_p(s) over the scale grid's
         s <= y, as its K25 and G12 parts.
@@ -541,12 +516,8 @@ class _ExactEngine:
         The last order P has no later stage (tail_P = 1), so its K is the
         ratio density's own cdf F, in closed form: F(min(y, s_hi)) - F(s_lo)
         above the grid's first edge s_lo and 0 at and below it, s_hi its last
-        edge, both parts the same array.  Every other order reads K through
-        `cumulative_rule` on `_s_edges`, whose full-panel sums are made once
-        per drift record from the grid factors at every node of the layout
-        (`NodeMemo.whole`: one evaluation shared by every order and the
-        grid memo's fill), so it costs one partial panel of pdf(s) tail_p(s)
-        per argument.
+        edge, both parts the same array.  Every other order reads its table
+        (``mass``) through `cumulative_rule`, a partial panel per argument.
         """
         if p == self.problem.P:
             cdf, s_lo, s_hi = self.ratio.cdf, self._s_edges[0], self._s_edges[-1]
@@ -554,32 +525,51 @@ class _ExactEngine:
             return ScaleMass(lambda y: np.where(y > s_lo, cdf(np.minimum(y, s_hi)) - below,
                                                 0.0)[None])
 
-        edges = self._s_edges
-        cum = self.drift.mass.get(p)
-        if cum is None:
-            a = self.drift.grid.whole(self._grid_factors)
-            cum = self.drift.mass[p] = cumulative_sums(a[0] * a[1 + p - self.problem.O], edges)
-
         def f(s):
             tail = tail_products(self.design, self.nu, self.c, p, s)
             return self.ratio.pdf(s) * tail[p]
 
-        return cumulative_rule(f, edges, cum)
+        return cumulative_rule(f, self._s_edges, self.drift.mass[p][:, 0])
 
     # ---- conditional rank 0: two rays in the selection scalar ----
-    def _term_k1(self, p: int, s: np.ndarray, wt: np.ndarray) -> np.ndarray:
-        """The value integrand of a rank-0 order p at the scale nodes s.
+    def _term_k1(self, p: int) -> tuple[OrderTerm, float]:
+        """The `OrderTerm` of a rank-0 order p, read off its scale tables.
 
         The arm of every order whose z is a multiple g X of its selection
         scalar, for any k (the name predates that; `benchmarks/spans.py`
         traces it).  z <= u holds on an x-interval [lo, hi], and at scale s
-        the order-p test rejects outside (x0 - c_p s, x0 + c_p s), so the
-        inner expectation is `ray_interval_prob` at every scale node s.
-        wt holds pdf(s) tail_p(s).  The pi integrand, the same on the whole
-        line, does not depend on t: it is a row of `_grid_factors`.
+        the order-p test rejects outside (x0 - c s, x0 + c s), c = c_p.
+        With w(s) = pdf(s) tail_p(s) and M(y), N-(y) and N+(y) the
+        integrals of w(s), w(s) Phi(x0 - c s) and w(s) Phi(x0 + c s) over
+        the grid's s <= y (the drift record's tables), the term
+        int w(s) P(lo <= X <= hi, |X - x0| >= c s) ds is
+
+            Phi(hi) (M(s2) + M(s3)) - Phi(lo) (M(s1) + M(s4))
+            + N-(s1) - N-(s2) - N+(s3) + N+(s4),
+
+        s1 = (x0 - lo) / c, s2 = (x0 - hi) / c, s3 = (hi - x0) / c and
+        s4 = (lo - x0) / c the scales where a ray crosses an end, each read
+        by `cumulative_rule` (an infinite end reads a total or 0).  Returns
+        the term, with pi(p) a t-free total, and the reads' |K25 - G12|,
+        its part of the engine's ``gap``.  An empty interval is 0.
         """
-        lo, hi, x0, c = self.rank0[p]
-        return wt * ray_interval_prob(lo, hi, x0 - c * s, x0 + c * s)
+        lo, hi = self.rank0[p]
+        tables = self.drift.mass[p]
+        pi = tables[0, 3, -1]
+        if not lo <= hi:
+            return OrderTerm(np.zeros(1), pi, 0.0, 0.0), 0.0
+        x0, c = self.drift.x0[p], float(self.c[p])
+
+        def f(s):
+            w = self.ratio.pdf(s) * tail_products(self.design, self.nu, self.c, p, s)[p]
+            return w * np.array([np.ones_like(s), ndtr(x0 - c * s), ndtr(x0 + c * s)])
+
+        y = np.array([x0 - lo, x0 - hi, hi - x0, lo - x0]) / c
+        a, b = ndtr(lo), ndtr(hi)
+        # the term's coefficients of M, N- and N+ at s1..s4
+        weights = [-a, b, b, -a, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0]
+        k, g = np.reshape(cumulative_rule(f, self._s_edges, tables[:, :3])(y), (2, -1)) @ weights
+        return OrderTerm(np.array([k]), pi, 0.0, 0.0), abs(k - g)
 
     # ---- the scale integral folded into the selection scalar ----
     def _conditional_term(self, p: int, R=None) -> OrderTerm:
@@ -610,32 +600,35 @@ class _ExactEngine:
         `needs_sampling`, on the draws of `_z_sample`."""
         return self._conditional_term(p, self._z_sample(p)[0])
 
-    # ---- the rules, built once, and the trace `refine` reads from them ----
+    # ---- the terms, made once, and the trace `refine` reads from them ----
     def panels(self) -> list[Panels]:
-        """Every panel rule of the cdf: the scale grid and one per order of
-        conditional rank >= 1, made on first use."""
-        if self._grid is None:
-            self._grid = self._s_grid()
-            for p in range(self.problem.O + 1, self.problem.P + 1):
+        """The x-rule of each order of conditional rank >= 1, with every
+        order's `OrderTerm` made on first use: order O's is the core times
+        its table's total W_O, a rank-0 order's `_term_k1`.  ``gap``, these
+        table reads' |K25 - G12|, joins the rules' gap in `cdf_exact`
+        unseen by `refine` (no bisection reduces it); below half the
+        truncated scale mass, it flags no result whose floor meets tol."""
+        if not self._orders:
+            O, P = self.problem.O, self.problem.P
+            (k,), (g,) = self.drift.mass[O][:, :, -1]
+            core, se = self.core
+            self._orders[O] = OrderTerm(np.array([core * k]), k, 0.0, se * k)
+            self.gap = core * abs(k - g)
+            for p in range(O + 1, P + 1):
                 if p in self.rank0:
-                    continue
-                sampled = needs_sampling(self.k, self.design.orthant(p).r)
-                self._orders[p] = self._term_sampled(p) if sampled else self._conditional_term(p)
-        return [self._grid, *(term.panels[0] for term in self._orders.values())]
+                    self._orders[p], gap = self._term_k1(p)
+                    self.gap += gap
+                elif needs_sampling(self.k, self.design.orthant(p).r):
+                    self._orders[p] = self._term_sampled(p)
+                else:
+                    self._orders[p] = self._conditional_term(p)
+        return [term.panels[0] for term in self._orders.values() if term.panels]
 
     def assemble(self) -> TermTrace:
-        """The trace of the rules' current sums: the scale grid's terms and
-        weights of order O and the rank-0 orders, and each other order's
-        `OrderTerm` parts."""
-        O = self.problem.O
+        """The trace of the terms' current parts, one row per order."""
         self.panels()
-        terms, weights = self._grid.total.reshape(2, -1)
-        # the core's sampling error scales with its weight, a grid total
-        parts = {O: [terms[0], weights[0], 0.0, 3.0 * self.core[1] * weights[0]]}
-        parts.update((p, [terms[i], weights[i], 0.0, 0.0]) for i, p in enumerate(self.rank0, 1))
-        parts.update((p, term.parts()[:, 0]) for p, term in self._orders.items())
-        orders = sorted(parts)
-        return TermTrace(tuple(orders), *np.array([parts[p] for p in orders]).T)
+        parts = np.array([term.parts()[:, 0] for term in self._orders.values()])
+        return TermTrace(tuple(self._orders), *parts.T)
 
 
 def cdf_exact(problem: RegressionProblem, query: CdfQuery,
@@ -653,5 +646,5 @@ def cdf_exact(problem: RegressionProblem, query: CdfQuery,
     engine = _ExactEngine(problem, query, budget)
     trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()], budget.tol,
                                  engine.truncated)
-    return cdf_result(trace, gaps[0], rounds, budget, "mixture-formula", engine.k,
+    return cdf_result(trace, gaps[0] + engine.gap, rounds, budget, "mixture-formula", engine.k,
                       engine.truncated)

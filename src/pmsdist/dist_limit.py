@@ -42,7 +42,6 @@ from ._gauss import (
     OrderTerm,
     ScaleMass,
     bvn_cdf,
-    condition_on_scalar,
     conditional_rows,
     gauss_draws,
     gaussian_rect,
@@ -245,7 +244,8 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
     the conditional-spread constants (b, zeta) instead of the joint (Z, W)
     covariance, so transcription errors in either path surface as
     disagreement.  Each order term E[1{Z <= u} (1 - Delta(zeta_p,
-    nu_p + b_p'Z, B_p))] conditions Z on b_p'Z (`_rule_rows`), which is
+    nu_p + b_p'Z, B_p))] conditions Z on b_p'Z (`_rule_rows`, on the
+    split the record keeps, `LimitQuantities.orthant` with on_b), which is
     deterministic up to k = 3 and at conditional rank <= 2 (a rank-2
     orthant is a polygon in closed form), and samples only the conditional
     orthant at k >= 4 with conditional rank >= 3; the terms' rules are
@@ -276,10 +276,9 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
             continue
         # condition on X = V / sd(V): 1 - Delta(zeta_p, nu_p + V, B) is the
         # mass K(|X - x0| / c) of `_rule_rows`, x0 = -nu_p / sd(V), c = B / sd(V)
-        orthant = ConditionedOrthant(*condition_on_scalar(cov_z, cov_z @ b_p, var_v))
         sv = np.sqrt(var_v)
-        terms[p] = _rule_rows(u[None, :], orthant, -consts.nu[p] / sv, B / sv,
-                              zeta_p / B, (budget.seed + 63, p), budget.n_z)
+        terms[p] = _rule_rows(u[None, :], limits.orthant(p, on_b=True), -consts.nu[p] / sv,
+                              B / sv, zeta_p / B, (budget.seed + 63, p), budget.n_z)
     tails = tail_products(limits, consts.nu, c_of, p_star)
     trace, gaps, rounds = refine(*_assemble(terms, tails), budget.tol)
     return cdf_result(trace.row(0), gaps[0], rounds, budget, "mixture-integral", limits.k)

@@ -169,10 +169,11 @@ class LimitQuantities:
     record keeps what its readers build from it on first use: each order's
     conditioned orthant (`orthant`: the split z = g X + R on its selection
     scalar, with everything of its orthant kernel and kink rule that no
-    argument moves, read by both cdf engines) and covariance factor
-    (`factor`), the shifts and drifts at theta = 0 as maps of gamma
-    (`drift_maps`), and one slot for a drift record (`drift`).  A cdf call
-    then supplies only its rows u, and a new theta two products.
+    argument moves, read by both cdf engines, and its split on b_p'z for
+    the limit's cross-check) and covariance factor (`factor`), the shifts
+    and drifts at theta = 0 as maps of gamma (`drift_maps`), and one slot
+    for a drift record (`drift`).  A cdf call then supplies only its rows
+    u, and a new theta two products.
     """
 
     Q: np.ndarray
@@ -209,21 +210,25 @@ class LimitQuantities:
         """Covariance A[p] Q[p:p]^{-1} A[p]' of the order-p law (unit sigma)."""
         return self.omega_inf[p - 1] if p else np.zeros((self.k, self.k))
 
-    def orthant(self, p: int) -> ConditionedOrthant:
+    def orthant(self, p: int, on_b: bool = False) -> ConditionedOrthant:
         """Order p's target estimate z split on its selection scalar X =
         W / xi_p, z = g X + R with R ~ N(0, S), S = L L'
         (`condition_on_scalar`), as a `ConditionedOrthant`: g, S and L
         read-only, with the kernel of P(R <= u - g x) and the kink rule
-        of its x-rules, everything that no u moves.  A function of the
-        record alone, built on first use and kept."""
-        out = self._orthants.get(p)
+        of its x-rules, everything that no u moves.  With ``on_b`` z is
+        split on b_p'z instead (of positive variance b_p' omega(p) b_p),
+        for the cross-check `dist_limit.cdf_limit_via_integral`.  A
+        function of the record alone, built on first use and kept."""
+        out = self._orthants.get((p, on_b))
         if out is None:
-            split = condition_on_scalar(self.omega(p), self.C(p), self.xi(p) ** 2)
-            out = self._orthants[p] = ConditionedOrthant(*(_readonly(v) for v in split))
+            cov_z, b = self.omega(p), self.b(p)
+            split = (condition_on_scalar(cov_z, cov_z @ b, float(b @ cov_z @ b)) if on_b
+                     else condition_on_scalar(cov_z, self.C(p), self.xi(p) ** 2))
+            out = self._orthants[p, on_b] = ConditionedOrthant(*(_readonly(v) for v in split))
         return out
 
     @cached_property
-    def _orthants(self) -> dict[int, ConditionedOrthant]:
+    def _orthants(self) -> dict[tuple[int, bool], ConditionedOrthant]:
         return {}
 
     def factor(self, p: int) -> np.ndarray:

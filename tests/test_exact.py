@@ -490,15 +490,16 @@ def _total(engine):
     """(unclamped total, abs_error) of an engine, as `cdf_exact` refines it."""
     trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()],
                                  engine.budget.tol, engine.truncated)
-    res = cdf_result(trace, gaps[0], rounds, engine.budget, "mixture-formula", engine.k,
-                     engine.truncated)
+    res = cdf_result(trace, gaps[0] + engine.gap, rounds, engine.budget, "mixture-formula",
+                     engine.k, engine.truncated)
     return float(res.term_trace.total), res.abs_error
 
 
 def test_two_ray_arm_agrees_with_general_rule():
     # an order whose z is a multiple of its selection scalar (conditional
-    # rank 0) is two rays in that scalar (`_term_k1`); with the engine's
-    # rank-0 table cleared, the swapped rule of `_conditional_term` covers it
+    # rank 0) is two rays in that scalar, read off the drift record's scale
+    # tables (`_term_k1`); with the engine's rank-0 intervals cleared, the
+    # swapped rule of `_conditional_term` on the kept r = 0 orthant covers it
     budget = AccuracyBudget()
     for problem, A, rule, ts in _two_ray_cases():
         for t in ts:
@@ -628,13 +629,14 @@ def test_shared_setup_replays_a_cold_call_bit_for_bit():
     # dof) are built once and shared: a problem that has already served
     # another t and theta gives the value, abs_error, method and warning of
     # a fresh problem with an empty layout cache
-    from pmsdist.dist_exact import _ratio_quantiles
+    from pmsdist.dist_exact import _ratio_quantiles, _scale_layout
 
     points = _benchmark_points()
     assert len(points) == 39 + 27
     warm_problems = {}
     for make, query in points:
         _ratio_quantiles.cache_clear()
+        _scale_layout.cache_clear()
         cold = cdf_exact(make(), query)
         if make not in warm_problems:
             warm_problems[make] = make()
@@ -716,8 +718,9 @@ def test_bisected_panels_never_enter_the_drift_record():
 
 
 def _memo_bytes(drift):
-    return sum(m.values.nbytes for m in (drift.grid, *drift.rules.values())
-               if m.values is not None)
+    """The bytes of a drift record's x-rule memos and its scale tables."""
+    tables = sum(K.nbytes + G.nbytes for K, G in drift.mass.values())
+    return tables + sum(m.values.nbytes for m in drift.rules.values() if m.values is not None)
 
 
 def test_drift_slots_and_memos_stay_bounded():
@@ -788,7 +791,9 @@ def test_kept_orthants_pickle_with_their_problem():
     want = [cdf_exact(problem, q) for q in queries]
     copy = pickle.loads(pickle.dumps(problem))
     kept = projection_quantities(copy, A)._orthants
-    assert sorted(kept) == [2, 3, 4] and all(o._normals for o in kept.values())
+    # keyed by (order, split on b_p'z)
+    assert sorted(kept) == [(2, False), (3, False), (4, False)]
+    assert all(o._normals for o in kept.values())
     for q, res in zip(queries, want):
         got = cdf_exact(copy, q)
         assert (got.value, got.abs_error, got.method) == (res.value, res.abs_error, res.method)
@@ -804,7 +809,12 @@ def test_scale_layout_is_shared_read_only_and_follows_the_quantiles(monkeypatch)
     a = _ExactEngine(fx.problem, q, QUICK)
     b = _ExactEngine(fixture("COLL2").problem, q, QUICK)
     assert a.s_step is b.s_step and a._s_edges is b._s_edges
-    for arr in (a.s_step, a._s_edges):
+    # the layout's nodes and the ratio density there are kept with its edges
+    edges, s, pdf = dist_exact._scale_layout(fx.problem.dof, 1e-12, 1.0 - 1e-10,
+                                             _gauss.layout_constants())
+    assert edges is a._s_edges and np.array_equal(s, _gauss.gl_panels(edges)[0])
+    assert np.array_equal(pdf, ratio.pdf(s))
+    for arr in (a.s_step, a._s_edges, s, pdf):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     assert np.array_equal(a._s_edges, ratio.ppf(_gauss.panel_edges(1e-12, 1.0 - 1e-10)))
@@ -1256,28 +1266,55 @@ def test_a_design_record_builds_each_orders_orthant_once(monkeypatch):
     assert len(built) == 3 + 3 * 3 and len(normals) == 3 + 3 * 3, (built, normals)
 
 
-def test_scale_grid_factors_are_evaluated_twice_per_drift_record(monkeypatch):
-    # at a theta the design record has not seen, P4's scale grid evaluates
-    # its t-free factors at the layout's nodes on the grid memo's first
-    # read, and once more for the scale masses of orders 2 and 3 and the
-    # memo's fill together: 2 x the layout over three t, where each order
-    # and the fill evaluated it again (4 x)
+def test_cross_check_keeps_its_split_on_b_per_record(monkeypatch):
+    # the cross-check conditions each order on b_p'Z, a split of the record
+    # alone: over three t on the P4 limit record it builds each order's
+    # kink rule once (3 kink_normals builds, where a split per call built
+    # 9), and its values equal those of a fresh record bit for bit
+    normals = []
+
+    def spy_normals(g, L, finite, _original=_gauss.kink_normals):
+        normals.append(L.shape)
+        return _original(g, L, finite)
+
+    monkeypatch.setattr(_gauss, "kink_normals", spy_normals)
+    problem, A, rule = _p4_k3_case()
+    record = limit_quantities(problem.gram, A, O=problem.O)
+    alt = LocalAlternative(theta=np.zeros(4), gamma=np.sqrt(problem.n) * problem.theta,
+                           sigma=1.0)
+    kept = [cdf_limit_via_integral(record, alt, t, rule) for t in P4_GRID]
+    assert len(normals) == 3, normals
+    assert sorted(record._orthants) == [(2, True), (3, True), (4, True)]
+    for t, res in zip(P4_GRID, kept):
+        own = cdf_limit_via_integral(limit_quantities(problem.gram, A, O=problem.O), alt, t, rule)
+        assert _bits(res) == _bits(own), t
+
+
+def test_scale_tails_are_evaluated_once_per_drift_record(monkeypatch):
+    # at a theta the design record has not seen, P4's drift record
+    # evaluates the tail products at the scale layout's nodes once, for
+    # every table (order O's weight and the scale masses of orders 2 and
+    # 3), and no call over three t evaluates them there again: a call reads
+    # the tables, and the pdf at the nodes is kept per dof
     import pmsdist.dist_exact as dist_exact
 
-    nodes = []
+    layout = []
 
-    def spy(self, s, _original=dist_exact._ExactEngine._grid_factors):
-        nodes.append(np.size(s))
-        return _original(self, s)
+    def spy(dq, nu, c_of, p0, s=1.0, *cdfs, _original=dist_exact.tail_products):
+        if np.shape(s) == nodes.shape and np.array_equal(s, nodes):
+            layout.append(p0)
+        return _original(dq, nu, c_of, p0, s, *cdfs)
 
-    monkeypatch.setattr(dist_exact._ExactEngine, "_grid_factors", spy)
     problem, A, rule = _p4_k3_case()
+    nodes = gl_panels(_ExactEngine(problem, CdfQuery(A=A, t=P4_GRID[0], theta=problem.theta,
+                                                      sigma=1.0, rule=rule), QUICK)._s_edges)[0]
+    monkeypatch.setattr(dist_exact, "tail_products", spy)
     theta = 0.5 * problem.theta
     for t in P4_GRID:
         res = cdf_exact(problem, CdfQuery(A=A, t=t, theta=theta, sigma=1.0, rule=rule))
         assert res.method.startswith("mixture-formula;levels=0;"), res
-    layout = gl_panels(projection_quantities(problem, A)._drift[1].grid.edges)[0].size
-    assert nodes == [layout, layout], (nodes, layout)
+    assert layout == [problem.O], layout
+    assert sorted(projection_quantities(problem, A)._drift[1].mass) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("dof,tol", [(1, 1e-13), (36, 1e-13), (1_599, 1e-13),
@@ -1320,19 +1357,26 @@ def test_drift_maps_equal_the_local_shift_constants():
 
 def test_rank0_pi_rows_are_differences_of_the_tail_products():
     # pdf(s) tail_p(s) P(X outside the rays of order p) is pdf(s) (tail_p(s)
-    # - tail_{p-1}(s)): the grid row equals the two-ray form within 2e-16 of
-    # pdf(s) at every node, for P1's order 1 and COLL2's order 1 (rank 0)
+    # - tail_{p-1}(s)): the t-free pi(p) of the drift record's table, the
+    # K25 sum of that row, equals the K25 sum of the two-ray form (the rows
+    # agree within 2e-16 of pdf(s), the sums as summed) within 1e-15, as
+    # does the table's whole-line read, M - N+ + N-, for P1's order 1 and
+    # COLL2's order 1 (rank 0)
     for name, t in (("P1", [0.3]), ("COLL2", [0.25, 0.25])):
         fx = fixture(name)
         for theta in (fx.problem.theta, 1.7 * fx.problem.theta + 0.05):
             engine = _ExactEngine(fx.problem, _query(fx, t, theta=theta), QUICK)
             (p,) = engine.drift.rays
-            s = gl_panels(engine._s_edges)[0]
-            rows = engine._grid_factors(s)
+            s, wk, _ = gl_panels(engine._s_edges)
+            pdf = engine.ratio.pdf(s)
             tail = tail_products(engine.design, engine.nu, engine.c, fx.problem.O, s)
             x0, c = engine.drift.x0[p], float(engine.c[p])
-            want = rows[0] * tail[p] * ray_interval_prob(-np.inf, np.inf, x0 - c * s, x0 + c * s)
-            assert np.all(np.abs(rows[-1] - want) <= 2e-16 * rows[0]), (name, theta)
+            rays = pdf * tail[p] * ray_interval_prob(-np.inf, np.inf, x0 - c * s, x0 + c * s)
+            K = engine.drift.mass[p][0]
+            assert abs(K[3, -1] - wk @ rays) <= 1e-15, (name, theta)
+            assert abs(K[3, -1] - (K[0, -1] - K[2, -1] + K[1, -1])) <= 1e-15, (name, theta)
+            engine.rank0[p] = (-np.inf, np.inf)
+            assert abs(engine._term_k1(p)[0].parts()[0, 0] - K[3, -1]) <= 1e-15, (name, theta)
 
 
 # The 27 P1 queries of the plugin_sweeps benchmark (n = 100, 400, 1600 by
@@ -1366,10 +1410,10 @@ def test_p1_sweep_points_read_the_same_cold_and_warm():
             assert abs(cold.value - float.fromhex(want)) <= 1e-15, (n, lam, cold.value.hex())
 
 
-def test_a_new_theta_costs_no_solve_and_one_ray_interval_per_rank0_order(monkeypatch):
+def test_a_new_theta_costs_no_solve_and_no_ray_interval(monkeypatch):
     # once the design record has its drift maps, a P1 point at a new theta
-    # (no bisection) solves nothing and evaluates the two-ray probability
-    # only for its value: its pi row is the difference of tail products
+    # (no bisection) solves nothing and evaluates no two-ray probability:
+    # its term is read off the drift record's scale tables, its pi a total
     import pmsdist.dist_exact as dist_exact
     import pmsdist.regression_core as regression_core
 
@@ -1379,21 +1423,91 @@ def test_a_new_theta_costs_no_solve_and_one_ray_interval_per_rank0_order(monkeyp
         calls["shift"] += 1
         return _original(*args)
 
-    def spy_rays(*args, _original=dist_exact.ray_interval_prob):
+    def spy_rays(*args, _original=_gauss.ray_interval_prob):
         calls["rays"] += 1
         return _original(*args)
 
     for module in (regression_core, dist_exact):   # wherever the name is bound
         if hasattr(module, "local_shift_constants"):
             monkeypatch.setattr(module, "local_shift_constants", spy_shift)
-    monkeypatch.setattr(dist_exact, "ray_interval_prob", spy_rays)
+    for module in (_gauss, dist_exact):
+        if hasattr(module, "ray_interval_prob"):
+            monkeypatch.setattr(module, "ray_interval_prob", spy_rays)
     fx = fixture("P1", n=400)
     cdf_exact(fx.problem, _query(fx, [0.0], theta=[0.01], sigma=1.0))
     for lam in np.linspace(-0.999, 0.999, 9):
         calls.update(shift=0, rays=0)
         res = cdf_exact(fx.problem, _query(fx, [0.0], theta=[lam / 20.0], sigma=1.0))
         assert res.method.startswith("mixture-formula;levels=0;"), res
-        assert calls == {"shift": 0, "rays": 1}, (lam, calls)
+        assert calls == {"shift": 0, "rays": 0}, (lam, calls)
+
+
+def _rank0_oracle(engine, p, lo, hi):
+    """scipy's quad of pdf(s) tail_p(s) P(lo <= X <= hi, |X - x0| >= c s)
+    over the scale grid, with the crossings and the x-edge scales as break
+    points."""
+    edges = engine._s_edges
+    x0, c = engine.drift.x0[p], float(engine.c[p])
+
+    def f(s):
+        tail = tail_products(engine.design, engine.nu, engine.c, p, np.array([s]))[p][0]
+        return float(engine.ratio.pdf(s) * tail * ray_interval_prob(lo, hi, x0 - c * s,
+                                                                   x0 + c * s))
+
+    breaks = [abs(end - x0) / c for end in (lo, hi) if np.isfinite(end)]
+    points = [y for y in (*breaks, *engine.s_step) if edges[0] < y < edges[-1]]
+    val, _ = quad(f, edges[0], edges[-1], points=points or None, epsabs=1e-15,
+                  epsrel=1e-13, limit=500)
+    return val
+
+
+def _rank0_cases():
+    """(label, engine, order) of a rank-0 order: P1 (one end infinite) at
+    dof 399 and 1, COLL2's order 1 at k = 1 and k = 2 (g = (1, 0), one end
+    infinite), and at k = 2 with a target that loads it with both signs
+    (both ends finite), at dof 18 and 99,998."""
+    for n in (400, 2):
+        fx = fixture("P1", n=n)
+        yield f"P1.n{n}", _ExactEngine(fx.problem, _query(fx, [0.3]), AccuracyBudget()), 1
+    signed = np.array([[1.0, 0.0], [-1.0, 1.0]])
+    for label, n, A, t in (("COLL2.k1", None, E1, [0.25]),
+                           ("COLL2.k2", None, np.eye(2), [0.25, 1.5]),
+                           ("COLL2.finite", None, signed, [0.25, 0.5]),
+                           ("COLL2.finite.dof99998", 100_000, signed, [0.25, 0.5])):
+        fx = fixture("COLL2") if n is None else fixture("COLL2", n=n)
+        # the drift sqrt(n) theta of COLL2 at n = 20
+        theta = fixture("COLL2").problem.theta * np.sqrt(20 / fx.problem.n)
+        query = CdfQuery(A=A, t=t, theta=theta, sigma=1.0, rule=fx.rule)
+        yield label, _ExactEngine(fx.problem, query, AccuracyBudget()), 1
+
+
+def test_rank0_table_reads_match_quadrature_of_the_two_ray_form():
+    # each rank-0 term, read off the drift record's tables at the interval
+    # of its t and at intervals whose crossings fall below the grid's first
+    # edge and above its last, is the two-ray integral over the scale grid
+    # within 1e-13, pi(p) the same on the whole line, and an empty interval
+    # reads 0.  The reads' |K25 - G12|, which no bisection reduces, stays
+    # below half the truncated scale mass (1.01e-10) that floors every error
+    # bound (3.5e-11 at dof 1 on the whole line, 4.2e-12 or less elsewhere),
+    # so `refine`, which never sees it, cannot be asked to chase it
+    for label, engine, p in _rank0_cases():
+        assert engine.problem.dof in (399, 1, 18, 99_998) and p in engine.rank0, label
+        lo, hi = engine.rank0[p]
+        assert np.isinf([lo, hi]).sum() == (0 if "finite" in label else 1), (label, lo, hi)
+        x0, c, edges = engine.drift.x0[p], float(engine.c[p]), engine._s_edges
+        inner, outer = c * 0.5 * edges[0], c * 2.0 * edges[-1]
+        intervals = [(lo, hi), (x0 - inner, x0 + outer), (x0 - outer, x0 + inner),
+                     (x0 - inner, x0 + inner), (x0 - outer, x0 - inner), (-np.inf, np.inf)]
+        for lo, hi in intervals:
+            engine.rank0[p] = (lo, hi)
+            term, gap = engine._term_k1(p)
+            value, pi = term.parts()[:2, 0]
+            want = _rank0_oracle(engine, p, lo, hi)
+            assert abs(value - want) <= 1e-13 and gap <= 5e-11, (label, lo, hi, value, want, gap)
+            assert abs(pi - _rank0_oracle(engine, p, -np.inf, np.inf)) <= 1e-13, label
+        engine.rank0[p] = (0.5, -0.5)
+        term, gap = engine._term_k1(p)
+        assert term.parts()[0, 0] == 0.0 and gap == 0.0, label
 
 
 def _trace_cases():
