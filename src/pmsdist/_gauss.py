@@ -405,7 +405,7 @@ class _Interval:
     """
 
     def __init__(self, load: np.ndarray):
-        tol = 1e-13 * max(float(np.max(np.abs(load))), 1.0)
+        tol = 1e-13 * max(float(np.abs(load).max()), 1.0)
         self.pos, self.neg = load > tol, load < -tol
         zero = ~(self.pos | self.neg)
         self.zero = zero if zero.any() else None
@@ -413,8 +413,8 @@ class _Interval:
 
     def __call__(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = U.shape[0]
-        hi = np.min(U[:, self.pos] / self.up, axis=1) if self.up.size else np.full(m, np.inf)
-        lo = np.max(U[:, self.neg] / self.down, axis=1) if self.down.size else np.full(m, -np.inf)
+        hi = (U[:, self.pos] / self.up).min(axis=1) if self.up.size else np.full(m, np.inf)
+        lo = (U[:, self.neg] / self.down).max(axis=1) if self.down.size else np.full(m, -np.inf)
         if self.zero is None:
             return lo, hi
         bad = np.any(U[:, self.zero] < 0.0, axis=1)
@@ -510,23 +510,6 @@ def needs_sampling(k: int, r: int) -> bool:
     return k >= 4 and r >= 3
 
 
-class ScaleMass:
-    """A scale mass K(y) -> (K25, G12 parts) of a `conditional_rows` rule.
-
-    It comes in two halves: rows(y) -> (r, len(y)), the values K is formed
-    from at each argument, which a `NodeMemo` may keep at the rule's nodes,
-    and reduce(y, rows), which forms the two parts from them.  A closed form
-    has one row, read as both parts.
-    """
-
-    def __init__(self, rows, reduce=None):
-        self.rows = rows
-        self.reduce = reduce or (lambda y, r: (r[0], r[0]))
-
-    def __call__(self, y):
-        return self.reduce(y, self.rows(y))
-
-
 def cumulative_sums(fx: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The K25 and G12 integrals, from edges[0] to each edge, of the
     integrands whose values at the nodes of `gl_panels`(edges) are fx (the
@@ -540,50 +523,51 @@ def cumulative_sums(fx: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def cumulative_rule(f, edges: np.ndarray, cum: np.ndarray) -> ScaleMass:
+def partial_panels(edges: np.ndarray, y: np.ndarray):
+    """The arguments y strictly inside [edges[0], edges[-1]] (a mask over
+    y), and for each, in the mask's order, its panel j and the half-width
+    and K25 nodes (a row each) of its partial panel [edges[j], y]."""
+    inside = (y > edges[0]) & (y < edges[-1])
+    yi = y[inside]
+    j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
+    half = 0.5 * (yi - edges[j])
+    return inside, j, half, edges[j][:, None] + half[:, None] * (_K_X + 1.0)[None, :]
+
+
+def close_partial(c: np.ndarray, j: np.ndarray, half: np.ndarray, fs: np.ndarray):
+    """The K25 and G12 integrals to each argument of `partial_panels`:
+    ``c`` the `cumulative_sums` of the integrands (the K25 part first, any
+    rows before the edges), closed at panel j by the partial panel whose
+    integrand values are ``fs`` (the rows, then one row of nodes per
+    argument)."""
+    return [part[..., j] + half * (fs @ w) for part, w in zip(c, (_K_W, _G_W))]
+
+
+def cumulative_rule(f, edges: np.ndarray, cum: np.ndarray):
     """H(y) = integral of f from edges[0] to y, as its K25 and G12 parts.
 
     ``cum`` is f's `cumulative_sums` on ``edges``, made once by the
     caller; a y inside a panel closes the sum of the panels below it with
-    a partial panel of the same rule (its G12 nodes give the G12 part).
-    H is 0 at and below edges[0] and the total at and above edges[-1],
-    without evaluating f.  f(x) may have m rows, with ``cum`` of m rows,
-    and each part then a row per integrand.  As a `ScaleMass` its rows at
-    y are f at the partial panel's nodes (0 outside the edges), and reduce
-    sums them.  The exact cdf reads its scale masses
-    (`dist_exact._ExactEngine._scale_mass`) and rank-0 terms
-    (`dist_exact._ExactEngine._term_k1`) through it.
+    a partial panel of the same rule (its G12 nodes give the G12 part),
+    found once per read (`partial_panels`).  H is 0 at and below
+    edges[0] and the total at and above edges[-1], without evaluating f.
+    f(x) may have m rows, with ``cum`` of m rows, and each part then a
+    row per integrand.  As the scale mass of a `conditional_rows` rule,
+    y -> (K25, G12), the exact cdf reads its scale masses through it
+    (`dist_exact._ExactEngine._scale_mass`).
     """
     rows = cum[0].shape[:-1]
 
-    def partial(y):
-        """The inside arguments, and the panel and half-width of each one's partial panel."""
-        inside = (y > edges[0]) & (y < edges[-1])
-        yi = y[inside]
-        j = np.minimum(np.searchsorted(edges, yi, side="right") - 1, edges.size - 2)
-        return inside, j, 0.5 * (yi - edges[j])
-
-    def values(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros((*rows, NODES_PER_PANEL, y.size))
-        inside, j, half = partial(y)
-        if inside.any():
-            xs = edges[j][:, None] + half[:, None] * (_K_X + 1.0)[None, :]
-            out[..., inside] = np.swapaxes(f(xs.ravel()).reshape(*rows, *xs.shape), -1, -2)
-        return out.reshape(-1, y.size)
-
-    def reduce(y, fs):
+    def read(y):
         y = np.asarray(y, dtype=float)
         out = np.where(y >= edges[-1], cum[..., -1:], 0.0)
-        inside, j, half = partial(y)
+        inside, j, half, xs = partial_panels(edges, y)
         if inside.any():
-            fs = fs.reshape(*rows, NODES_PER_PANEL, y.size)[..., inside]
-            fs = np.ascontiguousarray(np.swapaxes(fs, -1, -2))
-            for o, c, w in zip(out, cum, (_K_W, _G_W)):
-                o[..., inside] = c[..., j] + half * (fs @ w)
+            fs = f(xs.ravel()).reshape(*rows, *xs.shape)
+            out[..., inside] = close_partial(cum, j, half, fs)
         return out
 
-    return ScaleMass(values, reduce)
+    return read
 
 
 def error_floor(trace, truncated: float = 0.0):
@@ -600,31 +584,36 @@ def refine(assemble, rules, tol: float, truncated: float = 0.0):
     over the rows, and assemble() -> a `dist_exact.TermTrace` (with a
     trailing axis of rows if batched) reads their current sums.  Row j's
     gap is the sum of its panels' estimates.  A row is live while its gap
-    is at least tol/2 and its `error_floor` (with ``truncated``) plus its
-    sampling error, summed over the orders, is within tol: no bisection
-    reduces either, so a row whose floor misses tol is not bisected at
-    all.  While a row is live and fewer than MAX_ROUNDS rounds have run,
-    each round bisects the row's panels whose estimate is at least tol/2
-    over the row's panel count, of which there is one whenever the gap is
-    that large.  A row's panels move only on its own figures, so a batched
-    row equals its one-row call.  Returns (trace, gaps over the rows,
-    rounds run).
+    is at least tol/2, its `error_floor` (with ``truncated``) plus its
+    sampling error, summed over the orders, is within tol, and it has run
+    fewer than MAX_ROUNDS rounds: no bisection reduces the floor, so a row
+    whose floor misses tol is not bisected at all.  Each round bisects
+    every live row's panels whose estimate is at least tol/2 over the
+    row's panel count, of which there is one whenever the gap is that
+    large.  A row's panels move only on its own figures, so a batched row
+    equals its one-row call, rounds included.  Without rules there is
+    nothing to bisect: one assemble().  Returns (trace, gaps over the
+    rows, the rounds each row ran).
     """
-    rounds = 0
+    trace = assemble()
+    gaps = np.zeros(np.size(trace.total))
+    rounds = np.zeros(gaps.size, dtype=int)
+    if not rules:
+        return trace, gaps, rounds
     while True:
-        trace = assemble()
-        gaps = np.zeros(np.size(trace.total))
+        gaps = np.zeros(gaps.size)
         for rule in rules:
             gaps += [panels.gap for panels in rule]
         fixed = error_floor(trace, truncated) + trace.sampling.sum(axis=0)
-        live = (gaps >= 0.5 * tol) & (np.atleast_1d(fixed) <= tol)
-        if rounds == MAX_ROUNDS or not live.any():
+        live = (gaps >= 0.5 * tol) & (np.atleast_1d(fixed) <= tol) & (rounds < MAX_ROUNDS)
+        if not live.any():
             return trace, gaps, rounds
-        rounds += 1
+        rounds += live
         for j in np.flatnonzero(live):
             cut = 0.5 * tol / sum(rule[j].size for rule in rules)
             for rule in rules:
                 rule[j].bisect(cut)
+        trace = assemble()
 
 
 def orthant_kernel(S: np.ndarray, L: np.ndarray):
@@ -902,14 +891,14 @@ def gauss_draws(rng: np.random.Generator, n: int, L: np.ndarray) -> np.ndarray:
 
 
 def conditional_rows(U: np.ndarray, orthant: ConditionedOrthant, x0: float, c: float,
-                     s_breaks, K: ScaleMass, R=None, memo: NodeMemo | None = None):
+                     s_breaks, K, R=None, memo: NodeMemo | None = None):
     """The one conditioned-orthant kernel: the rule of
     int phi(x) K(|x - x0| / c) P(R <= u - g x) dx for every row u of U,
     with the split z = g X + R, R ~ N(0, S = L L') independent of
     X ~ N(0, 1), of ``orthant`` (a `ConditionedOrthant`).
 
-    The order-p test rejects at scale s when |x - x0| >= c s; the
-    `ScaleMass` K(y) -> (K25, G12 parts) is the mass of the scales it
+    The order-p test rejects at scale s when |x - x0| >= c s; the scale
+    mass K(y) -> (K25, G12 parts) is the mass of the scales it
     rejects at (rising from 0 to at most 1, steepest near the scales
     ``s_breaks``).  The rule's layout without kinks is the `panel_edges`
     of [-TAIL_CUT, TAIL_CUT] with extra edges at x0 and at x0 +/- c s for
@@ -917,7 +906,7 @@ def conditional_rows(U: np.ndarray, orthant: ConditionedOrthant, x0: float, c: f
     else it is made once per call.  A row's x-rule is a `Panels` on that
     layout with the row's `conditional_kinks` inserted; its components are
     the term and pi, the integral without the orthant.  Its factors are
-    phi(x) and K's rows at each node, which depend on no row: the memo
+    phi(x) and K's two parts at each node, which depend on no row: the memo
     keeps them on the layout, shared by every row and call with the same
     x0, c and s_breaks.  The orthant is the record's kept kernel at every
     x-node or, given draws R (rows), the share of the draws whose
@@ -937,7 +926,7 @@ def conditional_rows(U: np.ndarray, orthant: ConditionedOrthant, x0: float, c: f
     g, panels, ses = orthant.g, [], np.zeros(len(U))
 
     def factors(x):
-        return np.vstack([norm_pdf(x)[None], K.rows(np.abs(x - x0) / c)])
+        return np.vstack([norm_pdf(x)[None], *K(np.abs(x - x0) / c)])
 
     for j, u in enumerate(U):
         edges = split_edges(layout, conditional_kinks(u, orthant))
@@ -962,7 +951,7 @@ def conditional_rows(U: np.ndarray, orthant: ConditionedOrthant, x0: float, c: f
             ses[j] = max(float(np.std(w) / np.sqrt(n)), 1.0 / n)
 
         def f(x, a, orthant_at=orthant_at):
-            kk, kg = (a[0] * m for m in K.reduce(np.abs(x - x0) / c, a[1:]))
+            kk, kg = a[0] * a[1], a[0] * a[2]
             ok, og = orthant_at(x)
             return np.array([kk * ok, kk]), np.array([kg * og, kg])
 
@@ -999,7 +988,7 @@ def gaussian_rect_rows(U: np.ndarray, cov: np.ndarray, *, rng=None,
     orthant = ConditionedOrthant(*condition_on_scalar(cov, cov[:, j], float(cov[j, j])))
     rng = philox(0) if rng is None else rng
     R = gauss_draws(rng, n_samples, orthant.L) if needs_sampling(k, orthant.r) else None
-    term = conditional_rows(U, orthant, 0.0, 1.0, (), ScaleMass(lambda y: np.ones((1, y.size))), R)
+    term = conditional_rows(U, orthant, 0.0, 1.0, (), lambda y: 2 * [np.ones(y.size)], R)
     return term.parts()[0], term.se
 
 

@@ -20,29 +20,38 @@ the later-stage factors prod_{q > p} Delta_q (`tail_products`, shared
 with the limit paths at scale 1) are taken at each scale node.  The
 scale integral runs over equal-mass Gauss-Kronrod panels of the
 chi-based ratio density, truncated where the tail mass drops below 1e-10.
-Built once and shared by every later call, all read-only: the design
-record per (problem, target), kept on the problem, with each order's
+A call evaluates one query (`cdf_exact`) or rows of queries that agree
+on A, t, sigma and rule and differ in theta alone (`cdf_exact_rows`,
+whose one-row call `cdf_exact` is, so there is one assembly).  Built
+once and shared by every later call, all read-only: the design record
+per (problem, target), kept on the problem, with each order's
 conditioned orthant (`LimitQuantities.orthant`) and the drift maps
 (`LimitQuantities.drift_maps`, the shifts and drifts of
-`regression_core.local_shift_constants`, linear in gamma); the scale
-layout (the grid's edges, its nodes s and pdf(s), the `_STEP_Q` scales)
-per (dof, quantiles, layout constants); and per theta a drift record
-(`_Drift`) in the design record's one drift slot, keyed by theta /
-sigma, the critical values and the layout constants.  A cold theta
-computes only that record: the shifts, drifts and ray centres (two
-products with the drift maps), the later-stage products at the layout's
-nodes, once, and from them the scale tables, cumulative sums on the
-grid's edges; its `_gauss.NodeMemo` per x-rule stores nothing on its
-first read, so a theta a sweep visits once pays nothing for it.  No call
-builds a scale grid: order O's term is its orthant times a table total,
-a rank-0 order's a few partial-panel reads of its tables.  A call
-computes only what t moves: u, the order-O orthant, the rank-0 reads,
-the kinks (on the kept normals), the orthant at every x-node (on the
-kept kernel) and the panels its kinks split; the panels `refine` bisects
-are evaluated afresh and never kept, so a record's size is fixed however
-many t or theta a sweep visits.  Each kept factor is elementwise in its
-node and each table made once from them, so a result is the same bit
-for bit from a cold or a warm record.
+`regression_core.local_shift_constants`, linear in gamma); and the
+scale layout (the grid's edges, its nodes s and pdf(s), the `_STEP_Q`
+scales) per (dof, quantiles, layout constants).  Built once per call
+for all its rows, in the design record's one drift slot keyed by the
+rows' theta / sigma, the critical values and the layout constants: the
+drift record (`_Drift`), so cold rows compute only that record: the
+shifts, drifts and ray centres (one product each with the drift maps),
+the later-stage products at the layout's nodes for every row in one
+pass, and from them every row's scale tables, cumulative sums on the
+grid's edges, from one `cumulative_sums` call; its `_gauss.NodeMemo` per
+x-rule and row stores nothing on its first read, so a theta a sweep
+visits once pays nothing for it.  No call builds a scale grid: order
+O's term is its orthant times a table total, a rank-0 order's a few
+partial-panel reads of its tables, found for every row's crossings in
+one search.  Built per row: what t moves, u against the row's shifts:
+the order-O orthant, the rank-0 reads closed on the row's tables, the
+kinks (on the kept normals), an x-rule about the row's own ray centre
+with the orthant at every x-node (on the kept kernel) and the panels
+its kinks split, the row's rounds of bisection and its `cdf_result`.
+The panels `refine` bisects are evaluated afresh and never kept, so a
+record's size is fixed however many t or theta a sweep visits.  Each
+kept factor is elementwise in its node and each table made once from
+them, and each row's products and panel sums are formed as a one-row
+call forms them, so a result is the same bit for bit from a cold or a
+warm record, and as a row or alone.
 
 Every order-p integrand depends on z only through the orthant {z <= u}
 and the scalar W = b'z + zeta e that the order-p test rejects on,
@@ -82,11 +91,12 @@ sampling error and a 1e-14 rounding floor.  No bisection reduces the
 dropped and truncated mass and the rounding floor, so `refine` stops
 below that error floor and `cdf_result` names it in its warning.  The
 method string "mixture-formula;levels=l;n_z=...;seed=...;k=..." records
-l, the rounds of bisection `refine` ran.  Identical query + budget +
-seed replays bit-identically.
+l, the rounds of bisection `refine` ran on the row.  Identical query +
+budget + seed replays bit-identically.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,7 +108,7 @@ from ._gauss import (
     NodeMemo,
     OrderTerm,
     Panels,
-    ScaleMass,
+    close_partial,
     conditional_rows,
     cumulative_rule,
     cumulative_sums,
@@ -109,6 +119,7 @@ from ._gauss import (
     layout_constants,
     needs_sampling,
     panel_edges,
+    partial_panels,
     philox,
     refine,
 )
@@ -128,6 +139,7 @@ __all__ = [
     "TermTrace",
     "delta",
     "cdf_exact",
+    "cdf_exact_rows",
 ]
 
 # The scale grid: equal-mass panels of the ratio density between these
@@ -390,10 +402,10 @@ def cdf_result(trace: TermTrace, gap: float, rounds: int, budget: AccuracyBudget
     truncated scale mass bounds the total's truncation error once.
     """
     total = float(trace.total)
-    sampling = float(np.sum(trace.sampling))
+    sampling = float(trace.sampling.sum())
     floor = float(error_floor(trace, truncated))
-    abs_error = (float(gap) + float(np.sum(trace.errors))
-                 + abs(1.0 - float(np.sum(trace.weights))) + sampling + ROUNDING)
+    abs_error = (float(gap) + float(trace.errors.sum())
+                 + abs(1.0 - float(trace.weights.sum())) + sampling + ROUNDING)
     warning = None
     if floor > budget.tol:
         warning = (f"tol {budget.tol:.2e} is below the error floor {floor:.2e} "
@@ -403,50 +415,60 @@ def cdf_result(trace: TermTrace, gap: float, rounds: int, budget: AccuracyBudget
     elif abs_error > budget.tol:
         warning = f"abs_error {abs_error:.2e} exceeds tol {budget.tol:.2e}"
     method = f"{name};levels={rounds};n_z={budget.n_z};seed={budget.seed};k={k}"
-    return CdfResult(value=float(np.clip(total, 0.0, 1.0)), abs_error=abs_error,
-                     method=method, clamped=not (0.0 <= total <= 1.0),
+    clamped = not 0.0 <= total <= 1.0
+    return CdfResult(value=float(np.clip(total, 0.0, 1.0)) if clamped else total,
+                     abs_error=abs_error, method=method, clamped=clamped,
                      warning=warning, term_trace=trace)
 
 
 class _Drift:
-    """The t-free half of the exact cdf at one (design record, theta/sigma,
-    critical values): what `_ExactEngine` builds once per theta and reads
-    at every t, kept in the design record's drift slot
+    """The t-free half of the exact cdf at one (design record, rows of
+    theta/sigma, critical values): what `_ExactEngine` builds once per set
+    of rows and reads at every t, kept in the design record's drift slot
     (`LimitQuantities.drift`).
 
-    Holds the scale layout it was built on (`_ratio_quantiles` and
-    `_scale_layout`, shared per dof and layout); the orthant shifts, the
-    drifts nu_p (the design record's `drift_maps` times gamma, no solve)
-    and ray centres x0_p = -nu_p / xi_p, with the orders of conditional
-    rank 0 (``rays``); the scale tables (``mass``: per order a read-only
-    (K25, G12) array of `cumulative_sums` rows, from one evaluation of
-    the tail products at the layout's nodes) of order O's weight pdf(s)
-    tail_O(s), each order p < P's scale mass w(s) = pdf(s) tail_p(s), and
-    for a rank-0 order also w(s) Phi(x0_p -/+ c_p s) and its pi integrand
-    pdf(s) (tail_p(s) - tail_{p-1}(s)); and a `NodeMemo` per x-rule
-    (``rules``).  Arrays and numbers only, so a problem carrying it
-    pickles.
+    Holds the ratio density and the scale layout it was built on
+    (`_ratio_quantiles` and `_scale_layout`, shared per dof and layout);
+    per order the rows' orthant shifts (m, k), drifts nu_p (the design
+    record's `drift_maps` times each row's gamma, no solve) and ray
+    centres x0_p = -nu_p / xi_p (m,), with the orders of conditional rank
+    0 (``rays``); the scale tables (``mass``: per order a read-only (K25,
+    G12) array of `cumulative_sums` rows, (2, m, rows, edges), from one
+    evaluation of the tail products at the layout's nodes for every row)
+    of order O's weight pdf(s) tail_O(s), each order p < P's scale mass
+    w(s) = pdf(s) tail_p(s), and for a rank-0 order also w(s) Phi(x0_p
+    -/+ c_p s) and its pi integrand pdf(s) (tail_p(s) - tail_{p-1}(s));
+    and a `NodeMemo` per x-rule, keyed by (order, row) (``rules``).
+    Arrays and numbers only, so a problem carrying it pickles.
     """
 
-    def __init__(self, problem: RegressionProblem, dq: LimitQuantities, theta, c):
-        P, O = problem.P, problem.O
+    def __init__(self, problem: RegressionProblem, dq: LimitQuantities, thetas, c):
+        P, O, m = problem.P, problem.O, len(thetas)
+        self.ratio = SigmaRatioDensity(problem.dof)
         self.s_step = _ratio_quantiles(problem.dof, _STEP_Q)
         self.edges, s, pdf = _scale_layout(problem.dof, _S_Q_LO, _S_Q_HI, layout_constants())
         # at unit sigma, the limit formula's constants at Q = X'X/n and
         # gamma = sqrt(n) theta: orthant shifts sqrt(n) A (eta(p) - theta)
         # and drifts sqrt(n) eta_p(p), eta(p) the mean of the order-p
-        # restricted estimator
+        # restricted estimator.  Each row's gamma is a one-column matrix,
+        # so every row is the matrix-vector product of a one-row call (a
+        # product with the gammas as the columns of one matrix rounds
+        # differently)
         B, N = dq.drift_maps
-        gamma = np.sqrt(problem.n) * theta
-        shift = B @ gamma
+        gammas = (np.sqrt(problem.n) * thetas)[:, :, None]
+        shift = (B @ gammas[:, None])[..., 0]
+        nu = (N @ gammas)[..., 0]
         shift.setflags(write=False)
-        self.shift = dict(zip(range(O, P + 1), shift))
-        self.nu = dict(zip(range(O + 1, P + 1), (N @ gamma).tolist()))
-        self.x0 = {p: -nu / dq.xi(p) for p, nu in self.nu.items()}
+        nu.setflags(write=False)
+        self.shift = {p: shift[:, p - O] for p in range(O, P + 1)}
+        self.nu = {p: nu[:, p - O - 1] for p in range(O + 1, P + 1)}
+        self.x0 = {p: -v / dq.xi(p) for p, v in self.nu.items()}
         self.rays = [p for p in self.x0 if dq.orthant(p).r == 0]
-        self.rules = {p: NodeMemo() for p in self.x0 if p not in self.rays}
-        # Phi(x0_p -/+ c_p s), the two cdfs of each Delta_p
-        tail = tail_products(dq, self.nu, c, O, s, cdfs := {})
+        self.rules = {(p, j): NodeMemo() for p in self.x0 if p not in self.rays
+                      for j in range(m)}
+        # Phi(x0_p -/+ c_p s), the two cdfs of each Delta_p, a row per theta
+        tail = tail_products(dq, {p: v[:, None] for p, v in self.nu.items()}, c, O, s,
+                             cdfs := {})
         rows = {O: [pdf * tail[O]]}
         for p in self.x0:
             w = pdf * tail[p]
@@ -454,51 +476,65 @@ class _Drift:
                 rows[p] = [w, w * cdfs[p][0], w * cdfs[p][1], pdf * (tail[p] - tail[p - 1])]
             elif p < P:
                 rows[p] = [w]
-        tables = cumulative_sums(np.array([r for v in rows.values() for r in v]), self.edges)
+        fx = np.empty((m, sum(map(len, rows.values())), s.size))
+        for i, r in enumerate(r for v in rows.values() for r in v):
+            fx[:, i] = r
+        tables = cumulative_sums(fx, self.edges)
         tables.setflags(write=False)
-        ends = np.cumsum([len(v) for v in rows.values()])
-        self.mass = {p: tables[:, end - len(v):end] for (p, v), end in zip(rows.items(), ends)}
+        ends = itertools.accumulate(map(len, rows.values()))
+        self.mass = {p: tables[:, :, end - len(v):end] for (p, v), end in zip(rows.items(), ends)}
 
 
 class _ExactEngine:
-    """Assembles the finite-n mixture formula for one (problem, query) pair."""
+    """Assembles the finite-n mixture formula for one problem at rows of
+    theta: one `CdfQuery`, or a sequence of them that agree on A, t, sigma
+    and rule (ValidationError otherwise, or when empty).  A per-row
+    attribute has an axis of rows: the first for the shifts, drifts, ray
+    centres, rank-0 intervals and ``gap``, the second, after its (value,
+    SE) or (K25, G12) axis, for ``core`` and the drift record's tables."""
 
-    def __init__(self, problem: RegressionProblem, query: CdfQuery, budget: AccuracyBudget):
-        if query.A.shape[1] != problem.P:
+    def __init__(self, problem: RegressionProblem, query, budget: AccuracyBudget):
+        queries = (query,) if isinstance(query, CdfQuery) else tuple(query)
+        if not queries or not all(isinstance(q, CdfQuery) for q in queries):
+            raise ValidationError("the rows must be a non-empty sequence of CdfQuery")
+        first = queries[0]
+        if first.A.shape[1] != problem.P:
             raise ValidationError("query A width does not match problem dimension")
-        query.rule.validate_for(problem.P, problem.O)
-        self.problem, self.budget, self.k = problem, budget, query.A.shape[0]
+        if not all((q.A is first.A or np.array_equal(q.A, first.A))
+                   and (q.t is first.t or np.array_equal(q.t, first.t))
+                   and q.sigma == first.sigma and q.rule == first.rule for q in queries[1:]):
+            raise ValidationError("the rows must differ in theta alone (same A, t, sigma, rule)")
+        first.rule.validate_for(problem.P, problem.O)
+        self.problem, self.budget, self.k, self.m = problem, budget, first.A.shape[0], len(queries)
         O = problem.O
-        self.ratio = SigmaRatioDensity(problem.dof)
         # the scale mass outside the grid, part of the error floor
         self.truncated = _S_Q_LO + (1.0 - _S_Q_HI)
         # at unit sigma (t and theta over sigma): the design record, and the
-        # drift record of theta / sigma in its slot, keyed by everything it
-        # is built from that a call may change
-        self.u = query.t / query.sigma
-        self.design = dq = projection_quantities(problem, query.A)
-        self.c = query.rule.critical_values(O)
-        theta = query.theta / query.sigma
-        key = (theta.tobytes(), self.c.tobytes(), _S_Q_LO, _S_Q_HI, _STEP_Q, layout_constants())
-        self.drift = dq.drift(key, lambda: _Drift(problem, dq, theta, self.c))
-        self.shift, self.nu = self.drift.shift, self.drift.nu
+        # drift record of the rows' theta / sigma in its slot, keyed by
+        # everything it is built from that a call may change
+        self.u = first.t / first.sigma
+        self.design = dq = projection_quantities(problem, first.A)
+        self.c = first.rule.critical_values(O)
+        thetas = np.array([q.theta for q in queries]) / first.sigma
+        key = (thetas.tobytes(), self.c.tobytes(), _S_Q_LO, _S_Q_HI, _STEP_Q, layout_constants())
+        self.drift = dq.drift(key, lambda: _Drift(problem, dq, thetas, self.c))
+        self.shift, self.nu, self.ratio = self.drift.shift, self.drift.nu, self.drift.ratio
         self.s_step, self._s_edges = self.drift.s_step, self.drift.edges
-        # the order-O orthant does not involve the scale: one evaluation,
-        # which can sample only at k >= 4
-        rng = philox(budget.seed, 10_000) if self.k >= 4 else None
-        self.core = gaussian_rect(self.u - self.shift[O], dq.omega(O),
-                                  rng=rng, n_samples=budget.n_z, factor=dq.factor(O))
+        # the order-O orthant does not involve the scale: one evaluation
+        # per row, which can sample only at k >= 4
+        self.core = np.array([
+            gaussian_rect(u, dq.omega(O), rng=philox(budget.seed, 10_000) if self.k >= 4 else None,
+                          n_samples=budget.n_z, factor=dq.factor(O))
+            for u in self.u - self.shift[O]]).T
         # each order p > O is split on its selection scalar X = W / xi_p,
         # z = g X + R (`LimitQuantities.orthant`); a rank-0 order (z = g X)
-        # keeps the x-interval [lo, hi] of {g X <= u}
-        ends = {p: dq.orthant(p).interval((self.u - self.shift[p])[None, :])
-                for p in self.drift.rays}
-        self.rank0 = {p: (float(lo[0]), float(hi[0])) for p, (lo, hi) in ends.items()}
+        # keeps each row's x-interval [lo, hi] of {g X <= u}
+        self.rank0 = {p: dq.orthant(p).interval(self.u - self.shift[p]) for p in self.drift.rays}
         self._z_cache: dict[int, tuple[np.ndarray]] = {}
         self._orders: dict[int, OrderTerm] = {}
 
     # ---- sampled draws for k >= 4 terms (one draw per order, shared by
-    # every bisection so refinement measures quadrature only) ----
+    # every row and bisection so refinement measures quadrature only) ----
     def _z_sample(self, p: int) -> tuple[np.ndarray]:
         """(R,): n_z draws, keyed by (seed, p), of R = z - g X ~ N(0, S_p),
         the part of z its split (`LimitQuantities.orthant`) leaves after
@@ -509,31 +545,32 @@ class _ExactEngine:
         return self._z_cache[p]
 
     # ---- the scale tables ----
-    def _scale_mass(self, p: int) -> ScaleMass:
-        """K(y), the integral of pdf(s) tail_p(s) over the scale grid's
-        s <= y, as its K25 and G12 parts.
+    def _scale_mass(self, p: int, j: int):
+        """Row j's K(y), the integral of pdf(s) tail_p(s) over the scale
+        grid's s <= y: y -> (K25, G12).
 
         The last order P has no later stage (tail_P = 1), so its K is the
-        ratio density's own cdf F, in closed form: F(min(y, s_hi)) - F(s_lo)
-        above the grid's first edge s_lo and 0 at and below it, s_hi its last
-        edge, both parts the same array.  Every other order reads its table
-        (``mass``) through `cumulative_rule`, a partial panel per argument.
+        ratio density's own cdf F, in closed form, the same for every row:
+        F(min(y, s_hi)) - F(s_lo) above the grid's first edge s_lo and 0 at
+        and below it, s_hi its last edge, both parts the same array.  Every
+        other order reads the row's table (``mass``) through
+        `cumulative_rule`, a partial panel per argument.
         """
         if p == self.problem.P:
             cdf, s_lo, s_hi = self.ratio.cdf, self._s_edges[0], self._s_edges[-1]
             below = cdf(s_lo)
-            return ScaleMass(lambda y: np.where(y > s_lo, cdf(np.minimum(y, s_hi)) - below,
-                                                0.0)[None])
+            return lambda y: 2 * (np.where(y > s_lo, cdf(np.minimum(y, s_hi)) - below, 0.0),)
+        nu = {q: self.nu[q][j] for q in range(p + 1, self.problem.P + 1)}
 
         def f(s):
-            tail = tail_products(self.design, self.nu, self.c, p, s)
-            return self.ratio.pdf(s) * tail[p]
+            return self.ratio.pdf(s) * tail_products(self.design, nu, self.c, p, s)[p]
 
-        return cumulative_rule(f, self._s_edges, self.drift.mass[p][:, 0])
+        return cumulative_rule(f, self._s_edges, self.drift.mass[p][:, j, 0])
 
     # ---- conditional rank 0: two rays in the selection scalar ----
-    def _term_k1(self, p: int) -> tuple[OrderTerm, float]:
-        """The `OrderTerm` of a rank-0 order p, read off its scale tables.
+    def _term_k1(self, p: int) -> tuple[OrderTerm, np.ndarray]:
+        """The `OrderTerm` of a rank-0 order p over the rows, read off
+        their scale tables.
 
         The arm of every order whose z is a multiple g X of its selection
         scalar, for any k (the name predates that; `benchmarks/spans.py`
@@ -548,32 +585,47 @@ class _ExactEngine:
             + N-(s1) - N-(s2) - N+(s3) + N+(s4),
 
         s1 = (x0 - lo) / c, s2 = (x0 - hi) / c, s3 = (hi - x0) / c and
-        s4 = (lo - x0) / c the scales where a ray crosses an end, each read
-        by `cumulative_rule` (an infinite end reads a total or 0).  Returns
-        the term, with pi(p) a t-free total, and the reads' |K25 - G12|,
-        its part of the engine's ``gap``.  An empty interval is 0.
+        s4 = (lo - x0) / c the scales where a ray crosses an end, read as
+        `cumulative_rule` reads them (an infinite end reads a total or 0):
+        one partial-panel search and one evaluation of the integrands for
+        every row's crossings, each row's panels closed and weighted on
+        its own, as a one-row read rounds them.  Returns the term, with
+        pi(p) a t-free total, and the reads' |K25 - G12|, its part of the
+        engine's ``gap``, a row each.  An empty interval is 0.
         """
         lo, hi = self.rank0[p]
         tables = self.drift.mass[p]
-        pi = tables[0, 3, -1]
-        if not lo <= hi:
-            return OrderTerm(np.zeros(1), pi, 0.0, 0.0), 0.0
-        x0, c = self.drift.x0[p], float(self.c[p])
-
-        def f(s):
-            w = self.ratio.pdf(s) * tail_products(self.design, self.nu, self.c, p, s)[p]
-            return w * np.array([np.ones_like(s), ndtr(x0 - c * s), ndtr(x0 + c * s)])
-
-        y = np.array([x0 - lo, x0 - hi, hi - x0, lo - x0]) / c
+        x0, c, edges = self.drift.x0[p], float(self.c[p]), self._s_edges
+        y = (np.array([x0 - lo, x0 - hi, hi - x0, lo - x0]) / c).T
+        inside, j, half, s = partial_panels(edges, y)
+        # per row (K25, G12) x (M, N-, N+) x (s1..s4): 0 or the total
+        # outside the grid, closed at each inside crossing; a row's block
+        # is contiguous, as a one-row read's is, for its products below
+        reads = np.ascontiguousarray(
+            np.where(y[:, None, None] >= edges[-1], tables[:, :, :3, -1:].swapaxes(0, 1), 0.0))
+        row = np.nonzero(inside)[0]
+        if row.size:
+            nu = {q: self.nu[q][row, None] for q in range(p + 1, self.problem.P + 1)}
+            w = self.ratio.pdf(s) * tail_products(self.design, nu, self.c, p, s)[p]
+            x0s = x0[row, None]
+            fs = w * np.array([np.ones_like(s), ndtr(x0s - c * s), ndtr(x0s + c * s)])
+            ends = np.searchsorted(row, np.arange(self.m + 1))
+            for r in np.flatnonzero(ends[1:] > ends[:-1]):
+                mine = slice(ends[r], ends[r + 1])
+                reads[r][..., inside[r]] = close_partial(tables[:, r, :3], j[mine], half[mine],
+                                                         np.ascontiguousarray(fs[:, mine]))
+        term, gap = np.zeros(self.m), np.zeros(self.m)
         a, b = ndtr(lo), ndtr(hi)
-        # the term's coefficients of M, N- and N+ at s1..s4
-        weights = [-a, b, b, -a, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0]
-        k, g = np.reshape(cumulative_rule(f, self._s_edges, tables[:, :3])(y), (2, -1)) @ weights
-        return OrderTerm(np.array([k]), pi, 0.0, 0.0), abs(k - g)
+        for r in np.flatnonzero(lo <= hi):
+            # the term's coefficients of M, N- and N+ at s1..s4
+            weights = [-a[r], b[r], b[r], -a[r], 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0]
+            k, g = reads[r].reshape(2, -1) @ weights
+            term[r], gap[r] = k, abs(k - g)
+        return OrderTerm(term, tables[0, :, 3, -1], 0.0, 0.0), gap
 
     # ---- the scale integral folded into the selection scalar ----
     def _conditional_term(self, p: int, R=None) -> OrderTerm:
-        """The `OrderTerm` of order p, one row, with the integrals swapped.
+        """The `OrderTerm` of order p over the rows, with the integrals swapped.
 
         At unit sigma, with W = b_p'z + zeta_p e (e standard normal,
         independent of z) and B = s c_p xi_p, 1 - Delta(zeta_p, nu_p + b_p'z,
@@ -586,14 +638,19 @@ class _ExactEngine:
             int phi(x) K_p(|x - x0| / c_p) P(R <= u - g x) dx,
 
         and pi(p) is the same integral without the orthant, at u = t / sigma
-        - shift_p: the order's `conditional_rows` rule on its kept split
-        (`LimitQuantities.orthant`), with edges at the `_STEP_Q` quantiles
-        of the ratio density, against the draws R if given.  Its panels'
-        totals are the term and pi(p), its error the dropped x-mass.
+        - shift_p: per row, the `conditional_rows` rule on the order's kept
+        split (`LimitQuantities.orthant`) about the row's own x0, with edges
+        at the `_STEP_Q` quantiles of the ratio density, against the draws
+        R if given.  Its panels' totals are the term and pi(p), its error
+        the dropped x-mass.
         """
-        return conditional_rows((self.u - self.shift[p])[None, :], self.design.orthant(p),
-                                self.drift.x0[p], self.c[p], self.s_step, self._scale_mass(p),
-                                R, self.drift.rules.get(p))
+        U, x0 = self.u - self.shift[p], self.drift.x0[p]
+        rows = [conditional_rows(U[j:j + 1], self.design.orthant(p), x0[j], self.c[p],
+                                 self.s_step, self._scale_mass(p, j), R,
+                                 self.drift.rules.get((p, j)))
+                for j in range(self.m)]
+        return OrderTerm(None, None, rows[0].error, np.concatenate([t.se for t in rows]),
+                         tuple(t.panels[0] for t in rows))
 
     def _term_sampled(self, p: int) -> OrderTerm:
         """The `OrderTerm` of an order whose conditional orthant
@@ -601,18 +658,19 @@ class _ExactEngine:
         return self._conditional_term(p, self._z_sample(p)[0])
 
     # ---- the terms, made once, and the trace `refine` reads from them ----
-    def panels(self) -> list[Panels]:
-        """The x-rule of each order of conditional rank >= 1, with every
-        order's `OrderTerm` made on first use: order O's is the core times
-        its table's total W_O, a rank-0 order's `_term_k1`.  ``gap``, these
-        table reads' |K25 - G12|, joins the rules' gap in `cdf_exact`
-        unseen by `refine` (no bisection reduces it); below half the
-        truncated scale mass, it flags no result whose floor meets tol."""
+    def panels(self) -> list[tuple[Panels, ...]]:
+        """The x-rules, a `Panels` per row, of each order of conditional
+        rank >= 1, with every order's `OrderTerm` made on first use: order
+        O's is the core times its table's total W_O, a rank-0 order's
+        `_term_k1`.  ``gap``, these table reads' |K25 - G12| per row, joins
+        the rules' gap in `cdf_exact_rows` unseen by `refine` (no bisection
+        reduces it); below half the truncated scale mass, it flags no
+        result whose floor meets tol."""
         if not self._orders:
             O, P = self.problem.O, self.problem.P
-            (k,), (g,) = self.drift.mass[O][:, :, -1]
+            k, g = self.drift.mass[O][:, :, 0, -1]
             core, se = self.core
-            self._orders[O] = OrderTerm(np.array([core * k]), k, 0.0, se * k)
+            self._orders[O] = OrderTerm(core * k, k, 0.0, se * k)
             self.gap = core * abs(k - g)
             for p in range(O + 1, P + 1):
                 if p in self.rank0:
@@ -622,13 +680,35 @@ class _ExactEngine:
                     self._orders[p] = self._term_sampled(p)
                 else:
                     self._orders[p] = self._conditional_term(p)
-        return [term.panels[0] for term in self._orders.values() if term.panels]
+        return [term.panels for term in self._orders.values() if term.panels]
 
     def assemble(self) -> TermTrace:
-        """The trace of the terms' current parts, one row per order."""
+        """The trace of the terms' current parts, an order per entry of
+        axis 0 and a row per query on the trailing axis."""
         self.panels()
-        parts = np.array([term.parts()[:, 0] for term in self._orders.values()])
-        return TermTrace(tuple(self._orders), *parts.T)
+        parts = np.array([term.parts() for term in self._orders.values()])
+        return TermTrace(tuple(self._orders), *parts.swapaxes(0, 1))
+
+
+def cdf_exact_rows(problem: RegressionProblem, queries,
+                   budget: AccuracyBudget | None = None) -> list[CdfResult]:
+    """`cdf_exact` at every query of ``queries``, a sequence of `CdfQuery`
+    that agree on A, t, sigma and rule and differ in theta alone (a
+    ValidationError otherwise, or when it is empty): the rows of one engine.
+
+    One drift record serves every row (the shifts, drifts, tail products
+    and scale tables of all the theta at once) and one partial-panel read
+    every row's rank-0 crossings; each row keeps its own order-O orthant,
+    x-rules about its own ray centre, rounds of bisection and result.
+    Returns a `CdfResult` per query, in order, each equal bit for bit to
+    the query's own `cdf_exact` call.
+    """
+    budget = budget or AccuracyBudget()
+    engine = _ExactEngine(problem, queries, budget)
+    trace, gaps, rounds = refine(engine.assemble, engine.panels(), budget.tol, engine.truncated)
+    return [cdf_result(trace.row(j), gaps[j] + engine.gap[j], int(rounds[j]), budget,
+                       "mixture-formula", engine.k, engine.truncated)
+            for j in range(engine.m)]
 
 
 def cdf_exact(problem: RegressionProblem, query: CdfQuery,
@@ -638,13 +718,9 @@ def cdf_exact(problem: RegressionProblem, query: CdfQuery,
     The design, sample size and protected order come from ``problem``; the
     parameter point (theta, sigma), target matrix, argument and rule come
     from ``query`` (the problem's own theta/sigma are ignored, which makes
-    parameter sweeps cheap).  See the module docstring for the evaluation
-    strategy and error accounting; the result's term_trace carries the
-    per-order breakdown.
+    parameter sweeps cheap).  The one-row `cdf_exact_rows` call, which a
+    sweep over theta makes once for all its points.  See the module
+    docstring for the evaluation strategy and error accounting; the
+    result's term_trace carries the per-order breakdown.
     """
-    budget = budget or AccuracyBudget()
-    engine = _ExactEngine(problem, query, budget)
-    trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()], budget.tol,
-                                 engine.truncated)
-    return cdf_result(trace, gaps[0] + engine.gap, rounds, budget, "mixture-formula", engine.k,
-                      engine.truncated)
+    return cdf_exact_rows(problem, (query,), budget)[0]

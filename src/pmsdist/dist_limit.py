@@ -40,7 +40,6 @@ from scipy.special import ndtr
 from ._gauss import (
     ConditionedOrthant,
     OrderTerm,
-    ScaleMass,
     bvn_cdf,
     conditional_rows,
     gauss_draws,
@@ -176,8 +175,8 @@ def _rule_rows(U, orthant: ConditionedOrthant, x0: float, c: float, rho: float, 
     sampled = needs_sampling(orthant.k, orthant.r)
     R = gauss_draws(philox(*key), n_z, orthant.L) if sampled else None
 
-    K = ScaleMass(lambda y: (1.0 - delta(rho, y, 1.0))[None])
-    return conditional_rows(U, orthant, x0, c, 1.0 + rho * _TURN_Z, K, R)
+    return conditional_rows(U, orthant, x0, c, 1.0 + rho * _TURN_Z,
+                            lambda y: 2 * (1.0 - delta(rho, y, 1.0),), R)
 
 
 def _assemble(terms: dict, tails: dict):
@@ -212,7 +211,7 @@ def _cdf_limit_rows(limits: LimitQuantities, p_star: int, nu, c_of: np.ndarray, 
         terms[p] = _joint_rows(T + shift[p][None, :], limits, p, nu[p], c_of[p] * limits.xi(p),
                                (budget.seed + 1000 + p, 0), budget.n_z)
     trace, gaps, rounds = refine(*_assemble(terms, tails), budget.tol)
-    return trace.total, trace, gaps, rounds
+    return trace.total, trace, gaps, int(rounds.max())
 
 
 def cdf_limit(limits: LimitQuantities, alt: LocalAlternative, t,
@@ -281,7 +280,7 @@ def cdf_limit_via_integral(limits: LimitQuantities, alt: LocalAlternative, t,
                               B / sv, zeta_p / B, (budget.seed + 63, p), budget.n_z)
     tails = tail_products(limits, consts.nu, c_of, p_star)
     trace, gaps, rounds = refine(*_assemble(terms, tails), budget.tol)
-    return cdf_result(trace.row(0), gaps[0], rounds, budget, "mixture-integral", limits.k)
+    return cdf_result(trace.row(0), gaps[0], rounds[0], budget, "mixture-integral", limits.k)
 
 
 def _gaussian_density(cov: np.ndarray):

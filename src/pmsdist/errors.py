@@ -65,12 +65,16 @@ def cdf_argument(t, k: int, *, rows: bool = False) -> np.ndarray:
 def target_matrix(A, P: int | None = None) -> np.ndarray:
     """A target matrix as a float array of shape (k, P): finite (checked before
     the rank test's SVD meets a NaN), with P columns (any number when P is
-    None) and of full row rank k, else ValidationError."""
+    None) and of full row rank k, else ValidationError.  The rank is
+    `np.linalg.matrix_rank`'s; for one row, whose singular value is its
+    norm s and whose tolerance s max(k, P) eps is below s, that is "some
+    entry is nonzero", which needs no SVD (nor calls a row whose norm
+    overflows rank 0, as the SVD's infinite s would)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if P is not None and A.shape[1] != P:
         raise ValidationError(f"target matrix has {A.shape[1]} columns, expected {P}")
     if not np.all(np.isfinite(A)):
         raise ValidationError("target matrix A must be finite")
-    if np.linalg.matrix_rank(A) < A.shape[0]:
+    if not (A.any() if A.shape[0] == 1 else np.linalg.matrix_rank(A) == A.shape[0]):
         raise ValidationError("target matrix A must have full row rank")
     return A

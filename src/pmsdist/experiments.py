@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cdf_estimators import phi_hat_values
-from .dist_exact import AccuracyBudget, CdfQuery, CdfResult, cdf_exact
+from .dist_exact import AccuracyBudget, CdfQuery, CdfResult, cdf_exact, cdf_exact_rows
 from .dist_limit import LocalAlternative, cdf_limit, limit_nonconstancy_scan
 from .errors import ExperimentRefusal, ValidationError
 from .fixtures import Fixture
@@ -179,6 +179,8 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
     only through its true order p_star = max(order_of(theta_n), O): the
     sweep evaluates `cdf_limit` once per p_star met, at most P - O + 1
     times, and reads that result at every other point of the same order.
+    The finite-n cdfs of one (n, rho) differ in theta alone: one
+    `cdf_exact_rows` call evaluates the lambda the sweep keeps.
     """
     start = time.perf_counter()
     budget = budget or AccuracyBudget()
@@ -199,11 +201,8 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
     for n in n_ladder:
         fx_n = fixture.at_n(n)
         for rho in rho_grid:
-            lam_grid = np.linspace(-0.999 * rho, 0.999 * rho, n_gamma)
-            sup_gap = 0.0
-            arg_lam = None
-            kept = 0
-            for lam in lam_grid:
+            kept, queries = [], []
+            for lam in np.linspace(-0.999 * rho, 0.999 * rho, n_gamma):
                 step = np.zeros(pr.P)
                 step[qs - 1] = lam
                 if exterior_min is None:
@@ -212,26 +211,25 @@ def tube_sweep(fixture: Fixture, t, rho_grid, n_ladder, *,
                     theta_n = pr.theta + step
                     if abs(theta_n[qs - 1]) < exterior_min:
                         continue
-                kept += 1
                 p_star = max(order_of(theta_n), limits.O)
-                own_limit = own_limits.get(p_star)
-                if own_limit is None:
-                    own_limit = own_limits[p_star] = cdf_limit(
+                if p_star not in own_limits:
+                    own_limits[p_star] = cdf_limit(
                         limits, LocalAlternative(theta=theta_n, gamma=np.zeros(pr.P),
                                                  sigma=pr.sigma),
                         t_arr, fixture.rule, budget)
-                res = cdf_exact(fx_n.problem,
-                                CdfQuery(A=fixture.A, t=t_arr, theta=theta_n,
-                                         sigma=pr.sigma, rule=fixture.rule),
-                                budget)
-                gap = abs(res.value - own_limit.value)
-                if gap >= sup_gap:
-                    sup_gap, arg_lam = gap, float(lam)
-            if kept == 0:
+                kept.append((float(lam), own_limits[p_star]))
+                queries.append(CdfQuery(A=fixture.A, t=t_arr, theta=theta_n,
+                                        sigma=pr.sigma, rule=fixture.rule))
+            if not queries:
                 raise ExperimentRefusal(
                     "exterior filter leaves no grid points; widen rho or "
                     "lower exterior_min")
-            rows.append((n, float(rho), kept, sup_gap,
+            sup_gap, arg_lam = 0.0, None
+            for (lam, own_limit), res in zip(kept, cdf_exact_rows(fx_n.problem, queries, budget)):
+                gap = abs(res.value - own_limit.value)
+                if gap >= sup_gap:
+                    sup_gap, arg_lam = gap, lam
+            rows.append((n, float(rho), len(queries), sup_gap,
                          np.nan if arg_lam is None else arg_lam))
             sups_by_n[n] = max(sups_by_n.get(n, 0.0), sup_gap)
     if exterior_min is None:
@@ -295,9 +293,9 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
     information criterion (full model vs drop-last) is run as its exact
     |t|-threshold equivalent: the sequential rule with protected order
     P - 1 and critical value `ic_threshold(n, P, upsilon_n)` (ties have
-    probability 0).  Either way both reference cdfs are `cdf_exact` under
-    the rule that is run.  Refuses when the drift coordinate is
-    uncorrelated with the target.
+    probability 0).  Either way both reference cdfs are exact under the
+    rule that is run, the two rows of one `cdf_exact_rows` call per n.
+    Refuses when the drift coordinate is uncorrelated with the target.
     """
     start = time.perf_counter()
     budget = budget or AccuracyBudget()
@@ -349,9 +347,9 @@ def impossibility_demo(fixture: Fixture, t, gamma, delta0: float | None,
         if mask_mode:
             base = RegressionProblem(X=base.X, theta=theta0, sigma=pr.sigma, O=pr.P - 1)
             run_rule = GeneralToSpecific(critical=(ic_threshold(n, pr.P, rule.upsilon_n),))
-        refs = [cdf_exact(base, CdfQuery(A=fixture.A, t=t_arr, theta=theta, sigma=pr.sigma,
-                                         rule=run_rule), budget).value
-                for theta in (theta0, theta1)]
+        refs = [res.value for res in cdf_exact_rows(
+            base, [CdfQuery(A=fixture.A, t=t_arr, theta=theta, sigma=pr.sigma, rule=run_rule)
+                   for theta in (theta0, theta1)], budget)]
         plans = [SimulationPlan(problem=prob, rule=run_rule, A=fixture.A,
                                 replications=replications, master_seed=master_seed)
                  for prob in (base, replace(base, theta=theta1))]

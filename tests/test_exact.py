@@ -1,6 +1,7 @@
 """Tests for the finite-sample cdf: mixture formula, scale density, engine."""
 import functools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from pmsdist.dist_exact import (
     SigmaRatioDensity,
     _ExactEngine,
     cdf_exact,
+    cdf_exact_rows,
     cdf_result,
     delta,
     tail_products,
@@ -57,6 +59,11 @@ def _term(engine, p, sampled=False):
     term = engine._term_sampled(p) if sampled else engine._conditional_term(p)
     value, pi, err, _ = term.parts()[:, 0]
     return value, pi, err, float(term.se[0])
+
+
+def _nu(engine, j=0):
+    """Row j's drifts nu_p of an engine, as floats keyed by p."""
+    return {p: float(v[j]) for p, v in engine.nu.items()}
 
 
 def _query(fx, t, theta=None, sigma=None):
@@ -151,7 +158,7 @@ def test_last_order_scale_mass_is_the_ratio_cdf(dof, tol):
     y = np.concatenate([[0.0, 0.5 * edges[0], edges[0]],
                         np.linspace(edges[0], edges[-1], 52)[1:-1], 0.5 * (edges[1:] + edges[:-1]),
                         [edges[-1], 1.5 * edges[-1], np.inf]])
-    k25, g12 = engine._scale_mass(2)(y)
+    k25, g12 = engine._scale_mass(2, 0)(y)
     assert np.array_equal(k25, g12)
     assert not np.any(k25[:3]) and np.all(k25[-3:] == k25[-1])
     pdf_sums = _gauss.cumulative_sums(engine.ratio.pdf(_gauss.gl_panels(edges)[0]), edges)
@@ -206,10 +213,10 @@ def test_engine_shifts_and_drifts_are_the_projection_means():
             eta = np.zeros(P)
             if p:
                 eta[:p] = np.linalg.lstsq(problem.X[:, :p], problem.X @ theta, rcond=None)[0]
-            assert np.allclose(engine.shift[p], sqrt_n * A @ (eta - theta),
+            assert np.allclose(engine.shift[p][0], sqrt_n * A @ (eta - theta),
                                rtol=0.0, atol=1e-12), p
             if p > O:
-                assert abs(engine.nu[p] - sqrt_n * eta[p - 1]) <= 1e-12, p
+                assert abs(engine.nu[p][0] - sqrt_n * eta[p - 1]) <= 1e-12, p
 
 
 def test_nearly_collinear_design_keeps_its_value():
@@ -425,18 +432,18 @@ def test_k2_term_matches_adaptive_scale_quadrature(name, p, t):
     fx = fixture(name)
     budget = AccuracyBudget()
     engine = _ExactEngine(fx.problem, _query(fx, t), budget)
-    u = engine.u - engine.shift[p]
+    u = engine.u - engine.shift[p][0]
     if name == "COLL2":
         x_end, factor = u[0], float(u[1] >= 0.0)
     else:
         x_end, factor = u[1], ndtr(u[0])
     dq = engine.design
-    x0, c = -engine.nu[p] / dq.xi(p), engine.c[p]
+    x0, c = -_nu(engine)[p] / dq.xi(p), engine.c[p]
 
     def integrand(s):
         x_lo, x_hi = x0 - s * c, x0 + s * c
         rays = ndtr(min(x_end, x_lo)) + max(ndtr(x_end) - ndtr(x_hi), 0.0)
-        tail = tail_products(dq, engine.nu, engine.c, p, np.array([s]))[p][0]
+        tail = tail_products(dq, _nu(engine), engine.c, p, np.array([s]))[p][0]
         return engine.ratio.pdf(s) * tail * factor * rays
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
@@ -457,15 +464,15 @@ def test_k1_term_matches_adaptive_quadrature(name, t):
     p, sig = 2, 1.0
     dq = engine.design
     assert dq.zeta(p) > 0.1 * dq.xi(p)
-    u = engine.u - engine.shift[p]
-    b, mp, cssx = float(dq.b(p)[0]), engine.nu[p], engine.c[p] * sig * dq.xi(p)
+    u = engine.u - engine.shift[p][0]
+    b, mp, cssx = float(dq.b(p)[0]), _nu(engine)[p], engine.c[p] * sig * dq.xi(p)
     sd = sig * np.sqrt(dq.omega(p)[0, 0])
 
     def inner(s):
         def f(z):
             return norm_pdf(z / sd) / sd * (1.0 - delta(sig * dq.zeta(p), mp + b * z, s * cssx))
         val, _ = quad(f, -12.0 * sd, u[0], epsabs=1e-15, epsrel=1e-13, limit=200)
-        tail = tail_products(dq, engine.nu, engine.c, p, np.array([s]))[p][0]
+        tail = tail_products(dq, _nu(engine), engine.c, p, np.array([s]))[p][0]
         return engine.ratio.pdf(s) * tail * val
 
     lo, hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
@@ -488,10 +495,10 @@ def _two_ray_cases():
 
 def _total(engine):
     """(unclamped total, abs_error) of an engine, as `cdf_exact` refines it."""
-    trace, gaps, rounds = refine(engine.assemble, [[p] for p in engine.panels()],
-                                 engine.budget.tol, engine.truncated)
-    res = cdf_result(trace, gaps[0] + engine.gap, rounds, engine.budget, "mixture-formula",
-                     engine.k, engine.truncated)
+    trace, gaps, rounds = refine(engine.assemble, engine.panels(), engine.budget.tol,
+                                 engine.truncated)
+    res = cdf_result(trace.row(0), gaps[0] + engine.gap[0], rounds[0], engine.budget,
+                     "mixture-formula", engine.k, engine.truncated)
     return float(res.term_trace.total), res.abs_error
 
 
@@ -889,14 +896,14 @@ def test_k3_term_matches_adaptive_quadrature(p, n):
     budget = AccuracyBudget()
     engine = _ExactEngine(problem, CdfQuery(A=A, t=P4_GRID[0], theta=problem.theta,
                                             sigma=1.0, rule=rule), budget)
-    u = engine.u - engine.shift[p]
+    u = engine.u - engine.shift[p][0]
     dq = engine.design
     g, _, L = condition_on_scalar(dq.omega(p), dq.C(p), dq.xi(p) ** 2)
     assert L.shape[1] == p - 1
-    x0, c = -engine.nu[p] / dq.xi(p), engine.c[p]
+    x0, c = -_nu(engine)[p] / dq.xi(p), engine.c[p]
     s_lo, s_hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     dens = chi(df=engine.ratio.dof, scale=1.0 / np.sqrt(engine.ratio.dof))
-    K = solve_ivp(lambda s, _: [dens.pdf(s) * tail_products(dq, engine.nu, engine.c, p, s)[p]],
+    K = solve_ivp(lambda s, _: [dens.pdf(s) * tail_products(dq, _nu(engine), engine.c, p, s)[p]],
                   (s_lo, s_hi), [0.0], method="DOP853", rtol=1e-13, atol=1e-16,
                   dense_output=True).sol
 
@@ -1036,8 +1043,8 @@ def test_k4_rank1_order_does_not_depend_on_the_sample():
         order2 = []
         for engine in engines:
             if bisections:
-                engine.panels()[1].bisect(0.0)
-            order2.append(engine.assemble().terms[1])
+                engine.panels()[1][0].bisect(0.0)
+            order2.append(engine.assemble().terms[1, 0])
         assert order2[0] == order2[1], (bisections, order2)
 
 
@@ -1072,8 +1079,8 @@ def _last_order_oracle(engine):
     orthant = engine.design.orthant(p)
     g, L = orthant.g, orthant.L
     assert p == 2 and L.shape[1] == 1
-    u = engine.u - engine.shift[p]
-    x0, c = -engine.nu[p] / engine.design.xi(p), engine.c[p]
+    u = engine.u - engine.shift[p][0]
+    x0, c = -_nu(engine)[p] / engine.design.xi(p), engine.c[p]
     s_lo, s_hi = engine.ratio.ppf(1e-12), engine.ratio.ppf(1.0 - 1e-10)
     load = L[:, 0]
 
@@ -1117,8 +1124,8 @@ def test_near_step_queries_are_within_their_error(A, t, first_pass_misses):
         # the 120M-replication Monte Carlo figure of the whole value
         assert abs(res.value - 0.197289) <= 4.0 * 3.6e-5 + res.abs_error, res
     engine = _ExactEngine(fx.problem, query, AccuracyBudget())
-    first = engine.assemble().terms[-1]
-    gap = sum(panels.gap for panels in engine.panels())
+    first = engine.assemble().terms[-1, 0]
+    gap = sum(rule[0].gap for rule in engine.panels())
     assert (abs(first - want) > gap) == first_pass_misses, (first, want, gap)
 
 
@@ -1369,13 +1376,13 @@ def test_rank0_pi_rows_are_differences_of_the_tail_products():
             (p,) = engine.drift.rays
             s, wk, _ = gl_panels(engine._s_edges)
             pdf = engine.ratio.pdf(s)
-            tail = tail_products(engine.design, engine.nu, engine.c, fx.problem.O, s)
-            x0, c = engine.drift.x0[p], float(engine.c[p])
+            tail = tail_products(engine.design, _nu(engine), engine.c, fx.problem.O, s)
+            x0, c = engine.drift.x0[p][0], float(engine.c[p])
             rays = pdf * tail[p] * ray_interval_prob(-np.inf, np.inf, x0 - c * s, x0 + c * s)
-            K = engine.drift.mass[p][0]
+            K = engine.drift.mass[p][0, 0]
             assert abs(K[3, -1] - wk @ rays) <= 1e-15, (name, theta)
             assert abs(K[3, -1] - (K[0, -1] - K[2, -1] + K[1, -1])) <= 1e-15, (name, theta)
-            engine.rank0[p] = (-np.inf, np.inf)
+            engine.rank0[p] = (np.array([-np.inf]), np.array([np.inf]))
             assert abs(engine._term_k1(p)[0].parts()[0, 0] - K[3, -1]) <= 1e-15, (name, theta)
 
 
@@ -1408,6 +1415,115 @@ def test_p1_sweep_points_read_the_same_cold_and_warm():
             cold, _, warm = (cdf_exact(fx.problem, query) for _ in range(3))
             assert _bits(cold) == _bits(warm), (n, lam)
             assert abs(cold.value - float.fromhex(want)) <= 1e-15, (n, lam, cold.value.hex())
+
+
+def _rows_equal_one_query_calls(problem, queries, budget=None, passes=3):
+    """One `cdf_exact_rows` call over ``queries``, made ``passes`` times
+    (cold, memo fill, warm), each row equal bit for bit to its own
+    `cdf_exact` call on a fresh drift record; returns the first pass."""
+    first = cdf_exact_rows(problem, queries, budget)
+    rows = [first] + [cdf_exact_rows(problem, queries, budget) for _ in range(passes - 1)]
+    for j, query in enumerate(queries):
+        want = _bits(cdf_exact(problem, query, budget))
+        for results in rows:
+            assert len(results) == len(queries)
+            assert _bits(results[j]) == want, (j, query.theta, results[j], want)
+    return first
+
+
+def test_p1_sweep_rows_equal_their_one_query_calls():
+    # the 27 P1 sweep points, a rows call per n, against their frozen values
+    for n, row in zip((100, 400, 1600), P1_SWEEP_VALUES):
+        fx = fixture("P1", n=n)
+        queries = [_query(fx, [0.0], theta=[lam / np.sqrt(n)], sigma=1.0)
+                   for lam in np.linspace(-0.999, 0.999, 9)]
+        results = _rows_equal_one_query_calls(fx.problem, queries)
+        for res, want in zip(results, row):
+            assert abs(res.value - float.fromhex(want)) <= 1e-15, (n, res.value.hex(), want)
+
+
+@pytest.mark.parametrize("A,t", [(E1, [0.25]), (np.eye(2), [0.25, 1.5])], ids=["k1", "k2"])
+def test_coll2_rows_on_a_line_of_theta_equal_their_one_query_calls(A, t):
+    # theta on a line moves order 1's ray centre, so its rank-0 crossings
+    # fall inside the scale grid at some rows and outside it at others;
+    # order 2 is an x-rule about each row's own centre
+    fx = fixture("COLL2")
+    thetas = [fx.problem.theta + lam * np.array([1.0, 0.0]) for lam in np.linspace(-3.0, 3.0, 9)]
+    queries = [CdfQuery(A=A, t=t, theta=theta, sigma=1.0, rule=fx.rule) for theta in thetas]
+    engine = _ExactEngine(fx.problem, queries, AccuracyBudget())
+    (p,) = engine.drift.rays
+    lo, hi = engine.rank0[p]
+    x0, edges = engine.drift.x0[p], engine._s_edges
+    y = np.array([x0 - lo, x0 - hi, hi - x0, lo - x0]).T / engine.c[p]
+    inside = ((y > edges[0]) & (y < edges[-1])).any(axis=1)
+    assert inside.any() and not inside.all(), inside
+    _rows_equal_one_query_calls(fx.problem, queries)
+
+
+def test_p4_k3_rows_equal_their_one_query_calls():
+    problem, A, rule = _p4_k3_case()
+    queries = [CdfQuery(A=A, t=P4_GRID[1], theta=problem.theta + d, sigma=1.0, rule=rule)
+               for d in (0.0, -0.2, 0.35)]
+    _rows_equal_one_query_calls(problem, queries)
+
+
+def test_sampled_rows_share_one_draw_per_order(monkeypatch):
+    # the P = 5, k = 4 design samples orders 4 and 5: a rows call draws
+    # each once for all its rows, and every row equals its one-query call
+    import pmsdist.dist_exact as dist_exact
+
+    problem, A, rule = _p5_k4_case()
+    draws = []
+
+    def spy(*args, _original=_gauss.gauss_draws):
+        draws.append(args[1])
+        return _original(*args)
+
+    monkeypatch.setattr(dist_exact, "gauss_draws", spy)
+    queries = [CdfQuery(A=A, t=(1.0, -0.5, 0.5, 0.8), theta=problem.theta * f, sigma=1.0,
+                        rule=rule) for f in (1.0, 0.5, -0.8)]
+    cdf_exact_rows(problem, queries, QUICK)
+    assert len(draws) == 2, draws
+    _rows_equal_one_query_calls(problem, queries, QUICK, passes=1)
+
+
+def test_a_one_row_call_is_cdf_exact():
+    fx = fixture("ORTHO2")
+    query = _query(fx, [0.25, -1.0])
+    (res,) = cdf_exact_rows(fx.problem, [query])
+    assert _bits(res) == _bits(cdf_exact(fixture("ORTHO2").problem, query))
+
+
+def test_rows_bisect_and_report_their_own_rounds():
+    # at tol 2e-10 the near-parallel COLL2 target needs 1 to 4 rounds of
+    # bisection depending on theta: each row stops on its own figures and
+    # its levels= is its own one-query call's
+    fx = fixture("COLL2")
+    A = np.array([[0.01, 1.0], [1.0, 0.0]])
+    queries = [CdfQuery(A=A, t=(1.0, -0.2), theta=fx.problem.theta + lam * np.array([0.0, 0.2]),
+                        sigma=1.0, rule=fx.rule) for lam in np.linspace(-1.0, 1.0, 5)]
+    results = _rows_equal_one_query_calls(fx.problem, queries, AccuracyBudget(tol=2e-10),
+                                          passes=1)
+    levels = [res.method.split(";")[1] for res in results]
+    assert len(set(levels)) >= 2 and "levels=0" not in levels, levels
+    assert all(res.warning is None for res in results)
+
+
+def test_rows_must_differ_in_theta_alone():
+    fx = fixture("COLL2")
+    base = _query(fx, [0.25, 0.5])
+    other = fixture("ORTHO2")
+    for changed in (replace(base, A=np.array([[1.0, 0.0], [1.0, 1.0]])),
+                    replace(base, t=[0.25, 0.75]), replace(base, sigma=2.0),
+                    replace(base, rule=GeneralToSpecific(critical=(1.5, 1.5)))):
+        with pytest.raises(ValidationError, match="theta alone"):
+            cdf_exact_rows(fx.problem, [base, replace(base, theta=[0.5, 0.5]), changed])
+    with pytest.raises(ValidationError, match="non-empty"):
+        cdf_exact_rows(fx.problem, [])
+    wide = CdfQuery(A=np.eye(3), t=np.zeros(3), theta=np.zeros(3), sigma=1.0,
+                    rule=GeneralToSpecific(critical=(1.96,) * 3))
+    with pytest.raises(ValidationError, match="width"):
+        cdf_exact_rows(other.problem, [wide, wide])
 
 
 def test_a_new_theta_costs_no_solve_and_no_ray_interval(monkeypatch):
@@ -1447,10 +1563,10 @@ def _rank0_oracle(engine, p, lo, hi):
     over the scale grid, with the crossings and the x-edge scales as break
     points."""
     edges = engine._s_edges
-    x0, c = engine.drift.x0[p], float(engine.c[p])
+    x0, c = engine.drift.x0[p][0], float(engine.c[p])
 
     def f(s):
-        tail = tail_products(engine.design, engine.nu, engine.c, p, np.array([s]))[p][0]
+        tail = tail_products(engine.design, _nu(engine), engine.c, p, np.array([s]))[p][0]
         return float(engine.ratio.pdf(s) * tail * ray_interval_prob(lo, hi, x0 - c * s,
                                                                    x0 + c * s))
 
@@ -1492,20 +1608,20 @@ def test_rank0_table_reads_match_quadrature_of_the_two_ray_form():
     # so `refine`, which never sees it, cannot be asked to chase it
     for label, engine, p in _rank0_cases():
         assert engine.problem.dof in (399, 1, 18, 99_998) and p in engine.rank0, label
-        lo, hi = engine.rank0[p]
+        lo, hi = (float(end[0]) for end in engine.rank0[p])
         assert np.isinf([lo, hi]).sum() == (0 if "finite" in label else 1), (label, lo, hi)
-        x0, c, edges = engine.drift.x0[p], float(engine.c[p]), engine._s_edges
+        x0, c, edges = engine.drift.x0[p][0], float(engine.c[p]), engine._s_edges
         inner, outer = c * 0.5 * edges[0], c * 2.0 * edges[-1]
         intervals = [(lo, hi), (x0 - inner, x0 + outer), (x0 - outer, x0 + inner),
                      (x0 - inner, x0 + inner), (x0 - outer, x0 - inner), (-np.inf, np.inf)]
         for lo, hi in intervals:
-            engine.rank0[p] = (lo, hi)
+            engine.rank0[p] = (np.atleast_1d(lo), np.atleast_1d(hi))
             term, gap = engine._term_k1(p)
             value, pi = term.parts()[:2, 0]
             want = _rank0_oracle(engine, p, lo, hi)
             assert abs(value - want) <= 1e-13 and gap <= 5e-11, (label, lo, hi, value, want, gap)
             assert abs(pi - _rank0_oracle(engine, p, -np.inf, np.inf)) <= 1e-13, label
-        engine.rank0[p] = (0.5, -0.5)
+        engine.rank0[p] = (np.array([0.5]), np.array([-0.5]))
         term, gap = engine._term_k1(p)
         assert term.parts()[0, 0] == 0.0 and gap == 0.0, label
 

@@ -19,7 +19,14 @@ from pmsdist.experiments import (
     uniform_case_sweep,
 )
 from pmsdist.fixtures import fixture
-from pmsdist.selection import InformationCriterion, SubsetMask, Thresholding
+from pmsdist.regression_core import RegressionProblem
+from pmsdist.selection import (
+    GeneralToSpecific,
+    InformationCriterion,
+    SubsetMask,
+    Thresholding,
+    ic_threshold,
+)
 
 QUICK = AccuracyBudget(tol=1e-5, n_z=20_000, seed=0)
 
@@ -136,6 +143,44 @@ def test_tube_sweep_evaluates_one_own_limit_per_true_order(monkeypatch, name, t,
                                 exterior_min)
     assert np.array_equal(np.array(rep.rows, dtype=float), np.array(ref, dtype=float),
                           equal_nan=True)
+
+
+def test_tube_rows_meet_the_default_budget(monkeypatch):
+    # the sweep's rows calls pass no tracer hook, so the CI count of
+    # warnings cannot see them: at the benchmark's tube points (default
+    # budget) no row warns, with a rows call per n over the kept lambda
+    seen = []
+
+    def spy(problem, queries, budget=None, _original=experiments.cdf_exact_rows):
+        seen.append(_original(problem, queries, budget))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "cdf_exact_rows", spy)
+    for exterior_min in (None, 0.25):
+        seen.clear()
+        rep = tube_sweep(fixture("P1"), t=[0.0], rho_grid=[1.0], n_ladder=(100, 400, 1600),
+                         exterior_min=exterior_min)
+        assert rep.passed and [len(r) for r in seen] == [row[2] for row in rep.rows]
+        assert all(res.warning is None for results in seen for res in results)
+
+
+@pytest.mark.parametrize("rule", [None, InformationCriterion(
+    upsilon_n=2.0, family=(SubsetMask(bits=(1,)), SubsetMask(bits=(0,))))], ids=["g2s", "ic"])
+def test_impossibility_references_are_one_query_calls(rule):
+    # both references of each n come from one rows call and equal the two
+    # one-query calls bit for bit, under the rule that is run
+    fx = fixture("P1")
+    rep = impossibility_demo(fx, t=[0.0], gamma=[1.2], delta0=0.10, n_ladder=(100, 400),
+                             replications=200, rule=rule, master_seed=11, budget=QUICK)
+    for n, fixed, drift, *_ in rep.rows:
+        problem, run_rule = fixture("P1", n=n).problem, fx.rule
+        if rule is not None:
+            problem = RegressionProblem(X=problem.X, theta=fx.problem.theta, sigma=1.0, O=0)
+            run_rule = GeneralToSpecific(critical=(ic_threshold(n, 1, 2.0),))
+        for theta, ref in ((fx.problem.theta, fixed), (fx.problem.theta + 1.2 / np.sqrt(n), drift)):
+            res = cdf_exact(problem, CdfQuery(A=fx.A, t=[0.0], theta=theta, sigma=1.0,
+                                              rule=run_rule), QUICK)
+            assert res.value.hex() == ref.hex(), (n, theta)
 
 
 def test_refusals():

@@ -4,7 +4,7 @@ import pytest
 
 from pmsdist.cdf_estimators import g_check, phi_hat_values
 from pmsdist.dist_exact import CdfQuery
-from pmsdist.errors import DegenerateSampleError, ValidationError
+from pmsdist.errors import DegenerateSampleError, ValidationError, target_matrix
 from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import SimulationPlan, simulate_response
 from pmsdist.regression_core import (
@@ -303,6 +303,22 @@ def test_non_finite_targets_are_invalid():
         ):
             with pytest.raises(ValidationError, match="finite"):
                 make()
+
+
+@pytest.mark.parametrize("row", [np.zeros(3), np.array([5e-324, 0.0]),
+                                 np.array([-1.5, 0.0, 2.0, -0.25]),
+                                 np.random.default_rng(40).standard_normal(40)])
+def test_one_row_target_rank_is_numpys(row):
+    # one row is tested for a nonzero entry instead of an SVD: the same
+    # verdict as np.linalg.matrix_rank on a zero, a subnormal, a mixed-sign
+    # and a P = 40 row
+    full = np.linalg.matrix_rank(row[None, :]) == 1
+    if full:
+        assert np.array_equal(target_matrix(row), row[None, :])
+    else:
+        with pytest.raises(ValidationError, match="rank"):
+            target_matrix(row)
+    assert full == bool(row.any())
 
 
 _COLL2 = fixture("COLL2").problem
