@@ -24,14 +24,15 @@ A call evaluates one query (`cdf_exact`) or rows of queries that agree
 on A, t, sigma and rule and differ in theta alone (`cdf_exact_rows`,
 whose one-row call `cdf_exact` is, so there is one assembly).  Built
 once and shared by every later call, all read-only: the design record
-per (problem, target), kept on the problem, with each order's
-conditioned orthant (`LimitQuantities.orthant`) and the drift maps
+per content (X'X/n, target, O), shared by every problem that holds it,
+the same design at another n included, with each order's conditioned
+orthant (`LimitQuantities.orthant`) and the drift maps
 (`LimitQuantities.drift_maps`, the shifts and drifts of
 `regression_core.local_shift_constants`, linear in gamma); and the
 scale layout (the grid's edges, its nodes s and pdf(s), the `_STEP_Q`
 scales) per (dof, quantiles, layout constants).  Built once per call
-for all its rows, in the design record's one drift slot keyed by the
-rows' theta / sigma, the critical values and the layout constants: the
+for all its rows, in the design record's one drift slot keyed by n,
+the rows' theta / sigma, the critical values and the layout constants: the
 drift record (`_Drift`), so cold rows compute only that record: the
 shifts, drifts and ray centres (one product each with the drift maps),
 the later-stage products at the layout's nodes for every row in one
@@ -422,7 +423,7 @@ def cdf_result(trace: TermTrace, gap: float, rounds: int, budget: AccuracyBudget
 
 
 class _Drift:
-    """The t-free half of the exact cdf at one (design record, rows of
+    """The t-free half of the exact cdf at one (design record, n, rows of
     theta/sigma, critical values): what `_ExactEngine` builds once per set
     of rows and reads at every t, kept in the design record's drift slot
     (`LimitQuantities.drift`).
@@ -509,14 +510,16 @@ class _ExactEngine:
         O = problem.O
         # the scale mass outside the grid, part of the error floor
         self.truncated = _S_Q_LO + (1.0 - _S_Q_HI)
-        # at unit sigma (t and theta over sigma): the design record, and the
-        # drift record of the rows' theta / sigma in its slot, keyed by
-        # everything it is built from that a call may change
+        # at unit sigma (t and theta over sigma): the design record, shared
+        # by every n of its Gram, and the drift record of the rows' theta /
+        # sigma in its slot, keyed by everything it is built from that a
+        # call may change, n (and with it the dof) first
         self.u = first.t / first.sigma
         self.design = dq = projection_quantities(problem, first.A)
         self.c = first.rule.critical_values(O)
         thetas = np.array([q.theta for q in queries]) / first.sigma
-        key = (thetas.tobytes(), self.c.tobytes(), _S_Q_LO, _S_Q_HI, _STEP_Q, layout_constants())
+        key = (problem.n, thetas.tobytes(), self.c.tobytes(), _S_Q_LO, _S_Q_HI, _STEP_Q,
+               layout_constants())
         self.drift = dq.drift(key, lambda: _Drift(problem, dq, thetas, self.c))
         self.shift, self.nu, self.ratio = self.drift.shift, self.drift.nu, self.drift.ratio
         self.s_step, self._s_edges = self.drift.s_step, self.drift.edges

@@ -18,6 +18,7 @@ ExperimentRefusal instead of emitting vacuous passes.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -455,7 +456,10 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
     vectorized IC kernel over all instances; the first SCALAR_REPLAYS of
     them are also replayed through ``select_ic`` and ``full_model_t_ratios``
     on the full response, and a replay that departs from the kernel or from
-    the exact threshold counts as a disagreement.
+    the exact threshold counts as a disagreement.  Each n is replicated
+    and replayed once (the fixture's own n is often the first rung), and
+    a rung reads its symmetric difference off that n's decisions; the
+    disagreements of both parts are still counted, as at distinct n.
     """
     start = time.perf_counter()
     n_ladder = _ladder(n_ladder)
@@ -466,8 +470,10 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
     ic_rule = InformationCriterion(upsilon_n=float(upsilon), family=(full, rstar))
     rows = []
 
-    def _run(n: int, cutoff: float | None):
-        """(ic_vs_exact disagreements, ic_vs_cutoff symdiff count, usable N)."""
+    @functools.cache
+    def _run(n: int):
+        """(ic_vs_exact disagreements, usable mask, IC picked the full
+        model, |t| of the dropped coordinate) at n."""
         prob = fixture.at_n(n).problem
         c_n = ic_threshold(n, P, float(upsilon))
         reps = replicate(SimulationPlan(problem=prob, rule=ic_rule, A=fixture.A,
@@ -476,21 +482,23 @@ def aic_equivalence_audit(fixture: Fixture, instances: int, *,
         picked_full = np.array([m == full for m in reps.models])[reps.model_index]
         t_drop = np.abs(reps.t_ratios[:, P - 1])
         disagree = int(np.sum(ok & (picked_full != (t_drop > c_n))))
-        symdiff = 0 if cutoff is None else int(np.sum(ok & (picked_full != (t_drop >= cutoff))))
         for i in np.nonzero(ok)[0][:SCALAR_REPLAYS]:
             Y = simulate_response(prob, (master_seed, int(i)))
             scalar_full = select_ic(prob, Y, ic_rule) == full
             t_scalar = abs(full_model_t_ratios(prob, Y)[P - 1])
             disagree += int(scalar_full != picked_full[i] or scalar_full != (t_scalar > c_n))
-        return disagree, symdiff, int(ok.sum())
+        return disagree, ok, picked_full, t_drop
 
-    disagree0, _, used0 = _run(pr.n, None)
+    disagree0, ok, _, _ = _run(pr.n)
+    used0 = int(ok.sum())
     rows.append(("exact_threshold_audit", pr.n, used0, disagree0,
                  disagree0 / used0 if used0 else 0.0))
     sym_freqs = []
     cutoff = float(np.sqrt(upsilon))
     for n in n_ladder:
-        disagree_n, symdiff_n, used_n = _run(n, cutoff)
+        disagree_n, ok, picked_full, t_drop = _run(n)
+        symdiff_n = int(np.sum(ok & (picked_full != (t_drop >= cutoff))))
+        used_n = int(ok.sum())
         disagree0 += disagree_n
         freq = symdiff_n / used_n if used_n else 0.0
         sym_freqs.append(freq)

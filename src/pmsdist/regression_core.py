@@ -17,6 +17,7 @@ through the record's maps of the constants at theta = 0 (linear in gamma).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,7 +147,8 @@ class RegressionProblem:
 
     @cached_property
     def _records(self) -> dict[tuple, LimitQuantities]:
-        """`projection_quantities` records, keyed by the target's shape and bytes."""
+        """The `projection_quantities` records this problem holds, keyed by
+        the target's shape and bytes."""
         return {}
 
 
@@ -160,7 +162,9 @@ class LimitQuantities:
     regression coefficient and residual scale; omega_p the covariance
     A[p] Q[p:p]^{-1} A[p]' of the order-p target estimate (all at unit
     sigma).  Q is the limit Gram (`limit_quantities`) or X'X/n
-    (`projection_quantities`).  Arrays are indexed by p - 1; the ``xi``,
+    (`projection_quantities`); both read one table keyed by the content
+    (Q, A, O), so every holder of equal bytes, at any n, shares the record
+    and all it builds.  Arrays are indexed by p - 1; the ``xi``,
     ``C``, ``b``, ``zeta`` and ``omega`` accessors take the order p
     directly, and omega(0), the order-0 estimator being the point 0, is
     the zero matrix.  q_star is the largest q > O whose covariance vector
@@ -262,8 +266,9 @@ class LimitQuantities:
 
         A drift record is what a cdf evaluator derives from the design
         record and one parameter point without its argument t (`dist_exact`
-        keys it by theta/sigma, the critical values and its layout
-        constants); the slot keeps the last point's, so a sweep keeps one.
+        keys it by n, theta/sigma, the critical values and its layout
+        constants, since a record serves every n of its Gram); the slot
+        keeps the last point's, so a sweep keeps one.
         ``key`` must compare with ``!=`` (bytes, numbers and tuples of
         them), and the drift record must pickle, as a problem travels to
         worker processes with its design records.
@@ -412,6 +417,22 @@ def _design_record(Q: np.ndarray, A: np.ndarray, O: int) -> LimitQuantities:
     )
 
 
+# Every live design record, keyed by its content (`_kept_record`).  Weak:
+# a record lives while a holder keeps it (a problem's `_records`, a
+# `Fixture.limits`), so the table adds no memory and nothing to a pickle.
+_RECORDS: weakref.WeakValueDictionary[tuple, LimitQuantities] = weakref.WeakValueDictionary()
+
+
+def _kept_record(Q: np.ndarray, A: np.ndarray, O: int) -> LimitQuantities:
+    """The live design record of (Q, A, O), arguments checked, else a new
+    one: a record is a function of these alone, so equal bytes share one."""
+    key = A.shape, Q.tobytes(), A.tobytes(), int(O)
+    rec = _RECORDS.get(key)
+    if rec is None:
+        rec = _RECORDS[key] = _design_record(Q, A, O)
+    return rec
+
+
 def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQuantities:
     """The design record of X'X/n for target A and every order.
 
@@ -419,23 +440,25 @@ def projection_quantities(problem: RegressionProblem, A: np.ndarray) -> LimitQua
     definiteness gate: `RegressionProblem` has checked the rank of X, and
     a nearly collinear design keeps its finite-n law.
 
-    The record depends on neither t, theta nor sigma, so it is built once
-    per (problem, target) and kept on the problem, keyed by the float64
-    target's shape and bytes; every later call with the same target gets
-    the same read-only record, and with it each order's conditioned
-    orthant and covariance factor (`LimitQuantities.orthant` and
-    `LimitQuantities.factor`, built on first use).  A target is
-    validated only when it is first seen: equal bytes were valid then.
-    The memo holds one record of O(P k^2) floats per distinct target,
-    whatever n is; each record keeps one slot for the drift record of the
-    last parameter point (`LimitQuantities.drift`).
+    The record depends on neither t, theta, sigma nor n beyond X'X/n, so
+    it is kept per content (X'X/n, A, O) and shared: every problem on an
+    equal Gram, the same design at another n included, and every
+    `limit_quantities` call on equal bytes gets the same read-only record,
+    and with it each order's conditioned orthant and covariance factor
+    (`LimitQuantities.orthant` and `LimitQuantities.factor`, built on
+    first use).  The problem holds its records, keyed by the float64
+    target's shape and bytes; a target is validated only when the problem
+    first sees it: equal bytes were valid then.  A record of O(P k^2)
+    floats lives while a problem or fixture holds it, whatever n is, and
+    keeps one slot for the drift record of the last parameter point
+    (`LimitQuantities.drift`).
     """
     A = np.asarray(A, dtype=float)
     key = A.shape, A.tobytes()
     rec = problem._records.get(key)
     if rec is None:
-        rec = _design_record(problem.gram, target_matrix(A, problem.P), problem.O)
-        problem._records[key] = rec
+        rec = problem._records[key] = _kept_record(problem.gram, target_matrix(A, problem.P),
+                                                   problem.O)
     return rec
 
 
@@ -444,7 +467,9 @@ def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantitie
 
     Q is the limit Gram (SPD); A the k x P target with full row rank; O the
     minimal order used to locate q_star = max{q > O : ||C_q|| > 1e-10}
-    (None when no such q exists).
+    (None when no such q exists).  Validated on every call; the record is
+    then the live one of equal content, the one `projection_quantities`
+    gives at X'X/n = Q, else a new one (see there).
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -454,7 +479,7 @@ def limit_quantities(Q: np.ndarray, A: np.ndarray, O: int = 0) -> LimitQuantitie
     A = target_matrix(A, P)
     if not (0 <= O < P):
         raise ValidationError(f"O must lie in [0, {P}), got {O}")
-    return _design_record(Q, A, O)
+    return _kept_record(Q, A, O)
 
 
 def local_shift_constants(Q: np.ndarray, A: np.ndarray, theta, gamma,

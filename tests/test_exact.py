@@ -42,7 +42,9 @@ from pmsdist.errors import DensityUndefinedError, ValidationError
 from pmsdist.fixtures import fixture
 from pmsdist.montecarlo import SimulationPlan, empirical_cdf
 from pmsdist.regression_core import (
+    _RECORDS,
     RegressionProblem,
+    _design_record,
     limit_quantities,
     local_shift_constants,
     projection_quantities,
@@ -644,7 +646,7 @@ def test_shared_setup_replays_a_cold_call_bit_for_bit():
     for make, query in points:
         _ratio_quantiles.cache_clear()
         _scale_layout.cache_clear()
-        cold = cdf_exact(make(), query)
+        cold = _cold(make(), query)
         if make not in warm_problems:
             warm_problems[make] = make()
             moved = CdfQuery(A=query.A, t=query.t + 0.5, theta=0.5 * query.theta + 0.1,
@@ -663,6 +665,14 @@ def _bits(res):
             tt.orders, b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays))
 
 
+def _cold(problem, query, budget=None):
+    """`cdf_exact` of ``problem``, built afresh, on design records of its
+    own: the shared table is cleared first, so no record another problem
+    holds (at any n of the same Gram) is read."""
+    _RECORDS.clear()
+    return cdf_exact(problem, query, budget)
+
+
 def test_drift_record_replays_fresh_problems_bit_for_bit():
     # the t-free half of a call (shifts, drifts, scale masses, node factors)
     # is kept per theta beside the design record: over every exact_grid
@@ -670,7 +680,7 @@ def test_drift_record_replays_fresh_problems_bit_for_bit():
     # points (which takes the slot each time), each point is the point of a
     # fresh problem, trace and all
     points = _benchmark_points()[:39]
-    fresh = [_bits(cdf_exact(make(), query)) for make, query in points]
+    fresh = [_bits(_cold(make(), query)) for make, query in points]
     for order in ("forward", "reversed", "interleaved"):
         index = range(len(points)) if order != "reversed" else range(len(points))[::-1]
         problems = {}
@@ -718,10 +728,10 @@ def test_bisected_panels_never_enter_the_drift_record():
         cdf_exact(problem, query(t))
     deep = cdf_exact(problem, query((1.0, -0.2)), fine)
     assert deep.warning is None and "levels=0" not in deep.method, deep
-    assert _bits(deep) == _bits(cdf_exact(fixture("COLL2").problem, query((1.0, -0.2)), fine))
+    assert _bits(deep) == _bits(_cold(fixture("COLL2").problem, query((1.0, -0.2)), fine))
     for t in ((0.25, 0.25), (1.0, -0.2), (-1.0, 1.5)):
         res = cdf_exact(problem, query(t))
-        assert _bits(res) == _bits(cdf_exact(fixture("COLL2").problem, query(t))), t
+        assert _bits(res) == _bits(_cold(fixture("COLL2").problem, query(t))), t
 
 
 def _memo_bytes(drift):
@@ -731,14 +741,19 @@ def _memo_bytes(drift):
 
 
 def test_drift_slots_and_memos_stay_bounded():
-    # one slot per design record whatever number of theta a sweep visits,
-    # and node memos sized by the t-free layouts whatever number of t
+    # one slot per design record whatever number of theta and n a sweep
+    # visits (P1 at n = 100 and 400 share the record, and the slot's key
+    # leads with n), and node memos sized by the t-free layouts whatever
+    # number of t
     fx = fixture("P1", n=400)
+    other = fixture("P1", n=100).problem
     for lam in np.linspace(-3.0, 3.0, 200):
-        cdf_exact(fx.problem, CdfQuery(A=fx.A, t=[0.1], theta=[lam / 20.0], sigma=1.0,
-                                       rule=fx.rule))
+        for problem in (other, fx.problem):
+            cdf_exact(problem, CdfQuery(A=fx.A, t=[0.1], theta=[lam / 20.0], sigma=1.0,
+                                        rule=fx.rule))
     (record,) = fx.problem._records.values()
-    assert record._drift[0][0] == np.array([3.0 / 20.0]).tobytes()
+    assert tuple(other._records.values()) == (record,)
+    assert record._drift[0][:2] == (400, np.array([3.0 / 20.0]).tobytes())
     fx = fixture("COLL2")
     sizes, records = [], set()
     for t in np.random.default_rng(26).uniform(-2.0, 2.0, (100, 2)):
@@ -748,6 +763,32 @@ def test_drift_slots_and_memos_stay_bounded():
         records.add(id(drift))
         sizes.append(_memo_bytes(drift))
     assert len(records) == 1 and len(set(sizes[1:])) == 1 and sizes[1] > 0, sizes
+
+
+def test_shared_records_never_serve_a_stale_drift_record():
+    # every n of a fixture has X'X/n = Q, so P1 at n = 100, 400 and 1600
+    # share one design record and COLL2 at n = 20 and 200 another: at one
+    # theta and t their drift slots' keys differ in n alone, and every call
+    # of an interleaving equals a cold call, trace and all
+    cases = [(fixture("P1", n=n), [0.0]) for n in (100, 400, 1600)]
+    cases += [(fixture("COLL2", n=n), [0.25, 0.25]) for n in (20, 200)]
+    queries = [CdfQuery(A=fx.A, t=t, theta=fx.problem.theta + 0.1, sigma=1.0, rule=fx.rule)
+               for fx, t in cases]
+    cold = [_bits(_cold(fx.at_n(fx.problem.n).problem, q)) for (fx, _), q in zip(cases, queries)]
+    order = [0, 3, 1, 4, 2]
+    for _ in range(2):
+        for i in order + order[::-1]:
+            assert _bits(cdf_exact(cases[i][0].problem, queries[i])) == cold[i], i
+    p1, _, _, coll2, _ = records = [projection_quantities(fx.problem, fx.A) for fx, _ in cases]
+    assert [r is p1 for r in records] == [True] * 3 + [False] * 2
+    assert records[4] is coll2
+    # a twin problem (the same X) gets the same record; another O or
+    # target another
+    X = cases[3][0].problem.X
+    twin = RegressionProblem(X=X, theta=np.zeros(2), sigma=2.0, O=0)
+    assert projection_quantities(twin, np.eye(2)) is coll2
+    assert projection_quantities(replace(twin, O=1), np.eye(2)) is not coll2
+    assert projection_quantities(twin, E1) is not coll2
 
 
 def test_patched_layouts_never_read_a_stale_drift_record(monkeypatch):
@@ -766,7 +807,7 @@ def test_patched_layouts_never_read_a_stale_drift_record(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(module, name, value)
             for q in queries:
-                want = _bits(cdf_exact(_p4_k3_case()[0], q))
+                want = _bits(_cold(_p4_k3_case()[0], q))
                 assert _bits(cdf_exact(problem, q)) == want, name
                 assert _bits(cdf_exact(problem, q)) == want, name
 
@@ -1191,11 +1232,20 @@ def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
     # cdf call, whatever round `refine` stops at; order 1 (rank 0) takes
     # the two-ray arm and forms none.  The null vectors behind them are
     # formed once per design record, by its first row: a later t of the
-    # same target forms none.  A = I_2 meets tol in the first pass; the
-    # near-step target of `test_near_step_queries_are_within_their_error`
-    # is bisected, in the exact cdf at (0.25, 0.25) and the default tol, in
-    # the limit at (-0.85, -0.15) and tol 1e-9, both above their floors
-    calls, normals = [], []
+    # same target forms none, nor does the limit cdf or `g_check_values`
+    # on the same Gram and target, which read the same record.  A = I_2
+    # meets tol in the first pass; the near-step target of
+    # `test_near_step_queries_are_within_their_error` is bisected, in the
+    # exact cdf at (0.25, 0.25) and the default tol, in the limit at
+    # (-0.85, -0.15) and tol 1e-9, both above their floors
+    import pmsdist.regression_core as regression_core
+
+    calls, normals, built = [], [], []
+
+    class Counting(_gauss.ConditionedOrthant):
+        def __init__(self, g, S, L):
+            built.append(L.shape)
+            super().__init__(g, S, L)
 
     def spy(u, orthant, _original=_gauss.conditional_kinks):
         calls.append(len(u))
@@ -1207,9 +1257,11 @@ def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
 
     monkeypatch.setattr(_gauss, "conditional_kinks", spy)
     monkeypatch.setattr(_gauss, "kink_normals", spy_normals)
+    monkeypatch.setattr(regression_core, "ConditionedOrthant", Counting)
     fx = fixture("COLL2")
     problem = RegressionProblem(X=np.array(fx.problem.X), theta=fx.problem.theta, sigma=1.0,
                                 O=fx.problem.O)
+    _RECORDS.clear()   # new records, whatever COLL2 record another holder keeps
     step = np.array([[0.001, 1.0], [1.0, 0.0]])
     levels = set()
     for A in (np.eye(2), step):
@@ -1222,28 +1274,35 @@ def test_kinks_are_formed_once_per_order_and_row(monkeypatch):
             assert calls == [2] and res.warning is None, (A, t, res.method, calls)
             assert normals == ([2] if i == 0 else []), (A, t, normals)
     assert "levels=0" in levels and len(levels) > 1, levels
-    limits = limit_quantities(fx.problem.gram, step, O=fx.problem.O)
+    shared = limit_quantities(fx.problem.gram, step, O=fx.problem.O)
+    assert shared is projection_quantities(problem, step)
     alt = LocalAlternative(theta=np.zeros(2), gamma=np.array([-1.5, -1.5]), sigma=1.0)
-    for i in range(2):
+    for limits, formed in ((shared, []), (_design_record(shared.Q, shared.A, shared.O), [2])):
+        for i in range(2):
+            calls.clear()
+            normals.clear()
+            res = cdf_limit(limits, alt, (-0.85, -0.15), fx.rule, AccuracyBudget(tol=1e-9))
+            assert calls == [2] and "levels=0" not in res.method, (res.method, calls)
+            assert res.warning is None, res
+            assert normals == (formed if i == 0 else []), normals
+    # fx.problem has the twin's Gram, and A = I_2 is a target the twin's
+    # exact cdf conditioned above: each call reads that warm record
+    built.clear()
+    for _ in range(3):
         calls.clear()
         normals.clear()
-        res = cdf_limit(limits, alt, (-0.85, -0.15), fx.rule, AccuracyBudget(tol=1e-9))
-        assert calls == [2] and "levels=0" not in res.method, (res.method, calls)
-        assert res.warning is None, res
-        assert normals == ([2] if i == 0 else []), normals
-    calls.clear()
-    normals.clear()
-    g_check_values(fx.problem, fx.A, (0.3, -0.2), fx.rule, np.array([0.5, 1.0, 1.7]),
-                   np.zeros(3, dtype=int), budget=AccuracyBudget(tol=1e-9))
-    assert calls == [2, 2, 2] and normals == [2], (calls, normals)
+        g_check_values(fx.problem, fx.A, (0.3, -0.2), fx.rule, np.array([0.5, 1.0, 1.7]),
+                       np.zeros(3, dtype=int), budget=AccuracyBudget(tol=1e-9))
+        assert calls == [2, 2, 2] and normals == [] and built == [], (calls, normals, built)
 
 
 def test_a_design_record_builds_each_orders_orthant_once(monkeypatch):
     # an order's conditioned orthant (its split, kernel constants and kink
     # normals) depends on the design record alone: three t on P4 build one
     # per conditional order (2, 3 and 4, of ranks 1, 2 and 3) with one kink
-    # rule each, and a cdf_limit on the same record builds none, and reads
-    # the values of a record of its own bit for bit
+    # rule each, and a cdf_limit on the same record (the one
+    # `limit_quantities` gives at this Gram) builds none, and reads the
+    # values of a record of its own bit for bit
     import pmsdist.regression_core as regression_core
 
     built, normals = [], []
@@ -1260,15 +1319,17 @@ def test_a_design_record_builds_each_orders_orthant_once(monkeypatch):
     monkeypatch.setattr(regression_core, "ConditionedOrthant", Counting)
     monkeypatch.setattr(_gauss, "kink_normals", spy_normals)
     problem, A, rule = _p4_k3_case()
+    _RECORDS.clear()   # a new record, whatever P4 record another holder keeps
     for t in P4_GRID:
         cdf_exact(problem, CdfQuery(A=A, t=t, theta=problem.theta, sigma=1.0, rule=rule))
     assert built == [(3, 1), (3, 2), (3, 3)] and normals == built, (built, normals)
     record = projection_quantities(problem, A)
+    assert limit_quantities(problem.gram, A, O=problem.O) is record
     alt = LocalAlternative(theta=np.zeros(4), gamma=np.sqrt(problem.n) * problem.theta,
                            sigma=1.0)
     for t in P4_GRID:
         shared = cdf_limit(record, alt, t, rule)
-        own = cdf_limit(limit_quantities(problem.gram, A, O=problem.O), alt, t, rule)
+        own = cdf_limit(_design_record(record.Q, record.A, record.O), alt, t, rule)
         assert (shared.value, shared.abs_error) == (own.value, own.abs_error), (t, shared, own)
     assert len(built) == 3 + 3 * 3 and len(normals) == 3 + 3 * 3, (built, normals)
 
@@ -1286,14 +1347,16 @@ def test_cross_check_keeps_its_split_on_b_per_record(monkeypatch):
 
     monkeypatch.setattr(_gauss, "kink_normals", spy_normals)
     problem, A, rule = _p4_k3_case()
+    _RECORDS.clear()   # a new record, whatever P4 record another holder keeps
     record = limit_quantities(problem.gram, A, O=problem.O)
     alt = LocalAlternative(theta=np.zeros(4), gamma=np.sqrt(problem.n) * problem.theta,
                            sigma=1.0)
     kept = [cdf_limit_via_integral(record, alt, t, rule) for t in P4_GRID]
     assert len(normals) == 3, normals
     assert sorted(record._orthants) == [(2, True), (3, True), (4, True)]
+    assert limit_quantities(problem.gram, A, O=problem.O) is record
     for t, res in zip(P4_GRID, kept):
-        own = cdf_limit_via_integral(limit_quantities(problem.gram, A, O=problem.O), alt, t, rule)
+        own = cdf_limit_via_integral(_design_record(record.Q, record.A, record.O), alt, t, rule)
         assert _bits(res) == _bits(own), t
 
 

@@ -1,4 +1,6 @@
 """Tests for the regression-model layer: fits, scales, projections, limits."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,17 +169,23 @@ def test_projection_record_is_built_once_per_problem_and_target():
     # equal float64 bytes and shape, whatever container: the same record
     assert projection_quantities(pr, [[1, 0], [0, 1]]) is rec
     assert projection_quantities(pr, np.eye(2)) is rec
-    # another target, or the same values in another shape: its own record
+    # another target: its own record
     e1 = projection_quantities(pr, [[1.0, 0.0]])
     assert e1 is not rec and projection_quantities(pr, [[1.0, 0.0]]) is e1
     e2 = projection_quantities(pr, [[0.0, 1.0]])
     assert np.array_equal(e2.A, [[0.0, 1.0]]) and not np.array_equal(e2.C_inf, e1.C_inf)
+    # the same values in another shape are the same target once validated:
+    # the problem holds the one record under both keys
     flat = projection_quantities(pr, [1.0, 0.0])
-    assert flat is not e1
-    assert np.array_equal(flat.omega_inf, e1.omega_inf) and flat.q_star == e1.q_star
-    # another problem on the same design keeps its own memo
+    assert flat is e1 and len(pr._records) == 4
+    # records are kept per content (X'X/n, A, O): a twin problem on the
+    # same design, the design at another n (X'X/n is Q at every n) and the
+    # limit record of Q share it; another O has its own
     twin = RegressionProblem(X=pr.X, theta=pr.theta, sigma=pr.sigma, O=pr.O)
-    assert projection_quantities(twin, np.eye(2)) is not rec
+    assert projection_quantities(twin, np.eye(2)) is rec
+    assert projection_quantities(fixture("COLL2", n=200).problem, np.eye(2)) is rec
+    assert limit_quantities(fx.Q, np.eye(2), O=pr.O) is rec
+    assert projection_quantities(replace(twin, O=1), np.eye(2)) is not rec
 
 
 @pytest.mark.parametrize("A,fragment", [
